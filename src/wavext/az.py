@@ -17,8 +17,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .domain import (DomainMask, MaskedGrid, masked_grid, plunge_row_set,
-                     scaling_boundary_set, wavelet_boundary_set)
+from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
+                     plunge_row_set, scaling_boundary_set,
+                     wavelet_boundary_set)
 from .dwt import sparse_idwt_rows
 from .filters import FilterBank
 from .solvers import (DEFAULT_TOL, randomized_lowrank_solve, sparse_qr_solve)
@@ -27,6 +28,10 @@ from .system import (FrameOperator, ScalingMatrices, ZStarOperator,
                      rhs)
 
 PRUNE_REL = 1e-12
+# Block applies of the plunge operators run in chunks of at most this many
+# basis entries (columns x n_basis): larger chunks at n_basis = 2^18 raise
+# peak memory by a quarter for no speed gain.
+BLOCK_ENTRIES = 2**18
 
 
 class AZError(ValueError):
@@ -67,6 +72,7 @@ class AZSolution:
     stage_times: dict
     plunge_rank: int
     warning: str | None = None
+    diagnostics: dict = field(default_factory=dict)
 
 
 def make_problem(f, mask: DomainMask, bank: FilterBank, N, q,
@@ -91,22 +97,74 @@ def _apply_Z(problem: AZProblem, c):
     return frame.scaling_matrix @ frame.dual_synthesis(c)
 
 
+def _adjoint(op, y):
+    """op* y for a vector or a block of columns."""
+    return op.rmatvec(y) if y.ndim == 1 else op.rmatmat(y)
+
+
+def _scale_rows(w, x):
+    """diag(w) x for a vector or a block; the identity when w is None."""
+    return x if w is None else (w * x.T).T
+
+
 def _plunge_apply(problem: AZProblem, x):
-    y = problem.A.matvec(x)
-    return y - problem.A.matvec(problem.Zstar(y))
+    """(I - A Z*) A x for a vector or an (n_basis, k) block."""
+    y = problem.A @ x
+    return y - problem.A @ problem.Zstar(y)
 
 
 def _plunge_rapply(problem: AZProblem, y):
-    y = np.ravel(y)
-    return problem.A.rmatvec(y - _apply_Z(problem, problem.A.rmatvec(y)))
+    """A* (I - Z A*) y for a vector or an (M, k) block."""
+    y = np.asarray(y, dtype=float)
+    return _adjoint(problem.A, y - _apply_Z(problem, _adjoint(problem.A, y)))
 
 
-def plunge_operator(problem: AZProblem):
-    """Matrix-free (I - A Z*) A as a scipy LinearOperator."""
+def _in_blocks(fn, n_basis):
+    """fn applied to column chunks of a block, at most BLOCK_ENTRIES basis
+    entries each."""
+    step = max(1, BLOCK_ENTRIES // n_basis)
+
+    def run(X):
+        if X.shape[1] <= step:
+            return fn(X)
+        return np.hstack([fn(X[:, i:i + step])
+                          for i in range(0, X.shape[1], step)])
+    return run
+
+
+def _block_operator(shape, apply, rapply, n_basis):
+    """LinearOperator from functions that take a vector or a block."""
     return scipy.sparse.linalg.LinearOperator(
-        shape=problem.A.shape, dtype=float,
-        matvec=lambda x: _plunge_apply(problem, np.ravel(x)),
-        rmatvec=lambda y: _plunge_rapply(problem, y))
+        shape=shape, dtype=float, matvec=apply, rmatvec=rapply,
+        matmat=_in_blocks(apply, n_basis), rmatmat=_in_blocks(rapply, n_basis))
+
+
+def plunge_operator(problem: AZProblem, weights=None):
+    """Matrix-free (I - A Z*) A W as a scipy LinearOperator, with
+    W = diag(weights), or the identity when weights is None."""
+    return _block_operator(
+        problem.A.shape,
+        lambda x: _plunge_apply(problem, _scale_rows(weights, x)),
+        lambda y: _scale_rows(weights, _plunge_rapply(problem, y)),
+        problem.grid.n_basis)
+
+
+def reduced_plunge_operator(problem: AZProblem):
+    """(I - A Z*) A restricted to the (#Mrows, #L) block."""
+    L, Mrows = problem.L, problem.Mrows
+
+    def apply(xl):
+        x = np.zeros((problem.grid.n_basis,) + xl.shape[1:])
+        x[L] = xl
+        return _plunge_apply(problem, x)[Mrows]
+
+    def rapply(yr):
+        y = np.zeros((problem.grid.M,) + yr.shape[1:])
+        y[Mrows] = yr
+        return _plunge_rapply(problem, y)[L]
+
+    return _block_operator((Mrows.size, L.size), apply, rapply,
+                           problem.grid.n_basis)
 
 
 def plunge_rhs(problem: AZProblem):
@@ -178,7 +236,9 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
-def _finish(problem, x1, t0, t1, rank, warning, extra_times=None):
+def _finish(problem, x1, t0, t1, rep, extra_times=None):
+    """Steps 2-3 from the step-1 solution x1 and the report ``rep`` of the
+    solver that produced it."""
     t2 = time.perf_counter()
     x2 = problem.Zstar(problem.b - problem.A.matvec(x1))
     x = x1 + x2
@@ -189,7 +249,9 @@ def _finish(problem, x1, t0, t1, rank, warning, extra_times=None):
     return AZSolution(x=x, residual=r,
                       coefficient_norm=float(np.linalg.norm(x)),
                       per_scale_norms=per_scale_norms(x, problem.grid.N),
-                      stage_times=times, plunge_rank=rank, warning=warning)
+                      stage_times=times, plunge_rank=rep.rank,
+                      warning=rep.warning,
+                      diagnostics={"rank": rep.rank, **rep.diagnostics})
 
 
 def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
@@ -198,36 +260,19 @@ def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     rep = randomized_lowrank_solve(plunge_operator(problem), plunge_rhs(problem),
                                    tol=tol, seed=seed,
                                    scale=_reference_scale(problem))
-    return _finish(problem, rep.solution, t0, time.perf_counter(),
-                   rep.rank, rep.warning)
+    return _finish(problem, rep.solution, t0, time.perf_counter(), rep)
 
 
 def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Index-set-reduced pipeline: plunge system on the (#Mrows, #L) block."""
     t0 = time.perf_counter()
-    L, Mrows = problem.L, problem.Mrows
-    n = problem.grid.n_basis
-
-    def embed(xl):
-        x = np.zeros(n)
-        x[L] = np.ravel(xl)
-        return x
-
-    def mv(xl):
-        return _plunge_apply(problem, embed(xl))[Mrows]
-
-    def rmv(yr):
-        y = np.zeros(problem.grid.M)
-        y[Mrows] = np.ravel(yr)
-        return _plunge_rapply(problem, y)[L]
-
-    op = scipy.sparse.linalg.LinearOperator(
-        shape=(Mrows.size, L.size), dtype=float, matvec=mv, rmatvec=rmv)
-    rep = randomized_lowrank_solve(op, plunge_rhs(problem)[Mrows],
+    rep = randomized_lowrank_solve(reduced_plunge_operator(problem),
+                                   plunge_rhs(problem)[problem.Mrows],
                                    tol=tol, seed=seed,
                                    scale=_reference_scale(problem))
-    return _finish(problem, embed(rep.solution), t0, time.perf_counter(),
-                   rep.rank, rep.warning)
+    x1 = np.zeros(problem.grid.n_basis)
+    x1[problem.L] = rep.solution
+    return _finish(problem, x1, t0, time.perf_counter(), rep)
 
 
 def _prune(S, rel=PRUNE_REL):
@@ -292,7 +337,7 @@ def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
     rep = sparse_qr_solve(S.tocsr(), plunge_rhs(problem), tol=tol)
     x1 = np.zeros(problem.grid.n_basis)
     x1[problem.L] = rep.solution
-    return _finish(problem, x1, t0, time.perf_counter(), rep.rank, rep.warning,
+    return _finish(problem, x1, t0, time.perf_counter(), rep,
                    extra_times={"assembly": t_asm - t0})
 
 
@@ -305,15 +350,10 @@ def smoothed_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution
     if w.size != problem.grid.n_basis:
         raise AZError("weight vector length does not match the basis")
     t0 = time.perf_counter()
-    base = plunge_operator(problem)
-    op = scipy.sparse.linalg.LinearOperator(
-        shape=base.shape, dtype=float,
-        matvec=lambda x: base.matvec(w * np.ravel(x)),
-        rmatvec=lambda y: w * base.rmatvec(y))
-    rep = randomized_lowrank_solve(op, plunge_rhs(problem), tol=tol, seed=seed,
+    rep = randomized_lowrank_solve(plunge_operator(problem, weights=w),
+                                   plunge_rhs(problem), tol=tol, seed=seed,
                                    scale=_reference_scale(problem, weights=w))
-    return _finish(problem, w * rep.solution, t0, time.perf_counter(),
-                   rep.rank, rep.warning)
+    return _finish(problem, w * rep.solution, t0, time.perf_counter(), rep)
 
 
 def coarsest_n(bank: FilterBank, minimum=4):
@@ -327,7 +367,10 @@ def coarsest_n(bank: FilterBank, minimum=4):
 def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
                             tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Multilevel weighted pipeline: refine n from coarse to N, feeding the
-    residual history back in as per-scale weights."""
+    residual history back in as per-scale weights.
+
+    The ladder starts at the coarsest level whose grid has more samples in
+    the domain than unknowns; only a requested N without that raises."""
     N = tuple(N) if not np.isscalar(N) else (int(N),) * mask.dimension
     q = tuple(q) if not np.isscalar(q) else (int(q),) * mask.dimension
     n0 = coarsest_n(bank)
@@ -337,7 +380,12 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
     e = None
     sol = None
     for lv in levels:
-        problem = make_problem(f, mask, bank, lv, q)
+        try:
+            problem = make_problem(f, mask, bank, lv, q)
+        except DomainError:
+            if e is not None or lv == N:
+                raise
+            continue
         if e is None:
             e = [float(np.linalg.norm(problem.b))]
         wproblem = AZProblem(

@@ -17,7 +17,6 @@ import scipy.sparse.linalg
 DEFAULT_TOL = 1e-10
 BLOCK_SIZE = 16
 N_PROBES = 10
-PROBE_SAFETY = 1e-1
 NOISE_REL = 1e-13
 DENSE_GUARD = 4096
 CORE_ELEMENT_GUARD = 40_000_000
@@ -53,9 +52,29 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
                              scale=None):
     """Adaptive randomized low-rank least squares for a matrix-free operator.
 
-    Builds an orthonormal range basis Q by block random sampling until fresh
-    probe columns are captured to the tolerance, then solves the projected
-    problem with a truncated SVD (minimum-norm on the detected range).
+    Builds an orthonormal range basis Q from blocks of BLOCK_SIZE random
+    samples (Halko, Martinsson & Tropp 2011, section 4.4), then solves the
+    projected problem with a truncated SVD (minimum-norm on the detected
+    range).  One level, ``max(tol * sigma, NOISE_REL * scale)`` with sigma
+    the largest sample norm of the first block, decides both what is kept
+    and when to stop:
+
+    * each block is projected off Q, factored by pivoted QR, and only the
+      columns whose R diagonal exceeds the level are kept; the kept block is
+      projected off Q a second time (two-pass Gram-Schmidt), so Q stays
+      orthonormal to working precision;
+    * the loop stops at the first draw whose projected samples are all at or
+      below the level, which bounds the error of the range with high
+      probability (the posterior bound of the same reference).  A draw that
+      was kept in full is followed by another block; one that was not has
+      most likely exhausted the range, so the next draw is only N_PROBES
+      samples.
+
+    The range basis thus ends at the numerical rank, give or take directions
+    close to the level, instead of filling the operator's range.  The
+    operator is applied to whole blocks through ``matmat``/``rmatmat``; an
+    operator whose block applies need bounded memory chunks them itself (see
+    ``az.BLOCK_ENTRIES``).
 
     ``scale`` supplies the magnitude of an enclosing computation: anything
     below NOISE_REL * scale is treated as cancellation noise rather than
@@ -68,51 +87,46 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
     m, n = op.shape
     b = np.asarray(b, dtype=float)
     rng = _rng(seed)
-    if max_rank is None:
-        max_rank = min(m, n)
-    bnorm = np.linalg.norm(b)
+    full = min(m, n)
+    max_rank = full if max_rank is None else min(max_rank, full)
     floor = NOISE_REL * scale if scale is not None else 0.0
-    scale = None
+    level = None
     Q = np.zeros((m, 0))
     warning = None
-    while True:
-        k = min(BLOCK_SIZE, max_rank - Q.shape[1])
-        if k <= 0:
-            if Q.shape[1] >= min(m, n):
-                break
+    size = BLOCK_SIZE
+    while Q.shape[1] < full:
+        # more than min(m, n) samples cannot add to the range
+        Y = op.matmat(rng.standard_normal((min(size, full), n)).T)
+        if level is None:
+            level = max(tol * np.linalg.norm(Y, axis=0).max(), floor)
+        Y -= Q @ (Q.T @ Y)
+        if np.linalg.norm(Y, axis=0).max() <= level:
+            break
+        if Q.shape[1] >= max_rank:
             warning = "rank cap exceeded before reaching the tolerance"
             break
-        Y = np.column_stack([op.matvec(w) for w in rng.standard_normal((k, n))])
-        if scale is None:
-            scale = max(np.linalg.norm(Y, axis=0).max(), 1e-300)
-        if floor > 0.0:
-            Y[:, np.linalg.norm(Y, axis=0) <= floor] = 0.0
+        Qnew, R, _ = scipy.linalg.qr(Y, mode="economic", pivoting=True)
+        # |R[0, 0]| is the largest sample norm, just found above the level;
+        # keeping at least one column also guarantees progress
+        k = max(1, int(np.sum(np.abs(np.diag(R)) > level)))
+        k = min(k, max_rank - Q.shape[1])
+        Qnew = Qnew[:, :k]
         if Q.shape[1]:
-            Y -= Q @ (Q.T @ Y)
-        Qnew, Rnew = np.linalg.qr(Y)
-        keep = np.abs(np.diag(Rnew)) > 1e-14 * scale
-        Q = np.column_stack([Q, Qnew[:, keep]])
-        if Q.shape[1] >= min(m, n):
-            break
-        # posterior estimate on fresh probes
-        probes = np.column_stack([op.matvec(w)
-                                  for w in rng.standard_normal((N_PROBES, n))])
-        resid = probes - Q @ (Q.T @ probes)
-        if np.linalg.norm(resid, axis=0).max() <= max(
-                PROBE_SAFETY * tol * scale, floor):
-            break
+            Qnew -= Q @ (Q.T @ Qnew)
+            Qnew = np.linalg.qr(Qnew)[0]
+        Q = np.column_stack([Q, Qnew])
+        size = BLOCK_SIZE if k == Y.shape[1] else N_PROBES
     # projected problem: min || (Q* A) x - Q* b ||, min-norm via truncated SVD
-    B = np.column_stack([op.rmatvec(q) for q in Q.T]).T if Q.shape[1] else np.zeros((0, n))
-    if B.shape[0]:
-        U, s, Vt = np.linalg.svd(B, full_matrices=False)
-        cutoff = max(tol * (s[0] if s.size else 0.0), floor)
-        r = int(np.sum(s > cutoff)) if s.size else 0
+    if Q.shape[1]:
+        U, s, Vt = np.linalg.svd(op.rmatmat(Q).T, full_matrices=False)
+        cutoff = max(tol * s[0], floor)
+        r = int(np.sum(s > cutoff))
         x = Vt[:r].T @ ((U[:, :r].T @ (Q.T @ b)) / s[:r])
     else:
         r = 0
         x = np.zeros(n)
     return _finalize(op.matvec, x, b, r, t0, warning=warning,
-                     range_dim=Q.shape[1], b_norm=bnorm)
+                     range_dim=Q.shape[1])
 
 
 def estimate_rank(op, tol=DEFAULT_TOL, seed=0, max_rank=None, scale=None):

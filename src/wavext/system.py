@@ -78,10 +78,13 @@ class FrameOperator(scipy.sparse.linalg.LinearOperator):
         super().__init__(dtype=float, shape=shape)
 
     def _axis_transform(self, x, fn, plans):
-        a = np.asarray(x, dtype=float).reshape(self.N)
+        """Apply fn along every tensor axis of x, shape (n,) or (n, k); a
+        block's columns ride along as a trailing batch axis."""
+        x = np.asarray(x, dtype=float)
+        a = x.reshape(self.N + x.shape[1:])
         for ax, plan in enumerate(plans):
             a = np.moveaxis(fn(np.moveaxis(a, ax, -1), plan), -1, ax)
-        return a.ravel()
+        return a.reshape(x.shape)
 
     def synthesis(self, x):
         """W^-1 x across all axes."""
@@ -100,20 +103,29 @@ class FrameOperator(scipy.sparse.linalg.LinearOperator):
         return self._axis_transform(x, idwt, self.dual_plans)
 
     def _matvec(self, x):
-        return self.scaling_matrix @ self.synthesis(np.ravel(x))
+        return self._matmat(np.ravel(x))
 
     def _rmatvec(self, y):
-        return self.dual_analysis(self.scaling_matrix.T @ np.ravel(y))
+        return self._rmatmat(np.ravel(y))
+
+    def _matmat(self, X):
+        return self.scaling_matrix @ self.synthesis(X)
+
+    def _rmatmat(self, Y):
+        return self.dual_analysis(self.scaling_matrix.T @ Y)
 
 
 class ZStarOperator:
-    """Matrix-free Z* y = W (Z_hat* y), the quasi-interpolation analysis map."""
+    """Matrix-free Z* y = W (Z_hat* y), the quasi-interpolation analysis map.
+
+    Takes a vector of length M or an (M, k) block of them."""
 
     def __init__(self, scaling_matrix, bank, N):
         self._frame = FrameOperator(scaling_matrix, bank, N)
 
     def __call__(self, y):
-        return self._frame.analysis(self._frame.scaling_matrix.T @ np.ravel(y))
+        y = np.asarray(y, dtype=float)
+        return self._frame.analysis(self._frame.scaling_matrix.T @ y)
 
 
 def frame_operator_A(scaling: ScalingMatrices, bank, grid: MaskedGrid) -> FrameOperator:
@@ -139,4 +151,4 @@ def dense_A(op: FrameOperator):
     n = op.shape[1]
     if n > DENSE_N_GUARD**2:
         raise SystemError_(f"dense materialization limited to N <= {DENSE_N_GUARD**2}")
-    return np.column_stack([op.matvec(col) for col in np.eye(n)])
+    return op.matmat(np.eye(n))

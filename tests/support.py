@@ -1,3 +1,10 @@
+"""Shared test constants, oracles and the ``banks`` fixture.
+
+Test modules import these by name.  They live outside ``conftest.py``
+because the benchmark's tests (``perfbench/tests``) import from a module of
+that name too, and one session can hold only one ``conftest`` module.
+"""
+
 import numpy as np
 import pytest
 

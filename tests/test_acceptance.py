@@ -22,7 +22,7 @@ from wavext.solvers import pivoted_qr_solve, randomized_lowrank_solve, \
     truncated_svd_solve
 from wavext.system import dense_A
 
-from conftest import ALL_FAMILIES, DUAL_COMBOS
+from support import ALL_FAMILIES, DUAL_COMBOS
 
 
 def exp1d(p):

@@ -7,7 +7,7 @@ from wavext.cascade import (CascadeError, refine, scaling_at_dyadic,
                             scaling_at_integers, wavelet_at_dyadic)
 from wavext.filters import SQRT2, Mask, filter_bank
 
-from conftest import ALL_FAMILIES
+from support import ALL_FAMILIES, banks
 
 
 def test_haar_integers():

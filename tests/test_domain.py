@@ -9,7 +9,7 @@ from wavext.domain import (DomainError, ball, disk, interval, masked_grid,
                            wavelet_boundary_set_intervals, whole_box)
 from wavext.filters import filter_bank
 
-from conftest import brute_force_K
+from support import brute_force_K
 
 
 def test_interval_point_count():

@@ -9,7 +9,7 @@ from wavext.dual import (DualError, dual_pair, least_norm_dual, minimal_dual,
                          sample_primal)
 from wavext.filters import filter_bank
 
-from conftest import DUAL_COMBOS
+from support import DUAL_COMBOS
 
 
 def test_haar_samples_and_dual():

@@ -9,7 +9,7 @@ from wavext.dwt import (TransformError, TransformPlan, column_filters_periodized
                         sparse_idwt_rows)
 from wavext.filters import filter_bank
 
-from conftest import ALL_FAMILIES
+from support import ALL_FAMILIES, banks
 
 
 def test_haar_constant_vector():

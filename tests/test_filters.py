@@ -7,7 +7,7 @@ from wavext.filters import (SQRT2, FilterBank, FilterError, Mask,
                             alternating_flip, cdf_filter, daubechies_filter,
                             filter_bank, validate)
 
-from conftest import ALL_FAMILIES
+from support import ALL_FAMILIES, banks
 
 
 def double_shift_violation(h, ht):

@@ -4,7 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.solvers import (SolverError, estimate_rank, pivoted_qr_solve,
+from wavext.solvers import (BLOCK_SIZE, SolverError, estimate_rank, pivoted_qr_solve,
                             randomized_lowrank_solve, sparse_qr_solve,
                             truncated_svd_solve)
 
@@ -25,6 +25,20 @@ def test_randomized_rank3():
     rep = randomized_lowrank_solve(A, A @ x, tol=1e-10, seed=2)
     assert rep.rank == 3
     assert rep.residual < 1e-10 * np.linalg.norm(A)
+
+
+def test_randomized_stops_at_rank_above_noise():
+    """A rank-37 operator plus noise far below the truncation level: the
+    range basis ends within one block of the rank instead of filling up."""
+    rng = np.random.default_rng(9)
+    U = np.linalg.qr(rng.standard_normal((120, 37)))[0]
+    V = np.linalg.qr(rng.standard_normal((90, 37)))[0]
+    A = U @ np.diag(np.logspace(0, -6, 37)) @ V.T
+    A += 1e-13 * rng.standard_normal(A.shape)
+    rep = randomized_lowrank_solve(A, A @ rng.standard_normal(90), seed=4)
+    assert rep.rank == 37
+    assert rep.diagnostics["range_dim"] <= 37 + BLOCK_SIZE
+    assert rep.warning is None
 
 
 def test_randomized_rank_cap_warning():
