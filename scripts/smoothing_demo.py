@@ -37,7 +37,7 @@ def main():
 
     prob = az.make_problem(f, mask, bank, N, q)
     plain = az.reduced_az_solve(prob, seed=args.seed)
-    weighted = az.adaptive_weighted_solve(f, mask, bank, N, q, seed=args.seed)
+    _, weighted = az.adaptive_weighted_solve(f, mask, bank, N, q, seed=args.seed)
 
     ext = az.extension_index_set(prob)
     n_plain = az.per_scale_norms(plain.x, prob.grid.N, select=ext)
@@ -48,10 +48,8 @@ def main():
     print("scale  |ext coeffs| plain   |ext coeffs| weighted")
     for j, (a, b) in enumerate(zip(n_plain, n_weighted)):
         print(f"{j:5d}  {a:20.6e}  {b:22.6e}")
-    hist = weighted.stage_times.get("weight_history", [])
-    if len(hist):
-        print("weight history:", np.array2string(np.asarray(hist),
-                                                 precision=3))
+    hist = np.asarray(weighted.diagnostics["weight_history"])
+    print("weight history:", np.array2string(hist, precision=3))
     return 0
 
 

@@ -365,12 +365,16 @@ def coarsest_n(bank: FilterBank, minimum=4):
 
 
 def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
-                            tol=DEFAULT_TOL, seed=0) -> AZSolution:
+                            tol=DEFAULT_TOL, seed=0):
     """Multilevel weighted pipeline: refine n from coarse to N, feeding the
     residual history back in as per-scale weights.
 
     The ladder starts at the coarsest level whose grid has more samples in
-    the domain than unknowns; only a requested N without that raises."""
+    the domain than unknowns; only a requested N without that raises.
+    Returns ``(problem, solution)``: the unweighted problem the ladder
+    assembled at N, and the solution at N, whose
+    ``diagnostics["weight_history"]`` is ||b|| followed by each level's
+    residual."""
     N = tuple(N) if not np.isscalar(N) else (int(N),) * mask.dimension
     q = tuple(q) if not np.isscalar(q) else (int(q),) * mask.dimension
     n0 = coarsest_n(bank)
@@ -395,8 +399,8 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
             weights=scale_weights(e, lv))
         sol = smoothed_az_solve(wproblem, tol=tol, seed=seed)
         e.append(sol.residual)
-    sol.stage_times["weight_history"] = list(e)
-    return sol
+    sol.diagnostics["weight_history"] = list(e)
+    return problem, sol
 
 
 def plunge_rank(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> int:

@@ -172,22 +172,15 @@ def _per_dim(values, d):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
-def _dense_baseline(kind):
-    def run(problem, tol, seed):
-        A = dense_A(problem.A)
-        if kind == "qr":
-            rep = solvers.pivoted_qr_solve(A, problem.b, tol=tol)
-        else:
-            import scipy.sparse
-            rep = solvers.sparse_qr_solve(
-                scipy.sparse.csr_matrix(A), problem.b, tol=tol)
-        return az_mod.AZSolution(
-            x=rep.solution, residual=rep.residual,
-            coefficient_norm=rep.solution_norm,
-            per_scale_norms=az_mod.per_scale_norms(rep.solution, problem.grid.N),
-            stage_times={"solve": rep.wall_time}, plunge_rank=rep.rank,
-            warning=rep.warning)
-    return run
+def _dense_qr(problem, tol, seed):
+    """Baseline: pivoted QR of the densified frame operator."""
+    rep = solvers.pivoted_qr_solve(dense_A(problem.A), problem.b, tol=tol)
+    return az_mod.AZSolution(
+        x=rep.solution, residual=rep.residual,
+        coefficient_norm=rep.solution_norm,
+        per_scale_norms=az_mod.per_scale_norms(rep.solution, problem.grid.N),
+        stage_times={"solve": rep.wall_time}, plunge_rank=rep.rank,
+        warning=rep.warning)
 
 
 SOLVERS = {
@@ -195,8 +188,7 @@ SOLVERS = {
     "reduced": lambda p, tol, seed: az_mod.reduced_az_solve(p, tol=tol, seed=seed),
     "sparse": lambda p, tol, seed: az_mod.sparse_az_solve(p, tol=tol),
     "smoothed": lambda p, tol, seed: az_mod.smoothed_az_solve(p, tol=tol, seed=seed),
-    "qr": _dense_baseline("qr"),
-    "sparse-qr": _dense_baseline("sparse-qr"),
+    "qr": _dense_qr,
 }
 
 
@@ -208,10 +200,8 @@ def run_one(cfg: RunConfig, N=None):
     N = _per_dim(N if N is not None else cfg.N, mask.dimension)
     q = _per_dim(cfg.q, mask.dimension)
     if cfg.solver == "adaptive":
-        sol = az_mod.adaptive_weighted_solve(f, mask, bank, N, q,
-                                             tol=cfg.tol, seed=cfg.seed)
-        problem = az_mod.make_problem(f, mask, bank, N, q)
-        return problem, sol
+        return az_mod.adaptive_weighted_solve(f, mask, bank, N, q,
+                                              tol=cfg.tol, seed=cfg.seed)
     problem = az_mod.make_problem(f, mask, bank, N, q)
     return problem, SOLVERS[cfg.solver](problem, cfg.tol, cfg.seed)
 
@@ -226,8 +216,7 @@ def record_for(cfg, problem, sol) -> RunRecord:
         plunge_rank=int(sol.plunge_rank),
         index_sizes={"K": int(problem.K.size), "L": int(problem.L.size),
                      "Mrows": int(problem.Mrows.size)},
-        stage_times={k: (float(v) if np.isscalar(v) else list(map(float, v)))
-                     for k, v in sol.stage_times.items()},
+        stage_times={k: float(v) for k, v in sol.stage_times.items()},
     )
 
 

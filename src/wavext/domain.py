@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import dual_pair
-from .dwt import idwt_column_filters
+from .dwt import analysis_taps
 from .filters import FilterBank
 
 
@@ -167,81 +167,38 @@ def scaling_boundary_set(mask_or_grid, bank: FilterBank, N=None, q=None):
     return np.flatnonzero(kflags.ravel()), kflags
 
 
-def _wavelet_column_supports(bank: FilterBank, J: int):
-    """Scaling-index support interval (start, length) of each column filter."""
-    sup = []
-    for off, taps in idwt_column_filters(bank, J):
-        n = 2**J
-        length = min(taps.size, n)
-        sup.append((off % n, length))
-    return sup
-
-
 def wavelet_boundary_set(kflags_1d_list, bank: FilterBank, N):
     """Wavelet-layout indices whose synthesis footprint meets the boundary set.
 
     A wavelet index is included when some scaling function in its iDWT
     synthesis footprint belongs to the boundary set K.  Computed per dimension
-    by poison-marker propagation through the inverse transform pattern; the
-    support-arithmetic route is in ``wavelet_boundary_set_intervals``.
+    by poison-marker propagation through the inverse transform pattern.
     """
-    return _wavelet_boundary(kflags_1d_list, bank, N, mode="poison")
-
-
-def wavelet_boundary_set_intervals(kflags_1d_list, bank: FilterBank, N):
-    """Support-arithmetic route of ``wavelet_boundary_set`` (must agree)."""
-    return _wavelet_boundary(kflags_1d_list, bank, N, mode="intervals")
-
-
-def _wavelet_flags_axis(flags, bank, n, mode):
-    """Wavelet-layout boundary flags along the last axis from scaling flags."""
-    J = n.bit_length() - 1
-    out = np.zeros_like(flags)
-    if mode == "poison":
-        # propagate markers through analysis steps: a coarse coefficient is
-        # marked when any fine coefficient in its filter footprint is marked.
-        ha, ga = bank.h_dual, bank.g_dual
-        hs, gs = bank.h, bank.g
-        cur = flags
-        for j in range(J, 0, -1):
-            m = cur.shape[-1]
-            half = m // 2
-            vpois = np.zeros(cur.shape[:-1] + (half,), dtype=bool)
-            wpois = np.zeros_like(vpois)
-            base = 2 * np.arange(half)
-            # footprint of the *synthesis* filters defines overlap with K
-            for mask_, out_ in ((hs, vpois), (gs, wpois)):
-                for ti in range(len(mask_)):
-                    t = mask_.offset + ti
-                    out_ |= cur[..., (base + t) % m]
-            out[..., 2 ** (j - 1): 2 ** j] = wpois
-            cur = vpois
-        out[..., 0] = cur[..., 0]
-        return out
-    # interval mode: circular support interval of each column vs. flag counts
-    sup = _wavelet_column_supports(bank, J)
-    csum = np.concatenate(
-        [np.zeros(flags.shape[:-1] + (1,), dtype=int),
-         np.cumsum(np.concatenate([flags, flags], axis=-1), axis=-1)], axis=-1)
-    for idx in range(n):
-        if idx == 0:
-            start, length = sup[J]
-        else:
-            l = idx.bit_length() - 1
-            mshift = (idx - 2**l) * 2 ** (J - l)
-            start, length = sup[l]
-            start = (start + mshift) % n
-        length = min(length, n)
-        out[..., idx] = (csum[..., start + length] - csum[..., start]) > 0
-    return out
-
-
-def _wavelet_boundary(kflags, bank, N, mode):
-    flags = np.asarray(kflags, dtype=bool).reshape(N)
+    flags = np.asarray(kflags_1d_list, dtype=bool).reshape(N)
     for ax, n in enumerate(N):
         flags = np.moveaxis(
-            _wavelet_flags_axis(np.moveaxis(flags, ax, -1), bank, n, mode), -1, ax)
+            _wavelet_flags_axis(np.moveaxis(flags, ax, -1), bank, n), -1, ax)
     return np.flatnonzero(flags.ravel()), flags
+
+
+def _wavelet_flags_axis(flags, bank, n):
+    """Wavelet-layout boundary flags along the last axis from scaling flags.
+
+    Markers propagate through analysis steps: a coarse coefficient is marked
+    when any fine coefficient in the footprint of its *synthesis* filter is
+    marked, since that footprint defines the overlap with K.
+    """
+    out = np.zeros_like(flags)
+    cur = flags
+    for j in range(n.bit_length() - 1, 0, -1):
+        marks = [np.zeros(cur.shape[:-1] + (cur.shape[-1] // 2,), dtype=bool)
+                 for _ in range(2)]
+        for k, _, view in analysis_taps(cur, (bank.h, bank.g)):
+            marks[k] |= view
+        out[..., 2 ** (j - 1): 2 ** j] = marks[1]
+        cur = marks[0]
+    out[..., 0] = cur[..., 0]
+    return out
 
 
 def plunge_row_set(kflags, bank: FilterBank, grid: MaskedGrid):

@@ -5,7 +5,9 @@ The transform always runs the full J levels, producing the coefficient layout
     [v00, w00, w10, w11, ..., w_{J-1,0}, ..., w_{J-1, 2^{J-1}-1}]
 
 with scale blocks of sizes 1, 1, 2, 4, ..., 2^{J-1}.  Periodic boundary
-conditions are realized by index arithmetic modulo the block length.
+conditions are realized by one wrap-padded copy of each step's input: every
+filter tap then reads a strided slice of it (analysis), or adds into every
+other output from a contiguous slice (polyphase synthesis).
 
 The primal transform analyzes with the dual masks (h~, g~) and synthesizes
 with the primal masks (h, g); the dual transform swaps the roles, so that
@@ -32,34 +34,64 @@ def _check_len(v, J):
         raise TransformError(f"vector length {v.shape[-1]} != 2^{J}")
 
 
+def _wrap_pad(v, lo, hi):
+    """v extended periodically along the last axis by lo entries in front and
+    hi behind: ``out[..., lo + i] == v[..., i % n]`` for -lo <= i < n + hi."""
+    n = v.shape[-1]
+    if lo > n or hi > n:    # short blocks: the taps wrap more than once
+        k = -(-lo // n)
+        tiled = np.concatenate([v] * (k + 1 - (-hi // n)), axis=-1)
+        return tiled[..., k * n - lo: (k + 1) * n + hi]
+    return np.concatenate([v[..., n - lo:], v, v[..., :hi]], axis=-1)
+
+
+def analysis_taps(v, masks):
+    """Per tap of each mask, the strided view of v that the tap reads in one
+    periodic analysis step along the last axis.
+
+    Yields ``(k, c, view)`` in mask order, then tap order, where k indexes
+    ``masks``, c is the tap value and ``view[..., l] == v[..., (2l + t) % n]``
+    for the tap's index t and l < n // 2.  All views share one wrap-padded
+    copy of v.
+    """
+    n = v.shape[-1]
+    lo = max(0, -min(m.support[0] for m in masks))
+    vp = _wrap_pad(v, lo, max(0, max(m.support[1] for m in masks) - 1))
+    for k, mask in enumerate(masks):
+        for ti, c in enumerate(mask.taps):
+            s = lo + mask.offset + ti
+            yield k, c, vp[..., s: s + n: 2]
+
+
 def _analysis_step(v, h: Mask, g: Mask):
     """One filter-bank analysis step with periodic wrap-around.
 
     Operates on the last axis; leading axes are batched.
     """
-    n = v.shape[-1]
-    half = n // 2
-    vc = np.zeros(v.shape[:-1] + (half,), dtype=v.dtype)
-    wc = np.zeros_like(vc)
-    base = 2 * np.arange(half)
-    for mask, out in ((h, vc), (g, wc)):
-        for ti, c in enumerate(mask.taps):
-            t = mask.offset + ti
-            out += c * v[..., (base + t) % n]
-    return vc, wc
+    half = v.shape[-1] // 2
+    outs = [np.zeros(v.shape[:-1] + (half,), dtype=v.dtype) for _ in range(2)]
+    for k, c, view in analysis_taps(v, (h, g)):
+        outs[k] += c * view
+    return tuple(outs)
 
 
 def _synthesis_step(v, w, h: Mask, g: Mask):
-    """One filter-bank synthesis step with periodic wrap-around (last axis)."""
+    """One filter-bank synthesis step with periodic wrap-around (last axis).
+
+    Polyphase form: a tap at index t feeds the outputs of parity p = t % 2,
+    out[2k + p] += c * coarse[(k - (t - p) / 2) % half].  Taps run in the
+    order h, then g, so each output sums its terms in a fixed order.
+    """
     half = v.shape[-1]
-    n = 2 * half
-    out = np.zeros(v.shape[:-1] + (n,), dtype=np.result_type(v, w))
-    idx = 2 * np.arange(half)
+    out = np.zeros(v.shape[:-1] + (2 * half,), dtype=np.result_type(v, w))
     for mask, coarse in ((h, v), (g, w)):
-        for ti, c in enumerate(mask.taps):
-            t = mask.offset + ti
-            # indices 2l + t are pairwise distinct mod n for fixed t
-            out[..., (idx + t) % n] += c * coarse
+        t = mask.offset + np.arange(len(mask))
+        shift = t // 2          # (t - p) / 2 for the tap's parity p
+        lo = max(0, int(shift.max()))
+        cp = _wrap_pad(coarse, lo, max(0, -int(shift.min())))
+        for c, ti, d in zip(mask.taps, t, shift):
+            s = lo - d
+            out[..., ti % 2::2] += c * cp[..., s: s + half]
     return out
 
 

@@ -48,6 +48,14 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _svd_solve(B, b, tol, floor):
+    """Min-norm solution of min ||B x - b|| by a truncated SVD with cutoff
+    max(tol * s_0, floor); returns (x, rank)."""
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    r = int(np.sum(s > max(tol * s[0], floor)))
+    return Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]), r
+
+
 def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
                              scale=None):
     """Adaptive randomized low-rank least squares for a matrix-free operator.
@@ -76,6 +84,12 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
     operator whose block applies need bounded memory chunks them itself (see
     ``az.BLOCK_ENTRIES``).
 
+    An operator with at most BLOCK_SIZE rows or columns (and no
+    ``max_rank``) skips the sketch, which would need that many samples
+    anyway: the block is formed exactly from its smaller side, min(m, n)
+    applies of ``matmat`` or ``rmatmat``, and solved by the same truncated
+    SVD; ``range_dim`` is then min(m, n).
+
     ``scale`` supplies the magnitude of an enclosing computation: anything
     below NOISE_REL * scale is treated as cancellation noise rather than
     signal, so a numerically-zero sub-operator comes out as rank 0 instead of
@@ -88,8 +102,12 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
     b = np.asarray(b, dtype=float)
     rng = _rng(seed)
     full = min(m, n)
-    max_rank = full if max_rank is None else min(max_rank, full)
     floor = NOISE_REL * scale if scale is not None else 0.0
+    if max_rank is None and 0 < full <= BLOCK_SIZE:
+        B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
+        x, r = _svd_solve(B, b, tol, floor)
+        return _finalize(op.matvec, x, b, r, t0, range_dim=full)
+    max_rank = full if max_rank is None else min(max_rank, full)
     level = None
     Q = np.zeros((m, 0))
     warning = None
@@ -116,12 +134,9 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
             Qnew = np.linalg.qr(Qnew)[0]
         Q = np.column_stack([Q, Qnew])
         size = BLOCK_SIZE if k == Y.shape[1] else N_PROBES
-    # projected problem: min || (Q* A) x - Q* b ||, min-norm via truncated SVD
+    # projected problem: min || (Q* A) x - Q* b ||
     if Q.shape[1]:
-        U, s, Vt = np.linalg.svd(op.rmatmat(Q).T, full_matrices=False)
-        cutoff = max(tol * s[0], floor)
-        r = int(np.sum(s > cutoff))
-        x = Vt[:r].T @ ((U[:, :r].T @ (Q.T @ b)) / s[:r])
+        x, r = _svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor)
     else:
         r = 0
         x = np.zeros(n)

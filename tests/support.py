@@ -8,6 +8,7 @@ that name too, and one session can hold only one ``conftest`` module.
 import numpy as np
 import pytest
 
+from wavext.dwt import idwt_column_filters
 from wavext.filters import filter_bank
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
@@ -42,3 +43,59 @@ def brute_force_K(grid, bank):
         if vals.any() and not vals.all():
             out.append(np.ravel_multi_index(k, grid.N))
     return np.array(sorted(out), dtype=int)
+
+
+def reference_analysis_step(v, h, g):
+    """Per-tap periodic analysis step by index arithmetic modulo n: the
+    oracle of ``wavext.dwt._analysis_step``."""
+    n = v.shape[-1]
+    half = n // 2
+    vc = np.zeros(v.shape[:-1] + (half,), dtype=v.dtype)
+    wc = np.zeros_like(vc)
+    base = 2 * np.arange(half)
+    for mask, out in ((h, vc), (g, wc)):
+        for ti, c in enumerate(mask.taps):
+            t = mask.offset + ti
+            out += c * v[..., (base + t) % n]
+    return vc, wc
+
+
+def reference_synthesis_step(v, w, h, g):
+    """Per-tap periodic synthesis step by scattering modulo n: the oracle of
+    ``wavext.dwt._synthesis_step``."""
+    half = v.shape[-1]
+    n = 2 * half
+    out = np.zeros(v.shape[:-1] + (n,), dtype=np.result_type(v, w))
+    idx = 2 * np.arange(half)
+    for mask, coarse in ((h, v), (g, w)):
+        for ti, c in enumerate(mask.taps):
+            t = mask.offset + ti
+            # indices 2l + t are pairwise distinct mod n for fixed t
+            out[..., (idx + t) % n] += c * coarse
+    return out
+
+
+def wavelet_boundary_set_intervals(kflags, bank, N):
+    """Support-arithmetic oracle of ``wavext.domain.wavelet_boundary_set``:
+    each column's circular support interval against prefix counts of the
+    scaling flags, per axis."""
+    flags = np.asarray(kflags, dtype=bool).reshape(N)
+    for ax, n in enumerate(N):
+        J = n.bit_length() - 1
+        sup = [(off % n, min(taps.size, n))
+               for off, taps in idwt_column_filters(bank, J)]
+        cur = np.moveaxis(flags, ax, -1)
+        out = np.zeros_like(cur)
+        csum = np.concatenate(
+            [np.zeros(cur.shape[:-1] + (1,), dtype=int),
+             np.cumsum(np.concatenate([cur, cur], axis=-1), axis=-1)], axis=-1)
+        for idx in range(n):
+            if idx == 0:
+                start, length = sup[J]
+            else:
+                l = idx.bit_length() - 1
+                start, length = sup[l]
+                start = (start + (idx - 2**l) * 2 ** (J - l)) % n
+            out[..., idx] = (csum[..., start + length] - csum[..., start]) > 0
+        flags = np.moveaxis(out, -1, ax)
+    return np.flatnonzero(flags.ravel()), flags

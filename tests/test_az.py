@@ -4,7 +4,8 @@ import pytest
 from wavext import az
 from wavext.domain import DomainError, ball, disk, interval, whole_box
 from wavext.filters import filter_bank
-from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, truncated_svd_solve
+from wavext.solvers import (BLOCK_SIZE, pivoted_qr_solve,
+                            randomized_lowrank_solve, truncated_svd_solve)
 from wavext.system import dense_A
 
 
@@ -147,9 +148,9 @@ def test_nonpositive_weights_rejected(prob1d):
 
 
 def test_adaptive_weight_history_decreasing():
-    sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6),
-                                     filter_bank("cdf33"), 256, 2, seed=0)
-    e = sol.stage_times["weight_history"]
+    _, sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6),
+                                       filter_bank("cdf33"), 256, 2, seed=0)
+    e = sol.diagnostics["weight_history"]
     assert all(a > b for a, b in zip(e, e[1:]))
 
 
@@ -158,8 +159,8 @@ def test_adaptive_degenerate_single_level():
     to one smoothed solve with the scalar weight ||b||."""
     bank = filter_bank("cdf33")
     n0 = az.coarsest_n(bank)
-    sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6), bank, n0, 2,
-                                     seed=0)
+    _, sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6), bank, n0, 2,
+                                       seed=0)
     prob = az.make_problem(exp1d, interval(0.0, 0.6), bank, n0, 2)
     wprob = az.AZProblem(
         bank=prob.bank, grid=prob.grid, scaling=prob.scaling, A=prob.A,
@@ -179,8 +180,8 @@ def test_adaptive_2d_extension_decay():
 
     from wavext.domain import DomainMask
     dom = DomainMask(2, square, "square")
-    sol = az.adaptive_weighted_solve(exp2d, dom, bank, (32, 32), (4, 4),
-                                     seed=0)
+    _, sol = az.adaptive_weighted_solve(exp2d, dom, bank, (32, 32), (4, 4),
+                                       seed=0)
     prob = az.make_problem(exp2d, dom, bank, (32, 32), (4, 4))
     base = az.az_solve(prob, seed=0)
     ext = az.extension_index_set(prob)
@@ -279,13 +280,32 @@ def test_adaptive_short_interval():
     mask = interval(0.1324, 0.6524)
     with pytest.raises(DomainError):
         az.make_problem(exp1d, mask, bank, az.coarsest_n(bank), 2)
-    sol = az.adaptive_weighted_solve(exp1d, mask, bank, 4096, 2, seed=0)
+    _, sol = az.adaptive_weighted_solve(exp1d, mask, bank, 4096, 2, seed=0)
     plain = az.reduced_az_solve(az.make_problem(exp1d, mask, bank, 4096, 2),
                                 seed=0)
     assert sol.residual <= 10 * plain.residual + 1e-12
-    assert len(sol.stage_times["weight_history"]) == 9  # levels 32 .. 4096
+    assert len(sol.diagnostics["weight_history"]) == 9  # levels 32 .. 4096
     with pytest.raises(DomainError):
         az.adaptive_weighted_solve(exp1d, interval(0.1, 0.2), bank, 16, 2)
+
+
+def test_reduced_1d_small_block_is_exact():
+    """The 1-D reduced block has fewer than BLOCK_SIZE rows, so step 1 forms
+    it exactly; the residual stays within 10x of the sampled range finder's,
+    which a rank cap keeps on its loop."""
+    prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
+                           2**14, 2)
+    sol = az.reduced_az_solve(prob, seed=0)
+    assert sol.diagnostics["range_dim"] == prob.Mrows.size <= BLOCK_SIZE
+    op = az.reduced_plunge_operator(prob)
+    rep = randomized_lowrank_solve(op, az.plunge_rhs(prob)[prob.Mrows],
+                                   seed=0, max_rank=min(op.shape),
+                                   scale=az._reference_scale(prob))
+    assert rep.diagnostics["range_dim"] < prob.Mrows.size
+    x = np.zeros(prob.grid.n_basis)
+    x[prob.L] = rep.solution
+    x += prob.Zstar(prob.b - prob.A @ x)
+    assert sol.residual <= 10 * np.linalg.norm(prob.A @ x - prob.b)
 
 
 def _block_case(dim):

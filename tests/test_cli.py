@@ -24,6 +24,28 @@ def test_record_roundtrip():
     assert back.index_sizes == rec.index_sizes
 
 
+def test_adaptive_reuses_the_ladder_problem(monkeypatch):
+    """run_one assembles each ladder level once and records the index sets
+    of the problem at N."""
+    from wavext import az
+
+    cfg = cli.RunConfig(command="approximate", N=(128,),
+                        solver="adaptive").validate()
+    built = []
+    make = az.make_problem
+
+    def counted(f, mask, bank, N, q, **kw):
+        built.append(N)
+        return make(f, mask, bank, N, q, **kw)
+
+    monkeypatch.setattr(az, "make_problem", counted)
+    problem, sol = cli.run_one(cfg)
+    # one weight per level, after the initial ||b||
+    assert len(built) == len(set(built)) == len(sol.diagnostics["weight_history"]) - 1
+    assert problem.grid.N == (128,)
+    assert problem.b.size == problem.grid.M and problem.weights is None
+
+
 def test_record_schema_rejected():
     with pytest.raises(cli.ConfigError):
         cli.parse_record(json.dumps({"schema_version": 99}))

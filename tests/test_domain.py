@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from wavext.domain import (DomainError, ball, disk, interval, masked_grid,
                            plunge_row_set, scaling_boundary_set,
-                           wavelet_boundary_set,
-                           wavelet_boundary_set_intervals, whole_box)
+                           wavelet_boundary_set, whole_box)
 from wavext.filters import filter_bank
 
-from support import brute_force_K
+from support import brute_force_K, wavelet_boundary_set_intervals
 
 
 def test_interval_point_count():

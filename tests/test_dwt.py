@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse
+
+from wavext import dwt as dwt_mod
 from wavext.dwt import (TransformError, TransformPlan, column_filters_periodized,
                         column_scale, dense_matrix, dual_dwt, dual_idwt, dwt,
                         idwt, idwt_column_filters, operator_norms,
                         sparse_idwt_rows)
 from wavext.filters import filter_bank
+from wavext.system import FrameOperator
 
-from support import ALL_FAMILIES, banks
+from support import (ALL_FAMILIES, banks, reference_analysis_step,
+                     reference_synthesis_step)
 
 
 def test_haar_constant_vector():
@@ -191,3 +196,45 @@ def test_adjoint_identity_property(fam, J, seed):
     lhs = np.dot(dwt(x, plan), y)
     rhs = np.dot(x, idwt(y, dplan))
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+def _with_reference_kernel(monkeypatch, fn):
+    """fn() evaluated once with the wrap-padded kernel and once with the
+    per-tap modular oracle substituted for it."""
+    fast = fn()
+    with monkeypatch.context() as mp:
+        mp.setattr(dwt_mod, "_analysis_step", reference_analysis_step)
+        mp.setattr(dwt_mod, "_synthesis_step", reference_synthesis_step)
+        ref = fn()
+    return fast, ref
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6, 12])
+def test_kernel_matches_modular_oracle(banks, J, monkeypatch):
+    """Bit-identical to per-tap index arithmetic modulo n, also where the
+    taps wrap more than once, on both sides and with leading batch axes."""
+    rng = np.random.default_rng(J)
+    for name, bank in banks.items():
+        for side in ("primal", "dual"):
+            plan = TransformPlan(bank, J, side)
+            for shape in ((2**J,), (2, 3, 2**J)):
+                v = rng.standard_normal(shape)
+                for fn in (dwt, idwt):
+                    fast, ref = _with_reference_kernel(
+                        monkeypatch, lambda: fn(v, plan))
+                    assert np.array_equal(fast, ref), (name, side, shape, fn)
+
+
+@pytest.mark.parametrize("N", [(8, 16), (4, 8, 4)])
+def test_kernel_matches_oracle_trailing_batch(banks, N, monkeypatch):
+    """The same through FrameOperator block applies, whose transforms run
+    on moved axes with the block's columns as a trailing batch axis."""
+    n = int(np.prod(N))
+    rng = np.random.default_rng(len(N))
+    X = rng.standard_normal((n, 3))
+    for name in ("db1", "db4", "cdf33", "cdf51"):
+        op = FrameOperator(scipy.sparse.identity(n, format="csr"),
+                           banks[name], N)
+        for fn in (op.matmat, op.rmatmat):
+            fast, ref = _with_reference_kernel(monkeypatch, lambda: fn(X))
+            assert np.array_equal(fast, ref), (name, N, fn)

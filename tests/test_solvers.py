@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,3 +144,35 @@ def test_solver_agreement_property(seed):
            truncated_svd_solve(A, b, tol=1e-10).residual,
            randomized_lowrank_solve(A, b, tol=1e-10, seed=seed).residual]
     assert max(res) <= 10 * min(res) + 1e-12
+
+
+def _counting_operator(A):
+    """A as a LinearOperator that counts its column applies (both sides)."""
+    calls = [0]
+
+    def apply(M):
+        def fn(x):
+            calls[0] += 1
+            return M @ x
+        return fn
+
+    op = scipy.sparse.linalg.LinearOperator(
+        A.shape, matvec=apply(A), rmatvec=apply(A.T), dtype=float)
+    return op, calls
+
+
+@pytest.mark.parametrize("m, n, rank", [(12, 40, 7), (50, 10, 6)])
+def test_small_block_is_formed_exactly(m, n, rank):
+    """A block with at most BLOCK_SIZE rows or columns is formed from its
+    smaller side in min(m, n) applies and solved like the dense oracle."""
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    b = rng.standard_normal(m)
+    op, calls = _counting_operator(A)
+    rep = randomized_lowrank_solve(op, b, seed=0)
+    ref = truncated_svd_solve(A, b)
+    assert rep.rank == ref.rank == rank
+    assert (np.linalg.norm(rep.solution - ref.solution)
+            <= 1e-12 * np.linalg.norm(ref.solution))
+    assert rep.diagnostics["range_dim"] == min(m, n)
+    assert calls[0] == min(m, n) + 1    # the block, then the residual matvec
