@@ -1,17 +1,21 @@
 """AZ-type solvers for the wavelet extension least-squares problem.
 
-All pipelines share the three-step skeleton: (1) solve the low-rank plunge
-system (I - A Z*) A x1 = (I - A Z*) b restricted, implicitly or explicitly,
-to the boundary-supported unknowns, (2) x2 = Z* (b - A x1), (3) x = x1 + x2.
-They differ only in how step 1 is realized: matrix-free randomized low-rank
-(vanilla), index-set reduction (reduced), explicit sparse assembly plus a
-rank-revealing sparse factorization (sparse), and diagonally weighted
-variants that damp fine-scale coefficients in the extension region
-(smoothed / adaptive).
+All pipelines run one three-step skeleton, ``_solve``: (1) solve the
+low-rank plunge system (I - A Z*) A W y = (I - A Z*) b and set x1 = W y,
+(2) x2 = Z* (b - A x1), (3) x = x1 + x2.  W = diag(problem.weights), or the
+identity without weights, scales the columns; weights damp fine-scale
+coefficients in the extension region (smoothed / adaptive).  The pipelines
+are (form, kernel) settings of step 1:
+
+* ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the matrix-free
+  plunge operator over all rows and columns, randomized low-rank kernel;
+* ``reduced_az_solve``: the explicit sparse plunge block on the
+  boundary-supported rows Mrows and columns L, randomized low-rank kernel;
+* ``sparse_az_solve``: the same explicit block, rank-revealing sparse QR.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -28,9 +32,9 @@ from .system import (FrameOperator, ScalingMatrices, ZStarOperator,
                      rhs)
 
 PRUNE_REL = 1e-12
-# Block applies of the plunge operators run in chunks of at most this many
-# basis entries (columns x n_basis): larger chunks at n_basis = 2^18 raise
-# peak memory by a quarter for no speed gain.
+# Block applies of the matrix-free plunge operator run in chunks of at most
+# this many basis entries (columns x n_basis): larger chunks at n_basis = 2^18
+# raise peak memory by a quarter for no speed gain.
 BLOCK_ENTRIES = 2**18
 
 
@@ -59,8 +63,11 @@ class AZProblem:
             raise AZError("right-hand side length does not match the grid")
         if self.grid.M <= self.grid.n_basis:
             raise AZError("least-squares system must be overdetermined")
-        if self.weights is not None and np.any(self.weights <= 0):
-            raise AZError("weights must be positive")
+        if self.weights is not None:
+            if self.weights.size != self.grid.n_basis:
+                raise AZError("weight vector length does not match the basis")
+            if np.any(self.weights <= 0):
+                raise AZError("weights must be positive")
 
 
 @dataclass
@@ -75,9 +82,11 @@ class AZSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def make_problem(f, mask: DomainMask, bank: FilterBank, N, q,
-                 weights=None) -> AZProblem:
-    """Assemble grid, operators, right-hand side and index sets for f on mask."""
+def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
+    """Assemble grid, operators, right-hand side and index sets for f on mask.
+
+    The problem is unweighted; ``dataclasses.replace(problem, weights=w)``
+    gives the weighted one."""
     grid = masked_grid(mask, N, q)
     scaling = assemble_scaling(bank, grid)
     A = frame_operator_A(scaling, bank, grid)
@@ -87,8 +96,7 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q,
     Mrows = plunge_row_set(kflags, bank, grid)
     b = rhs(f, grid) if callable(f) else np.asarray(f, dtype=float)
     return AZProblem(bank=bank, grid=grid, scaling=scaling, A=A, Zstar=Zs,
-                     b=b, K=K, kflags=kflags, L=L, Mrows=Mrows,
-                     weights=None if weights is None else np.asarray(weights, float))
+                     b=b, K=K, kflags=kflags, L=L, Mrows=Mrows)
 
 
 def _apply_Z(problem: AZProblem, c):
@@ -139,9 +147,10 @@ def _block_operator(shape, apply, rapply, n_basis):
         matmat=_in_blocks(apply, n_basis), rmatmat=_in_blocks(rapply, n_basis))
 
 
-def plunge_operator(problem: AZProblem, weights=None):
+def plunge_operator(problem: AZProblem):
     """Matrix-free (I - A Z*) A W as a scipy LinearOperator, with
-    W = diag(weights), or the identity when weights is None."""
+    W = diag(problem.weights), or the identity without weights."""
+    weights = problem.weights
     return _block_operator(
         problem.A.shape,
         lambda x: _plunge_apply(problem, _scale_rows(weights, x)),
@@ -149,36 +158,19 @@ def plunge_operator(problem: AZProblem, weights=None):
         problem.grid.n_basis)
 
 
-def reduced_plunge_operator(problem: AZProblem):
-    """(I - A Z*) A restricted to the (#Mrows, #L) block."""
-    L, Mrows = problem.L, problem.Mrows
-
-    def apply(xl):
-        x = np.zeros((problem.grid.n_basis,) + xl.shape[1:])
-        x[L] = xl
-        return _plunge_apply(problem, x)[Mrows]
-
-    def rapply(yr):
-        y = np.zeros((problem.grid.M,) + yr.shape[1:])
-        y[Mrows] = yr
-        return _plunge_rapply(problem, y)[L]
-
-    return _block_operator((Mrows.size, L.size), apply, rapply,
-                           problem.grid.n_basis)
-
-
 def plunge_rhs(problem: AZProblem):
     """(I - A Z*) b."""
     return problem.b - problem.A.matvec(problem.Zstar(problem.b))
 
 
-def _reference_scale(problem: AZProblem, weights=None):
-    """Magnitude of the enclosing frame operator, so the low-rank solver can
-    truncate the plunge system against ||A|| rather than against noise."""
+def _reference_scale(problem: AZProblem):
+    """Magnitude of the enclosing frame operator A W, so the low-rank solver
+    can truncate the plunge system against ||A W|| rather than against
+    noise."""
     rng = np.random.Generator(np.random.Philox(0x5CA1E))
     w = rng.standard_normal(problem.grid.n_basis)
-    if weights is not None:
-        w = weights * w
+    if problem.weights is not None:
+        w = problem.weights * w
     return float(np.linalg.norm(problem.A.matvec(w)))
 
 
@@ -254,35 +246,65 @@ def _finish(problem, x1, t0, t1, rep, extra_times=None):
                       diagnostics={"rank": rep.rank, **rep.diagnostics})
 
 
-def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
-    """Vanilla pipeline: randomized low-rank solve of the full plunge system."""
+def _solve(problem: AZProblem, explicit, kernel, tol, seed=None):
+    """Steps 1-3, with step 1 solved by ``kernel`` on the plunge operator in
+    one of two forms.
+
+    ``explicit`` selects the sparse (Mrows, L) block of ``sparse_plunge``;
+    otherwise the matrix-free ``plunge_operator`` over all rows and columns.
+    Either way problem.weights scale the columns, and x1 = W y.  A kernel
+    given a ``seed`` is randomized and also gets the reference scale; with
+    seed None it gets only ``tol``.
+    """
     t0 = time.perf_counter()
-    rep = randomized_lowrank_solve(plunge_operator(problem), plunge_rhs(problem),
-                                   tol=tol, seed=seed,
-                                   scale=_reference_scale(problem))
-    return _finish(problem, rep.solution, t0, time.perf_counter(), rep)
+    w = problem.weights
+    extra_times = {}
+    if explicit:
+        rows, cols = problem.Mrows, problem.L
+        op = sparse_plunge(problem)[rows][:, cols]
+        if w is not None:
+            op = op @ scipy.sparse.diags(w[cols])
+        extra_times["assembly"] = time.perf_counter() - t0
+    else:
+        rows = cols = slice(None)
+        op = plunge_operator(problem)
+    args = {} if seed is None else {"seed": seed,
+                                    "scale": _reference_scale(problem)}
+    rep = kernel(op, plunge_rhs(problem)[rows], tol=tol, **args)
+    x1 = np.zeros(problem.grid.n_basis)
+    x1[cols] = rep.solution if w is None else w[cols] * rep.solution
+    return _finish(problem, x1, t0, time.perf_counter(), rep, extra_times)
+
+
+def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
+    """Vanilla pipeline, the smoothed one with problem.weights: randomized
+    low-rank solve of the matrix-free plunge system."""
+    return _solve(problem, False, randomized_lowrank_solve, tol, seed)
+
+
+smoothed_az_solve = az_solve
 
 
 def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
-    """Index-set-reduced pipeline: plunge system on the (#Mrows, #L) block."""
-    t0 = time.perf_counter()
-    rep = randomized_lowrank_solve(reduced_plunge_operator(problem),
-                                   plunge_rhs(problem)[problem.Mrows],
-                                   tol=tol, seed=seed,
-                                   scale=_reference_scale(problem))
-    x1 = np.zeros(problem.grid.n_basis)
-    x1[problem.L] = rep.solution
-    return _finish(problem, x1, t0, time.perf_counter(), rep)
+    """Index-set-reduced pipeline: randomized low-rank solve of the explicit
+    (#Mrows, #L) plunge block."""
+    return _solve(problem, True, randomized_lowrank_solve, tol, seed)
+
+
+def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
+    """Sparse pipeline: rank-revealing sparse QR of the explicit (#Mrows, #L)
+    plunge block."""
+    return _solve(problem, True, sparse_qr_solve, tol)
 
 
 def _prune(S, rel=PRUNE_REL):
-    S = S.tocoo()
-    if S.nnz == 0:
-        return S.tocsr()
-    cut = rel * np.abs(S.data).max()
-    keep = np.abs(S.data) > cut
-    return scipy.sparse.csr_matrix(
-        (S.data[keep], (S.row[keep], S.col[keep])), shape=S.shape)
+    """S as CSR without its entries at or below rel * max |S|; a CSR S is
+    pruned in place."""
+    S = S.tocsr()
+    if S.nnz:
+        S.data[np.abs(S.data) <= rel * np.abs(S.data).max()] = 0.0
+        S.eliminate_zeros()
+    return S
 
 
 def scaling_plunge(problem: AZProblem):
@@ -292,30 +314,30 @@ def scaling_plunge(problem: AZProblem):
 
 
 def _selected_winv_rows(rows, bank, N):
-    """Sparse selected rows of the d-dimensional synthesis matrix W^-1."""
-    if len(N) == 1:
-        return sparse_idwt_rows(rows, bank, (N[0]).bit_length() - 1)
-    multis = np.unravel_index(np.asarray(rows, dtype=int), tuple(N))
-    axis_rows = []
-    for ax, n in enumerate(N):
-        uniq, inv = np.unique(multis[ax], return_inverse=True)
-        mat = sparse_idwt_rows(uniq, bank, n.bit_length() - 1).tocsr()
-        axis_rows.append((mat, inv))
-    data, ri, ci = [], [], []
-    ntot = int(np.prod(N))
-    for pos in range(len(rows)):
-        vals = np.array([1.0])
-        cols = np.array([0], dtype=np.int64)
-        for mat, inv in axis_rows:
-            r = mat.getrow(inv[pos])
-            vals = np.outer(vals, r.data).ravel()
-            cols = (cols[:, None] * mat.shape[1] + r.indices[None, :]).ravel()
-        data.append(vals)
-        ri.append(np.full(vals.size, pos, dtype=np.int64))
-        ci.append(cols)
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-        shape=(len(rows), ntot))
+    """Sparse selected rows of the d-dimensional synthesis matrix W^-1.
+
+    W^-1 is the Kronecker product of the per-axis synthesis matrices, so each
+    row is the Kronecker product of the per-axis rows of its multi-index: a
+    row-wise Kronecker product of per-axis row blocks, padded to a common
+    width with zeros.
+    """
+    multis = np.unravel_index(np.asarray(rows, dtype=np.int64), tuple(N))
+    vals = np.ones((len(rows), 1))
+    cols = np.zeros((len(rows), 1), dtype=np.int64)
+    for idx, n in zip(multis, N):
+        uniq, inv = np.unique(idx, return_inverse=True)
+        R = sparse_idwt_rows(uniq, bank, n.bit_length() - 1)
+        width = np.diff(R.indptr)
+        k = np.arange(width.max())
+        pos = np.minimum(R.indptr[:-1, None] + k, R.nnz - 1)[inv]
+        pad = (k >= width[:, None])[inv]
+        v = np.where(pad, 0.0, R.data[pos])
+        vals = (vals[:, :, None] * v[:, None, :]).reshape(len(rows), -1)
+        cols = (cols[:, :, None] * n + R.indices[pos][:, None, :]).reshape(
+            len(rows), -1)
+    ri, ci = np.nonzero(vals)
+    return scipy.sparse.csr_matrix((vals[ri, ci], (ri, cols[ri, ci])),
+                                   shape=(len(rows), int(np.prod(N))))
 
 
 def sparse_plunge(problem: AZProblem):
@@ -326,34 +348,6 @@ def sparse_plunge(problem: AZProblem):
         return scipy.sparse.csr_matrix(problem.A.shape)
     R = _selected_winv_rows(cols, problem.bank, problem.grid.N)
     return _prune(P_hat[:, cols] @ R)
-
-
-def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
-    """Sparse pipeline: explicit sparse plunge, rank-revealing sparse solve."""
-    t0 = time.perf_counter()
-    P = sparse_plunge(problem)
-    t_asm = time.perf_counter()
-    S = P[:, problem.L]
-    rep = sparse_qr_solve(S.tocsr(), plunge_rhs(problem), tol=tol)
-    x1 = np.zeros(problem.grid.n_basis)
-    x1[problem.L] = rep.solution
-    return _finish(problem, x1, t0, time.perf_counter(), rep,
-                   extra_times={"assembly": t_asm - t0})
-
-
-def smoothed_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
-    """Weighted pipeline: step 1 solves (I - A Z*) A W y = (I - A Z*) b,
-    then x1 = W y."""
-    w = problem.weights
-    if w is None:
-        w = np.ones(problem.grid.n_basis)
-    if w.size != problem.grid.n_basis:
-        raise AZError("weight vector length does not match the basis")
-    t0 = time.perf_counter()
-    rep = randomized_lowrank_solve(plunge_operator(problem, weights=w),
-                                   plunge_rhs(problem), tol=tol, seed=seed,
-                                   scale=_reference_scale(problem, weights=w))
-    return _finish(problem, w * rep.solution, t0, time.perf_counter(), rep)
 
 
 def coarsest_n(bank: FilterBank, minimum=4):
@@ -369,16 +363,17 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
     """Multilevel weighted pipeline: refine n from coarse to N, feeding the
     residual history back in as per-scale weights.
 
-    The ladder starts at the coarsest level whose grid has more samples in
-    the domain than unknowns; only a requested N without that raises.
+    The ladder starts at the coarsest level, min(coarsest_n, N) on each
+    axis, whose grid has more samples in the domain than unknowns; only a
+    requested N without that raises.
     Returns ``(problem, solution)``: the unweighted problem the ladder
     assembled at N, and the solution at N, whose
     ``diagnostics["weight_history"]`` is ||b|| followed by each level's
     residual."""
     N = tuple(N) if not np.isscalar(N) else (int(N),) * mask.dimension
     q = tuple(q) if not np.isscalar(q) else (int(q),) * mask.dimension
-    n0 = coarsest_n(bank)
-    levels = [tuple(max(n0, ni >> s) for ni in N)
+    n0 = [min(coarsest_n(bank), ni) for ni in N]
+    levels = [tuple(max(n0i, ni >> s) for n0i, ni in zip(n0, N))
               for s in range(max(ni.bit_length() for ni in N), -1, -1)]
     levels = sorted(set(lv for lv in levels if all(a <= b for a, b in zip(lv, N))))
     e = None
@@ -392,12 +387,9 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
             continue
         if e is None:
             e = [float(np.linalg.norm(problem.b))]
-        wproblem = AZProblem(
-            bank=problem.bank, grid=problem.grid, scaling=problem.scaling,
-            A=problem.A, Zstar=problem.Zstar, b=problem.b, K=problem.K,
-            kflags=problem.kflags, L=problem.L, Mrows=problem.Mrows,
-            weights=scale_weights(e, lv))
-        sol = smoothed_az_solve(wproblem, tol=tol, seed=seed)
+        sol = smoothed_az_solve(
+            replace(problem, weights=scale_weights(e, lv)),
+            tol=tol, seed=seed)
         e.append(sol.residual)
     sol.diagnostics["weight_history"] = list(e)
     return problem, sol

@@ -17,7 +17,6 @@ W* = W~^{-1} and (W^{-1})* = W~ hold.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 import scipy.sparse
 
 from .filters import FilterBank, Mask
@@ -58,8 +57,7 @@ def analysis_taps(v, masks):
     lo = max(0, -min(m.support[0] for m in masks))
     vp = _wrap_pad(v, lo, max(0, max(m.support[1] for m in masks) - 1))
     for k, mask in enumerate(masks):
-        for ti, c in enumerate(mask.taps):
-            s = lo + mask.offset + ti
+        for s, c in enumerate(mask.taps.tolist(), lo + mask.offset):
             yield k, c, vp[..., s: s + n: 2]
 
 
@@ -85,13 +83,12 @@ def _synthesis_step(v, w, h: Mask, g: Mask):
     half = v.shape[-1]
     out = np.zeros(v.shape[:-1] + (2 * half,), dtype=np.result_type(v, w))
     for mask, coarse in ((h, v), (g, w)):
-        t = mask.offset + np.arange(len(mask))
-        shift = t // 2          # (t - p) / 2 for the tap's parity p
-        lo = max(0, int(shift.max()))
-        cp = _wrap_pad(coarse, lo, max(0, -int(shift.min())))
-        for c, ti, d in zip(mask.taps, t, shift):
-            s = lo - d
-            out[..., ti % 2::2] += c * cp[..., s: s + half]
+        first, last = mask.support
+        lo = max(0, last // 2)     # t // 2 = (t - p) / 2 for the parity p
+        cp = _wrap_pad(coarse, lo, max(0, -(first // 2)))
+        for t, c in enumerate(mask.taps.tolist(), first):
+            s = lo - t // 2
+            out[..., t % 2::2] += c * cp[..., s: s + half]
     return out
 
 
@@ -180,16 +177,13 @@ def _periodize(taps, offset, n):
     return out
 
 
-def _upsample(taps, q):
-    out = np.zeros((taps.size - 1) * q + 1)
-    out[::q] = taps
+def _upsampled_conv(a, taps, q):
+    """a convolved with taps upsampled by q (q - 1 zeros between taps), as
+    one shifted add of a per tap."""
+    out = np.zeros(a.size + (taps.size - 1) * q)
+    for i, c in enumerate(taps):
+        out[i * q: i * q + a.size] += c * a
     return out
-
-
-def _conv(a, b):
-    if a.size * b.size > 1 << 14:
-        return scipy.signal.fftconvolve(a, b)
-    return np.convolve(a, b)
 
 
 def idwt_column_filters(bank: FilterBank, J: int, side: str = "primal"):
@@ -208,17 +202,16 @@ def idwt_column_filters(bank: FilterBank, J: int, side: str = "primal"):
     P = [(0, np.array([1.0]))]
     off, taps = 0, np.array([1.0])
     for k in range(J):
-        up = _upsample(h.taps, 2**k)
-        taps = _conv(taps, up)
+        taps = _upsampled_conv(taps, h.taps, 2**k)
         off = off + h.offset * 2**k
         P.append((off, taps))
     filters = []
     for l in range(J):
         # wavelet at scale l: g(z^{2^{J-1-l}}) * P_{J-1-l}
         k = J - 1 - l
-        goff, gtaps = g.offset * 2**k, _upsample(g.taps, 2**k)
         poff, ptaps = P[k]
-        filters.append((goff + poff, _conv(gtaps, ptaps)))
+        filters.append((g.offset * 2**k + poff,
+                        _upsampled_conv(ptaps, g.taps, 2**k)))
     filters.append(P[J])
     return filters
 
@@ -244,31 +237,27 @@ def column_scale(idx, J):
 def sparse_idwt_rows(rows, bank: FilterBank, J: int, side: str = "primal"):
     """Selected rows of W^-1 as a sparse matrix, built from the column filters.
 
-    Each row has O(J) nonzeros; the dense matrix is never formed.
+    Each row has O(J) nonzeros; the dense matrix is never formed.  Column
+    (l, m) of W^-1 holds tap i of filter l at row off + i + m * step
+    (mod 2^J), so row r meets the taps i = rem + step * k, rem = (r - off)
+    mod step, for every row at once.
     """
     n = 2**J
-    rows = np.asarray(rows, dtype=int)
-    filters = idwt_column_filters(bank, J, side)
+    rows = np.asarray(rows, dtype=np.int64)
     data, ri, ci = [], [], []
-    for l in range(J + 1):
-        off, taps = filters[l]
+    for l, (off, taps) in enumerate(idwt_column_filters(bank, J, side)):
         if l == J:      # scaling column: single column, index 0
-            shift_step, nshift, base_col = n, 1, 0
+            step, nshift, base_col = n, 1, 0
         else:
-            shift_step, nshift, base_col = 2 ** (J - l), 2**l, 2**l if l else 1
-        nz = np.nonzero(taps)[0]
-        for r_pos, r in enumerate(rows):
-            # need off + i + m*shift_step == r (mod n) with taps[i] != 0
-            rem = (r - off) % shift_step
-            i = nz[(nz - rem) % shift_step == 0]
-            if i.size == 0:
-                continue
-            m = ((r - off - i) // shift_step) % nshift
-            data.append(taps[i])
-            ri.append(np.full(i.size, r_pos))
-            ci.append(base_col + m if l < J else np.zeros(i.size, dtype=int))
-    if not data:
-        return scipy.sparse.csr_matrix((rows.size, n))
+            step, nshift, base_col = 2 ** (J - l), 2**l, 2**l
+        i = (rows[:, None] - off) % step + step * np.arange(-(-taps.size // step))
+        keep = i < taps.size
+        keep[keep] = taps[i[keep]] != 0
+        r_pos, k = np.nonzero(keep)
+        i = i[r_pos, k]
+        data.append(taps[i])
+        ri.append(r_pos)
+        ci.append(base_col + ((rows[r_pos] - off - i) // step) % nshift)
     mat = scipy.sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
         shape=(rows.size, n),

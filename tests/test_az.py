@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,11 +75,16 @@ def test_reduced_zero_rhs():
     assert np.abs(sol.x).max() < 1e-12
 
 
-def test_sparse_plunge_matches_dense(prob1d):
-    P = az.sparse_plunge(prob1d)
-    n = prob1d.grid.n_basis
-    dense = np.column_stack([az._plunge_apply(prob1d, e) for e in np.eye(n)])
-    assert np.abs(P.toarray() - dense).max() < 1e-10
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sparse_plunge_matches_dense(dim):
+    """The explicit plunge equals the matrix-free columns; outside the
+    (Mrows, L) block it is zero."""
+    prob = _block_case(dim)
+    P = az.sparse_plunge(prob).toarray()
+    dense = az._plunge_apply(prob, np.eye(prob.grid.n_basis))
+    assert np.abs(P - dense).max() < 1e-10
+    P[np.ix_(prob.Mrows, prob.L)] = 0
+    assert not P.any()
 
 
 def test_sparse_plunge_supports(prob1d):
@@ -110,11 +117,7 @@ def test_sparse_nnz_growth():
 
 
 def test_smoothed_identity_weights(prob1d):
-    wprob = az.AZProblem(
-        bank=prob1d.bank, grid=prob1d.grid, scaling=prob1d.scaling,
-        A=prob1d.A, Zstar=prob1d.Zstar, b=prob1d.b, K=prob1d.K,
-        kflags=prob1d.kflags, L=prob1d.L, Mrows=prob1d.Mrows,
-        weights=np.ones(prob1d.grid.n_basis))
+    wprob = dataclasses.replace(prob1d, weights=np.ones(prob1d.grid.n_basis))
     s1 = az.az_solve(prob1d, seed=3)
     s2 = az.smoothed_az_solve(wprob, seed=3)
     assert np.array_equal(s1.x, s2.x)
@@ -124,10 +127,7 @@ def test_smoothed_geometric_weights_decay():
     bank = filter_bank("cdf33")
     prob = az.make_problem(exp1d, interval(0.0, 0.6), bank, 256, 2)
     e = [0.2 ** i for i in range(9)]
-    wprob = az.AZProblem(
-        bank=prob.bank, grid=prob.grid, scaling=prob.scaling, A=prob.A,
-        Zstar=prob.Zstar, b=prob.b, K=prob.K, kflags=prob.kflags, L=prob.L,
-        Mrows=prob.Mrows, weights=az.scale_weights(e, prob.grid.N))
+    wprob = dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
     sw = az.smoothed_az_solve(wprob, seed=0)
     su = az.reduced_az_solve(prob, seed=0)
     ext = az.extension_index_set(prob)
@@ -140,11 +140,12 @@ def test_smoothed_geometric_weights_decay():
 
 def test_nonpositive_weights_rejected(prob1d):
     with pytest.raises(az.AZError):
-        az.AZProblem(
-            bank=prob1d.bank, grid=prob1d.grid, scaling=prob1d.scaling,
-            A=prob1d.A, Zstar=prob1d.Zstar, b=prob1d.b, K=prob1d.K,
-            kflags=prob1d.kflags, L=prob1d.L, Mrows=prob1d.Mrows,
-            weights=np.zeros(prob1d.grid.n_basis))
+        dataclasses.replace(prob1d, weights=np.zeros(prob1d.grid.n_basis))
+
+
+def test_wrong_length_weights_rejected(prob1d):
+    with pytest.raises(az.AZError):
+        dataclasses.replace(prob1d, weights=np.ones(prob1d.grid.n_basis - 1))
 
 
 def test_adaptive_weight_history_decreasing():
@@ -162,13 +163,23 @@ def test_adaptive_degenerate_single_level():
     _, sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6), bank, n0, 2,
                                        seed=0)
     prob = az.make_problem(exp1d, interval(0.0, 0.6), bank, n0, 2)
-    wprob = az.AZProblem(
-        bank=prob.bank, grid=prob.grid, scaling=prob.scaling, A=prob.A,
-        Zstar=prob.Zstar, b=prob.b, K=prob.K, kflags=prob.kflags, L=prob.L,
-        Mrows=prob.Mrows,
-        weights=az.scale_weights([np.linalg.norm(prob.b)], prob.grid.N))
+    wprob = dataclasses.replace(
+        prob, weights=az.scale_weights([np.linalg.norm(prob.b)], prob.grid.N))
     ref = az.smoothed_az_solve(wprob, seed=0)
     assert np.array_equal(sol.x, ref.x)
+
+
+def test_adaptive_below_coarsest_n():
+    """N below coarsest_n starts the ladder at N: one smoothed solve with
+    the scalar weight ||b||, as when N equals coarsest_n."""
+    bank = filter_bank("cdf33")
+    mask = interval(0.0, 0.9)
+    assert 8 < az.coarsest_n(bank)
+    prob, sol = az.adaptive_weighted_solve(exp1d, mask, bank, 8, 4, seed=0)
+    assert len(sol.diagnostics["weight_history"]) == 2
+    wprob = dataclasses.replace(
+        prob, weights=az.scale_weights([np.linalg.norm(prob.b)], prob.grid.N))
+    assert np.array_equal(sol.x, az.smoothed_az_solve(wprob, seed=0).x)
 
 
 def test_adaptive_2d_extension_decay():
@@ -229,10 +240,7 @@ def test_determinism_full_pipeline(prob1d):
 def _weighted(prob):
     """prob with per-scale weights halving from the coarsest scale."""
     e = [0.5 ** i for i in range(12)]
-    return az.AZProblem(
-        bank=prob.bank, grid=prob.grid, scaling=prob.scaling, A=prob.A,
-        Zstar=prob.Zstar, b=prob.b, K=prob.K, kflags=prob.kflags, L=prob.L,
-        Mrows=prob.Mrows, weights=az.scale_weights(e, prob.grid.N))
+    return dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
 
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])
@@ -290,14 +298,14 @@ def test_adaptive_short_interval():
 
 
 def test_reduced_1d_small_block_is_exact():
-    """The 1-D reduced block has fewer than BLOCK_SIZE rows, so step 1 forms
-    it exactly; the residual stays within 10x of the sampled range finder's,
-    which a rank cap keeps on its loop."""
+    """The explicit 1-D reduced block has fewer than BLOCK_SIZE rows, so step
+    1 forms it exactly; the residual stays within 10x of the sampled range
+    finder's on the same block, which a rank cap keeps on its loop."""
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
     sol = az.reduced_az_solve(prob, seed=0)
     assert sol.diagnostics["range_dim"] == prob.Mrows.size <= BLOCK_SIZE
-    op = az.reduced_plunge_operator(prob)
+    op = az.sparse_plunge(prob)[prob.Mrows][:, prob.L]
     rep = randomized_lowrank_solve(op, az.plunge_rhs(prob)[prob.Mrows],
                                    seed=0, max_rank=min(op.shape),
                                    scale=az._reference_scale(prob))
@@ -327,10 +335,8 @@ def test_block_applies_match_columns(dim, cap, monkeypatch):
     if cap is not None:   # chunks of `cap` columns
         monkeypatch.setattr(az, "BLOCK_ENTRIES", cap * prob.grid.n_basis)
     rng = np.random.default_rng(0)
-    w = _weighted(prob).weights
     ops = {"A": prob.A, "plunge": az.plunge_operator(prob),
-           "reduced": az.reduced_plunge_operator(prob),
-           "smoothed": az.plunge_operator(prob, weights=w)}
+           "smoothed": az.plunge_operator(_weighted(prob))}
 
     def close(a, b):
         return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -346,3 +352,16 @@ def test_block_applies_match_columns(dim, cap, monkeypatch):
         assert abs(lhs - rhs_) <= 1e-12 * np.linalg.norm(AX) * np.linalg.norm(Y), name
     Y = rng.standard_normal((prob.grid.M, 5))
     assert close(prob.Zstar(Y), np.column_stack([prob.Zstar(y) for y in Y.T]))
+
+
+def test_weighted_explicit_block_parity():
+    """On a weighted disk problem, reduced and sparse scale the columns of
+    the explicit block and stay within 10x of the matrix-free smoothed
+    residual; reduced finds the same minimum-norm weighted solution."""
+    prob = _weighted(_block_case(2))
+    ref = az.smoothed_az_solve(prob, seed=0)
+    reduced = az.reduced_az_solve(prob, seed=0)
+    for sol in (reduced, az.sparse_az_solve(prob)):
+        assert sol.residual <= 10 * ref.residual
+        assert ref.residual <= 10 * sol.residual
+    assert np.linalg.norm(reduced.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)

@@ -110,6 +110,13 @@ def test_exit_ok(tmp_path):
     assert rec.residual < 1e-6
 
 
+def test_adaptive_below_coarsest_n_exits_ok(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["approximate", "--solver", "adaptive", "--N", "8",
+                "--output", str(out)]) == 0
+    assert cli.parse_record(out.read_text()).config["N"] == [8]
+
+
 def test_exit_config_error(capsys):
     assert run(["approximate", "--family", "nosuch"]) == 2
     assert run(["approximate", "--domain", "blob:1"]) == 2

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import scipy.sparse
 
 from wavext import dwt as dwt_mod
+from wavext.az import _selected_winv_rows
 from wavext.dwt import (TransformError, TransformPlan, column_filters_periodized,
                         column_scale, dense_matrix, dual_dwt, dual_idwt, dwt,
                         idwt, idwt_column_filters, operator_norms,
@@ -134,6 +135,18 @@ def test_sparse_rows_match_dense():
         Winv = dense_matrix(TransformPlan(bank, J), inverse=True)
         S = sparse_idwt_rows(np.arange(2 ** J), bank, J)
         assert np.abs(S.toarray() - Winv).max() < 1e-12
+    # d-D rows, unsorted and repeated: rows of the Kronecker product
+    rng = np.random.default_rng(0)
+    for name, N in (("db2", (16, 16)), ("cdf42", (8, 8, 8))):
+        bank = filter_bank(name)
+        dense = np.ones((1, 1))
+        for n in N:
+            dense = np.kron(dense, dense_matrix(
+                TransformPlan(bank, n.bit_length() - 1), inverse=True))
+        rows = rng.integers(0, dense.shape[0], 60)
+        rows[-5:] = rows[:5]
+        S = _selected_winv_rows(rows, bank, N)
+        assert np.abs(S.toarray() - dense[rows]).max() < 1e-12
 
 
 def test_sparse_rows_empty():
