@@ -12,9 +12,15 @@ are (form, kernel) settings of step 1:
 * ``reduced_az_solve``: the explicit sparse plunge block on the
   boundary-supported rows Mrows and columns L, randomized low-rank kernel;
 * ``sparse_az_solve``: the same explicit block, rank-revealing sparse QR.
+  The factor depends on the geometry only, not on f, so it is kept in a
+  bounded least-recently-used cache and reused by later problems on the
+  same geometry (``clear_step1_cache`` empties it).
 """
 
+import hashlib
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +32,9 @@ from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
                      wavelet_boundary_set)
 from .dwt import sparse_idwt_rows
 from .filters import FilterBank
-from .solvers import (DEFAULT_TOL, randomized_lowrank_solve, sparse_qr_solve)
+# sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
+from .solvers import (DEFAULT_TOL, randomized_lowrank_solve, sparse_qr_factor,
+                      sparse_qr_solve)  # noqa: F401
 from .system import (FrameOperator, ScalingMatrices, ZStarOperator,
                      assemble_scaling, frame_operator_A, frame_operator_Zstar,
                      rhs)
@@ -36,6 +44,9 @@ PRUNE_REL = 1e-12
 # this many basis entries (columns x n_basis): larger chunks at n_basis = 2^18
 # raise peak memory by a quarter for no speed gain.
 BLOCK_ENTRIES = 2**18
+# Bytes of sparse step-1 factors kept for reuse.  The factors of the disk
+# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 21 MB.
+STEP1_CACHE_BYTES = 2**25
 
 
 class AZError(ValueError):
@@ -228,58 +239,121 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
-def _finish(problem, x1, t0, t1, rep, extra_times=None):
+def _finish(problem, x1, t0, t1, rep, extra_times, extra_diag):
     """Steps 2-3 from the step-1 solution x1 and the report ``rep`` of the
     solver that produced it."""
     t2 = time.perf_counter()
     x2 = problem.Zstar(problem.b - problem.A.matvec(x1))
     x = x1 + x2
     r = float(np.linalg.norm(problem.A.matvec(x) - problem.b))
-    times = {"step1": t1 - t0, "step23": time.perf_counter() - t2}
-    if extra_times:
-        times.update(extra_times)
+    times = {"step1": t1 - t0, "step23": time.perf_counter() - t2,
+             **extra_times}
     return AZSolution(x=x, residual=r,
                       coefficient_norm=float(np.linalg.norm(x)),
                       per_scale_norms=per_scale_norms(x, problem.grid.N),
                       stage_times=times, plunge_rank=rep.rank,
                       warning=rep.warning,
-                      diagnostics={"rank": rep.rank, **rep.diagnostics})
+                      diagnostics={"rank": rep.rank, **rep.diagnostics,
+                                   **extra_diag})
 
 
-def _solve(problem: AZProblem, explicit, kernel, tol, seed=None):
-    """Steps 1-3, with step 1 solved by ``kernel`` on the plunge operator in
-    one of two forms.
+def _explicit_block(problem: AZProblem):
+    """The sparse (Mrows, L) block of ``sparse_plunge``, its columns scaled
+    by problem.weights."""
+    cols = problem.L
+    op = sparse_plunge(problem)[problem.Mrows][:, cols]
+    w = problem.weights
+    return op if w is None else op @ scipy.sparse.diags(w[cols])
+
+
+def _digest(a):
+    return hashlib.blake2b(np.ascontiguousarray(a).tobytes()).digest()
+
+
+def _step1_key(problem: AZProblem, tol):
+    """Everything the explicit block depends on: the filter bank (the dual
+    pairs are looked up by family), the grid shape, the inside mask, the
+    index sets, the weights and the truncation tolerance.  Never the mask's
+    description: every custom predicate is described as "predicate"."""
+    bank, grid = problem.bank, problem.grid
+    masks = tuple((m.offset, m.taps.tobytes())
+                  for m in (bank.h, bank.g, bank.h_dual, bank.g_dual))
+    weights = None if problem.weights is None else _digest(problem.weights)
+    return (bank.family, masks, grid.N, grid.q, _digest(grid.inside_bool),
+            _digest(problem.Mrows), _digest(problem.L), weights, float(tol))
+
+
+# Sparse step-1 factors by _step1_key, least recently used first.  Bounded
+# by STEP1_CACHE_BYTES; factors hold boundary-sized arrays only, never the
+# problem.
+_step1_cache = OrderedDict()
+_step1_lock = threading.Lock()
+
+
+def clear_step1_cache():
+    """Forget every cached sparse step-1 factor, so the next sparse solve of
+    each geometry factors from scratch."""
+    with _step1_lock:
+        _step1_cache.clear()
+
+
+def _step1_factor(problem: AZProblem, tol):
+    """(factor, reused, assembly seconds): the sparse QR factor of the
+    explicit block, from the cache when this geometry was factored before,
+    when no block is assembled."""
+    key = _step1_key(problem, tol)
+    with _step1_lock:
+        factor = _step1_cache.get(key)
+        if factor is not None:
+            _step1_cache.move_to_end(key)
+            return factor, True, 0.0
+    t0 = time.perf_counter()
+    op = _explicit_block(problem)
+    assembly = time.perf_counter() - t0
+    factor = sparse_qr_factor(op, tol=tol)
+    with _step1_lock:
+        _step1_cache[key] = factor
+        while sum(f.nbytes for f in _step1_cache.values()) > STEP1_CACHE_BYTES:
+            _step1_cache.popitem(last=False)
+    return factor, False, assembly
+
+
+def _solve(problem: AZProblem, explicit, tol, seed=None):
+    """Steps 1-3, with step 1 solved on the plunge operator in one of two
+    forms, by one of two kernels.
 
     ``explicit`` selects the sparse (Mrows, L) block of ``sparse_plunge``;
     otherwise the matrix-free ``plunge_operator`` over all rows and columns.
-    Either way problem.weights scale the columns, and x1 = W y.  A kernel
-    given a ``seed`` is randomized and also gets the reference scale; with
-    seed None it gets only ``tol``.
+    Either way problem.weights scale the columns, and x1 = W y.  With a
+    ``seed`` the kernel is ``randomized_lowrank_solve``, which also gets the
+    reference scale.  With seed None it is the sparse QR of the explicit
+    block, whose factor depends on the geometry and not on b: it comes from
+    the step-1 cache when there, and ``diagnostics["step1_reused"]`` says so.
     """
     t0 = time.perf_counter()
     w = problem.weights
-    extra_times = {}
-    if explicit:
-        rows, cols = problem.Mrows, problem.L
-        op = sparse_plunge(problem)[rows][:, cols]
-        if w is not None:
-            op = op @ scipy.sparse.diags(w[cols])
-        extra_times["assembly"] = time.perf_counter() - t0
+    times, diag = {}, {}
+    rows, cols = (problem.Mrows, problem.L) if explicit else (slice(None),) * 2
+    if seed is None:
+        factor, diag["step1_reused"], times["assembly"] = _step1_factor(
+            problem, tol)
+        rep = factor.solve(plunge_rhs(problem)[rows])
     else:
-        rows = cols = slice(None)
-        op = plunge_operator(problem)
-    args = {} if seed is None else {"seed": seed,
-                                    "scale": _reference_scale(problem)}
-    rep = kernel(op, plunge_rhs(problem)[rows], tol=tol, **args)
+        op = _explicit_block(problem) if explicit else plunge_operator(problem)
+        if explicit:
+            times["assembly"] = time.perf_counter() - t0
+        rep = randomized_lowrank_solve(op, plunge_rhs(problem)[rows], tol=tol,
+                                       seed=seed,
+                                       scale=_reference_scale(problem))
     x1 = np.zeros(problem.grid.n_basis)
     x1[cols] = rep.solution if w is None else w[cols] * rep.solution
-    return _finish(problem, x1, t0, time.perf_counter(), rep, extra_times)
+    return _finish(problem, x1, t0, time.perf_counter(), rep, times, diag)
 
 
 def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Vanilla pipeline, the smoothed one with problem.weights: randomized
     low-rank solve of the matrix-free plunge system."""
-    return _solve(problem, False, randomized_lowrank_solve, tol, seed)
+    return _solve(problem, False, tol, seed)
 
 
 smoothed_az_solve = az_solve
@@ -288,13 +362,13 @@ smoothed_az_solve = az_solve
 def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Index-set-reduced pipeline: randomized low-rank solve of the explicit
     (#Mrows, #L) plunge block."""
-    return _solve(problem, True, randomized_lowrank_solve, tol, seed)
+    return _solve(problem, True, tol, seed)
 
 
 def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
     """Sparse pipeline: rank-revealing sparse QR of the explicit (#Mrows, #L)
-    plunge block."""
-    return _solve(problem, True, sparse_qr_solve, tol)
+    plunge block, factored once per geometry."""
+    return _solve(problem, True, tol)
 
 
 def _prune(S, rel=PRUNE_REL):
@@ -308,9 +382,17 @@ def _prune(S, rel=PRUNE_REL):
 
 
 def scaling_plunge(problem: AZProblem):
-    """Sparse A_hat - A_hat Z_hat* A_hat, pruned of cancellation fuzz."""
-    Ah, Zh = problem.scaling.A_hat, problem.scaling.Z_hat
-    return _prune(Ah - Ah @ (Zh.T @ Ah))
+    """Sparse A_hat - A_hat Z_hat* A_hat, pruned of cancellation fuzz.
+
+    Column c vanishes unless phi_c meets both the domain and its complement,
+    that is unless c is in K, so only the columns K are formed, as
+    A_hat[:, K] - A_hat (Z_hat* A_hat[:, K]).
+    """
+    Ah, Zh, K = problem.scaling.A_hat, problem.scaling.Z_hat, problem.K
+    AK = Ah[:, K]
+    P = _prune(AK - Ah @ (Zh.T @ AK))
+    return scipy.sparse.csr_matrix((P.data, K[P.indices], P.indptr),
+                                   shape=Ah.shape)
 
 
 def _selected_winv_rows(rows, bank, N):
@@ -394,10 +476,3 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
     sol.diagnostics["weight_history"] = list(e)
     return problem, sol
 
-
-def plunge_rank(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> int:
-    """Numerical rank of the plunge operator by randomized range estimation."""
-    from .solvers import estimate_rank
-
-    return estimate_rank(plunge_operator(problem), tol=tol, seed=seed,
-                         scale=_reference_scale(problem))

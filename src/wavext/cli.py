@@ -266,12 +266,15 @@ def cmd_convergence(cfg: RunConfig, n_list):
 
 
 def cmd_timing(cfg: RunConfig, n_list, repetitions):
+    """Median wall time of a solve from scratch at each N: the sparse step-1
+    cache is cleared before every repetition."""
     if repetitions < 3:
         raise ConfigError("timing requires at least 3 repetitions")
     rows = []
     for n in n_list:
         times = []
         for _ in range(repetitions):
+            az_mod.clear_step1_cache()
             t0 = time.perf_counter()
             run_one(cfg, N=(n,))
             times.append(time.perf_counter() - t0)

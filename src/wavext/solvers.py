@@ -144,12 +144,13 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
                      range_dim=Q.shape[1])
 
 
-def estimate_rank(op, tol=DEFAULT_TOL, seed=0, max_rank=None, scale=None):
-    """Numerical rank of an operator via the adaptive randomized solver path."""
-    op = scipy.sparse.linalg.aslinearoperator(op)
-    b = np.zeros(op.shape[0])
-    return randomized_lowrank_solve(op, b, tol=tol, seed=seed,
-                                    max_rank=max_rank, scale=scale).rank
+def _pivoted_qr(A, tol):
+    """Economic column-pivoted QR of a dense A and its numerical rank r, the
+    number of |R| diagonal entries above tol * |R[0, 0]|."""
+    Qf, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    r = int(np.sum(diag > tol * diag[0])) if diag.size and diag[0] > 0 else 0
+    return Qf, R, piv, r
 
 
 def pivoted_qr_solve(A, b, tol=DEFAULT_TOL, _guard=True):
@@ -159,9 +160,7 @@ def pivoted_qr_solve(A, b, tol=DEFAULT_TOL, _guard=True):
     if _guard and max(A.shape) > DENSE_GUARD:
         raise SolverError(f"dense solver limited to dimensions <= {DENSE_GUARD}")
     b = np.asarray(b, dtype=float)
-    Qf, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    r = int(np.sum(diag > tol * diag[0])) if diag.size and diag[0] > 0 else 0
+    Qf, R, piv, r = _pivoted_qr(A, tol)
     x = np.zeros(A.shape[1])
     if r:
         z = scipy.linalg.solve_triangular(R[:r, :r], Qf[:, :r].T @ b)
@@ -182,28 +181,72 @@ def truncated_svd_solve(A, b, tol=DEFAULT_TOL):
     return _finalize(lambda v: A @ v, x, b, r, t0)
 
 
-def sparse_qr_solve(A, b, tol=DEFAULT_TOL):
-    """Rank-revealing solve of a sparse system.
+@dataclass(frozen=True)
+class SparseQRFactor:
+    """Column-pivoted QR of the compacted core of a sparse matrix A, truncated
+    at its numerical rank r.
+
+    The core is A[rows][:, cols], the nonzero rows and columns of A; its
+    pivot columns core[:, piv] are Q R, with Q (#rows, r) and R (r, r) upper
+    triangular, up to the truncation.  Only what ``solve`` needs is kept, and
+    A itself for the residual."""
+
+    A: scipy.sparse.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    piv: np.ndarray
+
+    @property
+    def rank(self):
+        return int(self.piv.size)
+
+    @property
+    def nbytes(self):
+        A = self.A
+        return sum(a.nbytes for a in (A.data, A.indices, A.indptr, self.rows,
+                                      self.cols, self.Q, self.R, self.piv))
+
+    def solve(self, b):
+        """Min ||A x - b|| on the numerically significant part of A."""
+        t0 = time.perf_counter()
+        b = np.asarray(b, dtype=float)
+        x = np.zeros(self.A.shape[1])
+        if self.rank:
+            z = scipy.linalg.solve_triangular(self.R, self.Q.T @ b[self.rows])
+            x[self.cols[self.piv]] = z
+        return _finalize(lambda v: self.A @ v, x, b, self.rank, t0,
+                         core_shape=(self.rows.size, self.cols.size),
+                         nnz=int(self.A.nnz))
+
+
+def sparse_qr_factor(A, tol=DEFAULT_TOL):
+    """Rank-revealing factorization of a sparse matrix, reusable for any
+    right-hand side.
 
     Exploits sparsity structurally: zero rows and columns are stripped first,
-    then the compacted core is factored by dense column-pivoted Householder QR.
+    then the compacted core is factored by dense column-pivoted Householder QR
+    and truncated at its numerical rank.
     """
-    t0 = time.perf_counter()
     if not scipy.sparse.issparse(A):
-        raise SolverError("sparse_qr_solve expects a sparse matrix")
+        raise SolverError("sparse_qr_factor expects a sparse matrix")
     A = A.tocsr()
-    b = np.asarray(b, dtype=float)
     rows = np.unique(A.nonzero()[0])
     cols = np.unique(A.nonzero()[1])
-    x = np.zeros(A.shape[1])
-    if rows.size == 0 or cols.size == 0:
-        return _finalize(lambda v: A @ v, x, b, 0, t0)
     if rows.size * cols.size > CORE_ELEMENT_GUARD:
         raise SolverError("compacted core too large for a dense factorization")
-    core = A[rows][:, cols].toarray()
     # the core is already structurally reduced, so the memory guard above
     # replaces the per-dimension guard of the dense baseline
-    rep = pivoted_qr_solve(core, b[rows], tol=tol, _guard=False)
-    x[cols] = rep.solution
-    return _finalize(lambda v: A @ v, x, b, rep.rank, t0,
-                     core_shape=core.shape, nnz=int(A.nnz))
+    Qf, R, piv, r = _pivoted_qr(A[rows][:, cols].toarray(), tol)
+    # order="K" keeps LAPACK's Fortran layout, so Q.T @ b runs the same BLAS
+    # call on the kept columns as on the full factor
+    return SparseQRFactor(A=A, rows=rows, cols=cols,
+                          Q=Qf[:, :r].copy(order="K"),
+                          R=R[:r, :r].copy(order="K"), piv=piv[:r].copy())
+
+
+def sparse_qr_solve(A, b, tol=DEFAULT_TOL):
+    """Rank-revealing solve of a sparse system: ``sparse_qr_factor(A, tol)``
+    applied to b."""
+    return sparse_qr_factor(A, tol).solve(b)

@@ -7,9 +7,12 @@ that name too, and one session can hold only one ``conftest`` module.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from wavext import az
 from wavext.dwt import idwt_column_filters
 from wavext.filters import filter_bank
+from wavext.solvers import DEFAULT_TOL, randomized_lowrank_solve
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
                 "cdf35", "cdf42", "cdf51"]
@@ -99,3 +102,24 @@ def wavelet_boundary_set_intervals(kflags, bank, N):
             out[..., idx] = (csum[..., start + length] - csum[..., start]) > 0
         flags = np.moveaxis(out, -1, ax)
     return np.flatnonzero(flags.ravel()), flags
+
+
+def estimate_rank(op, tol=DEFAULT_TOL, seed=0, max_rank=None, scale=None):
+    """Numerical rank of an operator via the adaptive randomized solver path."""
+    op = scipy.sparse.linalg.aslinearoperator(op)
+    b = np.zeros(op.shape[0])
+    return randomized_lowrank_solve(op, b, tol=tol, seed=seed,
+                                    max_rank=max_rank, scale=scale).rank
+
+
+def plunge_rank(problem, tol=DEFAULT_TOL, seed=0):
+    """Numerical rank of the plunge operator by randomized range estimation."""
+    return estimate_rank(az.plunge_operator(problem), tol=tol, seed=seed,
+                         scale=az._reference_scale(problem))
+
+
+def reference_scaling_plunge(problem):
+    """The global A_hat - A_hat Z_hat* A_hat over every column, pruned like
+    ``wavext.az.scaling_plunge``: the oracle of its boundary-local form."""
+    Ah, Zh = problem.scaling.A_hat, problem.scaling.Z_hat
+    return az._prune(Ah - Ah @ (Zh.T @ Ah))

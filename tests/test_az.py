@@ -1,14 +1,19 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from wavext import az
-from wavext.domain import DomainError, ball, disk, interval, whole_box
+from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
+                           whole_box)
 from wavext.filters import filter_bank
 from wavext.solvers import (BLOCK_SIZE, pivoted_qr_solve,
                             randomized_lowrank_solve, truncated_svd_solve)
 from wavext.system import dense_A
+
+from support import banks, plunge_rank, reference_scaling_plunge
 
 
 def exp1d(p):
@@ -205,7 +210,7 @@ def test_adaptive_2d_extension_decay():
 
 def test_plunge_rank_box():
     prob = az.make_problem(exp1d, whole_box(1), filter_bank("db2"), 64, 2)
-    assert az.plunge_rank(prob) == 0
+    assert plunge_rank(prob) == 0
 
 
 def test_plunge_rank_constant_1d():
@@ -213,7 +218,7 @@ def test_plunge_rank_constant_1d():
     ranks = []
     for n in (64, 256, 1024):
         prob = az.make_problem(exp1d, interval(0.0, 0.5), bank, n, 2)
-        r = az.plunge_rank(prob)
+        r = plunge_rank(prob)
         assert r <= prob.K.size
         ranks.append(r)
     assert max(ranks) - min(ranks) <= 1
@@ -226,7 +231,7 @@ def test_plunge_rank_dense_crosscheck():
     dense = np.column_stack([az._plunge_apply(prob, e) for e in np.eye(n)])
     s = np.linalg.svd(dense, compute_uv=False)
     dense_rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-    assert az.plunge_rank(prob) == dense_rank
+    assert plunge_rank(prob) == dense_rank
 
 
 def test_determinism_full_pipeline(prob1d):
@@ -365,3 +370,114 @@ def test_weighted_explicit_block_parity():
         assert sol.residual <= 10 * ref.residual
         assert ref.residual <= 10 * sol.residual
     assert np.linalg.norm(reduced.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scaling_plunge_is_boundary_local(dim, banks):
+    """Forming only the columns K gives the same bits as the global
+    A_hat - A_hat Z_hat* A_hat, for every filter family.  Outside K the
+    global form holds cancellation fuzz only; where the whole plunge is fuzz
+    (cdf22 at q = 2 samples the hat function at its knots, so Z_hat
+    reproduces it exactly) its relative pruning keeps fuzz in every column,
+    and both forms are fuzz."""
+    mask, n = {1: (interval(0.2, 0.8), 64), 2: (disk(0.5, 0.5, 0.35), 16),
+               3: (ball(0.5, 0.5, 0.5, 0.4), 8)}[dim]
+    for name, bank in banks.items():
+        prob = az.make_problem(lambda p: np.ones(p.shape[0]), mask, bank, n, 2)
+        P, ref = az.scaling_plunge(prob), reference_scaling_plunge(prob)
+        fuzz = 1e-13 * np.abs(prob.scaling.A_hat.data).max()
+        outside = np.ones(prob.grid.n_basis, dtype=bool)
+        outside[prob.K] = False
+        assert np.abs(ref[:, outside].data).max(initial=0) <= fuzz, name
+        if np.abs(ref.data).max() <= fuzz:
+            assert np.abs(P.data).max(initial=0) <= fuzz, name
+            continue
+        assert P.nnz == ref.nnz > 0, name
+        assert (P != ref).nnz == 0, name
+
+
+def _sparse_geometries():
+    cdf33, db4 = filter_bank("cdf33"), filter_bank("db4")
+    return [(disk(0.5, 0.5, 0.34), cdf33, (32, 32)),
+            (disk(0.5, 0.5, 0.34), db4, (32, 32)),
+            (interval(0.13, 0.71), cdf33, (1024,))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_sparse_step1_reuse_is_bit_identical(case):
+    """A second geometry-equal problem reuses the factor of the first and
+    returns the bits of a cold solve of its own right-hand side."""
+    mask, bank, N = _sparse_geometries()[case]
+    f1 = lambda p: np.exp(p.sum(axis=1))
+    f2 = lambda p: np.cos(3 * p[:, 0]) + p[:, -1] ** 2
+    az.clear_step1_cache()
+    cold1 = az.sparse_az_solve(az.make_problem(f1, mask, bank, N, 2))
+    hit = az.sparse_az_solve(az.make_problem(f2, mask, bank, N, 2))
+    az.clear_step1_cache()
+    cold2 = az.sparse_az_solve(az.make_problem(f2, mask, bank, N, 2))
+    assert not cold1.diagnostics["step1_reused"]
+    assert hit.diagnostics.pop("step1_reused")
+    assert not cold2.diagnostics.pop("step1_reused")
+    assert np.array_equal(hit.x, cold2.x)
+    assert hit.residual == cold2.residual
+    assert hit.plunge_rank == cold2.plunge_rank > 0
+    assert hit.diagnostics == cold2.diagnostics
+    assert hit.stage_times["assembly"] == 0 < cold2.stage_times["assembly"]
+
+
+def test_sparse_step1_key_separates_geometries():
+    """Problems that differ in anything the block depends on never share a
+    factor, also when their masks carry the same description."""
+    bank = filter_bank("cdf33")
+    f = lambda p: np.exp(p[:, 0])
+    left = DomainMask(1, lambda p: (p[:, 0] >= 0.15) & (p[:, 0] <= 0.75))
+    right = DomainMask(1, lambda p: (p[:, 0] >= 0.2) & (p[:, 0] <= 0.8))
+    assert left.description == right.description == "predicate"
+    base = az.make_problem(f, left, bank, 256, 2)
+    variants = [
+        (az.make_problem(f, right, bank, 256, 2), {}),
+        (az.make_problem(f, left, bank, 256, 4), {}),
+        (az.make_problem(f, left, filter_bank("cdf35"), 256, 2), {}),
+        (base, {"tol": 1e-8}),
+        (_weighted(base), {}),
+        (dataclasses.replace(base, weights=2 * _weighted(base).weights), {}),
+    ]
+    az.clear_step1_cache()
+    az.sparse_az_solve(base)
+    for prob, kw in variants:
+        assert not az.sparse_az_solve(prob, **kw).diagnostics["step1_reused"]
+    for prob, kw in [(base, {})] + variants:
+        assert az.sparse_az_solve(prob, **kw).diagnostics["step1_reused"]
+
+
+def test_sparse_step1_cache_stays_within_budget(monkeypatch):
+    """More geometries than fit evict the least recently used factors."""
+    bank = filter_bank("cdf33")
+    probs = [az.make_problem(exp1d, interval(0.1 + 0.01 * i, 0.7), bank,
+                             512, 2) for i in range(6)]
+    az.clear_step1_cache()
+    az.sparse_az_solve(probs[0])
+    one = sum(f.nbytes for f in az._step1_cache.values())
+    monkeypatch.setattr(az, "STEP1_CACHE_BYTES", int(2.5 * one))
+    for prob in probs[1:]:
+        az.sparse_az_solve(prob)
+        assert sum(f.nbytes for f in az._step1_cache.values()) <= 2.5 * one
+    assert 0 < len(az._step1_cache) < len(probs)
+    assert az.sparse_az_solve(probs[-1]).diagnostics["step1_reused"]
+    assert not az.sparse_az_solve(probs[0]).diagnostics["step1_reused"]
+    az.clear_step1_cache()
+
+
+def test_sparse_step1_cache_holds_no_problem():
+    """The cache keeps boundary-sized factors only: the problem and its grid
+    are freed after the solve."""
+    az.clear_step1_cache()
+    prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank("cdf33"),
+                           (32, 32), (2, 2))
+    az.sparse_az_solve(prob)
+    refs = [weakref.ref(prob), weakref.ref(prob.grid),
+            weakref.ref(prob.scaling)]
+    del prob
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(az._step1_cache) == 1

@@ -196,6 +196,23 @@ def test_timing_single_n_no_slope(tmp_path):
     assert len(rows) == 2 and rows[1][0] == "64"
 
 
+def test_timing_solves_from_scratch(tmp_path, monkeypatch):
+    """Every repetition of a sparse timing factors step 1 afresh."""
+    solves = []
+
+    def recorded(cfg, N=None):
+        problem, sol = run_one(cfg, N)
+        solves.append(sol)
+        return problem, sol
+
+    run_one = cli.run_one
+    monkeypatch.setattr(cli, "run_one", recorded)
+    out = tmp_path / "t.csv"
+    assert run(["timing", *BASE, "--solver", "sparse", "--N-sweep", "64,128",
+                "--repetitions", "3", "--output", str(out)]) == 0
+    assert [s.diagnostics["step1_reused"] for s in solves] == [False] * 6
+
+
 def test_timing_too_few_repetitions(capsys):
     assert run(["timing", *BASE, "--N-sweep", "64,128",
                 "--repetitions", "1"]) == 2

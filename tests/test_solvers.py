@@ -5,9 +5,11 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.solvers import (BLOCK_SIZE, SolverError, estimate_rank, pivoted_qr_solve,
-                            randomized_lowrank_solve, sparse_qr_solve,
-                            truncated_svd_solve)
+from wavext.solvers import (BLOCK_SIZE, SolverError, pivoted_qr_solve,
+                            randomized_lowrank_solve, sparse_qr_factor,
+                            sparse_qr_solve, truncated_svd_solve)
+
+from support import estimate_rank
 
 
 def test_randomized_identity():
@@ -107,6 +109,54 @@ def test_sparse_vs_dense_parity():
     rd = pivoted_qr_solve(S.toarray(), b)
     assert rsp.residual < 10 * rd.residual + 1e-12
     assert rd.residual < 10 * rsp.residual + 1e-12
+
+
+def _sparse_qr_reference(A, b, tol=1e-10):
+    """The one-shot sparse QR solve: pivoted QR of the compacted core."""
+    A = A.tocsr()
+    rows, cols = np.unique(A.nonzero()[0]), np.unique(A.nonzero()[1])
+    rep = pivoted_qr_solve(A[rows][:, cols].toarray(), b[rows], tol=tol,
+                           _guard=False)
+    x = np.zeros(A.shape[1])
+    x[cols] = rep.solution
+    return x, rep.rank
+
+
+def _sparse_case(kind):
+    if kind == "zero":
+        return scipy.sparse.csr_matrix((90, 70))
+    if kind == "rank9":
+        B = scipy.sparse.random(90, 9, density=0.3, random_state=4)
+        return (B @ scipy.sparse.random(9, 70, density=0.3,
+                                        random_state=5)).tocsr()
+    S = scipy.sparse.random(90, 70, density=0.08, random_state=3, format="lil")
+    S[:, 5] = 0     # an empty column and row, which the factor strips
+    S[7, :] = 0
+    return S.tocsr()
+
+
+@pytest.mark.parametrize("kind", ["full", "rank9", "zero"])
+def test_sparse_factor_reuse_is_bit_identical(kind):
+    """One factor solves any right-hand side with the bits of the one-shot
+    pivoted QR of the core, and keeps only its rank-truncated parts."""
+    S = _sparse_case(kind)
+    factor = sparse_qr_factor(S)
+    r = factor.rank
+    assert factor.Q.shape == (factor.rows.size, r)
+    assert factor.R.shape == (r, r) and factor.piv.shape == (r,)
+    assert factor.Q.flags.f_contiguous
+    assert r == {"full": 69, "rank9": 9, "zero": 0}[kind]
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        b = rng.standard_normal(90)
+        x, ref_rank = _sparse_qr_reference(S, b)
+        rep = factor.solve(b)
+        assert rep.rank == ref_rank == r
+        assert np.array_equal(rep.solution, x)
+        assert rep.residual == np.linalg.norm(S @ x - b)
+        one_shot = sparse_qr_solve(S, b)
+        assert np.array_equal(one_shot.solution, x)
+        assert one_shot.diagnostics == rep.diagnostics
 
 
 def test_dense_guard():
