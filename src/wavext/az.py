@@ -371,12 +371,13 @@ def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
     return _solve(problem, True, tol)
 
 
-def _prune(S, rel=PRUNE_REL):
-    """S as CSR without its entries at or below rel * max |S|; a CSR S is
-    pruned in place."""
+def _prune(S, scale=0.0):
+    """S as CSR without its entries at or below PRUNE_REL * max(max |S|,
+    scale); a CSR S is pruned in place."""
     S = S.tocsr()
     if S.nnz:
-        S.data[np.abs(S.data) <= rel * np.abs(S.data).max()] = 0.0
+        level = PRUNE_REL * max(np.abs(S.data).max(), scale)
+        S.data[np.abs(S.data) <= level] = 0.0
         S.eliminate_zeros()
     return S
 
@@ -386,11 +387,13 @@ def scaling_plunge(problem: AZProblem):
 
     Column c vanishes unless phi_c meets both the domain and its complement,
     that is unless c is in K, so only the columns K are formed, as
-    A_hat[:, K] - A_hat (Z_hat* A_hat[:, K]).
+    A_hat[:, K] - A_hat (Z_hat* A_hat[:, K]).  Fuzz is measured against the
+    larger of the cancelled operand A_hat[:, K] and the result, so a plunge
+    that cancels to fuzz everywhere comes out empty.
     """
     Ah, Zh, K = problem.scaling.A_hat, problem.scaling.Z_hat, problem.K
     AK = Ah[:, K]
-    P = _prune(AK - Ah @ (Zh.T @ AK))
+    P = _prune(AK - Ah @ (Zh.T @ AK), np.abs(AK.data).max(initial=0))
     return scipy.sparse.csr_matrix((P.data, K[P.indices], P.indptr),
                                    shape=Ah.shape)
 
@@ -432,10 +435,10 @@ def sparse_plunge(problem: AZProblem):
     return _prune(P_hat[:, cols] @ R)
 
 
-def coarsest_n(bank: FilterBank, minimum=4):
-    """Smallest admissible dyadic n: at least `minimum` times the mask support."""
+def coarsest_n(bank: FilterBank):
+    """Smallest admissible dyadic n: at least 4 times the mask support."""
     n = 2
-    while n < minimum * bank.support_length:
+    while n < 4 * bank.support_length:
         n *= 2
     return n
 

@@ -187,7 +187,6 @@ SOLVERS = {
     "az": lambda p, tol, seed: az_mod.az_solve(p, tol=tol, seed=seed),
     "reduced": lambda p, tol, seed: az_mod.reduced_az_solve(p, tol=tol, seed=seed),
     "sparse": lambda p, tol, seed: az_mod.sparse_az_solve(p, tol=tol),
-    "smoothed": lambda p, tol, seed: az_mod.smoothed_az_solve(p, tol=tol, seed=seed),
     "qr": _dense_qr,
 }
 

@@ -156,10 +156,8 @@ def _separable_any(flags, offsets_per_dim, steps):
     return acc[slices]
 
 
-def scaling_boundary_set(mask_or_grid, bank: FilterBank, N=None, q=None):
+def scaling_boundary_set(grid: MaskedGrid, bank: FilterBank):
     """Multi-indices of scaling functions meeting both the domain and its complement."""
-    grid = mask_or_grid if isinstance(mask_or_grid, MaskedGrid) else \
-        masked_grid(mask_or_grid, N, q)
     offsets = _support_offsets(bank, grid)
     touches_in = _separable_any(grid.inside_bool, offsets, grid.q)
     touches_out = _separable_any(~grid.inside_bool, offsets, grid.q)

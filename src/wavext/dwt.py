@@ -21,8 +21,6 @@ import scipy.sparse
 
 from .filters import FilterBank, Mask
 
-DENSE_J_GUARD = 12
-
 
 class TransformError(ValueError):
     pass
@@ -142,41 +140,6 @@ def idwt(w, plan: TransformPlan):
     return cur
 
 
-def dual_dwt(v, bank: FilterBank, J: int):
-    return dwt(v, TransformPlan(bank, J, side="dual"))
-
-
-def dual_idwt(w, bank: FilterBank, J: int):
-    return idwt(w, TransformPlan(bank, J, side="dual"))
-
-
-def dwt_axis(a, plan: TransformPlan, axis: int):
-    """Apply the forward transform along one axis of an nd array."""
-    return np.moveaxis(dwt(np.moveaxis(a, axis, -1), plan), -1, axis)
-
-
-def idwt_axis(a, plan: TransformPlan, axis: int):
-    return np.moveaxis(idwt(np.moveaxis(a, axis, -1), plan), -1, axis)
-
-
-def dense_matrix(plan: TransformPlan, inverse: bool = False):
-    """Explicit transform matrix, assembled by applying the fast transform."""
-    if plan.J > DENSE_J_GUARD:
-        raise TransformError(f"dense assembly limited to J <= {DENSE_J_GUARD}")
-    n = 2**plan.J
-    fn = idwt if inverse else dwt
-    # batched over rows: row k of the result is the image of e_k, i.e. column k
-    return fn(np.eye(n), plan).T
-
-
-def _periodize(taps, offset, n):
-    """Wrap a compact sequence onto Z_n."""
-    out = np.zeros(n)
-    idx = (offset + np.arange(taps.size)) % n
-    np.add.at(out, idx, taps)
-    return out
-
-
 def _upsampled_conv(a, taps, q):
     """a convolved with taps upsampled by q (q - 1 zeros between taps), as
     one shifted add of a per tap."""
@@ -186,7 +149,7 @@ def _upsampled_conv(a, taps, q):
     return out
 
 
-def idwt_column_filters(bank: FilterBank, J: int, side: str = "primal"):
+def idwt_column_filters(bank: FilterBank, J: int):
     """The J+1 cascade filters whose shifts make up the columns of W^-1.
 
     Returns a list ``[f_0, ..., f_{J-1}, f_scaling]`` of (offset, taps) pairs
@@ -196,8 +159,7 @@ def idwt_column_filters(bank: FilterBank, J: int, side: str = "primal"):
     """
     if J < 1:
         raise TransformError("J must be >= 1")
-    plan = TransformPlan(bank, J, side)
-    h, g = plan.synthesis_masks
+    h, g = bank.h, bank.g
     # P_k = h(z) h(z^2) ... h(z^{2^{k-1}}): synthesis cascade of k h-steps.
     P = [(0, np.array([1.0]))]
     off, taps = 0, np.array([1.0])
@@ -216,25 +178,7 @@ def idwt_column_filters(bank: FilterBank, J: int, side: str = "primal"):
     return filters
 
 
-def column_filters_periodized(bank: FilterBank, J: int, side: str = "primal"):
-    """Same filters periodized to length 2^J (scale order as above)."""
-    n = 2**J
-    return [_periodize(t, o, n) for o, t in idwt_column_filters(bank, J, side)]
-
-
-def column_scale(idx, J):
-    """Scale block of a coefficient index in the standard layout.
-
-    Returns (l, m): the scale l in 0..J-1 and translation m for wavelet
-    indices, and (J, 0) for the leading scaling coefficient.
-    """
-    if idx == 0:
-        return J, 0
-    l = int(idx).bit_length() - 1
-    return l, idx - 2**l
-
-
-def sparse_idwt_rows(rows, bank: FilterBank, J: int, side: str = "primal"):
+def sparse_idwt_rows(rows, bank: FilterBank, J: int):
     """Selected rows of W^-1 as a sparse matrix, built from the column filters.
 
     Each row has O(J) nonzeros; the dense matrix is never formed.  Column
@@ -245,7 +189,7 @@ def sparse_idwt_rows(rows, bank: FilterBank, J: int, side: str = "primal"):
     n = 2**J
     rows = np.asarray(rows, dtype=np.int64)
     data, ri, ci = [], [], []
-    for l, (off, taps) in enumerate(idwt_column_filters(bank, J, side)):
+    for l, (off, taps) in enumerate(idwt_column_filters(bank, J)):
         if l == J:      # scaling column: single column, index 0
             step, nshift, base_col = n, 1, 0
         else:
@@ -265,9 +209,9 @@ def sparse_idwt_rows(rows, bank: FilterBank, J: int, side: str = "primal"):
     return mat.tocsr()
 
 
-def operator_norms(bank: FilterBank, J: int, iters: int = 200, seed: int = 0):
+def operator_norms(bank: FilterBank, J: int):
     """2-norms of W, W^-1, W~ and W~^-1 by power iteration on the fast paths."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     out = {}
     for name, side, inverse in (
         ("W", "primal", False), ("Winv", "primal", True),
@@ -281,7 +225,7 @@ def operator_norms(bank: FilterBank, J: int, iters: int = 200, seed: int = 0):
         v = rng.standard_normal(2**J)
         v /= np.linalg.norm(v)
         s = 0.0
-        for _ in range(iters):
+        for _ in range(200):
             u = adj(fwd(v, plan), other)
             s_new = np.linalg.norm(u)
             v = u / s_new

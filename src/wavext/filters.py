@@ -208,9 +208,6 @@ class ValidationReport:
     passed: bool
     checks: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {"passed": self.passed, "checks": self.checks}
-
 
 def validate(bank: FilterBank, tol: float = 1e-12) -> ValidationReport:
     """Check biorthogonality, flip relations, and moment counts of a bank."""

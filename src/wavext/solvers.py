@@ -168,19 +168,6 @@ def pivoted_qr_solve(A, b, tol=DEFAULT_TOL, _guard=True):
     return _finalize(lambda v: A @ v, x, b, r, t0)
 
 
-def truncated_svd_solve(A, b, tol=DEFAULT_TOL):
-    """Classical eps-truncated pseudoinverse solve (accuracy oracle)."""
-    t0 = time.perf_counter()
-    A = np.asarray(A, dtype=float)
-    if max(A.shape) > DENSE_GUARD:
-        raise SolverError(f"dense solver limited to dimensions <= {DENSE_GUARD}")
-    b = np.asarray(b, dtype=float)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    x = Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]) if r else np.zeros(A.shape[1])
-    return _finalize(lambda v: A @ v, x, b, r, t0)
-
-
 @dataclass(frozen=True)
 class SparseQRFactor:
     """Column-pivoted QR of the compacted core of a sparse matrix A, truncated

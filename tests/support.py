@@ -5,14 +5,17 @@ because the benchmark's tests (``perfbench/tests``) import from a module of
 that name too, and one session can hold only one ``conftest`` module.
 """
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from wavext import az
-from wavext.dwt import idwt_column_filters
+from wavext.dwt import TransformError, dwt, idwt, idwt_column_filters
 from wavext.filters import filter_bank
-from wavext.solvers import DEFAULT_TOL, randomized_lowrank_solve
+from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError, _finalize,
+                            randomized_lowrank_solve)
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
                 "cdf35", "cdf42", "cdf51"]
@@ -46,6 +49,27 @@ def brute_force_K(grid, bank):
         if vals.any() and not vals.all():
             out.append(np.ravel_multi_index(k, grid.N))
     return np.array(sorted(out), dtype=int)
+
+
+def dense_matrix(plan, inverse=False):
+    """Explicit transform matrix, assembled by applying the fast transform."""
+    if plan.J > 12:
+        raise TransformError("dense assembly limited to J <= 12")
+    # batched over rows: row k of the result is the image of e_k, i.e. column k
+    return (idwt if inverse else dwt)(np.eye(2**plan.J), plan).T
+
+
+def truncated_svd_solve(A, b, tol=DEFAULT_TOL):
+    """Classical eps-truncated pseudoinverse solve (accuracy oracle)."""
+    t0 = time.perf_counter()
+    A = np.asarray(A, dtype=float)
+    if max(A.shape) > DENSE_GUARD:
+        raise SolverError(f"dense solver limited to dimensions <= {DENSE_GUARD}")
+    b = np.asarray(b, dtype=float)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    x = Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]) if r else np.zeros(A.shape[1])
+    return _finalize(lambda v: A @ v, x, b, r, t0)
 
 
 def reference_analysis_step(v, h, g):

@@ -9,8 +9,7 @@ from wavext import az
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
-from wavext.solvers import (BLOCK_SIZE, pivoted_qr_solve,
-                            randomized_lowrank_solve, truncated_svd_solve)
+from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, randomized_lowrank_solve
 from wavext.system import dense_A
 
 from support import banks, plunge_rank, reference_scaling_plunge
@@ -107,6 +106,19 @@ def test_sparse_pipeline_parity(prob1d, prob2d):
         s3 = az.sparse_az_solve(prob)
         assert s3.residual <= 10 * s1.residual
         assert s1.residual <= 10 * s3.residual
+
+
+def test_explicit_block_of_cancelled_plunge_is_empty():
+    """cdf22 at q = 2 samples the hat function at its knots, so Z_hat
+    reproduces it and the exact plunge vanishes: the explicit pipelines
+    find rank 0, as az does, instead of fitting cancellation fuzz."""
+    prob = az.make_problem(exp1d, interval(0.2, 0.8), filter_bank("cdf22"),
+                           64, 2)
+    ref = az.az_solve(prob, seed=0)
+    assert ref.plunge_rank == 0
+    for sol in (az.sparse_az_solve(prob), az.reduced_az_solve(prob, seed=0)):
+        assert sol.plunge_rank == 0
+        assert np.array_equal(sol.x, ref.x)
 
 
 def test_sparse_nnz_growth():

@@ -110,6 +110,23 @@ def test_exit_ok(tmp_path):
     assert rec.residual < 1e-6
 
 
+@pytest.mark.parametrize("solver", ["az", "reduced", "sparse", "qr",
+                                    "adaptive"])
+def test_every_solver_exits_ok(solver, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["approximate", *BASE, "--solver", solver,
+                "--output", str(out)]) == 0
+    assert cli.parse_record(out.read_text()).config["solver"] == solver
+
+
+def test_smoothed_solver_is_gone(capsys):
+    """The unweighted smoothed solve gave the bits of az; the CLI no longer
+    offers it."""
+    assert "smoothed" not in cli.SOLVERS
+    assert run(["approximate", *BASE, "--solver", "smoothed"]) == 2
+    capsys.readouterr()
+
+
 def test_adaptive_below_coarsest_n_exits_ok(tmp_path):
     out = tmp_path / "r.json"
     assert run(["approximate", "--solver", "adaptive", "--N", "8",

@@ -7,15 +7,13 @@ import scipy.sparse
 
 from wavext import dwt as dwt_mod
 from wavext.az import _selected_winv_rows
-from wavext.dwt import (TransformError, TransformPlan, column_filters_periodized,
-                        column_scale, dense_matrix, dual_dwt, dual_idwt, dwt,
-                        idwt, idwt_column_filters, operator_norms,
-                        sparse_idwt_rows)
+from wavext.dwt import (TransformError, TransformPlan, dwt, idwt,
+                        idwt_column_filters, operator_norms, sparse_idwt_rows)
 from wavext.filters import filter_bank
 from wavext.system import FrameOperator
 
-from support import (ALL_FAMILIES, banks, reference_analysis_step,
-                     reference_synthesis_step)
+from support import (ALL_FAMILIES, banks, dense_matrix,
+                     reference_analysis_step, reference_synthesis_step)
 
 
 def test_haar_constant_vector():
@@ -87,9 +85,11 @@ def test_orthogonal_dual_is_primal():
     bank = filter_bank("db2")
     v = np.random.default_rng(2).standard_normal(64)
     np.testing.assert_allclose(dwt(v, TransformPlan(bank, 6)),
-                               dual_dwt(v, bank, 6), atol=1e-14)
+                               dwt(v, TransformPlan(bank, 6, "dual")),
+                               atol=1e-14)
     np.testing.assert_allclose(idwt(v, TransformPlan(bank, 6)),
-                               dual_idwt(v, bank, 6), atol=1e-14)
+                               idwt(v, TransformPlan(bank, 6, "dual")),
+                               atol=1e-14)
 
 
 def test_lemma1_column_nonzeros():
@@ -112,11 +112,16 @@ def test_column_filters_match_dense():
         J = 6
         n = 2 ** J
         Winv = dense_matrix(TransformPlan(bank, J), inverse=True)
-        filt = column_filters_periodized(bank, J)
+        # each filter periodized to length n, scale order as returned
+        filt = []
+        for off, taps in idwt_column_filters(bank, J):
+            filt.append(np.zeros(n))
+            np.add.at(filt[-1], (off + np.arange(taps.size)) % n, taps)
         for idx in range(n):
-            l, m = column_scale(idx, J)
-            base = filt[J] if idx == 0 else filt[l]
-            col = np.roll(base, m * 2 ** (J - l)) if idx else base
+            # wavelet (l, m) is filter l shifted by m 2^(J-l); 0 is scaling
+            l = idx.bit_length() - 1 if idx else J
+            m = idx - 2**l if idx else 0
+            col = np.roll(filt[l], m * 2 ** (J - l))
             np.testing.assert_allclose(Winv[:, idx], col, atol=1e-12)
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from wavext.solvers import (BLOCK_SIZE, SolverError, pivoted_qr_solve,
                             randomized_lowrank_solve, sparse_qr_factor,
-                            sparse_qr_solve, truncated_svd_solve)
+                            sparse_qr_solve)
 
-from support import estimate_rank
+from support import estimate_rank, truncated_svd_solve
 
 
 def test_randomized_identity():

@@ -3,10 +3,12 @@ import pytest
 
 from wavext.cascade import scaling_at_dyadic
 from wavext.domain import disk, interval, masked_grid, whole_box
-from wavext.dwt import TransformPlan, dense_matrix
+from wavext.dwt import TransformPlan
 from wavext.filters import filter_bank
 from wavext.system import (SystemError_, assemble_scaling, dense_A,
                            frame_operator_A, frame_operator_Zstar, rhs)
+
+from support import dense_matrix
 
 
 def _setup(mask, fam, N, q):
