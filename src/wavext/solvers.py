@@ -4,6 +4,12 @@ All solvers share the same contract: a minimum-norm-flavored solution on the
 numerically significant part of the operator at the given truncation
 tolerance, together with an independently recomputed residual.  The default
 truncation threshold 1e-10 regularizes the frame ill-conditioning.
+
+Both step-1 kernels stop at the numerical rank through one randomized range
+finder, ``_range_basis``: ``randomized_lowrank_solve`` projects onto the
+range it finds, and ``sparse_qr_factor`` takes its column pivots from a
+sketch of the core's row space, then factors only the chosen columns.
+``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
 """
 
 import time
@@ -20,6 +26,9 @@ N_PROBES = 10
 NOISE_REL = 1e-13
 DENSE_GUARD = 4096
 CORE_ELEMENT_GUARD = 40_000_000
+# Seed of the sketch that picks the sparse QR pivots: a constant, so the
+# factor depends on the matrix only and a cached factor equals a fresh one.
+SKETCH_SEED = 0x5EED
 
 
 class SolverError(ValueError):
@@ -56,16 +65,14 @@ def _svd_solve(B, b, tol, floor):
     return Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]), r
 
 
-def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
-                             scale=None):
-    """Adaptive randomized low-rank least squares for a matrix-free operator.
+def _range_basis(shape, sample, tol, rng, floor=0.0, max_rank=None):
+    """Orthonormal basis Q of the numerical range of an operator B of the
+    given (m, n) ``shape``, from blocks of BLOCK_SIZE random samples (Halko,
+    Martinsson & Tropp 2011, section 4.4).  ``sample(G)`` returns B G^T for
+    a block G of Gaussian rows, (k, n).
 
-    Builds an orthonormal range basis Q from blocks of BLOCK_SIZE random
-    samples (Halko, Martinsson & Tropp 2011, section 4.4), then solves the
-    projected problem with a truncated SVD (minimum-norm on the detected
-    range).  One level, ``max(tol * sigma, NOISE_REL * scale)`` with sigma
-    the largest sample norm of the first block, decides both what is kept
-    and when to stop:
+    One level, ``max(tol * sigma, floor)`` with sigma the largest sample norm
+    of the first block, decides both what is kept and when to stop:
 
     * each block is projected off Q, factored by pivoted QR, and only the
       columns whose R diagonal exceeds the level are kept; the kept block is
@@ -78,43 +85,23 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
       most likely exhausted the range, so the next draw is only N_PROBES
       samples.
 
-    The range basis thus ends at the numerical rank, give or take directions
-    close to the level, instead of filling the operator's range.  The
-    operator is applied to whole blocks through ``matmat``/``rmatmat``; an
-    operator whose block applies need bounded memory chunks them itself (see
-    ``az.BLOCK_ENTRIES``).
-
-    An operator with at most BLOCK_SIZE rows or columns (and no
-    ``max_rank``) skips the sketch, which would need that many samples
-    anyway: the block is formed exactly from its smaller side, min(m, n)
-    applies of ``matmat`` or ``rmatmat``, and solved by the same truncated
-    SVD; ``range_dim`` is then min(m, n).
-
-    ``scale`` supplies the magnitude of an enclosing computation: anything
-    below NOISE_REL * scale is treated as cancellation noise rather than
-    signal, so a numerically-zero sub-operator comes out as rank 0 instead of
-    a full-rank noise fit.  Truncation proper stays relative to the
-    operator's own largest singular value.
+    The basis thus ends at the numerical rank, give or take directions close
+    to the level, instead of filling the operator's range.  Returns
+    ``(Q, drawn, warning)``: ``drawn`` counts the samples, and ``warning`` is
+    set when Q reached ``max_rank`` before the level.
     """
-    t0 = time.perf_counter()
-    op = scipy.sparse.linalg.aslinearoperator(op)
-    m, n = op.shape
-    b = np.asarray(b, dtype=float)
-    rng = _rng(seed)
+    m, n = shape
     full = min(m, n)
-    floor = NOISE_REL * scale if scale is not None else 0.0
-    if max_rank is None and 0 < full <= BLOCK_SIZE:
-        B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
-        x, r = _svd_solve(B, b, tol, floor)
-        return _finalize(op.matvec, x, b, r, t0, range_dim=full)
     max_rank = full if max_rank is None else min(max_rank, full)
     level = None
     Q = np.zeros((m, 0))
     warning = None
     size = BLOCK_SIZE
+    drawn = 0
     while Q.shape[1] < full:
         # more than min(m, n) samples cannot add to the range
-        Y = op.matmat(rng.standard_normal((min(size, full), n)).T)
+        Y = sample(rng.standard_normal((min(size, full), n)))
+        drawn += Y.shape[1]
         if level is None:
             level = max(tol * np.linalg.norm(Y, axis=0).max(), floor)
         Y -= Q @ (Q.T @ Y)
@@ -134,6 +121,45 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
             Qnew = np.linalg.qr(Qnew)[0]
         Q = np.column_stack([Q, Qnew])
         size = BLOCK_SIZE if k == Y.shape[1] else N_PROBES
+    return Q, drawn, warning
+
+
+def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
+                             scale=None):
+    """Adaptive randomized low-rank least squares for a matrix-free operator.
+
+    Builds an orthonormal range basis Q with ``_range_basis``, which stops
+    at the numerical rank, then solves the projected problem with a
+    truncated SVD (minimum-norm on the detected range) at the same level,
+    ``max(tol * sigma, NOISE_REL * scale)``.  The operator is applied to
+    whole blocks through ``matmat``/``rmatmat``; an operator whose block
+    applies need bounded memory chunks them itself (see
+    ``az.BLOCK_ENTRIES``).
+
+    An operator with at most BLOCK_SIZE rows or columns (and no
+    ``max_rank``) skips the sketch, which would need that many samples
+    anyway: the block is formed exactly from its smaller side, min(m, n)
+    applies of ``matmat`` or ``rmatmat``, and solved by the same truncated
+    SVD; ``range_dim`` is then min(m, n).
+
+    ``scale`` supplies the magnitude of an enclosing computation: anything
+    below NOISE_REL * scale is treated as cancellation noise rather than
+    signal, so a numerically-zero sub-operator comes out as rank 0 instead of
+    a full-rank noise fit.  Truncation proper stays relative to the
+    operator's own largest singular value.
+    """
+    t0 = time.perf_counter()
+    op = scipy.sparse.linalg.aslinearoperator(op)
+    m, n = op.shape
+    b = np.asarray(b, dtype=float)
+    full = min(m, n)
+    floor = NOISE_REL * scale if scale is not None else 0.0
+    if max_rank is None and 0 < full <= BLOCK_SIZE:
+        B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
+        x, r = _svd_solve(B, b, tol, floor)
+        return _finalize(op.matvec, x, b, r, t0, range_dim=full)
+    Q, _, warning = _range_basis(op.shape, lambda G: op.matmat(G.T), tol,
+                                 _rng(seed), floor, max_rank)
     # projected problem: min || (Q* A) x - Q* b ||
     if Q.shape[1]:
         x, r = _svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor)
@@ -176,7 +202,8 @@ class SparseQRFactor:
     The core is A[rows][:, cols], the nonzero rows and columns of A; its
     pivot columns core[:, piv] are Q R, with Q (#rows, r) and R (r, r) upper
     triangular, up to the truncation.  Only what ``solve`` needs is kept, and
-    A itself for the residual."""
+    A itself for the residual.  ``sketch_dim`` is the number of random
+    sketch rows that chose the pivots, 0 when the whole core was factored."""
 
     A: scipy.sparse.csr_matrix
     rows: np.ndarray
@@ -184,6 +211,7 @@ class SparseQRFactor:
     Q: np.ndarray
     R: np.ndarray
     piv: np.ndarray
+    sketch_dim: int = 0
 
     @property
     def rank(self):
@@ -205,7 +233,7 @@ class SparseQRFactor:
             x[self.cols[self.piv]] = z
         return _finalize(lambda v: self.A @ v, x, b, self.rank, t0,
                          core_shape=(self.rows.size, self.cols.size),
-                         nnz=int(self.A.nnz))
+                         nnz=int(self.A.nnz), sketch_dim=self.sketch_dim)
 
 
 def sparse_qr_factor(A, tol=DEFAULT_TOL):
@@ -213,8 +241,19 @@ def sparse_qr_factor(A, tol=DEFAULT_TOL):
     right-hand side.
 
     Exploits sparsity structurally: zero rows and columns are stripped first,
-    then the compacted core is factored by dense column-pivoted Householder QR
-    and truncated at its numerical rank.
+    then the compacted core is factored by column-pivoted Householder QR and
+    truncated at its numerical rank, the R diagonal entries above
+    tol * |R[0, 0]|.
+
+    A core with more than BLOCK_SIZE rows and columns is not factored whole.
+    Its pivots come from a Gaussian sketch of its row space instead (Duersch
+    & Gu, "Randomized QR with column pivoting", SIAM J. Sci. Comput. 2017;
+    Martinsson et al., "HQRRP", same journal, 2017): ``_range_basis`` grows
+    an orthonormal basis V of the sampled rows core^T G in blocks until its
+    stopping rule finds the rank, the column-pivoted QR of the small V^T
+    (k x #cols) picks k columns, and only core[:, those k columns] gets the
+    pivoted QR and truncation above.  The sketch seed is the constant
+    SKETCH_SEED, so the factor is a function of A and tol alone.
     """
     if not scipy.sparse.issparse(A):
         raise SolverError("sparse_qr_factor expects a sparse matrix")
@@ -225,12 +264,24 @@ def sparse_qr_factor(A, tol=DEFAULT_TOL):
         raise SolverError("compacted core too large for a dense factorization")
     # the core is already structurally reduced, so the memory guard above
     # replaces the per-dimension guard of the dense baseline
-    Qf, R, piv, r = _pivoted_qr(A[rows][:, cols].toarray(), tol)
+    core = A[rows][:, cols].toarray()
+    sketch_dim = 0
+    if min(core.shape) > BLOCK_SIZE:
+        # G @ core multiplies the row-major core as stored; core.T @ G.T
+        # took twice as long with one OpenBLAS thread
+        V, sketch_dim, _ = _range_basis(core.T.shape, lambda G: (G @ core).T,
+                                        tol, _rng(SKETCH_SEED))
+        sel = scipy.linalg.qr(V.T, mode="r", pivoting=True)[1][:V.shape[1]]
+        core = core[:, sel]
+    Qf, R, piv, r = _pivoted_qr(core, tol)
+    if sketch_dim:
+        piv = sel[piv]
     # order="K" keeps LAPACK's Fortran layout, so Q.T @ b runs the same BLAS
     # call on the kept columns as on the full factor
     return SparseQRFactor(A=A, rows=rows, cols=cols,
                           Q=Qf[:, :r].copy(order="K"),
-                          R=R[:r, :r].copy(order="K"), piv=piv[:r].copy())
+                          R=R[:r, :r].copy(order="K"), piv=piv[:r].copy(),
+                          sketch_dim=sketch_dim)
 
 
 def sparse_qr_solve(A, b, tol=DEFAULT_TOL):

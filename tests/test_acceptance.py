@@ -10,7 +10,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from wavext import az
 from wavext.domain import disk, interval

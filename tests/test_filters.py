@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.filters import (SQRT2, FilterBank, FilterError, Mask,
-                            alternating_flip, cdf_filter, daubechies_filter,
-                            filter_bank, validate)
+from wavext.filters import (SQRT2, FilterBank, FilterError, Mask, cdf_filter,
+                            daubechies_filter, filter_bank, validate)
 
-from support import ALL_FAMILIES, banks
+from support import banks
 
 
 def double_shift_violation(h, ht):
