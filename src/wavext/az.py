@@ -9,6 +9,7 @@ are (form, kernel) settings of step 1:
 
 * ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the matrix-free
   plunge operator over all rows and columns, randomized low-rank kernel;
+  A Z* = A_hat Z_hat* leaves one wavelet transform in each apply;
 * ``reduced_az_solve``: the explicit sparse plunge block on the
   boundary-supported rows Mrows and columns L, randomized low-rank kernel;
 * ``sparse_az_solve``: the same explicit block, rank-revealing sparse QR.
@@ -22,6 +23,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse
@@ -110,32 +112,25 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
                      b=b, K=K, kflags=kflags, L=L, Mrows=Mrows)
 
 
-def _apply_Z(problem: AZProblem, c):
-    """Z c = Z_hat (W~^-1 c), the adjoint of the Z* analysis map."""
-    frame = problem.Zstar._frame
-    return frame.scaling_matrix @ frame.dual_synthesis(c)
-
-
-def _adjoint(op, y):
-    """op* y for a vector or a block of columns."""
-    return op.rmatvec(y) if y.ndim == 1 else op.rmatmat(y)
-
-
 def _scale_rows(w, x):
     """diag(w) x for a vector or a block; the identity when w is None."""
     return x if w is None else (w * x.T).T
 
 
 def _plunge_apply(problem: AZProblem, x):
-    """(I - A Z*) A x for a vector or an (n_basis, k) block."""
-    y = problem.A @ x
-    return y - problem.A @ problem.Zstar(y)
+    """(I - A Z*) A W x for a vector or an (n_basis, k) block, with
+    W = diag(problem.weights), or the identity without weights."""
+    y, S = problem.A @ _scale_rows(problem.weights, x), problem.scaling
+    return y - S.A_hat @ (S.Z_hat.T @ y)
 
 
 def _plunge_rapply(problem: AZProblem, y):
-    """A* (I - Z A*) y for a vector or an (M, k) block."""
-    y = np.asarray(y, dtype=float)
-    return _adjoint(problem.A, y - _apply_Z(problem, _adjoint(problem.A, y)))
+    """W A* (I - Z A*) y for a vector or an (M, k) block, with Z A* = Z_hat
+    A_hat* and A* = W~ A_hat*."""
+    S = problem.scaling
+    u = S.A_hat.T @ np.asarray(y, dtype=float)
+    return _scale_rows(problem.weights,
+                       problem.A.dual_analysis(u - S.A_hat.T @ (S.Z_hat @ u)))
 
 
 def _in_blocks(fn, n_basis):
@@ -151,27 +146,21 @@ def _in_blocks(fn, n_basis):
     return run
 
 
-def _block_operator(shape, apply, rapply, n_basis):
-    """LinearOperator from functions that take a vector or a block."""
-    return scipy.sparse.linalg.LinearOperator(
-        shape=shape, dtype=float, matvec=apply, rmatvec=rapply,
-        matmat=_in_blocks(apply, n_basis), rmatmat=_in_blocks(rapply, n_basis))
-
-
 def plunge_operator(problem: AZProblem):
-    """Matrix-free (I - A Z*) A W as a scipy LinearOperator, with
-    W = diag(problem.weights), or the identity without weights."""
-    weights = problem.weights
-    return _block_operator(
-        problem.A.shape,
-        lambda x: _plunge_apply(problem, _scale_rows(weights, x)),
-        lambda y: _scale_rows(weights, _plunge_rapply(problem, y)),
-        problem.grid.n_basis)
+    """Matrix-free (I - A Z*) A W as a scipy LinearOperator; block applies
+    run in chunks of at most BLOCK_ENTRIES basis entries."""
+    apply = partial(_plunge_apply, problem)
+    rapply = partial(_plunge_rapply, problem)
+    n = problem.grid.n_basis
+    return scipy.sparse.linalg.LinearOperator(
+        shape=problem.A.shape, dtype=float, matvec=apply, rmatvec=rapply,
+        matmat=_in_blocks(apply, n), rmatmat=_in_blocks(rapply, n))
 
 
 def plunge_rhs(problem: AZProblem):
-    """(I - A Z*) b."""
-    return problem.b - problem.A.matvec(problem.Zstar(problem.b))
+    """(I - A Z*) b = b - A_hat (Z_hat* b)."""
+    S = problem.scaling
+    return problem.b - S.A_hat @ (S.Z_hat.T @ problem.b)
 
 
 def _reference_scale(problem: AZProblem):

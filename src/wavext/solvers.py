@@ -258,8 +258,9 @@ def sparse_qr_factor(A, tol=DEFAULT_TOL):
     if not scipy.sparse.issparse(A):
         raise SolverError("sparse_qr_factor expects a sparse matrix")
     A = A.tocsr()
-    rows = np.unique(A.nonzero()[0])
-    cols = np.unique(A.nonzero()[1])
+    nz = A.data != 0    # stored zeros are no entries of the core
+    rows = np.flatnonzero(np.diff(np.cumsum(np.r_[0, nz])[A.indptr]))
+    cols = np.flatnonzero(np.bincount(A.indices[nz], minlength=A.shape[1]))
     if rows.size * cols.size > CORE_ELEMENT_GUARD:
         raise SolverError("compacted core too large for a dense factorization")
     # the core is already structurally reduced, so the memory guard above

@@ -30,13 +30,15 @@ class SystemError_(ValueError):
 
 
 def _circulant_factor(base_row, n_basis, q):
-    """Sparse (n_basis*q x n_basis) matrix with columns = shifts by kq of base_row."""
+    """Sparse (n_basis*q x n_basis) CSC matrix with columns = shifts by kq of
+    base_row; a column that wraps past the end keeps its rows unsorted."""
     n = base_row.size
     nz = np.flatnonzero(base_row)
-    rows = ((nz[None, :] + q * np.arange(n_basis)[:, None]) % n).ravel()
-    cols = np.repeat(np.arange(n_basis), nz.size)
-    data = np.tile(base_row[nz], n_basis)
-    return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(n, n_basis))
+    rows = (nz + q * np.arange(n_basis)[:, None]).ravel()
+    rows[rows >= n] -= n
+    return scipy.sparse.csc_matrix(
+        (np.tile(base_row[nz], n_basis), rows, nz.size * np.arange(n_basis + 1)),
+        shape=(n, n_basis))
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,6 @@ class FrameOperator(scipy.sparse.linalg.LinearOperator):
     def dual_analysis(self, x):
         """W~ x across all axes."""
         return self._axis_transform(x, dwt, self.dual_plans)
-
-    def dual_synthesis(self, x):
-        """W~^-1 x across all axes (the adjoint of the analysis map W)."""
-        return self._axis_transform(x, idwt, self.dual_plans)
 
     def _matvec(self, x):
         return self._matmat(np.ravel(x))

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from wavext import az
@@ -148,6 +149,42 @@ def reference_scaling_plunge(problem):
     ``wavext.az.scaling_plunge``: the oracle of its boundary-local form."""
     Ah, Zh = problem.scaling.A_hat, problem.scaling.Z_hat
     return az._prune(Ah - Ah @ (Zh.T @ Ah))
+
+
+def reference_plunge_apply(problem, x):
+    """(I - A Z*) A x through the wavelet-level operators, idwt -> dwt ->
+    idwt: the oracle of ``wavext.az._plunge_apply``."""
+    y = problem.A @ x
+    return y - problem.A @ problem.Zstar(y)
+
+
+def reference_plunge_rapply(problem, y):
+    """A* (I - Z A*) y through the wavelet-level operators, dwt -> idwt ->
+    dwt, with Z c = Z_hat (W~^-1 c), W~^-1 the dual idwt: the oracle of
+    ``wavext.az._plunge_rapply``."""
+    A, frame = problem.A, problem.Zstar._frame
+    y = np.asarray(y, dtype=float)
+    adjoint = A.rmatvec if y.ndim == 1 else A.rmatmat
+    c = adjoint(y)
+    return adjoint(y - frame.scaling_matrix
+                   @ frame._axis_transform(c, idwt, frame.dual_plans))
+
+
+def reference_plunge_rhs(problem):
+    """(I - A Z*) b through a dwt and an idwt over all N: the oracle of
+    ``wavext.az.plunge_rhs``."""
+    return problem.b - problem.A.matvec(problem.Zstar(problem.b))
+
+
+def reference_circulant_factor(base_row, n_basis, q):
+    """The circulant factor assembled from COO triplets: the oracle of
+    ``wavext.system._circulant_factor``."""
+    n = base_row.size
+    nz = np.flatnonzero(base_row)
+    rows = ((nz[None, :] + q * np.arange(n_basis)[:, None]) % n).ravel()
+    cols = np.repeat(np.arange(n_basis), nz.size)
+    data = np.tile(base_row[nz], n_basis)
+    return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(n, n_basis))
 
 
 def sparse_qr_reference(A, b, tol=DEFAULT_TOL):

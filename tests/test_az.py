@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wavext import az
+from wavext import az, system
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
@@ -13,7 +13,9 @@ from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, randomized_lowrank_solv
 from wavext.system import dense_A
 
 from support import (banks, check_sketched_factor, plunge_rank,
-                     reference_scaling_plunge, sparse_qr_reference)
+                     reference_plunge_apply, reference_plunge_rapply,
+                     reference_plunge_rhs, reference_scaling_plunge,
+                     sparse_qr_reference)
 
 
 def exp1d(p):
@@ -370,6 +372,65 @@ def test_block_applies_match_columns(dim, cap, monkeypatch):
         assert abs(lhs - rhs_) <= 1e-12 * np.linalg.norm(AX) * np.linalg.norm(Y), name
     Y = rng.standard_normal((prob.grid.M, 5))
     assert close(prob.Zstar(Y), np.column_stack([prob.Zstar(y) for y in Y.T]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_plunge_kernels_match_wavelet_level_oracles(dim, weighted):
+    """The plunge applies through A Z* = A_hat Z_hat* equal the compositions
+    of the wavelet-level operators (idwt -> dwt -> idwt, and dwt -> idwt ->
+    dwt for the adjoint) to 1e-12 relative, on vectors and blocks, with and
+    without column weights; the transform-free plunge right-hand side equals
+    its dwt + idwt form."""
+    prob = _block_case(dim)
+    if weighted:
+        prob = _weighted(prob)
+    m, n = prob.A.shape
+    w = np.ones(n) if prob.weights is None else prob.weights
+    op = az.plunge_operator(prob)
+    rng = np.random.default_rng(dim)
+    X, Y = rng.standard_normal((n, 5)), rng.standard_normal((m, 5))
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    for x, y, apply, rapply in ((X[:, 0], Y[:, 0], op.matvec, op.rmatvec),
+                                (X, Y, op.matmat, op.rmatmat)):
+        assert close(apply(x), reference_plunge_apply(prob, (w * x.T).T))
+        assert close(rapply(y), (w * reference_plunge_rapply(prob, y).T).T)
+    assert close(az.plunge_rhs(prob), reference_plunge_rhs(prob))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plunge_kernels_run_one_transform(dim, monkeypatch):
+    """A plunge apply runs one synthesis (one idwt per axis) and no
+    analysis, its adjoint one dual analysis (one dwt per axis) and no
+    synthesis, the plunge right-hand side no transform: A Z* = A_hat Z_hat*
+    leaves the wavelet transforms out of the plunge."""
+    prob = _block_case(dim)
+    calls = {"dwt": 0, "idwt": 0}
+
+    def counted(name):
+        fn = getattr(system, name)
+
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(system, name, counted(name))
+    op = az.plunge_operator(prob)
+    m, n = op.shape
+    for call, arg, expected in (
+            (op.matvec, np.ones(n), {"dwt": 0, "idwt": dim}),
+            (op.matmat, np.ones((n, 3)), {"dwt": 0, "idwt": dim}),
+            (op.rmatvec, np.ones(m), {"dwt": dim, "idwt": 0}),
+            (op.rmatmat, np.ones((m, 3)), {"dwt": dim, "idwt": 0}),
+            (lambda _: az.plunge_rhs(prob), None, {"dwt": 0, "idwt": 0})):
+        calls.update(dwt=0, idwt=0)
+        call(arg)
+        assert calls == expected, call
 
 
 def test_weighted_explicit_block_parity():

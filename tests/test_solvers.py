@@ -125,6 +125,25 @@ def _sparse_case(kind):
     return S.tocsr()
 
 
+def test_sparse_factor_core_ignores_stored_zeros():
+    """The core's rows and columns are those of A.nonzero(): a row and a
+    column that hold stored zeros only are stripped, a duplicate pair that
+    cancels still counts, as in A.nonzero()."""
+    S = _sparse_case("full")
+    assert S.indptr[4] > S.indptr[3] and 9 in S.indices
+    S.data[S.indptr[3]:S.indptr[4]] = 0.0        # row 3: stored zeros only
+    S.data[S.indices == 9] = 0.0                 # column 9 likewise
+    A = scipy.sparse.csr_matrix(
+        (np.concatenate([S.data, [1.0, -1.0]]),
+         np.concatenate([S.indices, [5, 5]]),
+         np.concatenate([S.indptr, [S.nnz + 2]])), shape=(91, 70))
+    factor = sparse_qr_factor(A)
+    assert np.array_equal(factor.rows, np.unique(A.nonzero()[0]))
+    assert np.array_equal(factor.cols, np.unique(A.nonzero()[1]))
+    assert 3 not in factor.rows and 9 not in factor.cols
+    assert 90 in factor.rows and 5 in factor.cols
+
+
 @pytest.mark.parametrize("kind", ["full", "rank9", "zero"])
 def test_sparse_factor_reuse_is_bit_identical(kind):
     """One factor solves any right-hand side with the bits of the one-shot

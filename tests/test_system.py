@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from wavext import system
 from wavext.cascade import scaling_at_dyadic
 from wavext.domain import disk, interval, masked_grid, whole_box
+from wavext.dual import DualError
 from wavext.dwt import TransformPlan
 from wavext.filters import filter_bank
 from wavext.system import (SystemError_, assemble_scaling, dense_A,
                            frame_operator_A, frame_operator_Zstar, rhs)
 
-from support import dense_matrix
+from support import banks, dense_matrix, reference_circulant_factor
 
 
 def _setup(mask, fam, N, q):
@@ -25,6 +27,36 @@ def test_haar_box_small():
     Ah = scaling.A_hat.toarray()
     assert all((np.abs(Ah[:, j]) > 0).sum() == 2 for j in range(4))
     assert np.abs(scaling.Z_hat.T @ scaling.A_hat - np.eye(4)).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_scaling_assembly_matches_coo_oracle(banks, q, monkeypatch):
+    """A_hat and Z_hat from the directly built CSC factors equal, bit for
+    bit (data, indices, indptr and their dtypes), those from COO-built
+    factors, for every family, in 1-D from the shortest period the filters
+    fit in, where the taps of most columns wrap, and in 2-D."""
+    cases = [(interval(0.2, 0.8), n) for n in (4, 8, 16, 64)]
+    cases.append((disk(0.5, 0.5, 0.35), (16, 16)))
+    for name, bank in banks.items():
+        fitted = 0
+        for mask, n in cases:
+            grid = masked_grid(mask, n, q)
+            try:
+                got = assemble_scaling(bank, grid)
+            except DualError:   # a support longer than the period
+                continue
+            fitted += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(system, "_circulant_factor",
+                           reference_circulant_factor)
+                ref = assemble_scaling(bank, grid)
+            for mat in ("A_hat", "Z_hat"):
+                for attr in ("data", "indices", "indptr"):
+                    a = getattr(getattr(got, mat), attr)
+                    r = getattr(getattr(ref, mat), attr)
+                    assert a.dtype == r.dtype, (name, n, mat, attr)
+                    assert np.array_equal(a, r), (name, n, mat, attr)
+        assert fitted >= 3, name
 
 
 def test_scaling_nnz_bound():
