@@ -1,17 +1,19 @@
 """AZ-type solvers for the wavelet extension least-squares problem.
 
 All pipelines run one three-step skeleton, ``_solve``: (1) solve the
-low-rank plunge system (I - A Z*) A W y = (I - A Z*) b and set x1 = W y,
-(2) x2 = Z* (b - A x1), (3) x = x1 + x2.  W = diag(problem.weights), or the
+low-rank plunge system (I - A Z*) A D y = (I - A Z*) b and set x1 = D y,
+(2) x2 = Z* (b - A x1), (3) x = x1 + x2.  D = diag(problem.weights), or the
 identity without weights, scales the columns; weights damp fine-scale
-coefficients in the extension region (smoothed / adaptive).  The pipelines
-are (form, kernel) settings of step 1:
+coefficients in the extension region (smoothed / adaptive).  W is the
+wavelet analysis, so A = A_hat W^-1.  The pipelines are (form, kernel)
+settings of step 1:
 
 * ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the matrix-free
   plunge operator over all rows and columns, randomized low-rank kernel;
   A Z* = A_hat Z_hat* leaves one wavelet transform in each apply;
-* ``reduced_az_solve``: the explicit sparse plunge block on the
-  boundary-supported rows Mrows and columns L, randomized low-rank kernel;
+* ``reduced_az_solve``: the explicit sparse scaling plunge block on the
+  boundary rows Mrows and scaling columns K, randomized low-rank kernel;
+  the plunge is this block times W^-1, so x1 = W y (unweighted only);
 * ``sparse_az_solve``: the same explicit block, rank-revealing sparse QR.
   The factor depends on the geometry only, not on f, so it is kept in a
   bounded least-recently-used cache and reused by later problems on the
@@ -47,7 +49,7 @@ PRUNE_REL = 1e-12
 # raise peak memory by a quarter for no speed gain.
 BLOCK_ENTRIES = 2**18
 # Bytes of sparse step-1 factors kept for reuse.  The factors of the disk
-# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 21 MB.
+# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 8.1 MB.
 STEP1_CACHE_BYTES = 2**25
 
 
@@ -118,14 +120,14 @@ def _scale_rows(w, x):
 
 
 def _plunge_apply(problem: AZProblem, x):
-    """(I - A Z*) A W x for a vector or an (n_basis, k) block, with
-    W = diag(problem.weights), or the identity without weights."""
+    """(I - A Z*) A D x for a vector or an (n_basis, k) block, with
+    D = diag(problem.weights), or the identity without weights."""
     y, S = problem.A @ _scale_rows(problem.weights, x), problem.scaling
     return y - S.A_hat @ (S.Z_hat.T @ y)
 
 
 def _plunge_rapply(problem: AZProblem, y):
-    """W A* (I - Z A*) y for a vector or an (M, k) block, with Z A* = Z_hat
+    """D A* (I - Z A*) y for a vector or an (M, k) block, with Z A* = Z_hat
     A_hat* and A* = W~ A_hat*."""
     S = problem.scaling
     u = S.A_hat.T @ np.asarray(y, dtype=float)
@@ -147,7 +149,7 @@ def _in_blocks(fn, n_basis):
 
 
 def plunge_operator(problem: AZProblem):
-    """Matrix-free (I - A Z*) A W as a scipy LinearOperator; block applies
+    """Matrix-free (I - A Z*) A D as a scipy LinearOperator; block applies
     run in chunks of at most BLOCK_ENTRIES basis entries."""
     apply = partial(_plunge_apply, problem)
     rapply = partial(_plunge_rapply, problem)
@@ -164,8 +166,8 @@ def plunge_rhs(problem: AZProblem):
 
 
 def _reference_scale(problem: AZProblem):
-    """Magnitude of the enclosing frame operator A W, so the low-rank solver
-    can truncate the plunge system against ||A W|| rather than against
+    """Magnitude of the enclosing frame operator A D, so the low-rank solver
+    can truncate the plunge system against ||A D|| rather than against
     noise."""
     rng = np.random.Generator(np.random.Philox(0x5CA1E))
     w = rng.standard_normal(problem.grid.n_basis)
@@ -180,18 +182,12 @@ def scale_levels(N):
     The label is the maximum per-axis detail level; the leading scaling and
     first wavelet coefficient of each axis both count as level 0.
     """
-    axes = []
+    levels = np.zeros((), dtype=np.int64)
     for n in N:
-        idx = np.arange(n)
-        lev = np.zeros(n, dtype=np.int64)
-        lev[2:] = np.frexp(idx[2:].astype(float))[1] - 1
-        axes.append(lev)
-    grid = np.zeros(tuple(N), dtype=np.int64)
-    for ax, lev in enumerate(axes):
-        shape = [1] * len(N)
-        shape[ax] = lev.size
-        grid = np.maximum(grid, lev.reshape(shape))
-    return grid.ravel()
+        J = n.bit_length() - 1
+        axis = np.r_[0, np.repeat(np.arange(J), 2 ** np.arange(J))]
+        levels = np.maximum.outer(levels, axis)
+    return levels.ravel()
 
 
 def scale_weights(e, N):
@@ -206,14 +202,12 @@ def scale_weights(e, N):
 
 def per_scale_norms(x, N, select=None):
     """l2 norm of the coefficients at each scale (optionally on a sub-mask)."""
-    levels = scale_levels(N)
     x = np.ravel(x)
     if select is not None:
         keep = np.zeros(x.size, dtype=bool)
         keep[np.asarray(select)] = True
         x = np.where(keep, x, 0.0)
-    nmax = int(levels.max())
-    return np.array([np.linalg.norm(x[levels == s]) for s in range(nmax + 1)])
+    return np.sqrt(np.bincount(scale_levels(N), weights=x * x))
 
 
 def extension_index_set(problem: AZProblem):
@@ -247,12 +241,9 @@ def _finish(problem, x1, t0, t1, rep, extra_times, extra_diag):
 
 
 def _explicit_block(problem: AZProblem):
-    """The sparse (Mrows, L) block of ``sparse_plunge``, its columns scaled
-    by problem.weights."""
-    cols = problem.L
-    op = sparse_plunge(problem)[problem.Mrows][:, cols]
-    w = problem.weights
-    return op if w is None else op @ scipy.sparse.diags(w[cols])
+    """The sparse (Mrows, K) block of ``scaling_plunge``: the plunge is
+    P_hat W^-1, and P_hat vanishes outside the columns K."""
+    return scaling_plunge(problem)[problem.Mrows][:, problem.K]
 
 
 def _digest(a):
@@ -261,15 +252,14 @@ def _digest(a):
 
 def _step1_key(problem: AZProblem, tol):
     """Everything the explicit block depends on: the filter bank (the dual
-    pairs are looked up by family), the grid shape, the inside mask, the
-    index sets, the weights and the truncation tolerance.  Never the mask's
-    description: every custom predicate is described as "predicate"."""
+    pairs are looked up by family), the grid shape, the inside mask, the row
+    set and the truncation tolerance.  Never the mask's description: every
+    custom predicate is described as "predicate"."""
     bank, grid = problem.bank, problem.grid
     masks = tuple((m.offset, m.taps.tobytes())
                   for m in (bank.h, bank.g, bank.h_dual, bank.g_dual))
-    weights = None if problem.weights is None else _digest(problem.weights)
     return (bank.family, masks, grid.N, grid.q, _digest(grid.inside_bool),
-            _digest(problem.Mrows), _digest(problem.L), weights, float(tol))
+            _digest(problem.Mrows), float(tol))
 
 
 # Sparse step-1 factors by _step1_key, least recently used first.  Bounded
@@ -311,18 +301,19 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     """Steps 1-3, with step 1 solved on the plunge operator in one of two
     forms, by one of two kernels.
 
-    ``explicit`` selects the sparse (Mrows, L) block of ``sparse_plunge``;
-    otherwise the matrix-free ``plunge_operator`` over all rows and columns.
-    Either way problem.weights scale the columns, and x1 = W y.  With a
+    ``explicit`` selects the sparse (Mrows, K) block of ``scaling_plunge``
+    and x1 = W y, for unweighted problems only; otherwise the matrix-free
+    ``plunge_operator`` over all rows and columns and x1 = D y.  With a
     ``seed`` the kernel is ``randomized_lowrank_solve``, which also gets the
     reference scale.  With seed None it is the sparse QR of the explicit
     block, whose factor depends on the geometry and not on b: it comes from
     the step-1 cache when there, and ``diagnostics["step1_reused"]`` says so.
     """
+    if explicit and problem.weights is not None:
+        raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
-    w = problem.weights
     times, diag = {}, {}
-    rows, cols = (problem.Mrows, problem.L) if explicit else (slice(None),) * 2
+    rows = problem.Mrows if explicit else slice(None)
     if seed is None:
         factor, diag["step1_reused"], times["assembly"] = _step1_factor(
             problem, tol)
@@ -334,8 +325,12 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         rep = randomized_lowrank_solve(op, plunge_rhs(problem)[rows], tol=tol,
                                        seed=seed,
                                        scale=_reference_scale(problem))
-    x1 = np.zeros(problem.grid.n_basis)
-    x1[cols] = rep.solution if w is None else w[cols] * rep.solution
+    if explicit:
+        y = np.zeros(problem.grid.n_basis)
+        y[problem.K] = rep.solution
+        x1 = problem.A.analysis(y)
+    else:
+        x1 = _scale_rows(problem.weights, rep.solution)
     return _finish(problem, x1, t0, time.perf_counter(), rep, times, diag)
 
 
@@ -350,13 +345,13 @@ smoothed_az_solve = az_solve
 
 def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Index-set-reduced pipeline: randomized low-rank solve of the explicit
-    (#Mrows, #L) plunge block."""
+    (#Mrows, #K) scaling plunge block."""
     return _solve(problem, True, tol, seed)
 
 
 def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
-    """Sparse pipeline: rank-revealing sparse QR of the explicit (#Mrows, #L)
-    plunge block, factored once per geometry."""
+    """Sparse pipeline: rank-revealing sparse QR of the explicit (#Mrows, #K)
+    scaling plunge block, factored once per geometry."""
     return _solve(problem, True, tol)
 
 
@@ -415,7 +410,9 @@ def _selected_winv_rows(rows, bank, N):
 
 
 def sparse_plunge(problem: AZProblem):
-    """Sparse (I - A Z*) A, assembled as a product with selected W^-1 rows."""
+    """Sparse (I - A Z*) A, assembled as a product with selected W^-1 rows.
+    Not on the solve path: the tests take its (Mrows, L) block as the oracle
+    of the scaling block ``_explicit_block``."""
     P_hat = scaling_plunge(problem)
     cols = np.unique(P_hat.nonzero()[1])
     if cols.size == 0:

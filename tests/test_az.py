@@ -4,18 +4,21 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavext import az, system
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
-from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, randomized_lowrank_solve
+from wavext.solvers import (BLOCK_SIZE, pivoted_qr_solve,
+                            randomized_lowrank_solve, sparse_qr_factor)
 from wavext.system import dense_A
 
-from support import (banks, check_sketched_factor, plunge_rank,
-                     reference_plunge_apply, reference_plunge_rapply,
-                     reference_plunge_rhs, reference_scaling_plunge,
-                     sparse_qr_reference)
+from support import (ALL_FAMILIES, banks, check_sketched_factor, plunge_rank,
+                     reference_explicit_block, reference_plunge_apply,
+                     reference_plunge_rapply, reference_plunge_rhs,
+                     reference_scaling_plunge, sparse_qr_reference)
 
 
 def exp1d(p):
@@ -318,32 +321,145 @@ def test_adaptive_short_interval():
 
 
 def test_reduced_1d_small_block_is_exact():
-    """The explicit 1-D reduced block has fewer than BLOCK_SIZE rows, so step
-    1 forms it exactly; the residual stays within 10x of the sampled range
-    finder's on the same block, which a rank cap keeps on its loop."""
+    """The explicit 1-D reduced block has fewer than BLOCK_SIZE columns, so
+    step 1 forms it exactly; the residual stays within 10x of the sampled
+    range finder's on the same block, which a rank cap keeps on its loop."""
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
     sol = az.reduced_az_solve(prob, seed=0)
-    assert sol.diagnostics["range_dim"] == prob.Mrows.size <= BLOCK_SIZE
-    op = az.sparse_plunge(prob)[prob.Mrows][:, prob.L]
+    op = az._explicit_block(prob)
+    assert op.shape == (prob.Mrows.size, prob.K.size)
+    assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
     rep = randomized_lowrank_solve(op, az.plunge_rhs(prob)[prob.Mrows],
                                    seed=0, max_rank=min(op.shape),
                                    scale=az._reference_scale(prob))
-    assert rep.diagnostics["range_dim"] < prob.Mrows.size
-    x = np.zeros(prob.grid.n_basis)
-    x[prob.L] = rep.solution
+    assert rep.diagnostics["range_dim"] < min(op.shape)
+    x = _from_scaling_columns(prob, rep.solution)
     x += prob.Zstar(prob.b - prob.A @ x)
     assert sol.residual <= 10 * np.linalg.norm(prob.A @ x - prob.b)
 
 
-def _block_case(dim):
-    bank = filter_bank("cdf33")
+def _from_scaling_columns(prob, y):
+    """x1 = W y for a step-1 solution y on the columns K."""
+    full = np.zeros(prob.grid.n_basis)
+    full[prob.K] = y
+    return prob.A.analysis(full)
+
+
+def _block_case(dim, bank=None):
+    bank = filter_bank("cdf33") if bank is None else bank
     if dim == 1:
         return az.make_problem(exp1d, interval(0.2, 0.8), bank, 64, 2)
     if dim == 2:
         return az.make_problem(exp2d, disk(0.5, 0.5, 0.35), bank, 16, 2)
     return az.make_problem(lambda p: np.exp(p[:, 0] * p[:, 1] * p[:, 2]),
                            ball(0.5, 0.5, 0.5, 0.4), bank, 8, 2)
+
+
+def _steps23_residual(prob, x1):
+    """||A x - b|| for x = x1 + Z* (b - A x1)."""
+    x = x1 + prob.Zstar(prob.b - prob.A.matvec(x1))
+    return np.linalg.norm(prob.A.matvec(x) - prob.b)
+
+
+# Cases where the (Mrows, K) form leaves the bounds of
+# test_scaling_block_matches_wavelet_block, with the ranks and residuals
+# measured (K form vs the (Mrows, L) oracle, same kernel).  For db3 and db4
+# both blocks have the same singular values (W^-1 is orthogonal), but the
+# rank of a column-pivoted QR depends on the columns it pivots over.  cdf51
+# is biorthogonal: its K block has other singular values than the L block.
+_K_FORM_DIVERGES = {
+    (2, "db4", "sparse"): "QRCP rank 170 vs 173; the SVD rank of both blocks "
+                          "is 167",
+    (3, "db3", "sparse"): "QRCP rank 484 vs 489; the SVD rank of both blocks "
+                          "is 480",
+    (3, "db4", "sparse"): "QRCP rank 469 vs 476 (SVD rank of both: 467) and "
+                          "residual 0.42 vs 0.036; dense pivoted QR 0.034, "
+                          "reduced 0.31 in either form: db4's minimal dual "
+                          "(norm 241) leaves step 1 at the truncation level",
+    (2, "cdf51", "reduced"): "rank 164 vs 163: the K block has a clean gap "
+                             "(s_164 = 59x the cut, s_165 below 1e-3x), the "
+                             "L block cuts a direction at 0.93x the cut",
+    (3, "cdf51", "reduced"): "SVD rank 504 vs 480, residual 2.035e-2 vs "
+                             "2.141e-2 (dense pivoted QR 2.035e-2)",
+    (3, "cdf51", "sparse"): "QRCP rank 505 vs 494, residual 2.035e-2 vs "
+                            "2.10e-2",
+}
+
+
+def _parity_cases():
+    for dim in (1, 2, 3):
+        for family in ALL_FAMILIES:
+            for pipeline in ("reduced", "sparse"):
+                reason = _K_FORM_DIVERGES.get((dim, family, pipeline))
+                marks = [pytest.mark.xfail(strict=True, reason=reason)
+                         ] if reason else []
+                yield pytest.param(dim, family, pipeline, marks=marks,
+                                   id=f"{dim}d-{family}-{pipeline}")
+
+
+@pytest.mark.parametrize("dim, family, pipeline", _parity_cases())
+def test_scaling_block_matches_wavelet_block(dim, family, pipeline, banks):
+    """Step 1 on the (Mrows, K) scaling block, x1 = W y, against the same
+    kernel on the (Mrows, L) block of the wavelet-domain plunge, x1 = y on
+    L: the oracle's rank (within one for db3 and db4, whose minimal duals at
+    q = 2 put singular values at the cut) and a residual within 10x of the
+    oracle's either way."""
+    prob = _block_case(dim, banks[family])
+    block = reference_explicit_block(prob)
+    rhs = az.plunge_rhs(prob)[prob.Mrows]
+    if pipeline == "reduced":
+        sol = az.reduced_az_solve(prob, seed=0)
+        ref = randomized_lowrank_solve(block, rhs, seed=0,
+                                       scale=az._reference_scale(prob))
+    else:
+        az.clear_step1_cache()
+        sol = az.sparse_az_solve(prob)
+        ref = sparse_qr_factor(block).solve(rhs)
+    x1 = np.zeros(prob.grid.n_basis)
+    x1[prob.L] = ref.solution
+    res = _steps23_residual(prob, x1)
+    msg = (sol.plunge_rank, ref.rank, sol.residual, res)
+    slack = 1 if family in ("db3", "db4") else 0
+    assert abs(sol.plunge_rank - ref.rank) <= slack, msg
+    assert sol.residual <= 10 * res and res <= 10 * sol.residual, msg
+
+
+def test_explicit_pipelines_skip_wavelet_block(monkeypatch):
+    """reduced and sparse never assemble the wavelet-domain plunge: with
+    sparse_plunge and the selected W^-1 rows made to raise, both solve."""
+    def refuse(*args):
+        raise AssertionError("wavelet-domain plunge assembled")
+
+    monkeypatch.setattr(az, "sparse_plunge", refuse)
+    monkeypatch.setattr(az, "sparse_idwt_rows", refuse)
+    az.clear_step1_cache()
+    for dim in (1, 2, 3):
+        prob = _block_case(dim)
+        for sol in (az.reduced_az_solve(prob, seed=0),
+                    az.sparse_az_solve(prob)):
+            assert sol.plunge_rank > 0 and np.isfinite(sol.residual)
+
+
+@given(r=st.floats(0.3, 0.42), gap=st.floats(0.0, 0.03),
+       along=st.floats(0.0, 1.0), side=st.integers(0, 3))
+@settings(max_examples=15, deadline=None)
+def test_explicit_pipelines_near_box_edge(r, gap, along, side):
+    """Disks inside the box whose boundary comes within 0.03 of a box edge,
+    so K wraps around the periodic box: reduced and sparse stay within 10x
+    of the dense pivoted-QR residual (cdf33, 16^2, q = 2)."""
+    axis = side // 2
+    centre = [r + along * (1 - 2 * r)] * 2
+    centre[axis] = r + gap if side % 2 == 0 else 1 - r - gap
+    prob = az.make_problem(exp2d, disk(*centre, r), filter_bank("cdf33"),
+                           (16, 16), (2, 2))
+    k_axis = np.unravel_index(prob.K, prob.grid.N)[axis]
+    assert k_axis.min() == 0 and k_axis.max() == prob.grid.N[axis] - 1
+    ref = pivoted_qr_solve(dense_A(prob.A), prob.b).residual
+    az.clear_step1_cache()
+    for sol in (az.reduced_az_solve(prob, seed=0), az.sparse_az_solve(prob)):
+        assert sol.residual <= 10 * ref and ref <= 10 * sol.residual, (
+            centre, r, sol.residual, ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -433,17 +549,16 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
         assert calls == expected, call
 
 
-def test_weighted_explicit_block_parity():
-    """On a weighted disk problem, reduced and sparse scale the columns of
-    the explicit block and stay within 10x of the matrix-free smoothed
-    residual; reduced finds the same minimum-norm weighted solution."""
+def test_weighted_explicit_pipelines_raise():
+    """reduced and sparse set x1 = W y from the (Mrows, K) block, which has
+    no place for column weights: a weighted problem raises AZError there,
+    and only the matrix-free smoothed pipeline takes it."""
     prob = _weighted(_block_case(2))
-    ref = az.smoothed_az_solve(prob, seed=0)
-    reduced = az.reduced_az_solve(prob, seed=0)
-    for sol in (reduced, az.sparse_az_solve(prob)):
-        assert sol.residual <= 10 * ref.residual
-        assert ref.residual <= 10 * sol.residual
-    assert np.linalg.norm(reduced.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+    with pytest.raises(az.AZError, match="unweighted"):
+        az.reduced_az_solve(prob, seed=0)
+    with pytest.raises(az.AZError, match="unweighted"):
+        az.sparse_az_solve(prob)
+    assert az.smoothed_az_solve(prob, seed=0).plunge_rank > 0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -508,15 +623,15 @@ def test_sketched_step1_matches_full_qrcp(family, n, q, rank_slack, az_factor):
     right-hand side, then the whole pipeline against steps 2-3 of the
     oracle's step 1.  db4's minimal dual (norm 241) leaves the step-1
     residual at the truncation level, where the choice of the columns near
-    the cut moves it: 7.4e-5 sketched against 5.7e-5."""
+    the cut can move it; hence its rank slack and 2x bound (both reach
+    4.74e-5)."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank(family),
                            (n, n), (q, q))
     block = az._explicit_block(prob)
     factor, _ = check_sketched_factor(block, rank_slack)
     assert factor.sketch_dim >= factor.rank > 0
     y, _ = sparse_qr_reference(block, az.plunge_rhs(prob)[prob.Mrows])
-    x1 = np.zeros(prob.grid.n_basis)
-    x1[prob.L] = y
+    x1 = _from_scaling_columns(prob, y)
     x = x1 + prob.Zstar(prob.b - prob.A.matvec(x1))
     ref = np.linalg.norm(prob.A.matvec(x) - prob.b)
     az.clear_step1_cache()
@@ -540,8 +655,6 @@ def test_sparse_step1_key_separates_geometries():
         (az.make_problem(f, left, bank, 256, 4), {}),
         (az.make_problem(f, left, filter_bank("cdf35"), 256, 2), {}),
         (base, {"tol": 1e-8}),
-        (_weighted(base), {}),
-        (dataclasses.replace(base, weights=2 * _weighted(base).weights), {}),
     ]
     az.clear_step1_cache()
     az.sparse_az_solve(base)

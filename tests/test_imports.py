@@ -1,10 +1,16 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and every
+name the library defines is named somewhere.
 
 Each module under ``src/wavext``, ``tests`` and ``scripts`` is parsed with
 ``ast``.  A name counts as read when it is loaded anywhere in the module, or
 when it is the parameter name of a function there: pytest passes an imported
 fixture by the name of a test's parameter.  An import line marked
 ``# noqa: F401`` keeps a name bound on purpose and is exempt.
+
+A def, class or assignment at the top level of a ``src/wavext`` module must
+be named by some module under ``src``, ``tests``, ``scripts`` or
+``perfbench``: loaded, read as an attribute, imported, or spelled as a
+string that is an identifier, as the benchmark's tracing looks names up.
 """
 
 import ast
@@ -15,6 +21,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/wavext", "tests", "scripts")
                  for p in (ROOT / d).glob("*.py"))
+LIBRARY = sorted((ROOT / "src/wavext").glob("*.py"))
+NAMING = MODULES + sorted(p for d in ("perfbench", "perfbench/tests")
+                          for p in (ROOT / d).glob("*.py"))
 
 
 def _imported(tree, lines):
@@ -58,3 +67,54 @@ def test_checker_flags_unused_and_honours_noqa():
            "def f(c):\n    return np.zeros(1)\n")
     assert sorted(unused_imports(src)) == [("b", 3), ("e", 5), ("g", 4),
                                            ("os", 1)]
+
+
+def defined(tree):
+    """(name, line number) of every def, class or assignment target at the
+    top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+def named(tree):
+    """Every name a module loads, reads as an attribute, imports or spells as
+    an identifier string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def test_every_library_definition_is_named():
+    everywhere = set().union(*(named(ast.parse(p.read_text()))
+                               for p in NAMING))
+    unnamed = [(str(p.relative_to(ROOT)), name, line) for p in LIBRARY
+               for name, line in defined(ast.parse(p.read_text()))
+               if name not in everywhere]
+    assert unnamed == []
+
+
+def test_definition_checker_flags_unnamed():
+    tree = ast.parse("X = 1\nY: int = 2\na, (b, c) = 3, (4, 5)\n"
+                     "def f():\n    return g()\nclass C:\n    z = 1\n")
+    assert sorted(defined(tree)) == [("C", 6), ("X", 1), ("Y", 2), ("a", 3),
+                                     ("b", 3), ("c", 3), ("f", 4)]
+    used = named(ast.parse("import m\nfrom p import X\nm.f(getattr(m, 'a'))\n"
+                           "print(b)\nb = 'not an identifier'\n"))
+    assert {"X", "f", "a", "b", "m"} <= used and "C" not in used
