@@ -14,10 +14,11 @@ settings of step 1:
 * ``reduced_az_solve``: the explicit sparse scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only);
-* ``sparse_az_solve``: the same explicit block, rank-revealing sparse QR.
-  The factor depends on the geometry only, not on f, so it is kept in a
-  bounded least-recently-used cache and reused by later problems on the
-  same geometry (``clear_step1_cache`` empties it).
+* ``sparse_az_solve``: rank-revealing sparse QR of the explicit wavelet
+  plunge block on Mrows and the wavelet columns L, x1 = y on L (unweighted
+  only).  The factor depends on the geometry only, not on f, so it is kept
+  in a bounded least-recently-used cache and reused by later problems on
+  the same geometry (``clear_step1_cache`` empties it).
 """
 
 import hashlib
@@ -49,7 +50,7 @@ PRUNE_REL = 1e-12
 # raise peak memory by a quarter for no speed gain.
 BLOCK_ENTRIES = 2**18
 # Bytes of sparse step-1 factors kept for reuse.  The factors of the disk
-# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 8.1 MB.
+# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 21 MB.
 STEP1_CACHE_BYTES = 2**25
 
 
@@ -170,9 +171,7 @@ def _reference_scale(problem: AZProblem):
     can truncate the plunge system against ||A D|| rather than against
     noise."""
     rng = np.random.Generator(np.random.Philox(0x5CA1E))
-    w = rng.standard_normal(problem.grid.n_basis)
-    if problem.weights is not None:
-        w = problem.weights * w
+    w = _scale_rows(problem.weights, rng.standard_normal(problem.grid.n_basis))
     return float(np.linalg.norm(problem.A.matvec(w)))
 
 
@@ -204,9 +203,7 @@ def per_scale_norms(x, N, select=None):
     """l2 norm of the coefficients at each scale (optionally on a sub-mask)."""
     x = np.ravel(x)
     if select is not None:
-        keep = np.zeros(x.size, dtype=bool)
-        keep[np.asarray(select)] = True
-        x = np.where(keep, x, 0.0)
+        x = np.where(np.isin(np.arange(x.size), select), x, 0.0)
     return np.sqrt(np.bincount(scale_levels(N), weights=x * x))
 
 
@@ -222,11 +219,11 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
-def _finish(problem, x1, t0, t1, rep, extra_times, extra_diag):
-    """Steps 2-3 from the step-1 solution x1 and the report ``rep`` of the
-    solver that produced it."""
+def _finish(problem, x1, Ax1, t0, t1, rep, extra_times, extra_diag):
+    """Steps 2-3 from the step-1 solution x1, its image A x1, and the report
+    ``rep`` of the solver that produced it."""
     t2 = time.perf_counter()
-    x2 = problem.Zstar(problem.b - problem.A.matvec(x1))
+    x2 = problem.Zstar(problem.b - Ax1)
     x = x1 + x2
     r = float(np.linalg.norm(problem.A.matvec(x) - problem.b))
     times = {"step1": t1 - t0, "step23": time.perf_counter() - t2,
@@ -240,10 +237,17 @@ def _finish(problem, x1, t0, t1, rep, extra_times, extra_diag):
                                    **extra_diag})
 
 
-def _explicit_block(problem: AZProblem):
+def _scaling_block(problem: AZProblem):
     """The sparse (Mrows, K) block of ``scaling_plunge``: the plunge is
     P_hat W^-1, and P_hat vanishes outside the columns K."""
     return scaling_plunge(problem)[problem.Mrows][:, problem.K]
+
+
+def _wavelet_block(problem: AZProblem):
+    """The sparse (Mrows, L) block of the wavelet-domain ``sparse_plunge``:
+    column-pivoted QR on the scaling block found another rank and lost
+    accuracy where singular values crowd the cut."""
+    return sparse_plunge(problem)[problem.Mrows][:, problem.L]
 
 
 def _digest(a):
@@ -251,15 +255,15 @@ def _digest(a):
 
 
 def _step1_key(problem: AZProblem, tol):
-    """Everything the explicit block depends on: the filter bank (the dual
-    pairs are looked up by family), the grid shape, the inside mask, the row
-    set and the truncation tolerance.  Never the mask's description: every
-    custom predicate is described as "predicate"."""
+    """Everything the wavelet block depends on: the filter bank (the dual
+    pairs are looked up by family), the grid shape, the inside mask, the
+    index sets and the truncation tolerance.  Never the mask's description:
+    every custom predicate is described as "predicate"."""
     bank, grid = problem.bank, problem.grid
     masks = tuple((m.offset, m.taps.tobytes())
                   for m in (bank.h, bank.g, bank.h_dual, bank.g_dual))
     return (bank.family, masks, grid.N, grid.q, _digest(grid.inside_bool),
-            _digest(problem.Mrows), float(tol))
+            _digest(problem.Mrows), _digest(problem.L), float(tol))
 
 
 # Sparse step-1 factors by _step1_key, least recently used first.  Bounded
@@ -278,7 +282,7 @@ def clear_step1_cache():
 
 def _step1_factor(problem: AZProblem, tol):
     """(factor, reused, assembly seconds): the sparse QR factor of the
-    explicit block, from the cache when this geometry was factored before,
+    wavelet block, from the cache when this geometry was factored before,
     when no block is assembled."""
     key = _step1_key(problem, tol)
     with _step1_lock:
@@ -287,7 +291,7 @@ def _step1_factor(problem: AZProblem, tol):
             _step1_cache.move_to_end(key)
             return factor, True, 0.0
     t0 = time.perf_counter()
-    op = _explicit_block(problem)
+    op = _wavelet_block(problem)
     assembly = time.perf_counter() - t0
     factor = sparse_qr_factor(op, tol=tol)
     with _step1_lock:
@@ -298,17 +302,13 @@ def _step1_factor(problem: AZProblem, tol):
 
 
 def _solve(problem: AZProblem, explicit, tol, seed=None):
-    """Steps 1-3, with step 1 solved on the plunge operator in one of two
-    forms, by one of two kernels.
-
-    ``explicit`` selects the sparse (Mrows, K) block of ``scaling_plunge``
-    and x1 = W y, for unweighted problems only; otherwise the matrix-free
-    ``plunge_operator`` over all rows and columns and x1 = D y.  With a
-    ``seed`` the kernel is ``randomized_lowrank_solve``, which also gets the
-    reference scale.  With seed None it is the sparse QR of the explicit
-    block, whose factor depends on the geometry and not on b: it comes from
-    the step-1 cache when there, and ``diagnostics["step1_reused"]`` says so.
-    """
+    """Steps 1-3.  With a ``seed``, step 1 runs ``randomized_lowrank_solve``
+    (with the reference scale) on ``_scaling_block`` and x1 = W y, so
+    A x1 = A_hat y, when ``explicit``, else on the matrix-free
+    ``plunge_operator`` and x1 = D y.  With seed None it is the sparse QR of
+    ``_wavelet_block`` and x1 = y on L; that factor depends on the geometry,
+    not on b, so it comes from the step-1 cache when there, as
+    ``diagnostics["step1_reused"]`` says.  Explicit forms are unweighted."""
     if explicit and problem.weights is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
@@ -318,20 +318,25 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         factor, diag["step1_reused"], times["assembly"] = _step1_factor(
             problem, tol)
         rep = factor.solve(plunge_rhs(problem)[rows])
+        x1 = np.zeros(problem.grid.n_basis)
+        x1[problem.L] = rep.solution
+        Ax1 = problem.A.matvec(x1)
     else:
-        op = _explicit_block(problem) if explicit else plunge_operator(problem)
+        op = _scaling_block(problem) if explicit else plunge_operator(problem)
         if explicit:
             times["assembly"] = time.perf_counter() - t0
         rep = randomized_lowrank_solve(op, plunge_rhs(problem)[rows], tol=tol,
                                        seed=seed,
                                        scale=_reference_scale(problem))
-    if explicit:
-        y = np.zeros(problem.grid.n_basis)
-        y[problem.K] = rep.solution
-        x1 = problem.A.analysis(y)
-    else:
-        x1 = _scale_rows(problem.weights, rep.solution)
-    return _finish(problem, x1, t0, time.perf_counter(), rep, times, diag)
+        if explicit:
+            y = np.zeros(problem.grid.n_basis)
+            y[problem.K] = rep.solution
+            x1, Ax1 = problem.A.analysis(y), problem.scaling.A_hat @ y
+        else:
+            x1 = _scale_rows(problem.weights, rep.solution)
+            Ax1 = problem.A.matvec(x1)
+    return _finish(problem, x1, Ax1, t0, time.perf_counter(), rep, times,
+                   diag)
 
 
 def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
@@ -350,8 +355,8 @@ def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
 
 
 def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
-    """Sparse pipeline: rank-revealing sparse QR of the explicit (#Mrows, #K)
-    scaling plunge block, factored once per geometry."""
+    """Sparse pipeline: rank-revealing sparse QR of the explicit (#Mrows, #L)
+    wavelet plunge block, factored once per geometry."""
     return _solve(problem, True, tol)
 
 
@@ -411,8 +416,8 @@ def _selected_winv_rows(rows, bank, N):
 
 def sparse_plunge(problem: AZProblem):
     """Sparse (I - A Z*) A, assembled as a product with selected W^-1 rows.
-    Not on the solve path: the tests take its (Mrows, L) block as the oracle
-    of the scaling block ``_explicit_block``."""
+    Its (Mrows, L) block is the step-1 block of ``sparse_az_solve``, and the
+    tests' oracle of the scaling block ``_scaling_block``."""
     P_hat = scaling_plunge(problem)
     cols = np.unique(P_hat.nonzero()[1])
     if cols.size == 0:

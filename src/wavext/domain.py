@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import dual_pair
-from .dwt import analysis_marks
+from .dwt import analysis_taps
 from .filters import FilterBank
 
 
@@ -189,8 +189,12 @@ def _wavelet_flags_axis(flags, bank, n):
     out = np.zeros_like(flags)
     cur = flags
     for j in range(n.bit_length() - 1, 0, -1):
-        cur, marks = analysis_marks(cur, bank.h, bank.g)
-        out[..., 2 ** (j - 1): 2 ** j] = marks
+        marks = [np.zeros(cur.shape[:-1] + (cur.shape[-1] // 2,), dtype=bool)
+                 for _ in range(2)]
+        for k, _, view in analysis_taps(cur, (bank.h, bank.g)):
+            marks[k] |= view
+        out[..., 2 ** (j - 1): 2 ** j] = marks[1]
+        cur = marks[0]
     out[..., 0] = cur[..., 0]
     return out
 

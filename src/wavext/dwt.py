@@ -7,11 +7,7 @@ The transform always runs the full J levels, producing the coefficient layout
 with scale blocks of sizes 1, 1, 2, 4, ..., 2^{J-1}.  Periodic boundary
 conditions are realized by one wrap-padded copy of each step's input: every
 filter tap then reads a strided slice of it (analysis), or adds into every
-other output from a contiguous slice (polyphase synthesis).  Steps on at most
-GATHER_MAX entries, where the per-tap numpy calls would cost more than the
-arithmetic, instead gather every tap's operand in one indexing and sum the
-products in one ``np.add.accumulate``, in the same order, so both kernels
-give bit-identical output.
+other output from a contiguous slice (polyphase synthesis).
 
 The primal transform analyzes with the dual masks (h~, g~) and synthesizes
 with the primal masks (h, g); the dual transform swaps the roles, so that
@@ -19,14 +15,11 @@ W* = W~^{-1} and (W^{-1})* = W~ hold.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 
 from .filters import FilterBank, Mask
-
-GATHER_MAX = 256    # steps on at most this many entries run the gather kernel
 
 
 class TransformError(ValueError):
@@ -66,87 +59,16 @@ def analysis_taps(v, masks):
             yield k, c, vp[..., s: s + n: 2]
 
 
-def _mask_key(mask: Mask):
-    return mask.offset, tuple(mask.taps.tolist())
-
-
-def _sum_terms(ops, idx, coef):
-    """Sum over the leading axis of idx of ``coef * ops[..., idx]``, strictly
-    in order; ops ends in a zero entry that padding rows of idx point at, so
-    the padding adds exact zeros in front."""
-    return np.add.accumulate(ops[..., idx] * coef, axis=-idx.ndim)[..., -1, :, :]
-
-
-def _zero_padded(*parts):
-    lead = parts[0].shape[:-1]
-    zero = np.zeros(lead + (1,), dtype=parts[0].dtype)
-    return np.concatenate(parts + (zero,), axis=-1)
-
-
-@lru_cache(maxsize=256)
-def _analysis_gather(n, hkey, gkey):
-    """(idx, coef) of shape (m, 2, n // 2) and (m, 2, 1): row i holds tap i of
-    h (second index 0) and of g (1), the shorter mask padded in front with
-    reads of the zero entry n."""
-    l2 = 2 * np.arange(n // 2)
-    m = max(len(hkey[1]), len(gkey[1]))
-    idx = np.full((m, 2, n // 2), n)
-    coef = np.zeros((m, 2, 1))
-    for k, (offset, taps) in enumerate((hkey, gkey)):
-        for i, c in enumerate(taps, m - len(taps)):
-            idx[i, k] = (l2 + offset + i - m + len(taps)) % n
-            coef[i, k] = c
-    return idx, coef
-
-
-@lru_cache(maxsize=256)
-def _synthesis_gather(half, hkey, gkey):
-    """(idx, coef) of shape (m, half, 2) and (m, 1, 2) into [v, w, 0]: row i
-    holds, per output 2k + p, the i-th term of parity p in the order h then
-    g, padded in front with reads of the zero entry 2 * half."""
-    k = np.arange(half)
-    terms = ([], [])
-    for base, (offset, taps) in ((0, hkey), (half, gkey)):
-        for t, c in enumerate(taps, offset):
-            terms[t % 2].append((base + (k - t // 2) % half, c))
-    m = max(len(terms[0]), len(terms[1]))
-    idx = np.full((m, half, 2), 2 * half)
-    coef = np.zeros((m, 1, 2))
-    for p, rows in enumerate(terms):
-        for i, (ix, c) in enumerate(rows, m - len(rows)):
-            idx[i, :, p] = ix
-            coef[i, 0, p] = c
-    return idx, coef
-
-
 def _analysis_step(v, h: Mask, g: Mask):
     """One filter-bank analysis step with periodic wrap-around.
 
     Operates on the last axis; leading axes are batched.
     """
     half = v.shape[-1] // 2
-    if v.size <= GATHER_MAX:
-        idx, coef = _analysis_gather(2 * half, _mask_key(h), _mask_key(g))
-        s = _sum_terms(_zero_padded(v), idx, coef)
-        return s[..., 0, :], s[..., 1, :]
     outs = [np.zeros(v.shape[:-1] + (half,), dtype=v.dtype) for _ in range(2)]
     for k, c, view in analysis_taps(v, (h, g)):
         outs[k] += c * view
     return tuple(outs)
-
-
-def analysis_marks(v, h: Mask, g: Mask):
-    """One analysis step of a boolean pattern along the last axis: output l
-    of each mask is marked when any of its taps reads a marked entry."""
-    if v.size <= GATHER_MAX:
-        idx, _ = _analysis_gather(v.shape[-1], _mask_key(h), _mask_key(g))
-        s = _zero_padded(v)[..., idx].any(axis=-3)
-        return s[..., 0, :], s[..., 1, :]
-    marks = [np.zeros(v.shape[:-1] + (v.shape[-1] // 2,), dtype=bool)
-             for _ in range(2)]
-    for k, _, view in analysis_taps(v, (h, g)):
-        marks[k] |= view
-    return tuple(marks)
 
 
 def _synthesis_step(v, w, h: Mask, g: Mask):
@@ -157,10 +79,6 @@ def _synthesis_step(v, w, h: Mask, g: Mask):
     order h, then g, so each output sums its terms in a fixed order.
     """
     half = v.shape[-1]
-    if 2 * v.size <= GATHER_MAX:
-        idx, coef = _synthesis_gather(half, _mask_key(h), _mask_key(g))
-        s = _sum_terms(_zero_padded(v, w), idx, coef)
-        return s.reshape(s.shape[:-2] + (2 * half,))
     out = np.zeros(v.shape[:-1] + (2 * half,), dtype=np.result_type(v, w))
     for mask, coarse in ((h, v), (g, w)):
         first, last = mask.support

@@ -151,13 +151,6 @@ def reference_scaling_plunge(problem):
     return az._prune(Ah - Ah @ (Zh.T @ Ah))
 
 
-def reference_explicit_block(problem):
-    """The sparse (Mrows, L) block of the wavelet-domain plunge
-    ``wavext.az.sparse_plunge``: the oracle of the (Mrows, K) scaling block
-    on which ``reduced`` and ``sparse`` solve step 1."""
-    return az.sparse_plunge(problem)[problem.Mrows][:, problem.L]
-
-
 def reference_plunge_apply(problem, x):
     """(I - A Z*) A x through the wavelet-level operators, idwt -> dwt ->
     idwt: the oracle of ``wavext.az._plunge_apply``."""

@@ -11,14 +11,13 @@ from wavext import az, system
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
-from wavext.solvers import (BLOCK_SIZE, pivoted_qr_solve,
-                            randomized_lowrank_solve, sparse_qr_factor)
+from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, randomized_lowrank_solve
 from wavext.system import dense_A
 
 from support import (ALL_FAMILIES, banks, check_sketched_factor, plunge_rank,
-                     reference_explicit_block, reference_plunge_apply,
-                     reference_plunge_rapply, reference_plunge_rhs,
-                     reference_scaling_plunge, sparse_qr_reference)
+                     reference_plunge_apply, reference_plunge_rapply,
+                     reference_plunge_rhs, reference_scaling_plunge,
+                     sparse_qr_reference)
 
 
 def exp1d(p):
@@ -327,7 +326,7 @@ def test_reduced_1d_small_block_is_exact():
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
     sol = az.reduced_az_solve(prob, seed=0)
-    op = az._explicit_block(prob)
+    op = az._scaling_block(prob)
     assert op.shape == (prob.Mrows.size, prob.K.size)
     assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
     rep = randomized_lowrank_solve(op, az.plunge_rhs(prob)[prob.Mrows],
@@ -362,60 +361,41 @@ def _steps23_residual(prob, x1):
     return np.linalg.norm(prob.A.matvec(x) - prob.b)
 
 
-# Cases where the (Mrows, K) form leaves the bounds of
+# Cases where the (Mrows, K) form of reduced leaves the rank bound of
 # test_scaling_block_matches_wavelet_block, with the ranks and residuals
-# measured (K form vs the (Mrows, L) oracle, same kernel).  For db3 and db4
-# both blocks have the same singular values (W^-1 is orthogonal), but the
-# rank of a column-pivoted QR depends on the columns it pivots over.  cdf51
-# is biorthogonal: its K block has other singular values than the L block.
+# measured (K form vs the (Mrows, L) oracle).  cdf51 is biorthogonal: W^-1
+# is not orthogonal, so the K block has other singular values than the L
+# block, and the residual bound holds.
 _K_FORM_DIVERGES = {
-    (2, "db4", "sparse"): "QRCP rank 170 vs 173; the SVD rank of both blocks "
-                          "is 167",
-    (3, "db3", "sparse"): "QRCP rank 484 vs 489; the SVD rank of both blocks "
-                          "is 480",
-    (3, "db4", "sparse"): "QRCP rank 469 vs 476 (SVD rank of both: 467) and "
-                          "residual 0.42 vs 0.036; dense pivoted QR 0.034, "
-                          "reduced 0.31 in either form: db4's minimal dual "
-                          "(norm 241) leaves step 1 at the truncation level",
-    (2, "cdf51", "reduced"): "rank 164 vs 163: the K block has a clean gap "
-                             "(s_164 = 59x the cut, s_165 below 1e-3x), the "
-                             "L block cuts a direction at 0.93x the cut",
-    (3, "cdf51", "reduced"): "SVD rank 504 vs 480, residual 2.035e-2 vs "
-                             "2.141e-2 (dense pivoted QR 2.035e-2)",
-    (3, "cdf51", "sparse"): "QRCP rank 505 vs 494, residual 2.035e-2 vs "
-                            "2.10e-2",
+    (2, "cdf51"): "rank 164 vs 163: the K block has a clean gap (s_164 = "
+                  "59x the cut, s_165 below 1e-3x), the L block cuts a "
+                  "direction at 0.93x the cut",
+    (3, "cdf51"): "SVD rank 504 vs 480, residual 2.035e-2 vs 2.141e-2 "
+                  "(dense pivoted QR 2.035e-2)",
 }
 
 
 def _parity_cases():
     for dim in (1, 2, 3):
         for family in ALL_FAMILIES:
-            for pipeline in ("reduced", "sparse"):
-                reason = _K_FORM_DIVERGES.get((dim, family, pipeline))
-                marks = [pytest.mark.xfail(strict=True, reason=reason)
-                         ] if reason else []
-                yield pytest.param(dim, family, pipeline, marks=marks,
-                                   id=f"{dim}d-{family}-{pipeline}")
+            reason = _K_FORM_DIVERGES.get((dim, family))
+            marks = [pytest.mark.xfail(strict=True, reason=reason)
+                     ] if reason else []
+            yield pytest.param(dim, family, marks=marks, id=f"{dim}d-{family}")
 
 
-@pytest.mark.parametrize("dim, family, pipeline", _parity_cases())
-def test_scaling_block_matches_wavelet_block(dim, family, pipeline, banks):
-    """Step 1 on the (Mrows, K) scaling block, x1 = W y, against the same
-    kernel on the (Mrows, L) block of the wavelet-domain plunge, x1 = y on
-    L: the oracle's rank (within one for db3 and db4, whose minimal duals at
-    q = 2 put singular values at the cut) and a residual within 10x of the
-    oracle's either way."""
+@pytest.mark.parametrize("dim, family", _parity_cases())
+def test_scaling_block_matches_wavelet_block(dim, family, banks):
+    """reduced's step 1 on the (Mrows, K) scaling block, x1 = W y, against
+    the same kernel on the (Mrows, L) wavelet block, x1 = y on L: the
+    oracle's rank (within one for db3 and db4, whose minimal duals at q = 2
+    put singular values at the cut) and a residual within 10x of the
+    oracle's either way.  sparse solves on the wavelet block itself."""
     prob = _block_case(dim, banks[family])
-    block = reference_explicit_block(prob)
-    rhs = az.plunge_rhs(prob)[prob.Mrows]
-    if pipeline == "reduced":
-        sol = az.reduced_az_solve(prob, seed=0)
-        ref = randomized_lowrank_solve(block, rhs, seed=0,
-                                       scale=az._reference_scale(prob))
-    else:
-        az.clear_step1_cache()
-        sol = az.sparse_az_solve(prob)
-        ref = sparse_qr_factor(block).solve(rhs)
+    sol = az.reduced_az_solve(prob, seed=0)
+    ref = randomized_lowrank_solve(az._wavelet_block(prob),
+                                   az.plunge_rhs(prob)[prob.Mrows], seed=0,
+                                   scale=az._reference_scale(prob))
     x1 = np.zeros(prob.grid.n_basis)
     x1[prob.L] = ref.solution
     res = _steps23_residual(prob, x1)
@@ -425,20 +405,17 @@ def test_scaling_block_matches_wavelet_block(dim, family, pipeline, banks):
     assert sol.residual <= 10 * res and res <= 10 * sol.residual, msg
 
 
-def test_explicit_pipelines_skip_wavelet_block(monkeypatch):
-    """reduced and sparse never assemble the wavelet-domain plunge: with
-    sparse_plunge and the selected W^-1 rows made to raise, both solve."""
+def test_reduced_skips_wavelet_block(monkeypatch):
+    """reduced never assembles the wavelet-domain plunge: with sparse_plunge
+    and the selected W^-1 rows made to raise, it still solves."""
     def refuse(*args):
         raise AssertionError("wavelet-domain plunge assembled")
 
     monkeypatch.setattr(az, "sparse_plunge", refuse)
     monkeypatch.setattr(az, "sparse_idwt_rows", refuse)
-    az.clear_step1_cache()
     for dim in (1, 2, 3):
-        prob = _block_case(dim)
-        for sol in (az.reduced_az_solve(prob, seed=0),
-                    az.sparse_az_solve(prob)):
-            assert sol.plunge_rank > 0 and np.isfinite(sol.residual)
+        sol = az.reduced_az_solve(_block_case(dim), seed=0)
+        assert sol.plunge_rank > 0 and np.isfinite(sol.residual)
 
 
 @given(r=st.floats(0.3, 0.42), gap=st.floats(0.0, 0.03),
@@ -623,15 +600,15 @@ def test_sketched_step1_matches_full_qrcp(family, n, q, rank_slack, az_factor):
     right-hand side, then the whole pipeline against steps 2-3 of the
     oracle's step 1.  db4's minimal dual (norm 241) leaves the step-1
     residual at the truncation level, where the choice of the columns near
-    the cut can move it; hence its rank slack and 2x bound (both reach
-    4.74e-5)."""
+    the cut moves it: 7.4e-5 sketched against 5.7e-5."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank(family),
                            (n, n), (q, q))
-    block = az._explicit_block(prob)
+    block = az._wavelet_block(prob)
     factor, _ = check_sketched_factor(block, rank_slack)
     assert factor.sketch_dim >= factor.rank > 0
     y, _ = sparse_qr_reference(block, az.plunge_rhs(prob)[prob.Mrows])
-    x1 = _from_scaling_columns(prob, y)
+    x1 = np.zeros(prob.grid.n_basis)
+    x1[prob.L] = y
     x = x1 + prob.Zstar(prob.b - prob.A.matvec(x1))
     ref = np.linalg.norm(prob.A.matvec(x) - prob.b)
     az.clear_step1_cache()

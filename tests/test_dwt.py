@@ -256,28 +256,3 @@ def test_kernel_matches_oracle_trailing_batch(banks, N, monkeypatch):
         for fn in (op.matmat, op.rmatmat):
             fast, ref = _with_reference_kernel(monkeypatch, lambda: fn(X))
             assert np.array_equal(fast, ref), (name, N, fn)
-
-
-@pytest.mark.parametrize("n", [2, 4, 16, 128, 1024])
-def test_gather_kernel_matches_slice_kernel(banks, n, monkeypatch):
-    """Each step gives the same bits from the gather kernel as from the
-    per-tap slice kernel, whichever GATHER_MAX would pick, on both sides and
-    with a leading batch axis; so do the boolean analysis marks."""
-    rng = np.random.default_rng(n)
-    for name, bank in banks.items():
-        for h, g in ((bank.h, bank.g), (bank.h_dual, bank.g_dual)):
-            for shape in ((n,), (3, n)):
-                v, w = rng.standard_normal((2,) + shape)
-                marks = rng.random(shape) < 0.2
-                steps = (
-                    lambda: dwt_mod._analysis_step(v, h, g),
-                    lambda: (dwt_mod._synthesis_step(v, w, h, g),),
-                    lambda: dwt_mod.analysis_marks(marks, h, g))
-                for step in steps:
-                    monkeypatch.setattr(dwt_mod, "GATHER_MAX", 0)
-                    slices = step()
-                    monkeypatch.setattr(dwt_mod, "GATHER_MAX", 10 * n)
-                    gather = step()
-                    for a, b in zip(slices, gather):
-                        assert a.dtype == b.dtype, name
-                        assert np.array_equal(a, b), (name, shape)
