@@ -171,7 +171,9 @@ def _reference_scale(problem: AZProblem):
     can truncate the plunge system against ||A D|| rather than against
     noise."""
     rng = np.random.Generator(np.random.Philox(0x5CA1E))
-    w = _scale_rows(problem.weights, rng.standard_normal(problem.grid.n_basis))
+    w = rng.standard_normal(problem.grid.n_basis)
+    if problem.weights is not None:
+        w = problem.weights * w
     return float(np.linalg.norm(problem.A.matvec(w)))
 
 
@@ -203,7 +205,9 @@ def per_scale_norms(x, N, select=None):
     """l2 norm of the coefficients at each scale (optionally on a sub-mask)."""
     x = np.ravel(x)
     if select is not None:
-        x = np.where(np.isin(np.arange(x.size), select), x, 0.0)
+        keep = np.zeros(x.size, dtype=bool)
+        keep[np.asarray(select)] = True
+        x = np.where(keep, x, 0.0)
     return np.sqrt(np.bincount(scale_levels(N), weights=x * x))
 
 

@@ -51,15 +51,19 @@ class ScalingMatrices:
 
 def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     """Pointwise evaluation matrices, rows restricted to the masked grid."""
-    A = Z = None
+    a_factors, z_factors = [], []
     for n, q in zip(grid.N, grid.q):
         b, d = dual_pair(bank, q)
-        fa = _circulant_factor(periodize_primal(b, n), n, q)
-        fz = _circulant_factor(periodize_dual(d, n, q), n, q)
-        A = fa if A is None else scipy.sparse.kron(A, fa, format="csr")
-        Z = fz if Z is None else scipy.sparse.kron(Z, fz, format="csr")
-    return ScalingMatrices(A_hat=A.tocsr()[grid.inside],
-                           Z_hat=Z.tocsr()[grid.inside])
+        a_factors.append(_circulant_factor(periodize_primal(b, n), n, q))
+        z_factors.append(_circulant_factor(periodize_dual(d, n, q), n, q))
+    A = a_factors[0]
+    Z = z_factors[0]
+    for fa, fz in zip(a_factors[1:], z_factors[1:]):
+        A = scipy.sparse.kron(A, fa, format="csr")
+        Z = scipy.sparse.kron(Z, fz, format="csr")
+    A = A.tocsr()[grid.inside]
+    Z = Z.tocsr()[grid.inside]
+    return ScalingMatrices(A_hat=A, Z_hat=Z)
 
 
 class FrameOperator(scipy.sparse.linalg.LinearOperator):
