@@ -18,7 +18,12 @@ settings of step 1:
   plunge block on Mrows and the wavelet columns L, x1 = y on L (unweighted
   only).  The factor depends on the geometry only, not on f, so it is kept
   in a bounded least-recently-used cache and reused by later problems on
-  the same geometry (``clear_step1_cache`` empties it).
+  the same geometry.
+
+Everything of a problem but b depends on the geometry only: the filter bank,
+N, q and the inside mask.  ``make_problem`` keeps the operators and index
+sets of its last call and reuses them when the next call has the same
+geometry.  ``clear_caches`` drops them and the step-1 factors.
 """
 
 import hashlib
@@ -73,6 +78,10 @@ class AZProblem:
     L: np.ndarray = field(repr=False)
     Mrows: np.ndarray = field(repr=False)
     weights: np.ndarray | None = None
+    # seconds make_problem spent on the operators and index sets; 0.0 when
+    # it reused those of the previous call
+    geometry_s: float = 0.0
+    geometry_reused: bool = False
 
     def __post_init__(self):
         if self.b.size != self.grid.M:
@@ -98,21 +107,67 @@ class AZSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
-    """Assemble grid, operators, right-hand side and index sets for f on mask.
+def _digest(a):
+    return hashlib.blake2b(np.ascontiguousarray(a).tobytes()).digest()
 
-    The problem is unweighted; ``dataclasses.replace(problem, weights=w)``
-    gives the weighted one."""
-    grid = masked_grid(mask, N, q)
+
+def _geometry_key(bank: FilterBank, grid: MaskedGrid):
+    """Everything the operators and index sets depend on: the filter bank
+    (the dual pairs are looked up by family), the grid shape and the inside
+    mask.  Never the mask's description: every custom predicate is
+    described as "predicate"."""
+    masks = tuple((m.offset, m.taps.tobytes())
+                  for m in (bank.h, bank.g, bank.h_dual, bank.g_dual))
+    return (bank.family, masks, grid.N, grid.q, _digest(grid.inside_bool))
+
+
+# The operators and index sets of the last make_problem call, by
+# _geometry_key: at most one entry, so a miss frees the previous assembly
+# before it builds the next.  Never the problem, its grid or its mask.
+_geometry = {}
+_geometry_lock = threading.Lock()
+
+
+def _assemble_geometry(bank: FilterBank, grid: MaskedGrid):
+    """The AZProblem fields that depend on the geometry only.  The index
+    arrays are read-only, as later problems share them."""
     scaling = assemble_scaling(bank, grid)
-    A = frame_operator_A(scaling, bank, grid)
-    Zs = frame_operator_Zstar(scaling, bank, grid)
     K, kflags = scaling_boundary_set(grid, bank)
     L, _ = wavelet_boundary_set(kflags, bank, grid.N)
     Mrows = plunge_row_set(kflags, bank, grid)
+    for a in (K, kflags, L, Mrows):
+        a.flags.writeable = False
+    return dict(scaling=scaling, A=frame_operator_A(scaling, bank, grid),
+                Zstar=frame_operator_Zstar(scaling, bank, grid),
+                K=K, kflags=kflags, L=L, Mrows=Mrows)
+
+
+def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
+    """Assemble grid, operators, right-hand side and index sets for f on mask.
+
+    The grid is sampled and b = f(grid) evaluated on every call.  The
+    operators and index sets of the previous call are reused when its
+    geometry (bank, N, q and inside mask) is the same; ``geometry_reused``
+    and ``geometry_s`` on the problem say which happened.  The problem is
+    unweighted; ``dataclasses.replace(problem, weights=w)`` gives the
+    weighted one."""
+    grid = masked_grid(mask, N, q)
+    key = _geometry_key(bank, grid)
+    with _geometry_lock:
+        parts = _geometry.get(key)
+        if parts is None:
+            _geometry.clear()
+    reused, seconds = parts is not None, 0.0
+    if not reused:
+        t0 = time.perf_counter()
+        parts = _assemble_geometry(bank, grid)
+        seconds = time.perf_counter() - t0
+        with _geometry_lock:
+            _geometry.clear()
+            _geometry[key] = parts
     b = rhs(f, grid) if callable(f) else np.asarray(f, dtype=float)
-    return AZProblem(bank=bank, grid=grid, scaling=scaling, A=A, Zstar=Zs,
-                     b=b, K=K, kflags=kflags, L=L, Mrows=Mrows)
+    return AZProblem(bank=bank, grid=grid, b=b, geometry_s=seconds,
+                     geometry_reused=reused, **parts)
 
 
 def _scale_rows(w, x):
@@ -225,19 +280,21 @@ def extension_index_set(problem: AZProblem):
 
 def _finish(problem, x1, Ax1, t0, t1, rep, extra_times, extra_diag):
     """Steps 2-3 from the step-1 solution x1, its image A x1, and the report
-    ``rep`` of the solver that produced it."""
+    ``rep`` of the solver that produced it.  The stage times and diagnostics
+    carry the problem's geometry assembly too."""
     t2 = time.perf_counter()
     x2 = problem.Zstar(problem.b - Ax1)
     x = x1 + x2
     r = float(np.linalg.norm(problem.A.matvec(x) - problem.b))
-    times = {"step1": t1 - t0, "step23": time.perf_counter() - t2,
-             **extra_times}
+    times = {"geometry": problem.geometry_s, "step1": t1 - t0,
+             "step23": time.perf_counter() - t2, **extra_times}
     return AZSolution(x=x, residual=r,
                       coefficient_norm=float(np.linalg.norm(x)),
                       per_scale_norms=per_scale_norms(x, problem.grid.N),
                       stage_times=times, plunge_rank=rep.rank,
                       warning=rep.warning,
                       diagnostics={"rank": rep.rank, **rep.diagnostics,
+                                   "geometry_reused": problem.geometry_reused,
                                    **extra_diag})
 
 
@@ -254,20 +311,11 @@ def _wavelet_block(problem: AZProblem):
     return sparse_plunge(problem)[problem.Mrows][:, problem.L]
 
 
-def _digest(a):
-    return hashlib.blake2b(np.ascontiguousarray(a).tobytes()).digest()
-
-
 def _step1_key(problem: AZProblem, tol):
-    """Everything the wavelet block depends on: the filter bank (the dual
-    pairs are looked up by family), the grid shape, the inside mask, the
-    index sets and the truncation tolerance.  Never the mask's description:
-    every custom predicate is described as "predicate"."""
-    bank, grid = problem.bank, problem.grid
-    masks = tuple((m.offset, m.taps.tobytes())
-                  for m in (bank.h, bank.g, bank.h_dual, bank.g_dual))
-    return (bank.family, masks, grid.N, grid.q, _digest(grid.inside_bool),
-            _digest(problem.Mrows), _digest(problem.L), float(tol))
+    """Everything the wavelet block depends on: the geometry, the index sets
+    and the truncation tolerance."""
+    return (*_geometry_key(problem.bank, problem.grid), _digest(problem.Mrows),
+            _digest(problem.L), float(tol))
 
 
 # Sparse step-1 factors by _step1_key, least recently used first.  Bounded
@@ -277,9 +325,12 @@ _step1_cache = OrderedDict()
 _step1_lock = threading.Lock()
 
 
-def clear_step1_cache():
-    """Forget every cached sparse step-1 factor, so the next sparse solve of
-    each geometry factors from scratch."""
+def clear_caches():
+    """Forget the cached geometry and every cached sparse step-1 factor, so
+    the next make_problem assembles and the next sparse solve of each
+    geometry factors from scratch."""
+    with _geometry_lock:
+        _geometry.clear()
     with _step1_lock:
         _step1_cache.clear()
 

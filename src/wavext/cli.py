@@ -179,8 +179,9 @@ def _dense_qr(problem, tol, seed):
         x=rep.solution, residual=rep.residual,
         coefficient_norm=rep.solution_norm,
         per_scale_norms=az_mod.per_scale_norms(rep.solution, problem.grid.N),
-        stage_times={"solve": rep.wall_time}, plunge_rank=rep.rank,
-        warning=rep.warning)
+        stage_times={"geometry": problem.geometry_s, "solve": rep.wall_time},
+        plunge_rank=rep.rank, warning=rep.warning,
+        diagnostics={"geometry_reused": problem.geometry_reused})
 
 
 SOLVERS = {
@@ -265,15 +266,15 @@ def cmd_convergence(cfg: RunConfig, n_list):
 
 
 def cmd_timing(cfg: RunConfig, n_list, repetitions):
-    """Median wall time of a solve from scratch at each N: the sparse step-1
-    cache is cleared before every repetition."""
+    """Median wall time of a solve from scratch at each N: the geometry and
+    sparse step-1 caches are cleared before every repetition."""
     if repetitions < 3:
         raise ConfigError("timing requires at least 3 repetitions")
     rows = []
     for n in n_list:
         times = []
         for _ in range(repetitions):
-            az_mod.clear_step1_cache()
+            az_mod.clear_caches()
             t0 = time.perf_counter()
             run_one(cfg, N=(n,))
             times.append(time.perf_counter() - t0)

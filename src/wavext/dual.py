@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.interpolate
 
 from .cascade import scaling_at_dyadic
 from .filters import FilterBank
@@ -71,6 +70,10 @@ def sample_primal(bank: FilterBank, q: int) -> SampledScaling:
         offset, vals = s.start_index, s.values
     else:
         # CDF primal father functions are centered B-splines; evaluate exactly.
+        # Imported here: scipy.interpolate pulls in scipy.optimize, .special
+        # and .fft, which no other path needs.
+        import scipy.interpolate
+
         p = bank.p
         lo = bank.h.offset
         spline = scipy.interpolate.BSpline.basis_element(np.arange(p + 1) + lo,

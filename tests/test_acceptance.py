@@ -197,8 +197,11 @@ def test_acceptance_order_comparison():
 # 8. runtime scaling
 
 def _median_time(make, solve, reps=3):
+    """Median time of solve(make()) from scratch: the caches are cleared
+    before every repetition, so make() assembles each time."""
     ts = []
     for _ in range(reps):
+        az.clear_caches()
         t0 = time.perf_counter()
         solve(make())
         ts.append(time.perf_counter() - t0)

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -433,7 +435,7 @@ def test_explicit_pipelines_near_box_edge(r, gap, along, side):
     k_axis = np.unravel_index(prob.K, prob.grid.N)[axis]
     assert k_axis.min() == 0 and k_axis.max() == prob.grid.N[axis] - 1
     ref = pivoted_qr_solve(dense_A(prob.A), prob.b).residual
-    az.clear_step1_cache()
+    az.clear_caches()
     for sol in (az.reduced_az_solve(prob, seed=0), az.sparse_az_solve(prob)):
         assert sol.residual <= 10 * ref and ref <= 10 * sol.residual, (
             centre, r, sol.residual, ref)
@@ -576,14 +578,16 @@ def test_sparse_step1_reuse_is_bit_identical(case):
     mask, bank, N = _sparse_geometries()[case]
     f1 = lambda p: np.exp(p.sum(axis=1))
     f2 = lambda p: np.cos(3 * p[:, 0]) + p[:, -1] ** 2
-    az.clear_step1_cache()
+    az.clear_caches()
     cold1 = az.sparse_az_solve(az.make_problem(f1, mask, bank, N, 2))
     hit = az.sparse_az_solve(az.make_problem(f2, mask, bank, N, 2))
-    az.clear_step1_cache()
+    az.clear_caches()
     cold2 = az.sparse_az_solve(az.make_problem(f2, mask, bank, N, 2))
     assert not cold1.diagnostics["step1_reused"]
     assert hit.diagnostics.pop("step1_reused")
     assert not cold2.diagnostics.pop("step1_reused")
+    assert hit.diagnostics.pop("geometry_reused")
+    assert not cold2.diagnostics.pop("geometry_reused")
     assert np.array_equal(hit.x, cold2.x)
     assert hit.residual == cold2.residual
     assert hit.plunge_rank == cold2.plunge_rank > 0
@@ -611,7 +615,7 @@ def test_sketched_step1_matches_full_qrcp(family, n, q, rank_slack, az_factor):
     x1[prob.L] = y
     x = x1 + prob.Zstar(prob.b - prob.A.matvec(x1))
     ref = np.linalg.norm(prob.A.matvec(x) - prob.b)
-    az.clear_step1_cache()
+    az.clear_caches()
     sol = az.sparse_az_solve(prob)
     msg = (sol.residual, ref, sol.coefficient_norm, np.linalg.norm(x))
     assert sol.diagnostics["sketch_dim"] == factor.sketch_dim
@@ -633,7 +637,7 @@ def test_sparse_step1_key_separates_geometries():
         (az.make_problem(f, left, filter_bank("cdf35"), 256, 2), {}),
         (base, {"tol": 1e-8}),
     ]
-    az.clear_step1_cache()
+    az.clear_caches()
     az.sparse_az_solve(base)
     for prob, kw in variants:
         assert not az.sparse_az_solve(prob, **kw).diagnostics["step1_reused"]
@@ -646,7 +650,7 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
     bank = filter_bank("cdf33")
     probs = [az.make_problem(exp1d, interval(0.1 + 0.01 * i, 0.7), bank,
                              512, 2) for i in range(6)]
-    az.clear_step1_cache()
+    az.clear_caches()
     az.sparse_az_solve(probs[0])
     one = sum(f.nbytes for f in az._step1_cache.values())
     monkeypatch.setattr(az, "STEP1_CACHE_BYTES", int(2.5 * one))
@@ -656,19 +660,148 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
     assert 0 < len(az._step1_cache) < len(probs)
     assert az.sparse_az_solve(probs[-1]).diagnostics["step1_reused"]
     assert not az.sparse_az_solve(probs[0]).diagnostics["step1_reused"]
-    az.clear_step1_cache()
+    az.clear_caches()
 
 
 def test_sparse_step1_cache_holds_no_problem():
     """The cache keeps boundary-sized factors only: the problem and its grid
-    are freed after the solve."""
-    az.clear_step1_cache()
+    are freed after the solve, and its scaling matrices once the geometry
+    cache is cleared."""
+    az.clear_caches()
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank("cdf33"),
                            (32, 32), (2, 2))
     az.sparse_az_solve(prob)
-    refs = [weakref.ref(prob), weakref.ref(prob.grid),
-            weakref.ref(prob.scaling)]
+    refs = [weakref.ref(prob), weakref.ref(prob.grid)]
+    scaling = weakref.ref(prob.scaling)
     del prob
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(az._step1_cache) == 1
+    az.clear_caches()
+    gc.collect()
+    assert scaling() is None
+
+
+_GEOMETRY_SOLVES = {
+    "reduced": lambda f, mask, bank, N: az.reduced_az_solve(
+        az.make_problem(f, mask, bank, N, 2), seed=0),
+    "sparse": lambda f, mask, bank, N: az.sparse_az_solve(
+        az.make_problem(f, mask, bank, N, 2)),
+    "az": lambda f, mask, bank, N: az.az_solve(
+        az.make_problem(f, mask, bank, N, 2), seed=0),
+    "adaptive": lambda f, mask, bank, N: az.adaptive_weighted_solve(
+        f, mask, bank, N, 2, seed=0)[1],
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(_GEOMETRY_SOLVES))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_geometry_reuse_is_bit_identical(dim, pipeline, monkeypatch):
+    """A problem on the geometry of the previous make_problem call shares its
+    operators and index sets but samples its own b, and every pipeline
+    solves it to the bits of a cold assembly.  adaptive meets the primed
+    geometry at the first level of its ladder."""
+    mask, N = {1: (interval(0.2, 0.8), (64,)),
+               2: (disk(0.5, 0.5, 0.35), (16, 16)),
+               3: (ball(0.5, 0.5, 0.5, 0.4), (8, 8, 8))}[dim]
+    bank = filter_bank("cdf33")
+    f1 = lambda p: np.exp(p.sum(axis=1))
+    f2 = lambda p: np.cos(3 * p[:, 0]) + p[:, -1] ** 2
+    first = N
+    if pipeline == "adaptive":
+        first = tuple(min(az.coarsest_n(bank), n) for n in N)
+    made, make = [], az.make_problem
+
+    def recorded(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(az, "make_problem", recorded)
+    solve = _GEOMETRY_SOLVES[pipeline]
+    az.clear_caches()
+    cold = solve(f2, mask, bank, N)
+    az.clear_caches()
+    primer = make(f1, mask, bank, first, 2)
+    made.clear()
+    hit = solve(f2, mask, bank, N)
+    assert made[0].geometry_reused and made[0].geometry_s == 0.0
+    assert made[0].scaling is primer.scaling and made[0].K is primer.K
+    assert not np.array_equal(made[0].b, primer.b)
+    assert not cold.diagnostics["geometry_reused"]
+    assert hit.diagnostics["geometry_reused"] == made[-1].geometry_reused
+    assert hit.stage_times["geometry"] == made[-1].geometry_s
+    assert np.array_equal(hit.x, cold.x)
+    assert hit.residual == cold.residual
+    assert hit.plunge_rank == cold.plunge_rank > 0
+
+
+def test_geometry_key_separates_geometries():
+    """Problems that differ in the mask, q, the family or N never share an
+    assembly, also when their masks carry the same description; an equal
+    geometry does."""
+    bank = filter_bank("cdf33")
+    f = lambda p: np.exp(p[:, 0])
+    left = DomainMask(1, lambda p: (p[:, 0] >= 0.15) & (p[:, 0] <= 0.75))
+    right = DomainMask(1, lambda p: (p[:, 0] >= 0.2) & (p[:, 0] <= 0.8))
+    assert left.description == right.description == "predicate"
+    base = (f, left, bank, 256, 2)
+    for args in [(f, right, bank, 256, 2), (f, left, bank, 256, 4),
+                 (f, left, filter_bank("cdf35"), 256, 2),
+                 (f, left, bank, 128, 2)]:
+        az.clear_caches()
+        assert not az.make_problem(*base).geometry_reused
+        assert not az.make_problem(*args).geometry_reused
+        assert az.make_problem(*args).geometry_reused
+        assert not az.make_problem(*base).geometry_reused
+
+
+def test_geometry_cache_keeps_one_assembly():
+    """The cache keeps the last geometry's operators only, never its mask:
+    a new geometry or a clear frees the old scaling matrices."""
+    bank = filter_bank("cdf33")
+    mask = interval(0.2, 0.8)
+    az.clear_caches()
+    prob = az.make_problem(exp1d, mask, bank, 64, 2)
+    first, held = weakref.ref(prob.scaling), weakref.ref(mask)
+    del prob, mask
+    gc.collect()
+    assert first() is not None and held() is None
+    second = weakref.ref(
+        az.make_problem(exp1d, interval(0.1, 0.8), bank, 64, 2).scaling)
+    gc.collect()
+    assert first() is None and second() is not None
+    az.clear_caches()
+    gc.collect()
+    assert second() is None
+
+
+def test_geometry_cache_is_thread_safe():
+    """Threads that make problems on two geometries at once each get the
+    operators and index sets of their own geometry."""
+    bank = filter_bank("cdf33")
+    masks = [interval(0.2, 0.8), interval(0.1, 0.7)]
+    az.clear_caches()
+    refs = [az.make_problem(exp1d, m, bank, 64, 2) for m in masks]
+    wrong = []
+
+    def work(i):
+        for k in range(20):
+            ref = refs[(i + k) % 2]
+            p = az.make_problem(exp1d, masks[(i + k) % 2], bank, 64, 2)
+            if not (np.array_equal(p.K, ref.K)
+                    and np.array_equal(p.Mrows, ref.Mrows)
+                    and (p.scaling.A_hat != ref.scaling.A_hat).nnz == 0):
+                wrong.append((i, k))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval_s = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval_s)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

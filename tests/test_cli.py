@@ -119,6 +119,23 @@ def test_every_solver_exits_ok(solver, tmp_path):
     assert cli.parse_record(out.read_text()).config["solver"] == solver
 
 
+@pytest.mark.parametrize("solver", sorted(cli.SOLVERS))
+def test_record_times_the_geometry(solver, tmp_path):
+    """The record carries the seconds the problem's geometry took to
+    assemble: some on a cold assembly, none when the next request on the
+    same geometry reuses it."""
+    from wavext import az
+
+    az.clear_caches()
+    times = []
+    for _ in range(2):
+        out = tmp_path / "r.json"
+        assert run(["approximate", *BASE, "--solver", solver,
+                    "--output", str(out)]) == 0
+        times.append(cli.parse_record(out.read_text()).stage_times["geometry"])
+    assert times[0] > 0 == times[1]
+
+
 def test_smoothed_solver_is_gone(capsys):
     """The unweighted smoothed solve gave the bits of az; the CLI no longer
     offers it."""
@@ -214,7 +231,8 @@ def test_timing_single_n_no_slope(tmp_path):
 
 
 def test_timing_solves_from_scratch(tmp_path, monkeypatch):
-    """Every repetition of a sparse timing factors step 1 afresh."""
+    """Every repetition of a sparse timing assembles the problem and factors
+    step 1 afresh."""
     solves = []
 
     def recorded(cfg, N=None):
@@ -228,6 +246,7 @@ def test_timing_solves_from_scratch(tmp_path, monkeypatch):
     assert run(["timing", *BASE, "--solver", "sparse", "--N-sweep", "64,128",
                 "--repetitions", "3", "--output", str(out)]) == 0
     assert [s.diagnostics["step1_reused"] for s in solves] == [False] * 6
+    assert [s.diagnostics["geometry_reused"] for s in solves] == [False] * 6
 
 
 def test_timing_too_few_repetitions(capsys):

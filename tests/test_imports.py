@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and every
-name the library defines is named somewhere.
+"""Every name a module imports is read somewhere in that module, every name
+the library defines is named somewhere, and importing the CLI leaves the
+heavy scipy subpackages it never needs unloaded.
 
 Each module under ``src/wavext``, ``tests`` and ``scripts`` is parsed with
 ``ast``.  A name counts as read when it is loaded anywhere in the module, or
@@ -14,6 +15,9 @@ string that is an identifier, as the benchmark's tracing looks names up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +122,17 @@ def test_definition_checker_flags_unnamed():
     used = named(ast.parse("import m\nfrom p import X\nm.f(getattr(m, 'a'))\n"
                            "print(b)\nb = 'not an identifier'\n"))
     assert {"X", "f", "a", "b", "m"} <= used and "C" not in used
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    """``scipy.interpolate`` pulls in scipy.optimize, .special and .fft; only
+    the non-dyadic-q CDF branch of ``dual.sample_primal`` loads it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wavext.cli; print('scipy.interpolate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
