@@ -14,11 +14,10 @@ settings of step 1:
 * ``reduced_az_solve``: the explicit sparse scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only);
-* ``sparse_az_solve``: rank-revealing sparse QR of the explicit wavelet
-  plunge block on Mrows and the wavelet columns L, x1 = y on L (unweighted
-  only).  The factor depends on the geometry only, not on f, so it is kept
-  in a bounded least-recently-used cache and reused by later problems on
-  the same geometry.
+* ``sparse_az_solve``: the same block and x1 = W y, rank-revealing banded
+  sparse QR kernel (unweighted only).  The factor depends on the geometry
+  only, not on f, so it is kept in a bounded least-recently-used cache and
+  reused by later problems on the same geometry.
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  ``make_problem`` keeps the operators and index
@@ -55,7 +54,9 @@ PRUNE_REL = 1e-12
 # raise peak memory by a quarter for no speed gain.
 BLOCK_ENTRIES = 2**18
 # Bytes of sparse step-1 factors kept for reuse.  The factors of the disk
-# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 21 MB.
+# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 9.2 MB; that
+# of the 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors) does not
+# fit.
 STEP1_CACHE_BYTES = 2**25
 
 
@@ -107,18 +108,15 @@ class AZSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _digest(a):
-    return hashlib.blake2b(np.ascontiguousarray(a).tobytes()).digest()
-
-
 def _geometry_key(bank: FilterBank, grid: MaskedGrid):
     """Everything the operators and index sets depend on: the filter bank
     (the dual pairs are looked up by family), the grid shape and the inside
-    mask.  Never the mask's description: every custom predicate is
-    described as "predicate"."""
+    mask, packed to bits (its shape is that of N q).  Never the mask's
+    description: every custom predicate is described as "predicate"."""
     masks = tuple((m.offset, m.taps.tobytes())
                   for m in (bank.h, bank.g, bank.h_dual, bank.g_dual))
-    return (bank.family, masks, grid.N, grid.q, _digest(grid.inside_bool))
+    inside = hashlib.blake2b(np.packbits(grid.inside_bool).tobytes())
+    return (bank.family, masks, grid.N, grid.q, inside.digest())
 
 
 # The operators and index sets of the last make_problem call, by
@@ -304,18 +302,11 @@ def _scaling_block(problem: AZProblem):
     return scaling_plunge(problem)[problem.Mrows][:, problem.K]
 
 
-def _wavelet_block(problem: AZProblem):
-    """The sparse (Mrows, L) block of the wavelet-domain ``sparse_plunge``:
-    column-pivoted QR on the scaling block found another rank and lost
-    accuracy where singular values crowd the cut."""
-    return sparse_plunge(problem)[problem.Mrows][:, problem.L]
-
-
 def _step1_key(problem: AZProblem, tol):
-    """Everything the wavelet block depends on: the geometry, the index sets
-    and the truncation tolerance."""
-    return (*_geometry_key(problem.bank, problem.grid), _digest(problem.Mrows),
-            _digest(problem.L), float(tol))
+    """Everything the sparse step-1 factor depends on: the geometry, which
+    fixes the scaling block and the reference scale, and the truncation
+    tolerance."""
+    return (*_geometry_key(problem.bank, problem.grid), float(tol))
 
 
 # Sparse step-1 factors by _step1_key, least recently used first.  Bounded
@@ -337,8 +328,8 @@ def clear_caches():
 
 def _step1_factor(problem: AZProblem, tol):
     """(factor, reused, assembly seconds): the sparse QR factor of the
-    wavelet block, from the cache when this geometry was factored before,
-    when no block is assembled."""
+    scaling block, cut against the reference scale, from the cache when
+    this geometry was factored before, when no block is assembled."""
     key = _step1_key(problem, tol)
     with _step1_lock:
         factor = _step1_cache.get(key)
@@ -346,9 +337,9 @@ def _step1_factor(problem: AZProblem, tol):
             _step1_cache.move_to_end(key)
             return factor, True, 0.0
     t0 = time.perf_counter()
-    op = _wavelet_block(problem)
+    op = _scaling_block(problem)
     assembly = time.perf_counter() - t0
-    factor = sparse_qr_factor(op, tol=tol)
+    factor = sparse_qr_factor(op, tol=tol, scale=_reference_scale(problem))
     with _step1_lock:
         _step1_cache[key] = factor
         while sum(f.nbytes for f in _step1_cache.values()) > STEP1_CACHE_BYTES:
@@ -357,12 +348,12 @@ def _step1_factor(problem: AZProblem, tol):
 
 
 def _solve(problem: AZProblem, explicit, tol, seed=None):
-    """Steps 1-3.  With a ``seed``, step 1 runs ``randomized_lowrank_solve``
-    (with the reference scale) on ``_scaling_block`` and x1 = W y, so
-    A x1 = A_hat y, when ``explicit``, else on the matrix-free
-    ``plunge_operator`` and x1 = D y.  With seed None it is the sparse QR of
-    ``_wavelet_block`` and x1 = y on L; that factor depends on the geometry,
-    not on b, so it comes from the step-1 cache when there, as
+    """Steps 1-3.  When ``explicit``, step 1 solves on ``_scaling_block`` and
+    x1 = W y, so A x1 = A_hat y; else on the matrix-free ``plunge_operator``
+    and x1 = D y.  With a ``seed`` the kernel is ``randomized_lowrank_solve``
+    (with the reference scale).  With seed None it is the sparse QR of the
+    scaling block; that factor depends on the geometry, not on b, so it
+    comes from the step-1 cache when there, as
     ``diagnostics["step1_reused"]`` says.  Explicit forms are unweighted."""
     if explicit and problem.weights is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
@@ -373,9 +364,6 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         factor, diag["step1_reused"], times["assembly"] = _step1_factor(
             problem, tol)
         rep = factor.solve(plunge_rhs(problem)[rows])
-        x1 = np.zeros(problem.grid.n_basis)
-        x1[problem.L] = rep.solution
-        Ax1 = problem.A.matvec(x1)
     else:
         op = _scaling_block(problem) if explicit else plunge_operator(problem)
         if explicit:
@@ -383,13 +371,13 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         rep = randomized_lowrank_solve(op, plunge_rhs(problem)[rows], tol=tol,
                                        seed=seed,
                                        scale=_reference_scale(problem))
-        if explicit:
-            y = np.zeros(problem.grid.n_basis)
-            y[problem.K] = rep.solution
-            x1, Ax1 = problem.A.analysis(y), problem.scaling.A_hat @ y
-        else:
-            x1 = _scale_rows(problem.weights, rep.solution)
-            Ax1 = problem.A.matvec(x1)
+    if explicit:
+        y = np.zeros(problem.grid.n_basis)
+        y[problem.K] = rep.solution
+        x1, Ax1 = problem.A.analysis(y), problem.scaling.A_hat @ y
+    else:
+        x1 = _scale_rows(problem.weights, rep.solution)
+        Ax1 = problem.A.matvec(x1)
     return _finish(problem, x1, Ax1, t0, time.perf_counter(), rep, times,
                    diag)
 
@@ -410,8 +398,9 @@ def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
 
 
 def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
-    """Sparse pipeline: rank-revealing sparse QR of the explicit (#Mrows, #L)
-    wavelet plunge block, factored once per geometry."""
+    """Sparse pipeline: rank-revealing banded sparse QR of the explicit
+    (#Mrows, #K) scaling plunge block, factored once per geometry, and
+    x1 = W y."""
     return _solve(problem, True, tol)
 
 
@@ -470,9 +459,9 @@ def _selected_winv_rows(rows, bank, N):
 
 
 def sparse_plunge(problem: AZProblem):
-    """Sparse (I - A Z*) A, assembled as a product with selected W^-1 rows.
-    Its (Mrows, L) block is the step-1 block of ``sparse_az_solve``, and the
-    tests' oracle of the scaling block ``_scaling_block``."""
+    """Sparse (I - A Z*) A, assembled as a product with selected W^-1 rows:
+    the tests' oracle of the scaling block ``_scaling_block`` and of the
+    plunge applies."""
     P_hat = scaling_plunge(problem)
     cols = np.unique(P_hat.nonzero()[1])
     if cols.size == 0:

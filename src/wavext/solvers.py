@@ -5,10 +5,10 @@ numerically significant part of the operator at the given truncation
 tolerance, together with an independently recomputed residual.  The default
 truncation threshold 1e-10 regularizes the frame ill-conditioning.
 
-Both step-1 kernels stop at the numerical rank through one randomized range
-finder, ``_range_basis``: ``randomized_lowrank_solve`` projects onto the
-range it finds, and ``sparse_qr_factor`` takes its column pivots from a
-sketch of the core's row space, then factors only the chosen columns.
+``randomized_lowrank_solve`` stops at the numerical rank through a
+randomized range finder, ``_range_basis``, and projects onto the range it
+finds.  ``sparse_qr_factor`` compresses a banded sparse matrix to a square
+triangular factor by a frontal QR and reveals the rank on that factor.
 ``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
 """
 
@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 DEFAULT_TOL = 1e-10
@@ -26,9 +28,6 @@ N_PROBES = 10
 NOISE_REL = 1e-13
 DENSE_GUARD = 4096
 CORE_ELEMENT_GUARD = 40_000_000
-# Seed of the sketch that picks the sparse QR pivots: a constant, so the
-# factor depends on the matrix only and a cached factor equals a fresh one.
-SKETCH_SEED = 0x5EED
 
 
 class SolverError(ValueError):
@@ -170,13 +169,15 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
                      range_dim=Q.shape[1])
 
 
-def _pivoted_qr(A, tol):
+def _pivoted_qr(A, tol, scale=None):
     """Economic column-pivoted QR of a dense A and its numerical rank r, the
-    number of |R| diagonal entries above tol * |R[0, 0]|."""
+    number of |R| diagonal entries above tol * min(|R[0, 0]|, scale)."""
     Qf, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    r = int(np.sum(diag > tol * diag[0])) if diag.size and diag[0] > 0 else 0
-    return Qf, R, piv, r
+    if not (diag.size and diag[0] > 0):
+        return Qf, R, piv, 0
+    level = tol * (diag[0] if scale is None else min(diag[0], scale))
+    return Qf, R, piv, int(np.sum(diag > level))
 
 
 def pivoted_qr_solve(A, b, tol=DEFAULT_TOL, _guard=True):
@@ -196,22 +197,28 @@ def pivoted_qr_solve(A, b, tol=DEFAULT_TOL, _guard=True):
 
 @dataclass(frozen=True)
 class SparseQRFactor:
-    """Column-pivoted QR of the compacted core of a sparse matrix A, truncated
-    at its numerical rank r.
+    """Rank-revealing QR of the compacted core of a sparse matrix A,
+    truncated at its numerical rank r.
 
-    The core is A[rows][:, cols], the nonzero rows and columns of A; its
-    pivot columns core[:, piv] are Q R, with Q (#rows, r) and R (r, r) upper
-    triangular, up to the truncation.  Only what ``solve`` needs is kept, and
-    A itself for the residual.  ``sketch_dim`` is the number of random
-    sketch rows that chose the pivots, 0 when the whole core was factored."""
+    The core is A[rows][:, cols], the nonzero rows and columns of A in the
+    order they were eliminated in.  Its banded QR is replayed from
+    ``steps``: per step, the range of core rows folded into the front and
+    the reflectors (V, T) that folded them, as LAPACK ``tpqrt`` returns
+    them.  That gives Q_B^T b for the square triangular factor R_B, whose
+    pivot columns R_B[:, piv] are Q R, with Q (#cols, r) and R (r, r) upper
+    triangular, up to the truncation.  Only what ``solve`` needs is kept,
+    and A itself for the residual.  ``front_width`` is the most columns the
+    front held: at most the bandwidth of A^T A in the column order plus one
+    step."""
 
     A: scipy.sparse.csr_matrix
     rows: np.ndarray
     cols: np.ndarray
+    steps: tuple
     Q: np.ndarray
     R: np.ndarray
     piv: np.ndarray
-    sketch_dim: int = 0
+    front_width: int
 
     @property
     def rank(self):
@@ -220,8 +227,28 @@ class SparseQRFactor:
     @property
     def nbytes(self):
         A = self.A
-        return sum(a.nbytes for a in (A.data, A.indices, A.indptr, self.rows,
-                                      self.cols, self.Q, self.R, self.piv))
+        arrays = [A.data, A.indices, A.indptr, self.rows, self.cols, self.Q,
+                  self.R, self.piv]
+        arrays += [a for _, _, V, T in self.steps for a in (V, T)]
+        return sum(a.nbytes for a in arrays)
+
+    def _qtb(self, b):
+        """Q_B^T b on the rows of R_B: the front's reflectors replayed on
+        the core rows of b, BLOCK_SIZE rows of R_B per step."""
+        c = b[self.rows]
+        out = np.empty(self.cols.size)
+        front = np.zeros(0)
+        for j0, (r0, r1, V, T) in zip(range(0, out.size, BLOCK_SIZE),
+                                      self.steps):
+            a = np.zeros((V.shape[1], 1))
+            a[:front.size, 0] = front
+            if r1 > r0:
+                a = scipy.linalg.lapack.dtpmqrt(0, V, T, a, c[r0:r1, None],
+                                                trans="T")[0]
+            k = min(BLOCK_SIZE, out.size - j0)
+            out[j0:j0 + k] = a[:k, 0]
+            front = a[k:, 0]
+        return out
 
     def solve(self, b):
         """Min ||A x - b|| on the numerically significant part of A."""
@@ -229,60 +256,95 @@ class SparseQRFactor:
         b = np.asarray(b, dtype=float)
         x = np.zeros(self.A.shape[1])
         if self.rank:
-            z = scipy.linalg.solve_triangular(self.R, self.Q.T @ b[self.rows])
+            z = scipy.linalg.solve_triangular(self.R, self.Q.T @ self._qtb(b))
             x[self.cols[self.piv]] = z
         return _finalize(lambda v: self.A @ v, x, b, self.rank, t0,
                          core_shape=(self.rows.size, self.cols.size),
-                         nnz=int(self.A.nnz), sketch_dim=self.sketch_dim)
+                         nnz=int(self.A.nnz), front_width=self.front_width)
 
 
-def sparse_qr_factor(A, tol=DEFAULT_TOL):
+def _banded_order(A):
+    """(rows, cols, first, last) of the core of A: its nonzero columns in
+    reverse Cuthill-McKee order of the pattern of A^T A, its nonzero rows
+    sorted by their first column in that order, and each row's first and
+    last column.  A stored zero is no entry, a duplicate pair that cancels
+    is one."""
+    keep = A.data != 0
+    ri = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[keep]
+    rows, ri = np.unique(ri, return_inverse=True)
+    cols, ci = np.unique(A.indices[keep], return_inverse=True)
+    if not ri.size:
+        return rows, cols, ri, ci
+    P = scipy.sparse.csr_matrix((np.ones(ri.size), (ri, ci)),
+                                shape=(rows.size, cols.size))
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee((P.T @ P).tocsr(),
+                                                      symmetric_mode=True)
+    P = P[:, perm].tocsr()
+    first = np.minimum.reduceat(P.indices, P.indptr[:-1])
+    last = np.maximum.reduceat(P.indices, P.indptr[:-1])
+    order = np.argsort(first, kind="stable")
+    return rows[order], cols[perm], first[order], last[order]
+
+
+def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
     """Rank-revealing factorization of a sparse matrix, reusable for any
-    right-hand side.
+    right-hand side, in three steps.
 
-    Exploits sparsity structurally: zero rows and columns are stripped first,
-    then the compacted core is factored by column-pivoted Householder QR and
-    truncated at its numerical rank, the R diagonal entries above
-    tol * |R[0, 0]|.
+    1. Order.  The zero rows and columns are stripped; the columns go in
+       reverse Cuthill-McKee order of the pattern of A^T A, which makes a
+       boundary block banded, and the rows are sorted by their first column.
+    2. Compress.  A frontal QR (George & Heath 1980; Davis, SuiteSparseQR,
+       ACM TOMS 2011) walks the columns BLOCK_SIZE at a time.  Each step
+       folds the rows whose first column lies in the step into a dense
+       upper triangular front by one unpivoted Householder QR (LAPACK
+       ``tpqrt``), moves the front's top BLOCK_SIZE rows into R_B, and keeps
+       the rest as the next front, so it never has more rows than columns.
+       No rank decision is made here: the square R_B has the singular
+       values of A.
+    3. Reveal the rank.  The column-pivoted QR of R_B is truncated at
+       tol * min(|R[0, 0]|, scale).  |R[0, 0]| is the largest column norm of
+       A; ``scale``, the magnitude of an enclosing operator, lowers the cut
+       where A's own norm is inflated.
 
-    A core with more than BLOCK_SIZE rows and columns is not factored whole.
-    Its pivots come from a Gaussian sketch of its row space instead (Duersch
-    & Gu, "Randomized QR with column pivoting", SIAM J. Sci. Comput. 2017;
-    Martinsson et al., "HQRRP", same journal, 2017): ``_range_basis`` grows
-    an orthonormal basis V of the sampled rows core^T G in blocks until its
-    stopping rule finds the rank, the column-pivoted QR of the small V^T
-    (k x #cols) picks k columns, and only core[:, those k columns] gets the
-    pivoted QR and truncation above.  The sketch seed is the constant
-    SKETCH_SEED, so the factor is a function of A and tol alone.
+    The work is O(#rows w^2) for a front width w, and the factor is a
+    function of A, tol and scale alone.
     """
     if not scipy.sparse.issparse(A):
         raise SolverError("sparse_qr_factor expects a sparse matrix")
     A = A.tocsr()
-    nz = A.data != 0    # stored zeros are no entries of the core
-    rows = np.flatnonzero(np.diff(np.cumsum(np.r_[0, nz])[A.indptr]))
-    cols = np.flatnonzero(np.bincount(A.indices[nz], minlength=A.shape[1]))
-    if rows.size * cols.size > CORE_ELEMENT_GUARD:
-        raise SolverError("compacted core too large for a dense factorization")
-    # the core is already structurally reduced, so the memory guard above
-    # replaces the per-dimension guard of the dense baseline
-    core = A[rows][:, cols].toarray()
-    sketch_dim = 0
-    if min(core.shape) > BLOCK_SIZE:
-        # G @ core multiplies the row-major core as stored; core.T @ G.T
-        # took twice as long with one OpenBLAS thread
-        V, sketch_dim, _ = _range_basis(core.T.shape, lambda G: (G @ core).T,
-                                        tol, _rng(SKETCH_SEED))
-        sel = scipy.linalg.qr(V.T, mode="r", pivoting=True)[1][:V.shape[1]]
-        core = core[:, sel]
-    Qf, R, piv, r = _pivoted_qr(core, tol)
-    if sketch_dim:
-        piv = sel[piv]
+    rows, cols, first, last = _banded_order(A)
+    n = cols.size
+    if n * n > CORE_ELEMENT_GUARD:
+        raise SolverError("triangular factor too large for a dense "
+                          "factorization")
+    core = A[rows][:, cols]
+    R_B = np.zeros((n, n))
+    front = np.zeros((0, 0))
+    steps, r0, hi, width = [], 0, 0, 0
+    for j0 in range(0, n, BLOCK_SIZE):
+        j1 = min(j0 + BLOCK_SIZE, n)
+        r1 = int(np.searchsorted(first, j1))
+        hi = max(hi, j1, int(last[r0:r1].max(initial=-1)) + 1)
+        w = hi - j0
+        width = max(width, w)
+        T = np.zeros((w, w))
+        T[:front.shape[0], :front.shape[0]] = front
+        V = Tf = np.zeros((0, w))
+        if r1 > r0:
+            T, V, Tf, _ = scipy.linalg.lapack.dtpqrt(
+                0, min(BLOCK_SIZE, w), T, core[r0:r1, j0:hi].toarray(),
+                overwrite_a=1, overwrite_b=1)
+        R_B[j0:j1, j0:hi] = T[:j1 - j0]
+        front = T[j1 - j0:, j1 - j0:]
+        steps.append((r0, r1, V, Tf))
+        r0 = r1
+    Qf, R, piv, r = _pivoted_qr(R_B, tol, scale)
     # order="K" keeps LAPACK's Fortran layout, so Q.T @ b runs the same BLAS
     # call on the kept columns as on the full factor
-    return SparseQRFactor(A=A, rows=rows, cols=cols,
+    return SparseQRFactor(A=A, rows=rows, cols=cols, steps=tuple(steps),
                           Q=Qf[:, :r].copy(order="K"),
                           R=R[:r, :r].copy(order="K"), piv=piv[:r].copy(),
-                          sketch_dim=sketch_dim)
+                          front_width=width)
 
 
 def sparse_qr_solve(A, b, tol=DEFAULT_TOL):

@@ -15,7 +15,7 @@ import scipy.sparse.linalg
 from wavext import az
 from wavext.dwt import TransformError, dwt, idwt, idwt_column_filters
 from wavext.filters import filter_bank
-from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, DENSE_GUARD, SolverError,
+from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
                             _finalize, pivoted_qr_solve,
                             randomized_lowrank_solve, sparse_qr_factor)
 
@@ -187,44 +187,50 @@ def reference_circulant_factor(base_row, n_basis, q):
     return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(n, n_basis))
 
 
-def sparse_qr_reference(A, b, tol=DEFAULT_TOL):
-    """The full column-pivoted QR of the compacted core of a sparse A, solved
-    for b: the oracle of ``wavext.solvers.sparse_qr_factor``.  Returns
-    (x, rank)."""
+def sparse_qr_reference(A, b, tol=DEFAULT_TOL, scale=None):
+    """The full column-pivoted QR of the compacted core of a sparse A, cut at
+    tol * min(|R[0, 0]|, scale) and solved for b: the oracle of
+    ``wavext.solvers.sparse_qr_factor``.  |R[0, 0]| is the largest column
+    norm of the core.  Returns (x, rank)."""
     A = A.tocsr()
     rows, cols = np.unique(A.nonzero()[0]), np.unique(A.nonzero()[1])
-    rep = pivoted_qr_solve(A[rows][:, cols].toarray(), b[rows], tol=tol,
-                           _guard=False)
+    core = A[rows][:, cols].toarray()
+    if scale is not None and core.size:
+        tol *= min(1.0, scale / np.linalg.norm(core, axis=0).max())
+    rep = pivoted_qr_solve(core, b[rows], tol=tol, _guard=False)
     x = np.zeros(A.shape[1])
     x[cols] = rep.solution
     return x, rep.rank
 
 
-def check_sketched_factor(A, rank_slack=0):
-    """``sparse_qr_factor(A)`` against the full-QRCP oracle on a Gaussian
-    right-hand side: the rank within ``rank_slack`` of the oracle's, the
-    residual within 1 % of it (or of 1e-12 ||b||, the round-off of a right-hand
-    side in the range), and a second cold factor equal in every bit.
-    The pivots move x, so the message reports ||x|| beside the residual.
-    Returns the factor and its report."""
-    factor, again = sparse_qr_factor(A), sparse_qr_factor(A)
+def wavelet_block(problem):
+    """The (Mrows, L) block of the wavelet-domain ``az.sparse_plunge``: the
+    plunge in the wavelet columns, the oracle of the scaling block."""
+    return az.sparse_plunge(problem)[problem.Mrows][:, problem.L]
+
+
+def check_sparse_factor(A, scale=None):
+    """``sparse_qr_factor(A, scale=scale)`` against the full-QRCP oracle at
+    the same cut on a Gaussian right-hand side: the oracle's rank, a
+    residual within 1 % of its (or of 1e-12 ||b||, the round-off of a
+    right-hand side in the range), a front no wider than the core, and a
+    second cold factor equal in every bit.  The message reports ||x||
+    beside the residual.  Returns the factor and its report."""
+    factor = sparse_qr_factor(A, scale=scale)
+    again = sparse_qr_factor(A, scale=scale)
     for name in ("rows", "cols", "Q", "R", "piv"):
         assert np.array_equal(getattr(factor, name),
                               getattr(again, name)), name
-    assert factor.sketch_dim == again.sketch_dim
-    if min(factor.rows.size, factor.cols.size) <= BLOCK_SIZE:
-        assert factor.sketch_dim == 0
-    else:
-        assert factor.sketch_dim >= factor.rank
     b = np.random.default_rng(0).standard_normal(A.shape[0])
-    x, rank = sparse_qr_reference(A, b)
+    x, rank = sparse_qr_reference(A, b, scale=scale)
     rep = factor.solve(b)
     ref = float(np.linalg.norm(A @ x - b))
     msg = (f"rank {rep.rank} vs {rank}, residual {rep.residual:.6e} vs "
            f"{ref:.6e}, ||x|| {rep.solution_norm:.6g} vs "
-           f"{np.linalg.norm(x):.6g}, sketch_dim {factor.sketch_dim}")
-    assert abs(rep.rank - rank) <= rank_slack, msg
+           f"{np.linalg.norm(x):.6g}")
+    assert rep.rank == rank, msg
     floor = 1e-12 * np.linalg.norm(b)
     assert abs(rep.residual - ref) <= 0.01 * ref + floor, msg
-    assert rep.diagnostics["sketch_dim"] == factor.sketch_dim
+    assert rep.diagnostics["front_width"] == factor.front_width
+    assert factor.front_width <= factor.cols.size
     return factor, rep

@@ -16,10 +16,10 @@ from wavext.filters import filter_bank
 from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, randomized_lowrank_solve
 from wavext.system import dense_A
 
-from support import (ALL_FAMILIES, banks, check_sketched_factor, plunge_rank,
+from support import (ALL_FAMILIES, banks, check_sparse_factor, plunge_rank,
                      reference_plunge_apply, reference_plunge_rapply,
                      reference_plunge_rhs, reference_scaling_plunge,
-                     sparse_qr_reference)
+                     sparse_qr_reference, wavelet_block)
 
 
 def exp1d(p):
@@ -281,11 +281,21 @@ def test_range_dim_stops_at_rank(r, n):
         assert sol.warning is None
 
 
-def test_sparse_diagnostics(prob1d):
-    sol = az.sparse_az_solve(prob1d)
-    d = sol.diagnostics
-    assert d["rank"] == sol.plunge_rank
-    assert d["nnz"] > 0 and d["core_shape"][0] * d["core_shape"][1] > 0
+def test_sparse_diagnostics():
+    """sparse reports its rank, the core's shape and nnz, the front width,
+    which never exceeds |K|, and whether the factor was reused, in 1-, 2-
+    and 3-D."""
+    for dim in (1, 2, 3):
+        prob = _block_case(dim)
+        az.clear_caches()
+        for reused in (False, True):
+            sol = az.sparse_az_solve(prob)
+            d = sol.diagnostics
+            assert d["rank"] == sol.plunge_rank > 0
+            assert d["nnz"] > 0 and d["core_shape"][0] * d["core_shape"][1] > 0
+            assert d["core_shape"][1] <= prob.K.size
+            assert 0 < d["front_width"] <= prob.K.size
+            assert d["step1_reused"] is reused
 
 
 @pytest.fixture(scope="module")
@@ -392,10 +402,10 @@ def test_scaling_block_matches_wavelet_block(dim, family, banks):
     the same kernel on the (Mrows, L) wavelet block, x1 = y on L: the
     oracle's rank (within one for db3 and db4, whose minimal duals at q = 2
     put singular values at the cut) and a residual within 10x of the
-    oracle's either way.  sparse solves on the wavelet block itself."""
+    oracle's either way."""
     prob = _block_case(dim, banks[family])
     sol = az.reduced_az_solve(prob, seed=0)
-    ref = randomized_lowrank_solve(az._wavelet_block(prob),
+    ref = randomized_lowrank_solve(wavelet_block(prob),
                                    az.plunge_rhs(prob)[prob.Mrows], seed=0,
                                    scale=az._reference_scale(prob))
     x1 = np.zeros(prob.grid.n_basis)
@@ -408,16 +418,55 @@ def test_scaling_block_matches_wavelet_block(dim, family, banks):
 
 
 def test_reduced_skips_wavelet_block(monkeypatch):
-    """reduced never assembles the wavelet-domain plunge: with sparse_plunge
-    and the selected W^-1 rows made to raise, it still solves."""
+    """reduced and sparse never assemble the wavelet-domain plunge: with
+    sparse_plunge and the selected W^-1 rows made to raise, both solve."""
     def refuse(*args):
         raise AssertionError("wavelet-domain plunge assembled")
 
     monkeypatch.setattr(az, "sparse_plunge", refuse)
     monkeypatch.setattr(az, "sparse_idwt_rows", refuse)
+    az.clear_caches()
     for dim in (1, 2, 3):
-        sol = az.reduced_az_solve(_block_case(dim), seed=0)
-        assert sol.plunge_rank > 0 and np.isfinite(sol.residual)
+        prob = _block_case(dim)
+        for sol in (az.reduced_az_solve(prob, seed=0),
+                    az.sparse_az_solve(prob)):
+            assert sol.plunge_rank > 0 and np.isfinite(sol.residual)
+
+
+# Cases where sparse misses the dense oracle by more than 10x, with the
+# measured ratio of the residuals.  The minimal discrete duals of db3 and db4
+# at q = 2 (ROADMAP item 2) leave the step-1 residual at the truncation
+# level.
+_SPARSE_MISSES_ORACLE = {
+    (1, "db3"): "residual 28.7x the oracle's",
+    (1, "db4"): "residual 432x the oracle's",
+    (2, "db3"): "residual 13.1x the oracle's",
+    (2, "db4"): "residual 123x the oracle's",
+}
+
+
+def _oracle_cases():
+    for dim in (1, 2, 3):
+        for family in ALL_FAMILIES:
+            reason = _SPARSE_MISSES_ORACLE.get((dim, family))
+            marks = [pytest.mark.xfail(strict=True, reason=reason)
+                     ] if reason else []
+            yield pytest.param(dim, family, marks=marks, id=f"{dim}d-{family}")
+
+
+@pytest.mark.parametrize("dim, family", _oracle_cases())
+def test_sparse_matches_dense_oracle(dim, family, banks):
+    """sparse against the dense pivoted-QR solve of the whole system, within
+    10x either way (plus 1e-12, the round-off of a residual at machine
+    precision), for every family in 1-, 2- and 3-D; the 8^3 db4 ball is
+    the case a cut against the block's own norm alone misses (0.37 against
+    0.034)."""
+    prob = _block_case(dim, banks[family])
+    ref = pivoted_qr_solve(dense_A(prob.A), prob.b).residual
+    az.clear_caches()
+    sol = az.sparse_az_solve(prob)
+    assert sol.residual <= 10 * ref + 1e-12, (sol.residual, ref)
+    assert ref <= 10 * sol.residual + 1e-12, (sol.residual, ref)
 
 
 @given(r=st.floats(0.3, 0.42), gap=st.floats(0.0, 0.03),
@@ -595,31 +644,27 @@ def test_sparse_step1_reuse_is_bit_identical(case):
     assert hit.stage_times["assembly"] == 0 < cold2.stage_times["assembly"]
 
 
-@pytest.mark.parametrize("family, n, q, rank_slack, az_factor", [
-    ("cdf33", 32, 2, 0, 1.01), ("cdf33", 64, 2, 0, 1.01),
-    ("db4", 32, 2, 1, 2.0), ("cdf33", 16, 4, 0, 1.01)])
-def test_sketched_step1_matches_full_qrcp(family, n, q, rank_slack, az_factor):
-    """The sparse step-1 factor of a disk core, with pivots from a sketch,
-    against the full pivoted QR of the core: the factor on a Gaussian
-    right-hand side, then the whole pipeline against steps 2-3 of the
-    oracle's step 1.  db4's minimal dual (norm 241) leaves the step-1
-    residual at the truncation level, where the choice of the columns near
-    the cut moves it: 7.4e-5 sketched against 5.7e-5."""
+@pytest.mark.parametrize("family, n, q", [
+    ("cdf33", 32, 2), ("cdf33", 64, 2), ("db4", 32, 2), ("cdf33", 16, 4)])
+def test_sparse_step1_matches_full_qrcp(family, n, q):
+    """The sparse step-1 factor of a disk's scaling block against the full
+    pivoted QR of the block's core at the same cut, tol * min(|R[0, 0]|,
+    reference scale): the factor on a Gaussian right-hand side, then the
+    whole pipeline against steps 2-3 of the oracle's step 1."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank(family),
                            (n, n), (q, q))
-    block = az._wavelet_block(prob)
-    factor, _ = check_sketched_factor(block, rank_slack)
-    assert factor.sketch_dim >= factor.rank > 0
-    y, _ = sparse_qr_reference(block, az.plunge_rhs(prob)[prob.Mrows])
-    x1 = np.zeros(prob.grid.n_basis)
-    x1[prob.L] = y
-    x = x1 + prob.Zstar(prob.b - prob.A.matvec(x1))
-    ref = np.linalg.norm(prob.A.matvec(x) - prob.b)
+    block, scale = az._scaling_block(prob), az._reference_scale(prob)
+    factor, _ = check_sparse_factor(block, scale)
+    assert factor.rank > 0
+    y, _ = sparse_qr_reference(block, az.plunge_rhs(prob)[prob.Mrows],
+                               scale=scale)
+    x1 = _from_scaling_columns(prob, y)
+    ref = _steps23_residual(prob, x1)
     az.clear_caches()
     sol = az.sparse_az_solve(prob)
-    msg = (sol.residual, ref, sol.coefficient_norm, np.linalg.norm(x))
-    assert sol.diagnostics["sketch_dim"] == factor.sketch_dim
-    assert ref / az_factor <= sol.residual <= az_factor * ref, msg
+    msg = (sol.residual, ref, sol.coefficient_norm)
+    assert sol.plunge_rank == factor.rank
+    assert ref / 1.01 <= sol.residual <= 1.01 * ref, msg
 
 
 def test_sparse_step1_key_separates_geometries():

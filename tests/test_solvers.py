@@ -5,12 +5,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.solvers import (BLOCK_SIZE, N_PROBES, SolverError,
-                            pivoted_qr_solve, randomized_lowrank_solve,
-                            sparse_qr_factor, sparse_qr_solve)
+from wavext.solvers import (BLOCK_SIZE, SolverError, pivoted_qr_solve,
+                            randomized_lowrank_solve, sparse_qr_factor,
+                            sparse_qr_solve)
 
-from support import (check_sketched_factor, estimate_rank,
-                     sparse_qr_reference, truncated_svd_solve)
+from support import (check_sparse_factor, estimate_rank, sparse_qr_reference,
+                     truncated_svd_solve)
 
 
 def test_randomized_identity():
@@ -126,9 +126,10 @@ def _sparse_case(kind):
 
 
 def test_sparse_factor_core_ignores_stored_zeros():
-    """The core's rows and columns are those of A.nonzero(): a row and a
-    column that hold stored zeros only are stripped, a duplicate pair that
-    cancels still counts, as in A.nonzero()."""
+    """The core's rows and columns, in the order the factor eliminates
+    them, are those of A.nonzero(): a row and a column that hold stored
+    zeros only are stripped, a duplicate pair that cancels still counts, as
+    in A.nonzero()."""
     S = _sparse_case("full")
     assert S.indptr[4] > S.indptr[3] and 9 in S.indices
     S.data[S.indptr[3]:S.indptr[4]] = 0.0        # row 3: stored zeros only
@@ -138,8 +139,8 @@ def test_sparse_factor_core_ignores_stored_zeros():
          np.concatenate([S.indices, [5, 5]]),
          np.concatenate([S.indptr, [S.nnz + 2]])), shape=(91, 70))
     factor = sparse_qr_factor(A)
-    assert np.array_equal(factor.rows, np.unique(A.nonzero()[0]))
-    assert np.array_equal(factor.cols, np.unique(A.nonzero()[1]))
+    assert np.array_equal(np.sort(factor.rows), np.unique(A.nonzero()[0]))
+    assert np.array_equal(np.sort(factor.cols), np.unique(A.nonzero()[1]))
     assert 3 not in factor.rows and 9 not in factor.cols
     assert 90 in factor.rows and 5 in factor.cols
 
@@ -148,12 +149,12 @@ def test_sparse_factor_core_ignores_stored_zeros():
 def test_sparse_factor_reuse_is_bit_identical(kind):
     """One factor solves any right-hand side with the bits of the one-shot
     sparse QR solve, keeps only its rank-truncated parts, and matches the
-    full pivoted QR of the core in rank and residual (its pivots come from a
-    sketch, so not in bits)."""
+    full pivoted QR of the core in rank and residual (its pivots are those
+    of the triangular factor, so not in bits)."""
     S = _sparse_case(kind)
     factor = sparse_qr_factor(S)
     r = factor.rank
-    assert factor.Q.shape == (factor.rows.size, r)
+    assert factor.Q.shape == (factor.cols.size, r)
     assert factor.R.shape == (r, r) and factor.piv.shape == (r,)
     assert factor.Q.flags.f_contiguous
     assert r == {"full": 69, "rank9": 9, "zero": 0}[kind]
@@ -185,7 +186,7 @@ def _rank37_plus_noise():
     return scipy.sparse.csr_matrix(A + 1e-13 * rng.standard_normal(A.shape))
 
 
-SKETCH_CASES = {
+FACTOR_CASES = {
     "rank0": (lambda: scipy.sparse.csr_matrix((90, 70)), 0),
     "rank1": (lambda: _low_rank_sparse(90, 70, 1, 11), 1),
     "rank16": (lambda: _low_rank_sparse(90, 70, 16, 12), 16),
@@ -196,17 +197,44 @@ SKETCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(SKETCH_CASES))
+@pytest.mark.parametrize("case", list(FACTOR_CASES))
 def test_sketched_factor_matches_full_qrcp(case):
-    """Pivots from the sketch of the row space give the full QRCP's rank and
-    residual, also at ranks that fill whole sketch blocks, at full rank and
-    above a noise floor; the sketch stops within a block and a probe draw
-    of the rank."""
-    make, rank = SKETCH_CASES[case]
-    factor, rep = check_sketched_factor(make())
+    """The banded QR, then the pivoted QR of its triangular factor, give the
+    full QRCP's rank and residual: at ranks that fill whole steps of the
+    front, at full rank, on dense matrices (a front as wide as the core)
+    and above a noise floor.  (The name is that of the sketched pivoting
+    this factor replaced.)"""
+    make, rank = FACTOR_CASES[case]
+    _, rep = check_sparse_factor(make())
     assert rep.rank == rank
-    if factor.sketch_dim:
-        assert factor.sketch_dim <= rank + BLOCK_SIZE + N_PROBES
+
+
+def _banded(m, n, band, seed):
+    """A random (m, n) matrix whose row i holds ``band`` consecutive columns
+    from i (n - band) / (m - 1) on, its rows and columns shuffled and one
+    column scaled by 1e-11: a boundary-like block that reverse
+    Cuthill-McKee makes banded again."""
+    rng = np.random.default_rng(seed)
+    starts = np.arange(m) * (n - band) // (m - 1)
+    rows = np.repeat(np.arange(m), band)
+    cols = (starts[:, None] + np.arange(band)).ravel()
+    A = scipy.sparse.csr_matrix((rng.standard_normal(rows.size), (rows, cols)),
+                                shape=(m, n))
+    A = A[rng.permutation(m)][:, rng.permutation(n)].tolil()
+    A[:, 7] *= 1e-11
+    return A.tocsr()
+
+
+@pytest.mark.parametrize("scale", [None, 1e-3])
+def test_sparse_factor_banded_front(scale):
+    """A shuffled banded matrix: the front stays within the band and a step,
+    well below the core's width, and the factor matches the full QRCP at
+    the cut tol * min(|R[0, 0]|, scale), which a scale below the largest
+    column norm lowers to keep the column scaled by 1e-11."""
+    A = _banded(300, 200, 6, 3)
+    factor, rep = check_sparse_factor(A, scale=scale)
+    assert factor.front_width <= 6 + 2 * BLOCK_SIZE < factor.cols.size
+    assert rep.rank == (200 if scale else 199)
 
 
 def test_dense_guard():
