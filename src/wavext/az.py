@@ -13,16 +13,22 @@ settings of step 1:
   A Z* = A_hat Z_hat* leaves one wavelet transform in each apply;
 * ``reduced_az_solve``: the explicit sparse scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
-  the plunge is this block times W^-1, so x1 = W y (unweighted only);
+  the plunge is this block times W^-1, so x1 = W y (unweighted only).
+  Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides
+  c = Z_hat* b, so its cost follows the boundary, not N;
 * ``sparse_az_solve``: the same block and x1 = W y, rank-revealing banded
   sparse QR kernel (unweighted only).  The factor depends on the geometry
   only, not on f, so it is kept in a bounded least-recently-used cache and
   reused by later problems on the same geometry.
 
+Steps 2-3 of the explicit forms run one wavelet analysis and no synthesis:
+A x = A_hat v for x = W v.
+
 Everything of a problem but b depends on the geometry only: the filter bank,
-N, q and the inside mask.  ``make_problem`` keeps the operators and index
-sets of its last call and reuses them when the next call has the same
-geometry.  ``clear_caches`` drops them and the step-1 factors.
+N, q and the inside mask.  ``make_problem`` keeps the ``Geometry`` (operators
+and index sets) of its last call and reuses it when the next call has the
+same geometry; the geometry also keeps the unweighted reference scale once
+computed.  ``clear_caches`` drops it and the step-1 factors.
 """
 
 import hashlib
@@ -30,7 +36,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse
@@ -44,9 +50,8 @@ from .filters import FilterBank
 # sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
 from .solvers import (DEFAULT_TOL, randomized_lowrank_solve, sparse_qr_factor,
                       sparse_qr_solve)  # noqa: F401
-from .system import (FrameOperator, ScalingMatrices, ZStarOperator,
-                     assemble_scaling, frame_operator_A, frame_operator_Zstar,
-                     rhs)
+from .system import (FrameOperator, assemble_scaling, frame_operator_A,
+                     frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
 # Block applies of the matrix-free plunge operator run in chunks of at most
@@ -64,25 +69,57 @@ class AZError(ValueError):
     pass
 
 
+class Geometry:
+    """The operators and index sets of one geometry (filter bank, N, q and
+    inside mask), shared by every problem on it.  The index arrays are
+    read-only.  ``L`` and ``reference_scale`` are computed on first read;
+    nothing here holds the grid or its mask."""
+
+    def __init__(self, bank: FilterBank, grid: MaskedGrid):
+        self.bank, self.N = bank, grid.N
+        self.scaling = assemble_scaling(bank, grid)
+        self.A = frame_operator_A(self.scaling, bank, grid)
+        self.Zstar = frame_operator_Zstar(self.scaling, bank, grid)
+        self.K, self.kflags = scaling_boundary_set(grid, bank)
+        self.Mrows = plunge_row_set(self.kflags, bank, grid)
+        for a in (self.K, self.kflags, self.Mrows):
+            a.flags.writeable = False
+
+    @cached_property
+    def L(self):
+        """Wavelet-layout indices whose synthesis footprint meets K.  No
+        pipeline reads them; the CLI record and the tests do."""
+        L, _ = wavelet_boundary_set(self.kflags, self.bank, self.N)
+        L.flags.writeable = False
+        return L
+
+    @cached_property
+    def reference_scale(self):
+        """``_reference_scale`` of the unweighted problems on this geometry."""
+        return _frame_norm(self.A)
+
+
 @dataclass(frozen=True)
 class AZProblem:
-    """A fully assembled extension least-squares problem."""
+    """A fully assembled extension least-squares problem: a right-hand side
+    b on a geometry, whose operators and index sets it reads through."""
 
     bank: FilterBank
     grid: MaskedGrid
-    scaling: ScalingMatrices
-    A: FrameOperator
-    Zstar: ZStarOperator
+    geometry: Geometry = field(repr=False)
     b: np.ndarray
-    K: np.ndarray
-    kflags: np.ndarray = field(repr=False)
-    L: np.ndarray = field(repr=False)
-    Mrows: np.ndarray = field(repr=False)
     weights: np.ndarray | None = None
-    # seconds make_problem spent on the operators and index sets; 0.0 when
-    # it reused those of the previous call
+    # seconds make_problem spent on the geometry; 0.0 when it reused that of
+    # the previous call
     geometry_s: float = 0.0
     geometry_reused: bool = False
+
+    scaling = property(lambda self: self.geometry.scaling)
+    A = property(lambda self: self.geometry.A)
+    Zstar = property(lambda self: self.geometry.Zstar)
+    K = property(lambda self: self.geometry.K)
+    L = property(lambda self: self.geometry.L)
+    Mrows = property(lambda self: self.geometry.Mrows)
 
     def __post_init__(self):
         if self.b.size != self.grid.M:
@@ -119,53 +156,38 @@ def _geometry_key(bank: FilterBank, grid: MaskedGrid):
     return (bank.family, masks, grid.N, grid.q, inside.digest())
 
 
-# The operators and index sets of the last make_problem call, by
-# _geometry_key: at most one entry, so a miss frees the previous assembly
-# before it builds the next.  Never the problem, its grid or its mask.
+# The Geometry of the last make_problem call, by _geometry_key: at most one
+# entry, so a miss frees the previous assembly before it builds the next.
 _geometry = {}
 _geometry_lock = threading.Lock()
-
-
-def _assemble_geometry(bank: FilterBank, grid: MaskedGrid):
-    """The AZProblem fields that depend on the geometry only.  The index
-    arrays are read-only, as later problems share them."""
-    scaling = assemble_scaling(bank, grid)
-    K, kflags = scaling_boundary_set(grid, bank)
-    L, _ = wavelet_boundary_set(kflags, bank, grid.N)
-    Mrows = plunge_row_set(kflags, bank, grid)
-    for a in (K, kflags, L, Mrows):
-        a.flags.writeable = False
-    return dict(scaling=scaling, A=frame_operator_A(scaling, bank, grid),
-                Zstar=frame_operator_Zstar(scaling, bank, grid),
-                K=K, kflags=kflags, L=L, Mrows=Mrows)
 
 
 def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
     """Assemble grid, operators, right-hand side and index sets for f on mask.
 
     The grid is sampled and b = f(grid) evaluated on every call.  The
-    operators and index sets of the previous call are reused when its
-    geometry (bank, N, q and inside mask) is the same; ``geometry_reused``
-    and ``geometry_s`` on the problem say which happened.  The problem is
+    geometry (operators and index sets) of the previous call is reused when
+    its bank, N, q and inside mask are the same; ``geometry_reused`` and
+    ``geometry_s`` on the problem say which happened.  The problem is
     unweighted; ``dataclasses.replace(problem, weights=w)`` gives the
     weighted one."""
     grid = masked_grid(mask, N, q)
     key = _geometry_key(bank, grid)
     with _geometry_lock:
-        parts = _geometry.get(key)
-        if parts is None:
+        geometry = _geometry.get(key)
+        if geometry is None:
             _geometry.clear()
-    reused, seconds = parts is not None, 0.0
+    reused, seconds = geometry is not None, 0.0
     if not reused:
         t0 = time.perf_counter()
-        parts = _assemble_geometry(bank, grid)
+        geometry = Geometry(bank, grid)
         seconds = time.perf_counter() - t0
         with _geometry_lock:
             _geometry.clear()
-            _geometry[key] = parts
+            _geometry[key] = geometry
     b = rhs(f, grid) if callable(f) else np.asarray(f, dtype=float)
-    return AZProblem(bank=bank, grid=grid, b=b, geometry_s=seconds,
-                     geometry_reused=reused, **parts)
+    return AZProblem(bank=bank, grid=grid, geometry=geometry, b=b,
+                     geometry_s=seconds, geometry_reused=reused)
 
 
 def _scale_rows(w, x):
@@ -213,21 +235,34 @@ def plunge_operator(problem: AZProblem):
         matmat=_in_blocks(apply, n), rmatmat=_in_blocks(rapply, n))
 
 
-def plunge_rhs(problem: AZProblem):
-    """(I - A Z*) b = b - A_hat (Z_hat* b)."""
+def plunge_rhs(problem: AZProblem, rows=None, c=None):
+    """(I - A Z*) b = b - A_hat c with c = Z_hat* b (computed when not
+    given); on the rows ``rows`` only when given, which reads no row of
+    A_hat or b outside them."""
     S = problem.scaling
-    return problem.b - S.A_hat @ (S.Z_hat.T @ problem.b)
+    if c is None:
+        c = S.Z_hat.T @ problem.b
+    if rows is None:
+        return problem.b - S.A_hat @ c
+    return problem.b[rows] - S.A_hat[rows] @ c
+
+
+def _frame_norm(A: FrameOperator, weights=None):
+    """||A D w|| for a fixed Gaussian w, D = diag(weights) or the identity."""
+    rng = np.random.Generator(np.random.Philox(0x5CA1E))
+    w = rng.standard_normal(A.shape[1])
+    if weights is not None:
+        w = weights * w
+    return float(np.linalg.norm(A.matvec(w)))
 
 
 def _reference_scale(problem: AZProblem):
     """Magnitude of the enclosing frame operator A D, so the low-rank solver
     can truncate the plunge system against ||A D|| rather than against
-    noise."""
-    rng = np.random.Generator(np.random.Philox(0x5CA1E))
-    w = rng.standard_normal(problem.grid.n_basis)
-    if problem.weights is not None:
-        w = problem.weights * w
-    return float(np.linalg.norm(problem.A.matvec(w)))
+    noise.  Unweighted, it depends on the geometry only and is kept there."""
+    if problem.weights is None:
+        return problem.geometry.reference_scale
+    return _frame_norm(problem.A, problem.weights)
 
 
 def scale_levels(N):
@@ -255,13 +290,25 @@ def scale_weights(e, N):
 
 
 def per_scale_norms(x, N, select=None):
-    """l2 norm of the coefficients at each scale (optionally on a sub-mask)."""
+    """l2 norm of the coefficients at each scale (optionally on a sub-mask).
+
+    Scales 0 to l fill the corner block [0, 2^(l+1)) of every axis (see
+    ``scale_levels``), so scale l is that corner less the one of scale
+    l - 1: one box per axis, summed in place, without a label array."""
     x = np.ravel(x)
     if select is not None:
         keep = np.zeros(x.size, dtype=bool)
         keep[np.asarray(select)] = True
         x = np.where(keep, x, 0.0)
-    return np.sqrt(np.bincount(scale_levels(N), weights=x * x))
+    sq, d = (x * x).reshape(N), len(N)
+    norms = []
+    for level in range(max(n.bit_length() for n in N) - 1):
+        lo = [min(2 ** level, n) if level else 0 for n in N]
+        hi = [min(2 ** (level + 1), n) for n in N]
+        norms.append(sum(
+            sq[tuple(slice(lo[i] if i == a else 0, lo[i] if i < a else hi[i])
+                     for i in range(d))].sum() for a in range(d)))
+    return np.sqrt(norms)
 
 
 def extension_index_set(problem: AZProblem):
@@ -276,30 +323,15 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
-def _finish(problem, x1, Ax1, t0, t1, rep, extra_times, extra_diag):
-    """Steps 2-3 from the step-1 solution x1, its image A x1, and the report
-    ``rep`` of the solver that produced it.  The stage times and diagnostics
-    carry the problem's geometry assembly too."""
-    t2 = time.perf_counter()
-    x2 = problem.Zstar(problem.b - Ax1)
-    x = x1 + x2
-    r = float(np.linalg.norm(problem.A.matvec(x) - problem.b))
-    times = {"geometry": problem.geometry_s, "step1": t1 - t0,
-             "step23": time.perf_counter() - t2, **extra_times}
-    return AZSolution(x=x, residual=r,
-                      coefficient_norm=float(np.linalg.norm(x)),
-                      per_scale_norms=per_scale_norms(x, problem.grid.N),
-                      stage_times=times, plunge_rank=rep.rank,
-                      warning=rep.warning,
-                      diagnostics={"rank": rep.rank, **rep.diagnostics,
-                                   "geometry_reused": problem.geometry_reused,
-                                   **extra_diag})
-
-
-def _scaling_block(problem: AZProblem):
-    """The sparse (Mrows, K) block of ``scaling_plunge``: the plunge is
-    P_hat W^-1, and P_hat vanishes outside the columns K."""
-    return scaling_plunge(problem)[problem.Mrows][:, problem.K]
+def _columns(S, cols):
+    """The CSR S[:, cols] for sorted unique cols, its entries in the order
+    of S, without the map over every column of S that scipy's column
+    indexing builds."""
+    pos = np.searchsorted(cols, S.indices)
+    keep = np.append(cols, -1)[pos] == S.indices
+    indptr = np.r_[0, np.cumsum(keep)][S.indptr]
+    return scipy.sparse.csr_matrix((S.data[keep], pos[keep], indptr),
+                                   shape=(S.shape[0], cols.size))
 
 
 def _step1_key(problem: AZProblem, tol):
@@ -337,7 +369,7 @@ def _step1_factor(problem: AZProblem, tol):
             _step1_cache.move_to_end(key)
             return factor, True, 0.0
     t0 = time.perf_counter()
-    op = _scaling_block(problem)
+    op = scaling_plunge(problem)
     assembly = time.perf_counter() - t0
     factor = sparse_qr_factor(op, tol=tol, scale=_reference_scale(problem))
     with _step1_lock:
@@ -348,38 +380,63 @@ def _step1_factor(problem: AZProblem, tol):
 
 
 def _solve(problem: AZProblem, explicit, tol, seed=None):
-    """Steps 1-3.  When ``explicit``, step 1 solves on ``_scaling_block`` and
-    x1 = W y, so A x1 = A_hat y; else on the matrix-free ``plunge_operator``
-    and x1 = D y.  With a ``seed`` the kernel is ``randomized_lowrank_solve``
+    """Steps 1-3 from c = Z_hat* b.
+
+    Step 1 solves the plunge system for y.  When ``explicit`` it solves on
+    the (Mrows, K) block ``scaling_plunge`` and the rows Mrows of the
+    right-hand side b - A_hat c, so besides c it reads boundary-sized data
+    only, and x1 = W y; else on the matrix-free ``plunge_operator``, and
+    x1 = D y.  With a ``seed`` the kernel is ``randomized_lowrank_solve``
     (with the reference scale).  With seed None it is the sparse QR of the
-    scaling block; that factor depends on the geometry, not on b, so it
-    comes from the step-1 cache when there, as
-    ``diagnostics["step1_reused"]`` says.  Explicit forms are unweighted."""
+    block; that factor depends on the geometry, not on b, so it comes from
+    the step-1 cache when there, as ``diagnostics["step1_reused"]`` says.
+    Explicit forms are unweighted.
+
+    Steps 2-3 add x2 = Z* (b - A x1) = W u, u = Z_hat* (b - A x1).  When
+    explicit, A x1 = A_hat y and u = c - Z_hat* (A_hat y), so one analysis
+    gives x = W (y + u), and A x = A_hat (y + u) needs none.  Else A x1 and
+    the residual's A x take a synthesis each, as forming A x from A x1 +
+    A_hat u would change the residual by round-off, which the adaptive
+    pipeline feeds back as weights."""
     if explicit and problem.weights is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
     times, diag = {}, {}
-    rows = problem.Mrows if explicit else slice(None)
+    S = problem.scaling
+    c = S.Z_hat.T @ problem.b
+    b1 = plunge_rhs(problem, problem.Mrows if explicit else None, c)
     if seed is None:
         factor, diag["step1_reused"], times["assembly"] = _step1_factor(
             problem, tol)
-        rep = factor.solve(plunge_rhs(problem)[rows])
+        rep = factor.solve(b1)
     else:
-        op = _scaling_block(problem) if explicit else plunge_operator(problem)
+        ta = time.perf_counter()
+        op = scaling_plunge(problem) if explicit else plunge_operator(problem)
         if explicit:
-            times["assembly"] = time.perf_counter() - t0
-        rep = randomized_lowrank_solve(op, plunge_rhs(problem)[rows], tol=tol,
-                                       seed=seed,
+            times["assembly"] = time.perf_counter() - ta
+        rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
                                        scale=_reference_scale(problem))
+    t1 = time.perf_counter()
     if explicit:
         y = np.zeros(problem.grid.n_basis)
         y[problem.K] = rep.solution
-        x1, Ax1 = problem.A.analysis(y), problem.scaling.A_hat @ y
+        rows = problem.Mrows   # A_hat y lives on them
+        u = y + (c - S.Z_hat[rows].T @ (S.A_hat[rows] @ y))
+        x, Ax = problem.A.analysis(u), S.A_hat @ u
     else:
         x1 = _scale_rows(problem.weights, rep.solution)
-        Ax1 = problem.A.matvec(x1)
-    return _finish(problem, x1, Ax1, t0, time.perf_counter(), rep, times,
-                   diag)
+        x = x1 + problem.Zstar(problem.b - problem.A.matvec(x1))
+        Ax = problem.A.matvec(x)
+    times = {"geometry": problem.geometry_s, "step1": t1 - t0,
+             "step23": time.perf_counter() - t1, **times}
+    return AZSolution(x=x, residual=float(np.linalg.norm(Ax - problem.b)),
+                      coefficient_norm=float(np.linalg.norm(x)),
+                      per_scale_norms=per_scale_norms(x, problem.grid.N),
+                      stage_times=times, plunge_rank=rep.rank,
+                      warning=rep.warning,
+                      diagnostics={"rank": rep.rank, **rep.diagnostics,
+                                   "geometry_reused": problem.geometry_reused,
+                                   **diag})
 
 
 def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
@@ -416,19 +473,24 @@ def _prune(S, scale=0.0):
 
 
 def scaling_plunge(problem: AZProblem):
-    """Sparse A_hat - A_hat Z_hat* A_hat, pruned of cancellation fuzz.
+    """The sparse (Mrows, K) block of A_hat - A_hat Z_hat* A_hat, pruned of
+    cancellation fuzz: the plunge is this block times W^-1.
 
-    Column c vanishes unless phi_c meets both the domain and its complement,
-    that is unless c is in K, so only the columns K are formed, as
-    A_hat[:, K] - A_hat (Z_hat* A_hat[:, K]).  Fuzz is measured against the
-    larger of the cancelled operand A_hat[:, K] and the result, so a plunge
-    that cancels to fuzz everywhere comes out empty.
+    Column c of A_hat - A_hat Z_hat* A_hat vanishes unless phi_c meets both
+    the domain and its complement, that is unless c is in K, and Mrows holds
+    every row that A_hat[:, K] and A_hat Z_hat* A_hat[:, K] reach.  So the
+    block is A_K - A_r (Z_r* A_K) with A_r, Z_r the rows Mrows of A_hat and
+    Z_hat, restricted to the columns A_r touches, and A_K = A_r[:, K]; no
+    other row is read.  Fuzz is measured against the larger of the cancelled
+    operand A_K and the result, so a plunge that cancels to fuzz everywhere
+    comes out empty.
     """
-    Ah, Zh, K = problem.scaling.A_hat, problem.scaling.Z_hat, problem.K
-    AK = Ah[:, K]
-    P = _prune(AK - Ah @ (Zh.T @ AK), np.abs(AK.data).max(initial=0))
-    return scipy.sparse.csr_matrix((P.data, K[P.indices], P.indptr),
-                                   shape=Ah.shape)
+    S, K = problem.scaling, problem.K
+    Ar, Zr = S.A_hat[problem.Mrows], S.Z_hat[problem.Mrows]
+    cols = np.unique(Ar.indices)
+    AK = _columns(Ar, K)
+    P = AK - _columns(Ar, cols) @ (_columns(Zr, cols).T @ AK)
+    return _prune(P, np.abs(AK.data).max(initial=0))
 
 
 def _selected_winv_rows(rows, bank, N):
@@ -459,15 +521,19 @@ def _selected_winv_rows(rows, bank, N):
 
 
 def sparse_plunge(problem: AZProblem):
-    """Sparse (I - A Z*) A, assembled as a product with selected W^-1 rows:
-    the tests' oracle of the scaling block ``_scaling_block`` and of the
-    plunge applies."""
-    P_hat = scaling_plunge(problem)
-    cols = np.unique(P_hat.nonzero()[1])
+    """Sparse (I - A Z*) A, assembled as the product of ``scaling_plunge``
+    with selected W^-1 rows and placed in the rows Mrows: the tests' oracle
+    of that block and of the plunge applies."""
+    B = scaling_plunge(problem)
+    cols = np.unique(B.indices)
     if cols.size == 0:
         return scipy.sparse.csr_matrix(problem.A.shape)
-    R = _selected_winv_rows(cols, problem.bank, problem.grid.N)
-    return _prune(P_hat[:, cols] @ R)
+    P = B[:, cols] @ _selected_winv_rows(problem.K[cols], problem.bank,
+                                         problem.grid.N)
+    indptr = np.zeros(problem.grid.M + 1, dtype=P.indptr.dtype)
+    indptr[problem.Mrows + 1] = np.diff(P.indptr)
+    return _prune(scipy.sparse.csr_matrix(
+        (P.data, P.indices, np.cumsum(indptr)), shape=problem.A.shape))
 
 
 def coarsest_n(bank: FilterBank):

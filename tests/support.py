@@ -151,6 +151,18 @@ def reference_scaling_plunge(problem):
     return az._prune(Ah - Ah @ (Zh.T @ Ah))
 
 
+def reference_per_scale_norms(x, N, select=None):
+    """Per-scale l2 norms from a scale label per coefficient
+    (``wavext.az.scale_levels``) and ``np.bincount``: the oracle of
+    ``wavext.az.per_scale_norms``."""
+    x = np.ravel(x)
+    if select is not None:
+        keep = np.zeros(x.size, dtype=bool)
+        keep[np.asarray(select)] = True
+        x = np.where(keep, x, 0.0)
+    return np.sqrt(np.bincount(az.scale_levels(N), weights=x * x))
+
+
 def reference_plunge_apply(problem, x):
     """(I - A Z*) A x through the wavelet-level operators, idwt -> dwt ->
     idwt: the oracle of ``wavext.az._plunge_apply``."""

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import sys
@@ -6,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +19,10 @@ from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, randomized_lowrank_solv
 from wavext.system import dense_A
 
 from support import (ALL_FAMILIES, banks, check_sparse_factor, plunge_rank,
-                     reference_plunge_apply, reference_plunge_rapply,
-                     reference_plunge_rhs, reference_scaling_plunge,
-                     sparse_qr_reference, wavelet_block)
+                     reference_per_scale_norms, reference_plunge_apply,
+                     reference_plunge_rapply, reference_plunge_rhs,
+                     reference_scaling_plunge, sparse_qr_reference,
+                     wavelet_block)
 
 
 def exp1d(p):
@@ -261,6 +264,54 @@ def test_determinism_full_pipeline(prob1d):
     assert np.array_equal(a.x, b.x)
 
 
+@pytest.mark.parametrize("N", [(2,), (64,), (16, 8), (4, 32), (8, 8, 8),
+                               (2, 16, 4)], ids=str)
+def test_per_scale_norms_match_label_oracle(N):
+    """The corner-block sums equal the label and bincount form to 1e-12
+    relative at every scale, with and without a sub-mask, on coefficients
+    that shrink by 1e-3 per scale, so a scale is never read off as a
+    difference of larger sums."""
+    rng = np.random.default_rng(len(N))
+    n = int(np.prod(N))
+    x = rng.standard_normal(n) * 1e-3 ** az.scale_levels(N)
+    for select in (None, rng.choice(n, n // 3, replace=False)):
+        got = az.per_scale_norms(x, N, select=select)
+        ref = reference_per_scale_norms(x, N, select=select)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref), (got, ref)
+
+
+def test_geometry_computes_L_and_the_scale_once(monkeypatch):
+    """No pipeline reads L, so neither the cold assembly nor any solve
+    computes it; the first read does, once, read-only.  The unweighted
+    reference scale is computed on first use and kept with the geometry;
+    a weighted problem computes its own."""
+    calls, wavelet_set = [], az.wavelet_boundary_set
+
+    def counted(*args):
+        calls.append(args)
+        return wavelet_set(*args)
+
+    monkeypatch.setattr(az, "wavelet_boundary_set", counted)
+    az.clear_caches()
+    prob = _block_case(2)
+    assert "reference_scale" not in vars(prob.geometry)
+    for solve in _PIPELINES.values():
+        solve(prob)
+    az.adaptive_weighted_solve(exp2d, disk(0.5, 0.5, 0.35),
+                               filter_bank("cdf33"), 16, 2, seed=0)
+    assert calls == []
+    L = prob.L
+    assert len(calls) == 1 and prob.L is L and not L.flags.writeable
+    assert np.array_equal(L, wavelet_set(prob.geometry.kflags, prob.bank,
+                                         prob.grid.N)[0])
+    scale = vars(prob.geometry)["reference_scale"]
+    assert scale == az._frame_norm(prob.A) > 0
+    weighted = _weighted(prob)
+    assert az._reference_scale(weighted) == az._frame_norm(
+        prob.A, weighted.weights) != scale
+
+
 def _weighted(prob):
     """prob with per-scale weights halving from the coarsest scale."""
     e = [0.5 ** i for i in range(12)]
@@ -338,7 +389,7 @@ def test_reduced_1d_small_block_is_exact():
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
     sol = az.reduced_az_solve(prob, seed=0)
-    op = az._scaling_block(prob)
+    op = az.scaling_plunge(prob)
     assert op.shape == (prob.Mrows.size, prob.K.size)
     assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
     rep = randomized_lowrank_solve(op, az.plunge_rhs(prob)[prob.Mrows],
@@ -357,14 +408,19 @@ def _from_scaling_columns(prob, y):
     return prob.A.analysis(full)
 
 
+# (f, mask, n) of the small 1-, 2- and 3-D problems, q = 2
+_BLOCK_CASES = {
+    1: (exp1d, interval(0.2, 0.8), 64),
+    2: (exp2d, disk(0.5, 0.5, 0.35), 16),
+    3: (lambda p: np.exp(p[:, 0] * p[:, 1] * p[:, 2]),
+        ball(0.5, 0.5, 0.5, 0.4), 8),
+}
+
+
 def _block_case(dim, bank=None):
+    f, mask, n = _BLOCK_CASES[dim]
     bank = filter_bank("cdf33") if bank is None else bank
-    if dim == 1:
-        return az.make_problem(exp1d, interval(0.2, 0.8), bank, 64, 2)
-    if dim == 2:
-        return az.make_problem(exp2d, disk(0.5, 0.5, 0.35), bank, 16, 2)
-    return az.make_problem(lambda p: np.exp(p[:, 0] * p[:, 1] * p[:, 2]),
-                           ball(0.5, 0.5, 0.5, 0.4), bank, 8, 2)
+    return az.make_problem(f, mask, bank, n, 2)
 
 
 def _steps23_residual(prob, x1):
@@ -545,13 +601,9 @@ def test_plunge_kernels_match_wavelet_level_oracles(dim, weighted):
     assert close(az.plunge_rhs(prob), reference_plunge_rhs(prob))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_plunge_kernels_run_one_transform(dim, monkeypatch):
-    """A plunge apply runs one synthesis (one idwt per axis) and no
-    analysis, its adjoint one dual analysis (one dwt per axis) and no
-    synthesis, the plunge right-hand side no transform: A Z* = A_hat Z_hat*
-    leaves the wavelet transforms out of the plunge."""
-    prob = _block_case(dim)
+def _count_transforms(monkeypatch):
+    """Counts of the dwt and idwt calls of the operators from here on, by
+    name; each transform of a vector or block runs one call per axis."""
     calls = {"dwt": 0, "idwt": 0}
 
     def counted(name):
@@ -564,6 +616,21 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(system, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plunge_kernels_run_one_transform(dim, monkeypatch):
+    """A plunge apply runs one synthesis (one idwt per axis) and no
+    analysis, its adjoint one dual analysis (one dwt per axis) and no
+    synthesis, the plunge right-hand side no transform: A Z* = A_hat Z_hat*
+    leaves the wavelet transforms out of the plunge.  Whole solves on a
+    geometry whose reference scale is kept: reduced and sparse run one
+    analysis and no synthesis, and az, beyond its plunge applies, one
+    analysis (Z*) and two syntheses (A x1 and the residual's A x); keeping
+    the scale takes one synthesis, once."""
+    prob = _block_case(dim)
+    calls = _count_transforms(monkeypatch)
     op = az.plunge_operator(prob)
     m, n = op.shape
     for call, arg, expected in (
@@ -575,6 +642,63 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
         calls.update(dwt=0, idwt=0)
         call(arg)
         assert calls == expected, call
+
+    az.clear_caches()
+    prob = _block_case(dim)
+    calls.update(dwt=0, idwt=0)
+    az.reduced_az_solve(prob, seed=0)
+    assert calls == {"dwt": dim, "idwt": dim}
+    for solve in (lambda: az.reduced_az_solve(prob, seed=0),
+                  lambda: az.sparse_az_solve(prob),
+                  lambda: az.sparse_az_solve(prob)):
+        calls.update(dwt=0, idwt=0)
+        solve()
+        assert calls == {"dwt": dim, "idwt": 0}
+
+    applies = {"_plunge_apply": 0, "_plunge_rapply": 0}
+
+    def counted_apply(name):
+        fn = getattr(az, name)
+
+        def run(*args):
+            applies[name] += 1
+            return fn(*args)
+        return run
+
+    for name in applies:
+        monkeypatch.setattr(az, name, counted_apply(name))
+    calls.update(dwt=0, idwt=0)
+    az.az_solve(prob, seed=0)
+    assert applies["_plunge_apply"] > 0 and applies["_plunge_rapply"] > 0
+    assert calls == {"dwt": dim * (applies["_plunge_rapply"] + 1),
+                     "idwt": dim * (applies["_plunge_apply"] + 2)}, applies
+
+
+_PIPELINES = {
+    "az": lambda prob: az.az_solve(prob, seed=0),
+    "smoothed": lambda prob: az.smoothed_az_solve(_weighted(prob), seed=0),
+    "reduced": lambda prob: az.reduced_az_solve(prob, seed=0),
+    "sparse": az.sparse_az_solve,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reported_residual_is_that_of_x(dim, banks):
+    """reduced and sparse form A x from A_hat without a synthesis; the
+    residual every pipeline reports is still ||A x - b|| of the x it
+    returns, to 1e-12 ||b||, for every family.  adaptive reports that of its
+    last level."""
+    for name, bank in banks.items():
+        prob = _block_case(dim, bank)
+        f, mask, n = _BLOCK_CASES[dim]
+        solves = [(pipeline, prob, solve(prob))
+                  for pipeline, solve in _PIPELINES.items()]
+        solves.append(("adaptive", *az.adaptive_weighted_solve(
+            f, mask, bank, n, 2, seed=0)))
+        for pipeline, prob, sol in solves:
+            r = np.linalg.norm(prob.A.matvec(sol.x) - prob.b)
+            assert abs(sol.residual - r) <= 1e-12 * np.linalg.norm(prob.b), (
+                name, pipeline)
 
 
 def test_weighted_explicit_pipelines_raise():
@@ -591,8 +715,9 @@ def test_weighted_explicit_pipelines_raise():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_scaling_plunge_is_boundary_local(dim, banks):
-    """Forming only the columns K gives the same bits as the global
-    A_hat - A_hat Z_hat* A_hat, for every filter family.  Outside K the
+    """The (Mrows, K) block formed from the rows Mrows alone equals in every
+    bit that block of the global A_hat - A_hat Z_hat* A_hat, for every
+    filter family.  Outside the columns K and outside the rows Mrows the
     global form holds cancellation fuzz only; where the whole plunge is fuzz
     (cdf22 at q = 2 samples the hat function at its knots, so Z_hat
     reproduces it exactly) its relative pruning keeps fuzz in every column,
@@ -606,11 +731,65 @@ def test_scaling_plunge_is_boundary_local(dim, banks):
         outside = np.ones(prob.grid.n_basis, dtype=bool)
         outside[prob.K] = False
         assert np.abs(ref[:, outside].data).max(initial=0) <= fuzz, name
+        off_rows = np.ones(prob.grid.M, dtype=bool)
+        off_rows[prob.Mrows] = False
+        assert np.abs(ref[off_rows].data).max(initial=0) <= fuzz, name
         if np.abs(ref.data).max() <= fuzz:
             assert np.abs(P.data).max(initial=0) <= fuzz, name
             continue
-        assert P.nnz == ref.nnz > 0, name
-        assert (P != ref).nnz == 0, name
+        block = ref[prob.Mrows][:, prob.K]
+        assert P.shape == block.shape == (prob.Mrows.size, prob.K.size)
+        assert P.nnz == block.nnz == ref.nnz > 0, name
+        assert (P != block).nnz == 0, name
+
+
+def _poison_outside_rows(prob):
+    """prob on a copy of its geometry whose A_hat and Z_hat hold NaN in
+    every column of the rows outside Mrows, so that any product reading
+    such a row turns NaN; the rows Mrows keep their entries in order."""
+    off = np.ones(prob.grid.M, dtype=bool)
+    off[prob.Mrows] = False
+    n = prob.grid.n_basis
+    mats = []
+    for S in (prob.scaling.A_hat, prob.scaling.Z_hat):
+        cols, vals = [], []
+        for m, (lo, hi) in enumerate(zip(S.indptr[:-1], S.indptr[1:])):
+            cols.append(np.arange(n) if off[m] else S.indices[lo:hi])
+            vals.append(np.full(n, np.nan) if off[m] else S.data[lo:hi])
+        indptr = np.r_[0, np.cumsum([c.size for c in cols])]
+        mats.append(scipy.sparse.csr_matrix(
+            (np.concatenate(vals), np.concatenate(cols), indptr),
+            shape=S.shape))
+    geometry = copy.copy(prob.geometry)
+    geometry.scaling = system.ScalingMatrices(*mats)
+    return dataclasses.replace(prob, geometry=geometry)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_step1_reads_boundary_rows_only(dim, banks):
+    """The explicit step 1 reads no row of A_hat and Z_hat outside Mrows:
+    with those rows poisoned by NaN, the scaling block and the step-1
+    right-hand side (from the same c = Z_hat* b) come out in the bits of the
+    clean problem, for every family.  The full-row right-hand side shows
+    the poison wherever Mrows leaves a row out, which it does for some
+    family in every dimension."""
+    live = []
+    for name, bank in banks.items():
+        prob = _block_case(dim, bank)
+        poisoned = _poison_outside_rows(prob)
+        c = prob.scaling.Z_hat.T @ prob.b
+        clean, block = az.scaling_plunge(prob), az.scaling_plunge(poisoned)
+        assert block.shape == clean.shape, name
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(block, attr),
+                                  getattr(clean, attr)), (name, attr)
+        b1 = az.plunge_rhs(poisoned, prob.Mrows, c)
+        assert np.array_equal(b1, az.plunge_rhs(prob, prob.Mrows, c)), name
+        assert np.array_equal(b1, az.plunge_rhs(prob)[prob.Mrows]), name
+        if prob.Mrows.size < prob.grid.M:
+            assert np.isnan(az.plunge_rhs(poisoned, c=c)).any(), name
+            live.append(name)
+    assert live
 
 
 def _sparse_geometries():
@@ -653,7 +832,7 @@ def test_sparse_step1_matches_full_qrcp(family, n, q):
     whole pipeline against steps 2-3 of the oracle's step 1."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank(family),
                            (n, n), (q, q))
-    block, scale = az._scaling_block(prob), az._reference_scale(prob)
+    block, scale = az.scaling_plunge(prob), az._reference_scale(prob)
     factor, _ = check_sparse_factor(block, scale)
     assert factor.rank > 0
     y, _ = sparse_qr_reference(block, az.plunge_rhs(prob)[prob.Mrows],
