@@ -15,7 +15,9 @@ settings of step 1:
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only).
   Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides
-  c = Z_hat* b, so its cost follows the boundary, not N;
+  c = Z_hat* b, so its cost follows the boundary, not N.  A block the
+  kernel takes dense anyway (every 1-D block) is formed dense, in the
+  bits of the sparse one (``_dense_scaling_plunge``);
 * ``sparse_az_solve``: the same block and x1 = W y, rank-revealing banded
   sparse QR kernel (unweighted only).  The factor depends on the geometry
   only, not on f, so it is kept in a bounded least-recently-used cache and
@@ -48,8 +50,8 @@ from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
 from .dwt import sparse_idwt_rows
 from .filters import FilterBank
 # sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
-from .solvers import (DEFAULT_TOL, randomized_lowrank_solve, sparse_qr_factor,
-                      sparse_qr_solve)  # noqa: F401
+from .solvers import (BLOCK_SIZE, DEFAULT_TOL, randomized_lowrank_solve,
+                      sparse_qr_factor, sparse_qr_solve)  # noqa: F401
 from .system import (FrameOperator, assemble_scaling, frame_operator_A,
                      frame_operator_Zstar, rhs)
 
@@ -63,6 +65,10 @@ BLOCK_ENTRIES = 2**18
 # of the 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors) does not
 # fit.
 STEP1_CACHE_BYTES = 2**25
+# A scaling block that randomized_lowrank_solve takes dense (at most
+# BLOCK_SIZE rows or columns) is formed dense when the terms of its products
+# take at most this many entries: a 1-D block at any N, no disk's.
+DENSE_BLOCK_ENTRIES = 2**16
 
 
 class AZError(ValueError):
@@ -92,6 +98,13 @@ class Geometry:
         L, _ = wavelet_boundary_set(self.kflags, self.bank, self.N)
         L.flags.writeable = False
         return L
+
+    @cached_property
+    def boundary_rows(self):
+        """The rows Mrows of A_hat and Z_hat: all that step 1 of the explicit
+        pipelines reads of them, and the rows steps 2-3 map y through."""
+        return (_rows(self.scaling.A_hat, self.Mrows),
+                _rows(self.scaling.Z_hat, self.Mrows))
 
     @cached_property
     def reference_scale(self):
@@ -323,6 +336,17 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
+def _rows(S, rows):
+    """The CSR S[rows] for an index array, without the checks of scipy's
+    row indexing."""
+    lo, hi = S.indptr[rows], S.indptr[rows + 1]
+    indptr = np.zeros(rows.size + 1, dtype=S.indptr.dtype)
+    np.cumsum(hi - lo, out=indptr[1:])
+    take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], hi - lo)
+    return scipy.sparse.csr_matrix((S.data[take], S.indices[take], indptr),
+                                   shape=(rows.size, S.shape[1]))
+
+
 def _columns(S, cols):
     """The CSR S[:, cols] for sorted unique cols, its entries in the order
     of S, without the map over every column of S that scipy's column
@@ -404,24 +428,31 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     times, diag = {}, {}
     S = problem.scaling
     c = S.Z_hat.T @ problem.b
-    b1 = plunge_rhs(problem, problem.Mrows if explicit else None, c)
+    if explicit:
+        Ar, Zr = problem.geometry.boundary_rows
+        b1 = problem.b[problem.Mrows] - Ar @ c
+    else:
+        b1 = plunge_rhs(problem, c=c)
     if seed is None:
         factor, diag["step1_reused"], times["assembly"] = _step1_factor(
             problem, tol)
         rep = factor.solve(b1)
     else:
         ta = time.perf_counter()
-        op = scaling_plunge(problem) if explicit else plunge_operator(problem)
         if explicit:
+            op = _dense_scaling_plunge(problem)
+            if op is None:
+                op = scaling_plunge(problem)
             times["assembly"] = time.perf_counter() - ta
+        else:
+            op = plunge_operator(problem)
         rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
                                        scale=_reference_scale(problem))
     t1 = time.perf_counter()
     if explicit:
         y = np.zeros(problem.grid.n_basis)
         y[problem.K] = rep.solution
-        rows = problem.Mrows   # A_hat y lives on them
-        u = y + (c - S.Z_hat[rows].T @ (S.A_hat[rows] @ y))
+        u = y + (c - Zr.T @ (Ar @ y))   # A_hat y lives on the rows Mrows
         x, Ax = problem.A.analysis(u), S.A_hat @ u
     else:
         x1 = _scale_rows(problem.weights, rep.solution)
@@ -485,12 +516,50 @@ def scaling_plunge(problem: AZProblem):
     operand A_K and the result, so a plunge that cancels to fuzz everywhere
     comes out empty.
     """
-    S, K = problem.scaling, problem.K
-    Ar, Zr = S.A_hat[problem.Mrows], S.Z_hat[problem.Mrows]
+    K = problem.K
+    Ar, Zr = problem.geometry.boundary_rows
     cols = np.unique(Ar.indices)
     AK = _columns(Ar, K)
     P = AK - _columns(Ar, cols) @ (_columns(Zr, cols).T @ AK)
     return _prune(P, np.abs(AK.data).max(initial=0))
+
+
+def _dense_columns(S, cols):
+    """S[:, cols] as a dense array, for sorted unique cols."""
+    pos = np.searchsorted(cols, S.indices)
+    keep = np.append(cols, -1)[pos] == S.indices
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    out = np.zeros((S.shape[0], cols.size))
+    out[rows[keep], pos[keep]] = S.data[keep]
+    return out
+
+
+def _dense_scaling_plunge(problem: AZProblem):
+    """``scaling_plunge(problem).toarray()`` in the same bits, formed dense,
+    for a block of at most BLOCK_SIZE rows or columns whose products take
+    at most DENSE_BLOCK_ENTRIES terms; None for any other block.
+
+    The sparse products sum their terms over the shared index in ascending
+    order from zero, skipping zero terms; here every term is formed and a
+    running sum along that index (``np.add.accumulate`` from a zero slab)
+    adds them in the same order, the skipped ones as exact zeros.  The cut
+    is ``_prune``'s."""
+    Ar, Zr = problem.geometry.boundary_rows
+    K = problem.K
+    cols = np.unique(Ar.indices)
+    m, c, k = Ar.shape[0], cols.size, K.size
+    if not 0 < min(m, k) <= BLOCK_SIZE or m * c * k > DENSE_BLOCK_ENTRIES:
+        return None
+    Ac, Zc, AK = (_dense_columns(Ar, cols), _dense_columns(Zr, cols),
+                  _dense_columns(Ar, K))
+    terms = np.zeros((m + 1, c, k))
+    np.multiply(Zc[:, :, None], AK[:, None, :], out=terms[1:])
+    X = np.add.accumulate(terms, axis=0)[-1]            # Z_c* A_K
+    terms = np.zeros((c + 1, m, k))
+    np.multiply(Ac.T[:, :, None], X[:, None, :], out=terms[1:])
+    P = AK - np.add.accumulate(terms, axis=0)[-1]       # A_K - A_c X
+    P[np.abs(P) <= PRUNE_REL * max(np.abs(P).max(), np.abs(AK).max())] = 0.0
+    return P
 
 
 def _selected_winv_rows(rows, bank, N):

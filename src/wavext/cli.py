@@ -265,21 +265,31 @@ def cmd_convergence(cfg: RunConfig, n_list):
     return 0
 
 
+# Stage times that `timing` reports beside the wall time: problem assembly,
+# step 1 and steps 2-3 (``AZSolution.stage_times``; NaN for a pipeline
+# without the stage, such as qr).
+TIMING_STAGES = ("geometry", "step1", "step23")
+
+
 def cmd_timing(cfg: RunConfig, n_list, repetitions):
-    """Median wall time of a solve from scratch at each N: the geometry and
-    sparse step-1 caches are cleared before every repetition."""
+    """Median wall time of a solve from scratch at each N, and the median
+    seconds of each of TIMING_STAGES: the geometry and sparse step-1 caches
+    are cleared before every repetition."""
     if repetitions < 3:
         raise ConfigError("timing requires at least 3 repetitions")
     rows = []
     for n in n_list:
-        times = []
+        times, stages = [], []
         for _ in range(repetitions):
             az_mod.clear_caches()
             t0 = time.perf_counter()
-            run_one(cfg, N=(n,))
+            _, sol = run_one(cfg, N=(n,))
             times.append(time.perf_counter() - t0)
-        rows.append([n, float(np.median(times))])
-    header = ["N", "median_seconds"]
+            stages.append([sol.stage_times.get(k, np.nan)
+                           for k in TIMING_STAGES])
+        rows.append([n, float(np.median(times)),
+                     *(float(t) for t in np.median(stages, axis=0))])
+    header = ["N", "median_seconds", *TIMING_STAGES]
     slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     if slope is not None:
         rows.append(["slope", slope])

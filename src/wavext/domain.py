@@ -140,6 +140,21 @@ def _support_offsets(bank: FilterBank, grid: MaskedGrid):
     return outs
 
 
+def _any_roll(a, shifts, axis):
+    """OR over s in shifts of np.roll(a, s, axis), from slices of one
+    periodically extended copy of a."""
+    shifts = [int(s) for s in shifts]
+    if not shifts:
+        return np.zeros_like(a)
+    hi, n = max(shifts), a.shape[axis]
+    ext = np.take(a, np.arange(-hi, n - min(shifts)), axis=axis, mode="wrap")
+    ext = np.moveaxis(ext, axis, -1)
+    out = np.zeros_like(ext[..., :n])
+    for s in shifts:
+        out |= ext[..., hi - s: hi - s + n]
+    return np.moveaxis(out, -1, axis)
+
+
 def _separable_any(flags, offsets_per_dim, steps):
     """any over the product support: OR of rolls per axis, then subsample.
 
@@ -148,10 +163,7 @@ def _separable_any(flags, offsets_per_dim, steps):
     """
     acc = flags
     for ax, offs in enumerate(offsets_per_dim):
-        nxt = np.zeros_like(acc)
-        for o in offs:
-            nxt |= np.roll(acc, -int(o), axis=ax)
-        acc = nxt
+        acc = _any_roll(acc, -np.asarray(offs), ax)
     slices = tuple(slice(0, None, s) for s in steps)
     return acc[slices]
 
@@ -216,24 +228,15 @@ def plunge_row_set(kflags, bank: FilterBank, grid: MaskedGrid):
         # [i q + dsup] meets [l q + bsup]  <=>  delta*q in bsup - dsup range
         lo = int(np.ceil((bsup[0] - dsup[-1]) / q))
         hi = int(np.floor((bsup[-1] - dsup[0]) / q))
-        acc = np.zeros_like(i1)
-        cur = np.moveaxis(i1, ax, -1)
-        accv = np.moveaxis(acc, ax, -1)
-        for delta in range(lo, hi + 1):
-            accv |= np.roll(cur, delta, axis=-1)
-        i1 = np.moveaxis(accv, -1, ax) | flags
+        i1 = _any_roll(i1, range(lo, hi + 1), ax) | flags
     # step 2: dilate I1 into the sampling grid through the primal supports
     gflags = i1
     for ax, (n, q) in enumerate(zip(grid.N, grid.q)):
         b, _ = dual_pair(bank, q)
         bsup = b.offset + np.nonzero(b.b)[0]
         cur = np.moveaxis(gflags, ax, -1)
-        g = n * q
-        up = np.zeros(cur.shape[:-1] + (g,), dtype=bool)
+        up = np.zeros(cur.shape[:-1] + (n * q,), dtype=bool)
         up[..., ::q] = cur
-        out = np.zeros_like(up)
-        for o in bsup:
-            out |= np.roll(up, int(o), axis=-1)
-        gflags = np.moveaxis(out, -1, ax)
+        gflags = np.moveaxis(_any_roll(up, bsup, -1), -1, ax)
     linear = np.flatnonzero(gflags.ravel() & grid.inside_bool.ravel())
     return np.searchsorted(grid.inside, linear)

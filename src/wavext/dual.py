@@ -177,6 +177,21 @@ def dual_pair(bank: FilterBank, q: int):
     return _cached_pair(bank.family, q)
 
 
+def dual_taps(d: DiscreteDual, N: int, q: int):
+    """The periodized dual of ``periodize_dual`` as (offset, values): its
+    entry at (offset + i) mod N q is values[i], zero elsewhere."""
+    if d.b_dual.size > N * q:
+        raise DualError(f"dual support {d.b_dual.size} exceeds grid length {N * q}")
+    return d.offset, d.b_dual / np.sqrt(N)
+
+
+def primal_taps(b: SampledScaling, N: int):
+    """The periodized primal of ``periodize_primal`` as (offset, values)."""
+    if b.b.size > N * b.q:
+        raise DualError(f"primal support {b.b.size} exceeds grid length {N * b.q}")
+    return b.offset, b.b * np.sqrt(N)
+
+
 def periodize_dual(d: DiscreteDual, N: int, q: int):
     """Grid representation of the periodized dual, rows shifted by kq.
 

@@ -80,13 +80,14 @@ def _synthesis_step(v, w, h: Mask, g: Mask):
     """
     half = v.shape[-1]
     out = np.zeros(v.shape[:-1] + (2 * half,), dtype=np.result_type(v, w))
+    parity = [out[..., 0::2], out[..., 1::2]]
     for mask, coarse in ((h, v), (g, w)):
         first, last = mask.support
         lo = max(0, last // 2)     # t // 2 = (t - p) / 2 for the parity p
         cp = _wrap_pad(coarse, lo, max(0, -(first // 2)))
         for t, c in enumerate(mask.taps.tolist(), first):
             s = lo - t // 2
-            out[..., t % 2::2] += c * cp[..., s: s + half]
+            parity[t % 2] += c * cp[..., s: s + half]
     return out
 
 

@@ -13,6 +13,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from wavext import az
+from wavext.dual import dual_pair, periodize_dual, periodize_primal
 from wavext.dwt import TransformError, dwt, idwt, idwt_column_filters
 from wavext.filters import filter_bank
 from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
@@ -189,14 +190,29 @@ def reference_plunge_rhs(problem):
 
 
 def reference_circulant_factor(base_row, n_basis, q):
-    """The circulant factor assembled from COO triplets: the oracle of
-    ``wavext.system._circulant_factor``."""
+    """The (n q, n) circulant whose column k is base_row rolled by k q,
+    assembled from COO triplets."""
     n = base_row.size
     nz = np.flatnonzero(base_row)
     rows = ((nz[None, :] + q * np.arange(n_basis)[:, None]) % n).ravel()
     cols = np.repeat(np.arange(n_basis), nz.size)
     data = np.tile(base_row[nz], n_basis)
     return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(n, n_basis))
+
+
+def reference_assemble_scaling(bank, grid):
+    """A_hat and Z_hat as the Kronecker product of full-box per-axis
+    circulants (``reference_circulant_factor`` of the periodized primal and
+    dual), converted to CSR and restricted to the rows ``grid.inside``: the
+    oracle of ``wavext.system.assemble_scaling``.  Returns (A_hat, Z_hat)."""
+    A = Z = None
+    for n, q in zip(grid.N, grid.q):
+        b, d = dual_pair(bank, q)
+        fa = reference_circulant_factor(periodize_primal(b, n), n, q)
+        fz = reference_circulant_factor(periodize_dual(d, n, q), n, q)
+        A = fa if A is None else scipy.sparse.kron(A, fa, format="csr")
+        Z = fz if Z is None else scipy.sparse.kron(Z, fz, format="csr")
+    return A.tocsr()[grid.inside], Z.tocsr()[grid.inside]
 
 
 def sparse_qr_reference(A, b, tol=DEFAULT_TOL, scale=None):

@@ -743,6 +743,31 @@ def test_scaling_plunge_is_boundary_local(dim, banks):
         assert (P != block).nnz == 0, name
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
+    """Where ``reduced`` forms the scaling block dense (at most BLOCK_SIZE
+    rows or columns, few product terms: every 1-D block), it equals the
+    sparse ``scaling_plunge`` in every bit, signed zeros included, for every
+    family, also at the box edge and at 2^12; the disk and ball blocks stay
+    sparse."""
+    cases = {1: [(interval(0.2, 0.8), 64), (interval(0.0, 0.5), 256),
+                 (interval(0.13, 0.71), 4096)],
+             2: [(disk(0.5, 0.5, 0.35), 16)],
+             3: [(ball(0.5, 0.5, 0.5, 0.4), 8)]}[dim]
+    for name, bank in banks.items():
+        for mask, n in cases:
+            prob = az.make_problem(exp1d if dim == 1 else
+                                   (lambda p: np.ones(p.shape[0])),
+                                   mask, bank, n, 2)
+            dense = az._dense_scaling_plunge(prob)
+            if dim > 1:
+                assert dense is None, name
+                continue
+            ref = az.scaling_plunge(prob).toarray()
+            assert dense.view(np.int64).tolist() == \
+                ref.view(np.int64).tolist(), (name, n)
+
+
 def _poison_outside_rows(prob):
     """prob on a copy of its geometry whose A_hat and Z_hat hold NaN in
     every column of the rows outside Mrows, so that any product reading
@@ -762,6 +787,8 @@ def _poison_outside_rows(prob):
             shape=S.shape))
     geometry = copy.copy(prob.geometry)
     geometry.scaling = system.ScalingMatrices(*mats)
+    # the rows Mrows of the clean matrices, if computed before the copy
+    geometry.__dict__.pop("boundary_rows", None)
     return dataclasses.replace(prob, geometry=geometry)
 
 
@@ -783,6 +810,9 @@ def test_step1_reads_boundary_rows_only(dim, banks):
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, attr),
                                   getattr(clean, attr)), (name, attr)
+        dense = az._dense_scaling_plunge(poisoned)
+        if dense is not None:
+            assert np.array_equal(dense, az._dense_scaling_plunge(prob)), name
         b1 = az.plunge_rhs(poisoned, prob.Mrows, c)
         assert np.array_equal(b1, az.plunge_rhs(prob, prob.Mrows, c)), name
         assert np.array_equal(b1, az.plunge_rhs(prob)[prob.Mrows]), name

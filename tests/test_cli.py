@@ -249,6 +249,27 @@ def test_timing_solves_from_scratch(tmp_path, monkeypatch):
     assert [s.diagnostics["geometry_reused"] for s in solves] == [False] * 6
 
 
+@pytest.mark.parametrize("solver", ["reduced", "sparse", "az", "adaptive",
+                                    "qr"])
+def test_timing_reports_stage_medians(tmp_path, solver):
+    """Beside the wall time, timing reports the median seconds of the
+    assembly, step 1 and steps 2-3; the caches are cleared before every
+    repetition, so every row assembles (geometry > 0).  qr has no steps."""
+    out = tmp_path / "t.csv"
+    assert run(["timing", *BASE, "--solver", solver, "--N-sweep", "64,128",
+                "--repetitions", "3", "--output", str(out)]) == 0
+    header, *rows = _read_csv(out)
+    assert header == ["N", "median_seconds", "geometry", "step1", "step23"]
+    rows = [[float(v) for v in r] for r in rows if r[0] != "slope"]
+    assert [r[0] for r in rows] == [64, 128]
+    for n, wall, geometry, step1, step23 in rows:
+        assert 0 < geometry < wall, (n, solver)
+        if solver == "qr":
+            assert np.isnan(step1) and np.isnan(step23), n
+        else:
+            assert 0 < step1 < wall and 0 < step23 < wall, (n, solver)
+
+
 def test_timing_too_few_repetitions(capsys):
     assert run(["timing", *BASE, "--N-sweep", "64,128",
                 "--repetitions", "1"]) == 2
