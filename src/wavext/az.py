@@ -396,6 +396,8 @@ def _step1_factor(problem: AZProblem, tol):
     op = scaling_plunge(problem)
     assembly = time.perf_counter() - t0
     factor = sparse_qr_factor(op, tol=tol, scale=_reference_scale(problem))
+    if factor.nbytes > STEP1_CACHE_BYTES:   # would evict every entry, then itself
+        return factor, False, assembly
     with _step1_lock:
         _step1_cache[key] = factor
         while sum(f.nbytes for f in _step1_cache.values()) > STEP1_CACHE_BYTES:

@@ -28,7 +28,7 @@ from .dwt import operator_norms
 from .filters import FilterError, filter_bank, validate
 from .system import dense_A
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -75,6 +75,8 @@ class RunRecord:
     plunge_rank: int
     index_sizes: dict
     stage_times: dict
+    warning: str | None
+    diagnostics: dict
     timestamp: str = field(
         default_factory=lambda: datetime.datetime.now(
             datetime.timezone.utc).isoformat())
@@ -87,8 +89,21 @@ def serialize_record(rec: RunRecord) -> str:
 def parse_record(text: str) -> RunRecord:
     d = json.loads(text)
     if d.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported record schema {d.get('schema_version')}")
+        raise ConfigError(f"unsupported record schema version "
+                          f"{d.get('schema_version')!r}; this wavext reads "
+                          f"version {SCHEMA_VERSION}")
     return RunRecord(**d)
+
+
+def _json_safe(v):
+    """v with tuples and arrays as lists and numpy scalars as Python ones."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_json_safe(x) for x in v]
+    if isinstance(v, np.generic):
+        return v.item()
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +232,8 @@ def record_for(cfg, problem, sol) -> RunRecord:
         index_sizes={"K": int(problem.K.size), "L": int(problem.L.size),
                      "Mrows": int(problem.Mrows.size)},
         stage_times={k: float(v) for k, v in sol.stage_times.items()},
+        warning=sol.warning,
+        diagnostics=_json_safe(sol.diagnostics),
     )
 
 

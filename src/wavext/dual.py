@@ -178,42 +178,17 @@ def dual_pair(bank: FilterBank, q: int):
 
 
 def dual_taps(d: DiscreteDual, N: int, q: int):
-    """The periodized dual of ``periodize_dual`` as (offset, values): its
-    entry at (offset + i) mod N q is values[i], zero elsewhere."""
+    """The dual periodized on a grid of N q points, N^{-1/2} sum_l
+    bt_{m - N q l}, as (offset, values): its entry at (offset + i) mod N q is
+    values[i], zero elsewhere."""
     if d.b_dual.size > N * q:
         raise DualError(f"dual support {d.b_dual.size} exceeds grid length {N * q}")
     return d.offset, d.b_dual / np.sqrt(N)
 
 
 def primal_taps(b: SampledScaling, N: int):
-    """The periodized primal of ``periodize_primal`` as (offset, values)."""
+    """The primal periodized on a grid of N q points and scaled by sqrt(N),
+    as (offset, values) in the layout of ``dual_taps``."""
     if b.b.size > N * b.q:
         raise DualError(f"primal support {b.b.size} exceeds grid length {N * b.q}")
     return b.offset, b.b * np.sqrt(N)
-
-
-def periodize_dual(d: DiscreteDual, N: int, q: int):
-    """Grid representation of the periodized dual, rows shifted by kq.
-
-    Returns the length-Nq base row r with r[m] = N^{-1/2} sum_l bt_{m - Nq l};
-    row k of the dual synthesis table is np.roll(r, k*q).
-    """
-    if d.b_dual.size > N * q:
-        raise DualError(f"dual support {d.b_dual.size} exceeds grid length {N * q}")
-    n = N * q
-    row = np.zeros(n)
-    idx = (d.offset + np.arange(d.b_dual.size)) % n
-    np.add.at(row, idx, d.b_dual)
-    return row / np.sqrt(N)
-
-
-def periodize_primal(b: SampledScaling, N: int):
-    """Length-Nq base row of the periodized primal, scaled by sqrt(N)."""
-    q = b.q
-    n = N * q
-    if b.b.size > n:
-        raise DualError(f"primal support {b.b.size} exceeds grid length {n}")
-    row = np.zeros(n)
-    idx = (b.offset + np.arange(b.b.size)) % n
-    np.add.at(row, idx, b.b)
-    return row * np.sqrt(N)

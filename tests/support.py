@@ -13,7 +13,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from wavext import az
-from wavext.dual import dual_pair, periodize_dual, periodize_primal
+from wavext.dual import DualError, dual_pair
 from wavext.dwt import TransformError, dwt, idwt, idwt_column_filters
 from wavext.filters import filter_bank
 from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
@@ -198,6 +198,35 @@ def reference_circulant_factor(base_row, n_basis, q):
     cols = np.repeat(np.arange(n_basis), nz.size)
     data = np.tile(base_row[nz], n_basis)
     return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(n, n_basis))
+
+
+def periodize_dual(d, N, q):
+    """Grid representation of the periodized dual, rows shifted by kq: the
+    oracle of ``wavext.dual.dual_taps``.
+
+    Returns the length-Nq base row r with r[m] = N^{-1/2} sum_l bt_{m - Nq l};
+    row k of the dual synthesis table is np.roll(r, k*q).
+    """
+    if d.b_dual.size > N * q:
+        raise DualError(f"dual support {d.b_dual.size} exceeds grid length {N * q}")
+    n = N * q
+    row = np.zeros(n)
+    idx = (d.offset + np.arange(d.b_dual.size)) % n
+    np.add.at(row, idx, d.b_dual)
+    return row / np.sqrt(N)
+
+
+def periodize_primal(b, N):
+    """Length-Nq base row of the periodized primal, scaled by sqrt(N): the
+    oracle of ``wavext.dual.primal_taps``."""
+    q = b.q
+    n = N * q
+    if b.b.size > n:
+        raise DualError(f"primal support {b.b.size} exceeds grid length {n}")
+    row = np.zeros(n)
+    idx = (b.offset + np.arange(b.b.size)) % n
+    np.add.at(row, idx, b.b)
+    return row * np.sqrt(N)
 
 
 def reference_assemble_scaling(bank, grid):

@@ -13,15 +13,14 @@ import numpy as np
 
 from wavext import az
 from wavext.domain import disk, interval
-from wavext.dual import dual_pair, pairing_residual, periodize_dual, \
-    periodize_primal
+from wavext.dual import dual_pair, pairing_residual
 from wavext.dwt import TransformPlan, dwt, idwt
 from wavext.filters import filter_bank, validate
 from wavext.solvers import pivoted_qr_solve, randomized_lowrank_solve
 from wavext.system import dense_A
 
-from support import (ALL_FAMILIES, DUAL_COMBOS, dense_matrix, plunge_rank,
-                     truncated_svd_solve)
+from support import (ALL_FAMILIES, DUAL_COMBOS, dense_matrix, periodize_dual,
+                     periodize_primal, plunge_rank, truncated_svd_solve)
 
 
 def exp1d(p):

@@ -917,6 +917,26 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
     az.clear_caches()
 
 
+def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
+    """A factor larger than the whole budget is returned uncached, and the
+    factors cached before it survive."""
+    bank = filter_bank("cdf33")
+    small = az.make_problem(exp1d, interval(0.1, 0.7), bank, 512, 2)
+    big = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), bank, (32, 32), (2, 2))
+    az.clear_caches()
+    az.sparse_az_solve(small)
+    kept = list(az._step1_cache.items())
+    budget = sum(f.nbytes for _, f in kept)
+    monkeypatch.setattr(az, "STEP1_CACHE_BYTES", budget)
+    factor, reused, _ = az._step1_factor(big, 1e-10)
+    assert factor.nbytes > budget and not reused
+    assert list(az._step1_cache.items()) == kept
+    assert not az.sparse_az_solve(big).diagnostics["step1_reused"]
+    assert list(az._step1_cache.items()) == kept
+    assert az.sparse_az_solve(small).diagnostics["step1_reused"]
+    az.clear_caches()
+
+
 def test_sparse_step1_cache_holds_no_problem():
     """The cache keeps boundary-sized factors only: the problem and its grid
     are freed after the solve, and its scaling matrices once the geometry

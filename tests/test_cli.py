@@ -15,13 +15,33 @@ def run(args, **kw):
 # records
 
 def test_record_roundtrip():
-    cfg = cli.RunConfig(command="approximate", N=(64,)).validate()
-    problem, sol = cli.run_one(cfg)
-    rec = cli.record_for(cfg, problem, sol)
-    back = cli.parse_record(cli.serialize_record(rec))
-    assert back.residual == rec.residual
-    assert back.per_scale_norms == rec.per_scale_norms
-    assert back.index_sizes == rec.index_sizes
+    """Every pipeline's record, warning and diagnostics included, survives
+    JSON unchanged: tuples and numpy scalars are stored as lists and
+    Python numbers."""
+    for solver in sorted(cli.SOLVERS) + ["adaptive"]:
+        cfg = cli.RunConfig(command="approximate", N=(64,),
+                            solver=solver).validate()
+        problem, sol = cli.run_one(cfg)
+        rec = cli.record_for(cfg, problem, sol)
+        assert cli.parse_record(cli.serialize_record(rec)) == rec, solver
+        assert rec.schema_version == 2 and rec.warning == sol.warning
+        assert rec.diagnostics.keys() == sol.diagnostics.keys()
+        assert rec.diagnostics["geometry_reused"] is \
+            sol.diagnostics["geometry_reused"]
+        if solver == "sparse":
+            assert rec.diagnostics["core_shape"] == \
+                list(sol.diagnostics["core_shape"])
+        if solver == "adaptive":
+            assert all(type(v) is float
+                       for v in rec.diagnostics["weight_history"])
+
+
+def test_record_diagnostics_json_safe():
+    safe = cli._json_safe({"shape": (np.int64(3), 4), "s": np.float64(0.5),
+                           "ok": np.bool_(True), "h": np.arange(2.0)})
+    assert safe == {"shape": [3, 4], "s": 0.5, "ok": True, "h": [0.0, 1.0]}
+    assert type(safe["shape"][0]) is int and type(safe["ok"]) is bool
+    assert json.loads(json.dumps(safe)) == safe
 
 
 def test_adaptive_reuses_the_ladder_problem(monkeypatch):
@@ -49,6 +69,8 @@ def test_adaptive_reuses_the_ladder_problem(monkeypatch):
 def test_record_schema_rejected():
     with pytest.raises(cli.ConfigError):
         cli.parse_record(json.dumps({"schema_version": 99}))
+    with pytest.raises(cli.ConfigError, match="version 1;"):
+        cli.parse_record(json.dumps({"schema_version": 1}))
 
 
 # ---------------------------------------------------------------------------

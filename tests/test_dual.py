@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from wavext.cascade import scaling_at_dyadic
 from wavext.dual import (DualError, dual_pair, least_norm_dual, minimal_dual,
-                         pairing_residual, periodize_dual, periodize_primal,
-                         sample_primal)
+                         pairing_residual, sample_primal)
 from wavext.filters import filter_bank
 
-from support import DUAL_COMBOS
+from support import DUAL_COMBOS, periodize_dual, periodize_primal
 
 
 def test_haar_samples_and_dual():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,24 +231,28 @@ def _with_reference_kernel(monkeypatch, fn):
 
 @pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6, 12])
 def test_kernel_matches_modular_oracle(banks, J, monkeypatch):
-    """Bit-identical to per-tap index arithmetic modulo n, also where the
-    taps wrap more than once, on both sides and with leading batch axes."""
+    """The step cascade is bit-identical to per-tap index arithmetic modulo
+    n, also where the taps wrap more than once, on both sides and with
+    leading batch axes.  It is called directly: dwt and idwt take the dense
+    path up to DENSE_MAX_N points."""
     rng = np.random.default_rng(J)
     for name, bank in banks.items():
         for side in ("primal", "dual"):
             plan = TransformPlan(bank, J, side)
             for shape in ((2**J,), (2, 3, 2**J)):
                 v = rng.standard_normal(shape)
-                for fn in (dwt, idwt):
+                for steps in ("_dwt_steps", "_idwt_steps"):
                     fast, ref = _with_reference_kernel(
-                        monkeypatch, lambda: fn(v, plan))
-                    assert np.array_equal(fast, ref), (name, side, shape, fn)
+                        monkeypatch, lambda: getattr(dwt_mod, steps)(v, plan))
+                    assert np.array_equal(fast, ref), (name, side, shape, steps)
 
 
 @pytest.mark.parametrize("N", [(8, 16), (4, 8, 4)])
 def test_kernel_matches_oracle_trailing_batch(banks, N, monkeypatch):
     """The same through FrameOperator block applies, whose transforms run
-    on moved axes with the block's columns as a trailing batch axis."""
+    on moved axes with the block's columns as a trailing batch axis; the
+    dense path is off, so every transform runs the step cascade."""
+    monkeypatch.setattr(dwt_mod, "DENSE_MAX_N", 0)
     n = int(np.prod(N))
     rng = np.random.default_rng(len(N))
     X = rng.standard_normal((n, 3))
@@ -256,3 +262,45 @@ def test_kernel_matches_oracle_trailing_batch(banks, N, monkeypatch):
         for fn in (op.matmat, op.rmatmat):
             fast, ref = _with_reference_kernel(monkeypatch, lambda: fn(X))
             assert np.array_equal(fast, ref), (name, N, fn)
+
+
+@pytest.mark.parametrize("J", [1, 3, 6, 7])
+def test_dense_path_matches_steps(banks, J):
+    """Up to DENSE_MAX_N = 64 points dwt and idwt are one product with the
+    cached dense matrix and agree with the step cascade to round-off;
+    longer transforms are the step cascade, bit for bit."""
+    dense = 2**J <= dwt_mod.DENSE_MAX_N
+    rng = np.random.default_rng(J)
+    for name, bank in banks.items():
+        for side in ("primal", "dual"):
+            plan = TransformPlan(bank, J, side)
+            v = rng.standard_normal((2, 3, 2**J))
+            for fn, steps in ((dwt, dwt_mod._dwt_steps),
+                              (idwt, dwt_mod._idwt_steps)):
+                out, ref = fn(v, plan), steps(v, plan)
+                assert out.shape == v.shape
+                if dense:
+                    M = dwt_mod._dense_matrix(plan, steps)
+                    np.testing.assert_array_equal(
+                        out, (v.reshape(-1, 2**J) @ M).reshape(v.shape))
+                    err = np.linalg.norm(out - ref)
+                    assert err <= 1e-15 * np.linalg.norm(ref), \
+                        (name, side, fn, err)
+                else:
+                    assert np.array_equal(out, ref), (name, side, fn)
+
+
+def test_dense_cache_keyed_by_masks():
+    """A bank that shares another's family name but not its masks gets its
+    own dense matrices."""
+    a = filter_bank("db2")
+    b = dataclasses.replace(filter_bank("db3"), family="db2")
+    for side in ("primal", "dual"):
+        pa, pb = TransformPlan(a, 5, side), TransformPlan(b, 5, side)
+        for fn, steps in ((dwt, dwt_mod._dwt_steps),
+                          (idwt, dwt_mod._idwt_steps)):
+            Ma = dwt_mod._dense_matrix(pa, steps)
+            Mb = dwt_mod._dense_matrix(pb, steps)
+            assert Ma is not Mb and not np.allclose(Ma, Mb)
+            e = np.eye(32)
+            np.testing.assert_allclose(fn(e, pb), steps(e, pb), atol=1e-15)
