@@ -77,12 +77,13 @@ class AZError(ValueError):
 
 class Geometry:
     """The operators and index sets of one geometry (filter bank, N, q and
-    inside mask), shared by every problem on it.  The index arrays are
-    read-only.  ``L`` and ``reference_scale`` are computed on first read;
-    nothing here holds the grid or its mask."""
+    inside mask), shared by every problem on it, and its ``key``
+    (``_geometry_key``).  The index arrays are read-only.  ``L`` and
+    ``reference_scale`` are computed on first read; nothing here holds the
+    grid or its mask."""
 
-    def __init__(self, bank: FilterBank, grid: MaskedGrid):
-        self.bank, self.N = bank, grid.N
+    def __init__(self, bank: FilterBank, grid: MaskedGrid, key):
+        self.bank, self.N, self.key = bank, grid.N, key
         self.scaling = assemble_scaling(bank, grid)
         self.A = frame_operator_A(self.scaling, bank, grid)
         self.Zstar = frame_operator_Zstar(self.scaling, bank, grid)
@@ -193,7 +194,7 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
     reused, seconds = geometry is not None, 0.0
     if not reused:
         t0 = time.perf_counter()
-        geometry = Geometry(bank, grid)
+        geometry = Geometry(bank, grid, key)
         seconds = time.perf_counter() - t0
         with _geometry_lock:
             _geometry.clear()
@@ -248,16 +249,17 @@ def plunge_operator(problem: AZProblem):
         matmat=_in_blocks(apply, n), rmatmat=_in_blocks(rapply, n))
 
 
-def plunge_rhs(problem: AZProblem, rows=None, c=None):
+def plunge_rhs(problem: AZProblem, c=None, boundary=False):
     """(I - A Z*) b = b - A_hat c with c = Z_hat* b (computed when not
-    given); on the rows ``rows`` only when given, which reads no row of
-    A_hat or b outside them."""
-    S = problem.scaling
+    given); with ``boundary``, its rows Mrows only, from the
+    ``Geometry.boundary_rows`` of A_hat, which reads no row of A_hat or b
+    outside them."""
     if c is None:
-        c = S.Z_hat.T @ problem.b
-    if rows is None:
-        return problem.b - S.A_hat @ c
-    return problem.b[rows] - S.A_hat[rows] @ c
+        c = problem.scaling.Z_hat.T @ problem.b
+    if boundary:
+        Ar, _ = problem.geometry.boundary_rows
+        return problem.b[problem.Mrows] - Ar @ c
+    return problem.b - problem.scaling.A_hat @ c
 
 
 def _frame_norm(A: FrameOperator, weights=None):
@@ -358,15 +360,9 @@ def _columns(S, cols):
                                    shape=(S.shape[0], cols.size))
 
 
-def _step1_key(problem: AZProblem, tol):
-    """Everything the sparse step-1 factor depends on: the geometry, which
-    fixes the scaling block and the reference scale, and the truncation
-    tolerance."""
-    return (*_geometry_key(problem.bank, problem.grid), float(tol))
-
-
-# Sparse step-1 factors by _step1_key, least recently used first.  Bounded
-# by STEP1_CACHE_BYTES; factors hold boundary-sized arrays only, never the
+# Sparse step-1 factors by (geometry key, tol), least recently used first:
+# the geometry fixes the scaling block and the reference scale.  Bounded by
+# STEP1_CACHE_BYTES; factors hold boundary-sized arrays only, never the
 # problem.
 _step1_cache = OrderedDict()
 _step1_lock = threading.Lock()
@@ -386,7 +382,7 @@ def _step1_factor(problem: AZProblem, tol):
     """(factor, reused, assembly seconds): the sparse QR factor of the
     scaling block, cut against the reference scale, from the cache when
     this geometry was factored before, when no block is assembled."""
-    key = _step1_key(problem, tol)
+    key = (problem.geometry.key, float(tol))
     with _step1_lock:
         factor = _step1_cache.get(key)
         if factor is not None:
@@ -430,11 +426,7 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     times, diag = {}, {}
     S = problem.scaling
     c = S.Z_hat.T @ problem.b
-    if explicit:
-        Ar, Zr = problem.geometry.boundary_rows
-        b1 = problem.b[problem.Mrows] - Ar @ c
-    else:
-        b1 = plunge_rhs(problem, c=c)
+    b1 = plunge_rhs(problem, c, explicit)
     if seed is None:
         factor, diag["step1_reused"], times["assembly"] = _step1_factor(
             problem, tol)
@@ -454,6 +446,7 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     if explicit:
         y = np.zeros(problem.grid.n_basis)
         y[problem.K] = rep.solution
+        Ar, Zr = problem.geometry.boundary_rows
         u = y + (c - Zr.T @ (Ar @ y))   # A_hat y lives on the rows Mrows
         x, Ax = problem.A.analysis(u), S.A_hat @ u
     else:

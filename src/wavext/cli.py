@@ -1,5 +1,12 @@
 """Command-line harness: approximation runs, sweeps, and diagnostics.
 
+Each subcommand accepts only the options it reads: ``approximate``,
+``convergence`` and ``timing`` take the solve options (``--N`` for one run,
+``--N-sweep`` for the sweeps), the diagnostics take ``--family``,
+``--output`` and their own few.  The seed comes from ``--seed`` (default
+0) only.  ``convergence`` and ``timing`` end with a ``slope`` row, the
+log-log slope of the residual or of the wall time over N.
+
 Records are JSON (self-describing, schema-versioned); sweep tables are CSV so
 plots can be produced with external tooling.  Exit codes: 0 success, 1
 runtime failure, 2 configuration error.
@@ -10,7 +17,6 @@ import ast
 import csv
 import datetime
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -265,19 +271,35 @@ def _slope(ns, ts):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments of its own subparser
 
-def cmd_approximate(cfg: RunConfig):
+def _config_from(args, **kw) -> RunConfig:
+    """The validated RunConfig of a solving command's arguments."""
+    return RunConfig(command=args.command, family=args.family,
+                     q=tuple(args.q), domain=args.domain,
+                     function=args.function, solver=args.solver,
+                     tol=args.tol, seed=args.seed, output=args.output,
+                     **kw).validate()
+
+
+def cmd_approximate(args):
+    cfg = _config_from(args, N=tuple(args.N))
     problem, sol = run_one(cfg)
     _emit(serialize_record(record_for(cfg, problem, sol)), cfg.output)
     return 0
 
 
-def cmd_convergence(cfg: RunConfig, n_list):
+def cmd_convergence(args):
+    """Residual, coefficient norm and rank at each N, then the log-log
+    slope of the residual."""
+    cfg = _config_from(args)
     rows = []
-    for n in n_list:
+    for n in args.N_sweep:
         problem, sol = run_one(cfg, N=(n,))
         rows.append([n, sol.residual, sol.coefficient_norm, sol.plunge_rank])
+    slope = _slope([r[0] for r in rows], [r[1] for r in rows])
+    if slope is not None:
+        rows.append(["slope", slope])
     _emit_csv(["N", "residual", "coefnorm", "rank"], rows, cfg.output)
     return 0
 
@@ -288,16 +310,17 @@ def cmd_convergence(cfg: RunConfig, n_list):
 TIMING_STAGES = ("geometry", "step1", "step23")
 
 
-def cmd_timing(cfg: RunConfig, n_list, repetitions):
+def cmd_timing(args):
     """Median wall time of a solve from scratch at each N, and the median
     seconds of each of TIMING_STAGES: the geometry and sparse step-1 caches
     are cleared before every repetition."""
-    if repetitions < 3:
+    if args.repetitions < 3:
         raise ConfigError("timing requires at least 3 repetitions")
+    cfg = _config_from(args)
     rows = []
-    for n in n_list:
+    for n in args.N_sweep:
         times, stages = [], []
-        for _ in range(repetitions):
+        for _ in range(args.repetitions):
             az_mod.clear_caches()
             t0 = time.perf_counter()
             _, sol = run_one(cfg, N=(n,))
@@ -314,12 +337,12 @@ def cmd_timing(cfg: RunConfig, n_list, repetitions):
     return 0
 
 
-def cmd_indexsets(cfg: RunConfig, n_list):
-    mask = parse_domain(cfg.domain)
-    bank = filter_bank(cfg.family)
-    q = _per_dim(cfg.q, mask.dimension)
+def cmd_indexsets(args):
+    mask = parse_domain(args.domain)
+    bank = filter_bank(args.family)
+    q = _per_dim(args.q, mask.dimension)
     rows = []
-    for n in n_list:
+    for n in args.N_sweep:
         grid = masked_grid(mask, _per_dim((n,), mask.dimension), q)
         K, kflags = scaling_boundary_set(grid, bank)
         L, _ = wavelet_boundary_set(kflags, bank, grid.N)
@@ -331,29 +354,27 @@ def cmd_indexsets(cfg: RunConfig, n_list):
         if s is not None:
             slopes.append([f"slope_{name}", s, "", ""])
     rows.extend(slopes)
-    _emit_csv(["N", "K", "L", "Mrows"], rows, cfg.output)
+    _emit_csv(["N", "K", "L", "Mrows"], rows, args.output)
     return 0
 
 
-def cmd_duals(cfg: RunConfig):
-    bank = filter_bank(cfg.family)
-    q = cfg.q[0]
-    b, d = dual_pair(bank, q)
+def cmd_duals(args):
+    b, d = dual_pair(filter_bank(args.family), args.q)
     out = {
-        "family": cfg.family, "q": q,
+        "family": args.family, "q": args.q,
         "primal_offset": int(b.offset), "primal": list(map(float, b.b)),
         "dual_offset": int(d.offset), "dual": list(map(float, d.b_dual)),
         "dual_norm": d.norm, "pairing_residual": float(pairing_residual(b, d)),
     }
-    _emit(json.dumps(out, indent=2), cfg.output)
+    _emit(json.dumps(out, indent=2), args.output)
     return 0
 
 
-def cmd_filters(cfg: RunConfig):
-    bank = filter_bank(cfg.family)
+def cmd_filters(args):
+    bank = filter_bank(args.family)
     report = validate(bank)
     out = {
-        "family": cfg.family, "orthogonal": bank.orthogonal,
+        "family": args.family, "orthogonal": bank.orthogonal,
         "p": bank.p, "p_dual": bank.p_dual,
         "h": {"offset": bank.h.offset, "taps": list(map(float, bank.h.taps))},
         "g": {"offset": bank.g.offset, "taps": list(map(float, bank.g.taps))},
@@ -366,24 +387,23 @@ def cmd_filters(cfg: RunConfig):
                    for k, v in report.checks.items()},
         "valid": report.passed,
     }
-    _emit(json.dumps(out, indent=2), cfg.output)
+    _emit(json.dumps(out, indent=2), args.output)
     return 0
 
 
-def cmd_cascade(cfg: RunConfig, level, mother):
-    bank = filter_bank(cfg.family)
-    s = wavelet_at_dyadic(bank, level) if mother else \
-        scaling_at_dyadic(bank.h, level)
+def cmd_cascade(args):
+    bank = filter_bank(args.family)
+    s = wavelet_at_dyadic(bank, args.level) if args.mother else \
+        scaling_at_dyadic(bank.h, args.level)
     rows = [[float(t), float(v)] for t, v in zip(s.grid, s.values)]
-    _emit_csv(["t", "value"], rows, cfg.output)
+    _emit_csv(["t", "value"], rows, args.output)
     return 0
 
 
-def cmd_dwt_norms(cfg: RunConfig, J):
-    bank = filter_bank(cfg.family)
-    out = {"family": cfg.family, "J": J}
-    out.update(operator_norms(bank, J))
-    _emit(json.dumps(out, indent=2), cfg.output)
+def cmd_dwt_norms(args):
+    out = {"family": args.family, "J": args.J}
+    out.update(operator_norms(filter_bank(args.family), args.J))
+    _emit(json.dumps(out, indent=2), args.output)
     return 0
 
 
@@ -397,54 +417,53 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(str(e)) from e
 
 
+# The options a command may take, by name; each command picks its own.
+_OPTIONS = {
+    "family": dict(default="cdf33"),
+    "N": dict(type=_int_list, default=[256],
+              help="per-dimension basis size(s), comma separated"),
+    "q": dict(type=_int_list, default=[2]),
+    "domain": dict(default="interval:0,0.5"),
+    "function": dict(default="exp1d"),
+    "solver": dict(default="reduced", choices=sorted(SOLVERS) + ["adaptive"]),
+    "tol": dict(type=float, default=solvers.DEFAULT_TOL),
+    "seed": dict(type=int, default=0),
+    "N-sweep": dict(type=_int_list, required=True,
+                    help="comma separated dyadic N values"),
+}
+_SOLVE = ("q", "domain", "function", "solver", "tol", "seed")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="wavext",
         description="Wavelet extension-frame approximation toolbox")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, sweep=False):
-        sp.add_argument("--family", default="cdf33")
-        sp.add_argument("--N", type=_int_list, default=[256],
-                        help="per-dimension basis size(s), comma separated")
-        sp.add_argument("--q", type=_int_list, default=[2])
-        sp.add_argument("--domain", default="interval:0,0.5")
-        sp.add_argument("--function", default="exp1d")
-        sp.add_argument("--solver", default="reduced",
-                        choices=sorted(SOLVERS) + ["adaptive"])
-        sp.add_argument("--tol", type=float, default=solvers.DEFAULT_TOL)
-        sp.add_argument("--seed", type=int, default=None)
+    def command(name, run, *options):
+        """Subparser ``name`` running ``run(args)``, with --family, the
+        named _OPTIONS and --output.  No abbreviations: --N must not pass
+        for --N-sweep."""
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.set_defaults(run=run)
+        for opt in ("family", *options):
+            sp.add_argument(f"--{opt}", **_OPTIONS[opt])
         sp.add_argument("--output", default=None)
-        if sweep:
-            sp.add_argument("--N-sweep", type=_int_list, required=True,
-                            help="comma separated dyadic N values")
+        return sp
 
-    common(sub.add_parser("approximate"))
-    common(sub.add_parser("convergence"), sweep=True)
-    t = sub.add_parser("timing")
-    common(t, sweep=True)
-    t.add_argument("--repetitions", type=int, default=3)
-    common(sub.add_parser("indexsets"), sweep=True)
-    common(sub.add_parser("duals"))
-    common(sub.add_parser("filters"))
-    c = sub.add_parser("cascade")
-    common(c)
+    command("approximate", cmd_approximate, "N", *_SOLVE)
+    command("convergence", cmd_convergence, *_SOLVE, "N-sweep")
+    command("timing", cmd_timing, *_SOLVE, "N-sweep").add_argument(
+        "--repetitions", type=int, default=3)
+    command("indexsets", cmd_indexsets, "q", "domain", "N-sweep")
+    command("duals", cmd_duals).add_argument("--q", type=int, default=2)
+    command("filters", cmd_filters)
+    c = command("cascade", cmd_cascade)
     c.add_argument("--level", type=int, default=6)
     c.add_argument("--mother", action="store_true")
-    d = sub.add_parser("dwt-norms")
-    common(d)
-    d.add_argument("--J", type=int, default=8)
+    command("dwt-norms", cmd_dwt_norms).add_argument("--J", type=int,
+                                                     default=8)
     return p
-
-
-def _config_from(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("WAVEXT_SEED", "0"))
-    return RunConfig(command=args.command, family=args.family,
-                     N=tuple(args.N), q=tuple(args.q), domain=args.domain,
-                     function=args.function, solver=args.solver,
-                     tol=args.tol, seed=seed, output=args.output).validate()
 
 
 def main(argv=None):
@@ -454,24 +473,7 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        cfg = _config_from(args)
-        if args.command == "approximate":
-            return cmd_approximate(cfg)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, args.N_sweep)
-        if args.command == "timing":
-            return cmd_timing(cfg, args.N_sweep, args.repetitions)
-        if args.command == "indexsets":
-            return cmd_indexsets(cfg, args.N_sweep)
-        if args.command == "duals":
-            return cmd_duals(cfg)
-        if args.command == "filters":
-            return cmd_filters(cfg)
-        if args.command == "cascade":
-            return cmd_cascade(cfg, args.level, args.mother)
-        if args.command == "dwt-norms":
-            return cmd_dwt_norms(cfg, args.J)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ConfigError, DomainError, FilterError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

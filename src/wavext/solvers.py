@@ -45,11 +45,11 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _finalize(apply_fn, x, b, rank, t0, warning=None, **diag):
+def _finalize(apply_fn, x, b, rank, t0, **diag):
     r = float(np.linalg.norm(apply_fn(x) - b))
     return SolveReport(solution=x, residual=r, solution_norm=float(np.linalg.norm(x)),
                        rank=rank, wall_time=time.perf_counter() - t0,
-                       warning=warning, diagnostics=diag)
+                       diagnostics=diag)
 
 
 def _rng(seed):
@@ -64,7 +64,7 @@ def _svd_solve(B, b, tol, floor):
     return Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]), r
 
 
-def _range_basis(shape, sample, tol, rng, floor=0.0, max_rank=None):
+def _range_basis(shape, sample, tol, rng, floor=0.0):
     """Orthonormal basis Q of the numerical range of an operator B of the
     given (m, n) ``shape``, from blocks of BLOCK_SIZE random samples (Halko,
     Martinsson & Tropp 2011, section 4.4).  ``sample(G)`` returns B G^T for
@@ -85,46 +85,36 @@ def _range_basis(shape, sample, tol, rng, floor=0.0, max_rank=None):
       samples.
 
     The basis thus ends at the numerical rank, give or take directions close
-    to the level, instead of filling the operator's range.  Returns
-    ``(Q, drawn, warning)``: ``drawn`` counts the samples, and ``warning`` is
-    set when Q reached ``max_rank`` before the level.
+    to the level, instead of filling the operator's range.
     """
     m, n = shape
     full = min(m, n)
-    max_rank = full if max_rank is None else min(max_rank, full)
     level = None
     Q = np.zeros((m, 0))
-    warning = None
     size = BLOCK_SIZE
-    drawn = 0
     while Q.shape[1] < full:
         # more than min(m, n) samples cannot add to the range
         Y = sample(rng.standard_normal((min(size, full), n)))
-        drawn += Y.shape[1]
         if level is None:
             level = max(tol * np.linalg.norm(Y, axis=0).max(), floor)
         Y -= Q @ (Q.T @ Y)
         if np.linalg.norm(Y, axis=0).max() <= level:
             break
-        if Q.shape[1] >= max_rank:
-            warning = "rank cap exceeded before reaching the tolerance"
-            break
         Qnew, R, _ = scipy.linalg.qr(Y, mode="economic", pivoting=True)
         # |R[0, 0]| is the largest sample norm, just found above the level;
         # keeping at least one column also guarantees progress
         k = max(1, int(np.sum(np.abs(np.diag(R)) > level)))
-        k = min(k, max_rank - Q.shape[1])
+        k = min(k, full - Q.shape[1])
         Qnew = Qnew[:, :k]
         if Q.shape[1]:
             Qnew -= Q @ (Q.T @ Qnew)
             Qnew = np.linalg.qr(Qnew)[0]
         Q = np.column_stack([Q, Qnew])
         size = BLOCK_SIZE if k == Y.shape[1] else N_PROBES
-    return Q, drawn, warning
+    return Q
 
 
-def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
-                             scale=None):
+def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
     """Adaptive randomized low-rank least squares for a matrix-free operator.
 
     Builds an orthonormal range basis Q with ``_range_basis``, which stops
@@ -135,11 +125,10 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
     applies need bounded memory chunks them itself (see
     ``az.BLOCK_ENTRIES``).
 
-    An operator with at most BLOCK_SIZE rows or columns (and no
-    ``max_rank``) skips the sketch, which would need that many samples
-    anyway: the block is formed exactly from its smaller side, min(m, n)
-    applies of ``matmat`` or ``rmatmat``, and solved by the same truncated
-    SVD; ``range_dim`` is then min(m, n).
+    An operator with at most BLOCK_SIZE rows or columns skips the sketch,
+    which would need that many samples anyway: the block is formed exactly
+    from its smaller side, min(m, n) applies of ``matmat`` or ``rmatmat``,
+    and solved by the same truncated SVD; ``range_dim`` is then min(m, n).
 
     ``scale`` supplies the magnitude of an enclosing computation: anything
     below NOISE_REL * scale is treated as cancellation noise rather than
@@ -153,20 +142,19 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, max_rank=None,
     b = np.asarray(b, dtype=float)
     full = min(m, n)
     floor = NOISE_REL * scale if scale is not None else 0.0
-    if max_rank is None and 0 < full <= BLOCK_SIZE:
+    if 0 < full <= BLOCK_SIZE:
         B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
         x, r = _svd_solve(B, b, tol, floor)
         return _finalize(op.matvec, x, b, r, t0, range_dim=full)
-    Q, _, warning = _range_basis(op.shape, lambda G: op.matmat(G.T), tol,
-                                 _rng(seed), floor, max_rank)
+    Q = _range_basis(op.shape, lambda G: op.matmat(G.T), tol, _rng(seed),
+                     floor)
     # projected problem: min || (Q* A) x - Q* b ||
     if Q.shape[1]:
         x, r = _svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor)
     else:
         r = 0
         x = np.zeros(n)
-    return _finalize(op.matvec, x, b, r, t0, warning=warning,
-                     range_dim=Q.shape[1])
+    return _finalize(op.matvec, x, b, r, t0, range_dim=Q.shape[1])
 
 
 def _pivoted_qr(A, tol, scale=None):
@@ -180,11 +168,11 @@ def _pivoted_qr(A, tol, scale=None):
     return Qf, R, piv, int(np.sum(diag > level))
 
 
-def pivoted_qr_solve(A, b, tol=DEFAULT_TOL, _guard=True):
+def pivoted_qr_solve(A, b, tol=DEFAULT_TOL):
     """Column-pivoted QR with truncated back-substitution."""
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
-    if _guard and max(A.shape) > DENSE_GUARD:
+    if max(A.shape) > DENSE_GUARD:
         raise SolverError(f"dense solver limited to dimensions <= {DENSE_GUARD}")
     b = np.asarray(b, dtype=float)
     Qf, R, piv, r = _pivoted_qr(A, tol)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -17,8 +18,8 @@ from wavext.dual import DualError, dual_pair
 from wavext.dwt import TransformError, dwt, idwt, idwt_column_filters
 from wavext.filters import filter_bank
 from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
-                            _finalize, pivoted_qr_solve,
-                            randomized_lowrank_solve, sparse_qr_factor)
+                            _finalize, _pivoted_qr, randomized_lowrank_solve,
+                            sparse_qr_factor)
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
                 "cdf35", "cdf42", "cdf51"]
@@ -131,12 +132,12 @@ def wavelet_boundary_set_intervals(kflags, bank, N):
     return np.flatnonzero(flags.ravel()), flags
 
 
-def estimate_rank(op, tol=DEFAULT_TOL, seed=0, max_rank=None, scale=None):
+def estimate_rank(op, tol=DEFAULT_TOL, seed=0, scale=None):
     """Numerical rank of an operator via the adaptive randomized solver path."""
     op = scipy.sparse.linalg.aslinearoperator(op)
     b = np.zeros(op.shape[0])
     return randomized_lowrank_solve(op, b, tol=tol, seed=seed,
-                                    max_rank=max_rank, scale=scale).rank
+                                    scale=scale).rank
 
 
 def plunge_rank(problem, tol=DEFAULT_TOL, seed=0):
@@ -254,10 +255,12 @@ def sparse_qr_reference(A, b, tol=DEFAULT_TOL, scale=None):
     core = A[rows][:, cols].toarray()
     if scale is not None and core.size:
         tol *= min(1.0, scale / np.linalg.norm(core, axis=0).max())
-    rep = pivoted_qr_solve(core, b[rows], tol=tol, _guard=False)
+    Qf, R, piv, r = _pivoted_qr(core, tol)
     x = np.zeros(A.shape[1])
-    x[cols] = rep.solution
-    return x, rep.rank
+    if r:
+        x[cols[piv[:r]]] = scipy.linalg.solve_triangular(
+            R[:r, :r], Qf[:, :r].T @ b[rows])
+    return x, r
 
 
 def wavelet_block(problem):

@@ -11,11 +11,12 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext import az, system
+from wavext import az, solvers, system
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
-from wavext.solvers import BLOCK_SIZE, pivoted_qr_solve, randomized_lowrank_solve
+from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve,
+                            randomized_lowrank_solve)
 from wavext.system import dense_A
 
 from support import (ALL_FAMILIES, banks, check_sparse_factor, plunge_rank,
@@ -384,19 +385,22 @@ def test_adaptive_short_interval():
 
 def test_reduced_1d_small_block_is_exact():
     """The explicit 1-D reduced block has fewer than BLOCK_SIZE columns, so
-    step 1 forms it exactly; the residual stays within 10x of the sampled
-    range finder's on the same block, which a rank cap keeps on its loop."""
+    step 1 forms it exactly; the residual stays within 10x of that of the
+    sampled range finder on the same block, projected and solved as
+    randomized_lowrank_solve does past its dense shortcut."""
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
     sol = az.reduced_az_solve(prob, seed=0)
     op = az.scaling_plunge(prob)
     assert op.shape == (prob.Mrows.size, prob.K.size)
     assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
-    rep = randomized_lowrank_solve(op, az.plunge_rhs(prob)[prob.Mrows],
-                                   seed=0, max_rank=min(op.shape),
-                                   scale=az._reference_scale(prob))
-    assert rep.diagnostics["range_dim"] < min(op.shape)
-    x = _from_scaling_columns(prob, rep.solution)
+    b1 = az.plunge_rhs(prob)[prob.Mrows]
+    floor = solvers.NOISE_REL * az._reference_scale(prob)
+    Q = solvers._range_basis(op.shape, lambda G: op @ G.T, DEFAULT_TOL,
+                             solvers._rng(0), floor)
+    assert Q.shape[1] < min(op.shape)
+    y, _ = solvers._svd_solve((op.T @ Q).T, Q.T @ b1, DEFAULT_TOL, floor)
+    x = _from_scaling_columns(prob, y)
     x += prob.Zstar(prob.b - prob.A @ x)
     assert sol.residual <= 10 * np.linalg.norm(prob.A @ x - prob.b)
 
@@ -793,13 +797,22 @@ def _poison_outside_rows(prob):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_step1_reads_boundary_rows_only(dim, banks):
+def test_step1_reads_boundary_rows_only(dim, banks, monkeypatch):
     """The explicit step 1 reads no row of A_hat and Z_hat outside Mrows:
     with those rows poisoned by NaN, the scaling block and the step-1
-    right-hand side (from the same c = Z_hat* b) come out in the bits of the
-    clean problem, for every family.  The full-row right-hand side shows
-    the poison wherever Mrows leaves a row out, which it does for some
-    family in every dimension."""
+    right-hand side of the call a reduced solve makes (from the same
+    c = Z_hat* b) come out in the bits of the clean problem, for every
+    family.  The full-row right-hand side shows the poison wherever Mrows
+    leaves a row out, which it does for some family in every dimension."""
+    plunge_rhs, poisoned_rhs = az.plunge_rhs, []
+
+    def on_poisoned(problem, *args, **kw):
+        """Record the solve's call on the poisoned problem, then stop the
+        solve: the rest of step 1 is not under test here."""
+        poisoned_rhs.append(plunge_rhs(poisoned, *args, **kw))
+        raise StopIteration
+
+    monkeypatch.setattr(az, "plunge_rhs", on_poisoned)
     live = []
     for name, bank in banks.items():
         prob = _block_case(dim, bank)
@@ -813,11 +826,13 @@ def test_step1_reads_boundary_rows_only(dim, banks):
         dense = az._dense_scaling_plunge(poisoned)
         if dense is not None:
             assert np.array_equal(dense, az._dense_scaling_plunge(prob)), name
-        b1 = az.plunge_rhs(poisoned, prob.Mrows, c)
-        assert np.array_equal(b1, az.plunge_rhs(prob, prob.Mrows, c)), name
-        assert np.array_equal(b1, az.plunge_rhs(prob)[prob.Mrows]), name
+        poisoned_rhs.clear()
+        with pytest.raises(StopIteration):
+            az.reduced_az_solve(prob, seed=0)
+        b1, = poisoned_rhs
+        assert np.array_equal(b1, plunge_rhs(prob)[prob.Mrows]), name
         if prob.Mrows.size < prob.grid.M:
-            assert np.isnan(az.plunge_rhs(poisoned, c=c)).any(), name
+            assert np.isnan(plunge_rhs(poisoned, c)).any(), name
             live.append(name)
     assert live
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -122,7 +123,8 @@ def test_config_validation_errors():
 # ---------------------------------------------------------------------------
 # exit codes
 
-BASE = ["--family", "cdf33", "--N", "64", "--domain", "interval:0,0.5"]
+SWEEP = ["--family", "cdf33", "--domain", "interval:0,0.5"]
+BASE = [*SWEEP, "--N", "64"]
 
 
 def test_exit_ok(tmp_path):
@@ -189,7 +191,37 @@ def test_exit_runtime_error(capsys):
 
 def test_unknown_flag_is_config_error(capsys):
     assert run(["approximate", "--nonsense", "1"]) == 2
+    # an option the command does not read is refused, not ignored
+    assert run(["convergence", *BASE, "--N-sweep", "64"]) == 2
+    assert run(["filters", "--tol", "-1"]) == 2
     capsys.readouterr()
+
+
+# The options each subcommand reads, and no others.
+_SOLVE = {"family", "q", "domain", "function", "solver", "tol", "seed",
+          "output"}
+COMMAND_OPTIONS = {
+    "approximate": _SOLVE | {"N"},
+    "convergence": _SOLVE | {"N-sweep"},
+    "timing": _SOLVE | {"N-sweep", "repetitions"},
+    "indexsets": {"family", "q", "domain", "output", "N-sweep"},
+    "duals": {"family", "q", "output"},
+    "filters": {"family", "output"},
+    "cascade": {"family", "output", "level", "mother"},
+    "dwt-norms": {"family", "output", "J"},
+}
+
+
+def test_each_command_takes_the_options_it_reads():
+    """The parser offers every subcommand exactly its options of
+    COMMAND_OPTIONS: an option a command never reads has no way in."""
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o[2:] for a in sp._actions for o in a.option_strings
+                  if o.startswith("--") and o != "--help"}
+           for name, sp in sub.choices.items()}
+    assert got == COMMAND_OPTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +244,17 @@ def test_bit_identical_given_seed(tmp_path):
     assert ja == jb
 
 
-def test_seed_from_environment(tmp_path, monkeypatch):
+def test_seed_from_option_only(tmp_path, monkeypatch):
+    """The seed is --seed, 0 without it; the environment plays no part."""
     a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     monkeypatch.setenv("WAVEXT_SEED", "17")
     run(["approximate", *BASE, "--solver", "az", "--output", str(a)])
     monkeypatch.delenv("WAVEXT_SEED")
-    run(["approximate", *BASE, "--solver", "az", "--seed", "17",
+    run(["approximate", *BASE, "--solver", "az", "--seed", "0",
          "--output", str(b)])
     run(["approximate", *BASE, "--solver", "az", "--seed", "3",
          "--output", str(c)])
-    assert json.loads(a.read_text())["config"]["seed"] == 17
+    assert json.loads(a.read_text())["config"]["seed"] == 0
     assert _strip_time(a)["residual"] == _strip_time(b)["residual"]
     assert json.loads(c.read_text())["config"]["seed"] == 3
 
@@ -235,18 +268,24 @@ def _read_csv(path):
 
 
 def test_convergence_csv(tmp_path):
+    """One row per N, the residual falling with N, then the log-log slope
+    of the residual."""
     out = tmp_path / "c.csv"
-    assert run(["convergence", *BASE, "--N-sweep", "64,128,256",
+    assert run(["convergence", *SWEEP, "--N-sweep", "64,128,256",
                 "--output", str(out)]) == 0
-    rows = _read_csv(out)
-    assert rows[0] == ["N", "residual", "coefnorm", "rank"]
-    res = [float(r[1]) for r in rows[1:]]
-    assert res[0] > res[1] > res[2]
+    header, *rows, slope = _read_csv(out)
+    assert header == ["N", "residual", "coefnorm", "rank"]
+    assert [r[0] for r in rows] == ["64", "128", "256"]
+    res = [float(r[1]) for r in rows]
+    assert 1e-3 > res[0] > res[1] > res[2]
+    assert slope[0] == "slope"
+    assert float(slope[1]) == pytest.approx(cli._slope([64, 128, 256], res))
+    assert float(slope[1]) < 0
 
 
 def test_timing_single_n_no_slope(tmp_path):
     out = tmp_path / "t.csv"
-    assert run(["timing", *BASE, "--N-sweep", "64", "--repetitions", "3",
+    assert run(["timing", *SWEEP, "--N-sweep", "64", "--repetitions", "3",
                 "--output", str(out)]) == 0
     rows = _read_csv(out)
     assert len(rows) == 2 and rows[1][0] == "64"
@@ -265,7 +304,8 @@ def test_timing_solves_from_scratch(tmp_path, monkeypatch):
     run_one = cli.run_one
     monkeypatch.setattr(cli, "run_one", recorded)
     out = tmp_path / "t.csv"
-    assert run(["timing", *BASE, "--solver", "sparse", "--N-sweep", "64,128",
+    assert run(["timing", *SWEEP, "--solver", "sparse",
+                "--N-sweep", "64,128",
                 "--repetitions", "3", "--output", str(out)]) == 0
     assert [s.diagnostics["step1_reused"] for s in solves] == [False] * 6
     assert [s.diagnostics["geometry_reused"] for s in solves] == [False] * 6
@@ -278,7 +318,7 @@ def test_timing_reports_stage_medians(tmp_path, solver):
     assembly, step 1 and steps 2-3; the caches are cleared before every
     repetition, so every row assembles (geometry > 0).  qr has no steps."""
     out = tmp_path / "t.csv"
-    assert run(["timing", *BASE, "--solver", solver, "--N-sweep", "64,128",
+    assert run(["timing", *SWEEP, "--solver", solver, "--N-sweep", "64,128",
                 "--repetitions", "3", "--output", str(out)]) == 0
     header, *rows = _read_csv(out)
     assert header == ["N", "median_seconds", "geometry", "step1", "step23"]
@@ -293,7 +333,7 @@ def test_timing_reports_stage_medians(tmp_path, solver):
 
 
 def test_timing_too_few_repetitions(capsys):
-    assert run(["timing", *BASE, "--N-sweep", "64,128",
+    assert run(["timing", *SWEEP, "--N-sweep", "64,128",
                 "--repetitions", "1"]) == 2
     capsys.readouterr()
 
@@ -309,7 +349,7 @@ def test_indexsets_box_all_empty(tmp_path):
 
 def test_indexsets_interval_growth(tmp_path):
     out = tmp_path / "i.csv"
-    assert run(["indexsets", *BASE, "--N-sweep", "64,128,256,512",
+    assert run(["indexsets", *SWEEP, "--N-sweep", "64,128,256,512",
                 "--output", str(out)]) == 0
     rows = _read_csv(out)
     data = [r for r in rows[1:] if not r[0].startswith("slope")]
@@ -324,6 +364,8 @@ def test_duals_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pairing_residual"] < 1e-10
     assert out["q"] == 4
+    assert run(["duals", "--q", "2,4"]) == 2     # one q, not a list
+    capsys.readouterr()
 
 
 def test_filters_json(capsys):

@@ -1,7 +1,6 @@
 """Smoke runs of the example scripts, so a library name they use cannot
 disappear unnoticed."""
 
-import csv
 import os
 import pathlib
 import subprocess
@@ -17,18 +16,6 @@ def run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
                            *args], env=env, capture_output=True, text=True,
                           timeout=300)
-
-
-def test_convergence_sweep(tmp_path):
-    out = run_script("convergence_sweep.py", "--families", "cdf33",
-                     "--N", "64", "128", "--out", str(tmp_path))
-    assert out.returncode == 0, out.stderr
-    assert "cdf33: wrote" in out.stdout and "residual slope" in out.stdout
-    with open(tmp_path / "convergence_cdf33.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["N", "residual", "coefnorm", "rank"]
-    assert [r[0] for r in rows[1:]] == ["64", "128"]
-    assert all(float(r[1]) < 1e-3 for r in rows[1:])
 
 
 def test_smoothing_demo():

@@ -45,13 +45,6 @@ def test_randomized_stops_at_rank_above_noise():
     assert rep.warning is None
 
 
-def test_randomized_rank_cap_warning():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((50, 50))
-    rep = randomized_lowrank_solve(A, rng.standard_normal(50), max_rank=8)
-    assert rep.warning is not None
-
-
 def test_randomized_bit_reproducible():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 30))
