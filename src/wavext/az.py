@@ -30,7 +30,10 @@ Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  ``make_problem`` keeps the ``Geometry`` (operators
 and index sets) of its last call and reuses it when the next call has the
 same geometry; the geometry also keeps the unweighted reference scale once
-computed.  ``clear_caches`` drops it and the step-1 factors.
+computed.  That scale is ||A_hat p|| for a probe p = W^-1 w that depends on
+the filter masks and N alone, so the probes are kept across geometries
+(``_reference_probe``).  ``clear_caches`` drops the geometry, the step-1
+factors and the probes.
 """
 
 import hashlib
@@ -52,8 +55,8 @@ from .filters import FilterBank
 # sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
 from .solvers import (BLOCK_SIZE, DEFAULT_TOL, randomized_lowrank_solve,
                       sparse_qr_factor, sparse_qr_solve)  # noqa: F401
-from .system import (FrameOperator, assemble_scaling, frame_operator_A,
-                     frame_operator_Zstar, rhs)
+from .system import (FrameOperator, assemble_scaling, csr_rows,
+                     frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
 # Block applies of the matrix-free plunge operator run in chunks of at most
@@ -65,6 +68,9 @@ BLOCK_ENTRIES = 2**18
 # of the 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors) does not
 # fit.
 STEP1_CACHE_BYTES = 2**25
+# Bytes of reference probes kept (``_reference_probe``).  The probes of the
+# 1-D benchmark's requests (cdf33 at N = 2^12-2^18, db4 at 2^12) take 2.8 MB.
+PROBE_CACHE_BYTES = 2**22
 # A scaling block that randomized_lowrank_solve takes dense (at most
 # BLOCK_SIZE rows or columns) is formed dense when the terms of its products
 # take at most this many entries: a 1-D block at any N, no disk's.
@@ -104,13 +110,16 @@ class Geometry:
     def boundary_rows(self):
         """The rows Mrows of A_hat and Z_hat: all that step 1 of the explicit
         pipelines reads of them, and the rows steps 2-3 map y through."""
-        return (_rows(self.scaling.A_hat, self.Mrows),
-                _rows(self.scaling.Z_hat, self.Mrows))
+        return (csr_rows(self.scaling.A_hat, self.Mrows),
+                csr_rows(self.scaling.Z_hat, self.Mrows))
 
     @cached_property
     def reference_scale(self):
-        """``_reference_scale`` of the unweighted problems on this geometry."""
-        return _frame_norm(self.A)
+        """``_reference_scale`` of the unweighted problems on this geometry:
+        ||A_hat p|| for the probe p = W^-1 w (``_reference_probe``), which
+        is ``_frame_norm(A)`` in the same bits."""
+        return float(np.linalg.norm(
+            self.scaling.A_hat @ _reference_probe(self.A)))
 
 
 @dataclass(frozen=True)
@@ -164,10 +173,8 @@ def _geometry_key(bank: FilterBank, grid: MaskedGrid):
     (the dual pairs are looked up by family), the grid shape and the inside
     mask, packed to bits (its shape is that of N q).  Never the mask's
     description: every custom predicate is described as "predicate"."""
-    masks = tuple((m.offset, m.taps.tobytes())
-                  for m in (bank.h, bank.g, bank.h_dual, bank.g_dual))
     inside = hashlib.blake2b(np.packbits(grid.inside_bool).tobytes())
-    return (bank.family, masks, grid.N, grid.q, inside.digest())
+    return (bank.family, bank.masks_key, grid.N, grid.q, inside.digest())
 
 
 # The Geometry of the last make_problem call, by _geometry_key: at most one
@@ -262,13 +269,38 @@ def plunge_rhs(problem: AZProblem, c=None, boundary=False):
     return problem.b - problem.scaling.A_hat @ c
 
 
+def _probe_draw(n):
+    """The fixed Gaussian w of ``_frame_norm``."""
+    return np.random.Generator(np.random.Philox(0x5CA1E)).standard_normal(n)
+
+
 def _frame_norm(A: FrameOperator, weights=None):
     """||A D w|| for a fixed Gaussian w, D = diag(weights) or the identity."""
-    rng = np.random.Generator(np.random.Philox(0x5CA1E))
-    w = rng.standard_normal(A.shape[1])
+    w = _probe_draw(A.shape[1])
     if weights is not None:
         w = weights * w
     return float(np.linalg.norm(A.matvec(w)))
+
+
+# Reference probes by (filter masks, N), least recently used first, within
+# PROBE_CACHE_BYTES.
+_probes = OrderedDict()
+_probe_lock = threading.Lock()
+
+
+def _reference_probe(A: FrameOperator):
+    """The probe p = W^-1 w of the unweighted ``_frame_norm``, read-only.
+    It depends on the filter masks and N only, not on the domain, so a new
+    geometry at a known N reuses it: its reference scale then costs one
+    sparse product instead of a Gaussian draw and an inverse DWT of N
+    points."""
+    key = (A.bank.masks_key, A.N)
+    p = _lru_get(_probes, _probe_lock, key)
+    if p is None:
+        p = A.synthesis(_probe_draw(A.shape[1]))
+        p.flags.writeable = False
+        _lru_put(_probes, _probe_lock, key, p, PROBE_CACHE_BYTES)
+    return p
 
 
 def _reference_scale(problem: AZProblem):
@@ -338,17 +370,6 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
-def _rows(S, rows):
-    """The CSR S[rows] for an index array, without the checks of scipy's
-    row indexing."""
-    lo, hi = S.indptr[rows], S.indptr[rows + 1]
-    indptr = np.zeros(rows.size + 1, dtype=S.indptr.dtype)
-    np.cumsum(hi - lo, out=indptr[1:])
-    take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], hi - lo)
-    return scipy.sparse.csr_matrix((S.data[take], S.indices[take], indptr),
-                                   shape=(rows.size, S.shape[1]))
-
-
 def _columns(S, cols):
     """The CSR S[:, cols] for sorted unique cols, its entries in the order
     of S, without the map over every column of S that scipy's column
@@ -368,37 +389,59 @@ _step1_cache = OrderedDict()
 _step1_lock = threading.Lock()
 
 
+def _lru_get(cache, lock, key):
+    """The entry of key, now the most recently used, or None."""
+    with lock:
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+        return value
+
+
+def _lru_put(cache, lock, key, value, budget):
+    """Keep value under key, then drop the least recently used entries until
+    the values' nbytes fit budget.  A value larger than budget alone is not
+    kept: it would evict every entry, then itself."""
+    if value.nbytes > budget:
+        return
+    with lock:
+        cache[key] = value
+        while sum(v.nbytes for v in cache.values()) > budget:
+            cache.popitem(last=False)
+
+
 def clear_caches():
-    """Forget the cached geometry and every cached sparse step-1 factor, so
-    the next make_problem assembles and the next sparse solve of each
-    geometry factors from scratch."""
+    """Forget the cached geometry, every cached sparse step-1 factor and
+    every reference probe, so the next make_problem assembles, and the next
+    solve of each geometry computes its reference scale and (sparse)
+    factors from scratch."""
     with _geometry_lock:
         _geometry.clear()
-    with _step1_lock:
-        _step1_cache.clear()
+    for cache, lock in ((_step1_cache, _step1_lock), (_probes, _probe_lock)):
+        with lock:
+            cache.clear()
+
+
+def _timed(fn, *args):
+    """(fn(*args), seconds it took)."""
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0
 
 
 def _step1_factor(problem: AZProblem, tol):
-    """(factor, reused, assembly seconds): the sparse QR factor of the
-    scaling block, cut against the reference scale, from the cache when
-    this geometry was factored before, when no block is assembled."""
+    """(factor, reused, seconds): the sparse QR factor of the scaling block,
+    cut against the reference scale, from the cache when this geometry was
+    factored before, when no block is assembled and no scale read; and the
+    seconds of the block's ``assembly`` and of the ``reference`` scale."""
     key = (problem.geometry.key, float(tol))
-    with _step1_lock:
-        factor = _step1_cache.get(key)
-        if factor is not None:
-            _step1_cache.move_to_end(key)
-            return factor, True, 0.0
-    t0 = time.perf_counter()
-    op = scaling_plunge(problem)
-    assembly = time.perf_counter() - t0
-    factor = sparse_qr_factor(op, tol=tol, scale=_reference_scale(problem))
-    if factor.nbytes > STEP1_CACHE_BYTES:   # would evict every entry, then itself
-        return factor, False, assembly
-    with _step1_lock:
-        _step1_cache[key] = factor
-        while sum(f.nbytes for f in _step1_cache.values()) > STEP1_CACHE_BYTES:
-            _step1_cache.popitem(last=False)
-    return factor, False, assembly
+    factor = _lru_get(_step1_cache, _step1_lock, key)
+    if factor is not None:
+        return factor, True, {"assembly": 0.0, "reference": 0.0}
+    op, assembly = _timed(scaling_plunge, problem)
+    scale, reference = _timed(_reference_scale, problem)
+    factor = sparse_qr_factor(op, tol=tol, scale=scale)
+    _lru_put(_step1_cache, _step1_lock, key, factor, STEP1_CACHE_BYTES)
+    return factor, False, {"assembly": assembly, "reference": reference}
 
 
 def _solve(problem: AZProblem, explicit, tol, seed=None):
@@ -412,7 +455,9 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     (with the reference scale).  With seed None it is the sparse QR of the
     block; that factor depends on the geometry, not on b, so it comes from
     the step-1 cache when there, as ``diagnostics["step1_reused"]`` says.
-    Explicit forms are unweighted.
+    Explicit forms are unweighted.  ``stage_times["reference"]`` is the
+    part of step 1 spent on the reference scale (0 when a cached factor
+    needs none).
 
     Steps 2-3 add x2 = Z* (b - A x1) = W u, u = Z_hat* (b - A x1).  When
     explicit, A x1 = A_hat y and u = c - Z_hat* (A_hat y), so one analysis
@@ -428,8 +473,7 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     c = S.Z_hat.T @ problem.b
     b1 = plunge_rhs(problem, c, explicit)
     if seed is None:
-        factor, diag["step1_reused"], times["assembly"] = _step1_factor(
-            problem, tol)
+        factor, diag["step1_reused"], times = _step1_factor(problem, tol)
         rep = factor.solve(b1)
     else:
         ta = time.perf_counter()
@@ -440,8 +484,9 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
             times["assembly"] = time.perf_counter() - ta
         else:
             op = plunge_operator(problem)
+        scale, times["reference"] = _timed(_reference_scale, problem)
         rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
-                                       scale=_reference_scale(problem))
+                                       scale=scale)
     t1 = time.perf_counter()
     if explicit:
         y = np.zeros(problem.grid.n_basis)

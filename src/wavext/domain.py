@@ -125,6 +125,9 @@ def masked_grid(mask: DomainMask, N, q) -> MaskedGrid:
     pts = np.column_stack([m.ravel() for m in mesh])
     inside_bool = mask.contains(pts).reshape(shape)
     inside = np.flatnonzero(inside_bool.ravel())
+    if inside.size == 0:
+        raise DomainError(f"empty domain: no point of the {shape} grid lies "
+                          f"inside {mask.description}")
     if inside.size <= np.prod(N):
         raise DomainError(
             f"oversampling too low: {inside.size} sample points for {np.prod(N)} dof")
@@ -148,11 +151,12 @@ def _any_roll(a, shifts, axis):
         return np.zeros_like(a)
     hi, n = max(shifts), a.shape[axis]
     ext = np.take(a, np.arange(-hi, n - min(shifts)), axis=axis, mode="wrap")
-    ext = np.moveaxis(ext, axis, -1)
-    out = np.zeros_like(ext[..., :n])
+    out = np.zeros_like(a)
+    window = [slice(None)] * a.ndim
     for s in shifts:
-        out |= ext[..., hi - s: hi - s + n]
-    return np.moveaxis(out, -1, axis)
+        window[axis] = slice(hi - s, hi - s + n)
+        out |= ext[tuple(window)]
+    return out
 
 
 def _separable_any(flags, offsets_per_dim, steps):
@@ -234,9 +238,11 @@ def plunge_row_set(kflags, bank: FilterBank, grid: MaskedGrid):
     for ax, (n, q) in enumerate(zip(grid.N, grid.q)):
         b, _ = dual_pair(bank, q)
         bsup = b.offset + np.nonzero(b.b)[0]
-        cur = np.moveaxis(gflags, ax, -1)
-        up = np.zeros(cur.shape[:-1] + (n * q,), dtype=bool)
-        up[..., ::q] = cur
-        gflags = np.moveaxis(_any_roll(up, bsup, -1), -1, ax)
+        every_q = [slice(None)] * gflags.ndim
+        every_q[ax] = slice(None, None, q)
+        up = np.zeros(gflags.shape[:ax] + (n * q,) + gflags.shape[ax + 1:],
+                      dtype=bool)
+        up[tuple(every_q)] = gflags
+        gflags = _any_roll(up, bsup, ax)
     linear = np.flatnonzero(gflags.ravel() & grid.inside_bool.ravel())
     return np.searchsorted(grid.inside, linear)

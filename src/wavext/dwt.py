@@ -21,14 +21,18 @@ a 32-point cdf33 ``idwt`` takes 169 us by the steps and 1.2 us as the
 product (207 us and 1.8 us at 64; one BLAS thread); the matrix-free applies
 on the 2-D disk grids of 16-64 points per axis spent most of their time in
 those steps.  The product agrees with the steps to round-off, not bit for
-bit.  Longer
-transforms run the level steps unchanged.  Their coarse tail is not moved
-onto a dense product either: at J = 16, cdf51 perfect reconstruction then
-errs by 1.0-2.9e-10 for tails of 16-256 points instead of 5.7e-11, and the
-other families by 3.4e-14 instead of 5.8e-15.
+bit.  Longer transforms run the level steps in their bits.  Their coarse
+tail is not moved onto a dense product: at J = 16, cdf51 perfect
+reconstruction then errs by 1.0-2.9e-10 for tails of 16-256 points instead
+of 5.7e-11, and the other families by 3.4e-14 instead of 5.8e-15.  Instead,
+a level step of at most SPARSE_MAX_N = 2^12 points is one product with a
+cached sparse matrix that sums each output's terms in the step's order
+(``_level_matrix``): a 1024-point cdf33 ``dwt`` takes 83 us instead of
+295 us (``idwt`` 80 us instead of 282 us).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -85,23 +89,35 @@ def _analysis_step(v, h: Mask, g: Mask):
     return tuple(outs)
 
 
-def _synthesis_step(v, w, h: Mask, g: Mask):
-    """One filter-bank synthesis step with periodic wrap-around (last axis).
+def synthesis_taps(v, w, h: Mask, g: Mask):
+    """Per tap of h (on the coarse part v), then of g (on the detail part
+    w), the view that the tap adds into the outputs of its parity in one
+    periodic synthesis step along the last axis.
 
     Polyphase form: a tap at index t feeds the outputs of parity p = t % 2,
-    out[2k + p] += c * coarse[(k - (t - p) / 2) % half].  Taps run in the
-    order h, then g, so each output sums its terms in a fixed order.
+    out[2k + p] += c * coarse[(k - (t - p) / 2) % half].  Yields
+    ``(p, c, view)`` with ``view[..., k]`` that coarse entry, from one
+    wrap-padded copy of each part.
     """
     half = v.shape[-1]
-    out = np.zeros(v.shape[:-1] + (2 * half,), dtype=np.result_type(v, w))
-    parity = [out[..., 0::2], out[..., 1::2]]
     for mask, coarse in ((h, v), (g, w)):
         first, last = mask.support
         lo = max(0, last // 2)     # t // 2 = (t - p) / 2 for the parity p
         cp = _wrap_pad(coarse, lo, max(0, -(first // 2)))
         for t, c in enumerate(mask.taps.tolist(), first):
             s = lo - t // 2
-            parity[t % 2] += c * cp[..., s: s + half]
+            yield t % 2, c, cp[..., s: s + half]
+
+
+def _synthesis_step(v, w, h: Mask, g: Mask):
+    """One filter-bank synthesis step with periodic wrap-around (last axis):
+    the ``synthesis_taps`` added in order, so each output sums its terms in
+    a fixed order."""
+    half = v.shape[-1]
+    out = np.zeros(v.shape[:-1] + (2 * half,), dtype=np.result_type(v, w))
+    parity = [out[..., 0::2], out[..., 1::2]]
+    for p, c, view in synthesis_taps(v, w, h, g):
+        parity[p] += c * view
     return out
 
 
@@ -129,49 +145,111 @@ class TransformPlan:
         b = self.bank
         return (b.h, b.g) if self.side == "primal" else (b.h_dual, b.g_dual)
 
+    @cached_property
+    def _matrices(self):
+        """The cached matrices of this plan's masks and side (the entry of
+        ``_matrix_cache``), shared by every plan of the same."""
+        return _matrix_cache.setdefault((self.bank.masks_key, self.side), {})
+
+
+# Levels of at most this many points run as one cached sparse product.
+SPARSE_MAX_N = 2**12
+
+
+def _level_matrix(plan: TransformPlan, n, synthesis):
+    """The (n, n) CSR of one level step of n points: analysis maps v to
+    [coarse, detail], synthesis maps [coarse, detail] to v.  Its entries
+    are read off the step's own taps (``analysis_taps``, ``synthesis_taps``)
+    run on the indices, and each row keeps them in the order the step adds
+    them.  scipy's CSR product sums a row's terms in stored order from
+    zero, so the product has the bits of the step."""
+    M = plan._matrices.get((synthesis, n))
+    if M is None:
+        half, idx = n // 2, np.arange(n)
+        if synthesis:   # tap k adds into the outputs 2 l + k
+            taps = synthesis_taps(idx[:half], idx[half:], *plan.synthesis_masks)
+            first, step = 1, 2
+        else:           # tap k adds into the outputs k half + l
+            taps = analysis_taps(idx, plan.analysis_masks)
+            first, step = half, 1
+        rows, cols, vals = zip(*((first * k + step * idx[:half], view,
+                                  np.full(half, c)) for k, c, view in taps))
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        M = scipy.sparse.csr_matrix(
+            (np.concatenate(vals)[order],
+             np.concatenate(cols)[order].astype(np.int32), indptr),
+            shape=(n, n))
+        M = plan._matrices.setdefault((synthesis, n), M)
+    return M
+
+
+def _level_product(plan: TransformPlan, x, synthesis):
+    """One level step along the last axis of x by its ``_level_matrix``, in
+    C order as the step returns it: a dense product of the result (a
+    transform matrix of ``_dense_matrix``, say) takes its bits from the
+    layout."""
+    M = _level_matrix(plan, x.shape[-1], synthesis)
+    if x.ndim == 1:
+        return M @ x
+    return np.ascontiguousarray(
+        (M @ x.reshape(-1, x.shape[-1]).T).T).reshape(x.shape)
+
 
 def _dwt_steps(v, plan: TransformPlan):
-    """The forward transform as a cascade of J analysis steps."""
+    """The forward transform as a cascade of J analysis steps; those of at
+    most SPARSE_MAX_N points are sparse products."""
     h, g = plan.analysis_masks
     out = np.empty_like(v)
     cur = v
     for j in range(plan.J, 0, -1):
-        cur, w = _analysis_step(cur, h, g)
+        if 2**j <= SPARSE_MAX_N:
+            step = _level_product(plan, cur, False)
+            cur, w = step[..., :2 ** (j - 1)], step[..., 2 ** (j - 1):]
+        else:
+            cur, w = _analysis_step(cur, h, g)
         out[..., 2 ** (j - 1): 2**j] = w
     out[..., 0] = cur[..., 0]
     return out
 
 
 def _idwt_steps(w, plan: TransformPlan):
-    """The inverse transform as a cascade of J synthesis steps."""
+    """The inverse transform as a cascade of J synthesis steps; those of at
+    most SPARSE_MAX_N points are sparse products."""
     h, g = plan.synthesis_masks
     cur = w[..., :1].copy()
     for j in range(1, plan.J + 1):
-        cur = _synthesis_step(cur, w[..., 2 ** (j - 1): 2**j], h, g)
+        detail = w[..., 2 ** (j - 1): 2**j]
+        if 2**j <= SPARSE_MAX_N:
+            cur = _level_product(
+                plan, np.concatenate([cur, detail], axis=-1), True)
+        else:
+            cur = _synthesis_step(cur, detail, h, g)
     return cur
 
 
 # Transforms of at most this many points run as one dense product.
 DENSE_MAX_N = 64
 
-# Dense transform matrices by the bank's masks, side, J and direction; at
-# most 2 sides x 6 levels x 2 directions of 32 KiB or less per bank.
-_dense = {}
+# Transform matrices by the bank's masks and side, then by what they are:
+# dense transforms by (direction, J), at most 2 x 6 of 32 KiB or less, and
+# sparse level steps by (direction, n), 0.62 MB a direction for all levels
+# of up to 2^12 points (cdf33; 0.82 MB for db4).  A plan looks its entry up
+# once (``TransformPlan._matrices``).
+_matrix_cache = {}
 
 
 def _dense_matrix(plan: TransformPlan, steps):
     """M with ``v @ M == steps(v, plan)`` up to round-off: row k is the
     transform of the k-th unit vector.  Keyed by the masks themselves, not
     the family name, which a custom bank can share."""
-    b = plan.bank
-    masks = tuple((m.offset, m.taps.tobytes())
-                  for m in (b.h, b.g, b.h_dual, b.g_dual))
-    key = (masks, plan.side, plan.J, steps)
-    M = _dense.get(key)
+    M = plan._matrices.get((steps, plan.J))
     if M is None:
         M = steps(np.eye(2**plan.J), plan)
         M.setflags(write=False)
-        M = _dense.setdefault(key, M)
+        M = plan._matrices.setdefault((steps, plan.J), M)
     return M
 
 

@@ -12,6 +12,7 @@ processing (e.g. the JPEG2000 9/7 pair).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
@@ -102,6 +103,14 @@ class FilterBank:
     def support_length(self):
         """Support length of the primal scaling function."""
         return len(self.h) - 1
+
+    @cached_property
+    def masks_key(self):
+        """The four masks, each as its offset and tap bytes: the key of the
+        caches of what the masks determine, since a custom bank can share
+        another's family name."""
+        return tuple((m.offset, m.taps.tobytes())
+                     for m in (self.h, self.g, self.h_dual, self.g_dual))
 
 
 def _daubechies_mask(p: int) -> Mask:

@@ -12,10 +12,12 @@ A* y = W~ (A_hat* y) via W~ = (W^-1)*.)
 
 A_hat and Z_hat are the rows ``grid.inside`` of a Kronecker product of one
 (n q, n) circulant per axis.  ``assemble_scaling`` builds those rows alone,
-in CSR: row m q + p of an axis' circulant holds a fixed set of taps, by its
-residue p, in the columns m - t, and only rows near either end of the axis
-wrap mod n.  Neither the full box, nor the product, nor a CSC copy is ever
-formed.
+in CSR.  Row m q + p of an axis' circulant holds a fixed set of taps, by its
+residue p, in the columns m - t.  So the q rows of one period, repeated
+over m, give every row of a contiguous range, already in CSR layout
+(``_circulant_rows``); only the periods near either end of the axis wrap
+mod n and are re-sorted.  Neither the full box, nor the product, nor a CSC
+copy is ever formed.
 """
 
 from dataclasses import dataclass
@@ -36,83 +38,137 @@ class SystemError_(ValueError):
     pass
 
 
-# Shift of a padding tap in a ``_TapTable``: its column m - _PAD is
-# negative in every row.
-_PAD = 2**30
-
-
 @dataclass(frozen=True)
 class _TapTable:
-    """The taps of one axis' (n q, n) circulant by row residue: row m q + p
-    holds ``values[p, j]`` in column m - ``shifts[p, j]`` (mod n) for
-    j < ``counts[p]``.  Shifts descend along j, so the columns of a row that
-    does not wrap ascend; residues with fewer taps are padded with shift
-    _PAD and value 0.  ``low`` and ``high`` bound the shifts of the taps."""
+    """The taps of one axis' (n q, n) circulant over one period of q rows:
+    row m q + p holds ``values[j]`` in column m - ``shifts[j]`` (mod n) for
+    ``starts[p] <= j < starts[p + 1]``.  Shifts descend within a residue,
+    so the columns of each row of a period ascend, unless they leave
+    0..n-1.  The periods ``wrap`` where they do, near either end of the
+    axis, hold ``wrap_cols`` and ``wrap_values`` instead: the columns
+    reduced mod n and each row re-sorted.  Arrays are read-only."""
 
     shifts: np.ndarray
     values: np.ndarray
-    counts: np.ndarray
-    low: int
-    high: int
+    starts: np.ndarray
+    wrap: np.ndarray
+    wrap_cols: np.ndarray
+    wrap_values: np.ndarray
 
 
-def _tap_table(offset, values, q, dtype):
-    """Tap table of the circulant whose column k is rolled by k q from a
-    base row holding values[i] at offset + i (mod n q)."""
+def _tap_table(offset, values, n, q, dtype):
+    """Tap table of the (n q, n) circulant whose column k is rolled by k q
+    from a base row holding values[i] at offset + i (mod n q)."""
     taps = offset + np.flatnonzero(values)
-    values = values[values != 0]
     residue = taps % q
-    counts = np.bincount(residue, minlength=q).astype(dtype)
-    shifts = np.full((q, counts.max()), _PAD, dtype=dtype)
-    vals = np.zeros(shifts.shape)
-    for p in range(q):
-        on = residue == p
-        shifts[p, :counts[p]] = (taps[on][::-1] - p) // q
-        vals[p, :counts[p]] = values[on][::-1]
-    return _TapTable(shifts, vals, counts, int(taps[0] // q),
-                     int(taps[-1] // q))
+    order = np.lexsort((-taps, residue))
+    shifts = ((taps - residue) // q)[order].astype(dtype)
+    values = values[values != 0][order]
+    starts = np.zeros(q + 1, dtype=dtype)
+    np.cumsum(np.bincount(residue, minlength=q), out=starts[1:])
+    wrap = np.union1d(np.arange(min(n, shifts.max())),
+                      np.arange(max(0, n + shifts.min()), n))
+    cols = (wrap[:, None] - shifts) % n
+    by_row = np.argsort(cols + residue[order] * n, axis=1, kind="stable")
+    table = _TapTable(shifts, values, starts, wrap,
+                      np.take_along_axis(cols, by_row, 1).astype(dtype),
+                      values[by_row])
+    for a in vars(table).values():
+        a.flags.writeable = False
+    return table
 
 
-def _circulant_rows(m, p, n, table):
-    """Rows m q + p of one axis' circulant, m ascending, as a row table:
-    columns and values of shape (rows, T), each row's columns ascending and
-    its padding behind them at negative columns, and each row's count of
-    taps.  Only rows near either end of the axis wrap; they alone are
-    reduced mod n and re-sorted."""
-    cols = m[:, None] - table.shifts.take(p, axis=0)
-    vals = table.values.take(p, axis=0)
-    lo = np.searchsorted(m, table.high)
-    hi = max(lo, np.searchsorted(m, n - 1 + table.low, side="right"))
-    for wrap in (slice(0, lo), slice(hi, m.size)):
-        if wrap.stop > wrap.start:
-            pad = table.shifts.take(p[wrap], axis=0) == _PAD
-            c = np.where(pad, cols[wrap], cols[wrap] % n)
-            order = np.argsort(np.where(pad, _PAD, c), axis=1, kind="stable")
-            cols[wrap] = np.take_along_axis(c, order, 1)
-            vals[wrap] = np.take_along_axis(vals[wrap], order, 1)
-    return cols, vals, table.counts.take(p)
+# (A_hat, Z_hat) tap tables by (family, n, q, index dtype), kept as
+# ``dual_pair`` keeps the dual pairs by family and q.  A table holds a few
+# dozen numbers besides its wrapping periods.
+_tables = {}
 
 
-def _row_kron(factors, N, dtype):
-    """CSR of the row-wise Kronecker product of per-axis row tables of one
-    row count: a row's entries are the products of one tap per axis, in C
-    order of their columns, values multiplied in axis order ((v1 v2) v3)
-    as ``scipy.sparse.kron`` does.  Padding columns of axis a are at most
-    -(n_1 ... n_a), so every product that holds one comes out negative; they
-    are dropped at the end."""
-    (cols, vals, counts), *rest = factors
-    rows = cols.shape[0]
-    for (c, v, k), n in zip(rest, N[1:]):
-        cols = (cols[:, :, None] * n + c[:, None, :]).reshape(rows, -1)
-        vals = (vals[:, :, None] * v[:, None, :]).reshape(rows, -1)
-        counts = counts * k
+def _axis_tables(bank, n, q, dtype):
+    """The tap tables of one axis' A_hat and Z_hat circulants."""
+    key = (bank.family, n, q, dtype)
+    tables = _tables.get(key)
+    if tables is None:
+        b, d = dual_pair(bank, q)
+        tables = _tables.setdefault(key, (
+            _tap_table(*primal_taps(b, n), n, q, dtype),
+            _tap_table(*dual_taps(d, n, q), n, q, dtype)))
+    return tables
+
+
+def _periodic(first, count, step):
+    """The (count,) + first.shape array whose entry i is first + i step.
+    Past its first 512 entries it is filled by doubling: each round writes a
+    shifted copy of the part done, so the whole costs about one contiguous
+    pass, where broadcasting the sum over a short trailing axis takes 3-10x
+    longer."""
+    out = np.empty((count,) + first.shape, dtype=first.dtype)
+    done = min(count, 512)
+    np.add(first, (step * np.arange(done, dtype=first.dtype))[:, None],
+           out=out[:done])
+    while done < count:
+        k = min(done, count - done)
+        np.add(out[:k], done * step, out=out[done:done + k])
+        done += k
+    return out
+
+
+def _circulant_rows(table, n, lo, hi):
+    """CSR of the rows lo..hi-1 of one axis' circulant.  The row periods m
+    that the range meets form a (period, tap) block whose flat layout is
+    that of CSR: tap j of period m sits in column m - shifts[j] and holds
+    values[j].  The periods near either end of the axis that wrap take
+    their rows from the table; the block is trimmed to the range."""
+    q, width = table.starts.size - 1, table.values.size
+    m0, periods = lo // q, -(-hi // q) - lo // q
+    cols = _periodic(m0 - table.shifts, periods, 1)
+    vals = _periodic(table.values, periods, 0)   # x + 0 is x: no tap is 0
+    wrap = slice(*np.searchsorted(table.wrap, (m0, m0 + periods)))
+    if wrap.stop > wrap.start:
+        cols[table.wrap[wrap] - m0] = table.wrap_cols[wrap]
+        vals[table.wrap[wrap] - m0] = table.wrap_values[wrap]
+    # row i of the block starts at entry (i // q) width + starts[i % q]; the
+    # rows before lo and their entries are cut from the front
+    first = lo - m0 * q
+    skip = int(table.starts[first])
+    indptr = _periodic(table.starts[:-1] - skip, periods + 1,
+                       width).ravel()[first:first + hi - lo + 1]
+    data = slice(skip, skip + int(indptr[-1]))
+    return scipy.sparse.csr_matrix(
+        (vals.ravel()[data], cols.ravel()[data], indptr), shape=(hi - lo, n))
+
+
+def _row_kron(factors, index, N, dtype):
+    """CSR of the row-wise Kronecker product of the rows ``index[a]`` of
+    the per-axis CSR factors: a row's entries are the products of one entry
+    per axis, in C order of their columns, values multiplied in axis order
+    ((v1 v2) v3) as ``scipy.sparse.kron`` does.  Each factor's rows are
+    padded to a common width; padding columns of axis a are -(n_1 ... n_a),
+    so every product that holds one comes out negative, and they are
+    dropped at the end."""
+    rows, width = index[0].size, 1
+    cols = vals = counts = None
+    for F, i, n in zip(factors, index, N):
+        k = np.diff(F.indptr)
+        j = np.arange(k.max())
+        pad = j >= k[:, None]
+        pos = np.minimum(F.indptr[:-1, None] + j, F.nnz - 1)
+        width *= n
+        c = np.where(pad, -width, F.indices[pos]).take(i, axis=0)
+        v = np.where(pad, 0.0, F.data[pos]).take(i, axis=0)
+        if cols is None:
+            cols, vals, counts = c, v, k.take(i)
+        else:
+            cols = (cols[:, :, None] * n + c[:, None, :]).reshape(rows, -1)
+            vals = (vals[:, :, None] * v[:, None, :]).reshape(rows, -1)
+            counts = counts * k.take(i)
     indptr = np.zeros(rows + 1, dtype=dtype)
     np.cumsum(counts, out=indptr[1:])
     if indptr[-1] < cols.size:
         keep = cols >= 0
         cols, vals = cols[keep], vals[keep]
     return scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr),
-                                   shape=(rows, int(np.prod(N))))
+                                   shape=(rows, width))
 
 
 @dataclass(frozen=True)
@@ -128,17 +184,18 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
 
     Each is the Kronecker product of one (n q, n) circulant per axis,
     column k the periodized primal (or dual) samples rolled by k q, on the
-    rows ``grid.inside``; only those rows are built.  Per axis, a row's
-    columns and values come from a tap table by row residue
-    (``_circulant_rows``): in 1-D for the inside rows themselves, in d-D for
-    all n q rows of the axis, gathered at each inside row's multi-index and
-    multiplied out row by row (``_row_kron``).  The result has the bits of
-    the kron-then-select form: data, indices, indptr, their dtypes and the
-    canonical format.  At N = 2^18 (cdf33, q = 2, the interval (0, 0.5))
-    it takes 40 ms, against 94 ms for the full-box circulants in CSC, their
-    conversion to CSR and the selection of the inside rows (medians of 11
-    alternating calls on a 2-core VM), and its memory peak is 2.2x the
-    bytes of the result instead of 3.8x."""
+    rows ``grid.inside``; only those rows are built.  Per axis, one builder
+    gives the CSR of a range of circulant rows (``_circulant_rows``): in
+    1-D the range from the first to the last inside row, followed by a row
+    selection when the inside rows are not contiguous; in d-D all n q rows
+    of the axis, gathered at each inside row's multi-index and multiplied
+    out row by row (``_row_kron``).  The result has the bits of the
+    kron-then-select form: data, indices, indptr, their dtypes and the
+    canonical format.  At N = 2^18 (cdf33, q = 2, the interval (0.2,
+    0.75)) it takes 3.1-3.9 ms, against 34-46 ms for the rows gathered by
+    residue and stripped of their padding (minimum of 9 calls in three
+    alternating runs, one BLAS thread, 2-core VM); in 1-D its memory peak
+    is the bytes of the result."""
     dim, inside = len(grid.N), grid.inside
     pairs = [dual_pair(bank, q) for q in grid.q]
     per_row = np.prod([1 + max(b.b.size, d.b_dual.size) // q
@@ -146,29 +203,35 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     # int32 unless the padding columns or the entries need more
     dtype = scipy.sparse.get_index_dtype(
         maxval=max(dim * grid.n_basis, inside.size * per_row))
-    index = (np.unravel_index(inside, grid.grid_shape) if dim > 1
-             else (None,))
-    axes = []
-    for (b, d), n, q, i in zip(pairs, grid.N, grid.q, index):
-        rows = inside.astype(dtype) if dim == 1 else np.arange(n * q,
-                                                               dtype=dtype)
-        m = rows // q
-        sides = (primal_taps(b, n), dual_taps(d, n, q))
-        axes.append((m, rows - m * q, n, q, i, sides))
     mats = []
     for side in range(2):
-        factors, width = [], 1
-        for m, p, n, q, i, sides in axes:
-            table = _tap_table(*sides[side], q, dtype)
-            c, v, k = _circulant_rows(m, p, n, table)
-            width *= n
-            if dim > 1:
-                c[c < 0] = -width
-                c, v, k = c.take(i, axis=0), v.take(i, axis=0), k.take(i)
-            factors.append((c, v, k))
-        mats.append(_row_kron(factors, grid.N, dtype))
+        factors = []
+        for n, q in zip(grid.N, grid.q):
+            table = _axis_tables(bank, n, q, dtype)[side]
+            if dim == 1:
+                lo, hi = int(inside[0]), int(inside[-1]) + 1
+                F = _circulant_rows(table, n, lo, hi)
+                if inside.size < hi - lo:
+                    F = csr_rows(F, inside - lo)
+                mats.append(F)
+            else:
+                factors.append(_circulant_rows(table, n, 0, n * q))
+        if dim > 1:
+            index = np.unravel_index(inside, grid.grid_shape)
+            mats.append(_row_kron(factors, index, grid.N, dtype))
     A_hat, Z_hat = mats
     return ScalingMatrices(A_hat=A_hat, Z_hat=Z_hat)
+
+
+def csr_rows(S, rows):
+    """The CSR S[rows] for an index array, without the checks of scipy's
+    row indexing."""
+    lo, hi = S.indptr[rows], S.indptr[rows + 1]
+    indptr = np.zeros(rows.size + 1, dtype=S.indptr.dtype)
+    np.cumsum(hi - lo, out=indptr[1:])
+    take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], hi - lo)
+    return scipy.sparse.csr_matrix((S.data[take], S.indices[take], indptr),
+                                   shape=(rows.size, S.shape[1]))
 
 
 class FrameOperator(scipy.sparse.linalg.LinearOperator):
@@ -183,14 +246,21 @@ class FrameOperator(scipy.sparse.linalg.LinearOperator):
                            for n in self.N]
         shape = (scaling_matrix.shape[0], int(np.prod(self.N)))
         super().__init__(dtype=float, shape=shape)
+        # by tensor rank (d, or d + 1 with a batch axis), per axis: the
+        # axis order that moves it last, and the one that moves it back
+        d = len(self.N)
+        self._orders = {rank: [(
+            [a for a in range(rank) if a != ax] + [ax],
+            list(range(ax)) + [rank - 1] + list(range(ax, rank - 1)))
+            for ax in range(d)] for rank in (d, d + 1)}
 
     def _axis_transform(self, x, fn, plans):
         """Apply fn along every tensor axis of x, shape (n,) or (n, k); a
         block's columns ride along as a trailing batch axis."""
         x = np.asarray(x, dtype=float)
         a = x.reshape(self.N + x.shape[1:])
-        for ax, plan in enumerate(plans):
-            a = np.moveaxis(fn(np.moveaxis(a, ax, -1), plan), -1, ax)
+        for (last, back), plan in zip(self._orders[a.ndim], plans):
+            a = fn(a.transpose(last), plan).transpose(back)
         return a.reshape(x.shape)
 
     def synthesis(self, x):

@@ -14,12 +14,14 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from wavext import az
+from wavext.domain import masked_grid
 from wavext.dual import DualError, dual_pair
 from wavext.dwt import TransformError, dwt, idwt, idwt_column_filters
 from wavext.filters import filter_bank
 from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
                             _finalize, _pivoted_qr, randomized_lowrank_solve,
                             sparse_qr_factor)
+from wavext.system import assemble_scaling, frame_operator_A
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
                 "cdf35", "cdf42", "cdf51"]
@@ -294,3 +296,32 @@ def check_sparse_factor(A, scale=None):
     assert rep.diagnostics["front_width"] == factor.front_width
     assert factor.front_width <= factor.cols.size
     return factor, rep
+
+
+def interior_points(fine):
+    """Points of a 2q grid whose enclosing q-cell corners all lie in the
+    domain, as the benchmark's held-out gate (``perfbench/accuracy.py``)
+    takes them.  Coarse point j sits at fine index 2j; fine index i has the
+    corners i // 2 and (i + 1) // 2 along each axis."""
+    coarse = fine.inside_bool[tuple(slice(None, None, 2) for _ in fine.N)]
+    acc = coarse
+    for ax, g in enumerate(fine.grid_shape):
+        i = np.arange(g)
+        lo = np.take(acc, i // 2, axis=ax)
+        hi = np.take(acc, ((i + 1) // 2) % acc.shape[ax], axis=ax)
+        acc = lo & hi
+    return acc & fine.inside_bool
+
+
+def heldout_interior_error(problem, f, x):
+    """max |A2 x - f| / max |f| over the ``interior_points`` of the grid
+    with twice the oversampling, A2 the frame operator on that grid: the
+    held-out interior error of the benchmark's gate."""
+    grid = problem.grid
+    fine = masked_grid(grid.mask, grid.N, tuple(2 * q for q in grid.q))
+    A2 = frame_operator_A(assemble_scaling(problem.bank, fine), problem.bank,
+                          fine)
+    interior = interior_points(fine).ravel()[fine.inside]
+    exact = f(fine.points())
+    err = np.abs(A2.matvec(x) - exact) / np.abs(exact).max()
+    return float(err[interior].max())

@@ -19,7 +19,8 @@ from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve,
                             randomized_lowrank_solve)
 from wavext.system import dense_A
 
-from support import (ALL_FAMILIES, banks, check_sparse_factor, plunge_rank,
+from support import (ALL_FAMILIES, banks, check_sparse_factor,
+                     heldout_interior_error, plunge_rank,
                      reference_per_scale_norms, reference_plunge_apply,
                      reference_plunge_rapply, reference_plunge_rhs,
                      reference_scaling_plunge, sparse_qr_reference,
@@ -311,6 +312,33 @@ def test_geometry_computes_L_and_the_scale_once(monkeypatch):
     weighted = _weighted(prob)
     assert az._reference_scale(weighted) == az._frame_norm(
         prob.A, weighted.weights) != scale
+
+
+def test_reference_probe_is_shared_across_domains(monkeypatch):
+    """The unweighted reference scale reads a probe p = W^-1 w kept per
+    (filter masks, N): a second domain at a known N draws no w and
+    synthesizes nothing, and its scale equals the fresh ``_frame_norm``.
+    The probe is read-only, the probes kept fit PROBE_CACHE_BYTES (least
+    recently used dropped first, one larger than the budget never kept),
+    and clear_caches empties them."""
+    bank, draws, draw = filter_bank("cdf33"), [], az._probe_draw
+    monkeypatch.setattr(az, "_probe_draw", lambda n: draws.append(n) or draw(n))
+    az.clear_caches()
+    probs = [az.make_problem(exp1d, interval(a, a + 0.55), bank, n, 2)
+             for a, n in ((0.1, 256), (0.2, 256), (0.2, 512))]
+    scales = [p.geometry.reference_scale for p in probs]
+    assert draws == [256, 512]
+    for p, scale in zip(probs, scales):
+        assert scale == az._frame_norm(p.A) > 0
+    assert not az._reference_probe(probs[0].A).flags.writeable
+    assert [k[1] for k in az._probes] == [(512,), (256,)]
+    monkeypatch.setattr(az, "PROBE_CACHE_BYTES", (256 + 128) * 8)
+    for n in (128, 1024):
+        prob = az.make_problem(exp1d, interval(0.2, 0.75), bank, n, 2)
+        assert prob.geometry.reference_scale > 0
+        assert [k[1] for k in az._probes] == [(256,), (128,)]
+    az.clear_caches()
+    assert not az._probes
 
 
 def _weighted(prob):
@@ -684,6 +712,47 @@ _PIPELINES = {
     "reduced": lambda prob: az.reduced_az_solve(prob, seed=0),
     "sparse": az.sparse_az_solve,
 }
+
+
+# A pipeline's held-out interior error may be at most this factor above
+# that of the dense pivoted-QR oracle on the same problem.
+HELDOUT_FACTOR = 10.0
+HELDOUT_CASES = {
+    "interval": (lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, 0]),
+                 interval(0.2, 0.8), 256),
+    "disk": (lambda p: np.exp(p[:, 0] * p[:, 1]) * np.cos(2 * p[:, 0] + p[:, 1]),
+             disk(0.5, 0.5, 0.34), (32, 32)),
+}
+
+
+@pytest.fixture(scope="module")
+def heldout_cases():
+    """Per case: the problem (cdf33, q = 2) and the held-out interior error
+    of the dense pivoted-QR solve."""
+    cases = {}
+    for name, (f, mask, N) in HELDOUT_CASES.items():
+        prob = az.make_problem(f, mask, filter_bank("cdf33"), N, 2)
+        x = pivoted_qr_solve(dense_A(prob.A), prob.b).solution
+        cases[name] = prob, heldout_interior_error(prob, f, x)
+    return cases
+
+
+@pytest.mark.parametrize("pipeline", [*_PIPELINES, "adaptive"])
+@pytest.mark.parametrize("case", sorted(HELDOUT_CASES))
+def test_heldout_error_within_factor_of_oracle(heldout_cases, case,
+                                               pipeline):
+    """Accuracy away from the collocation points: on the grid with twice
+    the oversampling, each pipeline's interior error is at most
+    HELDOUT_FACTOR times that of the dense pivoted-QR oracle."""
+    prob, oracle = heldout_cases[case]
+    f, mask, N = HELDOUT_CASES[case]
+    if pipeline == "adaptive":
+        prob, sol = az.adaptive_weighted_solve(f, mask, prob.bank, N, 2,
+                                               seed=0)
+    else:
+        sol = _PIPELINES[pipeline](prob)
+    err = heldout_interior_error(prob, f, sol.x)
+    assert err <= HELDOUT_FACTOR * oracle, (err, oracle)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

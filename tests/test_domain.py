@@ -33,6 +33,14 @@ def test_oversampling_guard():
         masked_grid(interval(0.0, 0.1), 64, 2)   # 13 points for 64 dof
 
 
+def test_empty_domain_is_named():
+    """A domain that holds no grid point raises a DomainError that names
+    it empty, not one about the oversampling."""
+    for mask, N in ((disk(2, 2, 0.1), (16, 16)), (interval(0.41, 0.42), 8)):
+        with pytest.raises(DomainError, match="empty domain"):
+            masked_grid(mask, N, 2)
+
+
 def test_invalid_grid_parameters():
     with pytest.raises(DomainError):
         masked_grid(interval(0.0, 0.5), 48, 2)   # not a power of two

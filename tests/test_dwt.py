@@ -219,32 +219,43 @@ def test_adjoint_identity_property(fam, J, seed):
 
 
 def _with_reference_kernel(monkeypatch, fn):
-    """fn() evaluated once with the wrap-padded kernel and once with the
-    per-tap modular oracle substituted for it."""
+    """fn() evaluated once with the sparse level products and the
+    wrap-padded kernel, and once with the per-tap modular oracle
+    substituted for both."""
     fast = fn()
     with monkeypatch.context() as mp:
+        mp.setattr(dwt_mod, "SPARSE_MAX_N", 0)
         mp.setattr(dwt_mod, "_analysis_step", reference_analysis_step)
         mp.setattr(dwt_mod, "_synthesis_step", reference_synthesis_step)
         ref = fn()
     return fast, ref
 
 
-@pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6, 12])
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6, 12, 13])
 def test_kernel_matches_modular_oracle(banks, J, monkeypatch):
     """The step cascade is bit-identical to per-tap index arithmetic modulo
     n, also where the taps wrap more than once, on both sides and with
-    leading batch axes.  It is called directly: dwt and idwt take the dense
-    path up to DENSE_MAX_N points."""
+    leading batch axes: with the levels of up to SPARSE_MAX_N points as
+    sparse products (J = 13 has one longer level), and with every level
+    on the wrap-padded kernel.  The layout is the oracle's too, since a
+    BLAS product of the result (the dense transform matrix) takes its bits
+    from it.  It is called directly: dwt and idwt take the dense path up to
+    DENSE_MAX_N points."""
     rng = np.random.default_rng(J)
-    for name, bank in banks.items():
-        for side in ("primal", "dual"):
-            plan = TransformPlan(bank, J, side)
-            for shape in ((2**J,), (2, 3, 2**J)):
-                v = rng.standard_normal(shape)
-                for steps in ("_dwt_steps", "_idwt_steps"):
-                    fast, ref = _with_reference_kernel(
-                        monkeypatch, lambda: getattr(dwt_mod, steps)(v, plan))
-                    assert np.array_equal(fast, ref), (name, side, shape, steps)
+    for sparse_max_n in (dwt_mod.SPARSE_MAX_N, 0):
+        monkeypatch.setattr(dwt_mod, "SPARSE_MAX_N", sparse_max_n)
+        for name, bank in banks.items():
+            for side in ("primal", "dual"):
+                plan = TransformPlan(bank, J, side)
+                for shape in ((2**J,), (2, 3, 2**J)):
+                    v = rng.standard_normal(shape)
+                    for steps in ("_dwt_steps", "_idwt_steps"):
+                        fast, ref = _with_reference_kernel(
+                            monkeypatch,
+                            lambda: getattr(dwt_mod, steps)(v, plan))
+                        assert np.array_equal(fast, ref), \
+                            (name, side, shape, steps, sparse_max_n)
+                        assert fast.strides == ref.strides, (name, steps)
 
 
 @pytest.mark.parametrize("N", [(8, 16), (4, 8, 4)])

@@ -2,15 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from wavext.cascade import scaling_at_dyadic
 from wavext.domain import (DomainMask, ball, disk, interval, masked_grid,
                            whole_box)
 from wavext.dual import DualError
-from wavext.dwt import TransformPlan
+from wavext.dwt import TransformPlan, idwt
 from wavext.filters import filter_bank
-from wavext.system import (SystemError_, assemble_scaling, dense_A,
-                           frame_operator_A, frame_operator_Zstar, rhs)
+from wavext.system import (FrameOperator, SystemError_, assemble_scaling,
+                           dense_A, frame_operator_A, frame_operator_Zstar,
+                           rhs)
 
 from support import banks, dense_matrix, reference_assemble_scaling
 
@@ -37,6 +39,8 @@ TWO_INTERVALS = DomainMask(
     | ((p[:, 0] >= 0.45) & (p[:, 0] <= 0.9)))
 ANNULUS = DomainMask(
     2, lambda p: np.abs(np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5) - 0.3) <= 0.1)
+# One periodic interval across the box edge.
+WRAPPED = DomainMask(1, lambda p: (p[:, 0] <= 0.3) | (p[:, 0] >= 0.7))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -47,12 +51,17 @@ def test_scaling_assembly_matches_coo_oracle(banks, q):
     canonical format.  For every family that admits q (3: the non-dyadic
     CDF branch): in 1-D from the shortest period the filters fit in, where
     the taps of most rows wrap, on an interval at the box edge, the whole
-    box and two intervals; in 2-D on a disk with q and with (q, 4) per axis,
-    an annulus and the whole box at its shortest periods; in 3-D on the 8^3
-    ball (q = 2)."""
+    box, the interval [0, 1] and one across the box edge (inside rows at
+    both ends of the axis), two intervals, and a 2^12 interval (a long run
+    of row periods none of which wraps); in 2-D on a disk with q and with
+    (q, 4) per axis, an annulus and the whole box at its shortest periods;
+    in 3-D on the 8^3 ball (q = 2)."""
+    with pytest.warns(UserWarning):
+        unit = interval(0.0, 1.0)
     cases = [(interval(0.2, 0.8), n, q) for n in (4, 8, 16, 64)]
     cases += [(interval(0.0, 0.5), 64, q), (whole_box(1), 16, q),
-              (TWO_INTERVALS, 64, q),
+              (unit, 64, q), (WRAPPED, 64, q), (TWO_INTERVALS, 64, q),
+              (interval(0.2, 0.75), 2**12, q),
               (disk(0.5, 0.5, 0.35), (16, 16), q),
               (disk(0.5, 0.5, 0.35), (16, 16), (q, 4)),
               (ANNULUS, (16, 16), q), (whole_box(2), (4, 4), q)]
@@ -151,6 +160,21 @@ def test_adjoint_consistency():
     lhs = np.dot(A.matvec(x), y)
     rhs_ = np.dot(x, A.rmatvec(y))
     assert abs(lhs - rhs_) < 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("N", [(128,), (8, 128), (4, 8, 128)])
+def test_axis_transform_matches_moved_axes(N):
+    """Each axis is moved last by a transpose in the same axis order as
+    ``np.moveaxis``, so vectors and blocks transform to the same bits."""
+    n = int(np.prod(N))
+    op = FrameOperator(scipy.sparse.identity(n, format="csr"),
+                       filter_bank("cdf33"), N)
+    for x in np.random.default_rng(len(N)).standard_normal((2, n, 3)):
+        for v in (x[:, 0], x):
+            a = v.reshape(N + v.shape[1:])
+            for ax, plan in enumerate(op.plans):
+                a = np.moveaxis(idwt(np.moveaxis(a, ax, -1), plan), -1, ax)
+            assert np.array_equal(op.synthesis(v), a.reshape(v.shape))
 
 
 def test_plunge_identity_dense():
