@@ -27,8 +27,10 @@ reconstruction then errs by 1.0-2.9e-10 for tails of 16-256 points instead
 of 5.7e-11, and the other families by 3.4e-14 instead of 5.8e-15.  Instead,
 a level step of at most SPARSE_MAX_N = 2^12 points is one product with a
 cached sparse matrix that sums each output's terms in the step's order
-(``_level_matrix``): a 1024-point cdf33 ``dwt`` takes 83 us instead of
-295 us (``idwt`` 80 us instead of 282 us).
+(``_level_matrix``; same bits where scipy's loop does not fuse multiply
+and add): a 1024-point cdf33 ``dwt`` takes 83 us instead of 295 us
+(``idwt`` 80 us instead of 282 us).  Longer levels keep the step, since
+their matrices would cost more memory and set-up than they save.
 """
 
 from dataclasses import dataclass
@@ -153,6 +155,12 @@ class TransformPlan:
 
 
 # Levels of at most this many points run as one cached sparse product.
+# The product beats the step at every length (2^10: 10 us against 35 us;
+# 2^18: 2.1 ms against 3.2 ms, cdf33), but its matrices cost memory and a
+# build of about 20 step applies, and both double with each level.  On
+# the interval-1d benchmark (mean of seeds 401-402, one BLAS thread) the cutoffs
+# 2^12, 2^14, 2^16 and 2^18 gave reduced_s 0.095, 0.095, 0.116 and
+# 0.155 s and peak_rss_mb 136, 143, 161 and 253.
 SPARSE_MAX_N = 2**12
 
 
@@ -162,7 +170,11 @@ def _level_matrix(plan: TransformPlan, n, synthesis):
     are read off the step's own taps (``analysis_taps``, ``synthesis_taps``)
     run on the indices, and each row keeps them in the order the step adds
     them.  scipy's CSR product sums a row's terms in stored order from
-    zero, so the product has the bits of the step."""
+    zero, so the product has the bits of the step, as long as scipy's
+    compiled loop rounds each product before the add, as the step does.
+    A scipy build that fuses them (FMA contraction, e.g. GCC's default on
+    aarch64) differs by round-off; the bit tests in ``tests/test_dwt.py``
+    were run with scipy 1.17 on x86-64 Linux only."""
     M = plan._matrices.get((synthesis, n))
     if M is None:
         half, idx = n // 2, np.arange(n)
