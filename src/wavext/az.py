@@ -11,17 +11,17 @@ settings of step 1:
 * ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the matrix-free
   plunge operator over all rows and columns, randomized low-rank kernel;
   A Z* = A_hat Z_hat* leaves one wavelet transform in each apply;
-* ``reduced_az_solve``: the explicit sparse scaling plunge block on the
+* ``reduced_az_solve``: the explicit scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only).
   Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides
-  c = Z_hat* b, so its cost follows the boundary, not N.  A block the
-  kernel takes dense anyway (every 1-D block) is formed dense, in the
-  bits of the sparse one (``_dense_scaling_plunge``);
+  c = Z_hat* b, so its cost follows the boundary, not N;
 * ``sparse_az_solve``: the same block and x1 = W y, rank-revealing banded
-  sparse QR kernel (unweighted only).  The factor depends on the geometry
-  only, not on f, so it is kept in a bounded least-recently-used cache and
-  reused by later problems on the same geometry.
+  sparse QR kernel (unweighted only).
+
+Both explicit pipelines take the block from ``_scaling_block``, which forms
+it dense when its products are small (every 1-D block) and sparse
+otherwise, in the same bits either way.
 
 Steps 2-3 of the explicit forms run one wavelet analysis and no synthesis:
 A x = A_hat v for x = W v.
@@ -30,10 +30,11 @@ Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  ``make_problem`` keeps the ``Geometry`` (operators
 and index sets) of its last call and reuses it when the next call has the
 same geometry; the geometry also keeps the unweighted reference scale once
-computed.  That scale is ||A_hat p|| for a probe p = W^-1 w that depends on
-the filter masks and N alone, so the probes are kept across geometries
-(``_reference_probe``).  ``clear_caches`` drops the geometry, the step-1
-factors and the probes.
+computed.  What step 1 can reuse beyond one geometry is kept in one bounded
+least-recently-used cache: the sparse factor of each geometry (it does not
+depend on f) and the probe of the reference scale, which depends on the
+filter masks and N alone (``_reference_probe``).  ``clear_caches`` drops
+the geometry and that cache.
 """
 
 import hashlib
@@ -53,7 +54,7 @@ from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
 from .dwt import sparse_idwt_rows
 from .filters import FilterBank
 # sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
-from .solvers import (BLOCK_SIZE, DEFAULT_TOL, randomized_lowrank_solve,
+from .solvers import (DEFAULT_TOL, randomized_lowrank_solve,
                       sparse_qr_factor, sparse_qr_solve)  # noqa: F401
 from .system import (FrameOperator, assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
@@ -63,18 +64,23 @@ PRUNE_REL = 1e-12
 # this many basis entries (columns x n_basis): larger chunks at n_basis = 2^18
 # raise peak memory by a quarter for no speed gain.
 BLOCK_ENTRIES = 2**18
-# Bytes of sparse step-1 factors kept for reuse.  The factors of the disk
-# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 9.2 MB; that
-# of the 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors) does not
-# fit.
-STEP1_CACHE_BYTES = 2**25
-# Bytes of reference probes kept (``_reference_probe``).  The probes of the
-# 1-D benchmark's requests (cdf33 at N = 2^12-2^18, db4 at 2^12) take 2.8 MB.
-PROBE_CACHE_BYTES = 2**22
-# A scaling block that randomized_lowrank_solve takes dense (at most
-# BLOCK_SIZE rows or columns) is formed dense when the terms of its products
-# take at most this many entries: a 1-D block at any N, no disk's.
-DENSE_BLOCK_ENTRIES = 2**16
+# Bytes of reusable step-1 state kept (``_cache``): sparse factors and
+# reference probes.  The factors of the disk (0.5, 0.5, 0.34) at 32^2 and
+# 64^2 (cdf33) and 32^2 (db4) take 9.2 MB, the probes of the 1-D benchmark's
+# requests (cdf33 at N = 2^12-2^18, db4 at 2^12) 2.8 MB; the factor of the
+# 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors) does not fit.
+CACHE_BYTES = 2**25
+# The scaling block is formed dense when each of its two products takes at
+# most this many terms (rows x shared columns x |K|), else sparse: the cost
+# of the dense running sums grows with the terms, that of the sparse
+# products stays near 0.45 ms up to here.  The crossover, measured as the
+# minimum of 120-400 calls, one BLAS thread, dense against sparse: cdf33 1-D
+# block (440 terms) 0.07-0.12 against 0.43 ms; db1 16^2 disk r = 0.34
+# (18,081) 0.30 against 0.46 ms; db4 1-D block (20,304) 0.32-0.45 against
+# 0.49-0.78 ms; db1 16^2 disk r = 0.35 (23,805) 0.61 against 0.44 ms; cdf22
+# 8^2 disk r = 0.35 (55,296) 1.7-2.0 against 0.5-0.7 ms.  So every 1-D block
+# of the families up to db4 and cdf51 (at most 20,736 terms) is dense.
+DENSE_BLOCK_ENTRIES = 22_000
 
 
 class AZError(ValueError):
@@ -282,24 +288,18 @@ def _frame_norm(A: FrameOperator, weights=None):
     return float(np.linalg.norm(A.matvec(w)))
 
 
-# Reference probes by (filter masks, N), least recently used first, within
-# PROBE_CACHE_BYTES.
-_probes = OrderedDict()
-_probe_lock = threading.Lock()
-
-
 def _reference_probe(A: FrameOperator):
     """The probe p = W^-1 w of the unweighted ``_frame_norm``, read-only.
     It depends on the filter masks and N only, not on the domain, so a new
-    geometry at a known N reuses it: its reference scale then costs one
-    sparse product instead of a Gaussian draw and an inverse DWT of N
-    points."""
-    key = (A.bank.masks_key, A.N)
-    p = _lru_get(_probes, _probe_lock, key)
+    geometry at a known N reuses it from the cache: its reference scale
+    then costs one sparse product instead of a Gaussian draw and an inverse
+    DWT of N points."""
+    key = ("probe", A.bank.masks_key, A.N)
+    p = _lru_get(key)
     if p is None:
         p = A.synthesis(_probe_draw(A.shape[1]))
         p.flags.writeable = False
-        _lru_put(_probes, _probe_lock, key, p, PROBE_CACHE_BYTES)
+        _lru_put(key, p)
     return p
 
 
@@ -381,45 +381,46 @@ def _columns(S, cols):
                                    shape=(S.shape[0], cols.size))
 
 
-# Sparse step-1 factors by (geometry key, tol), least recently used first:
-# the geometry fixes the scaling block and the reference scale.  Bounded by
-# STEP1_CACHE_BYTES; factors hold boundary-sized arrays only, never the
-# problem.
-_step1_cache = OrderedDict()
-_step1_lock = threading.Lock()
+# Reusable step-1 state, least recently used first, within CACHE_BYTES:
+# sparse factors by ("step1", geometry key, tol), as the geometry fixes the
+# scaling block and the reference scale, and reference probes by ("probe",
+# filter masks, N).  Entries hold boundary-sized arrays and probes of N
+# entries, never a problem.
+_cache = OrderedDict()
+_cache_lock = threading.Lock()
 
 
-def _lru_get(cache, lock, key):
+def _lru_get(key):
     """The entry of key, now the most recently used, or None."""
-    with lock:
-        value = cache.get(key)
+    with _cache_lock:
+        value = _cache.get(key)
         if value is not None:
-            cache.move_to_end(key)
+            _cache.move_to_end(key)
         return value
 
 
-def _lru_put(cache, lock, key, value, budget):
+def _lru_put(key, value):
     """Keep value under key, then drop the least recently used entries until
-    the values' nbytes fit budget.  A value larger than budget alone is not
-    kept: it would evict every entry, then itself."""
-    if value.nbytes > budget:
+    the values' nbytes fit CACHE_BYTES.  A value larger than the budget
+    alone is not kept: it would evict every entry, then itself."""
+    if value.nbytes > CACHE_BYTES:
         return
-    with lock:
-        cache[key] = value
-        while sum(v.nbytes for v in cache.values()) > budget:
-            cache.popitem(last=False)
+    with _cache_lock:
+        _cache[key] = value
+        while sum(v.nbytes for v in _cache.values()) > CACHE_BYTES:
+            _cache.popitem(last=False)
 
 
 def clear_caches():
-    """Forget the cached geometry, every cached sparse step-1 factor and
-    every reference probe, so the next make_problem assembles, and the next
-    solve of each geometry computes its reference scale and (sparse)
-    factors from scratch."""
+    """Forget the cached geometry and every cached sparse step-1 factor and
+    reference probe, so the next make_problem assembles, and the next solve
+    of each geometry computes its reference scale and (sparse) factors from
+    scratch.  What depends on the filter bank and sizes alone stays warm:
+    the transform matrices, the tap tables and the dual pairs."""
     with _geometry_lock:
         _geometry.clear()
-    for cache, lock in ((_step1_cache, _step1_lock), (_probes, _probe_lock)):
-        with lock:
-            cache.clear()
+    with _cache_lock:
+        _cache.clear()
 
 
 def _timed(fn, *args):
@@ -433,14 +434,15 @@ def _step1_factor(problem: AZProblem, tol):
     cut against the reference scale, from the cache when this geometry was
     factored before, when no block is assembled and no scale read; and the
     seconds of the block's ``assembly`` and of the ``reference`` scale."""
-    key = (problem.geometry.key, float(tol))
-    factor = _lru_get(_step1_cache, _step1_lock, key)
+    key = ("step1", problem.geometry.key, float(tol))
+    factor = _lru_get(key)
     if factor is not None:
         return factor, True, {"assembly": 0.0, "reference": 0.0}
-    op, assembly = _timed(scaling_plunge, problem)
+    block, assembly = _timed(_scaling_block, problem)
     scale, reference = _timed(_reference_scale, problem)
-    factor = sparse_qr_factor(op, tol=tol, scale=scale)
-    _lru_put(_step1_cache, _step1_lock, key, factor, STEP1_CACHE_BYTES)
+    factor = sparse_qr_factor(scipy.sparse.csr_matrix(block), tol=tol,
+                              scale=scale)
+    _lru_put(key, factor)
     return factor, False, {"assembly": assembly, "reference": reference}
 
 
@@ -448,13 +450,13 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     """Steps 1-3 from c = Z_hat* b.
 
     Step 1 solves the plunge system for y.  When ``explicit`` it solves on
-    the (Mrows, K) block ``scaling_plunge`` and the rows Mrows of the
+    the (Mrows, K) block ``_scaling_block`` and the rows Mrows of the
     right-hand side b - A_hat c, so besides c it reads boundary-sized data
     only, and x1 = W y; else on the matrix-free ``plunge_operator``, and
     x1 = D y.  With a ``seed`` the kernel is ``randomized_lowrank_solve``
     (with the reference scale).  With seed None it is the sparse QR of the
     block; that factor depends on the geometry, not on b, so it comes from
-    the step-1 cache when there, as ``diagnostics["step1_reused"]`` says.
+    the cache when there, as ``diagnostics["step1_reused"]`` says.
     Explicit forms are unweighted.  ``stage_times["reference"]`` is the
     part of step 1 spent on the reference scale (0 when a cached factor
     needs none).
@@ -476,12 +478,8 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         factor, diag["step1_reused"], times = _step1_factor(problem, tol)
         rep = factor.solve(b1)
     else:
-        ta = time.perf_counter()
         if explicit:
-            op = _dense_scaling_plunge(problem)
-            if op is None:
-                op = scaling_plunge(problem)
-            times["assembly"] = time.perf_counter() - ta
+            op, times["assembly"] = _timed(_scaling_block, problem)
         else:
             op = plunge_operator(problem)
         scale, times["reference"] = _timed(_reference_scale, problem)
@@ -504,7 +502,6 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
                       coefficient_norm=float(np.linalg.norm(x)),
                       per_scale_norms=per_scale_norms(x, problem.grid.N),
                       stage_times=times, plunge_rank=rep.rank,
-                      warning=rep.warning,
                       diagnostics={"rank": rep.rank, **rep.diagnostics,
                                    "geometry_reused": problem.geometry_reused,
                                    **diag})
@@ -574,10 +571,10 @@ def _dense_columns(S, cols):
     return out
 
 
-def _dense_scaling_plunge(problem: AZProblem):
-    """``scaling_plunge(problem).toarray()`` in the same bits, formed dense,
-    for a block of at most BLOCK_SIZE rows or columns whose products take
-    at most DENSE_BLOCK_ENTRIES terms; None for any other block.
+def _scaling_block(problem: AZProblem):
+    """The scaling plunge block of step 1, ``scaling_plunge(problem)`` in
+    the same bits: as a dense array when each of its products takes at most
+    DENSE_BLOCK_ENTRIES terms, else that sparse block itself.
 
     The sparse products sum their terms over the shared index in ascending
     order from zero, skipping zero terms; here every term is formed and a
@@ -588,8 +585,8 @@ def _dense_scaling_plunge(problem: AZProblem):
     K = problem.K
     cols = np.unique(Ar.indices)
     m, c, k = Ar.shape[0], cols.size, K.size
-    if not 0 < min(m, k) <= BLOCK_SIZE or m * c * k > DENSE_BLOCK_ENTRIES:
-        return None
+    if not 0 < m * c * k <= DENSE_BLOCK_ENTRIES:
+        return scaling_plunge(problem)
     Ac, Zc, AK = (_dense_columns(Ar, cols), _dense_columns(Zr, cols),
                   _dense_columns(Ar, K))
     terms = np.zeros((m + 1, c, k))

@@ -201,7 +201,7 @@ def _dense_qr(problem, tol, seed):
         coefficient_norm=rep.solution_norm,
         per_scale_norms=az_mod.per_scale_norms(rep.solution, problem.grid.N),
         stage_times={"geometry": problem.geometry_s, "solve": rep.wall_time},
-        plunge_rank=rep.rank, warning=rep.warning,
+        plunge_rank=rep.rank,
         diagnostics={"geometry_reused": problem.geometry_reused})
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cascade import scaling_at_dyadic
-from .filters import FilterBank
+from .filters import FilterBank, delta_violation
 
 SOLVE_TOL = 1e-11
 SUPPORT_CAP_FACTOR = 8
@@ -87,37 +87,20 @@ def sample_primal(bank: FilterBank, q: int) -> SampledScaling:
 
 def pairing_residual(b: SampledScaling, d: DiscreteDual):
     """Max violation of sum_m b_m bt_{m-kq} = delta_{0k} over all shifts k."""
-    q = b.q
-    lo = -((d.offset + d.b_dual.size - 1 - b.offset) // q) - 1
-    hi = (b.offset + b.b.size - 1 - d.offset) // q + 1
-    worst = 0.0
-    for k in range(lo, hi + 1):
-        s = 0.0
-        for mi in range(b.b.size):
-            m = b.offset + mi
-            j = m - k * q - d.offset
-            if 0 <= j < d.b_dual.size:
-                s += b.b[mi] * d.b_dual[j]
-        worst = max(worst, abs(s - (1.0 if k == 0 else 0.0)))
-    return worst
+    return delta_violation(b.b, b.offset, d.b_dual, d.offset, b.q)
 
 
 def _dual_system(b: SampledScaling, start: int, length: int):
-    """Constraint matrix C and rhs for a dual on [start, start+length)."""
+    """Constraint matrix C and rhs for a dual on [start, start+length):
+    C[k, j] = b_{start + j + k q} for every shift k at which the supports
+    overlap."""
     q = b.q
-    # all shifts k for which the supports overlap
-    klo = -((start + length - 1 - b.offset) // q)
-    khi = (b.offset + b.b.size - 1 - start) // q
-    ks = [k for k in range(klo, khi + 1)]
-    C = np.zeros((len(ks), length))
-    for row, k in enumerate(ks):
-        for j in range(length):
-            m = start + j + k * q
-            mi = m - b.offset
-            if 0 <= mi < b.b.size:
-                C[row, j] = b.b[mi]
-    rhs = np.array([1.0 if k == 0 else 0.0 for k in ks])
-    return C, rhs
+    ks = np.arange(-((start + length - 1 - b.offset) // q),
+                   (b.offset + b.b.size - 1 - start) // q + 1)
+    mi = start - b.offset + np.arange(length) + q * ks[:, None]
+    inside = (mi >= 0) & (mi < b.b.size)
+    C = np.where(inside, b.b[np.where(inside, mi, 0)], 0.0)
+    return C, (ks == 0).astype(float)
 
 
 def _centered_start(b: SampledScaling, length: int):

@@ -41,7 +41,6 @@ class SolveReport:
     solution_norm: float
     rank: int
     wall_time: float
-    warning: str | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -126,9 +125,11 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
     ``az.BLOCK_ENTRIES``).
 
     An operator with at most BLOCK_SIZE rows or columns skips the sketch,
-    which would need that many samples anyway: the block is formed exactly
-    from its smaller side, min(m, n) applies of ``matmat`` or ``rmatmat``,
-    and solved by the same truncated SVD; ``range_dim`` is then min(m, n).
+    which would need that many samples anyway: it is solved by the same
+    truncated SVD as a dense block B, which is ``op`` itself when that is a
+    dense array, else formed exactly from its smaller side, min(m, n)
+    applies of ``matmat`` or ``rmatmat``; the residual is that of B, and
+    ``range_dim`` is min(m, n).
 
     ``scale`` supplies the magnitude of an enclosing computation: anything
     below NOISE_REL * scale is treated as cancellation noise rather than
@@ -137,15 +138,18 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
     operator's own largest singular value.
     """
     t0 = time.perf_counter()
-    op = scipy.sparse.linalg.aslinearoperator(op)
     m, n = op.shape
     b = np.asarray(b, dtype=float)
     full = min(m, n)
     floor = NOISE_REL * scale if scale is not None else 0.0
     if 0 < full <= BLOCK_SIZE:
-        B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
+        B = op
+        if not isinstance(op, np.ndarray):
+            op = scipy.sparse.linalg.aslinearoperator(op)
+            B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
         x, r = _svd_solve(B, b, tol, floor)
-        return _finalize(op.matvec, x, b, r, t0, range_dim=full)
+        return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full)
+    op = scipy.sparse.linalg.aslinearoperator(op)
     Q = _range_basis(op.shape, lambda G: op.matmat(G.T), tol, _rng(seed),
                      floor)
     # projected problem: min || (Q* A) x - Q* b ||

@@ -318,7 +318,7 @@ def test_reference_probe_is_shared_across_domains(monkeypatch):
     """The unweighted reference scale reads a probe p = W^-1 w kept per
     (filter masks, N): a second domain at a known N draws no w and
     synthesizes nothing, and its scale equals the fresh ``_frame_norm``.
-    The probe is read-only, the probes kept fit PROBE_CACHE_BYTES (least
+    The probe is read-only, the probes kept fit CACHE_BYTES (least
     recently used dropped first, one larger than the budget never kept),
     and clear_caches empties them."""
     bank, draws, draw = filter_bank("cdf33"), [], az._probe_draw
@@ -331,14 +331,20 @@ def test_reference_probe_is_shared_across_domains(monkeypatch):
     for p, scale in zip(probs, scales):
         assert scale == az._frame_norm(p.A) > 0
     assert not az._reference_probe(probs[0].A).flags.writeable
-    assert [k[1] for k in az._probes] == [(512,), (256,)]
-    monkeypatch.setattr(az, "PROBE_CACHE_BYTES", (256 + 128) * 8)
+    assert _cached("probe") == [(512,), (256,)]
+    monkeypatch.setattr(az, "CACHE_BYTES", (256 + 128) * 8)
     for n in (128, 1024):
         prob = az.make_problem(exp1d, interval(0.2, 0.75), bank, n, 2)
         assert prob.geometry.reference_scale > 0
-        assert [k[1] for k in az._probes] == [(256,), (128,)]
+        assert _cached("probe") == [(256,), (128,)]
     az.clear_caches()
-    assert not az._probes
+    assert not az._cache
+
+
+def _cached(kind):
+    """The last part of the keys of that kind in the one step-1 cache, least
+    recently used first: N of each probe, tol of each factor."""
+    return [key[-1] for key in az._cache if key[0] == kind]
 
 
 def _weighted(prob):
@@ -816,29 +822,54 @@ def test_scaling_plunge_is_boundary_local(dim, banks):
         assert (P != block).nnz == 0, name
 
 
+def _same_factor(f, g):
+    """Two sparse QR factors with the same triangle, reflectors and pivots,
+    and the same entries in their blocks."""
+    assert (f.A != g.A).nnz == 0 and f.front_width == g.front_width
+    for name in ("rows", "cols", "Q", "R", "piv"):
+        assert np.array_equal(getattr(f, name), getattr(g, name)), name
+    assert len(f.steps) == len(g.steps)
+    for (r0, r1, V, T), (s0, s1, W, U) in zip(f.steps, g.steps):
+        assert (r0, r1) == (s0, s1)
+        assert np.array_equal(V, W) and np.array_equal(T, U)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
-    """Where ``reduced`` forms the scaling block dense (at most BLOCK_SIZE
-    rows or columns, few product terms: every 1-D block), it equals the
-    sparse ``scaling_plunge`` in every bit, signed zeros included, for every
-    family, also at the box edge and at 2^12; the disk and ball blocks stay
-    sparse."""
+    """Where step 1 forms the scaling block dense (its products take at most
+    DENSE_BLOCK_ENTRIES terms: every 1-D block, also at the box edge and at
+    2^12, and small disk blocks such as db1's at 16^2), it equals the sparse
+    ``scaling_plunge`` in every bit, signed zeros included, for every
+    family, and sparse's factor of it is that of the sparse block; larger
+    blocks are the sparse block itself."""
     cases = {1: [(interval(0.2, 0.8), 64), (interval(0.0, 0.5), 256),
                  (interval(0.13, 0.71), 4096)],
-             2: [(disk(0.5, 0.5, 0.35), 16)],
+             2: [(disk(0.5, 0.5, 0.34), 16), (disk(0.5, 0.5, 0.35), 16)],
              3: [(ball(0.5, 0.5, 0.5, 0.4), 8)]}[dim]
+    dense_cases = set()
     for name, bank in banks.items():
         for mask, n in cases:
             prob = az.make_problem(exp1d if dim == 1 else
                                    (lambda p: np.ones(p.shape[0])),
                                    mask, bank, n, 2)
-            dense = az._dense_scaling_plunge(prob)
-            if dim > 1:
-                assert dense is None, name
+            block, ref = az._scaling_block(prob), az.scaling_plunge(prob)
+            Ar, _ = prob.geometry.boundary_rows
+            terms = Ar.shape[0] * np.unique(Ar.indices).size * prob.K.size
+            if terms > az.DENSE_BLOCK_ENTRIES:
+                assert scipy.sparse.issparse(block), (name, n)
                 continue
-            ref = az.scaling_plunge(prob).toarray()
-            assert dense.view(np.int64).tolist() == \
-                ref.view(np.int64).tolist(), (name, n)
+            dense_cases.add((name, mask.description))
+            assert block.view(np.int64).tolist() == \
+                ref.toarray().view(np.int64).tolist(), (name, n)
+            _same_factor(solvers.sparse_qr_factor(
+                scipy.sparse.csr_matrix(block), scale=1.0),
+                solvers.sparse_qr_factor(ref, scale=1.0))
+    if dim == 1:
+        assert len(dense_cases) == len(banks) * len(cases)
+    elif dim == 2:
+        assert ("db1", disk(0.5, 0.5, 0.34).description) in dense_cases
+    else:
+        assert not dense_cases
 
 
 def _poison_outside_rows(prob):
@@ -892,9 +923,9 @@ def test_step1_reads_boundary_rows_only(dim, banks, monkeypatch):
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, attr),
                                   getattr(clean, attr)), (name, attr)
-        dense = az._dense_scaling_plunge(poisoned)
-        if dense is not None:
-            assert np.array_equal(dense, az._dense_scaling_plunge(prob)), name
+        dense = az._scaling_block(poisoned)
+        if isinstance(dense, np.ndarray):
+            assert np.array_equal(dense, az._scaling_block(prob)), name
         poisoned_rhs.clear()
         with pytest.raises(StopIteration):
             az.reduced_az_solve(prob, seed=0)
@@ -990,12 +1021,13 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
                              512, 2) for i in range(6)]
     az.clear_caches()
     az.sparse_az_solve(probs[0])
-    one = sum(f.nbytes for f in az._step1_cache.values())
-    monkeypatch.setattr(az, "STEP1_CACHE_BYTES", int(2.5 * one))
+    one = max(v.nbytes for k, v in az._cache.items() if k[0] == "step1")
+    budget = 512 * 8 + int(2.5 * one)   # the one probe and some factors
+    monkeypatch.setattr(az, "CACHE_BYTES", budget)
     for prob in probs[1:]:
         az.sparse_az_solve(prob)
-        assert sum(f.nbytes for f in az._step1_cache.values()) <= 2.5 * one
-    assert 0 < len(az._step1_cache) < len(probs)
+        assert sum(v.nbytes for v in az._cache.values()) <= budget
+    assert 0 < len(_cached("step1")) < len(probs)
     assert az.sparse_az_solve(probs[-1]).diagnostics["step1_reused"]
     assert not az.sparse_az_solve(probs[0]).diagnostics["step1_reused"]
     az.clear_caches()
@@ -1003,21 +1035,44 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
 
 def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
     """A factor larger than the whole budget is returned uncached, and the
-    factors cached before it survive."""
+    entries cached before it survive."""
     bank = filter_bank("cdf33")
     small = az.make_problem(exp1d, interval(0.1, 0.7), bank, 512, 2)
     big = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), bank, (32, 32), (2, 2))
     az.clear_caches()
     az.sparse_az_solve(small)
-    kept = list(az._step1_cache.items())
-    budget = sum(f.nbytes for _, f in kept)
-    monkeypatch.setattr(az, "STEP1_CACHE_BYTES", budget)
+    assert big.geometry.reference_scale > 0     # its probe, cached now
+    kept = list(az._cache.items())
+    budget = sum(v.nbytes for _, v in kept)
+    monkeypatch.setattr(az, "CACHE_BYTES", budget)
     factor, reused, _ = az._step1_factor(big, 1e-10)
     assert factor.nbytes > budget and not reused
-    assert list(az._step1_cache.items()) == kept
+    assert list(az._cache.items()) == kept
     assert not az.sparse_az_solve(big).diagnostics["step1_reused"]
-    assert list(az._step1_cache.items()) == kept
+    assert list(az._cache.items()) == kept
     assert az.sparse_az_solve(small).diagnostics["step1_reused"]
+    az.clear_caches()
+
+
+def test_probes_and_factors_share_one_budget(monkeypatch):
+    """Probes and factors are dropped in one least-recently-used order
+    within one CACHE_BYTES: a new probe evicts the least recently used
+    factor, and a new factor the least recently used probe."""
+    bank = filter_bank("cdf33")
+    probs = [az.make_problem(exp1d, interval(a, 0.7), bank, n, 2)
+             for a, n in ((0.1, 512), (0.12, 512), (0.1, 1024), (0.14, 512))]
+    az.clear_caches()
+    az.sparse_az_solve(probs[0])
+    monkeypatch.setattr(az, "CACHE_BYTES", (512 + 1024) * 8)  # two probes
+    order = lambda: [(k[0], k[-1]) for k in az._cache]
+    assert order() == [("probe", (512,)), ("step1", DEFAULT_TOL)]
+    assert probs[1].geometry.reference_scale > 0   # the 512 probe is used
+    assert order() == [("step1", DEFAULT_TOL), ("probe", (512,))]
+    assert probs[2].geometry.reference_scale > 0   # a new 1024 probe
+    assert order() == [("probe", (512,)), ("probe", (1024,))]
+    assert not az.sparse_az_solve(probs[3]).diagnostics["step1_reused"]
+    assert order() == [("probe", (512,)), ("step1", DEFAULT_TOL)]
+    assert sum(v.nbytes for v in az._cache.values()) <= az.CACHE_BYTES
     az.clear_caches()
 
 
@@ -1034,7 +1089,7 @@ def test_sparse_step1_cache_holds_no_problem():
     del prob
     gc.collect()
     assert all(r() is None for r in refs)
-    assert len(az._step1_cache) == 1
+    assert len(_cached("step1")) == 1
     az.clear_caches()
     gc.collect()
     assert scaling() is None

@@ -27,3 +27,16 @@ def test_smoothing_demo():
     assert lines[-1].startswith("weight history:")
     # one row per scale of the 64-coefficient basis: levels 0..5
     assert [int(l.split()[0]) for l in lines[2:-1]] == list(range(6))
+
+
+def test_request_digest():
+    """One line per request of a disk-2d pass, the same on a second run."""
+    runs = [run_script("request_digest.py", "--workload", "disk-2d",
+                       "--passes", "1") for _ in range(2)]
+    for out in runs:
+        assert out.returncode == 0, out.stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 6 and lines == runs[1].stdout.splitlines()
+    rid, pipeline, family, n, rank, digest = lines[0].split()
+    assert (rid, pipeline, family, n) == ("p0.r0", "sparse", "cdf33", "32")
+    assert int(rank) > 0 and len(digest) == 64
