@@ -5,10 +5,12 @@
 
 The requests are those of ``perfbench/workloads.py`` (passes 0 .. K-1 of
 the workload under the seed), run in order through ``wavext.cli.run_one``.
-Each line holds the request id, pipeline, family, N, the plunge rank and
-the SHA-256 of the bytes of x + 0.0 (which turns -0.0 into +0.0), or the
-type of the exception a failed request raised.  Two trees that give the
-same lines return the same rank and the same x bits on every request.
+Each line holds the request id, pipeline, family, N, the plunge rank, the
+residual ||A x - b|| and ||x|| (``%.3e``), and the SHA-256 of the bytes of
+x + 0.0 (which turns -0.0 into +0.0), or the type of the exception a failed
+request raised.  Two trees that give the same lines return the same rank
+and the same x bits on every request; where bits move at round-off, the
+residual and ||x|| show by how much the answers differ.
 """
 
 import argparse
@@ -40,7 +42,8 @@ def main(argv=None):
                 print(f"{head} {type(e).__name__}", flush=True)
                 continue
             x = hashlib.sha256((sol.x + 0.0).tobytes()).hexdigest()
-            print(f"{head} {sol.plunge_rank} {x}", flush=True)
+            print(f"{head} {sol.plunge_rank} {sol.residual:.3e} "
+                  f"{sol.coefficient_norm:.3e} {x}", flush=True)
 
 
 if __name__ == "__main__":

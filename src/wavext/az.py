@@ -10,7 +10,9 @@ settings of step 1:
 
 * ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the matrix-free
   plunge operator over all rows and columns, randomized low-rank kernel;
-  A Z* = A_hat Z_hat* leaves one wavelet transform in each apply;
+  A Z* = A_hat Z_hat* leaves one wavelet transform in each apply, and the
+  unweighted range finder samples P W = (I - A_hat Z_hat*) A_hat with none
+  (``_solve``);
 * ``reduced_az_solve``: the explicit scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only).
@@ -222,11 +224,24 @@ def _scale_rows(w, x):
     return x if w is None else (w * x.T).T
 
 
+def _project_off(S, y):
+    """(I - A_hat Z_hat*) y = (I - A Z*) y for a vector or a block."""
+    return y - S.A_hat @ (S.Z_hat.T @ y)
+
+
 def _plunge_apply(problem: AZProblem, x):
     """(I - A Z*) A D x for a vector or an (n_basis, k) block, with
     D = diag(problem.weights), or the identity without weights."""
-    y, S = problem.A @ _scale_rows(problem.weights, x), problem.scaling
-    return y - S.A_hat @ (S.Z_hat.T @ y)
+    return _project_off(problem.scaling,
+                        problem.A @ _scale_rows(problem.weights, x))
+
+
+def _scaling_sample(problem: AZProblem, X):
+    """(I - A_hat Z_hat*) A_hat X for an (n_basis, k) block X: the
+    unweighted plunge P = (I - A Z*) A applied to W X, as A W = A_hat.
+    Three sparse products and no wavelet transform."""
+    S = problem.scaling
+    return _project_off(S, S.A_hat @ X)
 
 
 def _plunge_rapply(problem: AZProblem, y):
@@ -461,6 +476,20 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     part of step 1 spent on the reference scale (0 when a cached factor
     needs none).
 
+    The matrix-free range finder of an unweighted problem (no weights, or
+    all of them 1, which gives the unweighted bits) draws its test block as Omega = W G^T and samples
+    P Omega = (I - A_hat Z_hat*) A_hat G^T (``_scaling_sample``): A = A_hat
+    W^-1 and A Z* = A_hat Z_hat* give P W = (I - A_hat Z_hat*) A_hat, three
+    sparse products and no inverse DWT.  W is invertible, so range(P W) =
+    range(P) and the basis spans the same space; the projection onto it,
+    its truncated SVD and steps 2-3 apply P itself.  The range finder's
+    level and its posterior stopping bound now hold for P W: ||W|| is 1 for
+    the orthogonal db* banks, 5.5 for cdf33 and 1.2e6 for cdf51 at J = 12
+    (``dwt.operator_norms``).  Weighted problems keep sampling P D G^T
+    through the synthesis: Omega = D^-1 W G^T would avoid it but samples P
+    without the weights, and the adaptive weights span about 1e-13 to 40,
+    so the range found could miss directions that matter to P D.
+
     Steps 2-3 add x2 = Z* (b - A x1) = W u, u = Z_hat* (b - A x1).  When
     explicit, A x1 = A_hat y and u = c - Z_hat* (A_hat y), so one analysis
     gives x = W (y + u), and A x = A_hat (y + u) needs none.  Else A x1 and
@@ -470,7 +499,7 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     if explicit and problem.weights is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
-    times, diag = {}, {}
+    times, diag, sample = {}, {}, None
     S = problem.scaling
     c = S.Z_hat.T @ problem.b
     b1 = plunge_rhs(problem, c, explicit)
@@ -482,9 +511,14 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
             op, times["assembly"] = _timed(_scaling_block, problem)
         else:
             op = plunge_operator(problem)
+            w = problem.weights
+            if w is None or np.all(w == 1):
+                chunks = _in_blocks(partial(_scaling_sample, problem),
+                                    problem.grid.n_basis)
+                sample = lambda G: chunks(G.T)  # noqa: E731
         scale, times["reference"] = _timed(_reference_scale, problem)
         rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
-                                       scale=scale)
+                                       scale=scale, sample=sample)
     t1 = time.perf_counter()
     if explicit:
         y = np.zeros(problem.grid.n_basis)

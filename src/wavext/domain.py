@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import dual_pair
-from .dwt import analysis_taps
+from .dwt import _wrap_pad, analysis_taps
 from .filters import FilterBank
 
 
@@ -149,12 +149,12 @@ def _any_roll(a, shifts, axis):
     shifts = [int(s) for s in shifts]
     if not shifts:
         return np.zeros_like(a)
-    hi, n = max(shifts), a.shape[axis]
-    ext = np.take(a, np.arange(-hi, n - min(shifts)), axis=axis, mode="wrap")
+    lo, n = max(0, max(shifts)), a.shape[axis]
+    ext = _wrap_pad(a, lo, max(0, -min(shifts)), axis)
     out = np.zeros_like(a)
     window = [slice(None)] * a.ndim
     for s in shifts:
-        window[axis] = slice(hi - s, hi - s + n)
+        window[axis] = slice(lo - s, lo - s + n)
         out |= ext[tuple(window)]
     return out
 

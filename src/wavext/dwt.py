@@ -51,15 +51,18 @@ def _check_len(v, J):
         raise TransformError(f"vector length {v.shape[-1]} != 2^{J}")
 
 
-def _wrap_pad(v, lo, hi):
-    """v extended periodically along the last axis by lo entries in front and
-    hi behind: ``out[..., lo + i] == v[..., i % n]`` for -lo <= i < n + hi."""
-    n = v.shape[-1]
+def _wrap_pad(v, lo, hi, axis=-1):
+    """v extended periodically along ``axis`` by lo entries in front and hi
+    behind: along that axis, ``out[lo + i] == v[i % n]`` for
+    -lo <= i < n + hi."""
+    n = v.shape[axis]
+    head = (slice(None),) * (axis % v.ndim)
     if lo > n or hi > n:    # short blocks: the taps wrap more than once
         k = -(-lo // n)
-        tiled = np.concatenate([v] * (k + 1 - (-hi // n)), axis=-1)
-        return tiled[..., k * n - lo: (k + 1) * n + hi]
-    return np.concatenate([v[..., n - lo:], v, v[..., :hi]], axis=-1)
+        tiled = np.concatenate([v] * (k + 1 - (-hi // n)), axis=axis)
+        return tiled[head + (slice(k * n - lo, (k + 1) * n + hi),)]
+    return np.concatenate([v[head + (slice(n - lo, None),)], v,
+                           v[head + (slice(None, hi),)]], axis=axis)
 
 
 def analysis_taps(v, masks):

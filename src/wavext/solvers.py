@@ -7,11 +7,15 @@ truncation threshold 1e-10 regularizes the frame ill-conditioning.
 
 ``randomized_lowrank_solve`` stops at the numerical rank through a
 randomized range finder, ``_range_basis``, and projects onto the range it
-finds.  ``sparse_qr_factor`` compresses a banded sparse matrix to a square
+finds.  The range finder may use any random test block (Halko, Martinsson &
+Tropp 2011, section 4): a caller that can apply B T more cheaply than B, for
+an invertible T, passes that as its sampler, since range(B T) = range(B).
+``sparse_qr_factor`` compresses a banded sparse matrix to a square
 triangular factor by a frontal QR and reveals the rank on that factor.
 ``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -63,19 +67,33 @@ def _svd_solve(B, b, tol, floor):
     return Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]), r
 
 
+@functools.lru_cache(maxsize=64)
+def _qr_lwork(m, n):
+    """Optimal LAPACK workspace of ``dgeqp3`` and ``dorgqr`` on an (m, n)
+    block, by one workspace query each."""
+    a = np.empty((m, n), order="F")
+    work = scipy.linalg.lapack.dgeqp3(a, lwork=-1)[3]
+    lwork = scipy.linalg.lapack.dorgqr(a, np.zeros(n), lwork=-1)[1]
+    return int(work[0]), int(lwork[0])
+
+
 def _range_basis(shape, sample, tol, rng, floor=0.0):
     """Orthonormal basis Q of the numerical range of an operator B of the
     given (m, n) ``shape``, from blocks of BLOCK_SIZE random samples (Halko,
-    Martinsson & Tropp 2011, section 4.4).  ``sample(G)`` returns B G^T for
-    a block G of Gaussian rows, (k, n).
+    Martinsson & Tropp 2011, section 4.4).  ``sample(G)`` returns B Omega
+    for a test block Omega made from G, a block of Gaussian rows (k, n):
+    Omega = G^T, or any fixed invertible map of it, such as a transform
+    T G^T with range(B T) = range(B).  The samples then span the same
+    range, and the level below holds for B T.
 
     One level, ``max(tol * sigma, floor)`` with sigma the largest sample norm
     of the first block, decides both what is kept and when to stop:
 
-    * each block is projected off Q, factored by pivoted QR, and only the
-      columns whose R diagonal exceeds the level are kept; the kept block is
-      projected off Q a second time (two-pass Gram-Schmidt), so Q stays
-      orthonormal to working precision;
+    * each block is projected off Q into a Fortran-ordered buffer, factored
+      in place by LAPACK's pivoted QR (``dgeqp3``), and only the columns
+      whose R diagonal exceeds the level are kept and formed (``dorgqr``);
+      the kept block is projected off Q a second time (two-pass
+      Gram-Schmidt), so Q stays orthonormal to working precision;
     * the loop stops at the first draw whose projected samples are all at or
       below the level, which bounds the error of the range with high
       probability (the posterior bound of the same reference).  A draw that
@@ -84,7 +102,8 @@ def _range_basis(shape, sample, tol, rng, floor=0.0):
       samples.
 
     The basis thus ends at the numerical rank, give or take directions close
-    to the level, instead of filling the operator's range.
+    to the level, instead of filling the operator's range.  It grows by the
+    kept columns only: no buffer of min(m, n) columns is reserved.
     """
     m, n = shape
     full = min(m, n)
@@ -96,15 +115,22 @@ def _range_basis(shape, sample, tol, rng, floor=0.0):
         Y = sample(rng.standard_normal((min(size, full), n)))
         if level is None:
             level = max(tol * np.linalg.norm(Y, axis=0).max(), floor)
-        Y -= Q @ (Q.T @ Y)
+        Y = np.subtract(Y, Q @ (Q.T @ Y), out=np.empty(Y.shape, order="F"))
         if np.linalg.norm(Y, axis=0).max() <= level:
             break
-        Qnew, R, _ = scipy.linalg.qr(Y, mode="economic", pivoting=True)
+        geqp3_lwork, orgqr_lwork = _qr_lwork(*Y.shape)
+        Y, _, tau, _, info = scipy.linalg.lapack.dgeqp3(
+            Y, lwork=geqp3_lwork, overwrite_a=1)
+        if info:
+            raise SolverError(f"dgeqp3 failed with info {info}")
         # |R[0, 0]| is the largest sample norm, just found above the level;
         # keeping at least one column also guarantees progress
-        k = max(1, int(np.sum(np.abs(np.diag(R)) > level)))
+        k = max(1, int(np.sum(np.abs(np.diag(Y)) > level)))
         k = min(k, full - Q.shape[1])
-        Qnew = Qnew[:, :k]
+        Qnew, _, info = scipy.linalg.lapack.dorgqr(
+            Y[:, :k], tau[:k], lwork=orgqr_lwork, overwrite_a=1)
+        if info:
+            raise SolverError(f"dorgqr failed with info {info}")
         if Q.shape[1]:
             Qnew -= Q @ (Q.T @ Qnew)
             Qnew = np.linalg.qr(Qnew)[0]
@@ -113,7 +139,8 @@ def _range_basis(shape, sample, tol, rng, floor=0.0):
     return Q
 
 
-def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
+def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
+                             sample=None):
     """Adaptive randomized low-rank least squares for a matrix-free operator.
 
     Builds an orthonormal range basis Q with ``_range_basis``, which stops
@@ -124,12 +151,18 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
     applies need bounded memory chunks them itself (see
     ``az.BLOCK_ENTRIES``).
 
+    ``sample(G)``, when given, replaces ``op.matmat(G.T)`` in the range
+    finder: it returns op T G^T for the Gaussian rows G and a fixed
+    invertible T, which spans the same range.  The range finder's level and
+    its stopping bound then hold for op T, not op; the projection, its
+    truncation and the residual still use op (see ``az._solve``).
+
     An operator with at most BLOCK_SIZE rows or columns skips the sketch,
     which would need that many samples anyway: it is solved by the same
     truncated SVD as a dense block B, which is ``op`` itself when that is a
     dense array, else formed exactly from its smaller side, min(m, n)
     applies of ``matmat`` or ``rmatmat``; the residual is that of B, and
-    ``range_dim`` is min(m, n).
+    ``range_dim`` is min(m, n).  No sampler is called there.
 
     ``scale`` supplies the magnitude of an enclosing computation: anything
     below NOISE_REL * scale is treated as cancellation noise rather than
@@ -150,8 +183,9 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
         x, r = _svd_solve(B, b, tol, floor)
         return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full)
     op = scipy.sparse.linalg.aslinearoperator(op)
-    Q = _range_basis(op.shape, lambda G: op.matmat(G.T), tol, _rng(seed),
-                     floor)
+    if sample is None:
+        sample = lambda G: op.matmat(G.T)  # noqa: E731
+    Q = _range_basis(op.shape, sample, tol, _rng(seed), floor)
     # projected problem: min || (Q* A) x - Q* b ||
     if Q.shape[1]:
         x, r = _svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor)

@@ -148,6 +148,20 @@ def plunge_rank(problem, tol=DEFAULT_TOL, seed=0):
                          scale=az._reference_scale(problem))
 
 
+def transform_sampled_az(problem, tol=DEFAULT_TOL, seed=0):
+    """``az.az_solve`` (``smoothed`` with weights) with the range finder
+    sampling the plunge operator itself, Omega = G^T, so every sample block
+    takes a wavelet synthesis: the oracle of the unweighted scaling-form
+    sampler.  Returns (step-1 report, x, residual ||A x - b||)."""
+    rep = randomized_lowrank_solve(az.plunge_operator(problem),
+                                   az.plunge_rhs(problem), tol=tol,
+                                   seed=seed,
+                                   scale=az._reference_scale(problem))
+    x1 = az._scale_rows(problem.weights, rep.solution)
+    x = x1 + problem.Zstar(problem.b - problem.A.matvec(x1))
+    return rep, x, float(np.linalg.norm(problem.A.matvec(x) - problem.b))
+
+
 def reference_scaling_plunge(problem):
     """The global A_hat - A_hat Z_hat* A_hat over every column, pruned like
     ``wavext.az.scaling_plunge``: the oracle of its boundary-local form."""

@@ -24,7 +24,7 @@ from support import (ALL_FAMILIES, banks, check_sparse_factor,
                      reference_per_scale_norms, reference_plunge_apply,
                      reference_plunge_rapply, reference_plunge_rhs,
                      reference_scaling_plunge, sparse_qr_reference,
-                     wavelet_block)
+                     transform_sampled_az, wavelet_block)
 
 
 def exp1d(p):
@@ -351,6 +351,53 @@ def _weighted(prob):
     """prob with per-scale weights halving from the coarsest scale."""
     e = [0.5 ** i for i in range(12)]
     return dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("case", [1, 2, 3, 4096])
+def test_scaling_sampler_matches_transform_sampler(case, family, banks,
+                                                   monkeypatch):
+    """Unweighted az samples P W G^T = (I - A_hat Z_hat*) A_hat G^T, with no
+    inverse DWT inside the range finder, and keeps the rank of the oracle
+    that samples P G^T through the transform, with a residual and ||x||
+    within 2x of the oracle's either way; the 1-, 2- and 3-D block cases
+    and the 1-D case at N = 4096.  Weighted, smoothed still samples through
+    the transform, in the oracle's bits."""
+    f, mask, n = _BLOCK_CASES[1] if case == 4096 else _BLOCK_CASES[case]
+    prob = az.make_problem(f, mask, banks[family],
+                           case if case == 4096 else n, 2)
+    range_basis, idwt = solvers._range_basis, system.idwt
+    count = {"range_basis": 0, "inside": False, "idwt": 0}
+
+    def traced_range_basis(*args):
+        count["range_basis"] += 1
+        count["inside"] = True
+        try:
+            return range_basis(*args)
+        finally:
+            count["inside"] = False
+
+    def traced_idwt(*args):
+        count["idwt"] += count["inside"]
+        return idwt(*args)
+
+    monkeypatch.setattr(solvers, "_range_basis", traced_range_basis)
+    monkeypatch.setattr(system, "idwt", traced_idwt)
+    sol = az.az_solve(prob, seed=0)
+    assert count["range_basis"] == 1 and count["idwt"] == 0, count
+    monkeypatch.undo()
+    ref, x, res = transform_sampled_az(prob)
+    msg = (sol.plunge_rank, ref.rank, sol.residual, res,
+           sol.coefficient_norm, np.linalg.norm(x))
+    assert sol.plunge_rank == ref.rank, msg
+    assert sol.residual <= 2 * res and res <= 2 * sol.residual, msg
+    assert (sol.coefficient_norm <= 2 * np.linalg.norm(x)
+            and np.linalg.norm(x) <= 2 * sol.coefficient_norm), msg
+    if case != 4096:
+        weighted = _weighted(prob)
+        sol = az.smoothed_az_solve(weighted, seed=0)
+        ref, x, _ = transform_sampled_az(weighted)
+        assert sol.plunge_rank == ref.rank and np.array_equal(sol.x, x)
 
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.domain import (DomainError, ball, disk, interval, masked_grid,
-                           plunge_row_set, scaling_boundary_set,
+from wavext.domain import (DomainError, _any_roll, ball, disk, interval,
+                           masked_grid, plunge_row_set, scaling_boundary_set,
                            wavelet_boundary_set, whole_box)
 from wavext.filters import filter_bank
 
@@ -58,6 +58,21 @@ def test_bad_interval():
         interval(0.5, 0.2)
     with pytest.raises(DomainError):
         disk(0.5, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("shifts", [[0], [3, -2, 0], [-5, -1], [1, 4],
+                                    [-7, 9], [11, -13, 2], [-20], [17]])
+def test_any_roll_matches_rolls(shifts):
+    """The OR of np.rolls along each axis of a 2-D mask, for shifts of both
+    signs, of one sign only, and longer than the axis (5 and 6 entries)."""
+    a = np.random.default_rng(1).random((5, 6)) < 0.3
+    for axis in (0, 1):
+        ref = np.zeros_like(a)
+        for s in shifts:
+            ref |= np.roll(a, s, axis)
+        out = _any_roll(a, shifts, axis)
+        assert out.dtype == bool and np.array_equal(out, ref), (shifts, axis)
+    assert not _any_roll(a, [], 0).any()
 
 
 def test_K_empty_on_box():

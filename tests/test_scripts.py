@@ -37,6 +37,7 @@ def test_request_digest():
         assert out.returncode == 0, out.stderr
     lines = runs[0].stdout.splitlines()
     assert len(lines) == 6 and lines == runs[1].stdout.splitlines()
-    rid, pipeline, family, n, rank, digest = lines[0].split()
+    rid, pipeline, family, n, rank, residual, norm, digest = lines[0].split()
     assert (rid, pipeline, family, n) == ("p0.r0", "sparse", "cdf33", "32")
     assert int(rank) > 0 and len(digest) == 64
+    assert float(residual) > 0 and float(norm) > 0 and "e" in residual
