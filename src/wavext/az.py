@@ -28,14 +28,14 @@ otherwise, in the same bits either way.
 Steps 2-3 of the explicit forms run one wavelet analysis and no synthesis:
 A x = A_hat v for x = W v.
 
+Both step-1 kernels treat what falls below a fraction of the reference
+scale ||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
+
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  ``make_problem`` keeps the ``Geometry`` (operators
 and index sets) of its last call and reuses it when the next call has the
-same geometry; the geometry also keeps the unweighted reference scale once
-computed.  What step 1 can reuse beyond one geometry is kept in one bounded
-least-recently-used cache: the sparse factor of each geometry (it does not
-depend on f) and the probe of the reference scale, which depends on the
-filter masks and N alone (``_reference_probe``).  ``clear_caches`` drops
+same geometry.  The sparse factor of each geometry (it does not depend on f)
+is kept in one bounded least-recently-used cache.  ``clear_caches`` drops
 the geometry and that cache.
 """
 
@@ -58,7 +58,7 @@ from .filters import FilterBank
 # sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
 from .solvers import (DEFAULT_TOL, randomized_lowrank_solve,
                       sparse_qr_factor, sparse_qr_solve)  # noqa: F401
-from .system import (FrameOperator, assemble_scaling, csr_rows,
+from .system import (assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
@@ -66,11 +66,10 @@ PRUNE_REL = 1e-12
 # this many basis entries (columns x n_basis): larger chunks at n_basis = 2^18
 # raise peak memory by a quarter for no speed gain.
 BLOCK_ENTRIES = 2**18
-# Bytes of reusable step-1 state kept (``_cache``): sparse factors and
-# reference probes.  The factors of the disk (0.5, 0.5, 0.34) at 32^2 and
-# 64^2 (cdf33) and 32^2 (db4) take 9.2 MB, the probes of the 1-D benchmark's
-# requests (cdf33 at N = 2^12-2^18, db4 at 2^12) 2.8 MB; the factor of the
-# 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors) does not fit.
+# Bytes of sparse step-1 factors kept (``_cache``).  The factors of the disk
+# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 9.2 MB; the
+# factor of the 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors)
+# does not fit.
 CACHE_BYTES = 2**25
 # The scaling block is formed dense when each of its two products takes at
 # most this many terms (rows x shared columns x |K|), else sparse: the cost
@@ -92,9 +91,8 @@ class AZError(ValueError):
 class Geometry:
     """The operators and index sets of one geometry (filter bank, N, q and
     inside mask), shared by every problem on it, and its ``key``
-    (``_geometry_key``).  The index arrays are read-only.  ``L`` and
-    ``reference_scale`` are computed on first read; nothing here holds the
-    grid or its mask."""
+    (``_geometry_key``).  The index arrays are read-only.  ``L`` is
+    computed on first read; nothing here holds the grid or its mask."""
 
     def __init__(self, bank: FilterBank, grid: MaskedGrid, key):
         self.bank, self.N, self.key = bank, grid.N, key
@@ -120,14 +118,6 @@ class Geometry:
         pipelines reads of them, and the rows steps 2-3 map y through."""
         return (csr_rows(self.scaling.A_hat, self.Mrows),
                 csr_rows(self.scaling.Z_hat, self.Mrows))
-
-    @cached_property
-    def reference_scale(self):
-        """``_reference_scale`` of the unweighted problems on this geometry:
-        ||A_hat p|| for the probe p = W^-1 w (``_reference_probe``), which
-        is ``_frame_norm(A)`` in the same bits."""
-        return float(np.linalg.norm(
-            self.scaling.A_hat @ _reference_probe(self.A)))
 
 
 @dataclass(frozen=True)
@@ -160,8 +150,8 @@ class AZProblem:
         if self.weights is not None:
             if self.weights.size != self.grid.n_basis:
                 raise AZError("weight vector length does not match the basis")
-            if np.any(self.weights <= 0):
-                raise AZError("weights must be positive")
+            if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+                raise AZError("weights must be positive and finite")
 
 
 @dataclass
@@ -290,41 +280,15 @@ def plunge_rhs(problem: AZProblem, c=None, boundary=False):
     return problem.b - problem.scaling.A_hat @ c
 
 
-def _probe_draw(n):
-    """The fixed Gaussian w of ``_frame_norm``."""
-    return np.random.Generator(np.random.Philox(0x5CA1E)).standard_normal(n)
-
-
-def _frame_norm(A: FrameOperator, weights=None):
-    """||A D w|| for a fixed Gaussian w, D = diag(weights) or the identity."""
-    w = _probe_draw(A.shape[1])
-    if weights is not None:
-        w = weights * w
-    return float(np.linalg.norm(A.matvec(w)))
-
-
-def _reference_probe(A: FrameOperator):
-    """The probe p = W^-1 w of the unweighted ``_frame_norm``, read-only.
-    It depends on the filter masks and N only, not on the domain, so a new
-    geometry at a known N reuses it from the cache: its reference scale
-    then costs one sparse product instead of a Gaussian draw and an inverse
-    DWT of N points."""
-    key = ("probe", A.bank.masks_key, A.N)
-    p = _lru_get(key)
-    if p is None:
-        p = A.synthesis(_probe_draw(A.shape[1]))
-        p.flags.writeable = False
-        _lru_put(key, p)
-    return p
-
-
 def _reference_scale(problem: AZProblem):
-    """Magnitude of the enclosing frame operator A D, so the low-rank solver
-    can truncate the plunge system against ||A D|| rather than against
-    noise.  Unweighted, it depends on the geometry only and is kept there."""
-    if problem.weights is None:
-        return problem.geometry.reference_scale
-    return _frame_norm(problem.A, problem.weights)
+    """||A_hat||_F rms(w), rms(w) = sqrt(mean(w^2)) and 1 without weights:
+    the magnitude against which the step-1 kernels treat what falls below
+    NOISE_REL or tol of it as cancellation noise.  The cancellation happens
+    among the entries of A_hat, in whose scaling coordinates the explicit
+    pipelines cut their block."""
+    scale = float(np.linalg.norm(problem.scaling.A_hat.data))
+    w = problem.weights
+    return scale if w is None else scale * float(np.sqrt(np.mean(w * w)))
 
 
 def scale_levels(N):
@@ -345,8 +309,8 @@ def scale_weights(e, N):
     """Diagonal weight vector: coarsest scales get e[0], e[1], ...; finer
     scales reuse the last entry."""
     e = np.asarray(e, dtype=float)
-    if e.size == 0 or np.any(e <= 0):
-        raise AZError("weight list must be non-empty and positive")
+    if e.size == 0 or not np.all(np.isfinite(e) & (e > 0)):
+        raise AZError("weight list must be non-empty, positive and finite")
     levels = scale_levels(N)
     return e[np.minimum(levels, e.size - 1)]
 
@@ -396,42 +360,19 @@ def _columns(S, cols):
                                    shape=(S.shape[0], cols.size))
 
 
-# Reusable step-1 state, least recently used first, within CACHE_BYTES:
-# sparse factors by ("step1", geometry key, tol), as the geometry fixes the
-# scaling block and the reference scale, and reference probes by ("probe",
-# filter masks, N).  Entries hold boundary-sized arrays and probes of N
-# entries, never a problem.
+# Sparse step-1 factors by (geometry key, tol), as the geometry fixes the
+# scaling block and the reference scale, least recently used first, within
+# CACHE_BYTES.  A factor holds boundary-sized arrays, never a problem.
 _cache = OrderedDict()
 _cache_lock = threading.Lock()
 
 
-def _lru_get(key):
-    """The entry of key, now the most recently used, or None."""
-    with _cache_lock:
-        value = _cache.get(key)
-        if value is not None:
-            _cache.move_to_end(key)
-        return value
-
-
-def _lru_put(key, value):
-    """Keep value under key, then drop the least recently used entries until
-    the values' nbytes fit CACHE_BYTES.  A value larger than the budget
-    alone is not kept: it would evict every entry, then itself."""
-    if value.nbytes > CACHE_BYTES:
-        return
-    with _cache_lock:
-        _cache[key] = value
-        while sum(v.nbytes for v in _cache.values()) > CACHE_BYTES:
-            _cache.popitem(last=False)
-
-
 def clear_caches():
-    """Forget the cached geometry and every cached sparse step-1 factor and
-    reference probe, so the next make_problem assembles, and the next solve
-    of each geometry computes its reference scale and (sparse) factors from
-    scratch.  What depends on the filter bank and sizes alone stays warm:
-    the transform matrices, the tap tables and the dual pairs."""
+    """Forget the cached geometry and every cached sparse step-1 factor, so
+    the next make_problem assembles and the next sparse solve of each
+    geometry factors from scratch.  What depends on the filter bank and
+    sizes alone stays warm: the transform matrices, the tap tables and the
+    dual pairs."""
     with _geometry_lock:
         _geometry.clear()
     with _cache_lock:
@@ -447,18 +388,26 @@ def _timed(fn, *args):
 def _step1_factor(problem: AZProblem, tol):
     """(factor, reused, seconds): the sparse QR factor of the scaling block,
     cut against the reference scale, from the cache when this geometry was
-    factored before, when no block is assembled and no scale read; and the
-    seconds of the block's ``assembly`` and of the ``reference`` scale."""
-    key = ("step1", problem.geometry.key, float(tol))
-    factor = _lru_get(key)
-    if factor is not None:
-        return factor, True, {"assembly": 0.0, "reference": 0.0}
+    factored before, when no block is assembled; and the seconds of the
+    block's ``assembly``.  The factor is then the most recently used; a new
+    one evicts the least recently used until the cache fits CACHE_BYTES,
+    and one larger than the budget alone is returned uncached (it would
+    evict every entry, then itself)."""
+    key = (problem.geometry.key, float(tol))
+    with _cache_lock:
+        factor = _cache.get(key)
+        if factor is not None:
+            _cache.move_to_end(key)
+            return factor, True, {"assembly": 0.0}
     block, assembly = _timed(_scaling_block, problem)
-    scale, reference = _timed(_reference_scale, problem)
     factor = sparse_qr_factor(scipy.sparse.csr_matrix(block), tol=tol,
-                              scale=scale)
-    _lru_put(key, factor)
-    return factor, False, {"assembly": assembly, "reference": reference}
+                              scale=_reference_scale(problem))
+    if factor.nbytes <= CACHE_BYTES:
+        with _cache_lock:
+            _cache[key] = factor
+            while sum(v.nbytes for v in _cache.values()) > CACHE_BYTES:
+                _cache.popitem(last=False)
+    return factor, False, {"assembly": assembly}
 
 
 def _solve(problem: AZProblem, explicit, tol, seed=None):
@@ -472,13 +421,13 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     (with the reference scale).  With seed None it is the sparse QR of the
     block; that factor depends on the geometry, not on b, so it comes from
     the cache when there, as ``diagnostics["step1_reused"]`` says.
-    Explicit forms are unweighted.  ``stage_times["reference"]`` is the
-    part of step 1 spent on the reference scale (0 when a cached factor
+    Explicit forms are unweighted.  ``stage_times["assembly"]`` is the
+    part of step 1 spent forming the explicit block (0 when a cached factor
     needs none).
 
     The matrix-free range finder of an unweighted problem (no weights, or
-    all of them 1, which gives the unweighted bits) draws its test block as Omega = W G^T and samples
-    P Omega = (I - A_hat Z_hat*) A_hat G^T (``_scaling_sample``): A = A_hat
+    all of them 1, which gives the unweighted bits) draws its test block as
+    Omega = W G^T and samples P Omega = (I - A_hat Z_hat*) A_hat G^T (``_scaling_sample``): A = A_hat
     W^-1 and A Z* = A_hat Z_hat* give P W = (I - A_hat Z_hat*) A_hat, three
     sparse products and no inverse DWT.  W is invertible, so range(P W) =
     range(P) and the basis spans the same space; the projection onto it,
@@ -516,9 +465,9 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
                 chunks = _in_blocks(partial(_scaling_sample, problem),
                                     problem.grid.n_basis)
                 sample = lambda G: chunks(G.T)  # noqa: E731
-        scale, times["reference"] = _timed(_reference_scale, problem)
         rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
-                                       scale=scale, sample=sample)
+                                       scale=_reference_scale(problem),
+                                       sample=sample)
     t1 = time.perf_counter()
     if explicit:
         y = np.zeros(problem.grid.n_basis)

@@ -56,7 +56,7 @@ class DyadicSamples:
         return out if out.ndim else float(out)
 
 
-def scaling_at_integers(h: Mask, tol: float = 1e-14, maxiter: int = 100) -> DyadicSamples:
+def scaling_at_integers(h: Mask) -> DyadicSamples:
     """Integer samples of the father function of mask h (level-0 samples)."""
     k1, k2 = h.support
     n = k2 - k1  # points k1 .. k2-1; phi(k2) = 0 by left continuity
@@ -71,10 +71,10 @@ def scaling_at_integers(h: Mask, tol: float = 1e-14, maxiter: int = 100) -> Dyad
     # Shifted inverse iteration with a deterministic start vector.
     A = T - (1.0 + 1e-9) * np.eye(n)
     v = np.ones(n)
-    for _ in range(maxiter):
+    for _ in range(100):
         w = np.linalg.solve(A, v)
         w /= np.linalg.norm(w)
-        done = np.linalg.norm(T @ w - w) < tol
+        done = np.linalg.norm(T @ w - w) < 1e-14
         v = w
         if done:
             break
@@ -109,11 +109,11 @@ def scaling_at_dyadic(h: Mask, j: int) -> DyadicSamples:
     return s
 
 
-def wavelet_at_dyadic(bank: FilterBank, j: int, dual: bool = False) -> DyadicSamples:
+def wavelet_at_dyadic(bank: FilterBank, j: int) -> DyadicSamples:
     """Mother function samples at resolution 2**-j (j >= 1)."""
     if j < 1:
         raise CascadeError("wavelet evaluation needs level j >= 1")
-    h, g = (bank.h_dual, bank.g_dual) if dual else (bank.h, bank.g)
+    h, g = bank.h, bank.g
     phi = scaling_at_dyadic(h, j - 1)
     k1, k2 = g.support
     p1, p2 = h.support

@@ -305,10 +305,9 @@ def cmd_convergence(args):
 
 
 # Stage times that `timing` reports beside the wall time: problem assembly,
-# step 1, the part of step 1 spent on the reference scale, and steps 2-3
-# (``AZSolution.stage_times``; NaN for a pipeline without the stage, such
-# as qr).
-TIMING_STAGES = ("geometry", "step1", "reference", "step23")
+# step 1 and steps 2-3 (``AZSolution.stage_times``; NaN for a pipeline
+# without the stage, such as qr).
+TIMING_STAGES = ("geometry", "step1", "step23")
 
 
 def cmd_timing(args):

@@ -102,10 +102,9 @@ class MaskedGrid:
     def n_basis(self):
         return int(np.prod(self.N))
 
-    def points(self, linear_idx=None):
-        """Physical coordinates of (selected) full-grid points."""
-        idx = self.inside if linear_idx is None else np.asarray(linear_idx)
-        coords = np.unravel_index(idx, self.grid_shape)
+    def points(self):
+        """Physical coordinates of the inside grid points."""
+        coords = np.unravel_index(self.inside, self.grid_shape)
         return np.column_stack([c / g for c, g in zip(coords, self.grid_shape)])
 
 

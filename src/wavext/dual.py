@@ -51,8 +51,8 @@ class DiscreteDual:
         return float(np.linalg.norm(self.b_dual))
 
 
-def _trim(offset, vals, tol=1e-14):
-    nz = np.nonzero(np.abs(vals) > tol)[0]
+def _trim(offset, vals):
+    nz = np.nonzero(np.abs(vals) > 1e-14)[0]
     if nz.size == 0:
         raise DualError("sequence is identically zero")
     return offset + nz[0], vals[nz[0]: nz[-1] + 1]

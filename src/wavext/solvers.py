@@ -164,7 +164,8 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
     applies of ``matmat`` or ``rmatmat``; the residual is that of B, and
     ``range_dim`` is min(m, n).  No sampler is called there.
 
-    ``scale`` supplies the magnitude of an enclosing computation: anything
+    ``scale`` supplies the magnitude of the enclosing operator (the AZ
+    pipelines pass ||A_hat||_F rms(w), ``az._reference_scale``): anything
     below NOISE_REL * scale is treated as cancellation noise rather than
     signal, so a numerically-zero sub-operator comes out as rank 0 instead of
     a full-rank noise fit.  Truncation proper stays relative to the
@@ -329,7 +330,8 @@ def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
        values of A.
     3. Reveal the rank.  The column-pivoted QR of R_B is truncated at
        tol * min(|R[0, 0]|, scale).  |R[0, 0]| is the largest column norm of
-       A; ``scale``, the magnitude of an enclosing operator, lowers the cut
+       A; ``scale``, the magnitude of the enclosing operator (the AZ
+       pipelines pass ||A_hat||_F, ``az._reference_scale``), lowers the cut
        where A's own norm is inflated.
 
     The work is O(#rows w^2) for a front width w, and the factor is a
@@ -373,7 +375,7 @@ def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
                           front_width=width)
 
 
-def sparse_qr_solve(A, b, tol=DEFAULT_TOL):
-    """Rank-revealing solve of a sparse system: ``sparse_qr_factor(A, tol)``
+def sparse_qr_solve(A, b):
+    """Rank-revealing solve of a sparse system: ``sparse_qr_factor(A)``
     applied to b."""
-    return sparse_qr_factor(A, tol).solve(b)
+    return sparse_qr_factor(A).solve(b)

@@ -47,16 +47,53 @@ def prob2d():
                            filter_bank("cdf33"), 32, 2)
 
 
-def test_box_reduces_to_projection():
-    # periodic f: on the full box the frame is an exact dual pair, so the
-    # plunge vanishes and the solve collapses to the dual projection
-    f = lambda p: np.sin(2 * np.pi * p[:, 0]) + 2.0
-    prob = az.make_problem(f, whole_box(1), filter_bank("cdf33"), 64, 2)
-    sol = az.az_solve(prob, seed=0)
+_BOX_SOLVES = {
+    "az": lambda prob: az.az_solve(prob, seed=0),
+    "reduced": lambda prob: az.reduced_az_solve(prob, seed=0),
+    "sparse": az.sparse_az_solve,
+    "smoothed": lambda prob: az.smoothed_az_solve(dataclasses.replace(
+        prob, weights=az.scale_weights([3, 1, 0.1], prob.grid.N)), seed=0),
+}
+# Box cases whose plunge keeps a rank, with the ranks measured: the minimal
+# dual of db4 at q = 2 has norm 241 (ROADMAP item 4), and the matrix-free
+# solves fit cancellation noise above the floor.
+_BOX_FITS_NOISE = {
+    (2, "db4", "az"): "rank 234: db4's minimal dual has norm 241 "
+                      "(ROADMAP item 4)",
+    (2, "db4", "smoothed"): "rank 176-182: db4's minimal dual has norm 241 "
+                            "(ROADMAP item 4)",
+}
+
+
+def _box_cases():
+    for dim in (1, 2):
+        for family in ALL_FAMILIES:
+            for pipeline in _BOX_SOLVES:
+                reason = _BOX_FITS_NOISE.get((dim, family, pipeline))
+                marks = [pytest.mark.xfail(strict=True, reason=reason)
+                         ] if reason else []
+                yield pytest.param(dim, family, pipeline, marks=marks,
+                                   id=f"{dim}d-{family}-{pipeline}")
+
+
+@pytest.mark.parametrize("dim, family, pipeline", _box_cases())
+def test_box_reduces_to_projection(dim, family, pipeline, banks):
+    """Periodic f: on the full box the frame is an exact dual pair, so the
+    plunge vanishes and every pipeline's solve collapses to the dual
+    projection Z* b.  The box is a valid domain.  The matrix-free plunge
+    cancels to fuzz, not to zero, so the rank 0 of az and smoothed rests
+    on the noise floor against the reference scale (without the floor, az
+    fits rank 64 in 1-D)."""
+    def f(p):
+        return (np.sin(2 * np.pi * p[:, 0])
+                * np.cos(2 * np.pi * p[:, 1:]).prod(axis=1) + 2.0)
+    N = 64 if dim == 1 else (16, 16)
+    prob = az.make_problem(f, whole_box(dim), banks[family], N, 2)
+    sol = _BOX_SOLVES[pipeline](prob)
     assert sol.plunge_rank == 0
-    direct = prob.Zstar(prob.b)
-    assert np.abs(sol.x - direct).max() < 1e-10
-    assert sol.residual < 1e-3    # best-approximation level for smooth f
+    assert np.abs(sol.x - prob.Zstar(prob.b)).max() < 1e-10
+    if (dim, family) == (1, "cdf33"):
+        assert sol.residual < 1e-3    # best-approximation level for smooth f
 
 
 def test_convergence_monotone():
@@ -172,6 +209,22 @@ def test_nonpositive_weights_rejected(prob1d):
         dataclasses.replace(prob1d, weights=np.zeros(prob1d.grid.n_basis))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_weights_rejected(prob1d, bad):
+    """A NaN weight would reach LAPACK as an SVD that does not converge,
+    and poison the reference scale's rms(w)."""
+    w = np.ones(prob1d.grid.n_basis)
+    w[3] = bad
+    with pytest.raises(az.AZError, match="finite"):
+        dataclasses.replace(prob1d, weights=w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scale_weights_rejects_nonfinite(bad):
+    with pytest.raises(az.AZError, match="finite"):
+        az.scale_weights([bad, 1.0], (64,))
+
+
 def test_wrong_length_weights_rejected(prob1d):
     with pytest.raises(az.AZError):
         dataclasses.replace(prob1d, weights=np.ones(prob1d.grid.n_basis - 1))
@@ -283,11 +336,9 @@ def test_per_scale_norms_match_label_oracle(N):
         assert np.all(np.abs(got - ref) <= 1e-12 * ref), (got, ref)
 
 
-def test_geometry_computes_L_and_the_scale_once(monkeypatch):
+def test_geometry_computes_L_once(monkeypatch):
     """No pipeline reads L, so neither the cold assembly nor any solve
-    computes it; the first read does, once, read-only.  The unweighted
-    reference scale is computed on first use and kept with the geometry;
-    a weighted problem computes its own."""
+    computes it; the first read does, once, read-only."""
     calls, wavelet_set = [], az.wavelet_boundary_set
 
     def counted(*args):
@@ -297,7 +348,6 @@ def test_geometry_computes_L_and_the_scale_once(monkeypatch):
     monkeypatch.setattr(az, "wavelet_boundary_set", counted)
     az.clear_caches()
     prob = _block_case(2)
-    assert "reference_scale" not in vars(prob.geometry)
     for solve in _PIPELINES.values():
         solve(prob)
     az.adaptive_weighted_solve(exp2d, disk(0.5, 0.5, 0.35),
@@ -307,44 +357,22 @@ def test_geometry_computes_L_and_the_scale_once(monkeypatch):
     assert len(calls) == 1 and prob.L is L and not L.flags.writeable
     assert np.array_equal(L, wavelet_set(prob.geometry.kflags, prob.bank,
                                          prob.grid.N)[0])
-    scale = vars(prob.geometry)["reference_scale"]
-    assert scale == az._frame_norm(prob.A) > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_reference_scale_is_frobenius_norm_of_A_hat(dim):
+    """The reference scale is ||A_hat||_F unweighted and ||A_hat||_F rms(w)
+    with weights w; all-ones weights give the unweighted bits."""
+    prob = _block_case(dim)
+    A_hat = prob.scaling.A_hat
+    scale = az._reference_scale(prob)
+    assert scale == np.linalg.norm(A_hat.data) > 0
+    assert np.isclose(scale, np.linalg.norm(A_hat.toarray()), rtol=1e-13)
     weighted = _weighted(prob)
-    assert az._reference_scale(weighted) == az._frame_norm(
-        prob.A, weighted.weights) != scale
-
-
-def test_reference_probe_is_shared_across_domains(monkeypatch):
-    """The unweighted reference scale reads a probe p = W^-1 w kept per
-    (filter masks, N): a second domain at a known N draws no w and
-    synthesizes nothing, and its scale equals the fresh ``_frame_norm``.
-    The probe is read-only, the probes kept fit CACHE_BYTES (least
-    recently used dropped first, one larger than the budget never kept),
-    and clear_caches empties them."""
-    bank, draws, draw = filter_bank("cdf33"), [], az._probe_draw
-    monkeypatch.setattr(az, "_probe_draw", lambda n: draws.append(n) or draw(n))
-    az.clear_caches()
-    probs = [az.make_problem(exp1d, interval(a, a + 0.55), bank, n, 2)
-             for a, n in ((0.1, 256), (0.2, 256), (0.2, 512))]
-    scales = [p.geometry.reference_scale for p in probs]
-    assert draws == [256, 512]
-    for p, scale in zip(probs, scales):
-        assert scale == az._frame_norm(p.A) > 0
-    assert not az._reference_probe(probs[0].A).flags.writeable
-    assert _cached("probe") == [(512,), (256,)]
-    monkeypatch.setattr(az, "CACHE_BYTES", (256 + 128) * 8)
-    for n in (128, 1024):
-        prob = az.make_problem(exp1d, interval(0.2, 0.75), bank, n, 2)
-        assert prob.geometry.reference_scale > 0
-        assert _cached("probe") == [(256,), (128,)]
-    az.clear_caches()
-    assert not az._cache
-
-
-def _cached(kind):
-    """The last part of the keys of that kind in the one step-1 cache, least
-    recently used first: N of each probe, tol of each factor."""
-    return [key[-1] for key in az._cache if key[0] == kind]
+    w = weighted.weights
+    assert az._reference_scale(weighted) == scale * np.sqrt(np.mean(w * w))
+    ones = dataclasses.replace(prob, weights=np.ones(prob.grid.n_basis))
+    assert az._reference_scale(ones) == scale
 
 
 def _weighted(prob):
@@ -710,10 +738,10 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
     analysis, its adjoint one dual analysis (one dwt per axis) and no
     synthesis, the plunge right-hand side no transform: A Z* = A_hat Z_hat*
     leaves the wavelet transforms out of the plunge.  Whole solves on a
-    geometry whose reference scale is kept: reduced and sparse run one
-    analysis and no synthesis, and az, beyond its plunge applies, one
-    analysis (Z*) and two syntheses (A x1 and the residual's A x); keeping
-    the scale takes one synthesis, once."""
+    geometry, cold or warm: reduced and sparse run one analysis and no
+    synthesis, and az, beyond its plunge applies, one analysis (Z*) and two
+    syntheses (A x1 and the residual's A x); the reference scale takes
+    none."""
     prob = _block_case(dim)
     calls = _count_transforms(monkeypatch)
     op = az.plunge_operator(prob)
@@ -730,10 +758,8 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
 
     az.clear_caches()
     prob = _block_case(dim)
-    calls.update(dwt=0, idwt=0)
-    az.reduced_az_solve(prob, seed=0)
-    assert calls == {"dwt": dim, "idwt": dim}
     for solve in (lambda: az.reduced_az_solve(prob, seed=0),
+                  lambda: az.reduced_az_solve(prob, seed=0),
                   lambda: az.sparse_az_solve(prob),
                   lambda: az.sparse_az_solve(prob)):
         calls.update(dwt=0, idwt=0)
@@ -1068,16 +1094,17 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
                              512, 2) for i in range(6)]
     az.clear_caches()
     az.sparse_az_solve(probs[0])
-    one = max(v.nbytes for k, v in az._cache.items() if k[0] == "step1")
-    budget = 512 * 8 + int(2.5 * one)   # the one probe and some factors
+    one = max(v.nbytes for v in az._cache.values())
+    budget = int(2.5 * one)   # some factors
     monkeypatch.setattr(az, "CACHE_BYTES", budget)
     for prob in probs[1:]:
         az.sparse_az_solve(prob)
         assert sum(v.nbytes for v in az._cache.values()) <= budget
-    assert 0 < len(_cached("step1")) < len(probs)
+    assert 0 < len(az._cache) < len(probs)
     assert az.sparse_az_solve(probs[-1]).diagnostics["step1_reused"]
     assert not az.sparse_az_solve(probs[0]).diagnostics["step1_reused"]
     az.clear_caches()
+    assert not az._cache
 
 
 def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
@@ -1088,7 +1115,6 @@ def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
     big = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), bank, (32, 32), (2, 2))
     az.clear_caches()
     az.sparse_az_solve(small)
-    assert big.geometry.reference_scale > 0     # its probe, cached now
     kept = list(az._cache.items())
     budget = sum(v.nbytes for _, v in kept)
     monkeypatch.setattr(az, "CACHE_BYTES", budget)
@@ -1098,28 +1124,6 @@ def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
     assert not az.sparse_az_solve(big).diagnostics["step1_reused"]
     assert list(az._cache.items()) == kept
     assert az.sparse_az_solve(small).diagnostics["step1_reused"]
-    az.clear_caches()
-
-
-def test_probes_and_factors_share_one_budget(monkeypatch):
-    """Probes and factors are dropped in one least-recently-used order
-    within one CACHE_BYTES: a new probe evicts the least recently used
-    factor, and a new factor the least recently used probe."""
-    bank = filter_bank("cdf33")
-    probs = [az.make_problem(exp1d, interval(a, 0.7), bank, n, 2)
-             for a, n in ((0.1, 512), (0.12, 512), (0.1, 1024), (0.14, 512))]
-    az.clear_caches()
-    az.sparse_az_solve(probs[0])
-    monkeypatch.setattr(az, "CACHE_BYTES", (512 + 1024) * 8)  # two probes
-    order = lambda: [(k[0], k[-1]) for k in az._cache]
-    assert order() == [("probe", (512,)), ("step1", DEFAULT_TOL)]
-    assert probs[1].geometry.reference_scale > 0   # the 512 probe is used
-    assert order() == [("step1", DEFAULT_TOL), ("probe", (512,))]
-    assert probs[2].geometry.reference_scale > 0   # a new 1024 probe
-    assert order() == [("probe", (512,)), ("probe", (1024,))]
-    assert not az.sparse_az_solve(probs[3]).diagnostics["step1_reused"]
-    assert order() == [("probe", (512,)), ("step1", DEFAULT_TOL)]
-    assert sum(v.nbytes for v in az._cache.values()) <= az.CACHE_BYTES
     az.clear_caches()
 
 
@@ -1136,7 +1140,7 @@ def test_sparse_step1_cache_holds_no_problem():
     del prob
     gc.collect()
     assert all(r() is None for r in refs)
-    assert len(_cached("step1")) == 1
+    assert len(az._cache) == 1
     az.clear_caches()
     gc.collect()
     assert scaling() is None

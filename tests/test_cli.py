@@ -320,25 +320,21 @@ def test_timing_solves_from_scratch(tmp_path, monkeypatch):
                                     "qr"])
 def test_timing_reports_stage_medians(tmp_path, solver):
     """Beside the wall time, timing reports the median seconds of the
-    assembly, step 1, the reference scale within step 1, and steps 2-3;
-    the caches are cleared before every repetition, so every row assembles
-    (geometry > 0) and computes its reference scale.  qr has no steps."""
+    assembly, step 1 and steps 2-3; the caches are cleared before every
+    repetition, so every row assembles (geometry > 0).  qr has no steps."""
     out = tmp_path / "t.csv"
     assert run(["timing", *SWEEP, "--solver", solver, "--N-sweep", "64,128",
                 "--repetitions", "3", "--output", str(out)]) == 0
     header, *rows = _read_csv(out)
-    assert header == ["N", "median_seconds", "geometry", "step1",
-                      "reference", "step23"]
+    assert header == ["N", "median_seconds", "geometry", "step1", "step23"]
     rows = [[float(v) for v in r] for r in rows if r[0] != "slope"]
     assert [r[0] for r in rows] == [64, 128]
-    for n, wall, geometry, step1, reference, step23 in rows:
+    for n, wall, geometry, step1, step23 in rows:
         assert 0 < geometry < wall, (n, solver)
         if solver == "qr":
             assert np.isnan(step1) and np.isnan(step23), n
-            assert np.isnan(reference), n
         else:
             assert 0 < step1 < wall and 0 < step23 < wall, (n, solver)
-            assert 0 < reference < step1, (n, solver)
 
 
 def test_timing_too_few_repetitions(capsys):

@@ -1,6 +1,7 @@
 """Every name a module imports is read somewhere in that module, every name
-the library defines is named somewhere, and importing the CLI leaves the
-heavy scipy subpackages it never needs unloaded.
+the library defines is named somewhere, every keyword default of a library
+function is passed by some call, and importing the CLI leaves the heavy
+scipy subpackages it never needs unloaded.
 
 Each module under ``src/wavext``, ``tests`` and ``scripts`` is parsed with
 ``ast``.  A name counts as read when it is loaded anywhere in the module, or
@@ -12,6 +13,11 @@ A def, class or assignment at the top level of a ``src/wavext`` module must
 be named by some module under ``src``, ``tests``, ``scripts`` or
 ``perfbench``: loaded, read as an attribute, imported, or spelled as a
 string that is an identifier, as the benchmark's tracing looks names up.
+
+A keyword default of a def in ``src/wavext`` must be passed, by keyword or
+by position, by some call under ``src``, ``tests``, ``scripts`` or
+``perfbench``.  Calls are matched by the name they spell, and a call that
+unpacks ``*`` or ``**`` counts as passing everything.
 """
 
 import ast
@@ -122,6 +128,87 @@ def test_definition_checker_flags_unnamed():
     used = named(ast.parse("import m\nfrom p import X\nm.f(getattr(m, 'a'))\n"
                            "print(b)\nb = 'not an identifier'\n"))
     assert {"X", "f", "a", "b", "m"} <= used and "C" not in used
+
+
+def keyword_defaults(tree):
+    """(function, parameter, position, line) of every parameter with a
+    default of every def in a module.  ``position`` is the index at which a
+    call's positional arguments reach the parameter, a method's self or cls
+    left out (None for a keyword-only one); an ``__init__`` is called by the
+    name of its class."""
+    owner = {item: node.name for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        bound = node in owner and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list)
+        name = owner[node] if bound and node.name == "__init__" else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, i - bound, arg.lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, arg.lineno
+
+
+def calls(tree):
+    """(called name, positional count, keyword names) of every call in a
+    module, by the name a call spells (``f(...)`` or ``obj.f(...)``).  A
+    call that unpacks ``*`` or ``**`` may pass anything: count and names
+    None."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        if name is None:
+            continue
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            yield name, None, None
+        else:
+            yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+def unpassed_defaults(tree, call_records):
+    """(function, parameter, line) of each keyword default in tree that no
+    call among call_records passes, by keyword or by position."""
+    def passes(name, param, position):
+        return any(n == name and (count is None or param in keywords
+                                  or (position is not None
+                                      and count > position))
+                   for n, count, keywords in call_records)
+    return [(name, param, line)
+            for name, param, position, line in keyword_defaults(tree)
+            if not passes(name, param, position)]
+
+
+def test_every_keyword_default_is_passed():
+    """A default no call overrides is a knob nobody turns: make it a
+    constant of the function instead."""
+    records = [c for p in NAMING for c in calls(ast.parse(p.read_text()))]
+    unpassed = [(str(p.relative_to(ROOT)), *u) for p in LIBRARY
+                for u in unpassed_defaults(ast.parse(p.read_text()), records)]
+    assert unpassed == []
+
+
+def test_default_checker_flags_unpassed():
+    lib = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                    "class C:\n    def __init__(self, x=0, y=1):\n        pass\n"
+                    "    def m(self, z=0):\n        pass\n"
+                    "    @staticmethod\n    def s(u=0, v=1):\n        pass\n"
+                    "def g(w=0):\n    pass\n"
+                    "def h(k=0):\n    pass\n")
+    records = list(calls(ast.parse(
+        "f(1, 2)\nmod.f(1, e=5)\nC(1)\nobj.m()\nC.s(0, 1)\n"
+        "g(*args)\nh(**kw)\n")))
+    assert sorted(unpassed_defaults(lib, records)) == [
+        ("C", "y", 4), ("f", "c", 1), ("f", "d", 1), ("m", "z", 6)]
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
