@@ -10,9 +10,9 @@ settings of step 1:
 
 * ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the matrix-free
   plunge operator over all rows and columns, randomized low-rank kernel;
-  A Z* = A_hat Z_hat* leaves one wavelet transform in each apply, and the
-  unweighted range finder samples P W = (I - A_hat Z_hat*) A_hat with none
-  (``_solve``);
+  A Z* = A_hat Z_hat* leaves one wavelet transform in each apply; the
+  unweighted range finder sketches the (Mrows, K) scaling plunge block
+  with none (``_solve``);
 * ``reduced_az_solve``: the explicit scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only).
@@ -119,6 +119,15 @@ class Geometry:
         return (csr_rows(self.scaling.A_hat, self.Mrows),
                 csr_rows(self.scaling.Z_hat, self.Mrows))
 
+    @cached_property
+    def plunge_factors(self):
+        """(A_K, A_c, Z_c) as CSR: the columns K of A_r and the columns c
+        that A_r touches of A_r and Z_r (``boundary_rows``), the factors of
+        the scaling plunge block A_K - A_c (Z_c* A_K)."""
+        Ar, Zr = self.boundary_rows
+        cols = np.unique(Ar.indices)
+        return _columns(Ar, self.K), _columns(Ar, cols), _columns(Zr, cols)
+
 
 @dataclass(frozen=True)
 class AZProblem:
@@ -214,24 +223,19 @@ def _scale_rows(w, x):
     return x if w is None else (w * x.T).T
 
 
-def _project_off(S, y):
-    """(I - A_hat Z_hat*) y = (I - A Z*) y for a vector or a block."""
+def _plunge_apply(problem: AZProblem, x):
+    """(I - A Z*) A D x = y - A_hat (Z_hat* y), y = A D x, for a vector or
+    an (n_basis, k) block; D = diag(problem.weights), or I without them."""
+    S, y = problem.scaling, problem.A @ _scale_rows(problem.weights, x)
     return y - S.A_hat @ (S.Z_hat.T @ y)
 
 
-def _plunge_apply(problem: AZProblem, x):
-    """(I - A Z*) A D x for a vector or an (n_basis, k) block, with
-    D = diag(problem.weights), or the identity without weights."""
-    return _project_off(problem.scaling,
-                        problem.A @ _scale_rows(problem.weights, x))
-
-
-def _scaling_sample(problem: AZProblem, X):
-    """(I - A_hat Z_hat*) A_hat X for an (n_basis, k) block X: the
-    unweighted plunge P = (I - A Z*) A applied to W X, as A W = A_hat.
-    Three sparse products and no wavelet transform."""
-    S = problem.scaling
-    return _project_off(S, S.A_hat @ X)
+def _boundary_sample(factors, G):
+    """B G^T for Gaussian rows G on K and the scaling plunge block B =
+    A_K - A_c (Z_c* A_K) (``Geometry.plunge_factors``): no transform."""
+    AK, Ac, Zc = factors
+    Y = AK @ G.T
+    return Y - Ac @ (Zc.T @ Y)
 
 
 def _plunge_rapply(problem: AZProblem, y):
@@ -350,11 +354,14 @@ def extension_index_set(problem: AZProblem):
 
 
 def _columns(S, cols):
-    """The CSR S[:, cols] for sorted unique cols, its entries in the order
-    of S, without the map over every column of S that scipy's column
-    indexing builds."""
+    """The CSR S[:, cols] for sorted unique cols, entries in the order of S,
+    without the map over every column that scipy's indexing builds; it
+    shares S's data and row pointers when cols hold every column of S."""
     pos = np.searchsorted(cols, S.indices)
     keep = np.append(cols, -1)[pos] == S.indices
+    if keep.all():
+        return scipy.sparse.csr_matrix((S.data, pos, S.indptr),
+                                       shape=(S.shape[0], cols.size))
     indptr = np.r_[0, np.cumsum(keep)][S.indptr]
     return scipy.sparse.csr_matrix((S.data[keep], pos[keep], indptr),
                                    shape=(S.shape[0], cols.size))
@@ -426,18 +433,15 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     needs none).
 
     The matrix-free range finder of an unweighted problem (no weights, or
-    all of them 1, which gives the unweighted bits) draws its test block as
-    Omega = W G^T and samples P Omega = (I - A_hat Z_hat*) A_hat G^T (``_scaling_sample``): A = A_hat
-    W^-1 and A Z* = A_hat Z_hat* give P W = (I - A_hat Z_hat*) A_hat, three
-    sparse products and no inverse DWT.  W is invertible, so range(P W) =
-    range(P) and the basis spans the same space; the projection onto it,
-    its truncated SVD and steps 2-3 apply P itself.  The range finder's
-    level and its posterior stopping bound now hold for P W: ||W|| is 1 for
-    the orthogonal db* banks, 5.5 for cdf33 and 1.2e6 for cdf51 at J = 12
-    (``dwt.operator_norms``).  Weighted problems keep sampling P D G^T
-    through the synthesis: Omega = D^-1 W G^T would avoid it but samples P
-    without the weights, and the adaptive weights span about 1e-13 to 40,
-    so the range found could miss directions that matter to P D.
+    all of them 1, which gives the unweighted bits) runs on the (Mrows, K)
+    scaling plunge block B: P W = (I - A_hat Z_hat*) A_hat vanishes outside
+    it, so B G^T for Gaussian rows G on K (``_boundary_sample``) has the
+    distribution of P W G^T, and range(P W) = range(P).  The basis goes
+    into Q, zero outside Mrows; the projection, its truncated SVD and steps
+    2-3 apply P, and the level and stopping bound hold for P W (||W||:
+    ``dwt.operator_norms``).  Weighted problems sample P D G^T through the
+    synthesis: Omega = D^-1 W G^T would drop the weights, which span about
+    1e-13 to 40 in ``adaptive``.
 
     Steps 2-3 add x2 = Z* (b - A x1) = W u, u = Z_hat* (b - A x1).  When
     explicit, A x1 = A_hat y and u = c - Z_hat* (A_hat y), so one analysis
@@ -462,9 +466,9 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
             op = plunge_operator(problem)
             w = problem.weights
             if w is None or np.all(w == 1):
-                chunks = _in_blocks(partial(_scaling_sample, problem),
-                                    problem.grid.n_basis)
-                sample = lambda G: chunks(G.T)  # noqa: E731
+                factors = problem.geometry.plunge_factors
+                sample = (partial(_boundary_sample, factors),
+                          factors[0].shape, problem.Mrows)
         rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
                                        scale=_reference_scale(problem),
                                        sample=sample)
@@ -530,18 +534,13 @@ def scaling_plunge(problem: AZProblem):
     Column c of A_hat - A_hat Z_hat* A_hat vanishes unless phi_c meets both
     the domain and its complement, that is unless c is in K, and Mrows holds
     every row that A_hat[:, K] and A_hat Z_hat* A_hat[:, K] reach.  So the
-    block is A_K - A_r (Z_r* A_K) with A_r, Z_r the rows Mrows of A_hat and
-    Z_hat, restricted to the columns A_r touches, and A_K = A_r[:, K]; no
-    other row is read.  Fuzz is measured against the larger of the cancelled
-    operand A_K and the result, so a plunge that cancels to fuzz everywhere
-    comes out empty.
+    block is A_K - A_c (Z_c* A_K) (``Geometry.plunge_factors``); no row of
+    A_hat or Z_hat outside Mrows is read.  Fuzz is measured against the
+    larger of the cancelled operand A_K and the result, so a plunge that
+    cancels to fuzz everywhere comes out empty.
     """
-    K = problem.K
-    Ar, Zr = problem.geometry.boundary_rows
-    cols = np.unique(Ar.indices)
-    AK = _columns(Ar, K)
-    P = AK - _columns(Ar, cols) @ (_columns(Zr, cols).T @ AK)
-    return _prune(P, np.abs(AK.data).max(initial=0))
+    AK, Ac, Zc = problem.geometry.plunge_factors
+    return _prune(AK - Ac @ (Zc.T @ AK), np.abs(AK.data).max(initial=0))
 
 
 def _dense_columns(S, cols):

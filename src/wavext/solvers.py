@@ -9,7 +9,7 @@ truncation threshold 1e-10 regularizes the frame ill-conditioning.
 randomized range finder, ``_range_basis``, and projects onto the range it
 finds.  The range finder may use any random test block (Halko, Martinsson &
 Tropp 2011, section 4): a caller that can apply B T more cheaply than B, for
-an invertible T, passes that as its sampler, since range(B T) = range(B).
+a T with range(B T) = range(B), passes that as its sampler.
 ``sparse_qr_factor`` compresses a banded sparse matrix to a square
 triangular factor by a frontal QR and reveals the rank on that factor.
 ``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
@@ -82,9 +82,8 @@ def _range_basis(shape, sample, tol, rng, floor=0.0):
     given (m, n) ``shape``, from blocks of BLOCK_SIZE random samples (Halko,
     Martinsson & Tropp 2011, section 4.4).  ``sample(G)`` returns B Omega
     for a test block Omega made from G, a block of Gaussian rows (k, n):
-    Omega = G^T, or any fixed invertible map of it, such as a transform
-    T G^T with range(B T) = range(B).  The samples then span the same
-    range, and the level below holds for B T.
+    Omega = G^T, or any fixed map T G^T with range(B T) = range(B).  The
+    samples then span the same range, and the level below holds for B T.
 
     One level, ``max(tol * sigma, floor)`` with sigma the largest sample norm
     of the first block, decides both what is kept and when to stop:
@@ -151,11 +150,12 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
     applies need bounded memory chunks them itself (see
     ``az.BLOCK_ENTRIES``).
 
-    ``sample(G)``, when given, replaces ``op.matmat(G.T)`` in the range
-    finder: it returns op T G^T for the Gaussian rows G and a fixed
-    invertible T, which spans the same range.  The range finder's level and
-    its stopping bound then hold for op T, not op; the projection, its
-    truncation and the residual still use op (see ``az._solve``).
+    ``sample = (fn, shape, rows)`` replaces ``op.matmat(G.T)`` in the range
+    finder: ``fn(G)`` gives the rows ``rows`` of op T G^T, zero elsewhere,
+    for Gaussian rows G of shape[1] columns and a fixed T with range(op T)
+    = range(op), and Q holds the basis found in those rows.  The level and
+    stopping bound hold for op T; the projection, its truncation and the
+    residual use op.  ``diagnostics["sketch_shape"]`` is the shape sampled.
 
     An operator with at most BLOCK_SIZE rows or columns skips the sketch,
     which would need that many samples anyway: it is solved by the same
@@ -182,18 +182,19 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
             op = scipy.sparse.linalg.aslinearoperator(op)
             B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
         x, r = _svd_solve(B, b, tol, floor)
-        return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full)
+        return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full,
+                         sketch_shape=(m, n))
     op = scipy.sparse.linalg.aslinearoperator(op)
-    if sample is None:
-        sample = lambda G: op.matmat(G.T)  # noqa: E731
-    Q = _range_basis(op.shape, sample, tol, _rng(seed), floor)
+    fn, shape, rows = sample or (lambda G: op.matmat(G.T), op.shape, None)
+    Q = _range_basis(shape, fn, tol, _rng(seed), floor)
+    if rows is not None:
+        Q, Qr = np.zeros((m, Q.shape[1])), Q
+        Q[rows] = Qr
     # projected problem: min || (Q* A) x - Q* b ||
-    if Q.shape[1]:
-        x, r = _svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor)
-    else:
-        r = 0
-        x = np.zeros(n)
-    return _finalize(op.matvec, x, b, r, t0, range_dim=Q.shape[1])
+    x, r = (_svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor) if Q.shape[1]
+            else (np.zeros(n), 0))
+    return _finalize(op.matvec, x, b, r, t0, range_dim=Q.shape[1],
+                     sketch_shape=shape)
 
 
 def _pivoted_qr(A, tol, scale=None):

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -55,11 +56,11 @@ _BOX_SOLVES = {
         prob, weights=az.scale_weights([3, 1, 0.1], prob.grid.N)), seed=0),
 }
 # Box cases whose plunge keeps a rank, with the ranks measured: the minimal
-# dual of db4 at q = 2 has norm 241 (ROADMAP item 4), and the matrix-free
-# solves fit cancellation noise above the floor.
+# dual of db4 at q = 2 has norm 241 (ROADMAP item 4), and the weighted
+# matrix-free solve, which samples the plunge over every column, fits
+# cancellation noise above the floor.  Unweighted az samples the columns K
+# only, and K is empty on the box.
 _BOX_FITS_NOISE = {
-    (2, "db4", "az"): "rank 234: db4's minimal dual has norm 241 "
-                      "(ROADMAP item 4)",
     (2, "db4", "smoothed"): "rank 176-182: db4's minimal dual has norm 241 "
                             "(ROADMAP item 4)",
 }
@@ -80,10 +81,11 @@ def _box_cases():
 def test_box_reduces_to_projection(dim, family, pipeline, banks):
     """Periodic f: on the full box the frame is an exact dual pair, so the
     plunge vanishes and every pipeline's solve collapses to the dual
-    projection Z* b.  The box is a valid domain.  The matrix-free plunge
-    cancels to fuzz, not to zero, so the rank 0 of az and smoothed rests
-    on the noise floor against the reference scale (without the floor, az
-    fits rank 64 in 1-D)."""
+    projection Z* b.  The box is a valid domain.  Unweighted az samples
+    the scaling columns K, which the box leaves empty, so it draws nothing.
+    The weighted matrix-free plunge cancels to fuzz, not to zero, so the
+    rank 0 of smoothed rests on the noise floor against the reference
+    scale."""
     def f(p):
         return (np.sin(2 * np.pi * p[:, 0])
                 * np.cos(2 * np.pi * p[:, 1:]).prod(axis=1) + 2.0)
@@ -426,6 +428,51 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
         sol = az.smoothed_az_solve(weighted, seed=0)
         ref, x, _ = transform_sampled_az(weighted)
         assert sol.plunge_rank == ref.rank and np.array_equal(sol.x, x)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("case", [1, 2, 3, 4096])
+def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
+    """Unweighted az runs its range finder on the (|Mrows|, |K|) scaling
+    plunge block: each sample block is scaling_plunge(problem) G^T for
+    Gaussian rows G on K, to 1e-12 relative, up to the fuzz that
+    scaling_plunge prunes (each entry at most PRUNE_REL of its largest
+    entry or of A_K's).  The sampler reads boundary-sized operands only;
+    at N = 4096 no sample call allocates as much as one N-vector, where
+    sampling over every column allocates N x 16 blocks."""
+    f, mask, n = _BLOCK_CASES[1] if case == 4096 else _BLOCK_CASES[case]
+    prob = az.make_problem(f, mask, banks[family],
+                           case if case == 4096 else n, 2)
+    m, k, N = prob.Mrows.size, prob.K.size, prob.grid.n_basis
+    range_basis, shapes, blocks = solvers._range_basis, [], []
+
+    def traced_range_basis(shape, sample, *args):
+        def traced_sample(G):
+            if case == 4096:    # else untraced, and the peak reads 0
+                tracemalloc.start()
+            try:
+                Y = sample(G)
+                blocks.append((G, Y, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return Y
+        shapes.append(shape)
+        return range_basis(shape, traced_sample, *args)
+
+    monkeypatch.setattr(solvers, "_range_basis", traced_range_basis)
+    sol = az.az_solve(prob, seed=0)
+    assert shapes == [(m, k)] and sol.diagnostics["sketch_shape"] == (m, k)
+    assert all(F.shape[0] == m for F in prob.geometry.plunge_factors)
+    assert blocks
+    B, AK = az.scaling_plunge(prob), prob.geometry.plunge_factors[0]
+    level = az.PRUNE_REL * max(np.abs(B.data).max(initial=0),
+                               np.abs(AK.data).max())
+    for G, Y, peak in blocks:
+        assert G.shape[1] == k and Y.shape == (m, G.shape[0])
+        ref = B @ G.T
+        fuzz = level * np.abs(G).sum(axis=1)
+        assert np.all(np.abs(Y - ref) <= 1e-12 * np.abs(ref).max() + fuzz)
+        assert peak < 8 * N, (peak, N)
 
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])

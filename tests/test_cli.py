@@ -18,12 +18,18 @@ def run(args, **kw):
 def test_record_roundtrip():
     """Every pipeline's record, warning and diagnostics included, survives
     JSON unchanged: tuples and numpy scalars are stored as lists and
-    Python numbers."""
+    Python numbers.  The randomized pipelines record the shape they
+    sketched: the (Mrows, K) block for az and reduced, the whole weighted
+    operator for adaptive."""
     for solver in sorted(cli.SOLVERS) + ["adaptive"]:
         cfg = cli.RunConfig(command="approximate", N=(64,),
                             solver=solver).validate()
         problem, sol = cli.run_one(cfg)
         rec = cli.record_for(cfg, problem, sol)
+        sketch = {"az": [problem.Mrows.size, problem.K.size],
+                  "reduced": [problem.Mrows.size, problem.K.size],
+                  "adaptive": [problem.grid.M, problem.grid.n_basis]}
+        assert rec.diagnostics.get("sketch_shape") == sketch.get(solver)
         assert cli.parse_record(cli.serialize_record(rec)) == rec, solver
         assert rec.schema_version == 2 and rec.warning == sol.warning
         assert rec.diagnostics.keys() == sol.diagnostics.keys()
