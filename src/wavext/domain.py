@@ -6,6 +6,7 @@ functions (the nonzero samples of the primal scaling sequence), so arbitrary
 indicator predicates are supported.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -100,7 +101,7 @@ class MaskedGrid:
 
     @property
     def n_basis(self):
-        return int(np.prod(self.N))
+        return math.prod(self.N)
 
     def points(self):
         """Physical coordinates of the inside grid points."""
@@ -127,9 +128,9 @@ def masked_grid(mask: DomainMask, N, q) -> MaskedGrid:
     if inside.size == 0:
         raise DomainError(f"empty domain: no point of the {shape} grid lies "
                           f"inside {mask.description}")
-    if inside.size <= np.prod(N):
+    if inside.size <= math.prod(N):
         raise DomainError(
-            f"oversampling too low: {inside.size} sample points for {np.prod(N)} dof")
+            f"oversampling too low: {inside.size} sample points for {math.prod(N)} dof")
     return MaskedGrid(mask=mask, N=N, q=q, inside=inside, inside_bool=inside_bool)
 
 
