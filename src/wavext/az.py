@@ -58,8 +58,8 @@ from .filters import FilterBank
 # sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
 from .solvers import (DEFAULT_TOL, randomized_lowrank_solve,
                       sparse_qr_factor, sparse_qr_solve)  # noqa: F401
-from .system import (ZStarOperator, assemble_scaling, frame_operator_A,
-                     rhs, row_block)
+from .system import (assemble_scaling, csr_rows,
+                     frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
 # Block applies of the matrix-free plunge operator run in chunks of at most
@@ -91,23 +91,18 @@ class AZError(ValueError):
 class Geometry:
     """The operators and index sets of one geometry (filter bank, N, q and
     inside mask), shared by every problem on it, and its ``key``
-    (``_geometry_key``).  The index arrays are read-only.  ``L``, ``Zstar``
-    and the boundary rows are computed on first read; nothing here holds
-    the grid or its mask."""
+    (``_geometry_key``).  The index arrays are read-only.  ``L`` is
+    computed on first read; nothing here holds the grid or its mask."""
 
     def __init__(self, bank: FilterBank, grid: MaskedGrid, key):
         self.bank, self.N, self.key = bank, grid.N, key
         self.scaling = assemble_scaling(bank, grid)
         self.A = frame_operator_A(self.scaling, bank, grid)
+        self.Zstar = frame_operator_Zstar(self.scaling, bank, grid)
         self.K, self.kflags = scaling_boundary_set(grid, bank)
         self.Mrows = plunge_row_set(self.kflags, bank, grid)
         for a in (self.K, self.kflags, self.Mrows):
             a.flags.writeable = False
-
-    @cached_property
-    def Zstar(self):
-        """Z* = W Z_hat*; the explicit pipelines never apply it."""
-        return ZStarOperator(self.scaling.Z_hat, self.bank, self.N)
 
     @cached_property
     def L(self):
@@ -119,11 +114,10 @@ class Geometry:
 
     @cached_property
     def boundary_rows(self):
-        """The rows Mrows of A_hat and Z_hat (``system.RowBlock``): all that
-        step 1 of the explicit pipelines reads of them, and the rows steps
-        2-3 map y through."""
-        return (row_block(self.scaling.A_hat, self.Mrows),
-                row_block(self.scaling.Z_hat, self.Mrows))
+        """The rows Mrows of A_hat and Z_hat: all that step 1 of the explicit
+        pipelines reads of them, and the rows steps 2-3 map y through."""
+        return (csr_rows(self.scaling.A_hat, self.Mrows),
+                csr_rows(self.scaling.Z_hat, self.Mrows))
 
     @cached_property
     def plunge_factors(self):
@@ -328,24 +322,23 @@ def scale_weights(e, N):
 def per_scale_norms(x, N, select=None):
     """l2 norm of the coefficients at each scale (optionally on a sub-mask).
 
-    Along an axis, scale 0 is the block [0, 2) and scale l > 0 the block
-    [2^l, 2^(l+1)), and a coefficient's scale is the largest of its axes'
-    (``scale_levels``).  So x^2 summed block by block along every axis
-    (``np.add.reduceat``) leaves one sum per product of blocks, each of one
-    scale: no label array of x's size, and no scale is read off as a
-    difference of larger sums."""
+    Scales 0 to l fill the corner block [0, 2^(l+1)) of every axis (see
+    ``scale_levels``), so scale l is that corner less the one of scale
+    l - 1: one box per axis, summed in place, without a label array."""
     x = np.ravel(x)
     if select is not None:
         keep = np.zeros(x.size, dtype=bool)
         keep[np.asarray(select)] = True
         x = np.where(keep, x, 0.0)
-    sums = (x * x).reshape(N)
-    for axis, n in enumerate(N):
-        starts = 2 ** np.arange(max(n.bit_length() - 1, 1))
-        starts[0] = 0
-        sums = np.add.reduceat(sums, starts, axis=axis)
-    scale = np.indices(sums.shape).max(axis=0)
-    return np.sqrt(np.bincount(scale.ravel(), weights=sums.ravel()))
+    sq, d = (x * x).reshape(N), len(N)
+    norms = []
+    for level in range(max(n.bit_length() for n in N) - 1):
+        lo = [min(2 ** level, n) if level else 0 for n in N]
+        hi = [min(2 ** (level + 1), n) for n in N]
+        norms.append(sum(
+            sq[tuple(slice(lo[i] if i == a else 0, lo[i] if i < a else hi[i])
+                     for i in range(d))].sum() for a in range(d)))
+    return np.sqrt(norms)
 
 
 def extension_index_set(problem: AZProblem):
@@ -484,7 +477,7 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         y = np.zeros(problem.grid.n_basis)
         y[problem.K] = rep.solution
         Ar, Zr = problem.geometry.boundary_rows
-        u = y + (c - Zr.rmatvec(Ar @ y))   # A_hat y lives on the rows Mrows
+        u = y + (c - Zr.T @ (Ar @ y))   # A_hat y lives on the rows Mrows
         x, Ax = problem.A.analysis(u), S.A_hat @ u
     else:
         x1 = _scale_rows(problem.weights, rep.solution)
@@ -551,12 +544,12 @@ def scaling_plunge(problem: AZProblem):
 
 
 def _dense_columns(S, cols):
-    """S[:, cols] as a dense array, for a RowBlock S and sorted unique
-    cols."""
+    """S[:, cols] as a dense array, for sorted unique cols."""
     pos = np.searchsorted(cols, S.indices)
-    keep = cols.take(pos, mode="clip") == S.indices
+    keep = np.append(cols, -1)[pos] == S.indices
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
     out = np.zeros((S.shape[0], cols.size))
-    out[S.rows[keep], pos[keep]] = S.data[keep]
+    out[rows[keep], pos[keep]] = S.data[keep]
     return out
 
 
@@ -576,10 +569,8 @@ def _scaling_block(problem: AZProblem):
     m, c, k = Ar.shape[0], cols.size, K.size
     if not 0 < m * c * k <= DENSE_BLOCK_ENTRIES:
         return scaling_plunge(problem)
-    Ac, Zc = _dense_columns(Ar, cols), _dense_columns(Zr, cols)
-    j = np.searchsorted(cols, K)            # A_K: the columns K of A_c
-    AK = np.where(cols.take(j, mode="clip") == K,
-                  Ac.take(j, 1, mode="clip"), 0.0)
+    Ac, Zc, AK = (_dense_columns(Ar, cols), _dense_columns(Zr, cols),
+                  _dense_columns(Ar, K))
     terms = np.zeros((m + 1, c, k))
     np.multiply(Zc[:, :, None], AK[:, None, :], out=terms[1:])
     X = np.add.accumulate(terms, axis=0)[-1]            # Z_c* A_K

@@ -6,7 +6,6 @@ functions (the nonzero samples of the primal scaling sequence), so arbitrary
 indicator predicates are supported.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -101,7 +100,7 @@ class MaskedGrid:
 
     @property
     def n_basis(self):
-        return math.prod(self.N)
+        return int(np.prod(self.N))
 
     def points(self):
         """Physical coordinates of the inside grid points."""
@@ -128,9 +127,9 @@ def masked_grid(mask: DomainMask, N, q) -> MaskedGrid:
     if inside.size == 0:
         raise DomainError(f"empty domain: no point of the {shape} grid lies "
                           f"inside {mask.description}")
-    if inside.size <= math.prod(N):
+    if inside.size <= np.prod(N):
         raise DomainError(
-            f"oversampling too low: {inside.size} sample points for {math.prod(N)} dof")
+            f"oversampling too low: {inside.size} sample points for {np.prod(N)} dof")
     return MaskedGrid(mask=mask, N=N, q=q, inside=inside, inside_bool=inside_bool)
 
 

@@ -63,7 +63,7 @@ def _svd_solve(B, b, tol, floor):
     """Min-norm solution of min ||B x - b|| by a truncated SVD with cutoff
     max(tol * s_0, floor); returns (x, rank)."""
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    r = np.count_nonzero(s > max(tol * s[0], floor))
+    r = int(np.sum(s > max(tol * s[0], floor)))
     return Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]), r
 
 

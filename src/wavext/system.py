@@ -16,15 +16,11 @@ in CSR.  Row m q + p of an axis' circulant holds a fixed set of taps, by its
 residue p, in the columns m - t.  So the q rows of one period, repeated
 over m, give every row of a contiguous range, already in CSR layout
 (``_circulant_rows``); only the periods near either end of the axis wrap
-mod n and are re-sorted.  Axes of at most WHOLE_MAX_N basis functions keep
-their whole circulant and slice the rows from it (``_axis_rows``).  Neither
-the full box, nor the product, nor a CSC copy is ever formed.
+mod n and are re-sorted.  Neither the full box, nor the product, nor a CSC
+copy is ever formed.
 """
 
-import functools
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -117,32 +113,6 @@ def _periodic(first, count, step):
     return out
 
 
-# Whole circulants kept, read-only, by family, n, q, index dtype and side,
-# for n <= WHOLE_MAX_N (at 2^12 and q = 2, 0.46 MB for cdf33's two sides,
-# 1.3 MB for db4's): a 1-D side of N = 2^10 is then a slice in about 25 us
-# instead of a build in 75 us.
-WHOLE_MAX_N = 2**12
-_wholes = {}
-
-
-def _axis_rows(bank, n, q, dtype, side, lo, hi):
-    """CSR of the rows lo..hi-1 of one axis' A_hat (side 0) or Z_hat (side
-    1) circulant, sliced from the kept whole one up to WHOLE_MAX_N."""
-    table = _axis_tables(bank, n, q, dtype)[side]
-    if n > WHOLE_MAX_N:
-        return _circulant_rows(table, n, lo, hi)
-    W = _wholes.get((bank.family, n, q, dtype, side))
-    if W is None:
-        W = _circulant_rows(table, n, 0, n * q)
-        for a in (W.data, W.indices, W.indptr):
-            a.flags.writeable = False
-        W = _wholes.setdefault((bank.family, n, q, dtype, side), W)
-    s, e = W.indptr[lo], W.indptr[hi]
-    return scipy.sparse.csr_matrix(
-        (W.data[s:e], W.indices[s:e], W.indptr[lo:hi + 1] - s),
-        shape=(hi - lo, n))
-
-
 def _circulant_rows(table, n, lo, hi):
     """CSR of the rows lo..hi-1 of one axis' circulant.  The row periods m
     that the range meets form a (period, tap) block whose flat layout is
@@ -215,7 +185,7 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     Each is the Kronecker product of one (n q, n) circulant per axis,
     column k the periodized primal (or dual) samples rolled by k q, on the
     rows ``grid.inside``; only those rows are built.  Per axis, one builder
-    gives the CSR of a range of circulant rows (``_axis_rows``): in
+    gives the CSR of a range of circulant rows (``_circulant_rows``): in
     1-D the range from the first to the last inside row, followed by a row
     selection when the inside rows are not contiguous; in d-D all n q rows
     of the axis, gathered at each inside row's multi-index and multiplied
@@ -228,24 +198,24 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     is the bytes of the result."""
     dim, inside = len(grid.N), grid.inside
     pairs = [dual_pair(bank, q) for q in grid.q]
-    per_row = math.prod(1 + max(b.b.size, d.b_dual.size) // q
-                        for (b, d), q in zip(pairs, grid.q))
+    per_row = np.prod([1 + max(b.b.size, d.b_dual.size) // q
+                       for (b, d), q in zip(pairs, grid.q)])
     # int32 unless the padding columns or the entries need more
-    dtype = (np.int32 if max(dim * grid.n_basis, inside.size * per_row)
-             <= np.iinfo(np.int32).max else np.int64)
+    dtype = scipy.sparse.get_index_dtype(
+        maxval=max(dim * grid.n_basis, inside.size * per_row))
     mats = []
     for side in range(2):
         factors = []
         for n, q in zip(grid.N, grid.q):
+            table = _axis_tables(bank, n, q, dtype)[side]
             if dim == 1:
                 lo, hi = int(inside[0]), int(inside[-1]) + 1
-                F = _axis_rows(bank, n, q, dtype, side, lo, hi)
+                F = _circulant_rows(table, n, lo, hi)
                 if inside.size < hi - lo:
-                    R = row_block(F, inside - lo)
-                    F = scipy.sparse.csr_matrix(R[:3], shape=R.shape)
+                    F = csr_rows(F, inside - lo)
                 mats.append(F)
             else:
-                factors.append(_axis_rows(bank, n, q, dtype, side, 0, n * q))
+                factors.append(_circulant_rows(table, n, 0, n * q))
         if dim > 1:
             index = np.unravel_index(inside, grid.grid_shape)
             mats.append(_row_kron(factors, index, grid.N, dtype))
@@ -253,51 +223,15 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     return ScalingMatrices(A_hat=A_hat, Z_hat=Z_hat)
 
 
-class RowBlock(NamedTuple):
-    """Rows of a CSR matrix (its arrays and shape) without the scipy
-    object, which takes longer to build (about 20 us) than a product with
-    a few boundary rows.  ``R @ v`` and ``rmatvec`` sum each output from
-    zero in stored order, in the bits of scipy's products with the CSR and
-    its transpose."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple
-
-    @property
-    def rows(self):
-        """The row of each entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def __matmul__(self, v):
-        return np.bincount(self.rows, self.data * v[self.indices],
-                           self.shape[0])
-
-    def rmatvec(self, u):
-        """R* u."""
-        return np.bincount(self.indices, self.data * u[self.rows],
-                           self.shape[1])
-
-
-def row_block(S, rows):
-    """The rows of the CSR S at an index array, as a RowBlock, without the
-    checks of scipy's row indexing."""
+def csr_rows(S, rows):
+    """The CSR S[rows] for an index array, without the checks of scipy's
+    row indexing."""
     lo, hi = S.indptr[rows], S.indptr[rows + 1]
     indptr = np.zeros(rows.size + 1, dtype=S.indptr.dtype)
     np.cumsum(hi - lo, out=indptr[1:])
     take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], hi - lo)
-    return RowBlock(S.data[take], S.indices[take], indptr,
-                    (rows.size, S.shape[1]))
-
-
-@functools.cache
-def _axis_orders(d):
-    """By tensor rank (d, or d + 1 with a batch axis), per axis: the axis
-    order that moves it last, and the one that moves it back."""
-    return {rank: [([a for a in range(rank) if a != ax] + [ax],
-                    list(range(ax)) + [rank - 1] + list(range(ax, rank - 1)))
-                   for ax in range(d)] for rank in (d, d + 1)}
+    return scipy.sparse.csr_matrix((S.data[take], S.indices[take], indptr),
+                                   shape=(rows.size, S.shape[1]))
 
 
 class FrameOperator(scipy.sparse.linalg.LinearOperator):
@@ -310,9 +244,15 @@ class FrameOperator(scipy.sparse.linalg.LinearOperator):
         self.plans = [TransformPlan(bank, n.bit_length() - 1) for n in self.N]
         self.dual_plans = [TransformPlan(bank, n.bit_length() - 1, "dual")
                            for n in self.N]
-        shape = (scaling_matrix.shape[0], math.prod(self.N))
+        shape = (scaling_matrix.shape[0], int(np.prod(self.N)))
         super().__init__(dtype=float, shape=shape)
-        self._orders = _axis_orders(len(self.N))
+        # by tensor rank (d, or d + 1 with a batch axis), per axis: the
+        # axis order that moves it last, and the one that moves it back
+        d = len(self.N)
+        self._orders = {rank: [(
+            [a for a in range(rank) if a != ax] + [ax],
+            list(range(ax)) + [rank - 1] + list(range(ax, rank - 1)))
+            for ax in range(d)] for rank in (d, d + 1)}
 
     def _axis_transform(self, x, fn, plans):
         """Apply fn along every tensor axis of x, shape (n,) or (n, k); a

@@ -1011,8 +1011,9 @@ def _poison_outside_rows(prob):
             shape=S.shape))
     geometry = copy.copy(prob.geometry)
     geometry.scaling = system.ScalingMatrices(*mats)
-    # the rows Mrows of the clean matrices, if computed before the copy
+    # what was computed from the clean matrices before the copy
     geometry.__dict__.pop("boundary_rows", None)
+    geometry.__dict__.pop("plunge_factors", None)
     return dataclasses.replace(prob, geometry=geometry)
 
 
