@@ -8,11 +8,11 @@ coefficients in the extension region (smoothed / adaptive).  W is the
 wavelet analysis, so A = A_hat W^-1.  The pipelines are (form, kernel)
 settings of step 1:
 
-* ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the matrix-free
-  plunge operator over all rows and columns, randomized low-rank kernel;
-  A Z* = A_hat Z_hat* leaves one wavelet transform in each apply; the
-  unweighted range finder sketches the (Mrows, K) scaling plunge block
-  with none (``_solve``);
+* ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the plunge on its
+  rows Mrows and columns L, C = B R_L D_L with B the (Mrows, K) scaling
+  plunge block and R_L = W^-1[K, L] (``boundary_operator``), randomized
+  low-rank kernel, x1 = D y on L; the unweighted range finder samples B
+  itself (``_solve``);
 * ``reduced_az_solve``: the explicit scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only).
@@ -44,7 +44,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -53,18 +53,20 @@ import scipy.sparse.linalg
 from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
                      plunge_row_set, scaling_boundary_set,
                      wavelet_boundary_set)
-from .dwt import sparse_idwt_rows
+# sparse_idwt_rows and sparse_qr_solve are not called here;
+# perfbench/tracing.py wraps these names
+from .dwt import sparse_idwt_rows  # noqa: F401
 from .filters import FilterBank
-# sparse_qr_solve is not called here; perfbench/tracing.py wraps this name
 from .solvers import (DEFAULT_TOL, randomized_lowrank_solve,
                       sparse_qr_factor, sparse_qr_solve)  # noqa: F401
 from .system import (assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
-# Block applies of the matrix-free plunge operator run in chunks of at most
-# this many basis entries (columns x n_basis): larger chunks at n_basis = 2^18
-# raise peak memory by a quarter for no speed gain.
+# ``Geometry.winv_block`` transforms its unit vectors in chunks of at most
+# this many basis entries (columns x n_basis), one column at n_basis = 2^18:
+# larger chunks of transforms there raised peak memory by a quarter for no
+# speed gain.
 BLOCK_ENTRIES = 2**18
 # Bytes of sparse step-1 factors kept (``_cache``).  The factors of the disk
 # (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 9.2 MB; the
@@ -107,7 +109,8 @@ class Geometry:
     @cached_property
     def L(self):
         """Wavelet-layout indices whose synthesis footprint meets K.  No
-        pipeline reads them; the CLI record and the tests do."""
+        pipeline reads them (``winv_block`` finds the same set as the
+        nonzero rows of a transform); the CLI record and the tests do."""
         L, _ = wavelet_boundary_set(self.kflags, self.bank, self.N)
         L.flags.writeable = False
         return L
@@ -127,6 +130,38 @@ class Geometry:
         Ar, Zr = self.boundary_rows
         cols = np.unique(Ar.indices)
         return _columns(Ar, self.K), _columns(Ar, cols), _columns(Zr, cols)
+
+    @cached_property
+    def plunge_adjoints(self):
+        """The transposes of ``plunge_factors``, kept: scipy forms each in
+        16-30 us, more than a product by the 1-D factors takes."""
+        return tuple(F.T for F in self.plunge_factors)
+
+    @cached_property
+    def winv_block(self):
+        """(L, R_L): R_L = W^-1[K, L] as a dense (|K|, |L|) array, L the
+        columns where the rows K of W^-1 have entries, which are ``L``.
+        W~ = (W^-1)* (``dwt``), so the dual analysis of the unit vectors on
+        K holds R_L^T in its rows L and zeros elsewhere: one batched
+        transform in chunks of at most BLOCK_ENTRIES entries, |K| N work
+        once per geometry (README: why dense, and why by a transform)."""
+        n, K = self.A.shape[1], self.K
+        step = max(1, BLOCK_ENTRIES // n)
+        parts = []
+        for i in range(0, K.size, step):
+            E = np.zeros((n, min(step, K.size - i)))
+            E[K[i:i + step], np.arange(E.shape[1])] = 1.0
+            D = self.A.dual_analysis(E)
+            rows = np.flatnonzero(D.any(axis=1))
+            parts.append((rows, D[rows].T))
+        L = np.unique(np.concatenate([np.zeros(0, np.intp)]
+                                     + [rows for rows, _ in parts]))
+        R = np.zeros((K.size, L.size))
+        for i, (rows, D) in zip(range(0, K.size, step), parts):
+            R[i:i + D.shape[0], np.searchsorted(L, rows)] = D
+        for a in (L, R):
+            a.flags.writeable = False
+        return L, R
 
 
 @dataclass(frozen=True)
@@ -218,70 +253,50 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
                      geometry_s=seconds, geometry_reused=reused)
 
 
-def _scale_rows(w, x):
-    """diag(w) x for a vector or a block; the identity when w is None."""
-    return x if w is None else (w * x.T).T
+def _block_apply(geometry: Geometry, Y):
+    """B Y for a vector or block Y on K, B = A_K - A_c (Z_c* A_K) the
+    scaling plunge block (``Geometry.plunge_factors``): no transform."""
+    AK, Ac, _ = geometry.plunge_factors
+    Y = AK @ Y
+    return Y - Ac @ (geometry.plunge_adjoints[2] @ Y)
 
 
-def _plunge_apply(problem: AZProblem, x):
-    """(I - A Z*) A D x = y - A_hat (Z_hat* y), y = A D x, for a vector or
-    an (n_basis, k) block; D = diag(problem.weights), or I without them."""
-    S, y = problem.scaling, problem.A @ _scale_rows(problem.weights, x)
-    return y - S.A_hat @ (S.Z_hat.T @ y)
+def _block_rapply(geometry: Geometry, U):
+    """B* U = A_K* (U - Z_c (A_c* U)) for a vector or block U on Mrows."""
+    AKt, Act, _ = geometry.plunge_adjoints
+    return AKt @ (U - geometry.plunge_factors[2] @ (Act @ U))
 
 
-def _boundary_sample(factors, G):
-    """B G^T for Gaussian rows G on K and the scaling plunge block B =
-    A_K - A_c (Z_c* A_K) (``Geometry.plunge_factors``): no transform."""
-    AK, Ac, Zc = factors
-    Y = AK @ G.T
-    return Y - Ac @ (Zc.T @ Y)
+def boundary_operator(problem: AZProblem):
+    """(L, C): the plunge (I - A Z*) A D on its rows Mrows and columns L,
+    C = B R_L D_L, as a scipy LinearOperator of shape (|Mrows|, |L|).  B is
+    the scaling plunge block, R_L = W^-1[K, L] (``Geometry.winv_block``)
+    and D_L the weights on L (the identity without them).  The plunge
+    vanishes outside this block, so no apply reads all M rows or all N
+    columns, and none takes a wavelet transform."""
+    g = problem.geometry
+    L, R = g.winv_block
+    if problem.weights is not None:
+        R = R * problem.weights[L]      # R_L D_L, formed once per operator
+
+    def apply(X):
+        return _block_apply(g, R @ X)
+
+    def rapply(U):
+        return R.T @ _block_rapply(g, U)
+    return L, scipy.sparse.linalg.LinearOperator(
+        shape=(g.Mrows.size, L.size), dtype=float, matvec=apply,
+        rmatvec=rapply, matmat=apply, rmatmat=rapply)
 
 
-def _plunge_rapply(problem: AZProblem, y):
-    """D A* (I - Z A*) y for a vector or an (M, k) block, with Z A* = Z_hat
-    A_hat* and A* = W~ A_hat*."""
-    S = problem.scaling
-    u = S.A_hat.T @ np.asarray(y, dtype=float)
-    return _scale_rows(problem.weights,
-                       problem.A.dual_analysis(u - S.A_hat.T @ (S.Z_hat @ u)))
-
-
-def _in_blocks(fn, n_basis):
-    """fn applied to column chunks of a block, at most BLOCK_ENTRIES basis
-    entries each."""
-    step = max(1, BLOCK_ENTRIES // n_basis)
-
-    def run(X):
-        if X.shape[1] <= step:
-            return fn(X)
-        return np.hstack([fn(X[:, i:i + step])
-                          for i in range(0, X.shape[1], step)])
-    return run
-
-
-def plunge_operator(problem: AZProblem):
-    """Matrix-free (I - A Z*) A D as a scipy LinearOperator; block applies
-    run in chunks of at most BLOCK_ENTRIES basis entries."""
-    apply = partial(_plunge_apply, problem)
-    rapply = partial(_plunge_rapply, problem)
-    n = problem.grid.n_basis
-    return scipy.sparse.linalg.LinearOperator(
-        shape=problem.A.shape, dtype=float, matvec=apply, rmatvec=rapply,
-        matmat=_in_blocks(apply, n), rmatmat=_in_blocks(rapply, n))
-
-
-def plunge_rhs(problem: AZProblem, c=None, boundary=False):
-    """(I - A Z*) b = b - A_hat c with c = Z_hat* b (computed when not
-    given); with ``boundary``, its rows Mrows only, from the
-    ``Geometry.boundary_rows`` of A_hat, which reads no row of A_hat or b
-    outside them."""
+def plunge_rhs(problem: AZProblem, c=None):
+    """The rows Mrows of (I - A Z*) b = b - A_hat c, with c = Z_hat* b
+    (computed when not given), from the ``Geometry.boundary_rows`` of A_hat:
+    no row of A_hat or b outside them is read."""
     if c is None:
-        c = problem.scaling.Z_hat.T @ problem.b
-    if boundary:
-        Ar, _ = problem.geometry.boundary_rows
-        return problem.b[problem.Mrows] - Ar @ c
-    return problem.b - problem.scaling.A_hat @ c
+        c = problem.Zstar.adjoint @ problem.b
+    Ar, _ = problem.geometry.boundary_rows
+    return problem.b[problem.Mrows] - Ar @ c
 
 
 def _reference_scale(problem: AZProblem):
@@ -420,28 +435,27 @@ def _step1_factor(problem: AZProblem, tol):
 def _solve(problem: AZProblem, explicit, tol, seed=None):
     """Steps 1-3 from c = Z_hat* b.
 
-    Step 1 solves the plunge system for y.  When ``explicit`` it solves on
-    the (Mrows, K) block ``_scaling_block`` and the rows Mrows of the
-    right-hand side b - A_hat c, so besides c it reads boundary-sized data
-    only, and x1 = W y; else on the matrix-free ``plunge_operator``, and
-    x1 = D y.  With a ``seed`` the kernel is ``randomized_lowrank_solve``
-    (with the reference scale).  With seed None it is the sparse QR of the
-    block; that factor depends on the geometry, not on b, so it comes from
-    the cache when there, as ``diagnostics["step1_reused"]`` says.
-    Explicit forms are unweighted.  ``stage_times["assembly"]`` is the
-    part of step 1 spent forming the explicit block (0 when a cached factor
-    needs none).
+    Step 1 solves the plunge system for y on its rows Mrows, with the rows
+    Mrows of the right-hand side b - A_hat c, so besides c it reads
+    boundary-sized data only.  When ``explicit`` it solves on the (Mrows, K)
+    block ``_scaling_block`` and x1 = W y; else on the (Mrows, L) block
+    ``boundary_operator``, C = B R_L D_L, and x1 = D y on L.  With a
+    ``seed`` the kernel is ``randomized_lowrank_solve`` (with the reference
+    scale).  With seed None it is the sparse QR of the block; that factor
+    depends on the geometry, not on b, so it comes from the cache when
+    there, as ``diagnostics["step1_reused"]`` says.  Explicit forms are
+    unweighted.  ``stage_times["assembly"]`` is the part of step 1 spent
+    forming the explicit block (0 when a cached factor needs none), or the
+    geometry's R_L (0 when it holds it).
 
-    The matrix-free range finder of an unweighted problem (no weights, or
-    all of them 1, which gives the unweighted bits) runs on the (Mrows, K)
-    scaling plunge block B: P W = (I - A_hat Z_hat*) A_hat vanishes outside
-    it, so B G^T for Gaussian rows G on K (``_boundary_sample``) has the
-    distribution of P W G^T, and range(P W) = range(P).  The basis goes
-    into Q, zero outside Mrows; the projection, its truncated SVD and steps
-    2-3 apply P, and the level and stopping bound hold for P W (||W||:
-    ``dwt.operator_norms``).  Weighted problems sample P D G^T through the
-    synthesis: Omega = D^-1 W G^T would drop the weights, which span about
-    1e-13 to 40 in ``adaptive``.
+    The range finder of C samples C G^T = B (R_L (D_L G^T)) for Gaussian
+    rows G on L.  Without weights (or with all of them 1, which gives the
+    unweighted bits) it samples B G^T for Gaussian rows G on K instead:
+    R_L has full row rank, as W^-1 is invertible, so range(C) = range(B),
+    and the level and stopping bound hold for B.  Either way the
+    projection Q* C and its truncated SVD run on C.  Where |Mrows| <=
+    BLOCK_SIZE (1-D cdf33: 10-12 rows) the kernel forms C exactly instead,
+    and ``range_dim`` reads |Mrows|, not the rank.
 
     Steps 2-3 add x2 = Z* (b - A x1) = W u, u = Z_hat* (b - A x1).  When
     explicit, A x1 = A_hat y and u = c - Z_hat* (A_hat y), so one analysis
@@ -453,9 +467,9 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
     times, diag, sample = {}, {}, None
-    S = problem.scaling
-    c = S.Z_hat.T @ problem.b
-    b1 = plunge_rhs(problem, c, explicit)
+    S, g = problem.scaling, problem.geometry
+    c = problem.Zstar.adjoint @ problem.b
+    b1 = plunge_rhs(problem, c)
     if seed is None:
         factor, diag["step1_reused"], times = _step1_factor(problem, tol)
         rep = factor.solve(b1)
@@ -463,12 +477,13 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         if explicit:
             op, times["assembly"] = _timed(_scaling_block, problem)
         else:
-            op = plunge_operator(problem)
+            cold = "winv_block" not in vars(g)
+            (L, op), seconds = _timed(boundary_operator, problem)
+            times["assembly"] = seconds if cold else 0.0
             w = problem.weights
             if w is None or np.all(w == 1):
-                factors = problem.geometry.plunge_factors
-                sample = (partial(_boundary_sample, factors),
-                          factors[0].shape, problem.Mrows)
+                sample = (lambda G: _block_apply(g, G.T),
+                          (g.Mrows.size, g.K.size))
         rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
                                        scale=_reference_scale(problem),
                                        sample=sample)
@@ -480,7 +495,10 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         u = y + (c - Zr.T @ (Ar @ y))   # A_hat y lives on the rows Mrows
         x, Ax = problem.A.analysis(u), S.A_hat @ u
     else:
-        x1 = _scale_rows(problem.weights, rep.solution)
+        x1 = np.zeros(problem.grid.n_basis)
+        x1[L] = rep.solution
+        if problem.weights is not None:
+            x1 *= problem.weights
         x = x1 + problem.Zstar(problem.b - problem.A.matvec(x1))
         Ax = problem.A.matvec(x)
     times = {"geometry": problem.geometry_s, "step1": t1 - t0,
@@ -496,7 +514,7 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
 
 def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Vanilla pipeline, the smoothed one with problem.weights: randomized
-    low-rank solve of the matrix-free plunge system."""
+    low-rank solve of the plunge system on its (Mrows, L) block."""
     return _solve(problem, False, tol, seed)
 
 
@@ -581,47 +599,14 @@ def _scaling_block(problem: AZProblem):
     return P
 
 
-def _selected_winv_rows(rows, bank, N):
-    """Sparse selected rows of the d-dimensional synthesis matrix W^-1.
-
-    W^-1 is the Kronecker product of the per-axis synthesis matrices, so each
-    row is the Kronecker product of the per-axis rows of its multi-index: a
-    row-wise Kronecker product of per-axis row blocks, padded to a common
-    width with zeros.
-    """
-    multis = np.unravel_index(np.asarray(rows, dtype=np.int64), tuple(N))
-    vals = np.ones((len(rows), 1))
-    cols = np.zeros((len(rows), 1), dtype=np.int64)
-    for idx, n in zip(multis, N):
-        uniq, inv = np.unique(idx, return_inverse=True)
-        R = sparse_idwt_rows(uniq, bank, n.bit_length() - 1)
-        width = np.diff(R.indptr)
-        k = np.arange(width.max())
-        pos = np.minimum(R.indptr[:-1, None] + k, R.nnz - 1)[inv]
-        pad = (k >= width[:, None])[inv]
-        v = np.where(pad, 0.0, R.data[pos])
-        vals = (vals[:, :, None] * v[:, None, :]).reshape(len(rows), -1)
-        cols = (cols[:, :, None] * n + R.indices[pos][:, None, :]).reshape(
-            len(rows), -1)
-    ri, ci = np.nonzero(vals)
-    return scipy.sparse.csr_matrix((vals[ri, ci], (ri, cols[ri, ci])),
-                                   shape=(len(rows), int(np.prod(N))))
-
-
 def sparse_plunge(problem: AZProblem):
-    """Sparse (I - A Z*) A, assembled as the product of ``scaling_plunge``
-    with selected W^-1 rows and placed in the rows Mrows: the tests' oracle
-    of that block and of the plunge applies."""
-    B = scaling_plunge(problem)
-    cols = np.unique(B.indices)
-    if cols.size == 0:
-        return scipy.sparse.csr_matrix(problem.A.shape)
-    P = B[:, cols] @ _selected_winv_rows(problem.K[cols], problem.bank,
-                                         problem.grid.N)
-    indptr = np.zeros(problem.grid.M + 1, dtype=P.indptr.dtype)
-    indptr[problem.Mrows + 1] = np.diff(P.indptr)
+    """Sparse (I - A Z*) A: ``scaling_plunge`` times R_L
+    (``Geometry.winv_block``), pruned and placed in the rows Mrows and the
+    columns L: the tests' wavelet-domain plunge."""
+    L, R = problem.geometry.winv_block
+    P = scipy.sparse.coo_matrix(scaling_plunge(problem) @ R)
     return _prune(scipy.sparse.csr_matrix(
-        (P.data, P.indices, np.cumsum(indptr)), shape=problem.A.shape))
+        (P.data, (problem.Mrows[P.row], L[P.col])), shape=problem.A.shape))
 
 
 def coarsest_n(bank: FilterBank):

@@ -146,14 +146,11 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
     at the numerical rank, then solves the projected problem with a
     truncated SVD (minimum-norm on the detected range) at the same level,
     ``max(tol * sigma, NOISE_REL * scale)``.  The operator is applied to
-    whole blocks through ``matmat``/``rmatmat``; an operator whose block
-    applies need bounded memory chunks them itself (see
-    ``az.BLOCK_ENTRIES``).
+    whole blocks through ``matmat``/``rmatmat``.
 
-    ``sample = (fn, shape, rows)`` replaces ``op.matmat(G.T)`` in the range
-    finder: ``fn(G)`` gives the rows ``rows`` of op T G^T, zero elsewhere,
-    for Gaussian rows G of shape[1] columns and a fixed T with range(op T)
-    = range(op), and Q holds the basis found in those rows.  The level and
+    ``sample = (fn, shape)`` replaces ``op.matmat(G.T)`` in the range
+    finder: ``fn(G)`` gives op T G^T for Gaussian rows G of shape[1]
+    columns and a fixed T with range(op T) = range(op).  The level and
     stopping bound hold for op T; the projection, its truncation and the
     residual use op.  ``diagnostics["sketch_shape"]`` is the shape sampled.
 
@@ -185,11 +182,8 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
         return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full,
                          sketch_shape=(m, n))
     op = scipy.sparse.linalg.aslinearoperator(op)
-    fn, shape, rows = sample or (lambda G: op.matmat(G.T), op.shape, None)
+    fn, shape = sample or (lambda G: op.matmat(G.T), op.shape)
     Q = _range_basis(shape, fn, tol, _rng(seed), floor)
-    if rows is not None:
-        Q, Qr = np.zeros((m, Q.shape[1])), Q
-        Q[rows] = Qr
     # projected problem: min || (Q* A) x - Q* b ||
     x, r = (_svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor) if Q.shape[1]
             else (np.zeros(n), 0))

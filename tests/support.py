@@ -5,6 +5,7 @@ because the benchmark's tests (``perfbench/tests``) import from a module of
 that name too, and one session can hold only one ``conftest`` module.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -16,7 +17,8 @@ import scipy.sparse.linalg
 from wavext import az
 from wavext.domain import masked_grid
 from wavext.dual import DualError, dual_pair
-from wavext.dwt import TransformError, dwt, idwt, idwt_column_filters
+from wavext.dwt import (TransformError, dwt, idwt, idwt_column_filters,
+                        sparse_idwt_rows)
 from wavext.filters import filter_bank
 from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
                             _finalize, _pivoted_qr, randomized_lowrank_solve,
@@ -142,22 +144,103 @@ def estimate_rank(op, tol=DEFAULT_TOL, seed=0, scale=None):
                                     scale=scale).rank
 
 
+def selected_winv_rows(rows, bank, N):
+    """Sparse selected rows of the d-dimensional synthesis matrix W^-1, from
+    the cascade filters (``wavext.dwt.sparse_idwt_rows``): the oracle of
+    ``wavext.az.Geometry.winv_block``.
+
+    W^-1 is the Kronecker product of the per-axis synthesis matrices, so each
+    row is the Kronecker product of the per-axis rows of its multi-index: a
+    row-wise Kronecker product of per-axis row blocks, padded to a common
+    width with zeros.
+    """
+    multis = np.unravel_index(np.asarray(rows, dtype=np.int64), tuple(N))
+    vals = np.ones((len(rows), 1))
+    cols = np.zeros((len(rows), 1), dtype=np.int64)
+    for idx, n in zip(multis, N):
+        uniq, inv = np.unique(idx, return_inverse=True)
+        R = sparse_idwt_rows(uniq, bank, n.bit_length() - 1)
+        width = np.diff(R.indptr)
+        k = np.arange(width.max())
+        pos = np.minimum(R.indptr[:-1, None] + k, R.nnz - 1)[inv]
+        pad = (k >= width[:, None])[inv]
+        v = np.where(pad, 0.0, R.data[pos])
+        vals = (vals[:, :, None] * v[:, None, :]).reshape(len(rows), -1)
+        cols = (cols[:, :, None] * n + R.indices[pos][:, None, :]).reshape(
+            len(rows), -1)
+    ri, ci = np.nonzero(vals)
+    return scipy.sparse.csr_matrix((vals[ri, ci], (ri, cols[ri, ci])),
+                                   shape=(len(rows), int(np.prod(N))))
+
+
+def _scale_rows(w, x):
+    """diag(w) x for a vector or a block; the identity when w is None."""
+    return x if w is None else (w * x.T).T
+
+
+def plunge_apply(problem, x):
+    """(I - A Z*) A D x = y - A_hat (Z_hat* y), y = A D x, for a vector or
+    an (n_basis, k) block; D = diag(problem.weights), or I without them:
+    the matrix-free plunge over all rows and columns, one synthesis per
+    apply."""
+    S = problem.scaling
+    y = problem.A @ _scale_rows(problem.weights, x)
+    return y - S.A_hat @ (S.Z_hat.T @ y)
+
+
+def plunge_rapply(problem, y):
+    """D A* (I - Z A*) y for a vector or an (M, k) block, with Z A* = Z_hat
+    A_hat* and A* = W~ A_hat*: one dual analysis per apply."""
+    S = problem.scaling
+    u = S.A_hat.T @ np.asarray(y, dtype=float)
+    return _scale_rows(problem.weights, problem.A.dual_analysis(
+        u - S.A_hat.T @ (S.Z_hat @ u)))
+
+
+def _in_blocks(fn, n_basis):
+    """fn applied to column chunks of a block, at most ``az.BLOCK_ENTRIES``
+    basis entries each (read at call time)."""
+    def run(X):
+        step = max(1, az.BLOCK_ENTRIES // n_basis)
+        if X.shape[1] <= step:
+            return fn(X)
+        return np.hstack([fn(X[:, i:i + step])
+                          for i in range(0, X.shape[1], step)])
+    return run
+
+
+def plunge_operator(problem):
+    """Matrix-free (I - A Z*) A D over all M rows and N columns as a scipy
+    LinearOperator, block applies in chunks of at most ``az.BLOCK_ENTRIES``
+    basis entries: the oracle of ``az.boundary_operator``, which is its
+    (Mrows, L) block."""
+    apply = functools.partial(plunge_apply, problem)
+    rapply = functools.partial(plunge_rapply, problem)
+    n = problem.grid.n_basis
+    return scipy.sparse.linalg.LinearOperator(
+        shape=problem.A.shape, dtype=float, matvec=apply, rmatvec=rapply,
+        matmat=_in_blocks(apply, n), rmatmat=_in_blocks(rapply, n))
+
+
 def plunge_rank(problem, tol=DEFAULT_TOL, seed=0):
     """Numerical rank of the plunge operator by randomized range estimation."""
-    return estimate_rank(az.plunge_operator(problem), tol=tol, seed=seed,
+    return estimate_rank(plunge_operator(problem), tol=tol, seed=seed,
                          scale=az._reference_scale(problem))
 
 
 def transform_sampled_az(problem, tol=DEFAULT_TOL, seed=0):
-    """``az.az_solve`` (``smoothed`` with weights) with the range finder
-    sampling the plunge operator itself, Omega = G^T, so every sample block
-    takes a wavelet synthesis: the oracle of the unweighted scaling-form
-    sampler.  Returns (step-1 report, x, residual ||A x - b||)."""
-    rep = randomized_lowrank_solve(az.plunge_operator(problem),
-                                   az.plunge_rhs(problem), tol=tol,
+    """``az.az_solve`` (``smoothed`` with weights) on the matrix-free plunge
+    ``plunge_operator`` over every row and column, its range finder
+    sampling P D G^T for Gaussian G on all N columns, so every sample
+    block takes a wavelet synthesis: the oracle of the boundary operator
+    and of both its samplers.  Returns (step-1 report, x, residual
+    ||A x - b||)."""
+    S = problem.scaling
+    b1 = problem.b - S.A_hat @ (S.Z_hat.T @ problem.b)   # over every row
+    rep = randomized_lowrank_solve(plunge_operator(problem), b1, tol=tol,
                                    seed=seed,
                                    scale=az._reference_scale(problem))
-    x1 = az._scale_rows(problem.weights, rep.solution)
+    x1 = _scale_rows(problem.weights, rep.solution)
     x = x1 + problem.Zstar(problem.b - problem.A.matvec(x1))
     return rep, x, float(np.linalg.norm(problem.A.matvec(x) - problem.b))
 
@@ -183,7 +266,7 @@ def reference_per_scale_norms(x, N, select=None):
 
 def reference_plunge_apply(problem, x):
     """(I - A Z*) A x through the wavelet-level operators, idwt -> dwt ->
-    idwt: the oracle of ``wavext.az._plunge_apply``."""
+    idwt: the oracle of ``plunge_apply``."""
     y = problem.A @ x
     return y - problem.A @ problem.Zstar(y)
 
@@ -191,7 +274,7 @@ def reference_plunge_apply(problem, x):
 def reference_plunge_rapply(problem, y):
     """A* (I - Z A*) y through the wavelet-level operators, dwt -> idwt ->
     dwt, with Z c = Z_hat (W~^-1 c), W~^-1 the dual idwt: the oracle of
-    ``wavext.az._plunge_rapply``."""
+    ``plunge_rapply``."""
     A, frame = problem.A, problem.Zstar._frame
     y = np.asarray(y, dtype=float)
     adjoint = A.rmatvec if y.ndim == 1 else A.rmatmat
@@ -201,8 +284,8 @@ def reference_plunge_rapply(problem, y):
 
 
 def reference_plunge_rhs(problem):
-    """(I - A Z*) b through a dwt and an idwt over all N: the oracle of
-    ``wavext.az.plunge_rhs``."""
+    """(I - A Z*) b through a dwt and an idwt over all N: on the rows
+    Mrows, the oracle of ``wavext.az.plunge_rhs``."""
     return problem.b - problem.A.matvec(problem.Zstar(problem.b))
 
 

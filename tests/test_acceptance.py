@@ -20,7 +20,8 @@ from wavext.solvers import pivoted_qr_solve, randomized_lowrank_solve
 from wavext.system import dense_A
 
 from support import (ALL_FAMILIES, DUAL_COMBOS, dense_matrix, periodize_dual,
-                     periodize_primal, plunge_rank, truncated_svd_solve)
+                     periodize_primal, plunge_apply, plunge_rank,
+                     truncated_svd_solve)
 
 
 def exp1d(p):
@@ -132,7 +133,7 @@ def test_acceptance_plunge_structure():
     assert np.isin(np.unique(cols), prob.L).all()
     assert np.isin(np.unique(rows), prob.Mrows).all()
     assert P.nnz <= 4 * 8 * prob.K.size
-    dense = np.column_stack([az._plunge_apply(prob, e) for e in np.eye(256)])
+    dense = np.column_stack([plunge_apply(prob, e) for e in np.eye(256)])
     s = np.linalg.svd(dense, compute_uv=False)
     assert plunge_rank(prob) == int(np.sum(s > 1e-10 * s[0]))
 

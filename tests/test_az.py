@@ -21,10 +21,12 @@ from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve,
 from wavext.system import dense_A
 
 from support import (ALL_FAMILIES, banks, check_sparse_factor,
-                     heldout_interior_error, plunge_rank,
+                     heldout_interior_error, plunge_apply, plunge_operator,
+                     plunge_rank, plunge_rapply,
                      reference_per_scale_norms, reference_plunge_apply,
                      reference_plunge_rapply, reference_plunge_rhs,
-                     reference_scaling_plunge, sparse_qr_reference,
+                     reference_scaling_plunge, selected_winv_rows,
+                     sparse_qr_reference,
                      transform_sampled_az, wavelet_block)
 
 
@@ -55,25 +57,11 @@ _BOX_SOLVES = {
     "smoothed": lambda prob: az.smoothed_az_solve(dataclasses.replace(
         prob, weights=az.scale_weights([3, 1, 0.1], prob.grid.N)), seed=0),
 }
-# Box cases whose plunge keeps a rank, with the ranks measured: the minimal
-# dual of db4 at q = 2 has norm 241 (ROADMAP item 4), and the weighted
-# matrix-free solve, which samples the plunge over every column, fits
-# cancellation noise above the floor.  Unweighted az samples the columns K
-# only, and K is empty on the box.
-_BOX_FITS_NOISE = {
-    (2, "db4", "smoothed"): "rank 176-182: db4's minimal dual has norm 241 "
-                            "(ROADMAP item 4)",
-}
-
-
 def _box_cases():
     for dim in (1, 2):
         for family in ALL_FAMILIES:
             for pipeline in _BOX_SOLVES:
-                reason = _BOX_FITS_NOISE.get((dim, family, pipeline))
-                marks = [pytest.mark.xfail(strict=True, reason=reason)
-                         ] if reason else []
-                yield pytest.param(dim, family, pipeline, marks=marks,
+                yield pytest.param(dim, family, pipeline,
                                    id=f"{dim}d-{family}-{pipeline}")
 
 
@@ -81,11 +69,12 @@ def _box_cases():
 def test_box_reduces_to_projection(dim, family, pipeline, banks):
     """Periodic f: on the full box the frame is an exact dual pair, so the
     plunge vanishes and every pipeline's solve collapses to the dual
-    projection Z* b.  The box is a valid domain.  Unweighted az samples
-    the scaling columns K, which the box leaves empty, so it draws nothing.
-    The weighted matrix-free plunge cancels to fuzz, not to zero, so the
-    rank 0 of smoothed rests on the noise floor against the reference
-    scale."""
+    projection Z* b.  The box is a valid domain.  Every step 1 runs on the
+    plunge's rows Mrows and on the columns K or L, which the box leaves
+    empty, so az and smoothed draw nothing; the matrix-free plunge over
+    every column cancels to fuzz instead, which db4's minimal dual (norm
+    241 at q = 2) lifts above the noise floor (rank 176-182 for weighted
+    samples of it)."""
     def f(p):
         return (np.sin(2 * np.pi * p[:, 0])
                 * np.cos(2 * np.pi * p[:, 1:]).prod(axis=1) + 2.0)
@@ -136,7 +125,7 @@ def test_sparse_plunge_matches_dense(dim):
     (Mrows, L) block it is zero."""
     prob = _block_case(dim)
     P = az.sparse_plunge(prob).toarray()
-    dense = az._plunge_apply(prob, np.eye(prob.grid.n_basis))
+    dense = plunge_apply(prob, np.eye(prob.grid.n_basis))
     assert np.abs(P - dense).max() < 1e-10
     P[np.ix_(prob.Mrows, prob.L)] = 0
     assert not P.any()
@@ -307,7 +296,7 @@ def test_plunge_rank_dense_crosscheck():
     prob = az.make_problem(exp1d, interval(0.0, 0.5),
                            filter_bank("db2"), 128, 2)
     n = prob.grid.n_basis
-    dense = np.column_stack([az._plunge_apply(prob, e) for e in np.eye(n)])
+    dense = np.column_stack([plunge_apply(prob, e) for e in np.eye(n)])
     s = np.linalg.svd(dense, compute_uv=False)
     dense_rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
     assert plunge_rank(prob) == dense_rank
@@ -383,96 +372,195 @@ def _weighted(prob):
     return dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
 
 
+def _sampler_case(case, bank):
+    """The 1-, 2- and 3-D block cases by dimension; 4096: the 1-D case at
+    N = 4096; 32: the 2-D case at 32^2."""
+    f, mask, n = _BLOCK_CASES[{4096: 1, 32: 2}.get(case, case)]
+    return az.make_problem(f, mask, bank, case if case in (32, 4096) else n,
+                           2)
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-@pytest.mark.parametrize("case", [1, 2, 3, 4096])
+@pytest.mark.parametrize("case", [1, 2, 3, 4096, 32])
 def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                                                    monkeypatch):
-    """Unweighted az samples P W G^T = (I - A_hat Z_hat*) A_hat G^T, with no
-    inverse DWT inside the range finder, and keeps the rank of the oracle
-    that samples P G^T through the transform, with a residual and ||x||
-    within 2x of the oracle's either way; the 1-, 2- and 3-D block cases
-    and the 1-D case at N = 4096.  Weighted, smoothed still samples through
-    the transform, in the oracle's bits."""
-    f, mask, n = _BLOCK_CASES[1] if case == 4096 else _BLOCK_CASES[case]
-    prob = az.make_problem(f, mask, banks[family],
-                           case if case == 4096 else n, 2)
-    range_basis, idwt = solvers._range_basis, system.idwt
-    count = {"range_basis": 0, "inside": False, "idwt": 0}
+    """Step 1 of az and smoothed runs on the boundary operator C = B R_L
+    D_L with no wavelet transform inside its kernel: unweighted, the range
+    finder samples B G^T on K; weighted, C G^T on L; in 1-D the kernel
+    forms C exactly.  Weighted and unweighted, it keeps the rank of the
+    oracle that samples the whole plunge P D G^T through the transform,
+    with a residual and ||x|| within 2x of the oracle's either way; the
+    1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the 2-D case
+    at 32^2."""
+    prob = _sampler_case(case, banks[family])
+    kernel, inside = az.randomized_lowrank_solve, []
+    calls = _count_transforms(monkeypatch)
 
-    def traced_range_basis(*args):
-        count["range_basis"] += 1
-        count["inside"] = True
-        try:
-            return range_basis(*args)
-        finally:
-            count["inside"] = False
+    def traced(*args, **kw):
+        calls.update(dwt=0, idwt=0)
+        rep = kernel(*args, **kw)
+        inside.append(dict(calls))
+        return rep
 
-    def traced_idwt(*args):
-        count["idwt"] += count["inside"]
-        return idwt(*args)
-
-    monkeypatch.setattr(solvers, "_range_basis", traced_range_basis)
-    monkeypatch.setattr(system, "idwt", traced_idwt)
-    sol = az.az_solve(prob, seed=0)
-    assert count["range_basis"] == 1 and count["idwt"] == 0, count
-    monkeypatch.undo()
-    ref, x, res = transform_sampled_az(prob)
-    msg = (sol.plunge_rank, ref.rank, sol.residual, res,
-           sol.coefficient_norm, np.linalg.norm(x))
-    assert sol.plunge_rank == ref.rank, msg
-    assert sol.residual <= 2 * res and res <= 2 * sol.residual, msg
-    assert (sol.coefficient_norm <= 2 * np.linalg.norm(x)
-            and np.linalg.norm(x) <= 2 * sol.coefficient_norm), msg
-    if case != 4096:
-        weighted = _weighted(prob)
-        sol = az.smoothed_az_solve(weighted, seed=0)
-        ref, x, _ = transform_sampled_az(weighted)
-        assert sol.plunge_rank == ref.rank and np.array_equal(sol.x, x)
+    monkeypatch.setattr(az, "randomized_lowrank_solve", traced)
+    for problem in (prob, _weighted(prob)):
+        inside.clear()
+        sol = az.smoothed_az_solve(problem, seed=0)
+        assert inside == [{"dwt": 0, "idwt": 0}], inside
+        ref, x, res = transform_sampled_az(problem)
+        msg = (problem.weights is None, sol.plunge_rank, ref.rank,
+               sol.residual, res, sol.coefficient_norm, np.linalg.norm(x))
+        assert sol.plunge_rank == ref.rank, msg
+        assert sol.residual <= 2 * res and res <= 2 * sol.residual, msg
+        assert (sol.coefficient_norm <= 2 * np.linalg.norm(x)
+                and np.linalg.norm(x) <= 2 * sol.coefficient_norm), msg
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("case", [1, 2, 3, 4096])
 def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
-    """Unweighted az runs its range finder on the (|Mrows|, |K|) scaling
-    plunge block: each sample block is scaling_plunge(problem) G^T for
-    Gaussian rows G on K, to 1e-12 relative, up to the fuzz that
-    scaling_plunge prunes (each entry at most PRUNE_REL of its largest
-    entry or of A_K's).  The sampler reads boundary-sized operands only;
-    at N = 4096 no sample call allocates as much as one N-vector, where
-    sampling over every column allocates N x 16 blocks."""
-    f, mask, n = _BLOCK_CASES[1] if case == 4096 else _BLOCK_CASES[case]
-    prob = az.make_problem(f, mask, banks[family],
-                           case if case == 4096 else n, 2)
-    m, k, N = prob.Mrows.size, prob.K.size, prob.grid.n_basis
-    range_basis, shapes, blocks = solvers._range_basis, [], []
-
-    def traced_range_basis(shape, sample, *args):
-        def traced_sample(G):
-            if case == 4096:    # else untraced, and the peak reads 0
-                tracemalloc.start()
-            try:
-                Y = sample(G)
-                blocks.append((G, Y, tracemalloc.get_traced_memory()[1]))
-            finally:
-                tracemalloc.stop()
-            return Y
-        shapes.append(shape)
-        return range_basis(shape, traced_sample, *args)
-
-    monkeypatch.setattr(solvers, "_range_basis", traced_range_basis)
-    sol = az.az_solve(prob, seed=0)
-    assert shapes == [(m, k)] and sol.diagnostics["sketch_shape"] == (m, k)
-    assert all(F.shape[0] == m for F in prob.geometry.plunge_factors)
-    assert blocks
+    """az's range finder samples the (|Mrows|, |K|) scaling plunge block:
+    each sample block is scaling_plunge(problem) G^T for Gaussian rows G on
+    K.  smoothed's samples the (|Mrows|, |L|) block C = B R_L D_L: each is
+    scaling_plunge(problem) R_L D_L G^T for Gaussian rows G on L, with R_L
+    from the selected rows of W^-1 (``selected_winv_rows``).  Both hold to
+    1e-12 relative, up to the fuzz that scaling_plunge prunes (each entry
+    at most PRUNE_REL of its largest entry or of A_K's).  Where |Mrows| or
+    |L| is at most BLOCK_SIZE (1-D) the kernel forms C exactly instead,
+    samples nothing, and range_dim reads that size.  At N = 4096 no sample
+    call and no apply of C allocates as much as one N-vector, where
+    sampling the plunge over every column allocates N x 16 blocks."""
+    prob = _sampler_case(case, banks[family])
+    m, k, N, L = prob.Mrows.size, prob.K.size, prob.grid.n_basis, prob.L
+    R = selected_winv_rows(prob.K, prob.bank, prob.grid.N)[:, L]
     B, AK = az.scaling_plunge(prob), prob.geometry.plunge_factors[0]
     level = az.PRUNE_REL * max(np.abs(B.data).max(initial=0),
                                np.abs(AK.data).max())
-    for G, Y, peak in blocks:
-        assert G.shape[1] == k and Y.shape == (m, G.shape[0])
-        ref = B @ G.T
-        fuzz = level * np.abs(G).sum(axis=1)
-        assert np.all(np.abs(Y - ref) <= 1e-12 * np.abs(ref).max() + fuzz)
-        assert peak < 8 * N, (peak, N)
+    boundary_operator, range_basis = az.boundary_operator, solvers._range_basis
+    shapes, blocks, peaks = [], [], []
+
+    def traced(fn):
+        """fn, recording at N = 4096 the peak of what each outermost call
+        allocates."""
+        def run(X):
+            if case != 4096 or tracemalloc.is_tracing():
+                return fn(X)
+            tracemalloc.start()
+            try:
+                Y = fn(X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return Y
+        return run
+
+    def traced_operator(problem):
+        L, op = boundary_operator(problem)
+        return L, scipy.sparse.linalg.LinearOperator(
+            op.shape, dtype=float, matvec=traced(op.matvec),
+            rmatvec=traced(op.rmatvec), matmat=traced(op.matmat),
+            rmatmat=traced(op.rmatmat))
+
+    def traced_range_basis(shape, sample, *args):
+        def traced_sample(G):
+            blocks.append((G, traced(sample)(G)))
+            return blocks[-1][1]
+        shapes.append(shape)
+        return range_basis(shape, traced_sample, *args)
+
+    monkeypatch.setattr(az, "boundary_operator", traced_operator)
+    monkeypatch.setattr(solvers, "_range_basis", traced_range_basis)
+    assert all(F.shape[0] == m for F in prob.geometry.plunge_factors)
+    for problem in (prob, _weighted(prob)):
+        # once untraced, so that no first-call set-up counts as a sample's
+        az.smoothed_az_solve(problem, seed=0)
+        shapes.clear(), blocks.clear(), peaks.clear()
+        sol = az.smoothed_az_solve(problem, seed=0)
+        d, w = sol.diagnostics, problem.weights
+        shape = (m, k) if w is None else (m, L.size)
+        if min(m, L.size) <= BLOCK_SIZE:
+            assert d["sketch_shape"] == (m, L.size) and not shapes
+            assert d["range_dim"] == min(m, L.size)
+        else:
+            assert shapes == [shape] and d["sketch_shape"] == shape
+            assert blocks
+        for G, Y in blocks:
+            T = G.T if w is None else R @ (w[L] * G).T
+            assert Y.shape == (m, G.shape[0])
+            ref = B @ T
+            fuzz = level * np.abs(T).sum(axis=0)
+            assert np.all(np.abs(Y - ref) <= 1e-12 * np.abs(ref).max() + fuzz)
+        if case == 4096:
+            assert peaks and max(peaks) < 8 * N, (peaks, N)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_winv_block_is_rows_K_of_winv(dim, family, chunk, banks, monkeypatch):
+    """R_L, the dual analysis of the unit vectors on K, equals the rows K of
+    W^-1 built from the cascade filters (``selected_winv_rows``) on the
+    columns L to round-off, also when built in chunks of 3 columns; those
+    rows vanish outside L, and its columns are ``Geometry.L``."""
+    prob = _block_case(dim, banks[family])
+    n = prob.grid.n_basis
+    if chunk is not None:
+        monkeypatch.setattr(az, "BLOCK_ENTRIES", chunk * n)
+    L, R = az.Geometry.winv_block.func(prob.geometry)   # uncached build
+    assert np.array_equal(L, prob.L) and R.shape == (prob.K.size, L.size)
+    assert not (L.flags.writeable or R.flags.writeable)
+    ref = selected_winv_rows(prob.K, prob.bank, prob.grid.N).tocsc()
+    outside = np.setdiff1d(np.arange(n), L)
+    assert ref[:, outside].nnz == 0
+    ref = ref[:, L].toarray()
+    assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max(), family
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_boundary_operator_is_the_plunge_block(dim, weighted):
+    """C = B R_L D_L is the block (Mrows, L) of the matrix-free plunge
+    (I - A Z*) A D, applied and adjoint, to 1e-12 of the largest entry;
+    outside it the matrix-free plunge holds cancellation fuzz only."""
+    prob = _block_case(dim)
+    if weighted:
+        prob = _weighted(prob)
+    L, C = az.boundary_operator(prob)
+    m, n = prob.A.shape
+    assert C.shape == (prob.Mrows.size, L.size)
+    rng = np.random.default_rng(dim)
+    X, U = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
+    U[np.setdiff1d(np.arange(m), prob.Mrows)] = 0.0
+    off_rows = np.setdiff1d(np.arange(m), prob.Mrows)
+    off_cols = np.setdiff1d(np.arange(n), L)
+    for ref, got, off in (
+            (plunge_apply(prob, X), C.matmat(X[L]), off_rows),
+            (plunge_apply(prob, X[:, 0]), C.matvec(X[L, 0]), off_rows),
+            (plunge_rapply(prob, U), C.rmatmat(U[prob.Mrows]), off_cols),
+            (plunge_rapply(prob, U[:, 0]), C.rmatvec(U[prob.Mrows, 0]),
+             off_cols)):
+        level = 1e-12 * np.abs(ref).max()
+        on = prob.Mrows if off is off_rows else L
+        assert np.abs(got - ref[on]).max() <= level
+        assert np.abs(ref[off]).max(initial=0) <= level
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_winv_block_built_once_per_geometry(dim):
+    """az and smoothed report the cold build of R_L (and the kept
+    transposes of the plunge factors) as ``stage_times["assembly"]``; a
+    second solve on the same geometry reads 0.0 there and returns the same
+    x, weighted or not."""
+    az.clear_caches()
+    prob = _block_case(dim)
+    for solve in (lambda: az.az_solve(prob, seed=0),
+                  lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
+        cold = "winv_block" not in vars(prob.geometry)
+        first, second = solve(), solve()
+        assert (first.stage_times["assembly"] > 0) is cold
+        assert second.stage_times["assembly"] == 0.0
+        assert np.array_equal(first.x, second.x)
+        assert first.plunge_rank == second.plunge_rank > 0
 
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])
@@ -550,7 +638,7 @@ def test_reduced_1d_small_block_is_exact():
     op = az.scaling_plunge(prob)
     assert op.shape == (prob.Mrows.size, prob.K.size)
     assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
-    b1 = az.plunge_rhs(prob)[prob.Mrows]
+    b1 = az.plunge_rhs(prob)
     floor = solvers.NOISE_REL * az._reference_scale(prob)
     Q = solvers._range_basis(op.shape, lambda G: op @ G.T, DEFAULT_TOL,
                              solvers._rng(0), floor)
@@ -622,7 +710,7 @@ def test_scaling_block_matches_wavelet_block(dim, family, banks):
     prob = _block_case(dim, banks[family])
     sol = az.reduced_az_solve(prob, seed=0)
     ref = randomized_lowrank_solve(wavelet_block(prob),
-                                   az.plunge_rhs(prob)[prob.Mrows], seed=0,
+                                   az.plunge_rhs(prob), seed=0,
                                    scale=az._reference_scale(prob))
     x1 = np.zeros(prob.grid.n_basis)
     x1[prob.L] = ref.solution
@@ -715,8 +803,10 @@ def test_block_applies_match_columns(dim, cap, monkeypatch):
     if cap is not None:   # chunks of `cap` columns
         monkeypatch.setattr(az, "BLOCK_ENTRIES", cap * prob.grid.n_basis)
     rng = np.random.default_rng(0)
-    ops = {"A": prob.A, "plunge": az.plunge_operator(prob),
-           "smoothed": az.plunge_operator(_weighted(prob))}
+    ops = {"A": prob.A, "plunge": plunge_operator(prob),
+           "smoothed": plunge_operator(_weighted(prob)),
+           "boundary": az.boundary_operator(prob)[1],
+           "weighted boundary": az.boundary_operator(_weighted(prob))[1]}
 
     def close(a, b):
         return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -741,13 +831,13 @@ def test_plunge_kernels_match_wavelet_level_oracles(dim, weighted):
     of the wavelet-level operators (idwt -> dwt -> idwt, and dwt -> idwt ->
     dwt for the adjoint) to 1e-12 relative, on vectors and blocks, with and
     without column weights; the transform-free plunge right-hand side equals
-    its dwt + idwt form."""
+    its dwt + idwt form on the rows Mrows."""
     prob = _block_case(dim)
     if weighted:
         prob = _weighted(prob)
     m, n = prob.A.shape
     w = np.ones(n) if prob.weights is None else prob.weights
-    op = az.plunge_operator(prob)
+    op = plunge_operator(prob)
     rng = np.random.default_rng(dim)
     X, Y = rng.standard_normal((n, 5)), rng.standard_normal((m, 5))
 
@@ -758,7 +848,7 @@ def test_plunge_kernels_match_wavelet_level_oracles(dim, weighted):
                                 (X, Y, op.matmat, op.rmatmat)):
         assert close(apply(x), reference_plunge_apply(prob, (w * x.T).T))
         assert close(rapply(y), (w * reference_plunge_rapply(prob, y).T).T)
-    assert close(az.plunge_rhs(prob), reference_plunge_rhs(prob))
+    assert close(az.plunge_rhs(prob), reference_plunge_rhs(prob)[prob.Mrows])
 
 
 def _count_transforms(monkeypatch):
@@ -786,12 +876,13 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
     synthesis, the plunge right-hand side no transform: A Z* = A_hat Z_hat*
     leaves the wavelet transforms out of the plunge.  Whole solves on a
     geometry, cold or warm: reduced and sparse run one analysis and no
-    synthesis, and az, beyond its plunge applies, one analysis (Z*) and two
-    syntheses (A x1 and the residual's A x); the reference scale takes
+    synthesis; az and smoothed one analysis (Z*) and two syntheses (A x1
+    and the residual's A x), and no transform in step 1 beyond the dual
+    analysis that builds R_L once per geometry; the reference scale takes
     none."""
     prob = _block_case(dim)
     calls = _count_transforms(monkeypatch)
-    op = az.plunge_operator(prob)
+    op = plunge_operator(prob)
     m, n = op.shape
     for call, arg, expected in (
             (op.matvec, np.ones(n), {"dwt": 0, "idwt": dim}),
@@ -813,23 +904,15 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
         solve()
         assert calls == {"dwt": dim, "idwt": 0}
 
-    applies = {"_plunge_apply": 0, "_plunge_rapply": 0}
-
-    def counted_apply(name):
-        fn = getattr(az, name)
-
-        def run(*args):
-            applies[name] += 1
-            return fn(*args)
-        return run
-
-    for name in applies:
-        monkeypatch.setattr(az, name, counted_apply(name))
-    calls.update(dwt=0, idwt=0)
-    az.az_solve(prob, seed=0)
-    assert applies["_plunge_apply"] > 0 and applies["_plunge_rapply"] > 0
-    assert calls == {"dwt": dim * (applies["_plunge_rapply"] + 1),
-                     "idwt": dim * (applies["_plunge_apply"] + 2)}, applies
+    # az and smoothed: the dual analysis that builds R_L on the cold
+    # geometry (one chunk here), then one analysis (Z*) and two syntheses
+    for solve in (lambda: az.az_solve(prob, seed=0),
+                  lambda: az.az_solve(prob, seed=0),
+                  lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
+        cold = "winv_block" not in vars(prob.geometry)
+        calls.update(dwt=0, idwt=0)
+        solve()
+        assert calls == {"dwt": dim * (1 + cold), "idwt": 2 * dim}, cold
 
 
 _PIPELINES = {
@@ -1012,8 +1095,8 @@ def _poison_outside_rows(prob):
     geometry = copy.copy(prob.geometry)
     geometry.scaling = system.ScalingMatrices(*mats)
     # what was computed from the clean matrices before the copy
-    geometry.__dict__.pop("boundary_rows", None)
-    geometry.__dict__.pop("plunge_factors", None)
+    for name in ("boundary_rows", "plunge_factors", "plunge_adjoints"):
+        geometry.__dict__.pop(name, None)
     return dataclasses.replace(prob, geometry=geometry)
 
 
@@ -1051,9 +1134,10 @@ def test_step1_reads_boundary_rows_only(dim, banks, monkeypatch):
         with pytest.raises(StopIteration):
             az.reduced_az_solve(prob, seed=0)
         b1, = poisoned_rhs
-        assert np.array_equal(b1, plunge_rhs(prob)[prob.Mrows]), name
+        assert np.array_equal(b1, plunge_rhs(prob)), name
         if prob.Mrows.size < prob.grid.M:
-            assert np.isnan(plunge_rhs(poisoned, c)).any(), name
+            full = poisoned.b - poisoned.scaling.A_hat @ c
+            assert np.isnan(full).any(), name
             live.append(name)
     assert live
 
@@ -1101,7 +1185,7 @@ def test_sparse_step1_matches_full_qrcp(family, n, q):
     block, scale = az.scaling_plunge(prob), az._reference_scale(prob)
     factor, _ = check_sparse_factor(block, scale)
     assert factor.rank > 0
-    y, _ = sparse_qr_reference(block, az.plunge_rhs(prob)[prob.Mrows],
+    y, _ = sparse_qr_reference(block, az.plunge_rhs(prob),
                                scale=scale)
     x1 = _from_scaling_columns(prob, y)
     ref = _steps23_residual(prob, x1)

@@ -19,16 +19,17 @@ def test_record_roundtrip():
     """Every pipeline's record, warning and diagnostics included, survives
     JSON unchanged: tuples and numpy scalars are stored as lists and
     Python numbers.  The randomized pipelines record the shape they
-    sketched: the (Mrows, K) block for az and reduced, the whole weighted
-    operator for adaptive."""
+    sketched or, at 1-D sizes (at most 16 rows), formed: the (Mrows, K)
+    scaling block for reduced, the (Mrows, L) boundary block for az and
+    adaptive."""
     for solver in sorted(cli.SOLVERS) + ["adaptive"]:
         cfg = cli.RunConfig(command="approximate", N=(64,),
                             solver=solver).validate()
         problem, sol = cli.run_one(cfg)
         rec = cli.record_for(cfg, problem, sol)
-        sketch = {"az": [problem.Mrows.size, problem.K.size],
+        sketch = {"az": [problem.Mrows.size, problem.L.size],
                   "reduced": [problem.Mrows.size, problem.K.size],
-                  "adaptive": [problem.grid.M, problem.grid.n_basis]}
+                  "adaptive": [problem.Mrows.size, problem.L.size]}
         assert rec.diagnostics.get("sketch_shape") == sketch.get(solver)
         assert cli.parse_record(cli.serialize_record(rec)) == rec, solver
         assert rec.schema_version == 2 and rec.warning == sol.warning

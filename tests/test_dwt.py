@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 import scipy.sparse
 
 from wavext import dwt as dwt_mod
-from wavext.az import _selected_winv_rows
 from wavext.dwt import (TransformError, TransformPlan, dwt, idwt,
                         idwt_column_filters, operator_norms, sparse_idwt_rows)
 from wavext.filters import filter_bank
 from wavext.system import FrameOperator
 
 from support import (ALL_FAMILIES, banks, dense_matrix,
-                     reference_analysis_step, reference_synthesis_step)
+                     reference_analysis_step, reference_synthesis_step,
+                     selected_winv_rows)
 
 
 def test_haar_constant_vector():
@@ -152,7 +152,7 @@ def test_sparse_rows_match_dense():
                 TransformPlan(bank, n.bit_length() - 1), inverse=True))
         rows = rng.integers(0, dense.shape[0], 60)
         rows[-5:] = rows[:5]
-        S = _selected_winv_rows(rows, bank, N)
+        S = selected_winv_rows(rows, bank, N)
         assert np.abs(S.toarray() - dense[rows]).max() < 1e-12
 
 
