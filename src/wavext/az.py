@@ -12,7 +12,10 @@ settings of step 1:
   rows Mrows and columns L, C = B R_L D_L with B the (Mrows, K) scaling
   plunge block and R_L = W^-1[K, L] (``boundary_operator``), randomized
   low-rank kernel, x1 = D y on L; the unweighted range finder samples B
-  itself (``_solve``);
+  itself (``_solve``).  R_L is built once per geometry from the rows of
+  the per-axis W^-1, each by a dual analysis on a window of about the
+  filter span per level (``Geometry.winv_block``): O(|K| taps J) per axis,
+  so in 1-D no part of step 1 grows with N;
 * ``reduced_az_solve``: the explicit scaling plunge block on the
   boundary rows Mrows and scaling columns K, randomized low-rank kernel;
   the plunge is this block times W^-1, so x1 = W y (unweighted only).
@@ -53,6 +56,7 @@ import scipy.sparse.linalg
 from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
                      plunge_row_set, scaling_boundary_set,
                      wavelet_boundary_set)
+from . import dwt
 # sparse_idwt_rows and sparse_qr_solve are not called here;
 # perfbench/tracing.py wraps these names
 from .dwt import sparse_idwt_rows  # noqa: F401
@@ -63,11 +67,6 @@ from .system import (assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
-# ``Geometry.winv_block`` transforms its unit vectors in chunks of at most
-# this many basis entries (columns x n_basis), one column at n_basis = 2^18:
-# larger chunks of transforms there raised peak memory by a quarter for no
-# speed gain.
-BLOCK_ENTRIES = 2**18
 # Bytes of sparse step-1 factors kept (``_cache``).  The factors of the disk
 # (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 9.2 MB; the
 # factor of the 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors)
@@ -109,8 +108,10 @@ class Geometry:
     @cached_property
     def L(self):
         """Wavelet-layout indices whose synthesis footprint meets K.  No
-        pipeline reads them (``winv_block`` finds the same set as the
-        nonzero rows of a transform); the CLI record and the tests do."""
+        pipeline reads them: ``winv_block`` finds the same set as the
+        nonzero columns of the rows K of W^-1, less any column where those
+        rows cancel to exact zeros (two of 70 for cdf22 on (0.001, 0.999)
+        at 2^16).  The CLI record and the tests read them."""
         L, _ = wavelet_boundary_set(self.kflags, self.bank, self.N)
         L.flags.writeable = False
         return L
@@ -140,28 +141,150 @@ class Geometry:
     @cached_property
     def winv_block(self):
         """(L, R_L): R_L = W^-1[K, L] as a dense (|K|, |L|) array, L the
-        columns where the rows K of W^-1 have entries, which are ``L``.
-        W~ = (W^-1)* (``dwt``), so the dual analysis of the unit vectors on
-        K holds R_L^T in its rows L and zeros elsewhere: one batched
-        transform in chunks of at most BLOCK_ENTRIES entries, |K| N work
-        once per geometry (README: why dense, and why by a transform)."""
-        n, K = self.A.shape[1], self.K
-        step = max(1, BLOCK_ENTRIES // n)
-        parts = []
-        for i in range(0, K.size, step):
-            E = np.zeros((n, min(step, K.size - i)))
-            E[K[i:i + step], np.arange(E.shape[1])] = 1.0
-            D = self.A.dual_analysis(E)
-            rows = np.flatnonzero(D.any(axis=1))
-            parts.append((rows, D[rows].T))
-        L = np.unique(np.concatenate([np.zeros(0, np.intp)]
-                                     + [rows for rows, _ in parts]))
-        R = np.zeros((K.size, L.size))
-        for i, (rows, D) in zip(range(0, K.size, step), parts):
-            R[i:i + D.shape[0], np.searchsorted(L, rows)] = D
+        columns where the rows K of W^-1 have entries.  W^-1 is the
+        Kronecker product of the per-axis W^-1, so each row of R_L is the
+        outer product, in axis order, of the per-axis rows of its
+        multi-index (``_winv_rows``, O(|K| taps J) per axis), taken on L
+        (``_outer_rows``).  Once per geometry; empty on the box."""
+        K, N = self.K, self.A.N
+        if not K.size:
+            L, R = np.zeros(0, np.intp), np.zeros((0, 0))
+        else:
+            axes = []
+            for i, n in zip(np.unravel_index(K, N), N):
+                u, inv = (i, None) if len(N) == 1 else np.unique(
+                    i, return_inverse=True)
+                axes.append((*_winv_rows(self.bank, n, u), inv))
+            L, R = _outer_rows(axes, N)
         for a in (L, R):
             a.flags.writeable = False
         return L, R
+
+
+def _winv_rows(bank: FilterBank, n, u):
+    """(C, R): the rows u (sorted, unique) of the 1-D W^-1 of n points on
+    the sorted columns C where they have entries, R dense (|u|, |C|).
+
+    Row k of W^-1 is W~ e_k, the dual analysis of a unit vector.  Each
+    level of that analysis is nonzero on a window of span + 1 entries,
+    span the extent of the analysis taps, so a level gathers its
+    zero-padded window once at the tap offsets and adds the taps of each
+    mask in order by a running sum from a zero slab
+    (``np.add.accumulate``), as the transform's level step and its sparse
+    product add them, and keeps the detail window.  Once the padded window
+    no longer fits the level, or the level has at most ``dwt.DENSE_MAX_N``
+    points, the window is scattered into a dense block that the transform's
+    own code finishes: ``dwt._dwt_steps``, or ``dwt.dwt`` when the whole
+    transform is that short.  So R has the transform's bits, for O(|u|
+    taps J) work."""
+    m, rows = u.size, np.arange(u.size)[:, None]
+    if n <= dwt.DENSE_MAX_N:
+        E = np.zeros((m, n))
+        E[rows[:, 0], u] = 1.0
+        D = dwt.dwt(E, dwt.TransformPlan(bank, n.bit_length() - 1, "dual"))
+        C = np.flatnonzero(D.any(axis=0))
+        return C, (D if C.size == n else D[:, C])
+    coef, reads, lo, hi = _window_taps(bank)
+    span = hi - lo
+    w, width = span + 1, 3 * span + 2
+    steps, level = 0, n
+    while level > dwt.DENSE_MAX_N and width <= level:
+        steps, level = steps + 1, level // 2
+    # The window of level n >> j holds its entries start[:, j] .. + w - 1
+    # (mod n >> j).  Output l reads entry 2 l + t, so the outputs that meet
+    # the window are start[:, j + 1] = ceil((start[:, j] - hi) / 2) on, and
+    # output start[:, j + 1] + i reads entry parity + 2 i + t - lo of the
+    # window padded by span in front: ``reads`` shifted by the parity.
+    j = np.arange(steps + 1)
+    start = (u[:, None] - (hi - 1) * ((1 << j) - 1)) >> j
+    at = (rows * width + ((start[:, :-1] - hi) & 1))[
+        :, :, None, None, None] + reads
+    # columns: the tail's level entries, then each step's detail window
+    halves = n >> j[1:, None]
+    cols = np.empty((m, level + steps * w), dtype=np.intp)
+    cols[:, :level] = np.arange(level)
+    cols[:, level:] = (halves + (start[:, 1:, None] + np.arange(w))
+                       % halves).reshape(m, -1)
+    vals = np.empty(cols.shape)
+    padded = np.zeros((m, width))
+    padded[:, span] = 1.0
+    terms = np.zeros((m, 2, coef.shape[1] + 1, w))
+    for step in range(steps):
+        np.multiply(coef, padded.ravel()[at[:, step]], out=terms[:, :, 1:])
+        sums = np.add.accumulate(terms, axis=2)
+        padded[:, span:span + w] = sums[:, 0, -1]
+        vals[:, level + step * w:level + (step + 1) * w] = sums[:, 1, -1]
+    block = np.zeros((m, level))
+    block[rows, (start[:, -1:] + np.arange(w)) % level] = padded[
+        :, span:span + w]
+    vals[:, :level] = dwt._dwt_steps(block, dwt.TransformPlan(
+        bank, level.bit_length() - 1, "dual"))
+    nz = vals != 0
+    cols = cols[nz]
+    C = np.unique(cols)
+    R = np.zeros((m, C.size))
+    R[nz.nonzero()[0], np.searchsorted(C, cols)] = vals[nz]
+    return C, R
+
+
+# ``_window_taps`` by the bank's masks
+_windows = {}
+
+
+def _window_taps(bank: FilterBank):
+    """(coef, reads, lo, hi) of the dual analysis masks (h, g), for
+    ``_winv_rows``: lo and hi the extreme tap offsets, coef (2, taps, 1)
+    the taps of each mask, padded to the longest by zero taps (they leave a
+    running sum from +0.0 as it is), and reads (2, taps, span + 1) the
+    entry 2 i + t - lo that output i reads for the tap at t.  Read-only,
+    kept by the masks."""
+    found = _windows.get(bank.masks_key)
+    if found is not None:
+        return found
+    masks = (bank.h, bank.g)
+    lo = min(mask.support[0] for mask in masks)
+    hi = max(mask.support[1] for mask in masks)
+    taps = max(mask.taps.size for mask in masks)
+    coef, offset = np.zeros((2, taps, 1)), np.full((2, taps, 1), lo)
+    for k, mask in enumerate(masks):
+        coef[k, :mask.taps.size, 0] = mask.taps
+        offset[k, :mask.taps.size, 0] = mask.offset + np.arange(
+            mask.taps.size)
+    reads = offset - lo + 2 * np.arange(hi - lo + 1)
+    for a in (coef, reads):
+        a.flags.writeable = False
+    return _windows.setdefault(bank.masks_key, (coef, reads, lo, hi))
+
+
+def _outer_rows(axes, N):
+    """(L, R_L) from the per-axis (C, R, inv) of ``_winv_rows``: row r of
+    R_L is the outer product, in axis order, of the rows inv[r] of each
+    axis' R on the grid of the axes' columns C, taken on its nonzero
+    columns L.  A column is nonzero where some row has nonzero factors on
+    every axis (their products do not underflow), so L comes from the
+    factors' supports.  When it is the whole grid the product is R_L;
+    else R_L is multiplied out on L alone, from one gather of each axis'
+    factors at L, with no array larger than R_L."""
+    (C, R, inv), *rest = axes
+    if not rest:
+        return C, R
+    rows = inv.size
+    grid, support = C, np.ones((rows, 1))
+    for (Ca, Ra, ia), n in zip(rest, N[1:]):
+        grid = (grid[:, None] * n + Ca).ravel()
+        support = (support[:, :, None]
+                   * (Ra != 0)[ia][:, None, :]).reshape(rows, -1)
+    keep = np.flatnonzero(((R != 0)[inv].T.astype(float) @ support).ravel())
+    out = R[inv]
+    if keep.size == grid.size:
+        for _, Ra, ia in rest:
+            out = (out[:, :, None] * Ra[ia][:, None, :]).reshape(rows, -1)
+        return grid, out
+    at = np.unravel_index(keep, [a[0].size for a in axes])
+    out = np.take(out, at[0], axis=1)
+    for (_, Ra, ia), cols in zip(rest, at[1:]):
+        out *= np.take(Ra[ia], cols, axis=1)
+    return grid[keep], out
 
 
 @dataclass(frozen=True)
@@ -393,8 +516,8 @@ def clear_caches():
     """Forget the cached geometry and every cached sparse step-1 factor, so
     the next make_problem assembles and the next sparse solve of each
     geometry factors from scratch.  What depends on the filter bank and
-    sizes alone stays warm: the transform matrices, the tap tables and the
-    dual pairs."""
+    sizes alone stays warm: the transform matrices, the tap tables, the
+    window taps of ``_winv_rows`` and the dual pairs."""
     with _geometry_lock:
         _geometry.clear()
     with _cache_lock:
@@ -445,8 +568,9 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     depends on the geometry, not on b, so it comes from the cache when
     there, as ``diagnostics["step1_reused"]`` says.  Explicit forms are
     unweighted.  ``stage_times["assembly"]`` is the part of step 1 spent
-    forming the explicit block (0 when a cached factor needs none), or the
-    geometry's R_L (0 when it holds it).
+    forming the explicit block (0 when a cached factor needs none), or
+    building the geometry's R_L, which takes no transform over all N
+    points either (0 when the geometry holds it).
 
     The range finder of C samples C G^T = B (R_L (D_L G^T)) for Gaussian
     rows G on L.  Without weights (or with all of them 1, which gives the

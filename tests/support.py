@@ -197,11 +197,17 @@ def plunge_rapply(problem, y):
         u - S.A_hat.T @ (S.Z_hat @ u)))
 
 
+# Block applies of ``plunge_operator`` and the transform build of R_L
+# (``transform_winv_block``) take column chunks of at most this many basis
+# entries: one column at n_basis = 2^18.
+BLOCK_ENTRIES = 2**18
+
+
 def _in_blocks(fn, n_basis):
-    """fn applied to column chunks of a block, at most ``az.BLOCK_ENTRIES``
+    """fn applied to column chunks of a block, at most ``BLOCK_ENTRIES``
     basis entries each (read at call time)."""
     def run(X):
-        step = max(1, az.BLOCK_ENTRIES // n_basis)
+        step = max(1, BLOCK_ENTRIES // n_basis)
         if X.shape[1] <= step:
             return fn(X)
         return np.hstack([fn(X[:, i:i + step])
@@ -209,9 +215,33 @@ def _in_blocks(fn, n_basis):
     return run
 
 
+def transform_winv_block(geometry):
+    """(L, R_L) of ``wavext.az.Geometry.winv_block`` by the dual analysis of
+    the unit vectors on K over all N points: W~ = (W^-1)*, so that analysis
+    holds R_L^T in its rows L and zeros elsewhere.  Batched in chunks of at
+    most BLOCK_ENTRIES entries, |K| N work: the oracle of the boundary-local
+    build."""
+    A, K = geometry.A, geometry.K
+    n = A.shape[1]
+    step = max(1, BLOCK_ENTRIES // n)
+    parts = []
+    for i in range(0, K.size, step):
+        E = np.zeros((n, min(step, K.size - i)))
+        E[K[i:i + step], np.arange(E.shape[1])] = 1.0
+        D = A.dual_analysis(E)
+        rows = np.flatnonzero(D.any(axis=1))
+        parts.append((rows, D[rows].T))
+    L = np.unique(np.concatenate([np.zeros(0, np.intp)]
+                                 + [rows for rows, _ in parts]))
+    R = np.zeros((K.size, L.size))
+    for i, (rows, D) in zip(range(0, K.size, step), parts):
+        R[i:i + D.shape[0], np.searchsorted(L, rows)] = D
+    return L, R
+
+
 def plunge_operator(problem):
     """Matrix-free (I - A Z*) A D over all M rows and N columns as a scipy
-    LinearOperator, block applies in chunks of at most ``az.BLOCK_ENTRIES``
+    LinearOperator, block applies in chunks of at most ``BLOCK_ENTRIES``
     basis entries: the oracle of ``az.boundary_operator``, which is its
     (Mrows, L) block."""
     apply = functools.partial(plunge_apply, problem)

@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext import az, solvers, system
+from wavext import az, dwt, solvers, system
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
@@ -20,14 +20,15 @@ from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve,
                             randomized_lowrank_solve)
 from wavext.system import dense_A
 
+import support
 from support import (ALL_FAMILIES, banks, check_sparse_factor,
                      heldout_interior_error, plunge_apply, plunge_operator,
                      plunge_rank, plunge_rapply,
                      reference_per_scale_norms, reference_plunge_apply,
                      reference_plunge_rapply, reference_plunge_rhs,
                      reference_scaling_plunge, selected_winv_rows,
-                     sparse_qr_reference,
-                     transform_sampled_az, wavelet_block)
+                     sparse_qr_reference, transform_sampled_az,
+                     transform_winv_block, wavelet_block)
 
 
 def exp1d(p):
@@ -36,6 +37,10 @@ def exp1d(p):
 
 def exp2d(p):
     return np.exp(p[:, 0] * p[:, 1])
+
+
+def exp3d(p):
+    return np.exp(p[:, 0] * p[:, 1] * p[:, 2])
 
 
 @pytest.fixture(scope="module")
@@ -494,26 +499,102 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
             assert peaks and max(peaks) < 8 * N, (peaks, N)
 
 
+def _check_winv_block(prob, bits):
+    """R_L of prob's geometry, built afresh, holds the rows K of W^-1 on
+    the columns L, read-only: within 1e-14 of the rows built from the
+    cascade filters (``selected_winv_rows``), which vanish outside L, with
+    L in ``Geometry.L``.  With ``bits``, L and R_L are bit for bit those
+    of the dual analysis of the unit vectors on K over all N points
+    (``transform_winv_block``).  Returns L."""
+    L, R = az.Geometry.winv_block.func(prob.geometry)   # uncached build
+    assert R.shape == (prob.K.size, L.size)
+    assert not (L.flags.writeable or R.flags.writeable)
+    assert np.all(np.isin(L, prob.L))
+    ref = selected_winv_rows(prob.K, prob.bank, prob.grid.N).tocsc()
+    outside = np.setdiff1d(np.arange(prob.grid.n_basis), L)
+    assert ref[:, outside].nnz == 0
+    ref = ref[:, L].toarray()
+    assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max()
+    if bits:
+        L0, R0 = transform_winv_block(prob.geometry)
+        assert np.array_equal(L, L0) and np.array_equal(R, R0)
+    return L
+
+
 @pytest.mark.parametrize("chunk", [None, 3])
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_winv_block_is_rows_K_of_winv(dim, family, chunk, banks, monkeypatch):
-    """R_L, the dual analysis of the unit vectors on K, equals the rows K of
-    W^-1 built from the cascade filters (``selected_winv_rows``) on the
-    columns L to round-off, also when built in chunks of 3 columns; those
-    rows vanish outside L, and its columns are ``Geometry.L``."""
+def test_winv_block_is_rows_K_of_winv(dim, family, chunk, banks,
+                                      monkeypatch):
+    """On the block cases R_L is the rows K of W^-1 (``_check_winv_block``)
+    bit for bit, against the transform oracle run whole or in chunks of 3
+    columns (``support.BLOCK_ENTRIES``), and its columns are
+    ``Geometry.L``."""
     prob = _block_case(dim, banks[family])
-    n = prob.grid.n_basis
     if chunk is not None:
-        monkeypatch.setattr(az, "BLOCK_ENTRIES", chunk * n)
-    L, R = az.Geometry.winv_block.func(prob.geometry)   # uncached build
-    assert np.array_equal(L, prob.L) and R.shape == (prob.K.size, L.size)
-    assert not (L.flags.writeable or R.flags.writeable)
-    ref = selected_winv_rows(prob.K, prob.bank, prob.grid.N).tocsc()
-    outside = np.setdiff1d(np.arange(n), L)
-    assert ref[:, outside].nnz == 0
-    ref = ref[:, L].toarray()
-    assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max(), family
+        monkeypatch.setattr(support, "BLOCK_ENTRIES",
+                            chunk * prob.grid.n_basis)
+    assert np.array_equal(_check_winv_block(prob, bits=True), prob.L)
+
+
+# Larger R_L cases: (f, mask, n, families).  1-D at N = 2^12 and 2^16 with
+# the box-edge intervals, the 64^2 disk and 16^3 ball (no axis of more than
+# 64 points), and the 128^2 disk, where axes of 128 points sum their levels
+# in another order than the transform.
+_WINV_CASES = {
+    **{f"1d-{n}-{a}-{b}": (exp1d, interval(a, b), n, ALL_FAMILIES)
+       for n in (2**12, 2**16) for a, b in ((0, 0.5), (0.001, 0.999))},
+    "2d-64": (exp2d, disk(0.5, 0.5, 0.35), 64, ("cdf33", "db4")),
+    "3d-16": (exp3d, ball(0.5, 0.5, 0.5, 0.35), 16, ("cdf33", "db4")),
+    "2d-128": (exp2d, disk(0.5, 0.5, 0.35), 128, ("cdf33",)),
+}
+
+
+@pytest.mark.parametrize("case, family", [
+    (case, family) for case, spec in _WINV_CASES.items()
+    for family in spec[-1]])
+def test_winv_block_bits_at_scale(case, family, banks):
+    """R_L is the rows K of W^-1 (``_check_winv_block``) at scale, bit for
+    bit in 1-D, also where K wraps round the box edge, and wherever no axis
+    has more than 64 points."""
+    f, mask, n, _ = _WINV_CASES[case]
+    prob = az.make_problem(f, mask, banks[family], n, 2)
+    _check_winv_block(prob, bits=prob.grid.dimension == 1 or n <= 64)
+
+
+@pytest.mark.parametrize("family", ["cdf33", "db4"])
+def test_winv_block_transforms_stay_short(family, banks, monkeypatch):
+    """A 1-D R_L build runs the transform's own code on blocks of the same
+    length at N = 2^12 and at 2^18, at most 64 points: the work of its
+    transforms does not grow with N.  ``dwt.dwt`` and ``dwt._dwt_steps``
+    are wrapped to record the longest length they see."""
+    seen = []
+
+    def recorded(fn):
+        def run(v, plan):
+            seen.append(v.shape[-1])
+            return fn(v, plan)
+        return run
+
+    for name in ("dwt", "_dwt_steps"):
+        monkeypatch.setattr(dwt, name, recorded(getattr(dwt, name)))
+    longest = []
+    for n in (2**12, 2**18):
+        prob = az.make_problem(exp1d, interval(0.2, 0.75), banks[family], n,
+                               2)
+        seen.clear()
+        az.Geometry.winv_block.func(prob.geometry)
+        longest.append(max(seen))
+    assert longest[0] == longest[1] <= dwt.DENSE_MAX_N, longest
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_winv_block_empty_on_the_box(dim):
+    """On the box K is empty: R_L is (0, 0) and L empty."""
+    prob = az.make_problem(lambda p: np.ones(len(p)), whole_box(dim),
+                           filter_bank("cdf33"), 64 if dim == 1 else 16, 2)
+    L, R = prob.geometry.winv_block
+    assert prob.K.size == 0 and L.size == 0 and R.shape == (0, 0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -660,8 +741,7 @@ def _from_scaling_columns(prob, y):
 _BLOCK_CASES = {
     1: (exp1d, interval(0.2, 0.8), 64),
     2: (exp2d, disk(0.5, 0.5, 0.35), 16),
-    3: (lambda p: np.exp(p[:, 0] * p[:, 1] * p[:, 2]),
-        ball(0.5, 0.5, 0.5, 0.4), 8),
+    3: (exp3d, ball(0.5, 0.5, 0.5, 0.4), 8),
 }
 
 
@@ -798,10 +878,12 @@ def test_explicit_pipelines_near_box_edge(r, gap, along, side):
 @pytest.mark.parametrize("cap", [None, 2])
 def test_block_applies_match_columns(dim, cap, monkeypatch):
     """matmat/rmatmat of every operator equal the column-by-column applies,
-    also when the block is split into chunks, and are adjoint."""
+    also when the oracle plunge's block is split into chunks, and are
+    adjoint."""
     prob = _block_case(dim)
     if cap is not None:   # chunks of `cap` columns
-        monkeypatch.setattr(az, "BLOCK_ENTRIES", cap * prob.grid.n_basis)
+        monkeypatch.setattr(support, "BLOCK_ENTRIES",
+                            cap * prob.grid.n_basis)
     rng = np.random.default_rng(0)
     ops = {"A": prob.A, "plunge": plunge_operator(prob),
            "smoothed": plunge_operator(_weighted(prob)),
@@ -877,9 +959,8 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
     leaves the wavelet transforms out of the plunge.  Whole solves on a
     geometry, cold or warm: reduced and sparse run one analysis and no
     synthesis; az and smoothed one analysis (Z*) and two syntheses (A x1
-    and the residual's A x), and no transform in step 1 beyond the dual
-    analysis that builds R_L once per geometry; the reference scale takes
-    none."""
+    and the residual's A x), and no transform in step 1, also where the
+    geometry builds R_L; the reference scale takes none."""
     prob = _block_case(dim)
     calls = _count_transforms(monkeypatch)
     op = plunge_operator(prob)
@@ -904,15 +985,15 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
         solve()
         assert calls == {"dwt": dim, "idwt": 0}
 
-    # az and smoothed: the dual analysis that builds R_L on the cold
-    # geometry (one chunk here), then one analysis (Z*) and two syntheses
+    # az and smoothed, cold geometry or warm: one analysis (Z*) and two
+    # syntheses; R_L is built with no transform of the operators
     for solve in (lambda: az.az_solve(prob, seed=0),
                   lambda: az.az_solve(prob, seed=0),
                   lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
         cold = "winv_block" not in vars(prob.geometry)
         calls.update(dwt=0, idwt=0)
         solve()
-        assert calls == {"dwt": dim * (1 + cold), "idwt": 2 * dim}, cold
+        assert calls == {"dwt": dim, "idwt": 2 * dim}, cold
 
 
 _PIPELINES = {
