@@ -17,12 +17,17 @@ settings of step 1:
   filter span per level (``Geometry.winv_block``): O(|K| taps J) per axis,
   so in 1-D no part of step 1 grows with N;
 * ``reduced_az_solve``: the explicit scaling plunge block on the
-  boundary rows Mrows and scaling columns K, randomized low-rank kernel;
-  the plunge is this block times W^-1, so x1 = W y (unweighted only).
-  Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides
-  c = Z_hat* b, so its cost follows the boundary, not N;
+  boundary rows Mrows and scaling columns K; the plunge is this block
+  times W^-1, so x1 = W y (unweighted only).  A sparse block (every 2-D
+  and 3-D one) is compressed by the frontal QR of ``sparse_az_solve`` to
+  its triangle R_B, whose truncated SVD is the block's
+  (``sparse_svd_factor``); a dense one (every 1-D block, at most 12
+  columns) takes the randomized low-rank kernel, which solves it by its
+  exact SVD.  Step 1 reads the rows Mrows of A_hat, Z_hat and b only,
+  besides c = Z_hat* b, so its cost follows the boundary, not N;
 * ``sparse_az_solve``: the same block and x1 = W y, rank-revealing banded
-  sparse QR kernel (unweighted only).
+  sparse QR kernel (unweighted only): the same frontal compression, then
+  the column-pivoted QR of R_B (``sparse_qr_factor``).
 
 Both explicit pipelines take the block from ``_scaling_block``, which forms
 it dense when its products are small (every 1-D block) and sparse
@@ -37,9 +42,11 @@ scale ||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  ``make_problem`` keeps the ``Geometry`` (operators
 and index sets) of its last call and reuses it when the next call has the
-same geometry.  The sparse factor of each geometry (it does not depend on f)
-is kept in one bounded least-recently-used cache.  ``clear_caches`` drops
-the geometry and that cache.
+same geometry.  The frontal factor of each geometry's sparse block (it does
+not depend on f), one per reveal, QR for ``sparse`` and SVD for
+``reduced``, is kept in one bounded least-recently-used cache, so a warm
+solve only replays the reflectors on its right-hand side.
+``clear_caches`` drops the geometry and that cache.
 """
 
 import hashlib
@@ -61,16 +68,19 @@ from . import dwt
 # perfbench/tracing.py wraps these names
 from .dwt import sparse_idwt_rows  # noqa: F401
 from .filters import FilterBank
-from .solvers import (DEFAULT_TOL, randomized_lowrank_solve,
-                      sparse_qr_factor, sparse_qr_solve)  # noqa: F401
+from .solvers import (DEFAULT_TOL, FrontalFactor, randomized_lowrank_solve,
+                      sparse_qr_factor, sparse_qr_solve,  # noqa: F401
+                      sparse_svd_factor)
 from .system import (assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
-# Bytes of sparse step-1 factors kept (``_cache``).  The factors of the disk
-# (0.5, 0.5, 0.34) at 32^2 and 64^2 (cdf33) and 32^2 (db4) take 9.2 MB; the
-# factor of the 16^3 ball (r = 0.35, cdf33, 35 MB, mostly front reflectors)
-# does not fit.
+# Bytes of step-1 frontal factors kept (``_cache``): sparse's QR factors and
+# reduced's SVD factors, each with its reflectors and its block.  On the disk
+# (0.5, 0.5, 0.34) the QR factors at 32^2 and 64^2 (cdf33) and 32^2 (db4)
+# take 0.53, 1.75 and 6.95 MB and the SVD factor at 16^2 (cdf33) 0.15 MB,
+# 9.4 MB in all; the factors of the 16^3 ball (r = 0.35, cdf33: QR 35 MB,
+# SVD 37 MB, mostly front reflectors) do not fit.
 CACHE_BYTES = 2**25
 # The scaling block is formed dense when each of its two products takes at
 # most this many terms (rows x shared columns x |K|), else sparse: the cost
@@ -530,23 +540,29 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - t0
 
 
-def _step1_factor(problem: AZProblem, tol):
-    """(factor, reused, seconds): the sparse QR factor of the scaling block,
-    cut against the reference scale, from the cache when this geometry was
-    factored before, when no block is assembled; and the seconds of the
-    block's ``assembly``.  The factor is then the most recently used; a new
-    one evicts the least recently used until the cache fits CACHE_BYTES,
-    and one larger than the budget alone is returned uncached (it would
-    evict every entry, then itself)."""
-    key = (problem.geometry.key, float(tol))
+def _step1_factor(problem: AZProblem, tol, svd=False):
+    """(factor, reused, times): the frontal factor of the scaling block, its
+    rank revealed by ``sparse_svd_factor`` when ``svd``, else by
+    ``sparse_qr_factor``, cut against the reference scale; from the cache
+    when this geometry was factored before by the same reveal, when no
+    block is assembled; and the seconds of the block's ``assembly``.  With
+    ``svd`` a dense block comes back as that array, uncached.  The factor
+    is then the most recently used; a new one evicts the least recently
+    used until the cache fits CACHE_BYTES, and one larger than the budget
+    alone is returned uncached (it would evict every entry, then itself).
+    """
+    key = (problem.geometry.key, float(tol), svd)
     with _cache_lock:
         factor = _cache.get(key)
         if factor is not None:
             _cache.move_to_end(key)
             return factor, True, {"assembly": 0.0}
     block, assembly = _timed(_scaling_block, problem)
-    factor = sparse_qr_factor(scipy.sparse.csr_matrix(block), tol=tol,
-                              scale=_reference_scale(problem))
+    if svd and isinstance(block, np.ndarray):
+        return block, False, {"assembly": assembly}
+    block, scale = scipy.sparse.csr_matrix(block), _reference_scale(problem)
+    factor = (sparse_svd_factor(block, tol=tol, scale=scale) if svd
+              else sparse_qr_factor(block, tol=tol, scale=scale))
     if factor.nbytes <= CACHE_BYTES:
         with _cache_lock:
             _cache[key] = factor
@@ -562,15 +578,18 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     Mrows of the right-hand side b - A_hat c, so besides c it reads
     boundary-sized data only.  When ``explicit`` it solves on the (Mrows, K)
     block ``_scaling_block`` and x1 = W y; else on the (Mrows, L) block
-    ``boundary_operator``, C = B R_L D_L, and x1 = D y on L.  With a
-    ``seed`` the kernel is ``randomized_lowrank_solve`` (with the reference
-    scale).  With seed None it is the sparse QR of the block; that factor
+    ``boundary_operator``, C = B R_L D_L, and x1 = D y on L.  The explicit
+    kernel is a frontal factor of the block (``_step1_factor``): its sparse
+    QR with seed None, its truncated SVD with a ``seed``, where a dense
+    block (1-D) goes to ``randomized_lowrank_solve`` instead.  That factor
     depends on the geometry, not on b, so it comes from the cache when
-    there, as ``diagnostics["step1_reused"]`` says.  Explicit forms are
-    unweighted.  ``stage_times["assembly"]`` is the part of step 1 spent
-    forming the explicit block (0 when a cached factor needs none), or
-    building the geometry's R_L, which takes no transform over all N
-    points either (0 when the geometry holds it).
+    there, as ``diagnostics["step1_reused"]`` says.  The (Mrows, L) kernel
+    is ``randomized_lowrank_solve``.  Both kernels cut against the
+    reference scale.  Explicit forms are unweighted.
+    ``stage_times["assembly"]`` is the part of step 1 spent forming the
+    explicit block (0 when a cached factor needs none), or building the
+    geometry's R_L, which takes no transform over all N points either (0
+    when the geometry holds it).
 
     The range finder of C samples C G^T = B (R_L (D_L G^T)) for Gaussian
     rows G on L.  Without weights (or with all of them 1, which gives the
@@ -594,20 +613,20 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     S, g = problem.scaling, problem.geometry
     c = problem.Zstar.adjoint @ problem.b
     b1 = plunge_rhs(problem, c)
-    if seed is None:
-        factor, diag["step1_reused"], times = _step1_factor(problem, tol)
-        rep = factor.solve(b1)
+    if explicit:
+        op, diag["step1_reused"], times = _step1_factor(
+            problem, tol, svd=seed is not None)
     else:
-        if explicit:
-            op, times["assembly"] = _timed(_scaling_block, problem)
-        else:
-            cold = "winv_block" not in vars(g)
-            (L, op), seconds = _timed(boundary_operator, problem)
-            times["assembly"] = seconds if cold else 0.0
-            w = problem.weights
-            if w is None or np.all(w == 1):
-                sample = (lambda G: _block_apply(g, G.T),
-                          (g.Mrows.size, g.K.size))
+        cold = "winv_block" not in vars(g)
+        (L, op), seconds = _timed(boundary_operator, problem)
+        times["assembly"] = seconds if cold else 0.0
+        w = problem.weights
+        if w is None or np.all(w == 1):
+            sample = (lambda G: _block_apply(g, G.T),
+                      (g.Mrows.size, g.K.size))
+    if isinstance(op, FrontalFactor):
+        rep = op.solve(b1)
+    else:
         rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
                                        scale=_reference_scale(problem),
                                        sample=sample)
@@ -646,8 +665,10 @@ smoothed_az_solve = az_solve
 
 
 def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
-    """Index-set-reduced pipeline: randomized low-rank solve of the explicit
-    (#Mrows, #K) scaling plunge block."""
+    """Index-set-reduced pipeline: truncated SVD of the explicit (#Mrows,
+    #K) scaling plunge block, through the cached frontal triangle R_B when
+    the block is sparse and by ``randomized_lowrank_solve`` (exact SVD at
+    1-D sizes) when it is dense, and x1 = W y."""
     return _solve(problem, True, tol, seed)
 
 

@@ -312,8 +312,9 @@ TIMING_STAGES = ("geometry", "step1", "step23")
 
 def cmd_timing(args):
     """Median wall time of a solve from scratch at each N, and the median
-    seconds of each of TIMING_STAGES: the geometry and sparse step-1 caches
-    are cleared before every repetition."""
+    seconds of each of TIMING_STAGES: the geometry and the cache of step-1
+    factors are cleared before every repetition, so reduced and sparse
+    factor their block afresh each time (``step1_reused`` False)."""
     if args.repetitions < 3:
         raise ConfigError("timing requires at least 3 repetitions")
     cfg = _config_from(args)

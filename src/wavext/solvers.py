@@ -10,14 +10,17 @@ randomized range finder, ``_range_basis``, and projects onto the range it
 finds.  The range finder may use any random test block (Halko, Martinsson &
 Tropp 2011, section 4): a caller that can apply B T more cheaply than B, for
 a T with range(B T) = range(B), passes that as its sampler.
-``sparse_qr_factor`` compresses a banded sparse matrix to a square
-triangular factor by a frontal QR and reveals the rank on that factor.
-``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
+``sparse_qr_factor`` and ``sparse_svd_factor`` compress a banded sparse
+matrix to a square triangular factor R_B by one frontal QR,
+``_frontal_qr``, and reveal the rank on R_B: by its column-pivoted QR, or
+by its truncated SVD, which is that of the matrix (R_B = Q_B^T A has A's
+singular values; Chan, ACM TOMS 1982).  ``pivoted_qr_solve`` stays the
+full column-pivoted QR, the dense baseline.
 """
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -59,12 +62,19 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _truncated_svd(B, tol, floor):
+    """(U_r, s_r, Vt_r): the SVD of B cut at max(tol * s_0, floor), as views
+    of the full factors."""
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    r = int(np.sum(s > max(tol * s[0], floor))) if s.size else 0
+    return U[:, :r], s[:r], Vt[:r]
+
+
 def _svd_solve(B, b, tol, floor):
     """Min-norm solution of min ||B x - b|| by a truncated SVD with cutoff
     max(tol * s_0, floor); returns (x, rank)."""
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    r = int(np.sum(s > max(tol * s[0], floor)))
-    return Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]), r
+    U, s, Vt = _truncated_svd(B, tol, floor)
+    return Vt.T @ ((U.T @ b) / s), s.size
 
 
 @functools.lru_cache(maxsize=64)
@@ -218,41 +228,31 @@ def pivoted_qr_solve(A, b, tol=DEFAULT_TOL):
 
 
 @dataclass(frozen=True)
-class SparseQRFactor:
-    """Rank-revealing QR of the compacted core of a sparse matrix A,
-    truncated at its numerical rank r.
-
-    The core is A[rows][:, cols], the nonzero rows and columns of A in the
-    order they were eliminated in.  Its banded QR is replayed from
+class FrontalFactor:
+    """A sparse matrix A compressed by a frontal QR (``_frontal_qr``) to the
+    square triangle R_B = Q_B^T A[rows][:, cols], the core of A in the order
+    it was eliminated in, and a rank-revealing factor of R_B truncated at
+    its numerical rank (the subclasses).  The banded QR is replayed from
     ``steps``: per step, the range of core rows folded into the front and
     the reflectors (V, T) that folded them, as LAPACK ``tpqrt`` returns
-    them.  That gives Q_B^T b for the square triangular factor R_B, whose
-    pivot columns R_B[:, piv] are Q R, with Q (#cols, r) and R (r, r) upper
-    triangular, up to the truncation.  Only what ``solve`` needs is kept,
-    and A itself for the residual.  ``front_width`` is the most columns the
-    front held: at most the bandwidth of A^T A in the column order plus one
-    step."""
+    them.  That gives Q_B^T b for any right-hand side.  Only what ``solve``
+    needs is kept, and A itself for the residual.  ``front_width`` is the
+    most columns the front held: at most the bandwidth of A^T A in the
+    column order plus one step."""
 
     A: scipy.sparse.csr_matrix
     rows: np.ndarray
     cols: np.ndarray
     steps: tuple
-    Q: np.ndarray
-    R: np.ndarray
-    piv: np.ndarray
     front_width: int
-
-    @property
-    def rank(self):
-        return int(self.piv.size)
 
     @property
     def nbytes(self):
         A = self.A
-        arrays = [A.data, A.indices, A.indptr, self.rows, self.cols, self.Q,
-                  self.R, self.piv]
+        arrays = [A.data, A.indices, A.indptr]
+        arrays += [getattr(self, f.name) for f in fields(self)]
         arrays += [a for _, _, V, T in self.steps for a in (V, T)]
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
     def _qtb(self, b):
         """Q_B^T b on the rows of R_B: the front's reflectors replayed on
@@ -278,11 +278,48 @@ class SparseQRFactor:
         b = np.asarray(b, dtype=float)
         x = np.zeros(self.A.shape[1])
         if self.rank:
-            z = scipy.linalg.solve_triangular(self.R, self.Q.T @ self._qtb(b))
-            x[self.cols[self.piv]] = z
+            self._solve_core(x, self._qtb(b))
         return _finalize(lambda v: self.A @ v, x, b, self.rank, t0,
                          core_shape=(self.rows.size, self.cols.size),
                          nnz=int(self.A.nnz), front_width=self.front_width)
+
+
+@dataclass(frozen=True)
+class SparseQRFactor(FrontalFactor):
+    """R_B's pivot columns R_B[:, piv] as Q R, Q (#cols, r) and R (r, r)
+    upper triangular, up to the truncation (``sparse_qr_factor``)."""
+
+    Q: np.ndarray
+    R: np.ndarray
+    piv: np.ndarray
+
+    @property
+    def rank(self):
+        return int(self.piv.size)
+
+    def _solve_core(self, x, c):
+        """x on the pivot columns from c = Q_B^T b."""
+        x[self.cols[self.piv]] = scipy.linalg.solve_triangular(
+            self.R, self.Q.T @ c)
+
+
+@dataclass(frozen=True)
+class SparseSVDFactor(FrontalFactor):
+    """R_B's truncated SVD U diag(s) Vt, of rank r = s.size
+    (``sparse_svd_factor``)."""
+
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+
+    @property
+    def rank(self):
+        return int(self.s.size)
+
+    def _solve_core(self, x, c):
+        """x on the core columns from c = Q_B^T b: the minimum-norm
+        solution on the kept singular directions."""
+        x[self.cols] = self.Vt.T @ ((self.U.T @ c) / self.s)
 
 
 def _banded_order(A):
@@ -308,9 +345,9 @@ def _banded_order(A):
     return rows[order], cols[perm], first[order], last[order]
 
 
-def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
-    """Rank-revealing factorization of a sparse matrix, reusable for any
-    right-hand side, in three steps.
+def _frontal_qr(A):
+    """(frontal, R_B): the ``FrontalFactor`` fields of a sparse A and the
+    square upper triangle R_B = Q_B^T A[rows][:, cols], in two steps.
 
     1. Order.  The zero rows and columns are stripped; the columns go in
        reverse Cuthill-McKee order of the pattern of A^T A, which makes a
@@ -321,19 +358,11 @@ def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
        upper triangular front by one unpivoted Householder QR (LAPACK
        ``tpqrt``), moves the front's top BLOCK_SIZE rows into R_B, and keeps
        the rest as the next front, so it never has more rows than columns.
-       No rank decision is made here: the square R_B has the singular
-       values of A.
-    3. Reveal the rank.  The column-pivoted QR of R_B is truncated at
-       tol * min(|R[0, 0]|, scale).  |R[0, 0]| is the largest column norm of
-       A; ``scale``, the magnitude of the enclosing operator (the AZ
-       pipelines pass ||A_hat||_F, ``az._reference_scale``), lowers the cut
-       where A's own norm is inflated.
+       No rank decision is made here: R_B has the singular values of A.
 
-    The work is O(#rows w^2) for a front width w, and the factor is a
-    function of A, tol and scale alone.
-    """
+    The work is O(#rows w^2) for a front width w."""
     if not scipy.sparse.issparse(A):
-        raise SolverError("sparse_qr_factor expects a sparse matrix")
+        raise SolverError("a frontal factor expects a sparse matrix")
     A = A.tocsr()
     rows, cols, first, last = _banded_order(A)
     n = cols.size
@@ -361,13 +390,38 @@ def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
         front = T[j1 - j0:, j1 - j0:]
         steps.append((r0, r1, V, Tf))
         r0 = r1
+    return dict(A=A, rows=rows, cols=cols, steps=tuple(steps),
+                front_width=width), R_B
+
+
+def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
+    """Rank-revealing factorization of a sparse matrix, reusable for any
+    right-hand side: the frontal compression to R_B (``_frontal_qr``),
+    then the column-pivoted QR of R_B truncated at tol * min(|R[0, 0]|,
+    scale).  |R[0, 0]| is the largest column norm of A; ``scale``, the
+    magnitude of the enclosing operator (the AZ pipelines pass
+    ||A_hat||_F, ``az._reference_scale``), lowers the cut where A's own
+    norm is inflated.  The factor is a function of A, tol and scale alone.
+    """
+    frontal, R_B = _frontal_qr(A)
     Qf, R, piv, r = _pivoted_qr(R_B, tol, scale)
     # order="K" keeps LAPACK's Fortran layout, so Q.T @ b runs the same BLAS
     # call on the kept columns as on the full factor
-    return SparseQRFactor(A=A, rows=rows, cols=cols, steps=tuple(steps),
-                          Q=Qf[:, :r].copy(order="K"),
-                          R=R[:r, :r].copy(order="K"), piv=piv[:r].copy(),
-                          front_width=width)
+    return SparseQRFactor(**frontal, Q=Qf[:, :r].copy(order="K"),
+                          R=R[:r, :r].copy(order="K"), piv=piv[:r].copy())
+
+
+def sparse_svd_factor(A, tol, scale):
+    """Truncated SVD of a sparse matrix, reusable for any right-hand side:
+    the frontal compression to R_B (``_frontal_qr``), then the SVD of R_B
+    cut at max(tol * s_0, NOISE_REL * scale), the cut of
+    ``randomized_lowrank_solve``.  R_B = Q_B^T A has the singular values of
+    A, so this is A's truncated SVD at the cost of the sparse QR plus an
+    SVD of |cols| x |cols|, and its solve is the minimum-norm solution on
+    the kept directions."""
+    frontal, R_B = _frontal_qr(A)
+    U, s, Vt = _truncated_svd(R_B, tol, NOISE_REL * scale)
+    return SparseSVDFactor(**frontal, U=U.copy(), s=s.copy(), Vt=Vt.copy())
 
 
 def sparse_qr_solve(A, b):

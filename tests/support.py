@@ -67,15 +67,17 @@ def dense_matrix(plan, inverse=False):
     return (idwt if inverse else dwt)(np.eye(2**plan.J), plan).T
 
 
-def truncated_svd_solve(A, b, tol=DEFAULT_TOL):
-    """Classical eps-truncated pseudoinverse solve (accuracy oracle)."""
+def truncated_svd_solve(A, b, tol=DEFAULT_TOL, floor=0.0):
+    """Classical eps-truncated pseudoinverse solve (accuracy oracle), cut at
+    max(tol * s_0, floor)."""
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
     if max(A.shape) > DENSE_GUARD:
         raise SolverError(f"dense solver limited to dimensions <= {DENSE_GUARD}")
     b = np.asarray(b, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    r = (int(np.sum(s > max(tol * s[0], floor))) if s.size and s[0] > 0
+         else 0)
     x = Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]) if r else np.zeros(A.shape[1])
     return _finalize(lambda v: A @ v, x, b, r, t0)
 

@@ -28,7 +28,8 @@ from support import (ALL_FAMILIES, banks, check_sparse_factor,
                      reference_plunge_rapply, reference_plunge_rhs,
                      reference_scaling_plunge, selected_winv_rows,
                      sparse_qr_reference, transform_sampled_az,
-                     transform_winv_block, wavelet_block)
+                     transform_winv_block, truncated_svd_solve,
+                     wavelet_block)
 
 
 def exp1d(p):
@@ -646,16 +647,92 @@ def test_winv_block_built_once_per_geometry(dim):
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])
 def test_range_dim_stops_at_rank(r, n):
-    """The range finder stops within one block of the numerical rank, for
-    ranks that are not multiples of the block size too."""
+    """The range finder of az and smoothed stops within one block of the
+    numerical rank, for ranks that are not multiples of the block size
+    too.  reduced runs no range finder on a 2-D block: it reports the
+    frontal factor's core, nnz and front width instead."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, r), filter_bank("cdf33"),
                            (n, n), (2, 2))
-    for sol in (az.az_solve(prob, seed=0), az.reduced_az_solve(prob, seed=0),
+    for sol in (az.az_solve(prob, seed=0),
                 az.smoothed_az_solve(_weighted(prob), seed=0)):
         d = sol.diagnostics
         assert d["rank"] == sol.plunge_rank > 0
         assert d["range_dim"] <= d["rank"] + BLOCK_SIZE, d
         assert sol.warning is None
+    sol = az.reduced_az_solve(prob, seed=0)
+    d = sol.diagnostics
+    assert d["rank"] == sol.plunge_rank > 0 and "range_dim" not in d, d
+    assert d["rank"] <= d["core_shape"][1] <= prob.K.size
+    assert d["nnz"] > 0 and 0 < d["front_width"] <= d["core_shape"][1]
+    assert sol.warning is None
+
+
+# (f, mask, family, n) of the sparse scaling blocks on which reduced's step
+# 1 is checked against the dense truncated SVD
+_SVD_FACTOR_CASES = {
+    "disk16-cdf33": (exp2d, disk(0.5, 0.5, 0.35), "cdf33", 16),
+    "disk32-cdf33": (exp2d, disk(0.5, 0.5, 0.35), "cdf33", 32),
+    "disk32-db4": (exp2d, disk(0.5, 0.5, 0.35), "db4", 32),
+    "disk32-cdf51": (exp2d, disk(0.5, 0.5, 0.35), "cdf51", 32),
+    "ball8-cdf33": (exp3d, ball(0.5, 0.5, 0.5, 0.4), "cdf33", 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SVD_FACTOR_CASES))
+def test_reduced_step1_is_the_truncated_svd_of_the_block(case):
+    """On a sparse scaling block, reduced's step 1 is the block's truncated
+    SVD at max(tol s_0, NOISE_REL ||A_hat||_F), taken on the frontal
+    triangle R_B: the rank of the dense SVD oracle with the same floor, and
+    its y to round-off, ||y - y_ref|| <= 100 eps kappa ||y_ref|| for kappa
+    = s_0 / s_(r-1) the condition of the kept part.  The factor is cached:
+    a warm solve on another right-hand side returns the bits of a cold
+    solve of it, and after clear_caches the next solve is cold again."""
+    f, mask, family, n = _SVD_FACTOR_CASES[case]
+    d = mask.dimension
+    bank, N, q = filter_bank(family), (n,) * d, (2,) * d
+    prob = az.make_problem(f, mask, bank, N, q)
+    az.clear_caches()
+    block = az._scaling_block(prob)
+    assert scipy.sparse.issparse(block)
+    dense, b1 = block.toarray(), az.plunge_rhs(prob)
+    ref = truncated_svd_solve(
+        dense, b1, floor=solvers.NOISE_REL * az._reference_scale(prob))
+    cold = az.reduced_az_solve(prob, seed=0)
+    factor, reused, _ = az._step1_factor(prob, DEFAULT_TOL, svd=True)
+    assert reused and not cold.diagnostics["step1_reused"]
+    assert cold.plunge_rank == factor.rank == ref.rank > 0
+    s = np.linalg.svd(dense, compute_uv=False)
+    bound = 100 * np.finfo(float).eps * s[0] / s[ref.rank - 1]
+    dy = np.linalg.norm(factor.solve(b1).solution - ref.solution)
+    assert dy <= bound * np.linalg.norm(ref.solution), (dy, bound)
+
+    g = lambda p: np.cos(3 * p[:, 0]) + p[:, -1] ** 2
+    warm = az.reduced_az_solve(az.make_problem(g, mask, bank, N, q), seed=1)
+    az.clear_caches()
+    fresh = az.reduced_az_solve(az.make_problem(g, mask, bank, N, q), seed=0)
+    assert warm.diagnostics["step1_reused"]
+    assert not fresh.diagnostics["step1_reused"]
+    assert np.array_equal(warm.x, fresh.x) and warm.residual == fresh.residual
+    assert warm.plunge_rank == fresh.plunge_rank
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_reduced_and_sparse_share_the_frontal_factor(n):
+    """The count form of the paper's 2-D claim: reduced and sparse compress
+    the same disk block by the same frontal QR, to the same core and front
+    width, and the front stays at most 50 columns wide from 32^2 to 128^2
+    (40-45 measured), so the compression costs O(#rows w^2), linear in the
+    boundary.  Each pipeline keeps its own factor: sparse does not reuse
+    reduced's."""
+    prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.35), filter_bank("cdf33"),
+                           (n, n), (2, 2))
+    az.clear_caches()
+    red = az.reduced_az_solve(prob, seed=0).diagnostics
+    sp = az.sparse_az_solve(prob).diagnostics
+    assert not red["step1_reused"] and not sp["step1_reused"]
+    assert red["core_shape"] == sp["core_shape"], (red, sp)
+    assert red["nnz"] == sp["nnz"]
+    assert red["front_width"] == sp["front_width"] <= 50, (red, sp)
 
 
 def test_sparse_diagnostics():
@@ -763,11 +840,12 @@ def _steps23_residual(prob, x1):
 # is not orthogonal, so the K block has other singular values than the L
 # block, and the residual bound holds.
 _K_FORM_DIVERGES = {
-    (2, "cdf51"): "rank 164 vs 163: the K block has a clean gap (s_164 = "
-                  "59x the cut, s_165 below 1e-3x), the L block cuts a "
-                  "direction at 0.93x the cut",
-    (3, "cdf51"): "SVD rank 504 vs 480, residual 2.035e-2 vs 2.141e-2 "
-                  "(dense pivoted QR 2.035e-2)",
+    (2, "cdf51"): "exact TSVD rank 164 vs 163: the K block has a clean gap "
+                  "(s_164 = 59x the cut, s_165 = 1.2e-6x), the L block "
+                  "cuts a direction at 0.93x the cut",
+    (3, "cdf51"): "exact TSVD rank 504 vs 480 (K block s_504 = 1.05x the "
+                  "cut, s_505 = 0.20x; L block s_481 = 0.74x), residual "
+                  "2.035e-2 vs 2.141e-2 (dense pivoted QR 2.035e-2)",
 }
 
 
@@ -782,8 +860,9 @@ def _parity_cases():
 
 @pytest.mark.parametrize("dim, family", _parity_cases())
 def test_scaling_block_matches_wavelet_block(dim, family, banks):
-    """reduced's step 1 on the (Mrows, K) scaling block, x1 = W y, against
-    the same kernel on the (Mrows, L) wavelet block, x1 = y on L: the
+    """reduced's step 1 on the (Mrows, K) scaling block, x1 = W y (the exact
+    truncated SVD, by its frontal factor in 2-D and 3-D), against the
+    randomized kernel on the (Mrows, L) wavelet block, x1 = y on L: the
     oracle's rank (within one for db3 and db4, whose minimal duals at q = 2
     put singular values at the cut) and a residual within 10x of the
     oracle's either way."""

@@ -323,6 +323,54 @@ def test_timing_solves_from_scratch(tmp_path, monkeypatch):
     assert [s.diagnostics["geometry_reused"] for s in solves] == [False] * 6
 
 
+DISK16 = ["--family", "cdf33", "--domain", "disk:0.5,0.5,0.35",
+          "--function", "exp2d", "--solver", "reduced"]
+FACTOR_KEYS = ("core_shape", "nnz", "front_width", "step1_reused")
+
+
+def test_reduced_records_its_frontal_factor(tmp_path):
+    """approximate --solver reduced on a 16^2 disk writes the frontal
+    factor's counts into the record: the core's shape and nnz, the front
+    width, and whether step 1 reused the cached factor (first cold, then
+    warm)."""
+    from wavext import az
+
+    az.clear_caches()
+    recs = []
+    for _ in range(2):
+        out = tmp_path / "r.json"
+        assert run(["approximate", *DISK16, "--N", "16",
+                    "--output", str(out)]) == 0
+        recs.append(cli.parse_record(out.read_text()))
+    for rec in recs:
+        d = rec.diagnostics
+        assert all(k in d for k in FACTOR_KEYS), d
+        assert d["rank"] <= d["core_shape"][1] <= rec.index_sizes["K"]
+        assert d["nnz"] > 0 and 0 < d["front_width"] <= d["core_shape"][1]
+    assert [r.diagnostics["step1_reused"] for r in recs] == [False, True]
+    assert recs[0].diagnostics["core_shape"] == \
+        recs[1].diagnostics["core_shape"]
+
+
+def test_reduced_timing_factors_afresh(tmp_path, monkeypatch):
+    """Every repetition of a reduced timing on a disk factors step 1
+    afresh, as timing clears the caches before each."""
+    solves = []
+
+    def recorded(cfg, N=None):
+        problem, sol = run_one(cfg, N)
+        solves.append(sol)
+        return problem, sol
+
+    run_one = cli.run_one
+    monkeypatch.setattr(cli, "run_one", recorded)
+    out = tmp_path / "t.csv"
+    assert run(["timing", *DISK16, "--N-sweep", "16,32",
+                "--repetitions", "3", "--output", str(out)]) == 0
+    assert all(k in s.diagnostics for s in solves for k in FACTOR_KEYS)
+    assert [s.diagnostics["step1_reused"] for s in solves] == [False] * 6
+
+
 @pytest.mark.parametrize("solver", ["reduced", "sparse", "az", "adaptive",
                                     "qr"])
 def test_timing_reports_stage_medians(tmp_path, solver):

@@ -5,9 +5,10 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.solvers import (BLOCK_SIZE, SolverError, pivoted_qr_solve,
-                            randomized_lowrank_solve, sparse_qr_factor,
-                            sparse_qr_solve)
+from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, NOISE_REL, SolverError,
+                            pivoted_qr_solve, randomized_lowrank_solve,
+                            sparse_qr_factor, sparse_qr_solve,
+                            sparse_svd_factor)
 
 from support import (check_sparse_factor, estimate_rank, sparse_qr_reference,
                      truncated_svd_solve)
@@ -227,6 +228,36 @@ def test_sparse_factor_banded_front(scale):
     factor, rep = check_sparse_factor(A, scale=scale)
     assert factor.front_width <= 6 + 2 * BLOCK_SIZE < factor.cols.size
     assert rep.rank == (200 if scale else 199)
+
+
+@pytest.mark.parametrize("case", list(FACTOR_CASES) + ["banded"])
+def test_sparse_svd_factor_is_the_truncated_svd(case):
+    """sparse_svd_factor reveals the rank on the frontal triangle by its
+    SVD: the rank of the dense truncated SVD at max(tol s_0, NOISE_REL
+    scale) and its minimum-norm solution to round-off, ||x - x_ref|| <= 100
+    eps kappa ||x_ref|| for kappa = s_0 / s_(r-1), on the frontal part of
+    sparse_qr_factor in every bit."""
+    if case == "banded":
+        A, rank = _banded(300, 200, 6, 3), 199
+    else:
+        make, rank = FACTOR_CASES[case]
+        A = make()
+    factor, qr = sparse_svd_factor(A, DEFAULT_TOL, 1.0), sparse_qr_factor(A)
+    for name in ("rows", "cols"):
+        assert np.array_equal(getattr(factor, name), getattr(qr, name))
+    assert factor.front_width == qr.front_width
+    for (r0, r1, V, T), (s0, s1, W, U) in zip(factor.steps, qr.steps,
+                                              strict=True):
+        assert (r0, r1) == (s0, s1)
+        assert np.array_equal(V, W) and np.array_equal(T, U)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    ref = truncated_svd_solve(A.toarray(), b, floor=NOISE_REL)
+    rep = factor.solve(b)
+    assert rep.rank == factor.rank == ref.rank == rank
+    kappa = factor.s[0] / factor.s[-1] if rank else 0.0
+    bound = 100 * np.finfo(float).eps * kappa * np.linalg.norm(ref.solution)
+    assert np.linalg.norm(rep.solution - ref.solution) <= bound
+    assert rep.diagnostics["front_width"] == factor.front_width
 
 
 def test_dense_guard():
