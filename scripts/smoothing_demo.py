@@ -36,7 +36,7 @@ def main():
     q = (args.q,) * mask.dimension
 
     prob = az.make_problem(f, mask, bank, N, q)
-    plain = az.reduced_az_solve(prob, seed=args.seed)
+    plain = az.reduced_az_solve(prob)
     _, weighted = az.adaptive_weighted_solve(f, mask, bank, N, q, seed=args.seed)
 
     ext = az.extension_index_set(prob)

@@ -5,48 +5,41 @@ low-rank plunge system (I - A Z*) A D y = (I - A Z*) b and set x1 = D y,
 (2) x2 = Z* (b - A x1), (3) x = x1 + x2.  D = diag(problem.weights), or the
 identity without weights, scales the columns; weights damp fine-scale
 coefficients in the extension region (smoothed / adaptive).  W is the
-wavelet analysis, so A = A_hat W^-1.  The pipelines are (form, kernel)
-settings of step 1:
+wavelet analysis, so A = A_hat W^-1.
 
-* ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the plunge on its
-  rows Mrows and columns L, C = B R_L D_L with B the (Mrows, K) scaling
-  plunge block and R_L = W^-1[K, L] (``boundary_operator``), randomized
-  low-rank kernel, x1 = D y on L; the unweighted range finder samples B
-  itself (``_solve``).  R_L is built once per geometry from the rows of
-  the per-axis W^-1, each by a dual analysis on a window of about the
-  filter span per level (``Geometry.winv_block``): O(|K| taps J) per axis,
-  so in 1-D no part of step 1 grows with N;
-* ``reduced_az_solve``: the explicit scaling plunge block on the
-  boundary rows Mrows and scaling columns K; the plunge is this block
-  times W^-1, so x1 = W y (unweighted only).  A sparse block (every 2-D
-  and 3-D one) is compressed by the frontal QR of ``sparse_az_solve`` to
-  its triangle R_B, whose truncated SVD is the block's
-  (``sparse_svd_factor``); a dense one (every 1-D block, at most 12
-  columns) takes the randomized low-rank kernel, which solves it by its
-  exact SVD.  Step 1 reads the rows Mrows of A_hat, Z_hat and b only,
-  besides c = Z_hat* b, so its cost follows the boundary, not N;
-* ``sparse_az_solve``: the same block and x1 = W y, rank-revealing banded
-  sparse QR kernel (unweighted only): the same frontal compression, then
-  the column-pivoted QR of R_B (``sparse_qr_factor``).
+Step 1 compresses once and reveals per pipeline.  The plunge is the
+(Mrows, K) scaling plunge block B (``_scaling_block``) times W^-1, so
+every pipeline starts from B compressed by one frontal QR to its triangle
+R_B = Q_B^T B (``_Step1``, by ``solvers._frontal_qr``), made once per
+geometry and cached.  Each pipeline then takes its own reveal of it:
 
-Both explicit pipelines take the block from ``_scaling_block``, which forms
-it dense when its products are small (every 1-D block) and sparse
-otherwise, in the same bits either way.
+* ``sparse_az_solve``: the column-pivoted QR of R_B, and x1 = W y;
+* ``reduced_az_solve``: the truncated SVD of R_B, which is B's, and
+  x1 = W y;
+* ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the randomized
+  low-rank kernel on C = R_B R_L[cols] D_L, the plunge on its rows Mrows
+  and columns L compressed by Q_B^T (``boundary_operator``), and x1 = D y
+  on L.  R_L = W^-1[K, L] is built once per geometry from the rows of the
+  per-axis W^-1, each by a dual analysis on a window of about the filter
+  span per level (``Geometry.winv_block``): O(|K| taps J) per axis, so in
+  1-D no part of step 1 grows with N.
 
-Steps 2-3 of the explicit forms run one wavelet analysis and no synthesis:
-A x = A_hat v for x = W v.
-
-Both step-1 kernels treat what falls below a fraction of the reference
-scale ||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
+A dense block of at most BLOCK_SIZE columns (every 1-D block) is not
+compressed for reduced and az: the randomized kernel solves it, or C = B
+R_L D_L, by its exact SVD; sparse compresses it when it first asks.  Step 1
+reads the rows Mrows of A_hat, Z_hat and b only, besides c = Z_hat* b, so
+its cost follows the boundary, not N.  Steps 2-3 of the explicit forms run
+one wavelet analysis and no synthesis: A x = A_hat v for x = W v.  Every
+step-1 kernel treats what falls below a fraction of the reference scale
+||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  ``make_problem`` keeps the ``Geometry`` (operators
 and index sets) of its last call and reuses it when the next call has the
-same geometry.  The frontal factor of each geometry's sparse block (it does
-not depend on f), one per reveal, QR for ``sparse`` and SVD for
-``reduced``, is kept in one bounded least-recently-used cache, so a warm
-solve only replays the reflectors on its right-hand side.
-``clear_caches`` drops the geometry and that cache.
+same geometry.  Each geometry's ``_Step1`` (it does not depend on f), with
+the reveals taken of it, is kept in one bounded least-recently-used cache,
+so a warm explicit solve only replays the reflectors on its right-hand
+side.  ``clear_caches`` drops the geometry and that cache.
 """
 
 import hashlib
@@ -68,19 +61,20 @@ from . import dwt
 # perfbench/tracing.py wraps these names
 from .dwt import sparse_idwt_rows  # noqa: F401
 from .filters import FilterBank
-from .solvers import (DEFAULT_TOL, FrontalFactor, randomized_lowrank_solve,
-                      sparse_qr_factor, sparse_qr_solve,  # noqa: F401
-                      sparse_svd_factor)
+from .solvers import (BLOCK_SIZE, DEFAULT_TOL, _frontal_qr,
+                      randomized_lowrank_solve,
+                      sparse_qr_solve)  # noqa: F401
 from .system import (assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
-# Bytes of step-1 frontal factors kept (``_cache``): sparse's QR factors and
-# reduced's SVD factors, each with its reflectors and its block.  On the disk
-# (0.5, 0.5, 0.34) the QR factors at 32^2 and 64^2 (cdf33) and 32^2 (db4)
-# take 0.53, 1.75 and 6.95 MB and the SVD factor at 16^2 (cdf33) 0.15 MB,
-# 9.4 MB in all; the factors of the 16^3 ball (r = 0.35, cdf33: QR 35 MB,
-# SVD 37 MB, mostly front reflectors) do not fit.
+# Bytes of step-1 entries kept (``_cache``): each geometry's frontal factor
+# (block, reflectors and R_B) and the reveals taken of it.  On the disk (0.5,
+# 0.5, 0.34) the disk-2d entries take 0.20 MB at 16^2 (cdf33, with reduced's
+# SVD), 0.78 and 2.74 MB at 32^2 and 64^2 (cdf33, with sparse's QR) and 8.95
+# MB at 32^2 (db4), 12.7 MB in all.  The 16^3 ball's factor (r = 0.35, cdf33)
+# takes 30.0 MB alone (R_B 10.9, reflectors 17.1) and fits; with reduced's
+# SVD (17.5 MB) or sparse's QR (15.8 MB) it does not, and is made again.
 CACHE_BYTES = 2**25
 # The scaling block is formed dense when each of its two products takes at
 # most this many terms (rows x shared columns x |K|), else sparse: the cost
@@ -132,21 +126,6 @@ class Geometry:
         pipelines reads of them, and the rows steps 2-3 map y through."""
         return (csr_rows(self.scaling.A_hat, self.Mrows),
                 csr_rows(self.scaling.Z_hat, self.Mrows))
-
-    @cached_property
-    def plunge_factors(self):
-        """(A_K, A_c, Z_c) as CSR: the columns K of A_r and the columns c
-        that A_r touches of A_r and Z_r (``boundary_rows``), the factors of
-        the scaling plunge block A_K - A_c (Z_c* A_K)."""
-        Ar, Zr = self.boundary_rows
-        cols = np.unique(Ar.indices)
-        return _columns(Ar, self.K), _columns(Ar, cols), _columns(Zr, cols)
-
-    @cached_property
-    def plunge_adjoints(self):
-        """The transposes of ``plunge_factors``, kept: scipy forms each in
-        16-30 us, more than a product by the 1-D factors takes."""
-        return tuple(F.T for F in self.plunge_factors)
 
     @cached_property
     def winv_block(self):
@@ -386,40 +365,36 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
                      geometry_s=seconds, geometry_reused=reused)
 
 
-def _block_apply(geometry: Geometry, Y):
-    """B Y for a vector or block Y on K, B = A_K - A_c (Z_c* A_K) the
-    scaling plunge block (``Geometry.plunge_factors``): no transform."""
-    AK, Ac, _ = geometry.plunge_factors
-    Y = AK @ Y
-    return Y - Ac @ (geometry.plunge_adjoints[2] @ Y)
-
-
-def _block_rapply(geometry: Geometry, U):
-    """B* U = A_K* (U - Z_c (A_c* U)) for a vector or block U on Mrows."""
-    AKt, Act, _ = geometry.plunge_adjoints
-    return AKt @ (U - geometry.plunge_factors[2] @ (Act @ U))
-
-
-def boundary_operator(problem: AZProblem):
-    """(L, C): the plunge (I - A Z*) A D on its rows Mrows and columns L,
-    C = B R_L D_L, as a scipy LinearOperator of shape (|Mrows|, |L|).  B is
-    the scaling plunge block, R_L = W^-1[K, L] (``Geometry.winv_block``)
-    and D_L the weights on L (the identity without them).  The plunge
-    vanishes outside this block, so no apply reads all M rows or all N
-    columns, and none takes a wavelet transform."""
-    g = problem.geometry
-    L, R = g.winv_block
+def boundary_operator(problem: AZProblem, step1):
+    """(L, C, qtb): step 1's operator of az and smoothed and the map of its
+    right-hand side.  The plunge (I - A Z*) A D vanishes outside its rows
+    Mrows and columns L, where it is B R_L D_L: B the scaling plunge block,
+    R_L = W^-1[K, L] (``Geometry.winv_block``) and D_L the weights on L.
+    With B = Q_B R_B on its core (``step1.factor``), C = R_B R_L[cols] D_L
+    is (|cols|, |L|) and qtb(b1) = Q_B^T b1.  Q_B has orthonormal columns
+    spanning B's range, so C has the singular values of B R_L D_L, its
+    samples the same norms, and min ||C y - qtb(b1)|| the same minimizers.
+    For an ``exact`` step1, C = B R_L D_L and qtb is the identity.  No
+    apply reads all M rows or all N columns, or takes a wavelet transform."""
+    L, R = problem.geometry.winv_block
     if problem.weights is not None:
         R = R * problem.weights[L]      # R_L D_L, formed once per operator
+    if step1.exact:
+        T, cols, qtb = step1.block, slice(None), lambda b: b
+    else:
+        f = step1.factor
+        T, cols, qtb = f.R_B, f.cols, f.qtb
 
     def apply(X):
-        return _block_apply(g, R @ X)
+        return T @ (R @ X)[cols]
 
     def rapply(U):
-        return R.T @ _block_rapply(g, U)
+        Y = np.zeros((R.shape[0], *U.shape[1:]))
+        Y[cols] = T.T @ U
+        return R.T @ Y
     return L, scipy.sparse.linalg.LinearOperator(
-        shape=(g.Mrows.size, L.size), dtype=float, matvec=apply,
-        rmatvec=rapply, matmat=apply, rmatmat=rapply)
+        shape=(T.shape[0], L.size), dtype=float, matvec=apply,
+        rmatvec=rapply, matmat=apply, rmatmat=rapply), qtb
 
 
 def plunge_rhs(problem: AZProblem, c=None):
@@ -515,19 +490,19 @@ def _columns(S, cols):
                                    shape=(S.shape[0], cols.size))
 
 
-# Sparse step-1 factors by (geometry key, tol), as the geometry fixes the
+# Step-1 entries (``_Step1``) by geometry key, as the geometry fixes the
 # scaling block and the reference scale, least recently used first, within
-# CACHE_BYTES.  A factor holds boundary-sized arrays, never a problem.
+# CACHE_BYTES.  An entry holds boundary-sized arrays, never a problem.
 _cache = OrderedDict()
 _cache_lock = threading.Lock()
 
 
 def clear_caches():
-    """Forget the cached geometry and every cached sparse step-1 factor, so
-    the next make_problem assembles and the next sparse solve of each
-    geometry factors from scratch.  What depends on the filter bank and
-    sizes alone stays warm: the transform matrices, the tap tables, the
-    window taps of ``_winv_rows`` and the dual pairs."""
+    """Forget the cached geometry and every cached step-1 entry, so the
+    next make_problem assembles and the next solve of each geometry forms
+    and compresses its scaling block from scratch.  What depends on the
+    filter bank and sizes alone stays warm: the transform matrices, the tap
+    tables, the window taps of ``_winv_rows`` and the dual pairs."""
     with _geometry_lock:
         _geometry.clear()
     with _cache_lock:
@@ -540,65 +515,86 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - t0
 
 
-def _step1_factor(problem: AZProblem, tol, svd=False):
-    """(factor, reused, times): the frontal factor of the scaling block, its
-    rank revealed by ``sparse_svd_factor`` when ``svd``, else by
-    ``sparse_qr_factor``, cut against the reference scale; from the cache
-    when this geometry was factored before by the same reveal, when no
-    block is assembled; and the seconds of the block's ``assembly``.  With
-    ``svd`` a dense block comes back as that array, uncached.  The factor
-    is then the most recently used; a new one evicts the least recently
-    used until the cache fits CACHE_BYTES, and one larger than the budget
-    alone is returned uncached (it would evict every entry, then itself).
-    """
-    key = (problem.geometry.key, float(tol), svd)
+class _Step1:
+    """What step 1 keeps of one geometry: its scaling block
+    (``_scaling_block``) compressed once by the frontal QR (``factor``,
+    from ``_frontal_qr``), and the rank reveals of that factor by (kind,
+    tol): "qr" for sparse, "svd" for reduced.  A dense block of at most
+    BLOCK_SIZE columns (every 1-D block) is ``exact``: reduced and az solve
+    on the block itself, and its factor is made when sparse first asks."""
+
+    def __init__(self, problem: AZProblem):
+        self.block, self.reveals = _scaling_block(problem), {}
+        dense = isinstance(self.block, np.ndarray)
+        self.exact = dense and self.block.shape[1] <= BLOCK_SIZE
+        # bytes held, kept up to date as the entry grows, since the cache
+        # sums them on every solve: a dense block, the factor (it shares a
+        # sparse block's arrays) and each reveal's own arrays
+        self.nbytes = self.block.nbytes if dense else 0
+        if not self.exact:
+            self.factor         # compress at once
+
+    @cached_property
+    def factor(self):
+        factor = _frontal_qr(scipy.sparse.csr_matrix(self.block))
+        self.nbytes += factor.nbytes
+        return factor
+
+    def reveal(self, kind, tol, problem: AZProblem):
+        """(factor, reused): ``factor.qr`` or ``factor.svd`` at tol, cut
+        against the reference scale, which the geometry fixes, and kept by
+        (kind, tol)."""
+        key = (kind, float(tol))
+        found = self.reveals.get(key)
+        if found is not None:
+            return found, True
+        made = getattr(self.factor, kind)(tol, _reference_scale(problem))
+        self.nbytes += made.nbytes - self.factor.nbytes   # it shares those
+        return self.reveals.setdefault(key, made), False
+
+
+def _step1(problem: AZProblem):
+    """(entry, seconds): the geometry's ``_Step1`` from the cache, 0.0
+    seconds, or made now, with the seconds that forming and compressing
+    its block took."""
     with _cache_lock:
-        factor = _cache.get(key)
-        if factor is not None:
-            _cache.move_to_end(key)
-            return factor, True, {"assembly": 0.0}
-    block, assembly = _timed(_scaling_block, problem)
-    if svd and isinstance(block, np.ndarray):
-        return block, False, {"assembly": assembly}
-    block, scale = scipy.sparse.csr_matrix(block), _reference_scale(problem)
-    factor = (sparse_svd_factor(block, tol=tol, scale=scale) if svd
-              else sparse_qr_factor(block, tol=tol, scale=scale))
-    if factor.nbytes <= CACHE_BYTES:
-        with _cache_lock:
-            _cache[key] = factor
-            while sum(v.nbytes for v in _cache.values()) > CACHE_BYTES:
-                _cache.popitem(last=False)
-    return factor, False, {"assembly": assembly}
+        entry = _cache.get(problem.geometry.key)
+    return (entry, 0.0) if entry is not None else _timed(_Step1, problem)
 
 
-def _solve(problem: AZProblem, explicit, tol, seed=None):
+def _keep(key, entry):
+    """Keep entry as the most recently used, then evict the least recently
+    used until the cache fits CACHE_BYTES.  An entry larger than the budget
+    alone is not kept: it would evict every other, then itself."""
+    with _cache_lock:
+        _cache.pop(key, None)
+        if entry.nbytes > CACHE_BYTES:
+            return
+        _cache[key] = entry
+        while sum(v.nbytes for v in _cache.values()) > CACHE_BYTES:
+            _cache.popitem(last=False)
+
+
+def _solve(problem: AZProblem, reveal, tol, seed=None):
     """Steps 1-3 from c = Z_hat* b.
 
     Step 1 solves the plunge system for y on its rows Mrows, with the rows
-    Mrows of the right-hand side b - A_hat c, so besides c it reads
-    boundary-sized data only.  When ``explicit`` it solves on the (Mrows, K)
-    block ``_scaling_block`` and x1 = W y; else on the (Mrows, L) block
-    ``boundary_operator``, C = B R_L D_L, and x1 = D y on L.  The explicit
-    kernel is a frontal factor of the block (``_step1_factor``): its sparse
-    QR with seed None, its truncated SVD with a ``seed``, where a dense
-    block (1-D) goes to ``randomized_lowrank_solve`` instead.  That factor
-    depends on the geometry, not on b, so it comes from the cache when
-    there, as ``diagnostics["step1_reused"]`` says.  The (Mrows, L) kernel
-    is ``randomized_lowrank_solve``.  Both kernels cut against the
-    reference scale.  Explicit forms are unweighted.
-    ``stage_times["assembly"]`` is the part of step 1 spent forming the
-    explicit block (0 when a cached factor needs none), or building the
-    geometry's R_L, which takes no transform over all N points either (0
-    when the geometry holds it).
+    Mrows of b1 = b - A_hat c, from the geometry's ``_Step1``, cached:
+    ``stage_times["assembly"]`` is the seconds of making it and, for az and
+    smoothed, of building the geometry's R_L, each 0.0 when cached.
+    ``reveal`` names what the pipeline takes of it:
 
-    The range finder of C samples C G^T = B (R_L (D_L G^T)) for Gaussian
-    rows G on L.  Without weights (or with all of them 1, which gives the
-    unweighted bits) it samples B G^T for Gaussian rows G on K instead:
-    R_L has full row rank, as W^-1 is invertible, so range(C) = range(B),
-    and the level and stopping bound hold for B.  Either way the
-    projection Q* C and its truncated SVD run on C.  Where |Mrows| <=
-    BLOCK_SIZE (1-D cdf33: 10-12 rows) the kernel forms C exactly instead,
-    and ``range_dim`` reads |Mrows|, not the rank.
+    * "qr" (sparse) or "svd" (reduced): that reveal of R_B, cached too
+      (``step1_reused`` says whether it was), solves for y on K, and x1 =
+      W y.  reduced solves an ``exact`` block by the randomized kernel,
+      which takes its exact SVD; ``step1_reused`` is then the block's.
+    * None (az, smoothed): the randomized kernel on ``boundary_operator``,
+      sampling C G^T for Gaussian rows G on L, weighted or not, or forming
+      C exactly where it has at most BLOCK_SIZE rows or columns
+      (``range_dim`` then reads that size, not the rank); x1 = D y on L.
+
+    Every kernel cuts against the reference scale.  Explicit forms are
+    unweighted.
 
     Steps 2-3 add x2 = Z* (b - A x1) = W u, u = Z_hat* (b - A x1).  When
     explicit, A x1 = A_hat y and u = c - Z_hat* (A_hat y), so one analysis
@@ -606,35 +602,32 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
     the residual's A x take a synthesis each, as forming A x from A x1 +
     A_hat u would change the residual by round-off, which the adaptive
     pipeline feeds back as weights."""
-    if explicit and problem.weights is not None:
+    if reveal and problem.weights is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
-    times, diag, sample = {}, {}, None
-    S, g = problem.scaling, problem.geometry
+    diag, S, g = {}, problem.scaling, problem.geometry
     c = problem.Zstar.adjoint @ problem.b
     b1 = plunge_rhs(problem, c)
-    if explicit:
-        op, diag["step1_reused"], times = _step1_factor(
-            problem, tol, svd=seed is not None)
-    else:
+    step1, assembly = _step1(problem)
+    if reveal is None:
         cold = "winv_block" not in vars(g)
-        (L, op), seconds = _timed(boundary_operator, problem)
-        times["assembly"] = seconds if cold else 0.0
-        w = problem.weights
-        if w is None or np.all(w == 1):
-            sample = (lambda G: _block_apply(g, G.T),
-                      (g.Mrows.size, g.K.size))
-    if isinstance(op, FrontalFactor):
-        rep = op.solve(b1)
+        (L, op, qtb), seconds = _timed(boundary_operator, problem, step1)
+        assembly += seconds if cold else 0.0
+        rep = randomized_lowrank_solve(op, qtb(b1), tol=tol, seed=seed,
+                                       scale=_reference_scale(problem))
+    elif reveal == "svd" and step1.exact:
+        diag["step1_reused"] = not assembly
+        rep = randomized_lowrank_solve(step1.block, b1, tol=tol,
+                                       scale=_reference_scale(problem))
     else:
-        rep = randomized_lowrank_solve(op, b1, tol=tol, seed=seed,
-                                       scale=_reference_scale(problem),
-                                       sample=sample)
+        factor, diag["step1_reused"] = step1.reveal(reveal, tol, problem)
+        rep = factor.solve(b1)
+    _keep(g.key, step1)
     t1 = time.perf_counter()
-    if explicit:
+    if reveal:
         y = np.zeros(problem.grid.n_basis)
         y[problem.K] = rep.solution
-        Ar, Zr = problem.geometry.boundary_rows
+        Ar, Zr = g.boundary_rows
         u = y + (c - Zr.T @ (Ar @ y))   # A_hat y lives on the rows Mrows
         x, Ax = problem.A.analysis(u), S.A_hat @ u
     else:
@@ -645,7 +638,7 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
         x = x1 + problem.Zstar(problem.b - problem.A.matvec(x1))
         Ax = problem.A.matvec(x)
     times = {"geometry": problem.geometry_s, "step1": t1 - t0,
-             "step23": time.perf_counter() - t1, **times}
+             "step23": time.perf_counter() - t1, "assembly": assembly}
     return AZSolution(x=x, residual=float(np.linalg.norm(Ax - problem.b)),
                       coefficient_norm=float(np.linalg.norm(x)),
                       per_scale_norms=per_scale_norms(x, problem.grid.N),
@@ -657,26 +650,25 @@ def _solve(problem: AZProblem, explicit, tol, seed=None):
 
 def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Vanilla pipeline, the smoothed one with problem.weights: randomized
-    low-rank solve of the plunge system on its (Mrows, L) block."""
-    return _solve(problem, False, tol, seed)
+    low-rank solve of the plunge system on its (Mrows, L) block, compressed
+    by the scaling block's frontal factor."""
+    return _solve(problem, None, tol, seed)
 
 
 smoothed_az_solve = az_solve
 
 
-def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
+def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
     """Index-set-reduced pipeline: truncated SVD of the explicit (#Mrows,
-    #K) scaling plunge block, through the cached frontal triangle R_B when
-    the block is sparse and by ``randomized_lowrank_solve`` (exact SVD at
-    1-D sizes) when it is dense, and x1 = W y."""
-    return _solve(problem, True, tol, seed)
+    #K) scaling plunge block, that of the cached frontal triangle R_B, or
+    of an exact block itself, and x1 = W y."""
+    return _solve(problem, "svd", tol)
 
 
 def sparse_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
-    """Sparse pipeline: rank-revealing banded sparse QR of the explicit
-    (#Mrows, #K) scaling plunge block, factored once per geometry, and
-    x1 = W y."""
-    return _solve(problem, True, tol)
+    """Sparse pipeline: column-pivoted QR of the cached frontal triangle R_B
+    of the explicit (#Mrows, #K) scaling plunge block, and x1 = W y."""
+    return _solve(problem, "qr", tol)
 
 
 def _prune(S, scale=0.0):
@@ -697,12 +689,17 @@ def scaling_plunge(problem: AZProblem):
     Column c of A_hat - A_hat Z_hat* A_hat vanishes unless phi_c meets both
     the domain and its complement, that is unless c is in K, and Mrows holds
     every row that A_hat[:, K] and A_hat Z_hat* A_hat[:, K] reach.  So the
-    block is A_K - A_c (Z_c* A_K) (``Geometry.plunge_factors``); no row of
-    A_hat or Z_hat outside Mrows is read.  Fuzz is measured against the
-    larger of the cancelled operand A_K and the result, so a plunge that
-    cancels to fuzz everywhere comes out empty.
+    block is A_K - A_c (Z_c* A_K), with A_K the columns K of the rows Mrows
+    A_r of A_hat (``Geometry.boundary_rows``) and A_c, Z_c the columns that
+    A_r touches of A_r and Z_r; no row of A_hat or Z_hat outside Mrows is
+    read.  Fuzz is measured against the larger of the cancelled operand A_K
+    and the result, so a plunge that cancels to fuzz everywhere comes out
+    empty.
     """
-    AK, Ac, Zc = problem.geometry.plunge_factors
+    Ar, Zr = problem.geometry.boundary_rows
+    cols = np.unique(Ar.indices)
+    AK, Ac, Zc = (_columns(Ar, problem.K), _columns(Ar, cols),
+                  _columns(Zr, cols))
     return _prune(AK - Ac @ (Zc.T @ AK), np.abs(AK.data).max(initial=0))
 
 

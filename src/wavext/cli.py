@@ -34,7 +34,7 @@ from .dwt import operator_norms
 from .filters import FilterError, filter_bank, validate
 from .system import dense_A
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -81,7 +81,6 @@ class RunRecord:
     plunge_rank: int
     index_sizes: dict
     stage_times: dict
-    warning: str | None
     diagnostics: dict
     timestamp: str = field(
         default_factory=lambda: datetime.datetime.now(
@@ -207,7 +206,7 @@ def _dense_qr(problem, tol, seed):
 
 SOLVERS = {
     "az": lambda p, tol, seed: az_mod.az_solve(p, tol=tol, seed=seed),
-    "reduced": lambda p, tol, seed: az_mod.reduced_az_solve(p, tol=tol, seed=seed),
+    "reduced": lambda p, tol, seed: az_mod.reduced_az_solve(p, tol=tol),
     "sparse": lambda p, tol, seed: az_mod.sparse_az_solve(p, tol=tol),
     "qr": _dense_qr,
 }
@@ -238,7 +237,6 @@ def record_for(cfg, problem, sol) -> RunRecord:
         index_sizes={"K": int(problem.K.size), "L": int(problem.L.size),
                      "Mrows": int(problem.Mrows.size)},
         stage_times={k: float(v) for k, v in sol.stage_times.items()},
-        warning=sol.warning,
         diagnostics=_json_safe(sol.diagnostics),
     )
 
@@ -312,9 +310,10 @@ TIMING_STAGES = ("geometry", "step1", "step23")
 
 def cmd_timing(args):
     """Median wall time of a solve from scratch at each N, and the median
-    seconds of each of TIMING_STAGES: the geometry and the cache of step-1
-    factors are cleared before every repetition, so reduced and sparse
-    factor their block afresh each time (``step1_reused`` False)."""
+    seconds of each of TIMING_STAGES: the geometry and the step-1 cache are
+    cleared before every repetition, so every pipeline forms its scaling
+    block, and compresses it unless it is exact, afresh each time (reduced
+    and sparse report ``step1_reused`` False)."""
     if args.repetitions < 3:
         raise ConfigError("timing requires at least 3 repetitions")
     cfg = _config_from(args)

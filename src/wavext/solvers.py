@@ -7,15 +7,14 @@ truncation threshold 1e-10 regularizes the frame ill-conditioning.
 
 ``randomized_lowrank_solve`` stops at the numerical rank through a
 randomized range finder, ``_range_basis``, and projects onto the range it
-finds.  The range finder may use any random test block (Halko, Martinsson &
-Tropp 2011, section 4): a caller that can apply B T more cheaply than B, for
-a T with range(B T) = range(B), passes that as its sampler.
-``sparse_qr_factor`` and ``sparse_svd_factor`` compress a banded sparse
-matrix to a square triangular factor R_B by one frontal QR,
-``_frontal_qr``, and reveal the rank on R_B: by its column-pivoted QR, or
-by its truncated SVD, which is that of the matrix (R_B = Q_B^T A has A's
-singular values; Chan, ACM TOMS 1982).  ``pivoted_qr_solve`` stays the
-full column-pivoted QR, the dense baseline.
+finds (Halko, Martinsson & Tropp 2011, section 4).  ``_frontal_qr``
+compresses a banded sparse matrix A to a square triangle R_B = Q_B^T A by
+one frontal QR, into a ``FrontalFactor``; R_B has A's singular values and
+Q_B^T keeps the least-squares minimizer of any right-hand side (Chan, ACM
+TOMS 1982).  The factor reveals the rank on R_B: by its column-pivoted QR
+(``FrontalFactor.qr``, which ``sparse_qr_factor`` applies to a sparse
+matrix) or by its truncated SVD (``FrontalFactor.svd``).
+``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
 """
 
 import functools
@@ -87,13 +86,10 @@ def _qr_lwork(m, n):
     return int(work[0]), int(lwork[0])
 
 
-def _range_basis(shape, sample, tol, rng, floor=0.0):
-    """Orthonormal basis Q of the numerical range of an operator B of the
-    given (m, n) ``shape``, from blocks of BLOCK_SIZE random samples (Halko,
-    Martinsson & Tropp 2011, section 4.4).  ``sample(G)`` returns B Omega
-    for a test block Omega made from G, a block of Gaussian rows (k, n):
-    Omega = G^T, or any fixed map T G^T with range(B T) = range(B).  The
-    samples then span the same range, and the level below holds for B T.
+def _range_basis(op, tol, rng, floor=0.0):
+    """Orthonormal basis Q of the numerical range of a LinearOperator op,
+    from blocks of BLOCK_SIZE samples op G^T for Gaussian rows G (Halko,
+    Martinsson & Tropp 2011, section 4.4).
 
     One level, ``max(tol * sigma, floor)`` with sigma the largest sample norm
     of the first block, decides both what is kept and when to stop:
@@ -114,14 +110,14 @@ def _range_basis(shape, sample, tol, rng, floor=0.0):
     to the level, instead of filling the operator's range.  It grows by the
     kept columns only: no buffer of min(m, n) columns is reserved.
     """
-    m, n = shape
+    m, n = op.shape
     full = min(m, n)
     level = None
     Q = np.zeros((m, 0))
     size = BLOCK_SIZE
     while Q.shape[1] < full:
         # more than min(m, n) samples cannot add to the range
-        Y = sample(rng.standard_normal((min(size, full), n)))
+        Y = op.matmat(rng.standard_normal((min(size, full), n)).T)
         if level is None:
             level = max(tol * np.linalg.norm(Y, axis=0).max(), floor)
         Y = np.subtract(Y, Q @ (Q.T @ Y), out=np.empty(Y.shape, order="F"))
@@ -148,8 +144,7 @@ def _range_basis(shape, sample, tol, rng, floor=0.0):
     return Q
 
 
-def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
-                             sample=None):
+def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
     """Adaptive randomized low-rank least squares for a matrix-free operator.
 
     Builds an orthonormal range basis Q with ``_range_basis``, which stops
@@ -157,19 +152,14 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
     truncated SVD (minimum-norm on the detected range) at the same level,
     ``max(tol * sigma, NOISE_REL * scale)``.  The operator is applied to
     whole blocks through ``matmat``/``rmatmat``.
-
-    ``sample = (fn, shape)`` replaces ``op.matmat(G.T)`` in the range
-    finder: ``fn(G)`` gives op T G^T for Gaussian rows G of shape[1]
-    columns and a fixed T with range(op T) = range(op).  The level and
-    stopping bound hold for op T; the projection, its truncation and the
-    residual use op.  ``diagnostics["sketch_shape"]`` is the shape sampled.
+    ``diagnostics["sketch_shape"]`` is the operator's shape.
 
     An operator with at most BLOCK_SIZE rows or columns skips the sketch,
     which would need that many samples anyway: it is solved by the same
     truncated SVD as a dense block B, which is ``op`` itself when that is a
     dense array, else formed exactly from its smaller side, min(m, n)
     applies of ``matmat`` or ``rmatmat``; the residual is that of B, and
-    ``range_dim`` is min(m, n).  No sampler is called there.
+    ``range_dim`` is min(m, n).
 
     ``scale`` supplies the magnitude of the enclosing operator (the AZ
     pipelines pass ||A_hat||_F rms(w), ``az._reference_scale``): anything
@@ -192,13 +182,12 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None,
         return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full,
                          sketch_shape=(m, n))
     op = scipy.sparse.linalg.aslinearoperator(op)
-    fn, shape = sample or (lambda G: op.matmat(G.T), op.shape)
-    Q = _range_basis(shape, fn, tol, _rng(seed), floor)
+    Q = _range_basis(op, tol, _rng(seed), floor)
     # projected problem: min || (Q* A) x - Q* b ||
     x, r = (_svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor) if Q.shape[1]
             else (np.zeros(n), 0))
     return _finalize(op.matvec, x, b, r, t0, range_dim=Q.shape[1],
-                     sketch_shape=shape)
+                     sketch_shape=(m, n))
 
 
 def _pivoted_qr(A, tol, scale=None):
@@ -230,21 +219,23 @@ def pivoted_qr_solve(A, b, tol=DEFAULT_TOL):
 @dataclass(frozen=True)
 class FrontalFactor:
     """A sparse matrix A compressed by a frontal QR (``_frontal_qr``) to the
-    square triangle R_B = Q_B^T A[rows][:, cols], the core of A in the order
-    it was eliminated in, and a rank-revealing factor of R_B truncated at
-    its numerical rank (the subclasses).  The banded QR is replayed from
+    square upper triangle ``R_B`` = Q_B^T A[rows][:, cols], the core of A in
+    the order it was eliminated in.  The banded QR is replayed from
     ``steps``: per step, the range of core rows folded into the front and
     the reflectors (V, T) that folded them, as LAPACK ``tpqrt`` returns
-    them.  That gives Q_B^T b for any right-hand side.  Only what ``solve``
-    needs is kept, and A itself for the residual.  ``front_width`` is the
-    most columns the front held: at most the bandwidth of A^T A in the
-    column order plus one step."""
+    them.  That gives Q_B^T b for any right-hand side (``qtb``).
+    ``front_width`` is the most columns the front held: at most the
+    bandwidth of A^T A in the column order plus one step.  ``qr`` and
+    ``svd`` reveal the rank on R_B; the factors they return (the
+    subclasses) share these arrays, keep what their ``solve`` needs, and A
+    itself for the residual."""
 
     A: scipy.sparse.csr_matrix
     rows: np.ndarray
     cols: np.ndarray
     steps: tuple
     front_width: int
+    R_B: np.ndarray
 
     @property
     def nbytes(self):
@@ -254,7 +245,7 @@ class FrontalFactor:
         arrays += [a for _, _, V, T in self.steps for a in (V, T)]
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
-    def _qtb(self, b):
+    def qtb(self, b):
         """Q_B^T b on the rows of R_B: the front's reflectors replayed on
         the core rows of b, BLOCK_SIZE rows of R_B per step."""
         c = b[self.rows]
@@ -272,13 +263,38 @@ class FrontalFactor:
             front = a[k:, 0]
         return out
 
+    def _frontal(self):
+        """The fields of this factor that a reveal shares."""
+        return {f.name: getattr(self, f.name) for f in fields(FrontalFactor)}
+
+    def qr(self, tol, scale):
+        """The column-pivoted QR of R_B truncated at tol * min(|R[0, 0]|,
+        scale).  |R[0, 0]| is the largest column norm of A; ``scale``, the
+        magnitude of the enclosing operator (the AZ pipelines pass
+        ||A_hat||_F, ``az._reference_scale``), lowers the cut where A's own
+        norm is inflated; None leaves it at |R[0, 0]|."""
+        Qf, R, piv, r = _pivoted_qr(self.R_B, tol, scale)
+        # order="K" keeps LAPACK's Fortran layout, so Q.T @ b runs the same
+        # BLAS call on the kept columns as on the full factor
+        return SparseQRFactor(**self._frontal(), Q=Qf[:, :r].copy(order="K"),
+                              R=R[:r, :r].copy(order="K"), piv=piv[:r].copy())
+
+    def svd(self, tol, scale):
+        """The SVD of R_B cut at max(tol * s_0, NOISE_REL * scale), the cut
+        of ``randomized_lowrank_solve``: A's truncated SVD, as R_B has A's
+        singular values, whose solve is the minimum-norm solution on the
+        kept directions."""
+        U, s, Vt = _truncated_svd(self.R_B, tol, NOISE_REL * scale)
+        return SparseSVDFactor(**self._frontal(), U=U.copy(), s=s.copy(),
+                               Vt=Vt.copy())
+
     def solve(self, b):
-        """Min ||A x - b|| on the numerically significant part of A."""
+        """Min ||A x - b|` on the numerically significant part of A."""
         t0 = time.perf_counter()
         b = np.asarray(b, dtype=float)
         x = np.zeros(self.A.shape[1])
         if self.rank:
-            self._solve_core(x, self._qtb(b))
+            self._solve_core(x, self.qtb(b))
         return _finalize(lambda v: self.A @ v, x, b, self.rank, t0,
                          core_shape=(self.rows.size, self.cols.size),
                          nnz=int(self.A.nnz), front_width=self.front_width)
@@ -287,7 +303,7 @@ class FrontalFactor:
 @dataclass(frozen=True)
 class SparseQRFactor(FrontalFactor):
     """R_B's pivot columns R_B[:, piv] as Q R, Q (#cols, r) and R (r, r)
-    upper triangular, up to the truncation (``sparse_qr_factor``)."""
+    upper triangular, up to the truncation (``FrontalFactor.qr``)."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -306,7 +322,7 @@ class SparseQRFactor(FrontalFactor):
 @dataclass(frozen=True)
 class SparseSVDFactor(FrontalFactor):
     """R_B's truncated SVD U diag(s) Vt, of rank r = s.size
-    (``sparse_svd_factor``)."""
+    (``FrontalFactor.svd``)."""
 
     U: np.ndarray
     s: np.ndarray
@@ -346,8 +362,8 @@ def _banded_order(A):
 
 
 def _frontal_qr(A):
-    """(frontal, R_B): the ``FrontalFactor`` fields of a sparse A and the
-    square upper triangle R_B = Q_B^T A[rows][:, cols], in two steps.
+    """The ``FrontalFactor`` of a sparse A: the square upper triangle
+    R_B = Q_B^T A[rows][:, cols] and the reflectors of Q_B, in two steps.
 
     1. Order.  The zero rows and columns are stripped; the columns go in
        reverse Cuthill-McKee order of the pattern of A^T A, which makes a
@@ -390,38 +406,16 @@ def _frontal_qr(A):
         front = T[j1 - j0:, j1 - j0:]
         steps.append((r0, r1, V, Tf))
         r0 = r1
-    return dict(A=A, rows=rows, cols=cols, steps=tuple(steps),
-                front_width=width), R_B
+    return FrontalFactor(A=A, rows=rows, cols=cols, steps=tuple(steps),
+                         front_width=width, R_B=R_B)
 
 
-def sparse_qr_factor(A, tol=DEFAULT_TOL, scale=None):
+def sparse_qr_factor(A, scale=None):
     """Rank-revealing factorization of a sparse matrix, reusable for any
     right-hand side: the frontal compression to R_B (``_frontal_qr``),
-    then the column-pivoted QR of R_B truncated at tol * min(|R[0, 0]|,
-    scale).  |R[0, 0]| is the largest column norm of A; ``scale``, the
-    magnitude of the enclosing operator (the AZ pipelines pass
-    ||A_hat||_F, ``az._reference_scale``), lowers the cut where A's own
-    norm is inflated.  The factor is a function of A, tol and scale alone.
-    """
-    frontal, R_B = _frontal_qr(A)
-    Qf, R, piv, r = _pivoted_qr(R_B, tol, scale)
-    # order="K" keeps LAPACK's Fortran layout, so Q.T @ b runs the same BLAS
-    # call on the kept columns as on the full factor
-    return SparseQRFactor(**frontal, Q=Qf[:, :r].copy(order="K"),
-                          R=R[:r, :r].copy(order="K"), piv=piv[:r].copy())
-
-
-def sparse_svd_factor(A, tol, scale):
-    """Truncated SVD of a sparse matrix, reusable for any right-hand side:
-    the frontal compression to R_B (``_frontal_qr``), then the SVD of R_B
-    cut at max(tol * s_0, NOISE_REL * scale), the cut of
-    ``randomized_lowrank_solve``.  R_B = Q_B^T A has the singular values of
-    A, so this is A's truncated SVD at the cost of the sparse QR plus an
-    SVD of |cols| x |cols|, and its solve is the minimum-norm solution on
-    the kept directions."""
-    frontal, R_B = _frontal_qr(A)
-    U, s, Vt = _truncated_svd(R_B, tol, NOISE_REL * scale)
-    return SparseSVDFactor(**frontal, U=U.copy(), s=s.copy(), Vt=Vt.copy())
+    then the column-pivoted QR of R_B (``FrontalFactor.qr``) at
+    DEFAULT_TOL.  The factor is a function of A and scale alone."""
+    return _frontal_qr(A).qr(DEFAULT_TOL, scale)
 
 
 def sparse_qr_solve(A, b):

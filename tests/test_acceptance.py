@@ -155,7 +155,7 @@ def test_acceptance_plunge_structure():
 
 def _pipeline_residuals(prob, seed=0):
     res = [az.az_solve(prob, seed=seed).residual,
-           az.reduced_az_solve(prob, seed=seed).residual,
+           az.reduced_az_solve(prob).residual,
            az.sparse_az_solve(prob).residual]
     Ad = dense_A(prob.A)
     res.append(pivoted_qr_solve(Ad, prob.b).residual)
@@ -215,7 +215,7 @@ def test_acceptance_timing_scaling_1d():
         n = 2 ** J
         ts.append(_median_time(
             lambda n=n: az.make_problem(exp1d, interval(0.0, 0.5), bank, n, 2),
-            lambda p: az.reduced_az_solve(p, seed=0)))
+            lambda p: az.reduced_az_solve(p)))
         ns.append(n)
     s = _slope(ns, ts)
     assert 0.5 <= s <= 1.7, s
@@ -231,7 +231,7 @@ def test_acceptance_timing_scaling_2d():
         ts.append(_median_time(
             lambda n=n: az.make_problem(exp2d, disk(0.5, 0.5, 0.35), bank,
                                         (n, n), (2, 2)),
-            lambda p: az.reduced_az_solve(p, seed=0)))
+            lambda p: az.reduced_az_solve(p)))
         dofs.append(n * n)
     s = _slope(dofs, ts)
     assert s <= 1.8, s
@@ -246,7 +246,7 @@ def test_acceptance_weighted_smoothing():
     mask = interval(0.0, 0.6)
     _, adaptive = az.adaptive_weighted_solve(exp1d, mask, bank, 256, 2, seed=0)
     plain = az.reduced_az_solve(
-        az.make_problem(exp1d, mask, bank, 256, 2), seed=0)
+        az.make_problem(exp1d, mask, bank, 256, 2))
     prob = az.make_problem(exp1d, mask, bank, 256, 2)
     ext = az.extension_index_set(prob)
     na = az.per_scale_norms(adaptive.x, prob.grid.N, select=ext)
@@ -266,7 +266,7 @@ def test_acceptance_determinism():
     bank = filter_bank("cdf33")
     prob = az.make_problem(exp1d, interval(0.0, 0.5), bank, 256, 2)
     for solve in (lambda: az.az_solve(prob, seed=42),
-                  lambda: az.reduced_az_solve(prob, seed=42),
+                  lambda: az.reduced_az_solve(prob),
                   lambda: az.adaptive_weighted_solve(
                       exp1d, interval(0.0, 0.5), bank, 256, 2, seed=42)[1]):
         a, b = solve(), solve()

@@ -58,7 +58,7 @@ def prob2d():
 
 _BOX_SOLVES = {
     "az": lambda prob: az.az_solve(prob, seed=0),
-    "reduced": lambda prob: az.reduced_az_solve(prob, seed=0),
+    "reduced": lambda prob: az.reduced_az_solve(prob),
     "sparse": az.sparse_az_solve,
     "smoothed": lambda prob: az.smoothed_az_solve(dataclasses.replace(
         prob, weights=az.scale_weights([3, 1, 0.1], prob.grid.N)), seed=0),
@@ -111,7 +111,7 @@ def test_vanilla_matches_dense_baseline(prob1d):
 
 def test_reduced_parity_and_dimensions(prob1d):
     s1 = az.az_solve(prob1d, seed=0)
-    s2 = az.reduced_az_solve(prob1d, seed=0)
+    s2 = az.reduced_az_solve(prob1d)
     assert s2.residual <= 10 * s1.residual
     assert s1.residual <= 10 * s2.residual
     assert prob1d.Mrows.size < prob1d.grid.M / 4
@@ -121,7 +121,7 @@ def test_reduced_parity_and_dimensions(prob1d):
 def test_reduced_zero_rhs():
     prob = az.make_problem(lambda p: np.zeros(p.shape[0]),
                            interval(0.0, 0.5), filter_bank("cdf33"), 64, 2)
-    sol = az.reduced_az_solve(prob, seed=0)
+    sol = az.reduced_az_solve(prob)
     assert np.abs(sol.x).max() < 1e-12
 
 
@@ -162,7 +162,7 @@ def test_explicit_block_of_cancelled_plunge_is_empty():
                            64, 2)
     ref = az.az_solve(prob, seed=0)
     assert ref.plunge_rank == 0
-    for sol in (az.sparse_az_solve(prob), az.reduced_az_solve(prob, seed=0)):
+    for sol in (az.sparse_az_solve(prob), az.reduced_az_solve(prob)):
         assert sol.plunge_rank == 0
         assert np.array_equal(sol.x, ref.x)
 
@@ -192,7 +192,7 @@ def test_smoothed_geometric_weights_decay():
     e = [0.2 ** i for i in range(9)]
     wprob = dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
     sw = az.smoothed_az_solve(wprob, seed=0)
-    su = az.reduced_az_solve(prob, seed=0)
+    su = az.reduced_az_solve(prob)
     ext = az.extension_index_set(prob)
     nw = az.per_scale_norms(sw.x, prob.grid.N, select=ext)
     nu = az.per_scale_norms(su.x, prob.grid.N, select=ext)
@@ -309,8 +309,8 @@ def test_plunge_rank_dense_crosscheck():
 
 
 def test_determinism_full_pipeline(prob1d):
-    a = az.reduced_az_solve(prob1d, seed=11)
-    b = az.reduced_az_solve(prob1d, seed=11)
+    a = az.reduced_az_solve(prob1d)
+    b = az.reduced_az_solve(prob1d)
     assert a.residual == b.residual
     assert np.array_equal(a.per_scale_norms, b.per_scale_norms)
     assert np.array_equal(a.x, b.x)
@@ -390,14 +390,15 @@ def _sampler_case(case, bank):
 @pytest.mark.parametrize("case", [1, 2, 3, 4096, 32])
 def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                                                    monkeypatch):
-    """Step 1 of az and smoothed runs on the boundary operator C = B R_L
-    D_L with no wavelet transform inside its kernel: unweighted, the range
-    finder samples B G^T on K; weighted, C G^T on L; in 1-D the kernel
-    forms C exactly.  Weighted and unweighted, it keeps the rank of the
-    oracle that samples the whole plunge P D G^T through the transform,
-    with a residual and ||x|| within 2x of the oracle's either way; the
-    1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the 2-D case
-    at 32^2."""
+    """Step 1 of az and smoothed runs on the boundary operator C = R_B
+    R_L[cols] D_L (B R_L D_L on an exact block) with no wavelet transform
+    inside its kernel: the range finder samples C G^T for Gaussian rows G
+    on L, weighted or not; where C has at most BLOCK_SIZE rows or columns
+    the kernel forms it exactly.  Weighted and unweighted, it keeps the
+    rank of the oracle that samples the whole plunge P D G^T through the
+    transform, with a residual and ||x|| within 2x of the oracle's either
+    way; the 1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the
+    2-D case at 32^2."""
     prob = _sampler_case(case, banks[family])
     kernel, inside = az.randomized_lowrank_solve, []
     calls = _count_transforms(monkeypatch)
@@ -422,27 +423,36 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                 and np.linalg.norm(x) <= 2 * sol.coefficient_norm), msg
 
 
+def _compressed(step1, U):
+    """Q_B^T U, column by column, for U on the rows Mrows: the rows of the
+    boundary operator C of ``step1``; U itself for an exact block."""
+    if step1.exact:
+        return U
+    return np.column_stack([step1.factor.qtb(u) for u in U.T])
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("case", [1, 2, 3, 4096])
 def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
-    """az's range finder samples the (|Mrows|, |K|) scaling plunge block:
-    each sample block is scaling_plunge(problem) G^T for Gaussian rows G on
-    K.  smoothed's samples the (|Mrows|, |L|) block C = B R_L D_L: each is
-    scaling_plunge(problem) R_L D_L G^T for Gaussian rows G on L, with R_L
-    from the selected rows of W^-1 (``selected_winv_rows``).  Both hold to
-    1e-12 relative, up to the fuzz that scaling_plunge prunes (each entry
-    at most PRUNE_REL of its largest entry or of A_K's).  Where |Mrows| or
-    |L| is at most BLOCK_SIZE (1-D) the kernel forms C exactly instead,
-    samples nothing, and range_dim reads that size.  At N = 4096 no sample
-    call and no apply of C allocates as much as one N-vector, where
-    sampling the plunge over every column allocates N x 16 blocks."""
+    """az's and smoothed's range finder samples the compressed boundary
+    block C = R_B R_L[cols] D_L, of shape (|cols|, |L|) with cols the core
+    columns of the geometry's frontal factor: each sample block is Q_B^T
+    B R_L D_L G^T for Gaussian rows G on L, weighted or not, with B =
+    scaling_plunge(problem) and R_L from the selected rows of W^-1
+    (``selected_winv_rows``), to 1e-12 relative.  An exact block (dense,
+    at most BLOCK_SIZE columns: 1-D) is not compressed, and C has the
+    (|Mrows|, |L|) shape of B R_L D_L.  Where C has at most BLOCK_SIZE rows
+    or columns the kernel forms C exactly instead, samples nothing, and
+    range_dim reads that size.  No sample takes a wavelet transform, and
+    at N = 4096 no sample call and no apply of C allocates as much as one
+    N-vector, where sampling the plunge over every column allocates
+    N x 16 blocks."""
     prob = _sampler_case(case, banks[family])
-    m, k, N, L = prob.Mrows.size, prob.K.size, prob.grid.n_basis, prob.L
+    m, N, L = prob.Mrows.size, prob.grid.n_basis, prob.L
     R = selected_winv_rows(prob.K, prob.bank, prob.grid.N)[:, L]
-    B, AK = az.scaling_plunge(prob), prob.geometry.plunge_factors[0]
-    level = az.PRUNE_REL * max(np.abs(B.data).max(initial=0),
-                               np.abs(AK.data).max())
+    B = az.scaling_plunge(prob)
     boundary_operator, range_basis = az.boundary_operator, solvers._range_basis
+    calls = _count_transforms(monkeypatch)
     shapes, blocks, peaks = [], [], []
 
     def traced(fn):
@@ -460,42 +470,45 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
             return Y
         return run
 
-    def traced_operator(problem):
-        L, op = boundary_operator(problem)
+    def traced_operator(problem, step1):
+        L, op, qtb = boundary_operator(problem, step1)
         return L, scipy.sparse.linalg.LinearOperator(
             op.shape, dtype=float, matvec=traced(op.matvec),
             rmatvec=traced(op.rmatvec), matmat=traced(op.matmat),
-            rmatmat=traced(op.rmatmat))
+            rmatmat=traced(op.rmatmat)), qtb
 
-    def traced_range_basis(shape, sample, *args):
-        def traced_sample(G):
-            blocks.append((G, traced(sample)(G)))
+    def traced_range_basis(op, *args):
+        def sample(X):
+            calls.update(dwt=0, idwt=0)
+            blocks.append((X, op.matmat(X), dict(calls)))
             return blocks[-1][1]
-        shapes.append(shape)
-        return range_basis(shape, traced_sample, *args)
+        shapes.append(op.shape)
+        return range_basis(scipy.sparse.linalg.LinearOperator(
+            op.shape, dtype=float, matvec=op.matvec, matmat=sample,
+            rmatvec=op.rmatvec, rmatmat=op.rmatmat), *args)
 
     monkeypatch.setattr(az, "boundary_operator", traced_operator)
     monkeypatch.setattr(solvers, "_range_basis", traced_range_basis)
-    assert all(F.shape[0] == m for F in prob.geometry.plunge_factors)
     for problem in (prob, _weighted(prob)):
         # once untraced, so that no first-call set-up counts as a sample's
         az.smoothed_az_solve(problem, seed=0)
+        step1 = az._cache[prob.geometry.key]
+        rows = m if step1.exact else step1.factor.cols.size
+        assert step1.exact is (prob.grid.dimension == 1)
         shapes.clear(), blocks.clear(), peaks.clear()
         sol = az.smoothed_az_solve(problem, seed=0)
         d, w = sol.diagnostics, problem.weights
-        shape = (m, k) if w is None else (m, L.size)
-        if min(m, L.size) <= BLOCK_SIZE:
-            assert d["sketch_shape"] == (m, L.size) and not shapes
-            assert d["range_dim"] == min(m, L.size)
+        assert d["sketch_shape"] == (rows, L.size)
+        if min(rows, L.size) <= BLOCK_SIZE:
+            assert not shapes and d["range_dim"] == min(rows, L.size)
         else:
-            assert shapes == [shape] and d["sketch_shape"] == shape
-            assert blocks
-        for G, Y in blocks:
-            T = G.T if w is None else R @ (w[L] * G).T
-            assert Y.shape == (m, G.shape[0])
-            ref = B @ T
-            fuzz = level * np.abs(T).sum(axis=0)
-            assert np.all(np.abs(Y - ref) <= 1e-12 * np.abs(ref).max() + fuzz)
+            assert shapes == [(rows, L.size)] and blocks
+        for X, Y, transforms in blocks:
+            ref = _compressed(step1, B @ (R @ (X if w is None
+                                              else w[L, None] * X)))
+            assert Y.shape == (rows, X.shape[1])
+            assert np.all(np.abs(Y - ref) <= 1e-12 * np.abs(ref).max())
+            assert transforms == {"dwt": 0, "idwt": 0}
         if case == 4096:
             assert peaks and max(peaks) < 8 * N, (peaks, N)
 
@@ -601,48 +614,60 @@ def test_winv_block_empty_on_the_box(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_boundary_operator_is_the_plunge_block(dim, weighted):
-    """C = B R_L D_L is the block (Mrows, L) of the matrix-free plunge
-    (I - A Z*) A D, applied and adjoint, to 1e-12 of the largest entry;
-    outside it the matrix-free plunge holds cancellation fuzz only."""
+    """C = R_B R_L[cols] D_L is the block (Mrows, L) of the matrix-free
+    plunge (I - A Z*) A D compressed by Q_B^T (``qtb``): C X = Q_B^T (P D
+    X)[Mrows] and C^T (Q_B^T U) = (P D)^T U on L, for vectors and blocks,
+    to 1e-12 of the largest entry; outside the block the matrix-free
+    plunge holds cancellation fuzz only.  In 1-D the block is exact, C =
+    B R_L D_L and qtb the identity."""
     prob = _block_case(dim)
     if weighted:
         prob = _weighted(prob)
-    L, C = az.boundary_operator(prob)
+    step1, _ = az._step1(prob)
+    L, C, qtb = az.boundary_operator(prob, step1)
     m, n = prob.A.shape
-    assert C.shape == (prob.Mrows.size, L.size)
+    assert step1.exact is (dim == 1)
+    assert C.shape == ((prob.Mrows.size if dim == 1
+                        else step1.factor.cols.size), L.size)
     rng = np.random.default_rng(dim)
     X, U = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
     U[np.setdiff1d(np.arange(m), prob.Mrows)] = 0.0
     off_rows = np.setdiff1d(np.arange(m), prob.Mrows)
     off_cols = np.setdiff1d(np.arange(n), L)
-    for ref, got, off in (
-            (plunge_apply(prob, X), C.matmat(X[L]), off_rows),
-            (plunge_apply(prob, X[:, 0]), C.matvec(X[L, 0]), off_rows),
-            (plunge_rapply(prob, U), C.rmatmat(U[prob.Mrows]), off_cols),
-            (plunge_rapply(prob, U[:, 0]), C.rmatvec(U[prob.Mrows, 0]),
-             off_cols)):
-        level = 1e-12 * np.abs(ref).max()
-        on = prob.Mrows if off is off_rows else L
-        assert np.abs(got - ref[on]).max() <= level
-        assert np.abs(ref[off]).max(initial=0) <= level
+    QtU = np.column_stack([qtb(u) for u in U[prob.Mrows].T])
+    PX, PtU = plunge_apply(prob, X), plunge_rapply(prob, U)
+    for ref, got in (
+            (_compressed(step1, PX[prob.Mrows]), C.matmat(X[L])),
+            (_compressed(step1, PX[prob.Mrows, :1])[:, 0], C.matvec(X[L, 0])),
+            (PtU[L], C.rmatmat(QtU)), (PtU[L, 0], C.rmatvec(QtU[:, 0]))):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    for ref, off in ((PX, off_rows), (PtU, off_cols)):
+        assert np.abs(ref[off]).max(initial=0) <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_winv_block_built_once_per_geometry(dim):
-    """az and smoothed report the cold build of R_L (and the kept
-    transposes of the plunge factors) as ``stage_times["assembly"]``; a
-    second solve on the same geometry reads 0.0 there and returns the same
-    x, weighted or not."""
+    """az and smoothed report the cold build of R_L and the forming and
+    compression of the scaling block as ``stage_times["assembly"]``, above
+    0 when either is cold; a second solve on the same geometry reads 0.0
+    there and returns the same x, weighted or not.  With the step-1 cache
+    cleared alone, the block's compression reads above 0 again and gives
+    the same x."""
     az.clear_caches()
     prob = _block_case(dim)
     for solve in (lambda: az.az_solve(prob, seed=0),
                   lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
-        cold = "winv_block" not in vars(prob.geometry)
+        cold = ("winv_block" not in vars(prob.geometry)
+                or prob.geometry.key not in az._cache)
         first, second = solve(), solve()
         assert (first.stage_times["assembly"] > 0) is cold
         assert second.stage_times["assembly"] == 0.0
         assert np.array_equal(first.x, second.x)
         assert first.plunge_rank == second.plunge_rank > 0
+        az._cache.clear()
+        third = solve()
+        assert third.stage_times["assembly"] > 0
+        assert np.array_equal(first.x, third.x)
 
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])
@@ -659,7 +684,7 @@ def test_range_dim_stops_at_rank(r, n):
         assert d["rank"] == sol.plunge_rank > 0
         assert d["range_dim"] <= d["rank"] + BLOCK_SIZE, d
         assert sol.warning is None
-    sol = az.reduced_az_solve(prob, seed=0)
+    sol = az.reduced_az_solve(prob)
     d = sol.diagnostics
     assert d["rank"] == sol.plunge_rank > 0 and "range_dim" not in d, d
     assert d["rank"] <= d["core_shape"][1] <= prob.K.size
@@ -667,10 +692,12 @@ def test_range_dim_stops_at_rank(r, n):
     assert sol.warning is None
 
 
-# (f, mask, family, n) of the sparse scaling blocks on which reduced's step
-# 1 is checked against the dense truncated SVD
+# (f, mask, family, n) of the compressed scaling blocks on which reduced's
+# step 1 is checked against the dense truncated SVD: sparse blocks, and
+# db1's at 16^2 on r = 0.34, dense with 21 columns
 _SVD_FACTOR_CASES = {
     "disk16-cdf33": (exp2d, disk(0.5, 0.5, 0.35), "cdf33", 16),
+    "disk16-db1": (exp2d, disk(0.5, 0.5, 0.34), "db1", 16),
     "disk32-cdf33": (exp2d, disk(0.5, 0.5, 0.35), "cdf33", 32),
     "disk32-db4": (exp2d, disk(0.5, 0.5, 0.35), "db4", 32),
     "disk32-cdf51": (exp2d, disk(0.5, 0.5, 0.35), "cdf51", 32),
@@ -680,36 +707,44 @@ _SVD_FACTOR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_SVD_FACTOR_CASES))
 def test_reduced_step1_is_the_truncated_svd_of_the_block(case):
-    """On a sparse scaling block, reduced's step 1 is the block's truncated
-    SVD at max(tol s_0, NOISE_REL ||A_hat||_F), taken on the frontal
-    triangle R_B: the rank of the dense SVD oracle with the same floor, and
-    its y to round-off, ||y - y_ref|| <= 100 eps kappa ||y_ref|| for kappa
-    = s_0 / s_(r-1) the condition of the kept part.  The factor is cached:
-    a warm solve on another right-hand side returns the bits of a cold
-    solve of it, and after clear_caches the next solve is cold again."""
+    """On a scaling block that is sparse, or dense with more than
+    BLOCK_SIZE columns, reduced's step 1 is the block's truncated SVD at
+    max(tol s_0, NOISE_REL ||A_hat||_F), taken on the frontal triangle R_B
+    of the block's compression: the rank of the dense SVD oracle with the
+    same floor, and its y to round-off, ||y - y_ref|| <= 100 eps kappa
+    ||y_ref|| for kappa = s_0 / s_(r-1) the condition of the kept part; the
+    solve's x is that of y_ref to the same bound.  The factor is cached: a
+    warm solve on another right-hand side returns the bits of a cold solve
+    of it, and after clear_caches the next solve is cold again."""
     f, mask, family, n = _SVD_FACTOR_CASES[case]
     d = mask.dimension
     bank, N, q = filter_bank(family), (n,) * d, (2,) * d
     prob = az.make_problem(f, mask, bank, N, q)
     az.clear_caches()
-    block = az._scaling_block(prob)
-    assert scipy.sparse.issparse(block)
-    dense, b1 = block.toarray(), az.plunge_rhs(prob)
-    ref = truncated_svd_solve(
-        dense, b1, floor=solvers.NOISE_REL * az._reference_scale(prob))
-    cold = az.reduced_az_solve(prob, seed=0)
-    factor, reused, _ = az._step1_factor(prob, DEFAULT_TOL, svd=True)
+    block, scale = az._scaling_block(prob), az._reference_scale(prob)
+    sparse = scipy.sparse.issparse(block)
+    assert sparse is (family != "db1") and block.shape[1] > BLOCK_SIZE
+    dense, b1 = block.toarray() if sparse else block, az.plunge_rhs(prob)
+    ref = truncated_svd_solve(dense, b1, floor=solvers.NOISE_REL * scale)
+    cold = az.reduced_az_solve(prob)
+    step1 = az._cache[prob.geometry.key]
+    factor, reused = step1.reveal("svd", DEFAULT_TOL, prob)
+    assert not step1.exact
     assert reused and not cold.diagnostics["step1_reused"]
     assert cold.plunge_rank == factor.rank == ref.rank > 0
     s = np.linalg.svd(dense, compute_uv=False)
     bound = 100 * np.finfo(float).eps * s[0] / s[ref.rank - 1]
     dy = np.linalg.norm(factor.solve(b1).solution - ref.solution)
     assert dy <= bound * np.linalg.norm(ref.solution), (dy, bound)
+    x = _from_scaling_columns(prob, ref.solution)
+    x += prob.Zstar(prob.b - prob.A @ x)
+    dx = np.linalg.norm(cold.x - x)
+    assert dx <= bound * np.linalg.norm(x), (dx, bound)
 
     g = lambda p: np.cos(3 * p[:, 0]) + p[:, -1] ** 2
-    warm = az.reduced_az_solve(az.make_problem(g, mask, bank, N, q), seed=1)
+    warm = az.reduced_az_solve(az.make_problem(g, mask, bank, N, q))
     az.clear_caches()
-    fresh = az.reduced_az_solve(az.make_problem(g, mask, bank, N, q), seed=0)
+    fresh = az.reduced_az_solve(az.make_problem(g, mask, bank, N, q))
     assert warm.diagnostics["step1_reused"]
     assert not fresh.diagnostics["step1_reused"]
     assert np.array_equal(warm.x, fresh.x) and warm.residual == fresh.residual
@@ -722,13 +757,15 @@ def test_reduced_and_sparse_share_the_frontal_factor(n):
     the same disk block by the same frontal QR, to the same core and front
     width, and the front stays at most 50 columns wide from 32^2 to 128^2
     (40-45 measured), so the compression costs O(#rows w^2), linear in the
-    boundary.  Each pipeline keeps its own factor: sparse does not reuse
-    reduced's."""
+    boundary.  The compression is shared: sparse reads reduced's from the
+    cache and forms no block (assembly 0.0), then reveals its own rank on
+    it, so neither reveal is reused."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.35), filter_bank("cdf33"),
                            (n, n), (2, 2))
     az.clear_caches()
-    red = az.reduced_az_solve(prob, seed=0).diagnostics
-    sp = az.sparse_az_solve(prob).diagnostics
+    red, sp = az.reduced_az_solve(prob), az.sparse_az_solve(prob)
+    assert red.stage_times["assembly"] > 0 == sp.stage_times["assembly"]
+    red, sp = red.diagnostics, sp.diagnostics
     assert not red["step1_reused"] and not sp["step1_reused"]
     assert red["core_shape"] == sp["core_shape"], (red, sp)
     assert red["nnz"] == sp["nnz"]
@@ -777,8 +814,7 @@ def test_adaptive_short_interval():
     with pytest.raises(DomainError):
         az.make_problem(exp1d, mask, bank, az.coarsest_n(bank), 2)
     _, sol = az.adaptive_weighted_solve(exp1d, mask, bank, 4096, 2, seed=0)
-    plain = az.reduced_az_solve(az.make_problem(exp1d, mask, bank, 4096, 2),
-                                seed=0)
+    plain = az.reduced_az_solve(az.make_problem(exp1d, mask, bank, 4096, 2))
     assert sol.residual <= 10 * plain.residual + 1e-12
     assert len(sol.diagnostics["weight_history"]) == 9  # levels 32 .. 4096
     with pytest.raises(DomainError):
@@ -792,14 +828,14 @@ def test_reduced_1d_small_block_is_exact():
     randomized_lowrank_solve does past its dense shortcut."""
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
-    sol = az.reduced_az_solve(prob, seed=0)
+    sol = az.reduced_az_solve(prob)
     op = az.scaling_plunge(prob)
     assert op.shape == (prob.Mrows.size, prob.K.size)
     assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
     b1 = az.plunge_rhs(prob)
     floor = solvers.NOISE_REL * az._reference_scale(prob)
-    Q = solvers._range_basis(op.shape, lambda G: op @ G.T, DEFAULT_TOL,
-                             solvers._rng(0), floor)
+    Q = solvers._range_basis(scipy.sparse.linalg.aslinearoperator(op),
+                             DEFAULT_TOL, solvers._rng(0), floor)
     assert Q.shape[1] < min(op.shape)
     y, _ = solvers._svd_solve((op.T @ Q).T, Q.T @ b1, DEFAULT_TOL, floor)
     x = _from_scaling_columns(prob, y)
@@ -867,7 +903,7 @@ def test_scaling_block_matches_wavelet_block(dim, family, banks):
     put singular values at the cut) and a residual within 10x of the
     oracle's either way."""
     prob = _block_case(dim, banks[family])
-    sol = az.reduced_az_solve(prob, seed=0)
+    sol = az.reduced_az_solve(prob)
     ref = randomized_lowrank_solve(wavelet_block(prob),
                                    az.plunge_rhs(prob), seed=0,
                                    scale=az._reference_scale(prob))
@@ -891,7 +927,7 @@ def test_reduced_skips_wavelet_block(monkeypatch):
     az.clear_caches()
     for dim in (1, 2, 3):
         prob = _block_case(dim)
-        for sol in (az.reduced_az_solve(prob, seed=0),
+        for sol in (az.reduced_az_solve(prob),
                     az.sparse_az_solve(prob)):
             assert sol.plunge_rank > 0 and np.isfinite(sol.residual)
 
@@ -948,7 +984,7 @@ def test_explicit_pipelines_near_box_edge(r, gap, along, side):
     assert k_axis.min() == 0 and k_axis.max() == prob.grid.N[axis] - 1
     ref = pivoted_qr_solve(dense_A(prob.A), prob.b).residual
     az.clear_caches()
-    for sol in (az.reduced_az_solve(prob, seed=0), az.sparse_az_solve(prob)):
+    for sol in (az.reduced_az_solve(prob), az.sparse_az_solve(prob)):
         assert sol.residual <= 10 * ref and ref <= 10 * sol.residual, (
             centre, r, sol.residual, ref)
 
@@ -966,8 +1002,9 @@ def test_block_applies_match_columns(dim, cap, monkeypatch):
     rng = np.random.default_rng(0)
     ops = {"A": prob.A, "plunge": plunge_operator(prob),
            "smoothed": plunge_operator(_weighted(prob)),
-           "boundary": az.boundary_operator(prob)[1],
-           "weighted boundary": az.boundary_operator(_weighted(prob))[1]}
+           "boundary": az.boundary_operator(prob, az._step1(prob)[0])[1],
+           "weighted boundary": az.boundary_operator(
+               _weighted(prob), az._step1(prob)[0])[1]}
 
     def close(a, b):
         return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -1056,8 +1093,8 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
 
     az.clear_caches()
     prob = _block_case(dim)
-    for solve in (lambda: az.reduced_az_solve(prob, seed=0),
-                  lambda: az.reduced_az_solve(prob, seed=0),
+    for solve in (lambda: az.reduced_az_solve(prob),
+                  lambda: az.reduced_az_solve(prob),
                   lambda: az.sparse_az_solve(prob),
                   lambda: az.sparse_az_solve(prob)):
         calls.update(dwt=0, idwt=0)
@@ -1078,7 +1115,7 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
 _PIPELINES = {
     "az": lambda prob: az.az_solve(prob, seed=0),
     "smoothed": lambda prob: az.smoothed_az_solve(_weighted(prob), seed=0),
-    "reduced": lambda prob: az.reduced_az_solve(prob, seed=0),
+    "reduced": lambda prob: az.reduced_az_solve(prob),
     "sparse": az.sparse_az_solve,
 }
 
@@ -1149,7 +1186,7 @@ def test_weighted_explicit_pipelines_raise():
     and only the matrix-free smoothed pipeline takes it."""
     prob = _weighted(_block_case(2))
     with pytest.raises(az.AZError, match="unweighted"):
-        az.reduced_az_solve(prob, seed=0)
+        az.reduced_az_solve(prob)
     with pytest.raises(az.AZError, match="unweighted"):
         az.sparse_az_solve(prob)
     assert az.smoothed_az_solve(prob, seed=0).plunge_rank > 0
@@ -1255,8 +1292,7 @@ def _poison_outside_rows(prob):
     geometry = copy.copy(prob.geometry)
     geometry.scaling = system.ScalingMatrices(*mats)
     # what was computed from the clean matrices before the copy
-    for name in ("boundary_rows", "plunge_factors", "plunge_adjoints"):
-        geometry.__dict__.pop(name, None)
+    geometry.__dict__.pop("boundary_rows", None)
     return dataclasses.replace(prob, geometry=geometry)
 
 
@@ -1292,7 +1328,7 @@ def test_step1_reads_boundary_rows_only(dim, banks, monkeypatch):
             assert np.array_equal(dense, az._scaling_block(prob)), name
         poisoned_rhs.clear()
         with pytest.raises(StopIteration):
-            az.reduced_az_solve(prob, seed=0)
+            az.reduced_az_solve(prob)
         b1, = poisoned_rhs
         assert np.array_equal(b1, plunge_rhs(prob)), name
         if prob.Mrows.size < prob.grid.M:
@@ -1379,8 +1415,19 @@ def test_sparse_step1_key_separates_geometries():
         assert az.sparse_az_solve(prob, **kw).diagnostics["step1_reused"]
 
 
+def _held(entry):
+    """The bytes a step-1 entry holds, counted afresh: a dense block, the
+    factor once made, and each reveal's own arrays."""
+    held = entry.block.nbytes if isinstance(entry.block, np.ndarray) else 0
+    if "factor" in vars(entry):
+        f = entry.factor.nbytes
+        held += f + sum(r.nbytes - f for r in entry.reveals.values())
+    return held
+
+
 def test_sparse_step1_cache_stays_within_budget(monkeypatch):
-    """More geometries than fit evict the least recently used factors."""
+    """More geometries than fit evict the least recently used factors; each
+    entry's running count of its bytes matches a fresh count."""
     bank = filter_bank("cdf33")
     probs = [az.make_problem(exp1d, interval(0.1 + 0.01 * i, 0.7), bank,
                              512, 2) for i in range(6)]
@@ -1390,8 +1437,10 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
     budget = int(2.5 * one)   # some factors
     monkeypatch.setattr(az, "CACHE_BYTES", budget)
     for prob in probs[1:]:
+        az.reduced_az_solve(prob)
         az.sparse_az_solve(prob)
         assert sum(v.nbytes for v in az._cache.values()) <= budget
+        assert all(v.nbytes == _held(v) > 0 for v in az._cache.values())
     assert 0 < len(az._cache) < len(probs)
     assert az.sparse_az_solve(probs[-1]).diagnostics["step1_reused"]
     assert not az.sparse_az_solve(probs[0]).diagnostics["step1_reused"]
@@ -1400,7 +1449,7 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
 
 
 def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
-    """A factor larger than the whole budget is returned uncached, and the
+    """A step-1 entry larger than the whole budget is not kept, and the
     entries cached before it survive."""
     bank = filter_bank("cdf33")
     small = az.make_problem(exp1d, interval(0.1, 0.7), bank, 512, 2)
@@ -1410,8 +1459,10 @@ def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
     kept = list(az._cache.items())
     budget = sum(v.nbytes for _, v in kept)
     monkeypatch.setattr(az, "CACHE_BYTES", budget)
-    factor, reused, _ = az._step1_factor(big, 1e-10)
-    assert factor.nbytes > budget and not reused
+    entry, seconds = az._step1(big)
+    entry.reveal("qr", 1e-10, big)
+    assert entry.nbytes > budget and seconds > 0
+    az._keep(big.geometry.key, entry)
     assert list(az._cache.items()) == kept
     assert not az.sparse_az_solve(big).diagnostics["step1_reused"]
     assert list(az._cache.items()) == kept
@@ -1438,9 +1489,52 @@ def test_sparse_step1_cache_holds_no_problem():
     assert scaling() is None
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_compressed_once_per_geometry(dim, monkeypatch):
+    """Every pipeline starts step 1 from one compression per geometry:
+    across reduced, sparse, az, smoothed and adaptive on the 16^2 disk and
+    the 8^3 ball (whose ladders have that one level), ``_scaling_block``
+    and ``_frontal_qr`` each run once while the entry stays cached, only
+    the first solve reports the assembly, and each pipeline returns the x
+    of a solve from cold caches."""
+    f, mask, n = _BLOCK_CASES[dim]
+    prob = _block_case(dim)
+    solves = {
+        "reduced": lambda: az.reduced_az_solve(prob),
+        "sparse": lambda: az.sparse_az_solve(prob),
+        "az": lambda: az.az_solve(prob, seed=0),
+        "smoothed": lambda: az.smoothed_az_solve(_weighted(prob), seed=0),
+        "adaptive": lambda: az.adaptive_weighted_solve(
+            f, mask, prob.bank, n, 2, seed=0)[1]}
+    cold = {}
+    for name, solve in solves.items():
+        az.clear_caches()
+        cold[name] = solve().x
+    counts = {"_scaling_block": 0, "_frontal_qr": 0}
+
+    def counted(name):
+        fn = getattr(az, name)
+
+        def run(*args):
+            counts[name] += 1
+            return fn(*args)
+        return run
+
+    for name in counts:
+        monkeypatch.setattr(az, name, counted(name))
+    az._cache.clear()       # the geometries keep their R_L
+    for i, (name, solve) in enumerate(solves.items()):
+        sol = solve()
+        assert np.array_equal(sol.x, cold[name]), name
+        assert (sol.stage_times["assembly"] > 0) is (i == 0), name
+    assert counts == {"_scaling_block": 1, "_frontal_qr": 1}
+    entry, = az._cache.values()
+    assert entry.nbytes == _held(entry) and len(entry.reveals) == 2
+
+
 _GEOMETRY_SOLVES = {
     "reduced": lambda f, mask, bank, N: az.reduced_az_solve(
-        az.make_problem(f, mask, bank, N, 2), seed=0),
+        az.make_problem(f, mask, bank, N, 2)),
     "sparse": lambda f, mask, bank, N: az.sparse_az_solve(
         az.make_problem(f, mask, bank, N, 2)),
     "az": lambda f, mask, bank, N: az.az_solve(

@@ -16,9 +16,9 @@ def run(args, **kw):
 # records
 
 def test_record_roundtrip():
-    """Every pipeline's record, warning and diagnostics included, survives
-    JSON unchanged: tuples and numpy scalars are stored as lists and
-    Python numbers.  The randomized pipelines record the shape they
+    """Every pipeline's record, diagnostics included, survives JSON
+    unchanged: tuples and numpy scalars are stored as lists and Python
+    numbers.  A schema-3 record has no warning field.  The randomized pipelines record the shape they
     sketched or, at 1-D sizes (at most 16 rows), formed: the (Mrows, K)
     scaling block for reduced, the (Mrows, L) boundary block for az and
     adaptive."""
@@ -32,7 +32,7 @@ def test_record_roundtrip():
                   "adaptive": [problem.Mrows.size, problem.L.size]}
         assert rec.diagnostics.get("sketch_shape") == sketch.get(solver)
         assert cli.parse_record(cli.serialize_record(rec)) == rec, solver
-        assert rec.schema_version == 2 and rec.warning == sol.warning
+        assert rec.schema_version == 3 and not hasattr(rec, "warning")
         assert rec.diagnostics.keys() == sol.diagnostics.keys()
         assert rec.diagnostics["geometry_reused"] is \
             sol.diagnostics["geometry_reused"]
@@ -77,8 +77,9 @@ def test_adaptive_reuses_the_ladder_problem(monkeypatch):
 def test_record_schema_rejected():
     with pytest.raises(cli.ConfigError):
         cli.parse_record(json.dumps({"schema_version": 99}))
-    with pytest.raises(cli.ConfigError, match="version 1;"):
-        cli.parse_record(json.dumps({"schema_version": 1}))
+    for old in (1, 2):
+        with pytest.raises(cli.ConfigError, match=f"version {old};"):
+            cli.parse_record(json.dumps({"schema_version": old}))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, NOISE_REL, SolverError,
-                            pivoted_qr_solve, randomized_lowrank_solve,
-                            sparse_qr_factor, sparse_qr_solve,
-                            sparse_svd_factor)
+                            _frontal_qr, pivoted_qr_solve,
+                            randomized_lowrank_solve, sparse_qr_factor,
+                            sparse_qr_solve)
 
 from support import (check_sparse_factor, estimate_rank, sparse_qr_reference,
                      truncated_svd_solve)
@@ -232,17 +232,21 @@ def test_sparse_factor_banded_front(scale):
 
 @pytest.mark.parametrize("case", list(FACTOR_CASES) + ["banded"])
 def test_sparse_svd_factor_is_the_truncated_svd(case):
-    """sparse_svd_factor reveals the rank on the frontal triangle by its
-    SVD: the rank of the dense truncated SVD at max(tol s_0, NOISE_REL
+    """The frontal factor's ``svd`` reveals the rank on the triangle R_B by
+    its SVD: the rank of the dense truncated SVD at max(tol s_0, NOISE_REL
     scale) and its minimum-norm solution to round-off, ||x - x_ref|| <= 100
     eps kappa ||x_ref|| for kappa = s_0 / s_(r-1), on the frontal part of
-    sparse_qr_factor in every bit."""
+    sparse_qr_factor in every bit.  Both reveals of one factor share its
+    arrays."""
     if case == "banded":
         A, rank = _banded(300, 200, 6, 3), 199
     else:
         make, rank = FACTOR_CASES[case]
         A = make()
-    factor, qr = sparse_svd_factor(A, DEFAULT_TOL, 1.0), sparse_qr_factor(A)
+    factor, qr = _frontal_qr(A).svd(DEFAULT_TOL, 1.0), sparse_qr_factor(A)
+    frontal = _frontal_qr(A)
+    for reveal in (frontal.svd(DEFAULT_TOL, 1.0), frontal.qr(DEFAULT_TOL, None)):
+        assert reveal.R_B is frontal.R_B and reveal.steps is frontal.steps
     for name in ("rows", "cols"):
         assert np.array_equal(getattr(factor, name), getattr(qr, name))
     assert factor.front_width == qr.front_width
