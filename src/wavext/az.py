@@ -34,12 +34,12 @@ step-1 kernel treats what falls below a fraction of the reference scale
 ||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
 
 Everything of a problem but b depends on the geometry only: the filter bank,
-N, q and the inside mask.  ``make_problem`` keeps the ``Geometry`` (operators
-and index sets) of its last call and reuses it when the next call has the
-same geometry.  Each geometry's ``_Step1`` (it does not depend on f), with
-the reveals taken of it, is kept in one bounded least-recently-used cache,
-so a warm explicit solve only replays the reflectors on its right-hand
-side.  ``clear_caches`` drops the geometry and that cache.
+N, q and the inside mask.  A ``Geometry`` owns all of it: the operators and
+index sets and, made on first use, the rows Mrows of A_hat and Z_hat, R_L
+and the ``_Step1`` with the reveals taken of it.  ``make_problem`` keeps
+the geometries in one least-recently-used cache within CACHE_BYTES and
+reuses that of an equal geometry, so a warm explicit solve only replays
+the reflectors on its right-hand side.  ``clear_caches`` empties it.
 """
 
 import hashlib
@@ -68,13 +68,13 @@ from .system import (assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
 
 PRUNE_REL = 1e-12
-# Bytes of step-1 entries kept (``_cache``): each geometry's frontal factor
-# (block, reflectors and R_B) and the reveals taken of it.  On the disk (0.5,
-# 0.5, 0.34) the disk-2d entries take 0.20 MB at 16^2 (cdf33, with reduced's
-# SVD), 0.78 and 2.74 MB at 32^2 and 64^2 (cdf33, with sparse's QR) and 8.95
-# MB at 32^2 (db4), 12.7 MB in all.  The 16^3 ball's factor (r = 0.35, cdf33)
-# takes 30.0 MB alone (R_B 10.9, reflectors 17.1) and fits; with reduced's
-# SVD (17.5 MB) or sparse's QR (15.8 MB) it does not, and is made again.
+# Bytes of the geometries kept (``Geometry.nbytes``): A_hat, Z_hat, index
+# sets, rows Mrows, R_L and step-1 entry.  Geometry, R_L: 1-D 2^12 0.35, 0.03
+# MB, 2^18 21.6, 0.01 MB; disk (0.5, 0.5, 0.34) 16^2 0.10, 0.17 MB, 32^2 db4
+# 3.1, 4.3 MB, 64^2 1.0, 7.9 MB, 128^2 3.7, 44.5 MB.  disk-2d's step-1
+# entries add 0.20 (16^2), 0.78 and 2.74 (32^2, 64^2) and 8.95 MB (32^2 db4),
+# so its four geometries fit together.  The newest is kept also when larger
+# alone, as the 16^3 ball's is with a reveal (its factor takes 30.0 MB).
 CACHE_BYTES = 2**25
 # The scaling block is formed dense when each of its two products takes at
 # most this many terms (rows x shared columns x |K|), else sparse: the cost
@@ -94,10 +94,10 @@ class AZError(ValueError):
 
 
 class Geometry:
-    """The operators and index sets of one geometry (filter bank, N, q and
-    inside mask), shared by every problem on it, and its ``key``
-    (``_geometry_key``).  The index arrays are read-only.  ``L`` is
-    computed on first read; nothing here holds the grid or its mask."""
+    """What every problem on one geometry (filter bank, N, q and inside mask)
+    shares, and its ``key``: operators, index sets and, made on first use,
+    ``L``, ``boundary_rows``, ``winv_block`` and ``step1`` (``_step1``).
+    The index arrays are read-only; nothing here holds the grid or mask."""
 
     def __init__(self, bank: FilterBank, grid: MaskedGrid, key):
         self.bank, self.N, self.key = bank, grid.N, key
@@ -108,6 +108,19 @@ class Geometry:
         self.Mrows = plunge_row_set(self.kflags, bank, grid)
         for a in (self.K, self.kflags, self.Mrows):
             a.flags.writeable = False
+        self.step1 = None
+
+    @property
+    def nbytes(self):
+        """Bytes of the arrays held, the step-1 entry's included."""
+        made = vars(self)
+        mats = (self.scaling.A_hat, self.scaling.Z_hat,
+                *made.get("boundary_rows", ()))
+        arrays = [a for m in mats for a in (m.data, m.indices, m.indptr)]
+        arrays += [self.K, self.kflags, self.Mrows, made.get("L", self.K[:0]),
+                   *made.get("winv_block", ())]
+        step1 = self.step1.nbytes if self.step1 else 0
+        return step1 + sum(a.nbytes for a in arrays)
 
     @cached_property
     def L(self):
@@ -331,35 +344,46 @@ def _geometry_key(bank: FilterBank, grid: MaskedGrid):
     return (bank.family, bank.masks_key, grid.N, grid.q, inside.digest())
 
 
-# The Geometry of the last make_problem call, by _geometry_key: at most one
-# entry, so a miss frees the previous assembly before it builds the next.
-_geometry = {}
-_geometry_lock = threading.Lock()
+# (geometry, its nbytes when last kept) by _geometry_key, oldest use first.
+_cache = OrderedDict()
+_cache_lock = threading.Lock()
+
+
+def _fit(room, keep):
+    """Evict the least recently used geometries, never the ``keep`` newest,
+    until those left and ``room`` fit CACHE_BYTES (``_cache_lock`` held)."""
+    while len(_cache) > keep and room + sum(
+            size for _, size in _cache.values()) > CACHE_BYTES:
+        _cache.popitem(last=False)
+
+
+def _keep(geometry):
+    """Keep geometry as the newest, then ``_fit`` the others to the budget."""
+    with _cache_lock:
+        _cache.pop(geometry.key, None)
+        _cache[geometry.key] = geometry, geometry.nbytes
+        _fit(0, 1)
 
 
 def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
     """Assemble grid, operators, right-hand side and index sets for f on mask.
 
-    The grid is sampled and b = f(grid) evaluated on every call.  The
-    geometry (operators and index sets) of the previous call is reused when
-    its bank, N, q and inside mask are the same; ``geometry_reused`` and
-    ``geometry_s`` on the problem say which happened.  The problem is
-    unweighted; ``dataclasses.replace(problem, weights=w)`` gives the
-    weighted one."""
+    The grid is sampled and b = f(grid) evaluated on every call; the cached
+    geometry of an equal bank, N, q and inside mask is reused with all it
+    has made (``geometry_reused``, ``geometry_s``).  A miss first evicts
+    until a geometry as large as the largest held fits, so that no assembly
+    is built beside one it could replace.  The problem is unweighted:
+    ``dataclasses.replace(problem, weights=w)`` weights it."""
     grid = masked_grid(mask, N, q)
     key = _geometry_key(bank, grid)
-    with _geometry_lock:
-        geometry = _geometry.get(key)
+    with _cache_lock:
+        geometry, _ = _cache.get(key, (None, 0))
         if geometry is None:
-            _geometry.clear()
+            _fit(max((size for _, size in _cache.values()), default=0), 0)
     reused, seconds = geometry is not None, 0.0
     if not reused:
-        t0 = time.perf_counter()
-        geometry = Geometry(bank, grid, key)
-        seconds = time.perf_counter() - t0
-        with _geometry_lock:
-            _geometry.clear()
-            _geometry[key] = geometry
+        geometry, seconds = _timed(Geometry, bank, grid, key)
+    _keep(geometry)
     b = rhs(f, grid) if callable(f) else np.asarray(f, dtype=float)
     return AZProblem(bank=bank, grid=grid, geometry=geometry, b=b,
                      geometry_s=seconds, geometry_reused=reused)
@@ -476,12 +500,18 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
-def _columns(S, cols):
+def _columns(S, cols, dense=False):
     """The CSR S[:, cols] for sorted unique cols, entries in the order of S,
     without the map over every column that scipy's indexing builds; it
-    shares S's data and row pointers when cols hold every column of S."""
+    shares S's data and row pointers when cols hold every column of S.
+    ``dense`` gives it as an array, without forming the CSR."""
     pos = np.searchsorted(cols, S.indices)
     keep = np.append(cols, -1)[pos] == S.indices
+    if dense:
+        out = np.zeros((S.shape[0], cols.size))
+        out[np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))[keep],
+            pos[keep]] = S.data[keep]
+        return out
     if keep.all():
         return scipy.sparse.csr_matrix((S.data, pos, S.indptr),
                                        shape=(S.shape[0], cols.size))
@@ -490,21 +520,12 @@ def _columns(S, cols):
                                    shape=(S.shape[0], cols.size))
 
 
-# Step-1 entries (``_Step1``) by geometry key, as the geometry fixes the
-# scaling block and the reference scale, least recently used first, within
-# CACHE_BYTES.  An entry holds boundary-sized arrays, never a problem.
-_cache = OrderedDict()
-_cache_lock = threading.Lock()
-
-
 def clear_caches():
-    """Forget the cached geometry and every cached step-1 entry, so the
-    next make_problem assembles and the next solve of each geometry forms
-    and compresses its scaling block from scratch.  What depends on the
-    filter bank and sizes alone stays warm: the transform matrices, the tap
-    tables, the window taps of ``_winv_rows`` and the dual pairs."""
-    with _geometry_lock:
-        _geometry.clear()
+    """Forget every cached geometry: the next make_problem of each assembles
+    it, and its solves build R_L and the step-1 entry, afresh (a problem
+    made before keeps its geometry).  What depends on the filter bank and
+    sizes alone stays warm: the transform matrices, the tap tables, the
+    window taps of ``_winv_rows`` and the dual pairs."""
     with _cache_lock:
         _cache.clear()
 
@@ -554,34 +575,23 @@ class _Step1:
 
 
 def _step1(problem: AZProblem):
-    """(entry, seconds): the geometry's ``_Step1`` from the cache, 0.0
-    seconds, or made now, with the seconds that forming and compressing
-    its block took."""
-    with _cache_lock:
-        entry = _cache.get(problem.geometry.key)
-    return (entry, 0.0) if entry is not None else _timed(_Step1, problem)
-
-
-def _keep(key, entry):
-    """Keep entry as the most recently used, then evict the least recently
-    used until the cache fits CACHE_BYTES.  An entry larger than the budget
-    alone is not kept: it would evict every other, then itself."""
-    with _cache_lock:
-        _cache.pop(key, None)
-        if entry.nbytes > CACHE_BYTES:
-            return
-        _cache[key] = entry
-        while sum(v.nbytes for v in _cache.values()) > CACHE_BYTES:
-            _cache.popitem(last=False)
+    """(entry, seconds): the geometry's ``_Step1`` and 0.0 seconds, or made
+    now and kept on the geometry, with the seconds that forming and
+    compressing its block took."""
+    g, seconds = problem.geometry, 0.0
+    if g.step1 is None:
+        g.step1, seconds = _timed(_Step1, problem)
+    return g.step1, seconds
 
 
 def _solve(problem: AZProblem, reveal, tol, seed=None):
     """Steps 1-3 from c = Z_hat* b.
 
     Step 1 solves the plunge system for y on its rows Mrows, with the rows
-    Mrows of b1 = b - A_hat c, from the geometry's ``_Step1``, cached:
+    Mrows of b1 = b - A_hat c, from the geometry's ``_Step1``:
     ``stage_times["assembly"]`` is the seconds of making it and, for az and
-    smoothed, of building the geometry's R_L, each 0.0 when cached.
+    smoothed, of building the geometry's R_L, each 0.0 when the geometry
+    holds it.  The geometry is then kept as the most recently used.
     ``reveal`` names what the pipeline takes of it:
 
     * "qr" (sparse) or "svd" (reduced): that reveal of R_B, cached too
@@ -622,7 +632,7 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     else:
         factor, diag["step1_reused"] = step1.reveal(reveal, tol, problem)
         rep = factor.solve(b1)
-    _keep(g.key, step1)
+    _keep(g)
     t1 = time.perf_counter()
     if reveal:
         y = np.zeros(problem.grid.n_basis)
@@ -703,16 +713,6 @@ def scaling_plunge(problem: AZProblem):
     return _prune(AK - Ac @ (Zc.T @ AK), np.abs(AK.data).max(initial=0))
 
 
-def _dense_columns(S, cols):
-    """S[:, cols] as a dense array, for sorted unique cols."""
-    pos = np.searchsorted(cols, S.indices)
-    keep = np.append(cols, -1)[pos] == S.indices
-    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-    out = np.zeros((S.shape[0], cols.size))
-    out[rows[keep], pos[keep]] = S.data[keep]
-    return out
-
-
 def _scaling_block(problem: AZProblem):
     """The scaling plunge block of step 1, ``scaling_plunge(problem)`` in
     the same bits: as a dense array when each of its products takes at most
@@ -729,8 +729,8 @@ def _scaling_block(problem: AZProblem):
     m, c, k = Ar.shape[0], cols.size, K.size
     if not 0 < m * c * k <= DENSE_BLOCK_ENTRIES:
         return scaling_plunge(problem)
-    Ac, Zc, AK = (_dense_columns(Ar, cols), _dense_columns(Zr, cols),
-                  _dense_columns(Ar, K))
+    Ac, Zc, AK = (_columns(Ar, cols, True), _columns(Zr, cols, True),
+                  _columns(Ar, K, True))
     terms = np.zeros((m + 1, c, k))
     np.multiply(Zc[:, :, None], AK[:, None, :], out=terms[1:])
     X = np.add.accumulate(terms, axis=0)[-1]            # Z_c* A_K

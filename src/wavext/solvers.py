@@ -289,7 +289,7 @@ class FrontalFactor:
                                Vt=Vt.copy())
 
     def solve(self, b):
-        """Min ||A x - b|` on the numerically significant part of A."""
+        """Min ||A x - b|| on the numerically significant part of A."""
         t0 = time.perf_counter()
         b = np.asarray(b, dtype=float)
         x = np.zeros(self.A.shape[1])

@@ -492,7 +492,7 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
     for problem in (prob, _weighted(prob)):
         # once untraced, so that no first-call set-up counts as a sample's
         az.smoothed_az_solve(problem, seed=0)
-        step1 = az._cache[prob.geometry.key]
+        step1 = prob.geometry.step1
         rows = m if step1.exact else step1.factor.cols.size
         assert step1.exact is (prob.grid.dimension == 1)
         shapes.clear(), blocks.clear(), peaks.clear()
@@ -650,21 +650,23 @@ def test_winv_block_built_once_per_geometry(dim):
     """az and smoothed report the cold build of R_L and the forming and
     compression of the scaling block as ``stage_times["assembly"]``, above
     0 when either is cold; a second solve on the same geometry reads 0.0
-    there and returns the same x, weighted or not.  With the step-1 cache
-    cleared alone, the block's compression reads above 0 again and gives
-    the same x."""
+    there and returns the same x, weighted or not.  On a geometry made
+    after clear_caches, with its R_L built beforehand, the block's
+    compression alone reads above 0 again and gives the same x."""
     az.clear_caches()
     prob = _block_case(dim)
     for solve in (lambda: az.az_solve(prob, seed=0),
                   lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
         cold = ("winv_block" not in vars(prob.geometry)
-                or prob.geometry.key not in az._cache)
+                or prob.geometry.step1 is None)
         first, second = solve(), solve()
         assert (first.stage_times["assembly"] > 0) is cold
         assert second.stage_times["assembly"] == 0.0
         assert np.array_equal(first.x, second.x)
         assert first.plunge_rank == second.plunge_rank > 0
-        az._cache.clear()
+        az.clear_caches()
+        prob = _block_case(dim)
+        prob.geometry.winv_block
         third = solve()
         assert third.stage_times["assembly"] > 0
         assert np.array_equal(first.x, third.x)
@@ -719,15 +721,15 @@ def test_reduced_step1_is_the_truncated_svd_of_the_block(case):
     f, mask, family, n = _SVD_FACTOR_CASES[case]
     d = mask.dimension
     bank, N, q = filter_bank(family), (n,) * d, (2,) * d
-    prob = az.make_problem(f, mask, bank, N, q)
     az.clear_caches()
+    prob = az.make_problem(f, mask, bank, N, q)
     block, scale = az._scaling_block(prob), az._reference_scale(prob)
     sparse = scipy.sparse.issparse(block)
     assert sparse is (family != "db1") and block.shape[1] > BLOCK_SIZE
     dense, b1 = block.toarray() if sparse else block, az.plunge_rhs(prob)
     ref = truncated_svd_solve(dense, b1, floor=solvers.NOISE_REL * scale)
     cold = az.reduced_az_solve(prob)
-    step1 = az._cache[prob.geometry.key]
+    step1 = prob.geometry.step1
     factor, reused = step1.reveal("svd", DEFAULT_TOL, prob)
     assert not step1.exact
     assert reused and not cold.diagnostics["step1_reused"]
@@ -1426,47 +1428,58 @@ def _held(entry):
 
 
 def test_sparse_step1_cache_stays_within_budget(monkeypatch):
-    """More geometries than fit evict the least recently used factors; each
-    entry's running count of its bytes matches a fresh count."""
+    """More geometries than fit evict the least recently used, with their
+    factors; each step-1 entry's running count of its bytes matches a fresh
+    count.  The problems are made after the clear and dropped after their
+    solves, as a live problem keeps its geometry's factor."""
     bank = filter_bank("cdf33")
-    probs = [az.make_problem(exp1d, interval(0.1 + 0.01 * i, 0.7), bank,
-                             512, 2) for i in range(6)]
+    make = lambda i: az.make_problem(exp1d, interval(0.1 + 0.01 * i, 0.7),
+                                     bank, 512, 2)
     az.clear_caches()
-    az.sparse_az_solve(probs[0])
-    one = max(v.nbytes for v in az._cache.values())
-    budget = int(2.5 * one)   # some factors
+    az.sparse_az_solve(make(0))
+    one = max(size for _, size in az._cache.values())
+    budget = int(2.5 * one)   # some geometries
     monkeypatch.setattr(az, "CACHE_BYTES", budget)
-    for prob in probs[1:]:
+    for i in range(1, 6):
+        prob = make(i)
         az.reduced_az_solve(prob)
         az.sparse_az_solve(prob)
-        assert sum(v.nbytes for v in az._cache.values()) <= budget
-        assert all(v.nbytes == _held(v) > 0 for v in az._cache.values())
-    assert 0 < len(az._cache) < len(probs)
-    assert az.sparse_az_solve(probs[-1]).diagnostics["step1_reused"]
-    assert not az.sparse_az_solve(probs[0]).diagnostics["step1_reused"]
+        del prob
+        assert sum(size for _, size in az._cache.values()) <= budget
+        assert all(g.step1.nbytes == _held(g.step1) > 0
+                   for g, _ in az._cache.values())
+    assert 0 < len(az._cache) < 6
+    assert az.sparse_az_solve(make(5)).diagnostics["step1_reused"]
+    assert not az.sparse_az_solve(make(0)).diagnostics["step1_reused"]
     az.clear_caches()
     assert not az._cache
 
 
 def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
-    """A step-1 entry larger than the whole budget is not kept, and the
-    entries cached before it survive."""
+    """A geometry larger than the whole budget, with its step-1 entry, is
+    kept as the newest, alone: its miss evicts the geometries cached
+    before it, and it leaves the cache at the next miss."""
     bank = filter_bank("cdf33")
-    small = az.make_problem(exp1d, interval(0.1, 0.7), bank, 512, 2)
-    big = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), bank, (32, 32), (2, 2))
+    disk32 = (exp2d, disk(0.5, 0.5, 0.34), bank, (32, 32), (2, 2))
     az.clear_caches()
+    small = az.make_problem(exp1d, interval(0.1, 0.7), bank, 512, 2)
     az.sparse_az_solve(small)
-    kept = list(az._cache.items())
-    budget = sum(v.nbytes for _, v in kept)
+    budget = sum(size for _, size in az._cache.values())
     monkeypatch.setattr(az, "CACHE_BYTES", budget)
+    big = az.make_problem(*disk32)
+    assert [g for g, _ in az._cache.values()] == [big.geometry]
     entry, seconds = az._step1(big)
-    entry.reveal("qr", 1e-10, big)
-    assert entry.nbytes > budget and seconds > 0
-    az._keep(big.geometry.key, entry)
-    assert list(az._cache.items()) == kept
-    assert not az.sparse_az_solve(big).diagnostics["step1_reused"]
-    assert list(az._cache.items()) == kept
-    assert az.sparse_az_solve(small).diagnostics["step1_reused"]
+    entry.reveal("qr", DEFAULT_TOL, big)
+    assert big.geometry.nbytes > entry.nbytes > budget and seconds > 0
+    az._keep(big.geometry)
+    assert [g for g, _ in az._cache.values()] == [big.geometry]
+    assert az.sparse_az_solve(big).diagnostics["step1_reused"]
+    assert [g for g, _ in az._cache.values()] == [big.geometry]
+    assert az.sparse_az_solve(
+        az.make_problem(*disk32)).diagnostics["step1_reused"]
+    small = az.make_problem(exp1d, interval(0.1, 0.7), bank, 512, 2)
+    assert [g for g, _ in az._cache.values()] == [small.geometry]
+    assert not az.sparse_az_solve(small).diagnostics["step1_reused"]
     az.clear_caches()
 
 
@@ -1496,7 +1509,10 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
     the 8^3 ball (whose ladders have that one level), ``_scaling_block``
     and ``_frontal_qr`` each run once while the entry stays cached, only
     the first solve reports the assembly, and each pipeline returns the x
-    of a solve from cold caches."""
+    of a solve from cold caches.  Each cold solve and the counted round run
+    on a problem made after clear_caches, as a live problem keeps its
+    geometry's entry; R_L is built before the round, so that the assembly
+    there is the compression's alone."""
     f, mask, n = _BLOCK_CASES[dim]
     prob = _block_case(dim)
     solves = {
@@ -1509,6 +1525,7 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
     cold = {}
     for name, solve in solves.items():
         az.clear_caches()
+        prob = _block_case(dim)
         cold[name] = solve().x
     counts = {"_scaling_block": 0, "_frontal_qr": 0}
 
@@ -1522,13 +1539,17 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(az, name, counted(name))
-    az._cache.clear()       # the geometries keep their R_L
+    az.clear_caches()
+    prob = _block_case(dim)
+    prob.geometry.winv_block
     for i, (name, solve) in enumerate(solves.items()):
         sol = solve()
         assert np.array_equal(sol.x, cold[name]), name
         assert (sol.stage_times["assembly"] > 0) is (i == 0), name
     assert counts == {"_scaling_block": 1, "_frontal_qr": 1}
-    entry, = az._cache.values()
+    (geometry, size), = az._cache.values()
+    entry = geometry.step1
+    assert geometry is prob.geometry and size == geometry.nbytes
     assert entry.nbytes == _held(entry) and len(entry.reveals) == 2
 
 
@@ -1587,35 +1608,45 @@ def test_geometry_reuse_is_bit_identical(dim, pipeline, monkeypatch):
 
 def test_geometry_key_separates_geometries():
     """Problems that differ in the mask, q, the family or N never share an
-    assembly, also when their masks carry the same description; an equal
-    geometry does."""
+    assembly, also when their masks carry the same description and the
+    others are cached; an equal geometry does, and ``base`` stays warm
+    after each other geometry."""
     bank = filter_bank("cdf33")
     f = lambda p: np.exp(p[:, 0])
     left = DomainMask(1, lambda p: (p[:, 0] >= 0.15) & (p[:, 0] <= 0.75))
     right = DomainMask(1, lambda p: (p[:, 0] >= 0.2) & (p[:, 0] <= 0.8))
     assert left.description == right.description == "predicate"
     base = (f, left, bank, 256, 2)
+    az.clear_caches()
+    assert not az.make_problem(*base).geometry_reused
     for args in [(f, right, bank, 256, 2), (f, left, bank, 256, 4),
                  (f, left, filter_bank("cdf35"), 256, 2),
                  (f, left, bank, 128, 2)]:
-        az.clear_caches()
-        assert not az.make_problem(*base).geometry_reused
-        assert not az.make_problem(*args).geometry_reused
-        assert az.make_problem(*args).geometry_reused
-        assert not az.make_problem(*base).geometry_reused
+        other = az.make_problem(*args)
+        assert not other.geometry_reused
+        again = az.make_problem(*args)
+        assert again.geometry_reused and again.geometry is other.geometry
+        warm = az.make_problem(*base)
+        assert warm.geometry_reused and warm.geometry is not other.geometry
+    assert len(az._cache) == 5
 
 
-def test_geometry_cache_keeps_one_assembly():
-    """The cache keeps the last geometry's operators only, never its mask:
-    a new geometry or a clear frees the old scaling matrices."""
+def test_geometry_cache_keeps_one_assembly(monkeypatch):
+    """The cache keeps one assembly per geometry and never its mask: an
+    equal geometry reuses it, and an eviction or a clear frees the scaling
+    matrices."""
     bank = filter_bank("cdf33")
     mask = interval(0.2, 0.8)
     az.clear_caches()
     prob = az.make_problem(exp1d, mask, bank, 64, 2)
     first, held = weakref.ref(prob.scaling), weakref.ref(mask)
+    monkeypatch.setattr(az, "CACHE_BYTES", prob.geometry.nbytes)
     del prob, mask
     gc.collect()
     assert first() is not None and held() is None
+    again = az.make_problem(exp1d, interval(0.2, 0.8), bank, 64, 2)
+    assert again.scaling is first()
+    del again
     second = weakref.ref(
         az.make_problem(exp1d, interval(0.1, 0.8), bank, 64, 2).scaling)
     gc.collect()
@@ -1623,6 +1654,71 @@ def test_geometry_cache_keeps_one_assembly():
     az.clear_caches()
     gc.collect()
     assert second() is None
+
+
+def test_miss_frees_room_before_it_assembles(monkeypatch):
+    """On a miss, make_problem evicts until a geometry as large as the
+    largest held fits, before it assembles: with room for two geometries
+    of one size, the least recently used of two (the one made last, as
+    the other was made again since) is freed by the time
+    ``assemble_scaling`` runs for a third, and the other stays."""
+    bank = filter_bank("cdf33")
+    masks = [interval(0.2, 0.8), interval(0.1, 0.7), interval(0.15, 0.75)]
+    az.clear_caches()
+    probs = [az.make_problem(exp1d, m, bank, 256, 2) for m in masks[:2]]
+    size = max(p.geometry.nbytes for p in probs)
+    monkeypatch.setattr(az, "CACHE_BYTES", int(2.5 * size))
+    assert az.make_problem(exp1d, masks[0], bank, 256, 2).geometry_reused
+    other, oldest = (weakref.ref(p.scaling) for p in probs)
+    del probs
+    seen, assemble = [], az.assemble_scaling
+
+    def recorded(*args):
+        seen.append((oldest(), other()))
+        return assemble(*args)
+
+    monkeypatch.setattr(az, "assemble_scaling", recorded)
+    third = az.make_problem(exp1d, masks[2], bank, 256, 2)
+    assert len(seen) == 1
+    assert seen[0][0] is None and seen[0][1] is not None
+    assert not third.geometry_reused and len(az._cache) == 2
+    az.clear_caches()
+
+
+_FIT_GEOMETRIES = [(interval(0.2, 0.8), 256), (interval(0.1, 0.7), 512),
+                   (interval(0.15, 0.75), 1024), (disk(0.5, 0.5, 0.35), 16)]
+
+
+@given(calls=st.lists(st.tuples(
+           st.integers(0, len(_FIT_GEOMETRIES) - 1),
+           st.sampled_from(["make", "reduced", "sparse", "az"])),
+           min_size=1, max_size=10),
+       budget=st.integers(0, 2**18))
+@settings(max_examples=25, deadline=None)
+def test_cache_fits_budget_unless_it_holds_one(calls, budget):
+    """After any sequence of makes and solves, the geometries held take at
+    most CACHE_BYTES unless there is one, the last one used is the newest,
+    each is held with its current bytes, and each step-1 entry counts its
+    own."""
+    bank, saved = filter_bank("cdf33"), az.CACHE_BYTES
+    az.CACHE_BYTES = budget
+    try:
+        az.clear_caches()
+        for i, call in calls:
+            mask, n = _FIT_GEOMETRIES[i]
+            f = exp1d if mask.dimension == 1 else exp2d
+            prob = az.make_problem(f, mask, bank, (n,) * mask.dimension, 2)
+            if call != "make":
+                _PIPELINES[call](prob)
+            held = list(az._cache.values())
+            assert sum(size for _, size in held) <= budget or len(held) == 1
+            assert held[-1][0] is prob.geometry
+            for g, size in held:
+                assert size == g.nbytes
+                assert g.step1 is None or g.step1.nbytes == _held(g.step1)
+    finally:
+        az.CACHE_BYTES = saved
+        az.clear_caches()
 
 
 def test_geometry_cache_is_thread_safe():

@@ -168,6 +168,38 @@ def test_record_times_the_geometry(solver, tmp_path):
     assert times[0] > 0 == times[1]
 
 
+# (solver, family, n) of the requests of one pass of the disk-2d benchmark,
+# all on one disk
+DISK_PASS = [("sparse", "cdf33", 32), ("sparse", "cdf33", 64),
+             ("az", "cdf33", 16), ("reduced", "cdf33", 16),
+             ("adaptive", "cdf33", 16), ("sparse", "db4", 32)]
+
+
+def test_disk_pass_keeps_every_geometry():
+    """The geometries of a disk-2d pass fit the cache together: run twice
+    through run_one, every request of the second round reuses its
+    geometry, reduced and sparse their step-1 reveal, az and adaptive
+    their R_L and compression (no assembly time), and every x keeps its
+    bits."""
+    from wavext import az
+
+    az.clear_caches()
+    rounds = []
+    for _ in range(2):
+        rounds.append([cli.run_one(cli.RunConfig(
+            command="approximate", family=family, N=(n,), q=(2,),
+            domain="disk:0.5000,0.5000,0.3400", solver=solver, seed=7,
+            function="exp(1.1*x*y)*cos(2.1*x+1.3*y+0.4)").validate())[1]
+            for solver, family, n in DISK_PASS])
+    for (solver, _, _), first, sol in zip(DISK_PASS, *rounds):
+        assert sol.diagnostics["geometry_reused"], solver
+        if solver in ("reduced", "sparse"):
+            assert sol.diagnostics["step1_reused"], solver
+        else:
+            assert sol.stage_times["assembly"] == 0, solver
+        assert np.array_equal(sol.x, first.x), solver
+
+
 def test_smoothed_solver_is_gone(capsys):
     """The unweighted smoothed solve gave the bits of az; the CLI no longer
     offers it."""
