@@ -8,10 +8,10 @@ coefficients in the extension region (smoothed / adaptive).  W is the
 wavelet analysis, so A = A_hat W^-1.
 
 Step 1 compresses once and reveals per pipeline.  The plunge is the
-(Mrows, K) scaling plunge block B (``_scaling_block``) times W^-1, so
+(Mrows, K) scaling plunge block B (``Geometry.block``) times W^-1, so
 every pipeline starts from B compressed by one frontal QR to its triangle
-R_B = Q_B^T B (``_Step1``, by ``solvers._frontal_qr``), made once per
-geometry and cached.  Each pipeline then takes its own reveal of it:
+R_B = Q_B^T B (``Geometry.factor``, by ``solvers._frontal_qr``), made once
+per geometry.  Each pipeline then takes its own reveal (``Geometry.reveal``):
 
 * ``sparse_az_solve``: the column-pivoted QR of R_B, and x1 = W y;
 * ``reduced_az_solve``: the truncated SVD of R_B, which is B's, and
@@ -35,11 +35,12 @@ step-1 kernel treats what falls below a fraction of the reference scale
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  A ``Geometry`` owns all of it: the operators and
-index sets and, made on first use, the rows Mrows of A_hat and Z_hat, R_L
-and the ``_Step1`` with the reveals taken of it.  ``make_problem`` keeps
-the geometries in one least-recently-used cache within CACHE_BYTES and
-reuses that of an equal geometry, so a warm explicit solve only replays
-the reflectors on its right-hand side.  ``clear_caches`` empties it.
+index sets and, made on first use, the rows Mrows of A_hat and Z_hat, R_L,
+the scaling block, its factor and the reveals of it.  ``make_problem``
+keeps the geometries in one least-recently-used cache within CACHE_BYTES
+and reuses that of an equal geometry, so a warm explicit solve only
+replays the reflectors on its right-hand side.  ``clear_caches`` empties
+it.
 """
 
 import hashlib
@@ -69,12 +70,13 @@ from .system import (assemble_scaling, csr_rows,
 
 PRUNE_REL = 1e-12
 # Bytes of the geometries kept (``Geometry.nbytes``): A_hat, Z_hat, index
-# sets, rows Mrows, R_L and step-1 entry.  Geometry, R_L: 1-D 2^12 0.35, 0.03
-# MB, 2^18 21.6, 0.01 MB; disk (0.5, 0.5, 0.34) 16^2 0.10, 0.17 MB, 32^2 db4
-# 3.1, 4.3 MB, 64^2 1.0, 7.9 MB, 128^2 3.7, 44.5 MB.  disk-2d's step-1
-# entries add 0.20 (16^2), 0.78 and 2.74 (32^2, 64^2) and 8.95 MB (32^2 db4),
-# so its four geometries fit together.  The newest is kept also when larger
-# alone, as the 16^3 ball's is with a reveal (its factor takes 30.0 MB).
+# sets, rows Mrows, R_L, scaling block, factor and reveals.  Geometry, R_L:
+# 1-D 2^12 0.35, 0.03 MB, 2^18 21.6, 0.01 MB; disk (0.5, 0.5, 0.34) 16^2
+# 0.10, 0.17 MB, 32^2 db4 3.1, 4.3 MB, 64^2 1.0, 7.9 MB, 128^2 3.7, 44.5 MB.
+# disk-2d's blocks with factor and reveals add 0.20 (16^2), 0.78 and 2.74
+# (32^2, 64^2) and 8.95 MB (32^2 db4), so its four geometries fit together.
+# The newest is kept also when larger alone, as the 16^3 ball's is with a
+# reveal (its factor takes 30.0 MB).
 CACHE_BYTES = 2**25
 # The scaling block is formed dense when each of its two products takes at
 # most this many terms (rows x shared columns x |K|), else sparse: the cost
@@ -95,8 +97,9 @@ class AZError(ValueError):
 
 class Geometry:
     """What every problem on one geometry (filter bank, N, q and inside mask)
-    shares, and its ``key``: operators, index sets and, made on first use,
-    ``L``, ``boundary_rows``, ``winv_block`` and ``step1`` (``_step1``).
+    shares, and its ``key``: operators, index sets, ``scale`` = ||A_hat||_F
+    and, made on first use, ``L``, ``boundary_rows``, ``winv_block`` and
+    step 1's ``block``, its ``factor`` and the ``reveals`` of that factor.
     The index arrays are read-only; nothing here holds the grid or mask."""
 
     def __init__(self, bank: FilterBank, grid: MaskedGrid, key):
@@ -108,19 +111,57 @@ class Geometry:
         self.Mrows = plunge_row_set(self.kflags, bank, grid)
         for a in (self.K, self.kflags, self.Mrows):
             a.flags.writeable = False
-        self.step1 = None
+        self.scale = float(np.linalg.norm(self.scaling.A_hat.data))
+        self.reveals = {}
 
     @property
     def nbytes(self):
-        """Bytes of the arrays held, the step-1 entry's included."""
+        """Bytes of the distinct arrays held, each counted once: a reveal
+        shares the factor's arrays, and the factor a sparse block's."""
         made = vars(self)
-        mats = (self.scaling.A_hat, self.scaling.Z_hat,
-                *made.get("boundary_rows", ()))
-        arrays = [a for m in mats for a in (m.data, m.indices, m.indptr)]
-        arrays += [self.K, self.kflags, self.Mrows, made.get("L", self.K[:0]),
-                   *made.get("winv_block", ())]
-        step1 = self.step1.nbytes if self.step1 else 0
-        return step1 + sum(a.nbytes for a in arrays)
+        mats = [self.scaling.A_hat, self.scaling.Z_hat,
+                *made.get("boundary_rows", ())]
+        arrays = [self.K, self.kflags, self.Mrows, made.get("L", self.K[:0]),
+                  *made.get("winv_block", ())]
+        if "block" in made:
+            block = made["block"]
+            (mats if scipy.sparse.issparse(block) else arrays).append(block)
+        arrays += [a for m in mats for a in (m.data, m.indices, m.indptr)]
+        for factor in (made.get("factor"), *self.reveals.values()):
+            arrays += factor.arrays if factor else []
+        return sum({id(a): a.nbytes for a in arrays}.values())
+
+    @cached_property
+    def block(self):
+        """Step 1's scaling plunge block (``_scaling_block``), which
+        ``_solve`` compresses to ``factor`` at once unless it is ``exact``."""
+        return _scaling_block(self)
+
+    @property
+    def exact(self):
+        """Whether ``block`` is dense with at most BLOCK_SIZE columns (every
+        1-D block): reduced and az then solve on the block itself, and its
+        ``factor`` is made when sparse first asks."""
+        return (isinstance(self.block, np.ndarray)
+                and self.block.shape[1] <= BLOCK_SIZE)
+
+    @cached_property
+    def factor(self):
+        """``block`` compressed by the frontal QR (``_frontal_qr``); a
+        sparse block is its A, so that they share their arrays."""
+        B = self.block
+        return _frontal_qr(B if scipy.sparse.issparse(B)
+                           else scipy.sparse.csr_matrix(B))
+
+    def reveal(self, kind, tol):
+        """(factor, reused): ``factor.qr`` (sparse) or ``factor.svd``
+        (reduced) at tol cut against ``scale``, kept by (kind, tol)."""
+        key = (kind, float(tol))
+        found = self.reveals.get(key)
+        if found is not None:
+            return found, True
+        made = getattr(self.factor, kind)(tol, self.scale)
+        return self.reveals.setdefault(key, made), False
 
     @cached_property
     def L(self):
@@ -389,24 +430,26 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
                      geometry_s=seconds, geometry_reused=reused)
 
 
-def boundary_operator(problem: AZProblem, step1):
+def boundary_operator(problem: AZProblem):
     """(L, C, qtb): step 1's operator of az and smoothed and the map of its
     right-hand side.  The plunge (I - A Z*) A D vanishes outside its rows
     Mrows and columns L, where it is B R_L D_L: B the scaling plunge block,
     R_L = W^-1[K, L] (``Geometry.winv_block``) and D_L the weights on L.
-    With B = Q_B R_B on its core (``step1.factor``), C = R_B R_L[cols] D_L
-    is (|cols|, |L|) and qtb(b1) = Q_B^T b1.  Q_B has orthonormal columns
-    spanning B's range, so C has the singular values of B R_L D_L, its
-    samples the same norms, and min ||C y - qtb(b1)|| the same minimizers.
-    For an ``exact`` step1, C = B R_L D_L and qtb is the identity.  No
-    apply reads all M rows or all N columns, or takes a wavelet transform."""
-    L, R = problem.geometry.winv_block
+    With B = Q_B R_B on its core (``Geometry.factor``), C = R_B R_L[cols]
+    D_L is (|cols|, |L|) and qtb(b1) = Q_B^T b1.  Q_B has orthonormal
+    columns spanning B's range, so C has the singular values of B R_L D_L,
+    its samples the same norms, and min ||C y - qtb(b1)|| the same
+    minimizers.  For an ``exact`` block, C = B R_L D_L and qtb is the
+    identity.  No apply reads all M rows or all N columns, or takes a
+    wavelet transform."""
+    g = problem.geometry
+    L, R = g.winv_block
     if problem.weights is not None:
         R = R * problem.weights[L]      # R_L D_L, formed once per operator
-    if step1.exact:
-        T, cols, qtb = step1.block, slice(None), lambda b: b
+    if g.exact:
+        T, cols, qtb = g.block, slice(None), lambda b: b
     else:
-        f = step1.factor
+        f = g.factor
         T, cols, qtb = f.R_B, f.cols, f.qtb
 
     def apply(X):
@@ -437,8 +480,7 @@ def _reference_scale(problem: AZProblem):
     NOISE_REL or tol of it as cancellation noise.  The cancellation happens
     among the entries of A_hat, in whose scaling coordinates the explicit
     pipelines cut their block."""
-    scale = float(np.linalg.norm(problem.scaling.A_hat.data))
-    w = problem.weights
+    scale, w = problem.geometry.scale, problem.weights
     return scale if w is None else scale * float(np.sqrt(np.mean(w * w)))
 
 
@@ -522,10 +564,10 @@ def _columns(S, cols, dense=False):
 
 def clear_caches():
     """Forget every cached geometry: the next make_problem of each assembles
-    it, and its solves build R_L and the step-1 entry, afresh (a problem
-    made before keeps its geometry).  What depends on the filter bank and
-    sizes alone stays warm: the transform matrices, the tap tables, the
-    window taps of ``_winv_rows`` and the dual pairs."""
+    it, and its solves build R_L, the scaling block and its factor afresh
+    (a problem made before keeps its geometry).  What depends on the filter
+    bank and sizes alone stays warm: the transform matrices, the tap
+    tables, the window taps of ``_winv_rows`` and the dual pairs."""
     with _cache_lock:
         _cache.clear()
 
@@ -536,63 +578,16 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - t0
 
 
-class _Step1:
-    """What step 1 keeps of one geometry: its scaling block
-    (``_scaling_block``) compressed once by the frontal QR (``factor``,
-    from ``_frontal_qr``), and the rank reveals of that factor by (kind,
-    tol): "qr" for sparse, "svd" for reduced.  A dense block of at most
-    BLOCK_SIZE columns (every 1-D block) is ``exact``: reduced and az solve
-    on the block itself, and its factor is made when sparse first asks."""
-
-    def __init__(self, problem: AZProblem):
-        self.block, self.reveals = _scaling_block(problem), {}
-        dense = isinstance(self.block, np.ndarray)
-        self.exact = dense and self.block.shape[1] <= BLOCK_SIZE
-        # bytes held, kept up to date as the entry grows, since the cache
-        # sums them on every solve: a dense block, the factor (it shares a
-        # sparse block's arrays) and each reveal's own arrays
-        self.nbytes = self.block.nbytes if dense else 0
-        if not self.exact:
-            self.factor         # compress at once
-
-    @cached_property
-    def factor(self):
-        factor = _frontal_qr(scipy.sparse.csr_matrix(self.block))
-        self.nbytes += factor.nbytes
-        return factor
-
-    def reveal(self, kind, tol, problem: AZProblem):
-        """(factor, reused): ``factor.qr`` or ``factor.svd`` at tol, cut
-        against the reference scale, which the geometry fixes, and kept by
-        (kind, tol)."""
-        key = (kind, float(tol))
-        found = self.reveals.get(key)
-        if found is not None:
-            return found, True
-        made = getattr(self.factor, kind)(tol, _reference_scale(problem))
-        self.nbytes += made.nbytes - self.factor.nbytes   # it shares those
-        return self.reveals.setdefault(key, made), False
-
-
-def _step1(problem: AZProblem):
-    """(entry, seconds): the geometry's ``_Step1`` and 0.0 seconds, or made
-    now and kept on the geometry, with the seconds that forming and
-    compressing its block took."""
-    g, seconds = problem.geometry, 0.0
-    if g.step1 is None:
-        g.step1, seconds = _timed(_Step1, problem)
-    return g.step1, seconds
-
-
 def _solve(problem: AZProblem, reveal, tol, seed=None):
     """Steps 1-3 from c = Z_hat* b.
 
     Step 1 solves the plunge system for y on its rows Mrows, with the rows
-    Mrows of b1 = b - A_hat c, from the geometry's ``_Step1``:
-    ``stage_times["assembly"]`` is the seconds of making it and, for az and
+    Mrows of b1 = b - A_hat c, from the geometry's scaling block, formed and
+    (unless ``exact``) compressed to its ``factor`` on first use:
+    ``stage_times["assembly"]`` is the seconds of that and, for az and
     smoothed, of building the geometry's R_L, each 0.0 when the geometry
     holds it.  The geometry is then kept as the most recently used.
-    ``reveal`` names what the pipeline takes of it:
+    ``reveal`` names what the pipeline takes of the factor:
 
     * "qr" (sparse) or "svd" (reduced): that reveal of R_B, cached too
       (``step1_reused`` says whether it was), solves for y on K, and x1 =
@@ -618,19 +613,21 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     diag, S, g = {}, problem.scaling, problem.geometry
     c = problem.Zstar.adjoint @ problem.b
     b1 = plunge_rhs(problem, c)
-    step1, assembly = _step1(problem)
+    assembly = 0.0
+    if "block" not in vars(g):
+        _, assembly = _timed(lambda: g.exact or g.factor)
     if reveal is None:
         cold = "winv_block" not in vars(g)
-        (L, op, qtb), seconds = _timed(boundary_operator, problem, step1)
+        (L, op, qtb), seconds = _timed(boundary_operator, problem)
         assembly += seconds if cold else 0.0
         rep = randomized_lowrank_solve(op, qtb(b1), tol=tol, seed=seed,
                                        scale=_reference_scale(problem))
-    elif reveal == "svd" and step1.exact:
+    elif reveal == "svd" and g.exact:
         diag["step1_reused"] = not assembly
-        rep = randomized_lowrank_solve(step1.block, b1, tol=tol,
+        rep = randomized_lowrank_solve(g.block, b1, tol=tol,
                                        scale=_reference_scale(problem))
     else:
-        factor, diag["step1_reused"] = step1.reveal(reveal, tol, problem)
+        factor, diag["step1_reused"] = g.reveal(reveal, tol)
         rep = factor.solve(b1)
     _keep(g)
     t1 = time.perf_counter()
@@ -692,7 +689,7 @@ def _prune(S, scale=0.0):
     return S
 
 
-def scaling_plunge(problem: AZProblem):
+def scaling_plunge(geometry: Geometry):
     """The sparse (Mrows, K) block of A_hat - A_hat Z_hat* A_hat, pruned of
     cancellation fuzz: the plunge is this block times W^-1.
 
@@ -706,15 +703,15 @@ def scaling_plunge(problem: AZProblem):
     and the result, so a plunge that cancels to fuzz everywhere comes out
     empty.
     """
-    Ar, Zr = problem.geometry.boundary_rows
+    Ar, Zr = geometry.boundary_rows
     cols = np.unique(Ar.indices)
-    AK, Ac, Zc = (_columns(Ar, problem.K), _columns(Ar, cols),
+    AK, Ac, Zc = (_columns(Ar, geometry.K), _columns(Ar, cols),
                   _columns(Zr, cols))
     return _prune(AK - Ac @ (Zc.T @ AK), np.abs(AK.data).max(initial=0))
 
 
-def _scaling_block(problem: AZProblem):
-    """The scaling plunge block of step 1, ``scaling_plunge(problem)`` in
+def _scaling_block(geometry: Geometry):
+    """The scaling plunge block of step 1, ``scaling_plunge(geometry)`` in
     the same bits: as a dense array when each of its products takes at most
     DENSE_BLOCK_ENTRIES terms, else that sparse block itself.
 
@@ -723,12 +720,12 @@ def _scaling_block(problem: AZProblem):
     running sum along that index (``np.add.accumulate`` from a zero slab)
     adds them in the same order, the skipped ones as exact zeros.  The cut
     is ``_prune``'s."""
-    Ar, Zr = problem.geometry.boundary_rows
-    K = problem.K
+    Ar, Zr = geometry.boundary_rows
+    K = geometry.K
     cols = np.unique(Ar.indices)
     m, c, k = Ar.shape[0], cols.size, K.size
     if not 0 < m * c * k <= DENSE_BLOCK_ENTRIES:
-        return scaling_plunge(problem)
+        return scaling_plunge(geometry)
     Ac, Zc, AK = (_columns(Ar, cols, True), _columns(Zr, cols, True),
                   _columns(Ar, K, True))
     terms = np.zeros((m + 1, c, k))
@@ -746,7 +743,7 @@ def sparse_plunge(problem: AZProblem):
     (``Geometry.winv_block``), pruned and placed in the rows Mrows and the
     columns L: the tests' wavelet-domain plunge."""
     L, R = problem.geometry.winv_block
-    P = scipy.sparse.coo_matrix(scaling_plunge(problem) @ R)
+    P = scipy.sparse.coo_matrix(scaling_plunge(problem.geometry) @ R)
     return _prune(scipy.sparse.csr_matrix(
         (P.data, (problem.Mrows[P.row], L[P.col])), shape=problem.A.shape))
 

@@ -238,12 +238,13 @@ class FrontalFactor:
     R_B: np.ndarray
 
     @property
-    def nbytes(self):
+    def arrays(self):
+        """The arrays held, A's and the reflectors included; a reveal lists
+        the ones it shares with its factor too."""
         A = self.A
-        arrays = [A.data, A.indices, A.indptr]
-        arrays += [getattr(self, f.name) for f in fields(self)]
+        arrays = [A.data, A.indices, A.indptr, *vars(self).values()]
         arrays += [a for _, _, V, T in self.steps for a in (V, T)]
-        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        return [a for a in arrays if isinstance(a, np.ndarray)]
 
     def qtb(self, b):
         """Q_B^T b on the rows of R_B: the front's reflectors replayed on

@@ -423,12 +423,12 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                 and np.linalg.norm(x) <= 2 * sol.coefficient_norm), msg
 
 
-def _compressed(step1, U):
+def _compressed(geometry, U):
     """Q_B^T U, column by column, for U on the rows Mrows: the rows of the
-    boundary operator C of ``step1``; U itself for an exact block."""
-    if step1.exact:
+    boundary operator C of ``geometry``; U itself for an exact block."""
+    if geometry.exact:
         return U
-    return np.column_stack([step1.factor.qtb(u) for u in U.T])
+    return np.column_stack([geometry.factor.qtb(u) for u in U.T])
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -438,7 +438,7 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
     block C = R_B R_L[cols] D_L, of shape (|cols|, |L|) with cols the core
     columns of the geometry's frontal factor: each sample block is Q_B^T
     B R_L D_L G^T for Gaussian rows G on L, weighted or not, with B =
-    scaling_plunge(problem) and R_L from the selected rows of W^-1
+    scaling_plunge(geometry) and R_L from the selected rows of W^-1
     (``selected_winv_rows``), to 1e-12 relative.  An exact block (dense,
     at most BLOCK_SIZE columns: 1-D) is not compressed, and C has the
     (|Mrows|, |L|) shape of B R_L D_L.  Where C has at most BLOCK_SIZE rows
@@ -450,7 +450,7 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
     prob = _sampler_case(case, banks[family])
     m, N, L = prob.Mrows.size, prob.grid.n_basis, prob.L
     R = selected_winv_rows(prob.K, prob.bank, prob.grid.N)[:, L]
-    B = az.scaling_plunge(prob)
+    B = az.scaling_plunge(prob.geometry)
     boundary_operator, range_basis = az.boundary_operator, solvers._range_basis
     calls = _count_transforms(monkeypatch)
     shapes, blocks, peaks = [], [], []
@@ -470,8 +470,8 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
             return Y
         return run
 
-    def traced_operator(problem, step1):
-        L, op, qtb = boundary_operator(problem, step1)
+    def traced_operator(problem):
+        L, op, qtb = boundary_operator(problem)
         return L, scipy.sparse.linalg.LinearOperator(
             op.shape, dtype=float, matvec=traced(op.matvec),
             rmatvec=traced(op.rmatvec), matmat=traced(op.matmat),
@@ -492,9 +492,9 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
     for problem in (prob, _weighted(prob)):
         # once untraced, so that no first-call set-up counts as a sample's
         az.smoothed_az_solve(problem, seed=0)
-        step1 = prob.geometry.step1
-        rows = m if step1.exact else step1.factor.cols.size
-        assert step1.exact is (prob.grid.dimension == 1)
+        g = prob.geometry
+        rows = m if g.exact else g.factor.cols.size
+        assert g.exact is (prob.grid.dimension == 1)
         shapes.clear(), blocks.clear(), peaks.clear()
         sol = az.smoothed_az_solve(problem, seed=0)
         d, w = sol.diagnostics, problem.weights
@@ -504,8 +504,8 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
         else:
             assert shapes == [(rows, L.size)] and blocks
         for X, Y, transforms in blocks:
-            ref = _compressed(step1, B @ (R @ (X if w is None
-                                              else w[L, None] * X)))
+            ref = _compressed(g, B @ (R @ (X if w is None
+                                           else w[L, None] * X)))
             assert Y.shape == (rows, X.shape[1])
             assert np.all(np.abs(Y - ref) <= 1e-12 * np.abs(ref).max())
             assert transforms == {"dwt": 0, "idwt": 0}
@@ -623,12 +623,12 @@ def test_boundary_operator_is_the_plunge_block(dim, weighted):
     prob = _block_case(dim)
     if weighted:
         prob = _weighted(prob)
-    step1, _ = az._step1(prob)
-    L, C, qtb = az.boundary_operator(prob, step1)
+    g = prob.geometry
+    L, C, qtb = az.boundary_operator(prob)
     m, n = prob.A.shape
-    assert step1.exact is (dim == 1)
+    assert g.exact is (dim == 1)
     assert C.shape == ((prob.Mrows.size if dim == 1
-                        else step1.factor.cols.size), L.size)
+                        else g.factor.cols.size), L.size)
     rng = np.random.default_rng(dim)
     X, U = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
     U[np.setdiff1d(np.arange(m), prob.Mrows)] = 0.0
@@ -637,8 +637,8 @@ def test_boundary_operator_is_the_plunge_block(dim, weighted):
     QtU = np.column_stack([qtb(u) for u in U[prob.Mrows].T])
     PX, PtU = plunge_apply(prob, X), plunge_rapply(prob, U)
     for ref, got in (
-            (_compressed(step1, PX[prob.Mrows]), C.matmat(X[L])),
-            (_compressed(step1, PX[prob.Mrows, :1])[:, 0], C.matvec(X[L, 0])),
+            (_compressed(g, PX[prob.Mrows]), C.matmat(X[L])),
+            (_compressed(g, PX[prob.Mrows, :1])[:, 0], C.matvec(X[L, 0])),
             (PtU[L], C.rmatmat(QtU)), (PtU[L, 0], C.rmatvec(QtU[:, 0]))):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     for ref, off in ((PX, off_rows), (PtU, off_cols)):
@@ -658,7 +658,7 @@ def test_winv_block_built_once_per_geometry(dim):
     for solve in (lambda: az.az_solve(prob, seed=0),
                   lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
         cold = ("winv_block" not in vars(prob.geometry)
-                or prob.geometry.step1 is None)
+                or "block" not in vars(prob.geometry))
         first, second = solve(), solve()
         assert (first.stage_times["assembly"] > 0) is cold
         assert second.stage_times["assembly"] == 0.0
@@ -723,15 +723,15 @@ def test_reduced_step1_is_the_truncated_svd_of_the_block(case):
     bank, N, q = filter_bank(family), (n,) * d, (2,) * d
     az.clear_caches()
     prob = az.make_problem(f, mask, bank, N, q)
-    block, scale = az._scaling_block(prob), az._reference_scale(prob)
+    block, scale = az._scaling_block(prob.geometry), az._reference_scale(prob)
     sparse = scipy.sparse.issparse(block)
     assert sparse is (family != "db1") and block.shape[1] > BLOCK_SIZE
     dense, b1 = block.toarray() if sparse else block, az.plunge_rhs(prob)
     ref = truncated_svd_solve(dense, b1, floor=solvers.NOISE_REL * scale)
     cold = az.reduced_az_solve(prob)
-    step1 = prob.geometry.step1
-    factor, reused = step1.reveal("svd", DEFAULT_TOL, prob)
-    assert not step1.exact
+    g = prob.geometry
+    factor, reused = g.reveal("svd", DEFAULT_TOL)
+    assert not g.exact
     assert reused and not cold.diagnostics["step1_reused"]
     assert cold.plunge_rank == factor.rank == ref.rank > 0
     s = np.linalg.svd(dense, compute_uv=False)
@@ -831,7 +831,7 @@ def test_reduced_1d_small_block_is_exact():
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
     sol = az.reduced_az_solve(prob)
-    op = az.scaling_plunge(prob)
+    op = az.scaling_plunge(prob.geometry)
     assert op.shape == (prob.Mrows.size, prob.K.size)
     assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
     b1 = az.plunge_rhs(prob)
@@ -1004,9 +1004,8 @@ def test_block_applies_match_columns(dim, cap, monkeypatch):
     rng = np.random.default_rng(0)
     ops = {"A": prob.A, "plunge": plunge_operator(prob),
            "smoothed": plunge_operator(_weighted(prob)),
-           "boundary": az.boundary_operator(prob, az._step1(prob)[0])[1],
-           "weighted boundary": az.boundary_operator(
-               _weighted(prob), az._step1(prob)[0])[1]}
+           "boundary": az.boundary_operator(prob)[1],
+           "weighted boundary": az.boundary_operator(_weighted(prob))[1]}
 
     def close(a, b):
         return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -1207,7 +1206,8 @@ def test_scaling_plunge_is_boundary_local(dim, banks):
                3: (ball(0.5, 0.5, 0.5, 0.4), 8)}[dim]
     for name, bank in banks.items():
         prob = az.make_problem(lambda p: np.ones(p.shape[0]), mask, bank, n, 2)
-        P, ref = az.scaling_plunge(prob), reference_scaling_plunge(prob)
+        P, ref = (az.scaling_plunge(prob.geometry),
+                  reference_scaling_plunge(prob))
         fuzz = 1e-13 * np.abs(prob.scaling.A_hat.data).max()
         outside = np.ones(prob.grid.n_basis, dtype=bool)
         outside[prob.K] = False
@@ -1254,7 +1254,8 @@ def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
             prob = az.make_problem(exp1d if dim == 1 else
                                    (lambda p: np.ones(p.shape[0])),
                                    mask, bank, n, 2)
-            block, ref = az._scaling_block(prob), az.scaling_plunge(prob)
+            block, ref = (az._scaling_block(prob.geometry),
+                          az.scaling_plunge(prob.geometry))
             Ar, _ = prob.geometry.boundary_rows
             terms = Ar.shape[0] * np.unique(Ar.indices).size * prob.K.size
             if terms > az.DENSE_BLOCK_ENTRIES:
@@ -1320,14 +1321,16 @@ def test_step1_reads_boundary_rows_only(dim, banks, monkeypatch):
         prob = _block_case(dim, bank)
         poisoned = _poison_outside_rows(prob)
         c = prob.scaling.Z_hat.T @ prob.b
-        clean, block = az.scaling_plunge(prob), az.scaling_plunge(poisoned)
+        clean, block = (az.scaling_plunge(prob.geometry),
+                        az.scaling_plunge(poisoned.geometry))
         assert block.shape == clean.shape, name
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, attr),
                                   getattr(clean, attr)), (name, attr)
-        dense = az._scaling_block(poisoned)
+        dense = az._scaling_block(poisoned.geometry)
         if isinstance(dense, np.ndarray):
-            assert np.array_equal(dense, az._scaling_block(prob)), name
+            assert np.array_equal(dense,
+                                  az._scaling_block(prob.geometry)), name
         poisoned_rhs.clear()
         with pytest.raises(StopIteration):
             az.reduced_az_solve(prob)
@@ -1380,7 +1383,7 @@ def test_sparse_step1_matches_full_qrcp(family, n, q):
     whole pipeline against steps 2-3 of the oracle's step 1."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank(family),
                            (n, n), (q, q))
-    block, scale = az.scaling_plunge(prob), az._reference_scale(prob)
+    block, scale = az.scaling_plunge(prob.geometry), az._reference_scale(prob)
     factor, _ = check_sparse_factor(block, scale)
     assert factor.rank > 0
     y, _ = sparse_qr_reference(block, az.plunge_rhs(prob),
@@ -1392,6 +1395,38 @@ def test_sparse_step1_matches_full_qrcp(family, n, q):
     msg = (sol.residual, ref, sol.coefficient_norm)
     assert sol.plunge_rank == factor.rank
     assert ref / 1.01 <= sol.residual <= 1.01 * ref, msg
+
+
+# (f, mask, family, n, factor): cases where sparse's ||x|| exceeds reduced's
+# by at least `factor`.  Readings (residual, ||x||, rank), sparse against
+# reduced: db4 32^2 disk (4.68e-5, 116, 488) and (4.78e-5, 12.3, 329);
+# cdf51 8^3 ball (2.03e-2, 6.57e5, 505) and (2.03e-2, 1.23e3, 504).  It does
+# not hold everywhere: cdf33 on the 32^2 disk gives equal norms (0.839), and
+# on the 8^3 db4 ball reduced misses sparse's residual by 9x (3.1e-1 against
+# 3.5e-2) with the larger norm.
+_COEFFICIENT_CASES = {
+    "disk32-db4": (exp2d, disk(0.5, 0.5, 0.34), "db4", 32, 4.0),
+    "ball8-cdf51": (exp3d, ball(0.5, 0.5, 0.5, 0.4), "cdf51", 8, 100.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COEFFICIENT_CASES))
+def test_sparse_yields_larger_coefficients(case):
+    """The paper's finding that sparse QR yields larger expansion
+    coefficients: on these cases sparse's basic solution reaches the
+    residual of reduced's minimum-norm one within 1.25x either way, with
+    an x (not y: they differ for biorthogonal families) whose norm exceeds
+    reduced's by the case's factor."""
+    f, mask, family, n, factor = _COEFFICIENT_CASES[case]
+    d = mask.dimension
+    prob = az.make_problem(f, mask, filter_bank(family), (n,) * d, (2,) * d)
+    sparse, reduced = az.sparse_az_solve(prob), az.reduced_az_solve(prob)
+    msg = (sparse.residual, reduced.residual, sparse.coefficient_norm,
+           reduced.coefficient_norm)
+    assert sparse.residual <= 1.25 * reduced.residual, msg
+    assert reduced.residual <= 1.25 * sparse.residual, msg
+    assert sparse.coefficient_norm == np.linalg.norm(sparse.x)
+    assert sparse.coefficient_norm > factor * reduced.coefficient_norm, msg
 
 
 def test_sparse_step1_key_separates_geometries():
@@ -1417,21 +1452,64 @@ def test_sparse_step1_key_separates_geometries():
         assert az.sparse_az_solve(prob, **kw).diagnostics["step1_reused"]
 
 
-def _held(entry):
-    """The bytes a step-1 entry holds, counted afresh: a dense block, the
-    factor once made, and each reveal's own arrays."""
-    held = entry.block.nbytes if isinstance(entry.block, np.ndarray) else 0
-    if "factor" in vars(entry):
-        f = entry.factor.nbytes
-        held += f + sum(r.nbytes - f for r in entry.reveals.values())
-    return held
+# (f, mask, family, N) of a dense exact block (1-D), a dense block that is
+# compressed (db1 on the 16^2 disk) and a sparse block
+_BYTES_CASES = {
+    "interval-cdf33": (exp1d, interval(0.2, 0.8), "cdf33", (256,)),
+    "disk16-db1": (exp2d, disk(0.5, 0.5, 0.34), "db1", (16, 16)),
+    "disk32-cdf33": (exp2d, disk(0.5, 0.5, 0.34), "cdf33", (32, 32)),
+}
+
+
+def _bytes(*arrays):
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("case", sorted(_BYTES_CASES))
+def test_geometry_bytes_grow_by_the_arrays_added(case):
+    """Forming the block, then making the factor and each reveal, grows
+    ``Geometry.nbytes`` by exactly the bytes of the arrays each adds: a
+    dense block its array; a sparse block its data, indices and indptr,
+    which the factor's A shares, so the factor adds only R_B, rows, cols
+    and the reflectors (a dense block's factor its own sparse A too); a
+    reveal only its own arrays, not the frontal ones it shares; a reveal
+    already made nothing."""
+    f, mask, family, N = _BYTES_CASES[case]
+    az.clear_caches()
+    g = az.make_problem(f, mask, filter_bank(family), N, 2).geometry
+    g.boundary_rows     # what the block is formed from
+    sizes = [g.nbytes]
+    block = g.block
+    sparse = scipy.sparse.issparse(block)
+    assert sparse is (case == "disk32-cdf33")
+    assert g.exact is (len(N) == 1)
+    sizes.append(g.nbytes)
+    factor = g.factor
+    sizes.append(g.nbytes)
+    svd, _ = g.reveal("svd", DEFAULT_TOL)
+    sizes.append(g.nbytes)
+    qr, _ = g.reveal("qr", DEFAULT_TOL)
+    sizes.append(g.nbytes)
+    g.reveal("qr", DEFAULT_TOL)
+    sizes.append(g.nbytes)
+    A = factor.A
+    assert (A.data is block.data) is sparse
+    own = _bytes(factor.R_B, factor.rows, factor.cols,
+                 *(a for _, _, V, T in factor.steps for a in (V, T)))
+    shared = _bytes(A.data, A.indices, A.indptr)
+    assert np.diff(sizes).tolist() == [
+        shared if sparse else block.nbytes,
+        own if sparse else own + shared,
+        _bytes(svd.U, svd.s, svd.Vt),
+        _bytes(qr.Q, qr.R, qr.piv),
+        0]
 
 
 def test_sparse_step1_cache_stays_within_budget(monkeypatch):
     """More geometries than fit evict the least recently used, with their
-    factors; each step-1 entry's running count of its bytes matches a fresh
-    count.  The problems are made after the clear and dropped after their
-    solves, as a live problem keeps its geometry's factor."""
+    factors; each geometry held keeps its reveals and is held with its
+    current bytes.  The problems are made after the clear and dropped after
+    their solves, as a live problem keeps its geometry's factor."""
     bank = filter_bank("cdf33")
     make = lambda i: az.make_problem(exp1d, interval(0.1 + 0.01 * i, 0.7),
                                      bank, 512, 2)
@@ -1446,8 +1524,8 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
         az.sparse_az_solve(prob)
         del prob
         assert sum(size for _, size in az._cache.values()) <= budget
-        assert all(g.step1.nbytes == _held(g.step1) > 0
-                   for g, _ in az._cache.values())
+        assert all(size == g.nbytes and g.reveals
+                   for g, size in az._cache.values())
     assert 0 < len(az._cache) < 6
     assert az.sparse_az_solve(make(5)).diagnostics["step1_reused"]
     assert not az.sparse_az_solve(make(0)).diagnostics["step1_reused"]
@@ -1456,9 +1534,9 @@ def test_sparse_step1_cache_stays_within_budget(monkeypatch):
 
 
 def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
-    """A geometry larger than the whole budget, with its step-1 entry, is
-    kept as the newest, alone: its miss evicts the geometries cached
-    before it, and it leaves the cache at the next miss."""
+    """A geometry larger than the whole budget, with its block, factor and
+    a reveal, is kept as the newest, alone: its miss evicts the geometries
+    cached before it, and it leaves the cache at the next miss."""
     bank = filter_bank("cdf33")
     disk32 = (exp2d, disk(0.5, 0.5, 0.34), bank, (32, 32), (2, 2))
     az.clear_caches()
@@ -1468,9 +1546,11 @@ def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
     monkeypatch.setattr(az, "CACHE_BYTES", budget)
     big = az.make_problem(*disk32)
     assert [g for g, _ in az._cache.values()] == [big.geometry]
-    entry, seconds = az._step1(big)
-    entry.reveal("qr", DEFAULT_TOL, big)
-    assert big.geometry.nbytes > entry.nbytes > budget and seconds > 0
+    g = big.geometry
+    assert "block" not in vars(g)
+    before = g.nbytes
+    g.reveal("qr", DEFAULT_TOL)
+    assert g.nbytes > g.nbytes - before > budget
     az._keep(big.geometry)
     assert [g for g, _ in az._cache.values()] == [big.geometry]
     assert az.sparse_az_solve(big).diagnostics["step1_reused"]
@@ -1507,11 +1587,12 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
     """Every pipeline starts step 1 from one compression per geometry:
     across reduced, sparse, az, smoothed and adaptive on the 16^2 disk and
     the 8^3 ball (whose ladders have that one level), ``_scaling_block``
-    and ``_frontal_qr`` each run once while the entry stays cached, only
+    and ``_frontal_qr`` each run once while the geometry stays cached, only
     the first solve reports the assembly, and each pipeline returns the x
     of a solve from cold caches.  Each cold solve and the counted round run
     on a problem made after clear_caches, as a live problem keeps its
-    geometry's entry; R_L is built before the round, so that the assembly
+    geometry and all it has made; R_L is built before the round, so that
+    the assembly
     there is the compression's alone."""
     f, mask, n = _BLOCK_CASES[dim]
     prob = _block_case(dim)
@@ -1548,9 +1629,8 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
         assert (sol.stage_times["assembly"] > 0) is (i == 0), name
     assert counts == {"_scaling_block": 1, "_frontal_qr": 1}
     (geometry, size), = az._cache.values()
-    entry = geometry.step1
     assert geometry is prob.geometry and size == geometry.nbytes
-    assert entry.nbytes == _held(entry) and len(entry.reveals) == 2
+    assert len(geometry.reveals) == 2
 
 
 _GEOMETRY_SOLVES = {
@@ -1698,8 +1778,7 @@ _FIT_GEOMETRIES = [(interval(0.2, 0.8), 256), (interval(0.1, 0.7), 512),
 def test_cache_fits_budget_unless_it_holds_one(calls, budget):
     """After any sequence of makes and solves, the geometries held take at
     most CACHE_BYTES unless there is one, the last one used is the newest,
-    each is held with its current bytes, and each step-1 entry counts its
-    own."""
+    and each is held with its current bytes."""
     bank, saved = filter_bank("cdf33"), az.CACHE_BYTES
     az.CACHE_BYTES = budget
     try:
@@ -1715,7 +1794,6 @@ def test_cache_fits_budget_unless_it_holds_one(calls, budget):
             assert held[-1][0] is prob.geometry
             for g, size in held:
                 assert size == g.nbytes
-                assert g.step1 is None or g.step1.nbytes == _held(g.step1)
     finally:
         az.CACHE_BYTES = saved
         az.clear_caches()
