@@ -28,10 +28,11 @@ A dense block of at most BLOCK_SIZE columns (every 1-D block) is not
 compressed for reduced and az: the randomized kernel solves it, or C = B
 R_L D_L, by its exact SVD; sparse compresses it when it first asks.  Step 1
 reads the rows Mrows of A_hat, Z_hat and b only, besides c = Z_hat* b, so
-its cost follows the boundary, not N.  Steps 2-3 of the explicit forms run
-one wavelet analysis and no synthesis: A x = A_hat v for x = W v.  Every
-step-1 kernel treats what falls below a fraction of the reference scale
-||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
+its cost follows the boundary, not N.  Steps 2-3 finish every pipeline in
+scaling coordinates, from v = W^-1 x1: one analysis gives x = W u, and A x =
+A_hat u; az and smoothed take one synthesis for v.  Every step-1 kernel
+treats what falls below a fraction of the reference scale ||A_hat||_F
+rms(w) as cancellation noise (``_reference_scale``).
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  A ``Geometry`` owns all of it: the operators and
@@ -353,8 +354,8 @@ class AZProblem:
     Mrows = property(lambda self: self.geometry.Mrows)
 
     def __post_init__(self):
-        if self.b.size != self.grid.M:
-            raise AZError("right-hand side length does not match the grid")
+        if self.b.shape != (self.grid.M,):
+            raise AZError("right-hand side must hold one sample per grid row")
         if self.grid.M <= self.grid.n_basis:
             raise AZError("least-squares system must be overdetermined")
         if self.weights is not None:
@@ -409,7 +410,7 @@ def _keep(geometry):
 def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
     """Assemble grid, operators, right-hand side and index sets for f on mask.
 
-    The grid is sampled and b = f(grid) evaluated on every call; the cached
+    b = f(grid) on every call, or f itself, a finite vector; the cached
     geometry of an equal bank, N, q and inside mask is reused with all it
     has made (``geometry_reused``, ``geometry_s``).  A miss first evicts
     until a geometry as large as the largest held fits, so that no assembly
@@ -426,6 +427,8 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
         geometry, seconds = _timed(Geometry, bank, grid, key)
     _keep(geometry)
     b = rhs(f, grid) if callable(f) else np.asarray(f, dtype=float)
+    if not (callable(f) or np.isfinite(b).all()):
+        raise AZError("right-hand side samples must be finite")
     return AZProblem(bank=bank, grid=grid, geometry=geometry, b=b,
                      geometry_s=seconds, geometry_reused=reused)
 
@@ -601,12 +604,11 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     Every kernel cuts against the reference scale.  Explicit forms are
     unweighted.
 
-    Steps 2-3 add x2 = Z* (b - A x1) = W u, u = Z_hat* (b - A x1).  When
-    explicit, A x1 = A_hat y and u = c - Z_hat* (A_hat y), so one analysis
-    gives x = W (y + u), and A x = A_hat (y + u) needs none.  Else A x1 and
-    the residual's A x take a synthesis each, as forming A x from A x1 +
-    A_hat u would change the residual by round-off, which the adaptive
-    pipeline feeds back as weights."""
+    Steps 2-3 finish in scaling coordinates v = W^-1 x1, where A x1 =
+    A_hat v: x = x1 + Z* (b - A x1) = W u with u = v + c - Z_hat* (A_hat
+    v), and A x = A_hat u.  When explicit, v is y on K and A_hat v lives on
+    the rows Mrows; else v = W^-1 (D y on L) takes one synthesis.  Then one
+    analysis gives x, and the residual ||A_hat u - b|| takes none."""
     if reveal and problem.weights is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
@@ -631,19 +633,16 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
         rep = factor.solve(b1)
     _keep(g)
     t1 = time.perf_counter()
+    v, w = np.zeros(problem.grid.n_basis), problem.weights
     if reveal:
-        y = np.zeros(problem.grid.n_basis)
-        y[problem.K] = rep.solution
-        Ar, Zr = g.boundary_rows
-        u = y + (c - Zr.T @ (Ar @ y))   # A_hat y lives on the rows Mrows
-        x, Ax = problem.A.analysis(u), S.A_hat @ u
+        v[problem.K] = rep.solution     # A_hat v lives on the rows Mrows
+        Ar, Zt = g.boundary_rows[0], g.boundary_rows[1].T
     else:
-        x1 = np.zeros(problem.grid.n_basis)
-        x1[L] = rep.solution
-        if problem.weights is not None:
-            x1 *= problem.weights
-        x = x1 + problem.Zstar(problem.b - problem.A.matvec(x1))
-        Ax = problem.A.matvec(x)
+        v[L] = rep.solution if w is None else rep.solution * w[L]
+        v = problem.A.synthesis(v)
+        Ar, Zt = S.A_hat, problem.Zstar.adjoint
+    u = v + (c - Zt @ (Ar @ v))
+    x, Ax = problem.A.analysis(u), S.A_hat @ u
     times = {"geometry": problem.geometry_s, "step1": t1 - t0,
              "step23": time.perf_counter() - t1, "assembly": assembly}
     return AZSolution(x=x, residual=float(np.linalg.norm(Ax - problem.b)),

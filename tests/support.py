@@ -265,16 +265,20 @@ def transform_sampled_az(problem, tol=DEFAULT_TOL, seed=0):
     ``plunge_operator`` over every row and column, its range finder
     sampling P D G^T for Gaussian G on all N columns, so every sample
     block takes a wavelet synthesis: the oracle of the boundary operator
-    and of both its samplers.  Returns (step-1 report, x, residual
-    ||A x - b||)."""
+    and of both its samplers.  Steps 2-3 are ``az._solve``'s, so the two
+    differ by step 1 alone: x = W u, u = v + c - Z_hat* (A_hat v) with v =
+    W^-1 x1 and c = Z_hat* b.  Returns (step-1 report, x, residual
+    ||A_hat u - b||, which is ||A x - b||)."""
     S = problem.scaling
-    b1 = problem.b - S.A_hat @ (S.Z_hat.T @ problem.b)   # over every row
+    c = S.Z_hat.T @ problem.b
+    b1 = problem.b - S.A_hat @ c                          # over every row
     rep = randomized_lowrank_solve(plunge_operator(problem), b1, tol=tol,
                                    seed=seed,
                                    scale=az._reference_scale(problem))
-    x1 = _scale_rows(problem.weights, rep.solution)
-    x = x1 + problem.Zstar(problem.b - problem.A.matvec(x1))
-    return rep, x, float(np.linalg.norm(problem.A.matvec(x) - problem.b))
+    v = problem.A.synthesis(_scale_rows(problem.weights, rep.solution))
+    u = v + (c - S.Z_hat.T @ (S.A_hat @ v))
+    return (rep, problem.A.analysis(u),
+            float(np.linalg.norm(S.A_hat @ u - problem.b)))
 
 
 def reference_scaling_plunge(problem):

@@ -237,6 +237,25 @@ def test_acceptance_timing_scaling_2d():
     assert s <= 1.8, s
 
 
+def test_acceptance_step23_at_most_linear_1d():
+    """Steps 2-3 (x = W u and the residual, from step 1's solution) are
+    linear in N: the log-log slope of the median stage_times["step23"] of
+    reduced, sparse and az over N = 2^12 ... 2^18 on one interval stays
+    under an upper bound.  Only an upper bound: a lower one fails whenever
+    the O(N) work gets faster."""
+    bank, ns = filter_bank("cdf33"), [2 ** J for J in range(12, 19)]
+    solves = {"reduced": az.reduced_az_solve, "sparse": az.sparse_az_solve,
+              "az": lambda p: az.az_solve(p, seed=0)}
+    ts = {name: [] for name in solves}
+    for n in ns:
+        prob = az.make_problem(exp1d, interval(0.2, 0.75), bank, n, 2)
+        for name, solve in solves.items():
+            ts[name].append(float(np.median(
+                [solve(prob).stage_times["step23"] for _ in range(5)])))
+    slopes = {name: _slope(ns, t) for name, t in ts.items()}
+    assert max(slopes.values()) <= 1.2, slopes
+
+
 # ---------------------------------------------------------------------------
 # 9. scale-weighted smoothing of the extension
 

@@ -222,6 +222,22 @@ def test_scale_weights_rejects_nonfinite(bad):
         az.scale_weights([bad, 1.0], (64,))
 
 
+@pytest.mark.parametrize("bad, match", [
+    (lambda b: np.r_[b[:-1], np.nan], "finite"),
+    (lambda b: np.r_[np.inf, b[1:]], "finite"),
+    (lambda b: b[None], "one sample per grid row"),
+    (lambda b: b[1:], "one sample per grid row")])
+def test_rhs_array_must_be_a_finite_vector(prob1d, bad, match):
+    """An array b is checked as a callable's samples are: a NaN would give
+    reduced and az a NaN residual and sparse a scipy error, and a (1, M)
+    array passed a check of its size alone.  The samples themselves pass."""
+    mask, bank = interval(0.0, 0.5), filter_bank("cdf33")
+    with pytest.raises(az.AZError, match=match):
+        az.make_problem(bad(prob1d.b), mask, bank, 256, 2)
+    prob = az.make_problem(prob1d.b, mask, bank, 256, 2)
+    assert np.array_equal(prob.b, prob1d.b)
+
+
 def test_wrong_length_weights_rejected(prob1d):
     with pytest.raises(az.AZError):
         dataclasses.replace(prob1d, weights=np.ones(prob1d.grid.n_basis - 1))
@@ -398,7 +414,9 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
     rank of the oracle that samples the whole plunge P D G^T through the
     transform, with a residual and ||x|| within 2x of the oracle's either
     way; the 1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the
-    2-D case at 32^2."""
+    2-D case at 32^2.  Both finish by ``_solve``'s steps 2-3, so the
+    bounds compare step 1: at N = 4096 the residuals sit at round-off, and
+    two finishes would differ by up to 13x there."""
     prob = _sampler_case(case, banks[family])
     kernel, inside = az.randomized_lowrank_solve, []
     calls = _count_transforms(monkeypatch)
@@ -823,6 +841,26 @@ def test_adaptive_short_interval():
         az.adaptive_weighted_solve(exp1d, interval(0.1, 0.2), bank, 16, 2)
 
 
+@pytest.mark.xfail(strict=True, reason="adaptive feeds round-off residuals "
+                   "back as weights: the last level misses reduced by 1e8")
+@pytest.mark.parametrize("a, b, k, w, p", [
+    (0.1563, 0.6796, 0.6016, 1.9271, 0.4657),
+    (0.2752, 0.8850, 0.5951, 1.2734, 0.0191)])
+def test_adaptive_round_off_weights(a, b, k, w, p):
+    """cdf33, N = 4096, q = 2, f = exp(k x) cos(w x + p): the level
+    residuals fall geometrically to about 1e-12 by level 2048, and the
+    weights made of them cut level 4096 at rank 3, where az finds rank 4.
+    Its residual reads 3.5e-5 and 2.0e-5, against 4.9e-14 and 4.4e-14
+    for reduced."""
+    def f(P):
+        return np.exp(k * P[:, 0]) * np.cos(w * P[:, 0] + p)
+
+    bank, mask = filter_bank("cdf33"), interval(a, b)
+    _, sol = az.adaptive_weighted_solve(f, mask, bank, 4096, 2, seed=0)
+    plain = az.reduced_az_solve(az.make_problem(f, mask, bank, 4096, 2))
+    assert sol.residual <= 10 * plain.residual + 1e-12
+
+
 def test_reduced_1d_small_block_is_exact():
     """The explicit 1-D reduced block has fewer than BLOCK_SIZE columns, so
     step 1 forms it exactly; the residual stays within 10x of that of the
@@ -1075,9 +1113,9 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
     synthesis, the plunge right-hand side no transform: A Z* = A_hat Z_hat*
     leaves the wavelet transforms out of the plunge.  Whole solves on a
     geometry, cold or warm: reduced and sparse run one analysis and no
-    synthesis; az and smoothed one analysis (Z*) and two syntheses (A x1
-    and the residual's A x), and no transform in step 1, also where the
-    geometry builds R_L; the reference scale takes none."""
+    synthesis; az and smoothed one analysis (x = W u) and one synthesis
+    (v = W^-1 x1), and no transform in step 1, also where the geometry
+    builds R_L; the reference scale takes none."""
     prob = _block_case(dim)
     calls = _count_transforms(monkeypatch)
     op = plunge_operator(prob)
@@ -1102,15 +1140,15 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
         solve()
         assert calls == {"dwt": dim, "idwt": 0}
 
-    # az and smoothed, cold geometry or warm: one analysis (Z*) and two
-    # syntheses; R_L is built with no transform of the operators
+    # az and smoothed, cold geometry or warm: one analysis and one
+    # synthesis; R_L is built with no transform of the operators
     for solve in (lambda: az.az_solve(prob, seed=0),
                   lambda: az.az_solve(prob, seed=0),
                   lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
         cold = "winv_block" not in vars(prob.geometry)
         calls.update(dwt=0, idwt=0)
         solve()
-        assert calls == {"dwt": dim, "idwt": 2 * dim}, cold
+        assert calls == {"dwt": dim, "idwt": dim}, cold
 
 
 _PIPELINES = {
