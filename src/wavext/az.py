@@ -8,14 +8,17 @@ coefficients in the extension region (smoothed / adaptive).  W is the
 wavelet analysis, so A = A_hat W^-1.
 
 Step 1 compresses once and reveals per pipeline.  The plunge is the
-(Mrows, K) scaling plunge block B (``Geometry.block``) times W^-1, so
-every pipeline starts from B compressed by one frontal QR to its triangle
-R_B = Q_B^T B (``Geometry.factor``, by ``solvers._frontal_qr``), made once
-per geometry.  Each pipeline then takes its own reveal (``Geometry.reveal``):
+(Mrows, K) scaling plunge block B times W^-1, so every pipeline starts from
+one ``FrontalFactor`` of B (``Geometry.factor``), made once per geometry:
+a block of at most BLOCK_SIZE columns (every 1-D block) is dense and its
+own factor, R_B = B and Q_B = I; any other is sparse and compressed by one
+frontal QR to its triangle R_B = Q_B^T B (``solvers._frontal_qr``).  Each
+pipeline then takes its own reveal (``Geometry.reveal``):
 
 * ``sparse_az_solve``: the column-pivoted QR of R_B, and x1 = W y;
 * ``reduced_az_solve``: the truncated SVD of R_B, which is B's, and
-  x1 = W y;
+  x1 = W y; on an uncompressed factor the randomized kernel takes that
+  SVD;
 * ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the randomized
   low-rank kernel on C = R_B R_L[cols] D_L, the plunge on its rows Mrows
   and columns L compressed by Q_B^T (``boundary_operator``), and x1 = D y
@@ -24,20 +27,17 @@ per geometry.  Each pipeline then takes its own reveal (``Geometry.reveal``):
   span per level (``Geometry.winv_block``): O(|K| taps J) per axis, so in
   1-D no part of step 1 grows with N.
 
-A dense block of at most BLOCK_SIZE columns (every 1-D block) is not
-compressed for reduced and az: the randomized kernel solves it, or C = B
-R_L D_L, by its exact SVD; sparse compresses it when it first asks.  Step 1
-reads the rows Mrows of A_hat, Z_hat and b only, besides c = Z_hat* b, so
-its cost follows the boundary, not N.  Steps 2-3 finish every pipeline in
-scaling coordinates, from v = W^-1 x1: one analysis gives x = W u, and A x =
-A_hat u; az and smoothed take one synthesis for v.  Every step-1 kernel
-treats what falls below a fraction of the reference scale ||A_hat||_F
-rms(w) as cancellation noise (``_reference_scale``).
+Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides c = Z_hat*
+b, so its cost follows the boundary, not N.  Steps 2-3 finish every
+pipeline in scaling coordinates, from v = W^-1 x1: one analysis gives x =
+W u, and A x = A_hat u; az and smoothed take one synthesis for v.  Every
+step-1 kernel treats what falls below a fraction of the reference scale
+||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  A ``Geometry`` owns all of it: the operators and
 index sets and, made on first use, the rows Mrows of A_hat and Z_hat, R_L,
-the scaling block, its factor and the reveals of it.  ``make_problem``
+the scaling block's factor and the reveals of it.  ``make_problem``
 keeps the geometries in one least-recently-used cache within CACHE_BYTES
 and reuses that of an equal geometry, so a warm explicit solve only
 replays the reflectors on its right-hand side.  ``clear_caches`` empties
@@ -63,7 +63,7 @@ from . import dwt
 # perfbench/tracing.py wraps these names
 from .dwt import sparse_idwt_rows  # noqa: F401
 from .filters import FilterBank
-from .solvers import (BLOCK_SIZE, DEFAULT_TOL, _frontal_qr,
+from .solvers import (BLOCK_SIZE, DEFAULT_TOL, FrontalFactor, _frontal_qr,
                       randomized_lowrank_solve,
                       sparse_qr_solve)  # noqa: F401
 from .system import (assemble_scaling, csr_rows,
@@ -79,17 +79,6 @@ PRUNE_REL = 1e-12
 # The newest is kept also when larger alone, as the 16^3 ball's is with a
 # reveal (its factor takes 30.0 MB).
 CACHE_BYTES = 2**25
-# The scaling block is formed dense when each of its two products takes at
-# most this many terms (rows x shared columns x |K|), else sparse: the cost
-# of the dense running sums grows with the terms, that of the sparse
-# products stays near 0.45 ms up to here.  The crossover, measured as the
-# minimum of 120-400 calls, one BLAS thread, dense against sparse: cdf33 1-D
-# block (440 terms) 0.07-0.12 against 0.43 ms; db1 16^2 disk r = 0.34
-# (18,081) 0.30 against 0.46 ms; db4 1-D block (20,304) 0.32-0.45 against
-# 0.49-0.78 ms; db1 16^2 disk r = 0.35 (23,805) 0.61 against 0.44 ms; cdf22
-# 8^2 disk r = 0.35 (55,296) 1.7-2.0 against 0.5-0.7 ms.  So every 1-D block
-# of the families up to db4 and cdf51 (at most 20,736 terms) is dense.
-DENSE_BLOCK_ENTRIES = 22_000
 
 
 class AZError(ValueError):
@@ -100,7 +89,7 @@ class Geometry:
     """What every problem on one geometry (filter bank, N, q and inside mask)
     shares, and its ``key``: operators, index sets, ``scale`` = ||A_hat||_F
     and, made on first use, ``L``, ``boundary_rows``, ``winv_block`` and
-    step 1's ``block``, its ``factor`` and the ``reveals`` of that factor.
+    step 1's ``factor`` of the scaling block and the ``reveals`` of it.
     The index arrays are read-only; nothing here holds the grid or mask."""
 
     def __init__(self, bank: FilterBank, grid: MaskedGrid, key):
@@ -118,41 +107,30 @@ class Geometry:
     @property
     def nbytes(self):
         """Bytes of the distinct arrays held, each counted once: a reveal
-        shares the factor's arrays, and the factor a sparse block's."""
+        shares the factor's arrays, and the factor the block's."""
         made = vars(self)
         mats = [self.scaling.A_hat, self.scaling.Z_hat,
                 *made.get("boundary_rows", ())]
         arrays = [self.K, self.kflags, self.Mrows, made.get("L", self.K[:0]),
                   *made.get("winv_block", ())]
-        if "block" in made:
-            block = made["block"]
-            (mats if scipy.sparse.issparse(block) else arrays).append(block)
         arrays += [a for m in mats for a in (m.data, m.indices, m.indptr)]
         for factor in (made.get("factor"), *self.reveals.values()):
             arrays += factor.arrays if factor else []
         return sum({id(a): a.nbytes for a in arrays}.values())
 
     @cached_property
-    def block(self):
-        """Step 1's scaling plunge block (``_scaling_block``), which
-        ``_solve`` compresses to ``factor`` at once unless it is ``exact``."""
-        return _scaling_block(self)
-
-    @property
-    def exact(self):
-        """Whether ``block`` is dense with at most BLOCK_SIZE columns (every
-        1-D block): reduced and az then solve on the block itself, and its
-        ``factor`` is made when sparse first asks."""
-        return (isinstance(self.block, np.ndarray)
-                and self.block.shape[1] <= BLOCK_SIZE)
-
-    @cached_property
     def factor(self):
-        """``block`` compressed by the frontal QR (``_frontal_qr``); a
-        sparse block is its A, so that they share their arrays."""
-        B = self.block
-        return _frontal_qr(B if scipy.sparse.issparse(B)
-                           else scipy.sparse.csr_matrix(B))
+        """Step 1's scaling block B (``_scaling_block``) as a
+        ``FrontalFactor`` whose A is B.  A dense B, at most BLOCK_SIZE
+        columns, is its own factor: R_B = B and Q_B = I, every row and
+        column kept, no steps.  A sparse B is compressed by the frontal QR
+        (``_frontal_qr``)."""
+        B = _scaling_block(self)
+        if scipy.sparse.issparse(B):
+            return _frontal_qr(B)
+        m, k = B.shape
+        return FrontalFactor(A=B, rows=np.arange(m), cols=np.arange(k),
+                             steps=(), front_width=k, R_B=B)
 
     def reveal(self, kind, tol):
         """(factor, reused): ``factor.qr`` (sparse) or ``factor.svd``
@@ -439,21 +417,16 @@ def boundary_operator(problem: AZProblem):
     Mrows and columns L, where it is B R_L D_L: B the scaling plunge block,
     R_L = W^-1[K, L] (``Geometry.winv_block``) and D_L the weights on L.
     With B = Q_B R_B on its core (``Geometry.factor``), C = R_B R_L[cols]
-    D_L is (|cols|, |L|) and qtb(b1) = Q_B^T b1.  Q_B has orthonormal
-    columns spanning B's range, so C has the singular values of B R_L D_L,
-    its samples the same norms, and min ||C y - qtb(b1)|| the same
-    minimizers.  For an ``exact`` block, C = B R_L D_L and qtb is the
-    identity.  No apply reads all M rows or all N columns, or takes a
-    wavelet transform."""
-    g = problem.geometry
-    L, R = g.winv_block
+    D_L is (|cols|, |L|), or (|Mrows|, |L|) uncompressed, and qtb(b1) =
+    Q_B^T b1.  Q_B has orthonormal columns spanning B's range, so C has the
+    singular values of B R_L D_L, its samples the same norms, and min ||C y
+    - qtb(b1)|| the same minimizers.  No apply reads all M rows or all N
+    columns, or takes a wavelet transform."""
+    f = problem.geometry.factor
+    L, R = problem.geometry.winv_block
     if problem.weights is not None:
         R = R * problem.weights[L]      # R_L D_L, formed once per operator
-    if g.exact:
-        T, cols, qtb = g.block, slice(None), lambda b: b
-    else:
-        f = g.factor
-        T, cols, qtb = f.R_B, f.cols, f.qtb
+    T, cols, qtb = f.R_B, f.cols, f.qtb
 
     def apply(X):
         return T @ (R @ X)[cols]
@@ -585,17 +558,18 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     """Steps 1-3 from c = Z_hat* b.
 
     Step 1 solves the plunge system for y on its rows Mrows, with the rows
-    Mrows of b1 = b - A_hat c, from the geometry's scaling block, formed and
-    (unless ``exact``) compressed to its ``factor`` on first use:
-    ``stage_times["assembly"]`` is the seconds of that and, for az and
-    smoothed, of building the geometry's R_L, each 0.0 when the geometry
-    holds it.  The geometry is then kept as the most recently used.
-    ``reveal`` names what the pipeline takes of the factor:
+    Mrows of b1 = b - A_hat c, from the geometry's ``factor`` of the
+    scaling block, made on first use: ``stage_times["assembly"]`` is the
+    seconds of that and, for az and smoothed, of building the geometry's
+    R_L, each 0.0 when the geometry holds it.  The geometry is then kept as
+    the most recently used.  ``reveal`` names what the pipeline takes of
+    the factor:
 
     * "qr" (sparse) or "svd" (reduced): that reveal of R_B, cached too
       (``step1_reused`` says whether it was), solves for y on K, and x1 =
-      W y.  reduced solves an ``exact`` block by the randomized kernel,
-      which takes its exact SVD; ``step1_reused`` is then the block's.
+      W y.  reduced solves an uncompressed factor's B by the randomized
+      kernel, which takes its exact SVD; ``step1_reused`` is then the
+      factor's.
     * None (az, smoothed): the randomized kernel on ``boundary_operator``,
       sampling C G^T for Gaussian rows G on L, weighted or not, or forming
       C exactly where it has at most BLOCK_SIZE rows or columns
@@ -616,17 +590,17 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     c = problem.Zstar.adjoint @ problem.b
     b1 = plunge_rhs(problem, c)
     assembly = 0.0
-    if "block" not in vars(g):
-        _, assembly = _timed(lambda: g.exact or g.factor)
+    if "factor" not in vars(g):
+        _, assembly = _timed(lambda: g.factor)
     if reveal is None:
         cold = "winv_block" not in vars(g)
         (L, op, qtb), seconds = _timed(boundary_operator, problem)
         assembly += seconds if cold else 0.0
         rep = randomized_lowrank_solve(op, qtb(b1), tol=tol, seed=seed,
                                        scale=_reference_scale(problem))
-    elif reveal == "svd" and g.exact:
+    elif reveal == "svd" and g.factor.R_B is g.factor.A:   # uncompressed
         diag["step1_reused"] = not assembly
-        rep = randomized_lowrank_solve(g.block, b1, tol=tol,
+        rep = randomized_lowrank_solve(g.factor.A, b1, tol=tol,
                                        scale=_reference_scale(problem))
     else:
         factor, diag["step1_reused"] = g.reveal(reveal, tol)
@@ -666,8 +640,8 @@ smoothed_az_solve = az_solve
 
 def reduced_az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
     """Index-set-reduced pipeline: truncated SVD of the explicit (#Mrows,
-    #K) scaling plunge block, that of the cached frontal triangle R_B, or
-    of an exact block itself, and x1 = W y."""
+    #K) scaling plunge block, that of its cached factor's R_B, and x1 =
+    W y."""
     return _solve(problem, "svd", tol)
 
 
@@ -711,8 +685,8 @@ def scaling_plunge(geometry: Geometry):
 
 def _scaling_block(geometry: Geometry):
     """The scaling plunge block of step 1, ``scaling_plunge(geometry)`` in
-    the same bits: as a dense array when each of its products takes at most
-    DENSE_BLOCK_ENTRIES terms, else that sparse block itself.
+    the same bits: as a dense array when it has at most BLOCK_SIZE columns,
+    else that sparse block itself.
 
     The sparse products sum their terms over the shared index in ascending
     order from zero, skipping zero terms; here every term is formed and a
@@ -723,7 +697,7 @@ def _scaling_block(geometry: Geometry):
     K = geometry.K
     cols = np.unique(Ar.indices)
     m, c, k = Ar.shape[0], cols.size, K.size
-    if not 0 < m * c * k <= DENSE_BLOCK_ENTRIES:
+    if not 0 < k <= BLOCK_SIZE:
         return scaling_plunge(geometry)
     Ac, Zc, AK = (_columns(Ar, cols, True), _columns(Zr, cols, True),
                   _columns(Ar, K, True))
@@ -766,7 +740,8 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
     Returns ``(problem, solution)``: the unweighted problem the ladder
     assembled at N, and the solution at N, whose
     ``diagnostics["weight_history"]`` is ||b|| followed by each level's
-    residual."""
+    residual floored at tol ||b||: a residual at round-off would make
+    weights of its noise and cut the next level's rank."""
     N = tuple(N) if not np.isscalar(N) else (int(N),) * mask.dimension
     q = tuple(q) if not np.isscalar(q) else (int(q),) * mask.dimension
     n0 = [min(coarsest_n(bank), ni) for ni in N]
@@ -787,7 +762,7 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
         sol = smoothed_az_solve(
             replace(problem, weights=scale_weights(e, lv)),
             tol=tol, seed=seed)
-        e.append(sol.residual)
+        e.append(max(sol.residual, tol * e[0]))
     sol.diagnostics["weight_history"] = list(e)
     return problem, sol
 

@@ -311,9 +311,9 @@ TIMING_STAGES = ("geometry", "step1", "step23")
 def cmd_timing(args):
     """Median wall time of a solve from scratch at each N, and the median
     seconds of each of TIMING_STAGES: the geometry cache is cleared before
-    every repetition, so every pipeline assembles its geometry, forms its
-    scaling block (``Geometry.block``) and, unless it is exact, its factor
-    afresh each time (reduced and sparse report ``step1_reused`` False)."""
+    every repetition, so every pipeline assembles its geometry and makes
+    the factor of its scaling block (``Geometry.factor``) afresh each time
+    (reduced and sparse report ``step1_reused`` False)."""
     if args.repetitions < 3:
         raise ConfigError("timing requires at least 3 repetitions")
     cfg = _config_from(args)

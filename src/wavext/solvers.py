@@ -11,9 +11,10 @@ finds (Halko, Martinsson & Tropp 2011, section 4).  ``_frontal_qr``
 compresses a banded sparse matrix A to a square triangle R_B = Q_B^T A by
 one frontal QR, into a ``FrontalFactor``; R_B has A's singular values and
 Q_B^T keeps the least-squares minimizer of any right-hand side (Chan, ACM
-TOMS 1982).  The factor reveals the rank on R_B: by its column-pivoted QR
-(``FrontalFactor.qr``, which ``sparse_qr_factor`` applies to a sparse
-matrix) or by its truncated SVD (``FrontalFactor.svd``).
+TOMS 1982).  A small dense A is a ``FrontalFactor`` of its own, with
+R_B = A and Q_B = I.  The factor reveals the rank on R_B: by its
+column-pivoted QR (``FrontalFactor.qr``, which ``sparse_qr_factor`` applies
+to a sparse matrix) or by its truncated SVD (``FrontalFactor.svd``).
 ``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
 """
 
@@ -218,19 +219,20 @@ def pivoted_qr_solve(A, b, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class FrontalFactor:
-    """A sparse matrix A compressed by a frontal QR (``_frontal_qr``) to the
-    square upper triangle ``R_B`` = Q_B^T A[rows][:, cols], the core of A in
-    the order it was eliminated in.  The banded QR is replayed from
-    ``steps``: per step, the range of core rows folded into the front and
-    the reflectors (V, T) that folded them, as LAPACK ``tpqrt`` returns
-    them.  That gives Q_B^T b for any right-hand side (``qtb``).
-    ``front_width`` is the most columns the front held: at most the
-    bandwidth of A^T A in the column order plus one step.  ``qr`` and
-    ``svd`` reveal the rank on R_B; the factors they return (the
-    subclasses) share these arrays, keep what their ``solve`` needs, and A
-    itself for the residual."""
+    """A matrix A and ``R_B`` = Q_B^T A[rows][:, cols] on its core, in the
+    order it was eliminated in.  A sparse A is compressed by a frontal QR
+    (``_frontal_qr``) to the square upper triangle R_B; the banded QR is
+    replayed from ``steps``: per step, the range of core rows folded into
+    the front and the reflectors (V, T) that folded them, as LAPACK
+    ``tpqrt`` returns them.  A dense A is uncompressed: R_B is A, Q_B = I
+    and there are no steps.  That gives Q_B^T b for any right-hand side
+    (``qtb``).  ``front_width`` is the most columns the front held: at most
+    the bandwidth of A^T A in the column order plus one step, or A's
+    columns.  ``qr`` and ``svd`` reveal the rank on R_B; the factors they
+    return (the subclasses) share these arrays, keep what their ``solve``
+    needs, and A itself for the residual."""
 
-    A: scipy.sparse.csr_matrix
+    A: scipy.sparse.csr_matrix | np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     steps: tuple
@@ -242,14 +244,19 @@ class FrontalFactor:
         """The arrays held, A's and the reflectors included; a reveal lists
         the ones it shares with its factor too."""
         A = self.A
-        arrays = [A.data, A.indices, A.indptr, *vars(self).values()]
+        arrays = list(vars(self).values())
         arrays += [a for _, _, V, T in self.steps for a in (V, T)]
+        if scipy.sparse.issparse(A):
+            arrays += [A.data, A.indices, A.indptr]
         return [a for a in arrays if isinstance(a, np.ndarray)]
 
     def qtb(self, b):
         """Q_B^T b on the rows of R_B: the front's reflectors replayed on
-        the core rows of b, BLOCK_SIZE rows of R_B per step."""
+        the core rows of b, BLOCK_SIZE rows of R_B per step; without steps,
+        the core rows themselves."""
         c = b[self.rows]
+        if not self.steps:
+            return c
         out = np.empty(self.cols.size)
         front = np.zeros(0)
         for j0, (r0, r1, V, T) in zip(range(0, out.size, BLOCK_SIZE),
@@ -296,9 +303,11 @@ class FrontalFactor:
         x = np.zeros(self.A.shape[1])
         if self.rank:
             self._solve_core(x, self.qtb(b))
-        return _finalize(lambda v: self.A @ v, x, b, self.rank, t0,
+        A = self.A
+        nnz = A.nnz if scipy.sparse.issparse(A) else np.count_nonzero(A)
+        return _finalize(lambda v: A @ v, x, b, self.rank, t0,
                          core_shape=(self.rows.size, self.cols.size),
-                         nnz=int(self.A.nnz), front_width=self.front_width)
+                         nnz=int(nnz), front_width=self.front_width)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,16 @@ from wavext.dwt import (TransformError, dwt, idwt, idwt_column_filters,
                         sparse_idwt_rows)
 from wavext.filters import filter_bank
 from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
-                            _finalize, _pivoted_qr, randomized_lowrank_solve,
-                            sparse_qr_factor)
+                            _finalize, _frontal_qr, _pivoted_qr,
+                            randomized_lowrank_solve, sparse_qr_factor)
 from wavext.system import assemble_scaling, frame_operator_A
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
                 "cdf35", "cdf42", "cdf51"]
+# the families whose 1-D scaling blocks have at most BLOCK_SIZE columns
+UNCOMPRESSED_1D_FAMILIES = ["db1", "db2", "db3", "db4", "db5", "cdf22",
+                            "cdf24", "cdf26", "cdf31", "cdf33", "cdf35",
+                            "cdf42", "cdf44", "cdf51", "cdf53"]
 DUAL_COMBOS = [(fam, q) for fam in
                ["db2", "db3", "db4", "cdf22", "cdf31", "cdf33", "cdf35",
                 "cdf42", "cdf51"] for q in (2, 4)]
@@ -396,6 +400,13 @@ def sparse_qr_reference(A, b, tol=DEFAULT_TOL, scale=None):
         x[cols[piv[:r]]] = scipy.linalg.solve_triangular(
             R[:r, :r], Qf[:, :r].T @ b[rows])
     return x, r
+
+
+def frontal_qr_reveal(B, tol, scale):
+    """The column-pivoted QR reveal of a dense block B taken on the frontal
+    triangle of its CSR, ``_frontal_qr(csr(B)).qr(tol, scale)``: the oracle
+    of the ``qr`` reveal of an uncompressed factor, which takes it on B."""
+    return _frontal_qr(scipy.sparse.csr_matrix(B)).qr(tol, scale)
 
 
 def wavelet_block(problem):

@@ -21,7 +21,8 @@ from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve,
 from wavext.system import dense_A
 
 import support
-from support import (ALL_FAMILIES, banks, check_sparse_factor,
+from support import (ALL_FAMILIES, UNCOMPRESSED_1D_FAMILIES, banks,
+                     check_sparse_factor, frontal_qr_reveal,
                      heldout_interior_error, plunge_apply, plunge_operator,
                      plunge_rank, plunge_rapply,
                      reference_per_scale_norms, reference_plunge_apply,
@@ -407,7 +408,7 @@ def _sampler_case(case, bank):
 def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                                                    monkeypatch):
     """Step 1 of az and smoothed runs on the boundary operator C = R_B
-    R_L[cols] D_L (B R_L D_L on an exact block) with no wavelet transform
+    R_L[cols] D_L (B R_L D_L uncompressed) with no wavelet transform
     inside its kernel: the range finder samples C G^T for Gaussian rows G
     on L, weighted or not; where C has at most BLOCK_SIZE rows or columns
     the kernel forms it exactly.  Weighted and unweighted, it keeps the
@@ -441,12 +442,18 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                 and np.linalg.norm(x) <= 2 * sol.coefficient_norm), msg
 
 
+def _uncompressed(geometry):
+    """Whether the geometry's scaling block is its own factor, R_B = B."""
+    return geometry.factor.R_B is geometry.factor.A
+
+
 def _compressed(geometry, U):
     """Q_B^T U, column by column, for U on the rows Mrows: the rows of the
-    boundary operator C of ``geometry``; U itself for an exact block."""
-    if geometry.exact:
-        return U
-    return np.column_stack([geometry.factor.qtb(u) for u in U.T])
+    boundary operator C of ``geometry``; U itself for an uncompressed
+    factor."""
+    QtU = np.column_stack([geometry.factor.qtb(u) for u in U.T])
+    assert not _uncompressed(geometry) or np.array_equal(QtU, U)
+    return QtU
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -457,9 +464,9 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
     columns of the geometry's frontal factor: each sample block is Q_B^T
     B R_L D_L G^T for Gaussian rows G on L, weighted or not, with B =
     scaling_plunge(geometry) and R_L from the selected rows of W^-1
-    (``selected_winv_rows``), to 1e-12 relative.  An exact block (dense,
-    at most BLOCK_SIZE columns: 1-D) is not compressed, and C has the
-    (|Mrows|, |L|) shape of B R_L D_L.  Where C has at most BLOCK_SIZE rows
+    (``selected_winv_rows``), to 1e-12 relative.  A block of at most
+    BLOCK_SIZE columns (1-D) is not compressed, and C has the (|Mrows|,
+    |L|) shape of B R_L D_L.  Where C has at most BLOCK_SIZE rows
     or columns the kernel forms C exactly instead, samples nothing, and
     range_dim reads that size.  No sample takes a wavelet transform, and
     at N = 4096 no sample call and no apply of C allocates as much as one
@@ -511,8 +518,8 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
         # once untraced, so that no first-call set-up counts as a sample's
         az.smoothed_az_solve(problem, seed=0)
         g = prob.geometry
-        rows = m if g.exact else g.factor.cols.size
-        assert g.exact is (prob.grid.dimension == 1)
+        rows = m if _uncompressed(g) else g.factor.cols.size
+        assert _uncompressed(g) is (prob.grid.dimension == 1)
         shapes.clear(), blocks.clear(), peaks.clear()
         sol = az.smoothed_az_solve(problem, seed=0)
         d, w = sol.diagnostics, problem.weights
@@ -636,15 +643,15 @@ def test_boundary_operator_is_the_plunge_block(dim, weighted):
     plunge (I - A Z*) A D compressed by Q_B^T (``qtb``): C X = Q_B^T (P D
     X)[Mrows] and C^T (Q_B^T U) = (P D)^T U on L, for vectors and blocks,
     to 1e-12 of the largest entry; outside the block the matrix-free
-    plunge holds cancellation fuzz only.  In 1-D the block is exact, C =
-    B R_L D_L and qtb the identity."""
+    plunge holds cancellation fuzz only.  In 1-D the block is
+    uncompressed, C = B R_L D_L and qtb the identity."""
     prob = _block_case(dim)
     if weighted:
         prob = _weighted(prob)
     g = prob.geometry
     L, C, qtb = az.boundary_operator(prob)
     m, n = prob.A.shape
-    assert g.exact is (dim == 1)
+    assert _uncompressed(g) is (dim == 1)
     assert C.shape == ((prob.Mrows.size if dim == 1
                         else g.factor.cols.size), L.size)
     rng = np.random.default_rng(dim)
@@ -676,7 +683,7 @@ def test_winv_block_built_once_per_geometry(dim):
     for solve in (lambda: az.az_solve(prob, seed=0),
                   lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
         cold = ("winv_block" not in vars(prob.geometry)
-                or "block" not in vars(prob.geometry))
+                or "factor" not in vars(prob.geometry))
         first, second = solve(), solve()
         assert (first.stage_times["assembly"] > 0) is cold
         assert second.stage_times["assembly"] == 0.0
@@ -713,8 +720,8 @@ def test_range_dim_stops_at_rank(r, n):
 
 
 # (f, mask, family, n) of the compressed scaling blocks on which reduced's
-# step 1 is checked against the dense truncated SVD: sparse blocks, and
-# db1's at 16^2 on r = 0.34, dense with 21 columns
+# step 1 is checked against the dense truncated SVD, db1's at 16^2 on
+# r = 0.34 with 21 columns among them
 _SVD_FACTOR_CASES = {
     "disk16-cdf33": (exp2d, disk(0.5, 0.5, 0.35), "cdf33", 16),
     "disk16-db1": (exp2d, disk(0.5, 0.5, 0.34), "db1", 16),
@@ -727,8 +734,8 @@ _SVD_FACTOR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_SVD_FACTOR_CASES))
 def test_reduced_step1_is_the_truncated_svd_of_the_block(case):
-    """On a scaling block that is sparse, or dense with more than
-    BLOCK_SIZE columns, reduced's step 1 is the block's truncated SVD at
+    """On a scaling block with more than BLOCK_SIZE columns, which is
+    sparse, reduced's step 1 is the block's truncated SVD at
     max(tol s_0, NOISE_REL ||A_hat||_F), taken on the frontal triangle R_B
     of the block's compression: the rank of the dense SVD oracle with the
     same floor, and its y to round-off, ||y - y_ref|| <= 100 eps kappa
@@ -742,14 +749,13 @@ def test_reduced_step1_is_the_truncated_svd_of_the_block(case):
     az.clear_caches()
     prob = az.make_problem(f, mask, bank, N, q)
     block, scale = az._scaling_block(prob.geometry), az._reference_scale(prob)
-    sparse = scipy.sparse.issparse(block)
-    assert sparse is (family != "db1") and block.shape[1] > BLOCK_SIZE
-    dense, b1 = block.toarray() if sparse else block, az.plunge_rhs(prob)
+    assert scipy.sparse.issparse(block) and block.shape[1] > BLOCK_SIZE
+    dense, b1 = block.toarray(), az.plunge_rhs(prob)
     ref = truncated_svd_solve(dense, b1, floor=solvers.NOISE_REL * scale)
     cold = az.reduced_az_solve(prob)
     g = prob.geometry
     factor, reused = g.reveal("svd", DEFAULT_TOL)
-    assert not g.exact
+    assert not _uncompressed(g)
     assert reused and not cold.diagnostics["step1_reused"]
     assert cold.plunge_rank == factor.rank == ref.rank > 0
     s = np.linalg.svd(dense, compute_uv=False)
@@ -841,17 +847,15 @@ def test_adaptive_short_interval():
         az.adaptive_weighted_solve(exp1d, interval(0.1, 0.2), bank, 16, 2)
 
 
-@pytest.mark.xfail(strict=True, reason="adaptive feeds round-off residuals "
-                   "back as weights: the last level misses reduced by 1e8")
 @pytest.mark.parametrize("a, b, k, w, p", [
     (0.1563, 0.6796, 0.6016, 1.9271, 0.4657),
     (0.2752, 0.8850, 0.5951, 1.2734, 0.0191)])
 def test_adaptive_round_off_weights(a, b, k, w, p):
     """cdf33, N = 4096, q = 2, f = exp(k x) cos(w x + p): the level
-    residuals fall geometrically to about 1e-12 by level 2048, and the
-    weights made of them cut level 4096 at rank 3, where az finds rank 4.
-    Its residual reads 3.5e-5 and 2.0e-5, against 4.9e-14 and 4.4e-14
-    for reduced."""
+    residuals fall geometrically to about 1e-12 by level 2048.  Weights made
+    of them cut level 4096 at rank 3, where az finds rank 4, with residuals
+    3.5e-5 and 2.0e-5; floored at tol ||b|| they keep rank 4, residuals
+    6.3e-14 and 1.6e-14, against 4.9e-14 and 4.4e-14 for reduced."""
     def f(P):
         return np.exp(k * P[:, 0]) * np.cos(w * P[:, 0] + p)
 
@@ -1276,16 +1280,19 @@ def _same_factor(f, g):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
-    """Where step 1 forms the scaling block dense (its products take at most
-    DENSE_BLOCK_ENTRIES terms: every 1-D block, also at the box edge and at
-    2^12, and small disk blocks such as db1's at 16^2), it equals the sparse
-    ``scaling_plunge`` in every bit, signed zeros included, for every
-    family, and sparse's factor of it is that of the sparse block; larger
-    blocks are the sparse block itself."""
+    """Where step 1 forms the scaling block dense (at most BLOCK_SIZE
+    columns: every 1-D block, db5's 16 included, also at the box edge and
+    at 2^12, and the 8^2 disk blocks of db1 and cdf22), it equals the
+    sparse ``scaling_plunge`` in every bit, signed zeros included, for
+    every family, and the frontal factor of its CSR is that of the sparse
+    block; wider blocks are the sparse block itself."""
     cases = {1: [(interval(0.2, 0.8), 64), (interval(0.0, 0.5), 256),
                  (interval(0.13, 0.71), 4096)],
-             2: [(disk(0.5, 0.5, 0.34), 16), (disk(0.5, 0.5, 0.35), 16)],
+             2: [(disk(0.5, 0.5, 0.3), 8), (disk(0.5, 0.5, 0.34), 16),
+                 (disk(0.5, 0.5, 0.35), 16)],
              3: [(ball(0.5, 0.5, 0.5, 0.4), 8)]}[dim]
+    if dim == 1:
+        banks = {**banks, "db5": filter_bank("db5")}
     dense_cases = set()
     for name, bank in banks.items():
         for mask, n in cases:
@@ -1294,9 +1301,7 @@ def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
                                    mask, bank, n, 2)
             block, ref = (az._scaling_block(prob.geometry),
                           az.scaling_plunge(prob.geometry))
-            Ar, _ = prob.geometry.boundary_rows
-            terms = Ar.shape[0] * np.unique(Ar.indices).size * prob.K.size
-            if terms > az.DENSE_BLOCK_ENTRIES:
+            if prob.K.size > BLOCK_SIZE:
                 assert scipy.sparse.issparse(block), (name, n)
                 continue
             dense_cases.add((name, mask.description))
@@ -1308,9 +1313,34 @@ def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
     if dim == 1:
         assert len(dense_cases) == len(banks) * len(cases)
     elif dim == 2:
-        assert ("db1", disk(0.5, 0.5, 0.34).description) in dense_cases
+        small = disk(0.5, 0.5, 0.3).description
+        assert {(name, small) for name in ("db1", "cdf22")} == dense_cases
     else:
         assert not dense_cases
+
+
+@pytest.mark.parametrize("family", UNCOMPRESSED_1D_FAMILIES)
+def test_uncompressed_sparse_keeps_the_compressed_rank(family):
+    """sparse on an uncompressed factor, the column-pivoted QR of the 1-D
+    block B itself, keeps the rank of the column-pivoted QR of the frontal
+    triangle of B's CSR at the same cut (``frontal_qr_reveal``), with a
+    step-1 residual within 1 % of its (or of 1e-12 ||b1||): at 2^12 and
+    2^16, on (0.2, 0.75) and at the box edge on (0.001, 0.999)."""
+    bank = filter_bank(family)
+    for mask in (interval(0.2, 0.75), interval(0.001, 0.999)):
+        for N in (2**12, 2**16):
+            prob = az.make_problem(exp1d, mask, bank, N, 2)
+            g, scale = prob.geometry, az._reference_scale(prob)
+            assert _uncompressed(g)
+            ref = frontal_qr_reveal(g.factor.A, DEFAULT_TOL, scale)
+            b1 = az.plunge_rhs(prob)
+            got, want = g.reveal("qr", DEFAULT_TOL)[0].solve(b1), ref.solve(b1)
+            msg = (family, mask.description, N, got.rank, want.rank,
+                   got.residual, want.residual)
+            assert got.rank == want.rank, msg
+            assert abs(got.residual - want.residual) <= (
+                0.01 * want.residual + 1e-12 * np.linalg.norm(b1)), msg
+            assert az.sparse_az_solve(prob).plunge_rank == want.rank, msg
 
 
 def _poison_outside_rows(prob):
@@ -1490,11 +1520,11 @@ def test_sparse_step1_key_separates_geometries():
         assert az.sparse_az_solve(prob, **kw).diagnostics["step1_reused"]
 
 
-# (f, mask, family, N) of a dense exact block (1-D), a dense block that is
-# compressed (db1 on the 16^2 disk) and a sparse block
+# (f, mask, family, N) of two uncompressed factors, a 1-D block and db1's
+# 9-column block on the 8^2 disk, and of a compressed sparse block
 _BYTES_CASES = {
     "interval-cdf33": (exp1d, interval(0.2, 0.8), "cdf33", (256,)),
-    "disk16-db1": (exp2d, disk(0.5, 0.5, 0.34), "db1", (16, 16)),
+    "disk8-db1": (exp2d, disk(0.5, 0.5, 0.3), "db1", (8, 8)),
     "disk32-cdf33": (exp2d, disk(0.5, 0.5, 0.34), "cdf33", (32, 32)),
 }
 
@@ -1505,23 +1535,17 @@ def _bytes(*arrays):
 
 @pytest.mark.parametrize("case", sorted(_BYTES_CASES))
 def test_geometry_bytes_grow_by_the_arrays_added(case):
-    """Forming the block, then making the factor and each reveal, grows
-    ``Geometry.nbytes`` by exactly the bytes of the arrays each adds: a
-    dense block its array; a sparse block its data, indices and indptr,
-    which the factor's A shares, so the factor adds only R_B, rows, cols
-    and the reflectors (a dense block's factor its own sparse A too); a
-    reveal only its own arrays, not the frontal ones it shares; a reveal
-    already made nothing."""
+    """Making the factor, then each reveal, grows ``Geometry.nbytes`` by
+    exactly the bytes of the arrays each adds: an uncompressed factor its
+    dense block once, as both A and R_B, and its rows and cols; a
+    compressed one its sparse block's data, indices and indptr, R_B, rows,
+    cols and the reflectors; a reveal only its own arrays, not the frontal
+    ones it shares; a reveal already made nothing."""
     f, mask, family, N = _BYTES_CASES[case]
     az.clear_caches()
     g = az.make_problem(f, mask, filter_bank(family), N, 2).geometry
     g.boundary_rows     # what the block is formed from
     sizes = [g.nbytes]
-    block = g.block
-    sparse = scipy.sparse.issparse(block)
-    assert sparse is (case == "disk32-cdf33")
-    assert g.exact is (len(N) == 1)
-    sizes.append(g.nbytes)
     factor = g.factor
     sizes.append(g.nbytes)
     svd, _ = g.reveal("svd", DEFAULT_TOL)
@@ -1531,13 +1555,18 @@ def test_geometry_bytes_grow_by_the_arrays_added(case):
     g.reveal("qr", DEFAULT_TOL)
     sizes.append(g.nbytes)
     A = factor.A
-    assert (A.data is block.data) is sparse
-    own = _bytes(factor.R_B, factor.rows, factor.cols,
+    uncompressed = case != "disk32-cdf33"
+    assert _uncompressed(g) is uncompressed
+    assert scipy.sparse.issparse(A) is not uncompressed
+    if uncompressed:
+        assert not factor.steps and A.shape[1] <= BLOCK_SIZE
+        block = A.nbytes
+    else:
+        block = _bytes(A.data, A.indices, A.indptr, factor.R_B)
+    own = _bytes(factor.rows, factor.cols,
                  *(a for _, _, V, T in factor.steps for a in (V, T)))
-    shared = _bytes(A.data, A.indices, A.indptr)
     assert np.diff(sizes).tolist() == [
-        shared if sparse else block.nbytes,
-        own if sparse else own + shared,
+        block + own,
         _bytes(svd.U, svd.s, svd.Vt),
         _bytes(qr.Q, qr.R, qr.piv),
         0]
@@ -1585,7 +1614,7 @@ def test_sparse_step1_factor_over_budget_leaves_cache(monkeypatch):
     big = az.make_problem(*disk32)
     assert [g for g, _ in az._cache.values()] == [big.geometry]
     g = big.geometry
-    assert "block" not in vars(g)
+    assert "factor" not in vars(g)
     before = g.nbytes
     g.reveal("qr", DEFAULT_TOL)
     assert g.nbytes > g.nbytes - before > budget
@@ -1620,20 +1649,22 @@ def test_sparse_step1_cache_holds_no_problem():
     assert scaling() is None
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_block_compressed_once_per_geometry(dim, monkeypatch):
-    """Every pipeline starts step 1 from one compression per geometry:
-    across reduced, sparse, az, smoothed and adaptive on the 16^2 disk and
-    the 8^3 ball (whose ladders have that one level), ``_scaling_block``
-    and ``_frontal_qr`` each run once while the geometry stays cached, only
-    the first solve reports the assembly, and each pipeline returns the x
-    of a solve from cold caches.  Each cold solve and the counted round run
-    on a problem made after clear_caches, as a live problem keeps its
-    geometry and all it has made; R_L is built before the round, so that
-    the assembly
-    there is the compression's alone."""
+    """Every pipeline starts step 1 from one factor per geometry: across
+    reduced, sparse, az, smoothed and adaptive on db5's 1-D block at 64
+    points, the 16^2 disk and the 8^3 ball (whose ladders have that one
+    level), ``_scaling_block`` runs once while the geometry stays cached,
+    and ``_frontal_qr`` once in 2-D and 3-D and never on the 1-D block of
+    16 columns, which is its own factor; only the first solve reports the
+    assembly, and each pipeline returns the x of a solve from cold caches.
+    Each cold solve and the counted round run on a problem made after
+    clear_caches, as a live problem keeps its geometry and all it has
+    made; R_L is built before the round, so that the assembly there is the
+    factor's alone."""
     f, mask, n = _BLOCK_CASES[dim]
-    prob = _block_case(dim)
+    bank = filter_bank("db5") if dim == 1 else None
+    prob = _block_case(dim, bank)
     solves = {
         "reduced": lambda: az.reduced_az_solve(prob),
         "sparse": lambda: az.sparse_az_solve(prob),
@@ -1644,7 +1675,7 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
     cold = {}
     for name, solve in solves.items():
         az.clear_caches()
-        prob = _block_case(dim)
+        prob = _block_case(dim, bank)
         cold[name] = solve().x
     counts = {"_scaling_block": 0, "_frontal_qr": 0}
 
@@ -1659,16 +1690,17 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
     for name in counts:
         monkeypatch.setattr(az, name, counted(name))
     az.clear_caches()
-    prob = _block_case(dim)
+    prob = _block_case(dim, bank)
     prob.geometry.winv_block
     for i, (name, solve) in enumerate(solves.items()):
         sol = solve()
         assert np.array_equal(sol.x, cold[name]), name
         assert (sol.stage_times["assembly"] > 0) is (i == 0), name
-    assert counts == {"_scaling_block": 1, "_frontal_qr": 1}
+    assert counts == {"_scaling_block": 1, "_frontal_qr": int(dim > 1)}
     (geometry, size), = az._cache.values()
     assert geometry is prob.geometry and size == geometry.nbytes
-    assert len(geometry.reveals) == 2
+    # reduced takes no reveal of an uncompressed factor
+    assert len(geometry.reveals) == (1 if dim == 1 else 2)
 
 
 _GEOMETRY_SOLVES = {
