@@ -19,13 +19,17 @@ pipeline then takes its own reveal (``Geometry.reveal``):
 * ``reduced_az_solve``: the truncated SVD of R_B, which is B's, and
   x1 = W y; on an uncompressed factor the randomized kernel takes that
   SVD;
-* ``az_solve`` (vanilla AZ, also ``smoothed_az_solve``): the randomized
-  low-rank kernel on C = R_B R_L[cols] D_L, the plunge on its rows Mrows
-  and columns L compressed by Q_B^T (``boundary_operator``), and x1 = D y
-  on L.  R_L = W^-1[K, L] is built once per geometry from the rows of the
-  per-axis W^-1, each by a dual analysis on a window of about the filter
-  span per level (``Geometry.winv_block``): O(|K| taps J) per axis, so in
-  1-D no part of step 1 grows with N.
+* ``az_solve`` (vanilla AZ): the plunge on its rows Mrows and columns L,
+  compressed by Q_B^T, is C = R_B R_L[cols], R_L = W^-1[K, L].  With
+  G = R_L[cols] R_L[cols]^T = F F^T (``Geometry.gram``), C = (R_B F) Q^T
+  for Q = R_L[cols]^T F^-T with orthonormal columns, so the truncated SVD
+  of R_B F (``Geometry.reveal("gram")``) solves it exactly: y =
+  R_L[cols]^T F^-T z on L.  G and R_L[cols]^T come from the rows of the
+  per-axis W^-1 (``Geometry.winv_rows``), O(|K| taps J) per axis: in 1-D
+  no part of step 1 grows with N, and no (|K|, |L|) array is formed.
+* ``smoothed_az_solve`` (az_solve with weights D): the randomized
+  low-rank kernel on C D_L (``boundary_operator``), R_L formed from the
+  same rows (``Geometry.winv_block``), and x1 = D y on L.
 
 Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides c = Z_hat*
 b, so its cost follows the boundary, not N.  Steps 2-3 finish every
@@ -36,12 +40,12 @@ step-1 kernel treats what falls below a fraction of the reference scale
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  A ``Geometry`` owns all of it: the operators and
-index sets and, made on first use, the rows Mrows of A_hat and Z_hat, R_L,
-the scaling block's factor and the reveals of it.  ``make_problem``
-keeps the geometries in one least-recently-used cache within CACHE_BYTES
-and reuses that of an equal geometry, so a warm explicit solve only
-replays the reflectors on its right-hand side.  ``clear_caches`` empties
-it.
+index sets and, made on first use, the rows Mrows of A_hat and Z_hat, the
+per-axis rows of W^-1, R_L, the Gram factor F, the scaling block's factor
+and the reveals of it.  ``make_problem`` keeps the geometries in one
+least-recently-used cache within CACHE_BYTES and reuses that of an equal
+geometry, so a warm explicit or unweighted az solve only replays the
+reflectors on its right-hand side.  ``clear_caches`` empties it.
 """
 
 import hashlib
@@ -52,6 +56,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -71,13 +77,15 @@ from .system import (assemble_scaling, csr_rows,
 
 PRUNE_REL = 1e-12
 # Bytes of the geometries kept (``Geometry.nbytes``): A_hat, Z_hat, index
-# sets, rows Mrows, R_L, scaling block, factor and reveals.  Geometry, R_L:
-# 1-D 2^12 0.35, 0.03 MB, 2^18 21.6, 0.01 MB; disk (0.5, 0.5, 0.34) 16^2
-# 0.10, 0.17 MB, 32^2 db4 3.1, 4.3 MB, 64^2 1.0, 7.9 MB, 128^2 3.7, 44.5 MB.
-# disk-2d's blocks with factor and reveals add 0.20 (16^2), 0.78 and 2.74
-# (32^2, 64^2) and 8.95 MB (32^2 db4), so its four geometries fit together.
-# The newest is kept also when larger alone, as the 16^3 ball's is with a
-# reveal (its factor takes 30.0 MB).
+# sets, rows Mrows, rows of W^-1, R_L, F, scaling block, factor and reveals.
+# Geometry, R_L (weighted only): 1-D 2^12 0.35, 0.03 MB, 2^18 21.6, 0.01 MB;
+# disk (0.5, 0.5, 0.34) 16^2 0.10, 0.17 MB, 32^2 db4 3.1, 4.3 MB, 64^2 1.0,
+# 7.9 MB, 128^2 3.7, 44.5 MB.  F and az's Gram reveal: 16^2 0.05, 0.07 MB,
+# 32^2 db4 2.00, 2.63 MB, 64^2 0.99, 1.51 MB, 128^2 3.96, 5.77 MB.  After a
+# disk-2d pass its four geometries hold 0.58 (16^2), 1.04 and 3.62 (32^2,
+# 64^2) and 11.99 MB (32^2 db4), so they fit together.  The newest is kept
+# also when larger alone, as the 16^3 ball's is with a reveal (its factor
+# takes 30.0 MB).
 CACHE_BYTES = 2**25
 
 
@@ -88,8 +96,9 @@ class AZError(ValueError):
 class Geometry:
     """What every problem on one geometry (filter bank, N, q and inside mask)
     shares, and its ``key``: operators, index sets, ``scale`` = ||A_hat||_F
-    and, made on first use, ``L``, ``boundary_rows``, ``winv_block`` and
-    step 1's ``factor`` of the scaling block and the ``reveals`` of it.
+    and, made on first use, ``L``, ``boundary_rows``, ``winv_rows``,
+    ``winv_block``, ``gram`` and step 1's ``factor`` of the scaling block
+    and the ``reveals`` of it.
     The index arrays are read-only; nothing here holds the grid or mask."""
 
     def __init__(self, bank: FilterBank, grid: MaskedGrid, key):
@@ -112,7 +121,9 @@ class Geometry:
         mats = [self.scaling.A_hat, self.scaling.Z_hat,
                 *made.get("boundary_rows", ())]
         arrays = [self.K, self.kflags, self.Mrows, made.get("L", self.K[:0]),
-                  *made.get("winv_block", ())]
+                  *made.get("winv_block", ()), *made.get("gram", ())[:1]]
+        arrays += [a for axis in made.get("winv_rows", ()) for a in axis
+                   if a is not None]
         arrays += [a for m in mats for a in (m.data, m.indices, m.indptr)]
         for factor in (made.get("factor"), *self.reveals.values()):
             arrays += factor.arrays if factor else []
@@ -133,13 +144,16 @@ class Geometry:
                              steps=(), front_width=k, R_B=B)
 
     def reveal(self, kind, tol):
-        """(factor, reused): ``factor.qr`` (sparse) or ``factor.svd``
-        (reduced) at tol cut against ``scale``, kept by (kind, tol)."""
+        """(factor, reused): ``factor.qr`` (sparse), ``factor.svd``
+        (reduced) or, for "gram" (az), ``factor.svd`` of R_B F (``gram``),
+        at tol cut against ``scale``, kept by (kind, tol)."""
         key = (kind, float(tol))
         found = self.reveals.get(key)
         if found is not None:
             return found, True
-        made = getattr(self.factor, kind)(tol, self.scale)
+        made = (self.factor.svd(tol, self.scale, self.gram[0])
+                if kind == "gram" else
+                getattr(self.factor, kind)(tol, self.scale))
         return self.reveals.setdefault(key, made), False
 
     @cached_property
@@ -161,26 +175,51 @@ class Geometry:
                 csr_rows(self.scaling.Z_hat, self.Mrows))
 
     @cached_property
+    def winv_rows(self):
+        """Per axis, (C, R, inv): the rows R of the 1-D W^-1 at the distinct
+        indices u of K on the axis, on their columns C (``_winv_rows``), and
+        inv, the index in u of each element of K (None in 1-D, u = K).  Row
+        r of W^-1[K] is the outer product, in axis order, of the rows
+        inv[r], as W^-1 is the Kronecker product of the per-axis W^-1."""
+        K, N = self.K, self.A.N
+        axes = []
+        for i, n in zip(np.unravel_index(K, N), N):
+            u, inv = (i, None) if len(N) == 1 else np.unique(
+                i, return_inverse=True)
+            axes.append((*_winv_rows(self.bank, n, u), inv))
+        return axes
+
+    @cached_property
     def winv_block(self):
         """(L, R_L): R_L = W^-1[K, L] as a dense (|K|, |L|) array, L the
-        columns where the rows K of W^-1 have entries.  W^-1 is the
-        Kronecker product of the per-axis W^-1, so each row of R_L is the
-        outer product, in axis order, of the per-axis rows of its
-        multi-index (``_winv_rows``, O(|K| taps J) per axis), taken on L
-        (``_outer_rows``).  Once per geometry; empty on the box."""
-        K, N = self.K, self.A.N
-        if not K.size:
+        columns where the rows K of W^-1 have entries, multiplied out from
+        ``winv_rows`` (``_outer_rows``).  Only the weighted sketch reads
+        it; empty on the box."""
+        if not self.K.size:
             L, R = np.zeros(0, np.intp), np.zeros((0, 0))
         else:
-            axes = []
-            for i, n in zip(np.unravel_index(K, N), N):
-                u, inv = (i, None) if len(N) == 1 else np.unique(
-                    i, return_inverse=True)
-                axes.append((*_winv_rows(self.bank, n, u), inv))
-            L, R = _outer_rows(axes, N)
+            L, R = _outer_rows(self.winv_rows, self.A.N)
         for a in (L, R):
             a.flags.writeable = False
         return L, R
+
+    @cached_property
+    def gram(self):
+        """(F, cond): the lower Cholesky factor F of G = R_L[cols]
+        R_L[cols]^T, cols the core columns of ``factor``, and LAPACK's
+        estimate of cond_1(G) (``dpocon``).  G[r, s] is the product over
+        axes of (R_a R_a^T)[inv_a[r], inv_a[s]] (``winv_rows``): O(|cols|^2
+        d) work, no R_L.  G = I for the orthogonal families (db*)."""
+        cols = self.factor.cols
+        G = np.ones((cols.size, cols.size))
+        for _, R, inv in self.winv_rows:
+            i = cols if inv is None else inv[cols]
+            G *= (R @ R.T)[np.ix_(i, i)]
+        F = np.linalg.cholesky(G)
+        rcond = (scipy.linalg.lapack.dpocon(F, np.abs(G).sum(axis=0).max(),
+                                            uplo="L")[0] if F.size else 1.0)
+        F.flags.writeable = False
+        return F, 1.0 / rcond
 
 
 def _winv_rows(bank: FilterBank, n, u):
@@ -276,6 +315,22 @@ def _window_taps(bank: FilterBank):
     for a in (coef, reads):
         a.flags.writeable = False
     return _windows.setdefault(bank.masks_key, (coef, reads, lo, hi))
+
+
+def _rows_transposed(axes, N, w):
+    """R^T w as a vector of the whole basis, for R the rows K of W^-1 and
+    w on K, from ``Geometry.winv_rows`` without forming R: the sum over r
+    of w_r times the outer product of the per-axis rows of r, on the grid
+    of the axes' columns (in 2-D R_0[i_0]^T diag(w) R_1[i_1])."""
+    (C, R, inv), *rest = axes
+    grid, right = C, np.ones((w.size, 1))
+    for (Ca, Ra, ia), n in zip(rest, N[1:]):
+        grid = (grid[:, None] * n + Ca).ravel()
+        right = (right[:, :, None] * Ra[ia][:, None, :]).reshape(
+            w.size, right.shape[1] * Ca.size)
+    x = np.zeros(int(np.prod(N)))
+    x[grid] = (((R if inv is None else R[inv]).T * w) @ right).ravel()
+    return x
 
 
 def _outer_rows(axes, N):
@@ -412,7 +467,7 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
 
 
 def boundary_operator(problem: AZProblem):
-    """(L, C, qtb): step 1's operator of az and smoothed and the map of its
+    """(L, C, qtb): step 1's operator of smoothed and the map of its
     right-hand side.  The plunge (I - A Z*) A D vanishes outside its rows
     Mrows and columns L, where it is B R_L D_L: B the scaling plunge block,
     R_L = W^-1[K, L] (``Geometry.winv_block``) and D_L the weights on L.
@@ -540,10 +595,11 @@ def _columns(S, cols, dense=False):
 
 def clear_caches():
     """Forget every cached geometry: the next make_problem of each assembles
-    it, and its solves build R_L, the scaling block and its factor afresh
-    (a problem made before keeps its geometry).  What depends on the filter
-    bank and sizes alone stays warm: the transform matrices, the tap
-    tables, the window taps of ``_winv_rows`` and the dual pairs."""
+    it, and its solves build the per-axis rows of W^-1, R_L, the Gram, the
+    scaling block and its factor afresh (a problem made before keeps its
+    geometry).  What depends on the filter bank and sizes alone stays
+    warm: the transform matrices, the tap tables, the window taps of
+    ``_winv_rows`` and the dual pairs."""
     with _cache_lock:
         _cache.clear()
 
@@ -560,59 +616,78 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     Step 1 solves the plunge system for y on its rows Mrows, with the rows
     Mrows of b1 = b - A_hat c, from the geometry's ``factor`` of the
     scaling block, made on first use: ``stage_times["assembly"]`` is the
-    seconds of that and, for az and smoothed, of building the geometry's
-    R_L, each 0.0 when the geometry holds it.  The geometry is then kept as
-    the most recently used.  ``reveal`` names what the pipeline takes of
-    the factor:
+    seconds of that and, for az, of the per-axis rows of W^-1 or, for
+    smoothed, of R_L, each 0.0 when the geometry holds it.  The geometry
+    is then kept as the most recently used.  ``reveal`` names what the
+    pipeline takes of the factor:
 
     * "qr" (sparse) or "svd" (reduced): that reveal of R_B, cached too
       (``step1_reused`` says whether it was), solves for y on K, and x1 =
-      W y.  reduced solves an uncompressed factor's B by the randomized
-      kernel, which takes its exact SVD; ``step1_reused`` is then the
-      factor's.
-    * None (az, smoothed): the randomized kernel on ``boundary_operator``,
-      sampling C G^T for Gaussian rows G on L, weighted or not, or forming
-      C exactly where it has at most BLOCK_SIZE rows or columns
+      W y.
+    * None without weights, or with weights all 1 (az): the "gram"
+      reveal, the SVD of R_B F with G = F F^T (``Geometry.gram``), cached
+      too, solves for z on the core columns, and x1 = y = R_L[cols]^T F^-T
+      z on L, applied from the per-axis rows; ``gram_cond`` estimates
+      cond(G).  Exact and deterministic: the seed draws nothing.
+    * None with weights (smoothed): the randomized kernel on
+      ``boundary_operator``, sampling C G^T for Gaussian rows G on L, or
+      forming C exactly where it has at most BLOCK_SIZE rows or columns
       (``range_dim`` then reads that size, not the rank); x1 = D y on L.
 
-    Every kernel cuts against the reference scale.  Explicit forms are
-    unweighted.
+    An uncompressed factor's B (reduced) or B F (az) goes to the
+    randomized kernel, which solves it by its exact SVD; ``step1_reused``
+    is then whether the geometry held all it reads.  Every kernel cuts
+    against the reference scale.  Explicit forms are unweighted.
 
     Steps 2-3 finish in scaling coordinates v = W^-1 x1, where A x1 =
     A_hat v: x = x1 + Z* (b - A x1) = W u with u = v + c - Z_hat* (A_hat
     v), and A x = A_hat u.  When explicit, v is y on K and A_hat v lives on
     the rows Mrows; else v = W^-1 (D y on L) takes one synthesis.  Then one
     analysis gives x, and the residual ||A_hat u - b|| takes none."""
-    if reveal and problem.weights is not None:
+    w = problem.weights
+    if reveal and w is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
     diag, S, g = {}, problem.scaling, problem.geometry
+    w = None if w is None or (w == 1).all() else w    # unit weights: none
+    kind = reveal or ("gram" if w is None else None)
     c = problem.Zstar.adjoint @ problem.b
     b1 = plunge_rhs(problem, c)
     assembly = 0.0
-    if "factor" not in vars(g):
-        _, assembly = _timed(lambda: g.factor)
-    if reveal is None:
+    for made in ("factor", "winv_rows") if kind == "gram" else ("factor",):
+        if made not in vars(g):
+            assembly += _timed(getattr, g, made)[1]
+    if kind is None:
         cold = "winv_block" not in vars(g)
         (L, op, qtb), seconds = _timed(boundary_operator, problem)
         assembly += seconds if cold else 0.0
         rep = randomized_lowrank_solve(op, qtb(b1), tol=tol, seed=seed,
                                        scale=_reference_scale(problem))
-    elif reveal == "svd" and g.factor.R_B is g.factor.A:   # uncompressed
-        diag["step1_reused"] = not assembly
-        rep = randomized_lowrank_solve(g.factor.A, b1, tol=tol,
+    elif kind != "qr" and g.factor.R_B is g.factor.A:   # uncompressed
+        diag["step1_reused"] = not assembly and (kind == "svd"
+                                                 or "gram" in vars(g))
+        B = g.factor.A if kind == "svd" else g.factor.A @ g.gram[0]
+        rep = randomized_lowrank_solve(B, b1, tol=tol,
                                        scale=_reference_scale(problem))
     else:
-        factor, diag["step1_reused"] = g.reveal(reveal, tol)
+        factor, diag["step1_reused"] = g.reveal(kind, tol)
         rep = factor.solve(b1)
+    if kind == "gram":
+        diag["gram_cond"] = g.gram[1]
     _keep(g)
     t1 = time.perf_counter()
-    v, w = np.zeros(problem.grid.n_basis), problem.weights
+    v = np.zeros(problem.grid.n_basis)
     if reveal:
         v[problem.K] = rep.solution     # A_hat v lives on the rows Mrows
         Ar, Zt = g.boundary_rows[0], g.boundary_rows[1].T
     else:
-        v[L] = rep.solution if w is None else rep.solution * w[L]
+        if kind:    # y = R_L[cols]^T F^-T z
+            cols, u = g.factor.cols, np.zeros(problem.K.size)
+            u[cols] = scipy.linalg.solve_triangular(
+                g.gram[0], rep.solution[cols], lower=True, trans="T")
+            v = _rows_transposed(g.winv_rows, problem.A.N, u)
+        else:
+            v[L] = rep.solution * w[L]
         v = problem.A.synthesis(v)
         Ar, Zt = S.A_hat, problem.Zstar.adjoint
     u = v + (c - Zt @ (Ar @ v))
@@ -629,9 +704,11 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
 
 
 def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
-    """Vanilla pipeline, the smoothed one with problem.weights: randomized
-    low-rank solve of the plunge system on its (Mrows, L) block, compressed
-    by the scaling block's frontal factor."""
+    """Vanilla pipeline: the exact truncated SVD of the plunge system on
+    its (Mrows, L) block, compressed by the scaling block's frontal factor,
+    through the Gram of the rows K of W^-1; the seed is unused.  With
+    problem.weights it is the smoothed pipeline: the randomized low-rank
+    solve of that block with its columns weighted, sampled by seed."""
     return _solve(problem, None, tol, seed)
 
 

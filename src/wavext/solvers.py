@@ -287,14 +287,18 @@ class FrontalFactor:
         return SparseQRFactor(**self._frontal(), Q=Qf[:, :r].copy(order="K"),
                               R=R[:r, :r].copy(order="K"), piv=piv[:r].copy())
 
-    def svd(self, tol, scale):
+    def svd(self, tol, scale, right=None):
         """The SVD of R_B cut at max(tol * s_0, NOISE_REL * scale), the cut
         of ``randomized_lowrank_solve``: A's truncated SVD, as R_B has A's
         singular values, whose solve is the minimum-norm solution on the
-        kept directions."""
-        U, s, Vt = _truncated_svd(self.R_B, tol, NOISE_REL * scale)
+        kept directions.  With ``right``, square on the core columns, it is
+        the SVD of R_B right, that of A[:, cols] right, and solve gives the
+        minimum-norm z of min ||A[:, cols] right z - b||."""
+        U, s, Vt = _truncated_svd(self.R_B if right is None
+                                  else self.R_B @ right, tol,
+                                  NOISE_REL * scale)
         return SparseSVDFactor(**self._frontal(), U=U.copy(), s=s.copy(),
-                               Vt=Vt.copy())
+                               Vt=Vt.copy(), right=right)
 
     def solve(self, b):
         """Min ||A x - b|| on the numerically significant part of A."""
@@ -305,9 +309,13 @@ class FrontalFactor:
             self._solve_core(x, self.qtb(b))
         A = self.A
         nnz = A.nnz if scipy.sparse.issparse(A) else np.count_nonzero(A)
-        return _finalize(lambda v: A @ v, x, b, self.rank, t0,
+        return _finalize(self._apply, x, b, self.rank, t0,
                          core_shape=(self.rows.size, self.cols.size),
                          nnz=int(nnz), front_width=self.front_width)
+
+    def _apply(self, x):
+        """The product whose residual ``solve`` reports: A x."""
+        return self.A @ x
 
 
 @dataclass(frozen=True)
@@ -331,12 +339,13 @@ class SparseQRFactor(FrontalFactor):
 
 @dataclass(frozen=True)
 class SparseSVDFactor(FrontalFactor):
-    """R_B's truncated SVD U diag(s) Vt, of rank r = s.size
-    (``FrontalFactor.svd``)."""
+    """R_B's truncated SVD U diag(s) Vt, of rank r = s.size, or that of
+    R_B right (``FrontalFactor.svd``)."""
 
     U: np.ndarray
     s: np.ndarray
     Vt: np.ndarray
+    right: np.ndarray | None = None
 
     @property
     def rank(self):
@@ -346,6 +355,14 @@ class SparseSVDFactor(FrontalFactor):
         """x on the core columns from c = Q_B^T b: the minimum-norm
         solution on the kept singular directions."""
         x[self.cols] = self.Vt.T @ ((self.U.T @ c) / self.s)
+
+    def _apply(self, x):
+        """A x, or A[:, cols] right x[cols] with ``right``."""
+        if self.right is None:
+            return self.A @ x
+        u = np.zeros(x.size)
+        u[self.cols] = self.right @ x[self.cols]
+        return self.A @ u
 
 
 def _banded_order(A):

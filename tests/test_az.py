@@ -407,17 +407,20 @@ def _sampler_case(case, bank):
 @pytest.mark.parametrize("case", [1, 2, 3, 4096, 32])
 def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                                                    monkeypatch):
-    """Step 1 of az and smoothed runs on the boundary operator C = R_B
-    R_L[cols] D_L (B R_L D_L uncompressed) with no wavelet transform
-    inside its kernel: the range finder samples C G^T for Gaussian rows G
-    on L, weighted or not; where C has at most BLOCK_SIZE rows or columns
-    the kernel forms it exactly.  Weighted and unweighted, it keeps the
-    rank of the oracle that samples the whole plunge P D G^T through the
-    transform, with a residual and ||x|| within 2x of the oracle's either
-    way; the 1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the
-    2-D case at 32^2.  Both finish by ``_solve``'s steps 2-3, so the
-    bounds compare step 1: at N = 4096 the residuals sit at round-off, and
-    two finishes would differ by up to 13x there."""
+    """Step 1 of smoothed runs the randomized kernel on the boundary
+    operator C = R_B R_L[cols] D_L (B R_L D_L uncompressed) with no
+    wavelet transform inside it: the range finder samples C G^T for
+    Gaussian rows G on L; where C has at most BLOCK_SIZE rows or columns
+    the kernel forms it exactly.  Unweighted az takes the Gram route
+    instead: the kernel runs only on an uncompressed factor (1-D), on the
+    formed R_B F, again with no transform, and a compressed one calls it
+    not at all.  Weighted and unweighted, step 1 keeps the rank of the
+    oracle that samples the whole plunge P D G^T through the transform,
+    with a residual and ||x|| within 2x of the oracle's either way; the
+    1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the 2-D case
+    at 32^2.  Both finish by ``_solve``'s steps 2-3, so the bounds compare
+    step 1: at N = 4096 the residuals sit at round-off, and two finishes
+    would differ by up to 13x there."""
     prob = _sampler_case(case, banks[family])
     kernel, inside = az.randomized_lowrank_solve, []
     calls = _count_transforms(monkeypatch)
@@ -432,7 +435,9 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
     for problem in (prob, _weighted(prob)):
         inside.clear()
         sol = az.smoothed_az_solve(problem, seed=0)
-        assert inside == [{"dwt": 0, "idwt": 0}], inside
+        kernel_runs = (problem.weights is not None
+                       or _uncompressed(problem.geometry))
+        assert inside == [{"dwt": 0, "idwt": 0}] * kernel_runs, inside
         ref, x, res = transform_sampled_az(problem)
         msg = (problem.weights is None, sol.plunge_rank, ref.rank,
                sol.residual, res, sol.coefficient_norm, np.linalg.norm(x))
@@ -459,26 +464,27 @@ def _compressed(geometry, U):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("case", [1, 2, 3, 4096])
 def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
-    """az's and smoothed's range finder samples the compressed boundary
-    block C = R_B R_L[cols] D_L, of shape (|cols|, |L|) with cols the core
-    columns of the geometry's frontal factor: each sample block is Q_B^T
-    B R_L D_L G^T for Gaussian rows G on L, weighted or not, with B =
-    scaling_plunge(geometry) and R_L from the selected rows of W^-1
-    (``selected_winv_rows``), to 1e-12 relative.  A block of at most
-    BLOCK_SIZE columns (1-D) is not compressed, and C has the (|Mrows|,
-    |L|) shape of B R_L D_L.  Where C has at most BLOCK_SIZE rows
-    or columns the kernel forms C exactly instead, samples nothing, and
-    range_dim reads that size.  No sample takes a wavelet transform, and
-    at N = 4096 no sample call and no apply of C allocates as much as one
-    N-vector, where sampling the plunge over every column allocates
-    N x 16 blocks."""
+    """smoothed's range finder samples the compressed boundary block C =
+    R_B R_L[cols] D_L, of shape (|cols|, |L|) with cols the core columns
+    of the geometry's frontal factor: each sample block is Q_B^T B R_L D_L
+    G^T for Gaussian rows G on L, with B = scaling_plunge(geometry) and
+    R_L from the selected rows of W^-1 (``selected_winv_rows``), to 1e-12
+    relative.  A block of at most BLOCK_SIZE columns (1-D) is not
+    compressed, and C has the (|Mrows|, |L|) shape of B R_L D_L.  Where C
+    has at most BLOCK_SIZE rows or columns the kernel forms C exactly
+    instead, samples nothing, and range_dim reads that size.  No sample
+    takes a wavelet transform, and at N = 4096 no sample call and no apply
+    of C allocates as much as one N-vector, where sampling the plunge over
+    every column allocates N x 16 blocks.  Unweighted az, on the Gram
+    route, makes no boundary operator and samples nothing; on an
+    uncompressed factor its kernel forms the (|Mrows|, |K|) R_B F."""
     prob = _sampler_case(case, banks[family])
     m, N, L = prob.Mrows.size, prob.grid.n_basis, prob.L
     R = selected_winv_rows(prob.K, prob.bank, prob.grid.N)[:, L]
     B = az.scaling_plunge(prob.geometry)
     boundary_operator, range_basis = az.boundary_operator, solvers._range_basis
     calls = _count_transforms(monkeypatch)
-    shapes, blocks, peaks = [], [], []
+    shapes, blocks, peaks, made = [], [], [], []
 
     def traced(fn):
         """fn, recording at N = 4096 the peak of what each outermost call
@@ -496,6 +502,7 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
         return run
 
     def traced_operator(problem):
+        made.append(problem)
         L, op, qtb = boundary_operator(problem)
         return L, scipy.sparse.linalg.LinearOperator(
             op.shape, dtype=float, matvec=traced(op.matvec),
@@ -520,10 +527,15 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
         g = prob.geometry
         rows = m if _uncompressed(g) else g.factor.cols.size
         assert _uncompressed(g) is (prob.grid.dimension == 1)
-        shapes.clear(), blocks.clear(), peaks.clear()
+        shapes.clear(), blocks.clear(), peaks.clear(), made.clear()
         sol = az.smoothed_az_solve(problem, seed=0)
         d, w = sol.diagnostics, problem.weights
-        assert d["sketch_shape"] == (rows, L.size)
+        if w is None:
+            assert not (made or shapes or blocks or peaks)
+            formed = (m, prob.K.size) if _uncompressed(g) else None
+            assert d.get("sketch_shape") == formed, d
+            continue
+        assert made and d["sketch_shape"] == (rows, L.size)
         if min(rows, L.size) <= BLOCK_SIZE:
             assert not shapes and d["range_dim"] == min(rows, L.size)
         else:
@@ -672,12 +684,13 @@ def test_boundary_operator_is_the_plunge_block(dim, weighted):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_winv_block_built_once_per_geometry(dim):
-    """az and smoothed report the cold build of R_L and the forming and
-    compression of the scaling block as ``stage_times["assembly"]``, above
-    0 when either is cold; a second solve on the same geometry reads 0.0
-    there and returns the same x, weighted or not.  On a geometry made
-    after clear_caches, with its R_L built beforehand, the block's
-    compression alone reads above 0 again and gives the same x."""
+    """az and smoothed report the forming and compression of the scaling
+    block, and the cold build of the per-axis rows of W^-1 (az) or of R_L
+    (smoothed), as ``stage_times["assembly"]``, above 0 when any of them
+    is cold; a second solve on the same geometry reads 0.0 there and
+    returns the same x, weighted or not.  On a geometry made after
+    clear_caches, with its R_L built beforehand, the block's compression
+    alone reads above 0 again and gives the same x."""
     az.clear_caches()
     prob = _block_case(dim)
     for solve in (lambda: az.az_solve(prob, seed=0),
@@ -699,24 +712,127 @@ def test_winv_block_built_once_per_geometry(dim):
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])
 def test_range_dim_stops_at_rank(r, n):
-    """The range finder of az and smoothed stops within one block of the
+    """The range finder of smoothed stops within one block of the
     numerical rank, for ranks that are not multiples of the block size
-    too.  reduced runs no range finder on a 2-D block: it reports the
-    frontal factor's core, nnz and front width instead."""
+    too.  reduced and unweighted az run no range finder on a 2-D block:
+    they report the frontal factor's core, nnz and front width instead,
+    and az the condition of its Gram, with no range dimension or sketch
+    shape."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, r), filter_bank("cdf33"),
                            (n, n), (2, 2))
-    for sol in (az.az_solve(prob, seed=0),
-                az.smoothed_az_solve(_weighted(prob), seed=0)):
-        d = sol.diagnostics
-        assert d["rank"] == sol.plunge_rank > 0
-        assert d["range_dim"] <= d["rank"] + BLOCK_SIZE, d
-        assert sol.warning is None
-    sol = az.reduced_az_solve(prob)
+    sol = az.smoothed_az_solve(_weighted(prob), seed=0)
     d = sol.diagnostics
-    assert d["rank"] == sol.plunge_rank > 0 and "range_dim" not in d, d
-    assert d["rank"] <= d["core_shape"][1] <= prob.K.size
-    assert d["nnz"] > 0 and 0 < d["front_width"] <= d["core_shape"][1]
+    assert d["rank"] == sol.plunge_rank > 0
+    assert d["range_dim"] <= d["rank"] + BLOCK_SIZE, d
     assert sol.warning is None
+    for sol in (az.reduced_az_solve(prob), az.az_solve(prob, seed=0)):
+        d = sol.diagnostics
+        assert d["rank"] == sol.plunge_rank > 0, d
+        assert not {"range_dim", "sketch_shape"} & d.keys(), d
+        assert d["rank"] <= d["core_shape"][1] <= prob.K.size
+        assert d["nnz"] > 0 and 0 < d["front_width"] <= d["core_shape"][1]
+        assert sol.warning is None
+    assert 1 <= d["gram_cond"] < 1e4, d
+
+
+def _gram_cases():
+    for dim in (1, 2, 3):
+        for family in ALL_FAMILIES:
+            yield pytest.param(*_BLOCK_CASES[dim], family,
+                               id=f"{dim}d-{family}")
+    for family in ("cdf33", "cdf51"):
+        yield pytest.param(exp2d, disk(0.5, 0.5, 0.49), 32, family,
+                           id=f"edge32-{family}")
+
+
+@pytest.mark.parametrize("f, mask, n, family", _gram_cases())
+def test_az_matches_exact_svd_of_boundary_block(f, mask, n, family, banks):
+    """Unweighted az, on the Gram route, against the exact truncated SVD
+    of the dense boundary block B R_L at the same cut, max(tol s_0,
+    NOISE_REL scale), with R_L from the selected rows of W^-1
+    (``selected_winv_rows``); C = Q_B^T B R_L has its singular values and
+    minimizers.  The rank is the same, the kept singular values of R_B F
+    are within 1e-13 s_0 of the block's, and the residual and ||x|| are
+    within 2x of those of the exact solve finished by the same steps 2-3,
+    either way.  Cases: the 1-, 2- and 3-D block cases of every family
+    (cond(G) reaches 1.1e11 on the cdf51 8^3 ball) and the box-edge disks
+    r = 0.49 at 32^2 (2e7 for cdf51).  For the orthogonal families G = I,
+    and ``gram_cond`` is 1 within 1e-12."""
+    prob = az.make_problem(f, mask, banks[family], n, 2)
+    g, scale = prob.geometry, az._reference_scale(prob)
+    sol = az.az_solve(prob)
+    # B is the factor's block, which equals scaling_plunge in every bit
+    # (test_dense_scaling_block_has_the_sparse_bits)
+    R = selected_winv_rows(prob.K, prob.bank, prob.grid.N)[:, prob.L]
+    C = np.asarray(g.factor.A @ R.toarray())
+    ref = truncated_svd_solve(C, az.plunge_rhs(prob), DEFAULT_TOL,
+                              solvers.NOISE_REL * scale)
+    s = np.linalg.svd(C, compute_uv=False)
+    got = g.factor.svd(DEFAULT_TOL, scale, g.gram[0]).s
+    x1 = np.zeros(prob.grid.n_basis)
+    x1[prob.L] = ref.solution
+    x = x1 + prob.Zstar(prob.b - prob.A.matvec(x1))
+    res, norm = np.linalg.norm(prob.A.matvec(x) - prob.b), np.linalg.norm(x)
+    cond = sol.diagnostics["gram_cond"]
+    msg = (sol.plunge_rank, ref.rank, sol.residual, res,
+           sol.coefficient_norm, norm, cond)
+    assert sol.plunge_rank == ref.rank == got.size, msg
+    assert np.abs(got - s[:got.size]).max(initial=0) <= 1e-13 * s[0], msg
+    assert sol.residual <= 2 * res and res <= 2 * sol.residual, msg
+    assert (sol.coefficient_norm <= 2 * norm
+            and norm <= 2 * sol.coefficient_norm), msg
+    assert cond >= 1.0 and (abs(cond - 1.0) <= 1e-12
+                            or not family.startswith("db")), msg
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rows_transposed_is_winv_block_transposed(dim):
+    """``_rows_transposed`` applies R_L^T from the per-axis rows: for a
+    Gaussian w on K it equals R_L^T w on L to 1e-14 of its largest entry
+    and is zero outside L, also on the 64^2 disk, where L is not the whole
+    grid of the axes' columns; on the box, K empty, it is all zero."""
+    probs = [_block_case(dim)]
+    if dim == 2:
+        probs.append(az.make_problem(exp2d, disk(0.5, 0.5, 0.34),
+                                     filter_bank("cdf33"), 64, 2))
+    for prob in probs:
+        g = prob.geometry
+        L, R = g.winv_block
+        w = np.random.default_rng(dim).standard_normal(prob.K.size)
+        got = az._rows_transposed(g.winv_rows, prob.grid.N, w)
+        ref = np.zeros(prob.grid.n_basis)
+        ref[L] = R.T @ w
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    box = az.make_problem(lambda p: np.ones(len(p)), whole_box(dim),
+                          filter_bank("cdf33"), 16 if dim < 3 else 8, 2)
+    assert not az._rows_transposed(box.geometry.winv_rows, box.grid.N,
+                                   np.zeros(0)).any()
+
+
+def test_az_forms_no_winv_block():
+    """Unweighted az never forms R_L: after a cold solve on the 64^2 disk
+    the geometry holds no ``winv_block``, and the whole cold solve, step 1
+    with the scaling block, its factor, the per-axis rows, the Gram and
+    its reveal included, allocates less at its peak (``tracemalloc``)
+    than R_L's |K| |L| 8 bytes, 7.8 MB there.  A warm repeat reuses the
+    reveal (``step1_reused``) and returns the same bits."""
+    az.clear_caches()
+    prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank("cdf33"),
+                           (64, 64), (2, 2))
+    winv_bytes = prob.K.size * prob.L.size * 8
+    tracemalloc.start()
+    try:
+        cold = az.az_solve(prob, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "winv_block" not in vars(prob.geometry)
+    assert 7.5e6 < winv_bytes and peak < winv_bytes, (peak, winv_bytes)
+    warm = az.az_solve(prob, seed=0)
+    assert not cold.diagnostics["step1_reused"]
+    assert warm.diagnostics["step1_reused"]
+    assert np.array_equal(warm.x, cold.x)
+    assert warm.plunge_rank == cold.plunge_rank > 0
 
 
 # (f, mask, family, n) of the compressed scaling blocks on which reduced's
@@ -1540,7 +1656,9 @@ def test_geometry_bytes_grow_by_the_arrays_added(case):
     dense block once, as both A and R_B, and its rows and cols; a
     compressed one its sparse block's data, indices and indptr, R_B, rows,
     cols and the reflectors; a reveal only its own arrays, not the frontal
-    ones it shares; a reveal already made nothing."""
+    ones it shares; a reveal already made nothing.  The per-axis rows of
+    W^-1 add their arrays, and az's Gram reveal its U, s and Vt and the
+    Gram factor F, which it shares with the geometry."""
     f, mask, family, N = _BYTES_CASES[case]
     az.clear_caches()
     g = az.make_problem(f, mask, filter_bank(family), N, 2).geometry
@@ -1554,6 +1672,11 @@ def test_geometry_bytes_grow_by_the_arrays_added(case):
     sizes.append(g.nbytes)
     g.reveal("qr", DEFAULT_TOL)
     sizes.append(g.nbytes)
+    rows = _bytes(*(a for axis in g.winv_rows for a in axis if a is not None))
+    sizes.append(g.nbytes)
+    gram, _ = g.reveal("gram", DEFAULT_TOL)
+    sizes.append(g.nbytes)
+    assert gram.right is g.gram[0]
     A = factor.A
     uncompressed = case != "disk32-cdf33"
     assert _uncompressed(g) is uncompressed
@@ -1569,7 +1692,8 @@ def test_geometry_bytes_grow_by_the_arrays_added(case):
         block + own,
         _bytes(svd.U, svd.s, svd.Vt),
         _bytes(qr.Q, qr.R, qr.piv),
-        0]
+        0, rows,
+        _bytes(gram.U, gram.s, gram.Vt, gram.right)]
 
 
 def test_sparse_step1_cache_stays_within_budget(monkeypatch):
@@ -1699,8 +1823,9 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
     assert counts == {"_scaling_block": 1, "_frontal_qr": int(dim > 1)}
     (geometry, size), = az._cache.values()
     assert geometry is prob.geometry and size == geometry.nbytes
-    # reduced takes no reveal of an uncompressed factor
-    assert len(geometry.reveals) == (1 if dim == 1 else 2)
+    # reduced and az take no reveal of an uncompressed factor; az's Gram
+    # reveal is the third on a compressed one
+    assert len(geometry.reveals) == (1 if dim == 1 else 3)
 
 
 _GEOMETRY_SOLVES = {

@@ -18,19 +18,21 @@ def run(args, **kw):
 def test_record_roundtrip():
     """Every pipeline's record, diagnostics included, survives JSON
     unchanged: tuples and numpy scalars are stored as lists and Python
-    numbers.  A schema-3 record has no warning field.  The randomized pipelines record the shape they
-    sketched or, at 1-D sizes (at most 16 rows), formed: the (Mrows, K)
-    scaling block for reduced, the (Mrows, L) boundary block for az and
-    adaptive."""
+    numbers.  A schema-3 record has no warning field.  The randomized
+    kernel records the shape it sketched or, at 1-D sizes (at most 16
+    rows), formed: the (Mrows, K) scaling block for reduced, the (Mrows,
+    K) R_B F of az's Gram route, and the (Mrows, L) boundary block for
+    adaptive.  az records the condition of its Gram, ``gram_cond``."""
     for solver in sorted(cli.SOLVERS) + ["adaptive"]:
         cfg = cli.RunConfig(command="approximate", N=(64,),
                             solver=solver).validate()
         problem, sol = cli.run_one(cfg)
         rec = cli.record_for(cfg, problem, sol)
-        sketch = {"az": [problem.Mrows.size, problem.L.size],
+        sketch = {"az": [problem.Mrows.size, problem.K.size],
                   "reduced": [problem.Mrows.size, problem.K.size],
                   "adaptive": [problem.Mrows.size, problem.L.size]}
         assert rec.diagnostics.get("sketch_shape") == sketch.get(solver)
+        assert ("gram_cond" in rec.diagnostics) is (solver == "az")
         assert cli.parse_record(cli.serialize_record(rec)) == rec, solver
         assert rec.schema_version == 3 and not hasattr(rec, "warning")
         assert rec.diagnostics.keys() == sol.diagnostics.keys()
@@ -280,12 +282,18 @@ def _strip_time(path):
 
 
 def test_bit_identical_given_seed(tmp_path):
+    """Two runs of one seeded request write the same record but for the
+    time and the flags of what the first left cached: the second reuses
+    the geometry and step 1's reveal, whether or not the first did."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["approximate", *BASE, "--solver", "az", "--seed", "5"]
     assert run(argv + ["--output", str(a)]) == 0
     assert run(argv + ["--output", str(b)]) == 0
     ja, jb = _strip_time(a), _strip_time(b)
     ja.pop("config"); jb.pop("config")
+    for flag in ("geometry_reused", "step1_reused"):
+        ja["diagnostics"].pop(flag)
+        assert jb["diagnostics"].pop(flag) is True, flag
     assert ja == jb
 
 
