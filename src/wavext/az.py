@@ -4,8 +4,8 @@ All pipelines run one three-step skeleton, ``_solve``: (1) solve the
 low-rank plunge system (I - A Z*) A D y = (I - A Z*) b and set x1 = D y,
 (2) x2 = Z* (b - A x1), (3) x = x1 + x2.  D = diag(problem.weights), or the
 identity without weights, scales the columns; weights damp fine-scale
-coefficients in the extension region (smoothed / adaptive).  W is the
-wavelet analysis, so A = A_hat W^-1.
+coefficients in the extension region (smoothed / adaptive); weights all
+equal are none.  W is the wavelet analysis, so A = A_hat W^-1.
 
 Step 1 compresses once and reveals per pipeline.  The plunge is the
 (Mrows, K) scaling plunge block B times W^-1, so every pipeline starts from
@@ -27,9 +27,9 @@ pipeline then takes its own reveal (``Geometry.reveal``):
   R_L[cols]^T F^-T z on L.  G and R_L[cols]^T come from the rows of the
   per-axis W^-1 (``Geometry.winv_rows``), O(|K| taps J) per axis: in 1-D
   no part of step 1 grows with N, and no (|K|, |L|) array is formed.
-* ``smoothed_az_solve`` (az_solve with weights D): the randomized
-  low-rank kernel on C D_L (``boundary_operator``), R_L formed from the
-  same rows (``Geometry.winv_block``), and x1 = D y on L.
+* ``smoothed_az_solve`` (az_solve with weights D that vary): the
+  randomized low-rank kernel on C D_L (``boundary_operator``), R_L formed
+  from the same rows (``Geometry.winv_block``), and x1 = D y on L.
 
 Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides c = Z_hat*
 b, so its cost follows the boundary, not N.  Steps 2-3 finish every
@@ -82,10 +82,10 @@ PRUNE_REL = 1e-12
 # disk (0.5, 0.5, 0.34) 16^2 0.10, 0.17 MB, 32^2 db4 3.1, 4.3 MB, 64^2 1.0,
 # 7.9 MB, 128^2 3.7, 44.5 MB.  F and az's Gram reveal: 16^2 0.05, 0.07 MB,
 # 32^2 db4 2.00, 2.63 MB, 64^2 0.99, 1.51 MB, 128^2 3.96, 5.77 MB.  After a
-# disk-2d pass its four geometries hold 0.58 (16^2), 1.04 and 3.62 (32^2,
-# 64^2) and 11.99 MB (32^2 db4), so they fit together.  The newest is kept
-# also when larger alone, as the 16^3 ball's is with a reveal (its factor
-# takes 30.0 MB).
+# disk-2d pass its four geometries hold 0.40 (16^2, no R_L), 0.89 and 3.05
+# (32^2, 64^2) and 10.17 MB (32^2 db4), so they fit together.  The newest
+# is kept also when larger alone, as the 16^3 ball's is with a reveal (its
+# factor takes 32.3 MB).
 CACHE_BYTES = 2**25
 
 
@@ -611,7 +611,8 @@ def _timed(fn, *args):
 
 
 def _solve(problem: AZProblem, reveal, tol, seed=None):
-    """Steps 1-3 from c = Z_hat* b.
+    """Steps 1-3 from c = Z_hat* b, weights all w0 dropped first (exact:
+    D = w0 I gives y = y0 / w0, x1 = D y = y0, and scales every cut by w0).
 
     Step 1 solves the plunge system for y on its rows Mrows, with the rows
     Mrows of b1 = b - A_hat c, from the geometry's ``factor`` of the
@@ -624,11 +625,11 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     * "qr" (sparse) or "svd" (reduced): that reveal of R_B, cached too
       (``step1_reused`` says whether it was), solves for y on K, and x1 =
       W y.
-    * None without weights, or with weights all 1 (az): the "gram"
-      reveal, the SVD of R_B F with G = F F^T (``Geometry.gram``), cached
-      too, solves for z on the core columns, and x1 = y = R_L[cols]^T F^-T
-      z on L, applied from the per-axis rows; ``gram_cond`` estimates
-      cond(G).  Exact and deterministic: the seed draws nothing.
+    * None without weights (az): the "gram" reveal, the SVD of R_B F with
+      G = F F^T (``Geometry.gram``), cached too, solves for z on the core
+      columns, and x1 = y = R_L[cols]^T F^-T z on L, applied from the
+      per-axis rows; ``gram_cond`` estimates cond(G).  Exact and
+      deterministic: the seed draws nothing.
     * None with weights (smoothed): the randomized kernel on
       ``boundary_operator``, sampling C G^T for Gaussian rows G on L, or
       forming C exactly where it has at most BLOCK_SIZE rows or columns
@@ -645,11 +646,12 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     the rows Mrows; else v = W^-1 (D y on L) takes one synthesis.  Then one
     analysis gives x, and the residual ||A_hat u - b|| takes none."""
     w = problem.weights
+    if w is not None and (w == w[0]).all():     # D = w0 I: no weights
+        problem, w = replace(problem, weights=None), None
     if reveal and w is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
     t0 = time.perf_counter()
     diag, S, g = {}, problem.scaling, problem.geometry
-    w = None if w is None or (w == 1).all() else w    # unit weights: none
     kind = reveal or ("gram" if w is None else None)
     c = problem.Zstar.adjoint @ problem.b
     b1 = plunge_rhs(problem, c)
@@ -707,7 +709,7 @@ def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
     """Vanilla pipeline: the exact truncated SVD of the plunge system on
     its (Mrows, L) block, compressed by the scaling block's frontal factor,
     through the Gram of the rows K of W^-1; the seed is unused.  With
-    problem.weights it is the smoothed pipeline: the randomized low-rank
+    weights that vary it is the smoothed pipeline: the randomized low-rank
     solve of that block with its columns weighted, sampled by seed."""
     return _solve(problem, None, tol, seed)
 
@@ -813,12 +815,12 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
 
     The ladder starts at the coarsest level, min(coarsest_n, N) on each
     axis, whose grid has more samples in the domain than unknowns; only a
-    requested N without that raises.
-    Returns ``(problem, solution)``: the unweighted problem the ladder
-    assembled at N, and the solution at N, whose
-    ``diagnostics["weight_history"]`` is ||b|| followed by each level's
-    residual floored at tol ||b||: a residual at round-off would make
-    weights of its noise and cut the next level's rank."""
+    requested N without that raises.  Its weights all equal ||b||, so a
+    one-rung ladder is ``az``.  Returns ``(problem, solution)``: the
+    unweighted problem the ladder assembled at N, and the solution at N,
+    whose ``diagnostics["weight_history"]`` is ||b|| followed by each
+    level's residual floored at tol ||b||: a residual at round-off would
+    make weights of its noise and cut the next level's rank."""
     N = tuple(N) if not np.isscalar(N) else (int(N),) * mask.dimension
     q = tuple(q) if not np.isscalar(q) else (int(q),) * mask.dimension
     n0 = [min(coarsest_n(bank), ni) for ni in N]

@@ -13,7 +13,7 @@ one frontal QR, into a ``FrontalFactor``; R_B has A's singular values and
 Q_B^T keeps the least-squares minimizer of any right-hand side (Chan, ACM
 TOMS 1982).  A small dense A is a ``FrontalFactor`` of its own, with
 R_B = A and Q_B = I.  The factor reveals the rank on R_B: by its
-column-pivoted QR (``FrontalFactor.qr``, which ``sparse_qr_factor`` applies
+column-pivoted QR (``FrontalFactor.qr``, which ``sparse_qr_solve`` applies
 to a sparse matrix) or by its truncated SVD (``FrontalFactor.svd``).
 ``pivoted_qr_solve`` stays the full column-pivoted QR, the dense baseline.
 """
@@ -24,10 +24,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 DEFAULT_TOL = 1e-10
 BLOCK_SIZE = 16
@@ -80,11 +80,12 @@ def _svd_solve(B, b, tol, floor):
 @functools.lru_cache(maxsize=64)
 def _qr_lwork(m, n):
     """Optimal LAPACK workspace of ``dgeqp3`` and ``dorgqr`` on an (m, n)
-    block, by one workspace query each."""
-    a = np.empty((m, n), order="F")
-    work = scipy.linalg.lapack.dgeqp3(a, lwork=-1)[3]
-    lwork = scipy.linalg.lapack.dorgqr(a, np.zeros(n), lwork=-1)[1]
-    return int(work[0]), int(lwork[0])
+    block, and of ``dormqr`` applying its n reflectors to one column, by
+    one workspace query each."""
+    a, tau = np.empty((m, n), order="F"), np.zeros(n)
+    return (int(lapack.dgeqp3(a, lwork=-1)[3][0]),
+            int(lapack.dorgqr(a, tau, lwork=-1)[1][0]),
+            int(lapack.dormqr("L", "T", a, tau, a[:, :1], lwork=-1)[1][0]))
 
 
 def _range_basis(op, tol, rng, floor=0.0):
@@ -124,17 +125,16 @@ def _range_basis(op, tol, rng, floor=0.0):
         Y = np.subtract(Y, Q @ (Q.T @ Y), out=np.empty(Y.shape, order="F"))
         if np.linalg.norm(Y, axis=0).max() <= level:
             break
-        geqp3_lwork, orgqr_lwork = _qr_lwork(*Y.shape)
-        Y, _, tau, _, info = scipy.linalg.lapack.dgeqp3(
-            Y, lwork=geqp3_lwork, overwrite_a=1)
+        geqp3_lwork, orgqr_lwork, _ = _qr_lwork(*Y.shape)
+        Y, _, tau, _, info = lapack.dgeqp3(Y, lwork=geqp3_lwork, overwrite_a=1)
         if info:
             raise SolverError(f"dgeqp3 failed with info {info}")
         # |R[0, 0]| is the largest sample norm, just found above the level;
         # keeping at least one column also guarantees progress
         k = max(1, int(np.sum(np.abs(np.diag(Y)) > level)))
         k = min(k, full - Q.shape[1])
-        Qnew, _, info = scipy.linalg.lapack.dorgqr(
-            Y[:, :k], tau[:k], lwork=orgqr_lwork, overwrite_a=1)
+        Qnew, _, info = lapack.dorgqr(Y[:, :k], tau[:k], lwork=orgqr_lwork,
+                                      overwrite_a=1)
         if info:
             raise SolverError(f"dorgqr failed with info {info}")
         if Q.shape[1]:
@@ -159,8 +159,8 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
     which would need that many samples anyway: it is solved by the same
     truncated SVD as a dense block B, which is ``op`` itself when that is a
     dense array, else formed exactly from its smaller side, min(m, n)
-    applies of ``matmat`` or ``rmatmat``; the residual is that of B, and
-    ``range_dim`` is min(m, n).
+    applies of ``matmat`` or ``rmatmat``; the residual is that of B,
+    ``range_dim`` min(m, n) and ``core_shape`` (m, n), as for exact reveals.
 
     ``scale`` supplies the magnitude of the enclosing operator (the AZ
     pipelines pass ||A_hat||_F rms(w), ``az._reference_scale``): anything
@@ -181,7 +181,7 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
             B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
         x, r = _svd_solve(B, b, tol, floor)
         return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full,
-                         sketch_shape=(m, n))
+                         core_shape=(m, n))
     op = scipy.sparse.linalg.aslinearoperator(op)
     Q = _range_basis(op, tol, _rng(seed), floor)
     # projected problem: min || (Q* A) x - Q* b ||
@@ -191,15 +191,14 @@ def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
                      sketch_shape=(m, n))
 
 
-def _pivoted_qr(A, tol, scale=None):
-    """Economic column-pivoted QR of a dense A and its numerical rank r, the
-    number of |R| diagonal entries above tol * min(|R[0, 0]|, scale)."""
-    Qf, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+def _qr_rank(R, tol, scale):
+    """The numerical rank of a pivoted QR: the number of |R| diagonal
+    entries above tol * min(|R[0, 0]|, scale), scale None as infinite."""
     diag = np.abs(np.diag(R))
     if not (diag.size and diag[0] > 0):
-        return Qf, R, piv, 0
+        return 0
     level = tol * (diag[0] if scale is None else min(diag[0], scale))
-    return Qf, R, piv, int(np.sum(diag > level))
+    return int(np.sum(diag > level))
 
 
 def pivoted_qr_solve(A, b, tol=DEFAULT_TOL):
@@ -209,7 +208,8 @@ def pivoted_qr_solve(A, b, tol=DEFAULT_TOL):
     if max(A.shape) > DENSE_GUARD:
         raise SolverError(f"dense solver limited to dimensions <= {DENSE_GUARD}")
     b = np.asarray(b, dtype=float)
-    Qf, R, piv, r = _pivoted_qr(A, tol)
+    Qf, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    r = _qr_rank(R, tol, None)
     x = np.zeros(A.shape[1])
     if r:
         z = scipy.linalg.solve_triangular(R[:r, :r], Qf[:, :r].T @ b)
@@ -264,8 +264,7 @@ class FrontalFactor:
             a = np.zeros((V.shape[1], 1))
             a[:front.size, 0] = front
             if r1 > r0:
-                a = scipy.linalg.lapack.dtpmqrt(0, V, T, a, c[r0:r1, None],
-                                                trans="T")[0]
+                a = lapack.dtpmqrt(0, V, T, a, c[r0:r1, None], trans="T")[0]
             k = min(BLOCK_SIZE, out.size - j0)
             out[j0:j0 + k] = a[:k, 0]
             front = a[k:, 0]
@@ -280,12 +279,13 @@ class FrontalFactor:
         scale).  |R[0, 0]| is the largest column norm of A; ``scale``, the
         magnitude of the enclosing operator (the AZ pipelines pass
         ||A_hat||_F, ``az._reference_scale``), lowers the cut where A's own
-        norm is inflated; None leaves it at |R[0, 0]|."""
-        Qf, R, piv, r = _pivoted_qr(self.R_B, tol, scale)
-        # order="K" keeps LAPACK's Fortran layout, so Q.T @ b runs the same
-        # BLAS call on the kept columns as on the full factor
-        return SparseQRFactor(**self._frontal(), Q=Qf[:, :r].copy(order="K"),
-                              R=R[:r, :r].copy(order="K"), piv=piv[:r].copy())
+        norm is inflated; None leaves it at |R[0, 0]|.  Q is not formed."""
+        H, piv, tau = self.R_B, np.zeros(0, np.int32), np.zeros(0)
+        if H.size:      # LAPACK takes no empty array
+            H, piv, tau, _, _ = lapack.dgeqp3(H, lwork=_qr_lwork(*H.shape)[0])
+        r = _qr_rank(H, tol, scale)
+        return SparseQRFactor(**self._frontal(), H=H[:, :r].copy(order="F"),
+                              tau=tau[:r].copy(), piv=piv[:r] - 1)
 
     def svd(self, tol, scale, right=None):
         """The SVD of R_B cut at max(tol * s_0, NOISE_REL * scale), the cut
@@ -320,11 +320,12 @@ class FrontalFactor:
 
 @dataclass(frozen=True)
 class SparseQRFactor(FrontalFactor):
-    """R_B's pivot columns R_B[:, piv] as Q R, Q (#cols, r) and R (r, r)
-    upper triangular, up to the truncation (``FrontalFactor.qr``)."""
+    """R_B[:, piv] = Q R up to the truncation (``FrontalFactor.qr``) as
+    ``dgeqp3`` leaves it: H holds R in its top r rows and the vectors of
+    Q's r Householder reflectors below them, tau their scalars."""
 
-    Q: np.ndarray
-    R: np.ndarray
+    H: np.ndarray
+    tau: np.ndarray
     piv: np.ndarray
 
     @property
@@ -332,9 +333,11 @@ class SparseQRFactor(FrontalFactor):
         return int(self.piv.size)
 
     def _solve_core(self, x, c):
-        """x on the pivot columns from c = Q_B^T b."""
+        """x on the pivot columns from c = Q_B^T b: R^-1 (Q^T c)[:r]."""
+        qtc = lapack.dormqr("L", "T", self.H, self.tau, c[:, None],
+                            lwork=_qr_lwork(*self.H.shape)[2])[0]
         x[self.cols[self.piv]] = scipy.linalg.solve_triangular(
-            self.R, self.Q.T @ c)
+            self.H[:self.rank], qtc[:self.rank, 0])
 
 
 @dataclass(frozen=True)
@@ -366,22 +369,24 @@ class SparseSVDFactor(FrontalFactor):
 
 
 def _banded_order(A):
-    """(rows, cols, first, last) of the core of A: its nonzero columns in
-    reverse Cuthill-McKee order of the pattern of A^T A, its nonzero rows
-    sorted by their first column in that order, and each row's first and
-    last column.  A stored zero is no entry, a duplicate pair that cancels
-    is one."""
+    """(rows, cols, first, last) of the core of A: its nonzero columns as
+    they fall in the reverse Cuthill-McKee order of the bipartite graph of
+    A's pattern, O(nnz) (not A^T A's), its nonzero rows sorted by their
+    first column in that order, and each row's first and last column.  A
+    stored zero is no entry, a duplicate pair that cancels is one."""
     keep = A.data != 0
     ri = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[keep]
     rows, ri = np.unique(ri, return_inverse=True)
     cols, ci = np.unique(A.indices[keep], return_inverse=True)
     if not ri.size:
         return rows, cols, ri, ci
-    P = scipy.sparse.csr_matrix((np.ones(ri.size), (ri, ci)),
-                                shape=(rows.size, cols.size))
-    perm = scipy.sparse.csgraph.reverse_cuthill_mckee((P.T @ P).tocsr(),
-                                                      symmetric_mode=True)
-    P = P[:, perm].tocsr()
+    m = rows.size
+    # from index pairs, so summed and sorted: the order is the pattern's
+    graph = scipy.sparse.csr_matrix((np.ones(2 * ri.size),
+                                     (np.r_[ri, ci + m], np.r_[ci + m, ri])))
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, True)
+    perm = perm[perm >= m] - m
+    P = graph[:m][:, m + perm].tocsr()
     first = np.minimum.reduceat(P.indices, P.indptr[:-1])
     last = np.maximum.reduceat(P.indices, P.indptr[:-1])
     order = np.argsort(first, kind="stable")
@@ -393,7 +398,7 @@ def _frontal_qr(A):
     R_B = Q_B^T A[rows][:, cols] and the reflectors of Q_B, in two steps.
 
     1. Order.  The zero rows and columns are stripped; the columns go in
-       reverse Cuthill-McKee order of the pattern of A^T A, which makes a
+       ``_banded_order``'s reverse Cuthill-McKee order, which makes a
        boundary block banded, and the rows are sorted by their first column.
     2. Compress.  A frontal QR (George & Heath 1980; Davis, SuiteSparseQR,
        ACM TOMS 2011) walks the columns BLOCK_SIZE at a time.  Each step
@@ -426,7 +431,7 @@ def _frontal_qr(A):
         T[:front.shape[0], :front.shape[0]] = front
         V = Tf = np.zeros((0, w))
         if r1 > r0:
-            T, V, Tf, _ = scipy.linalg.lapack.dtpqrt(
+            T, V, Tf, _ = lapack.dtpqrt(
                 0, min(BLOCK_SIZE, w), T, core[r0:r1, j0:hi].toarray(),
                 overwrite_a=1, overwrite_b=1)
         R_B[j0:j1, j0:hi] = T[:j1 - j0]
@@ -437,15 +442,8 @@ def _frontal_qr(A):
                          front_width=width, R_B=R_B)
 
 
-def sparse_qr_factor(A, scale=None):
-    """Rank-revealing factorization of a sparse matrix, reusable for any
-    right-hand side: the frontal compression to R_B (``_frontal_qr``),
-    then the column-pivoted QR of R_B (``FrontalFactor.qr``) at
-    DEFAULT_TOL.  The factor is a function of A and scale alone."""
-    return _frontal_qr(A).qr(DEFAULT_TOL, scale)
-
-
 def sparse_qr_solve(A, b):
-    """Rank-revealing solve of a sparse system: ``sparse_qr_factor(A)``
-    applied to b."""
-    return sparse_qr_factor(A).solve(b)
+    """Rank-revealing solve of a sparse system: the frontal compression to
+    R_B (``_frontal_qr``), then the column-pivoted QR of R_B at
+    DEFAULT_TOL (``FrontalFactor.qr``), applied to b."""
+    return _frontal_qr(A).qr(DEFAULT_TOL, None).solve(b)

@@ -21,8 +21,8 @@ from wavext.dwt import (TransformError, dwt, idwt, idwt_column_filters,
                         sparse_idwt_rows)
 from wavext.filters import filter_bank
 from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
-                            _finalize, _frontal_qr, _pivoted_qr,
-                            randomized_lowrank_solve, sparse_qr_factor)
+                            _finalize, _frontal_qr, _qr_rank,
+                            randomized_lowrank_solve)
 from wavext.system import assemble_scaling, frame_operator_A
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
@@ -387,19 +387,29 @@ def reference_assemble_scaling(bank, grid):
 def sparse_qr_reference(A, b, tol=DEFAULT_TOL, scale=None):
     """The full column-pivoted QR of the compacted core of a sparse A, cut at
     tol * min(|R[0, 0]|, scale) and solved for b: the oracle of
-    ``wavext.solvers.sparse_qr_factor``.  |R[0, 0]| is the largest column
-    norm of the core.  Returns (x, rank)."""
+    ``sparse_qr_factor``.  |R[0, 0]| is the largest column norm of the
+    core.  Returns (x, rank)."""
     A = A.tocsr()
     rows, cols = np.unique(A.nonzero()[0]), np.unique(A.nonzero()[1])
     core = A[rows][:, cols].toarray()
     if scale is not None and core.size:
         tol *= min(1.0, scale / np.linalg.norm(core, axis=0).max())
-    Qf, R, piv, r = _pivoted_qr(core, tol)
+    Qf, R, piv = scipy.linalg.qr(core, mode="economic", pivoting=True)
+    r = _qr_rank(R, tol, None)
     x = np.zeros(A.shape[1])
     if r:
         x[cols[piv[:r]]] = scipy.linalg.solve_triangular(
             R[:r, :r], Qf[:, :r].T @ b[rows])
     return x, r
+
+
+def sparse_qr_factor(A, scale=None):
+    """Rank-revealing factorization of a sparse matrix, reusable for any
+    right-hand side: the frontal compression to R_B (``_frontal_qr``),
+    then the column-pivoted QR of R_B (``FrontalFactor.qr``) at
+    DEFAULT_TOL, that ``wavext.solvers.sparse_qr_solve`` applies.  The
+    factor is a function of A and scale alone."""
+    return _frontal_qr(A).qr(DEFAULT_TOL, scale)
 
 
 def frontal_qr_reveal(B, tol, scale):
@@ -424,7 +434,7 @@ def check_sparse_factor(A, scale=None):
     beside the residual.  Returns the factor and its report."""
     factor = sparse_qr_factor(A, scale=scale)
     again = sparse_qr_factor(A, scale=scale)
-    for name in ("rows", "cols", "Q", "R", "piv"):
+    for name in ("rows", "cols", "H", "tau", "piv"):
         assert np.array_equal(getattr(factor, name),
                               getattr(again, name)), name
     b = np.random.default_rng(0).standard_normal(A.shape[0])

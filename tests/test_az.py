@@ -28,9 +28,9 @@ from support import (ALL_FAMILIES, UNCOMPRESSED_1D_FAMILIES, banks,
                      reference_per_scale_norms, reference_plunge_apply,
                      reference_plunge_rapply, reference_plunge_rhs,
                      reference_scaling_plunge, selected_winv_rows,
-                     sparse_qr_reference, transform_sampled_az,
-                     transform_winv_block, truncated_svd_solve,
-                     wavelet_block)
+                     sparse_qr_factor, sparse_qr_reference,
+                     transform_sampled_az, transform_winv_block,
+                     truncated_svd_solve, wavelet_block)
 
 
 def exp1d(p):
@@ -181,10 +181,23 @@ def test_sparse_nnz_growth():
 
 
 def test_smoothed_identity_weights(prob1d):
-    wprob = dataclasses.replace(prob1d, weights=np.ones(prob1d.grid.n_basis))
-    s1 = az.az_solve(prob1d, seed=3)
-    s2 = az.smoothed_az_solve(wprob, seed=3)
-    assert np.array_equal(s1.x, s2.x)
+    """Weights all equal to c are no weights: D = c I scales y by 1 / c
+    and leaves x1 = D y and the cut's directions as they are.  On the
+    all-ones weights of prob1d and on c 1 for c in (1e-3, 1, 7.5, ||b||)
+    on the 1-, 2- and 3-D block cases, smoothed gives az's x in every bit,
+    its rank and its ``gram_cond``."""
+    cases = [(prob1d, (1.0,))] + [
+        (_block_case(dim), (1e-3, 1.0, 7.5, None)) for dim in (1, 2, 3)]
+    for prob, scales in cases:
+        s1 = az.az_solve(prob, seed=3)
+        for c in scales:
+            c = float(np.linalg.norm(prob.b)) if c is None else c
+            wprob = dataclasses.replace(
+                prob, weights=np.full(prob.grid.n_basis, c))
+            s2 = az.smoothed_az_solve(wprob, seed=3)
+            assert np.array_equal(s1.x, s2.x), c
+            assert s2.plunge_rank == s1.plunge_rank > 0, c
+            assert s2.diagnostics["gram_cond"] == s1.diagnostics["gram_cond"]
 
 
 def test_smoothed_geometric_weights_decay():
@@ -472,12 +485,14 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
     relative.  A block of at most BLOCK_SIZE columns (1-D) is not
     compressed, and C has the (|Mrows|, |L|) shape of B R_L D_L.  Where C
     has at most BLOCK_SIZE rows or columns the kernel forms C exactly
-    instead, samples nothing, and range_dim reads that size.  No sample
+    instead, samples nothing, range_dim reads that size, and it records
+    C's shape as ``core_shape``, not ``sketch_shape``.  No sample
     takes a wavelet transform, and at N = 4096 no sample call and no apply
     of C allocates as much as one N-vector, where sampling the plunge over
     every column allocates N x 16 blocks.  Unweighted az, on the Gram
     route, makes no boundary operator and samples nothing; on an
-    uncompressed factor its kernel forms the (|Mrows|, |K|) R_B F."""
+    uncompressed factor its kernel forms the (|Mrows|, |K|) R_B F, its
+    ``core_shape``."""
     prob = _sampler_case(case, banks[family])
     m, N, L = prob.Mrows.size, prob.grid.n_basis, prob.L
     R = selected_winv_rows(prob.K, prob.bank, prob.grid.N)[:, L]
@@ -532,14 +547,18 @@ def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
         d, w = sol.diagnostics, problem.weights
         if w is None:
             assert not (made or shapes or blocks or peaks)
-            formed = (m, prob.K.size) if _uncompressed(g) else None
-            assert d.get("sketch_shape") == formed, d
+            assert "sketch_shape" not in d, d
+            if _uncompressed(g):
+                assert d["core_shape"] == (m, prob.K.size), d
             continue
-        assert made and d["sketch_shape"] == (rows, L.size)
+        assert made
         if min(rows, L.size) <= BLOCK_SIZE:
             assert not shapes and d["range_dim"] == min(rows, L.size)
+            assert d["core_shape"] == (rows, L.size)
+            assert "sketch_shape" not in d, d
         else:
             assert shapes == [(rows, L.size)] and blocks
+            assert d["sketch_shape"] == (rows, L.size)
         for X, Y, transforms in blocks:
             ref = _compressed(g, B @ (R @ (X if w is None
                                            else w[L, None] * X)))
@@ -815,7 +834,9 @@ def test_az_forms_no_winv_block():
     with the scaling block, its factor, the per-axis rows, the Gram and
     its reveal included, allocates less at its peak (``tracemalloc``)
     than R_L's |K| |L| 8 bytes, 7.8 MB there.  A warm repeat reuses the
-    reveal (``step1_reused``) and returns the same bits."""
+    reveal (``step1_reused``) and returns the same bits.  A cold adaptive
+    ladder of one rung, whose weights all equal ||b||, forms no R_L either
+    and returns az's bits."""
     az.clear_caches()
     prob = az.make_problem(exp2d, disk(0.5, 0.5, 0.34), filter_bank("cdf33"),
                            (64, 64), (2, 2))
@@ -833,6 +854,13 @@ def test_az_forms_no_winv_block():
     assert warm.diagnostics["step1_reused"]
     assert np.array_equal(warm.x, cold.x)
     assert warm.plunge_rank == cold.plunge_rank > 0
+    # a cold one-rung adaptive ladder (16^2 = coarsest_n(cdf33)) is az too
+    az.clear_caches()
+    prob, sol = az.adaptive_weighted_solve(
+        exp2d, disk(0.5, 0.5, 0.34), filter_bank("cdf33"), (16, 16), (2, 2))
+    assert len(sol.diagnostics["weight_history"]) == 2
+    assert "winv_block" not in vars(prob.geometry)
+    assert np.array_equal(sol.x, az.az_solve(prob, seed=0).x)
 
 
 # (f, mask, family, n) of the compressed scaling blocks on which reduced's
@@ -1342,13 +1370,19 @@ def test_reported_residual_is_that_of_x(dim, banks):
 def test_weighted_explicit_pipelines_raise():
     """reduced and sparse set x1 = W y from the (Mrows, K) block, which has
     no place for column weights: a weighted problem raises AZError there,
-    and only the matrix-free smoothed pipeline takes it."""
+    and only the matrix-free smoothed pipeline takes it.  Weights all
+    equal are no weights, for every pipeline: reduced and sparse give the
+    unweighted x."""
     prob = _weighted(_block_case(2))
     with pytest.raises(az.AZError, match="unweighted"):
         az.reduced_az_solve(prob)
     with pytest.raises(az.AZError, match="unweighted"):
         az.sparse_az_solve(prob)
     assert az.smoothed_az_solve(prob, seed=0).plunge_rank > 0
+    plain = _block_case(2)
+    same = dataclasses.replace(plain, weights=np.full(plain.grid.n_basis, 3.0))
+    for solve in (az.reduced_az_solve, az.sparse_az_solve):
+        assert np.array_equal(solve(same).x, solve(plain).x)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1386,7 +1420,7 @@ def _same_factor(f, g):
     """Two sparse QR factors with the same triangle, reflectors and pivots,
     and the same entries in their blocks."""
     assert (f.A != g.A).nnz == 0 and f.front_width == g.front_width
-    for name in ("rows", "cols", "Q", "R", "piv"):
+    for name in ("rows", "cols", "H", "tau", "piv"):
         assert np.array_equal(getattr(f, name), getattr(g, name)), name
     assert len(f.steps) == len(g.steps)
     for (r0, r1, V, T), (s0, s1, W, U) in zip(f.steps, g.steps):
@@ -1423,9 +1457,9 @@ def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
             dense_cases.add((name, mask.description))
             assert block.view(np.int64).tolist() == \
                 ref.toarray().view(np.int64).tolist(), (name, n)
-            _same_factor(solvers.sparse_qr_factor(
+            _same_factor(sparse_qr_factor(
                 scipy.sparse.csr_matrix(block), scale=1.0),
-                solvers.sparse_qr_factor(ref, scale=1.0))
+                sparse_qr_factor(ref, scale=1.0))
     if dim == 1:
         assert len(dense_cases) == len(banks) * len(cases)
     elif dim == 2:
@@ -1691,7 +1725,7 @@ def test_geometry_bytes_grow_by_the_arrays_added(case):
     assert np.diff(sizes).tolist() == [
         block + own,
         _bytes(svd.U, svd.s, svd.Vt),
-        _bytes(qr.Q, qr.R, qr.piv),
+        _bytes(qr.H, qr.tau, qr.piv),
         0, rows,
         _bytes(gram.U, gram.s, gram.Vt, gram.right)]
 

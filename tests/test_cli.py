@@ -18,20 +18,24 @@ def run(args, **kw):
 def test_record_roundtrip():
     """Every pipeline's record, diagnostics included, survives JSON
     unchanged: tuples and numpy scalars are stored as lists and Python
-    numbers.  A schema-3 record has no warning field.  The randomized
-    kernel records the shape it sketched or, at 1-D sizes (at most 16
-    rows), formed: the (Mrows, K) scaling block for reduced, the (Mrows,
-    K) R_B F of az's Gram route, and the (Mrows, L) boundary block for
-    adaptive.  az records the condition of its Gram, ``gram_cond``."""
+    numbers.  A schema-3 record has no warning field.  At 1-D sizes (at
+    most 16 rows) the randomized kernel forms its block exactly, sketches
+    nothing and records the block's shape as ``core_shape``, as every
+    exact reveal does: the (Mrows, K) scaling block for reduced, the
+    (Mrows, K) R_B F of az's Gram route, and the (Mrows, L) boundary block
+    of adaptive's last, weighted rung; sparse's factor has the core
+    (Mrows, K).  No record has a ``sketch_shape``.  az records the
+    condition of its Gram, ``gram_cond``."""
     for solver in sorted(cli.SOLVERS) + ["adaptive"]:
         cfg = cli.RunConfig(command="approximate", N=(64,),
                             solver=solver).validate()
         problem, sol = cli.run_one(cfg)
         rec = cli.record_for(cfg, problem, sol)
-        sketch = {"az": [problem.Mrows.size, problem.K.size],
-                  "reduced": [problem.Mrows.size, problem.K.size],
-                  "adaptive": [problem.Mrows.size, problem.L.size]}
-        assert rec.diagnostics.get("sketch_shape") == sketch.get(solver)
+        block = [problem.Mrows.size, problem.K.size]
+        core = {"az": block, "reduced": block, "sparse": block,
+                "adaptive": [problem.Mrows.size, problem.L.size]}
+        assert rec.diagnostics.get("core_shape") == core.get(solver)
+        assert "sketch_shape" not in rec.diagnostics
         assert ("gram_cond" in rec.diagnostics) is (solver == "az")
         assert cli.parse_record(cli.serialize_record(rec)) == rec, solver
         assert rec.schema_version == 3 and not hasattr(rec, "warning")
@@ -181,8 +185,10 @@ def test_disk_pass_keeps_every_geometry():
     """The geometries of a disk-2d pass fit the cache together: run twice
     through run_one, every request of the second round reuses its
     geometry, reduced and sparse their step-1 reveal, az and adaptive
-    their R_L and compression (no assembly time), and every x keeps its
-    bits."""
+    their compression (no assembly time), and every x keeps its bits.
+    adaptive's one rung at 16^2 has weights all ||b||, so it is az on the
+    geometry az has just solved on: it reuses az's reveal in both
+    rounds."""
     from wavext import az
 
     az.clear_caches()
@@ -199,6 +205,9 @@ def test_disk_pass_keeps_every_geometry():
             assert sol.diagnostics["step1_reused"], solver
         else:
             assert sol.stage_times["assembly"] == 0, solver
+        if solver == "adaptive":
+            assert first.diagnostics["step1_reused"], solver
+            assert sol.diagnostics["step1_reused"], solver
         assert np.array_equal(sol.x, first.x), solver
 
 

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, NOISE_REL, SolverError,
                             _frontal_qr, pivoted_qr_solve,
-                            randomized_lowrank_solve, sparse_qr_factor,
-                            sparse_qr_solve)
+                            randomized_lowrank_solve, sparse_qr_solve)
 
-from support import (check_sparse_factor, estimate_rank, sparse_qr_reference,
-                     truncated_svd_solve)
+from support import (check_sparse_factor, estimate_rank, sparse_qr_factor,
+                     sparse_qr_reference, truncated_svd_solve)
 
 
 def test_randomized_identity():
@@ -147,9 +146,9 @@ def test_sparse_factor_reuse_is_bit_identical(kind):
     S = _sparse_case(kind)
     factor = sparse_qr_factor(S)
     r = factor.rank
-    assert factor.Q.shape == (factor.cols.size, r)
-    assert factor.R.shape == (r, r) and factor.piv.shape == (r,)
-    assert factor.Q.flags.f_contiguous
+    assert factor.H.shape == (factor.cols.size, r)
+    assert factor.tau.shape == factor.piv.shape == (r,)
+    assert factor.H.flags.f_contiguous
     assert r == {"full": 69, "rank9": 9, "zero": 0}[kind]
     rng = np.random.default_rng(0)
     for _ in range(3):
