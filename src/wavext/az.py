@@ -374,10 +374,11 @@ class AZProblem:
     geometry: Geometry = field(repr=False)
     b: np.ndarray
     weights: np.ndarray | None = None
-    # seconds make_problem spent on the geometry; 0.0 when it reused that of
-    # the previous call
+    # seconds make_problem spent on the geometry (0.0 when it reused that of
+    # an earlier call) and outside it: the grid, the geometry key and b
     geometry_s: float = 0.0
     geometry_reused: bool = False
+    samples_s: float = 0.0
 
     scaling = property(lambda self: self.geometry.scaling)
     A = property(lambda self: self.geometry.A)
@@ -448,7 +449,9 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
     has made (``geometry_reused``, ``geometry_s``).  A miss first evicts
     until a geometry as large as the largest held fits, so that no assembly
     is built beside one it could replace.  The problem is unweighted:
-    ``dataclasses.replace(problem, weights=w)`` weights it."""
+    ``dataclasses.replace(problem, weights=w)`` weights it.  ``samples_s``
+    is the seconds spent outside the geometry."""
+    t0 = time.perf_counter()
     grid = masked_grid(mask, N, q)
     key = _geometry_key(bank, grid)
     with _cache_lock:
@@ -463,7 +466,8 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
     if not (callable(f) or np.isfinite(b).all()):
         raise AZError("right-hand side samples must be finite")
     return AZProblem(bank=bank, grid=grid, geometry=geometry, b=b,
-                     geometry_s=seconds, geometry_reused=reused)
+                     geometry_s=seconds, geometry_reused=reused,
+                     samples_s=time.perf_counter() - t0 - seconds)
 
 
 def boundary_operator(problem: AZProblem):
@@ -644,7 +648,9 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     A_hat v: x = x1 + Z* (b - A x1) = W u with u = v + c - Z_hat* (A_hat
     v), and A x = A_hat u.  When explicit, v is y on K and A_hat v lives on
     the rows Mrows; else v = W^-1 (D y on L) takes one synthesis.  Then one
-    analysis gives x, and the residual ||A_hat u - b|| takes none."""
+    analysis gives x, and the residual ||A_hat u - b|| takes none.  u is
+    formed in c's memory and A_hat u - b in A_hat u's, in the bits of the
+    out-of-place forms."""
     w = problem.weights
     if w is not None and (w == w[0]).all():     # D = w0 I: no weights
         problem, w = replace(problem, weights=None), None
@@ -692,11 +698,14 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
             v[L] = rep.solution * w[L]
         v = problem.A.synthesis(v)
         Ar, Zt = S.A_hat, problem.Zstar.adjoint
-    u = v + (c - Zt @ (Ar @ v))
+    u = np.subtract(c, Zt @ (Ar @ v), out=c)    # v + (c - Zt Ar v), in c
+    np.add(v, u, out=u)
     x, Ax = problem.A.analysis(u), S.A_hat @ u
-    times = {"geometry": problem.geometry_s, "step1": t1 - t0,
-             "step23": time.perf_counter() - t1, "assembly": assembly}
-    return AZSolution(x=x, residual=float(np.linalg.norm(Ax - problem.b)),
+    times = {"geometry": problem.geometry_s, "samples": problem.samples_s,
+             "step1": t1 - t0, "step23": time.perf_counter() - t1,
+             "assembly": assembly}
+    Ax -= problem.b
+    return AZSolution(x=x, residual=float(np.linalg.norm(Ax)),
                       coefficient_norm=float(np.linalg.norm(x)),
                       per_scale_norms=per_scale_norms(x, problem.grid.N),
                       stage_times=times, plunge_rank=rep.rank,
@@ -762,22 +771,35 @@ def scaling_plunge(geometry: Geometry):
     return _prune(AK - Ac @ (Zc.T @ AK), np.abs(AK.data).max(initial=0))
 
 
+# A dense scaling block is formed by running sums while their terms array
+# (rows x shared columns x |K| entries) has at most this many entries, else
+# by the sparse products.  1-D blocks on (0.2, 0.75) at 2^12, minimum of 300
+# calls, one BLAS thread, dense against sparse: cdf33 11 x 10 x 4 = 440
+# terms 0.05 against 0.31 ms, db3 27 x 22 x 8 = 4752 terms 0.11 against
+# 0.32 ms, db4 47 x 36 x 12 = 20304 terms 0.26 against 0.35 ms, db5 63 x 48
+# x 16 = 48384 terms 0.97 against 0.38 ms.
+DENSE_TERMS_MAX = 2**15
+
+
 def _scaling_block(geometry: Geometry):
     """The scaling plunge block of step 1, ``scaling_plunge(geometry)`` in
     the same bits: as a dense array when it has at most BLOCK_SIZE columns,
     else that sparse block itself.
 
-    The sparse products sum their terms over the shared index in ascending
-    order from zero, skipping zero terms; here every term is formed and a
-    running sum along that index (``np.add.accumulate`` from a zero slab)
-    adds them in the same order, the skipped ones as exact zeros.  The cut
-    is ``_prune``'s."""
+    A dense block whose terms array has more than DENSE_TERMS_MAX entries
+    is ``scaling_plunge(geometry).toarray()``.  Else the sparse products
+    sum their terms over the shared index in ascending order from zero,
+    skipping zero terms; here every term is formed and a running sum along
+    that index (``np.add.accumulate`` from a zero slab) adds them in the
+    same order, the skipped ones as exact zeros.  The cut is ``_prune``'s."""
     Ar, Zr = geometry.boundary_rows
     K = geometry.K
     cols = np.unique(Ar.indices)
     m, c, k = Ar.shape[0], cols.size, K.size
     if not 0 < k <= BLOCK_SIZE:
         return scaling_plunge(geometry)
+    if m * c * k > DENSE_TERMS_MAX:
+        return scaling_plunge(geometry).toarray()
     Ac, Zc, AK = (_columns(Ar, cols, True), _columns(Zr, cols, True),
                   _columns(Ar, K, True))
     terms = np.zeros((m + 1, c, k))

@@ -116,41 +116,71 @@ def _json_safe(v):
 
 _FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
           "log": np.log, "tanh": np.tanh, "abs": np.abs}
-_ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
+# The operators the expression may use, by their ufuncs
+_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: np.power}
+_UNARY = {ast.USub: np.negative, ast.UAdd: np.positive}
+
+
+def _evaluate(node, env, text):
+    """(value, owned) of a node of the parsed spec ``text`` over the named
+    columns env: owned when value is an array this evaluation made, which
+    the operator applied to it may overwrite."""
+    if isinstance(node, ast.Expression):
+        return _evaluate(node.body, env, text)
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return float(node.value), False
+    if isinstance(node, ast.Name):
+        if node.id in env:
+            return env[node.id], False
+        raise ConfigError(f"unknown name {node.id!r} in function spec")
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _apply(_BINOPS[type(node.op)], (node.left, node.right), env,
+                      text)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _apply(_UNARY[type(node.op)], (node.operand,), env, text)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in _FUNCS and not node.keywords:
+        return _apply(_FUNCS[node.func.id], node.args, env, text)
+    raise ConfigError(f"disallowed syntax in function spec {text!r}")
+
+
+def _apply(ufunc, args, env, text):
+    """ufunc of the evaluated args, into the first of them that is owned."""
+    if len(args) != ufunc.nin:
+        raise ConfigError(f"{ufunc.__name__} takes {ufunc.nin} argument(s) "
+                          f"in function spec {text!r}")
+    vals, out = [], None
+    for a in args:
+        value, owned = _evaluate(a, env, text)
+        vals.append(value)
+        if owned and out is None:
+            out = value
+    value = ufunc(*vals, out)
+    return value, isinstance(value, np.ndarray)
 
 
 def _compile_expression(text):
-    """Whitelisted arithmetic expression over x, y, z -> vectorized callable."""
+    """Whitelisted arithmetic expression over x, y, z -> vectorized callable.
+
+    The callable takes an (npoints, d) array.  Each operator is its ufunc,
+    evaluated into an operand that the evaluation made itself when there is
+    one (``out=``), else into a new array (``_evaluate``): the bits of an
+    out-of-place evaluation, with one vector per live temporary instead of
+    one per operator, and the columns of the points passed in are never
+    written."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as e:
         raise ConfigError(f"cannot parse function spec {text!r}: {e}") from e
 
-    def ev(node, env):
-        if isinstance(node, ast.Expression):
-            return ev(node.body, env)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            if node.id in env:
-                return env[node.id]
-            raise ConfigError(f"unknown name {node.id!r} in function spec")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_OPS):
-            ops = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-                   ast.Div: np.divide, ast.Pow: np.power}
-            return ops[type(node.op)](ev(node.left, env), ev(node.right, env))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_OPS):
-            v = ev(node.operand, env)
-            return -v if isinstance(node.op, ast.USub) else +v
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _FUNCS and not node.keywords:
-            return _FUNCS[node.func.id](*[ev(a, env) for a in node.args])
-        raise ConfigError(f"disallowed syntax in function spec {text!r}")
-
     def f(pts):
-        pts = np.atleast_2d(pts)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         env = {n: pts[:, i] for i, n in enumerate("xyz") if i < pts.shape[1]}
-        return np.broadcast_to(ev(tree, env), (pts.shape[0],)).astype(float)
+        value, owned = _evaluate(tree, env, text)
+        if owned:
+            return value
+        return np.broadcast_to(value, (pts.shape[0],)).astype(float)
 
     return f
 
@@ -199,7 +229,8 @@ def _dense_qr(problem, tol, seed):
         x=rep.solution, residual=rep.residual,
         coefficient_norm=rep.solution_norm,
         per_scale_norms=az_mod.per_scale_norms(rep.solution, problem.grid.N),
-        stage_times={"geometry": problem.geometry_s, "solve": rep.wall_time},
+        stage_times={"geometry": problem.geometry_s,
+                     "samples": problem.samples_s, "solve": rep.wall_time},
         plunge_rank=rep.rank,
         diagnostics={"geometry_reused": problem.geometry_reused})
 
@@ -303,9 +334,9 @@ def cmd_convergence(args):
 
 
 # Stage times that `timing` reports beside the wall time: problem assembly,
-# step 1 and steps 2-3 (``AZSolution.stage_times``; NaN for a pipeline
-# without the stage, such as qr).
-TIMING_STAGES = ("geometry", "step1", "step23")
+# the grid and samples, step 1 and steps 2-3 (``AZSolution.stage_times``;
+# NaN for a pipeline without the stage, such as qr).
+TIMING_STAGES = ("geometry", "samples", "step1", "step23")
 
 
 def cmd_timing(args):

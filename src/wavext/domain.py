@@ -103,9 +103,33 @@ class MaskedGrid:
         return int(np.prod(self.N))
 
     def points(self):
-        """Physical coordinates of the inside grid points."""
-        coords = np.unravel_index(self.inside, self.grid_shape)
-        return np.column_stack([c / g for c, g in zip(coords, self.grid_shape)])
+        """Physical coordinates of the inside grid points, (M, d): each
+        axis' index of ``inside`` divided by that axis' length straight into
+        its column (in 1-D, ``inside`` itself)."""
+        shape = self.grid_shape
+        pts = np.empty((self.M, len(shape)))
+        rest = self.inside
+        for ax in range(len(shape) - 1, 0, -1):     # C order: last axis first
+            rest, index = np.divmod(rest, shape[ax])
+            np.divide(index, shape[ax], out=pts[:, ax])
+        np.divide(rest, shape[0], out=pts[:, 0])
+        return pts
+
+
+def _grid_points(shape):
+    """The (G, d) coordinates i / g of every point of the grid of that shape,
+    in C order: in 1-D one ``arange`` divided in place, else each axis'
+    coordinates written once into its column."""
+    if len(shape) == 1:
+        pts = np.arange(shape[0], dtype=float)[:, None]
+        pts /= shape[0]
+        return pts
+    pts = np.empty((int(np.prod(shape)), len(shape)))
+    cube = pts.reshape(*shape, len(shape))
+    for ax, g in enumerate(shape):
+        cube[..., ax] = (np.arange(g) / g).reshape(
+            [g if i == ax else 1 for i in range(len(shape))])
+    return pts
 
 
 def masked_grid(mask: DomainMask, N, q) -> MaskedGrid:
@@ -119,10 +143,7 @@ def masked_grid(mask: DomainMask, N, q) -> MaskedGrid:
         if qi < 2:
             raise DomainError("oversampling q must be >= 2 in every dimension")
     shape = tuple(n * qi for n, qi in zip(N, q))
-    axes = [np.arange(g) / g for g in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    inside_bool = mask.contains(pts).reshape(shape)
+    inside_bool = mask.contains(_grid_points(shape)).reshape(shape)
     inside = np.flatnonzero(inside_bool.ravel())
     if inside.size == 0:
         raise DomainError(f"empty domain: no point of the {shape} grid lies "

@@ -5,6 +5,7 @@ because the benchmark's tests (``perfbench/tests``) import from a module of
 that name too, and one session can hold only one ``conftest`` module.
 """
 
+import ast
 import functools
 import time
 
@@ -86,9 +87,9 @@ def truncated_svd_solve(A, b, tol=DEFAULT_TOL, floor=0.0):
     return _finalize(lambda v: A @ v, x, b, r, t0)
 
 
-def reference_analysis_step(v, h, g):
-    """Per-tap periodic analysis step by index arithmetic modulo n: the
-    oracle of ``wavext.dwt._analysis_step``."""
+def reference_analysis_step(v, h, g, coarse, detail):
+    """Per-tap periodic analysis step by index arithmetic modulo n, copied
+    into coarse and detail: the oracle of ``wavext.dwt._analysis_step``."""
     n = v.shape[-1]
     half = n // 2
     vc = np.zeros(v.shape[:-1] + (half,), dtype=v.dtype)
@@ -98,7 +99,8 @@ def reference_analysis_step(v, h, g):
         for ti, c in enumerate(mask.taps):
             t = mask.offset + ti
             out += c * v[..., (base + t) % n]
-    return vc, wc
+    coarse[...], detail[...] = vc, wc
+    return coarse, detail
 
 
 def reference_synthesis_step(v, w, h, g):
@@ -114,6 +116,52 @@ def reference_synthesis_step(v, w, h, g):
             # indices 2l + t are pairwise distinct mod n for fixed t
             out[..., (idx + t) % n] += c * coarse
     return out
+
+
+def reference_grid(mask, shape):
+    """The full-grid points by ``np.meshgrid``, the inside mask on them and
+    the inside points by ``np.unravel_index``: the oracle of
+    ``wavext.domain.masked_grid`` and ``MaskedGrid.points``.  Returns
+    (points, inside_bool, inside, inside points)."""
+    axes = [np.arange(g) / g for g in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([m.ravel() for m in mesh])
+    inside_bool = mask.contains(pts).reshape(shape)
+    inside = np.flatnonzero(inside_bool.ravel())
+    coords = np.unravel_index(inside, shape)
+    return pts, inside_bool, inside, np.column_stack(
+        [c / g for c, g in zip(coords, shape)])
+
+
+def reference_expression(text):
+    """Out-of-place evaluation of a function spec over x, y, z, one new
+    array per operator: the oracle of ``wavext.cli._compile_expression``
+    for the specs it accepts."""
+    ops = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: np.power}
+    funcs = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
+             "log": np.log, "tanh": np.tanh, "abs": np.abs}
+
+    def ev(node, env):
+        if isinstance(node, ast.Expression):
+            return ev(node.body, env)
+        if isinstance(node, ast.Constant):
+            return float(node.value)
+        if isinstance(node, ast.Name):
+            return env[node.id]
+        if isinstance(node, ast.BinOp):
+            return ops[type(node.op)](ev(node.left, env), ev(node.right, env))
+        if isinstance(node, ast.UnaryOp):
+            v = ev(node.operand, env)
+            return -v if isinstance(node.op, ast.USub) else +v
+        return funcs[node.func.id](*[ev(a, env) for a in node.args])
+
+    tree = ast.parse(text, mode="eval")
+
+    def f(pts):
+        env = {n: pts[:, i] for i, n in enumerate("xyz") if i < pts.shape[1]}
+        return np.broadcast_to(ev(tree, env), (pts.shape[0],)).astype(float)
+    return f
 
 
 def wavelet_boundary_set_intervals(kflags, bank, N):

@@ -1429,13 +1429,20 @@ def _same_factor(f, g):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
+def test_dense_scaling_block_has_the_sparse_bits(dim, banks, monkeypatch):
     """Where step 1 forms the scaling block dense (at most BLOCK_SIZE
     columns: every 1-D block, db5's 16 included, also at the box edge and
     at 2^12, and the 8^2 disk blocks of db1 and cdf22), it equals the
     sparse ``scaling_plunge`` in every bit, signed zeros included, for
     every family, and the frontal factor of its CSR is that of the sparse
-    block; wider blocks are the sparse block itself."""
+    block; wider blocks are the sparse block itself.  A dense block takes
+    the sparse products (``scaling_plunge``) exactly when its terms array,
+    rows x shared columns x |K|, has more than DENSE_TERMS_MAX entries:
+    in 1-D db5's blocks, and no other family's."""
+    plunge = az.scaling_plunge
+    routed = []
+    monkeypatch.setattr(az, "scaling_plunge",
+                        lambda g: routed.append(g) or plunge(g))
     cases = {1: [(interval(0.2, 0.8), 64), (interval(0.0, 0.5), 256),
                  (interval(0.13, 0.71), 4096)],
              2: [(disk(0.5, 0.5, 0.3), 8), (disk(0.5, 0.5, 0.34), 16),
@@ -1443,23 +1450,31 @@ def test_dense_scaling_block_has_the_sparse_bits(dim, banks):
              3: [(ball(0.5, 0.5, 0.5, 0.4), 8)]}[dim]
     if dim == 1:
         banks = {**banks, "db5": filter_bank("db5")}
-    dense_cases = set()
+    dense_cases, sparse_routed = set(), set()
     for name, bank in banks.items():
         for mask, n in cases:
             prob = az.make_problem(exp1d if dim == 1 else
                                    (lambda p: np.ones(p.shape[0])),
                                    mask, bank, n, 2)
+            routed.clear()
             block, ref = (az._scaling_block(prob.geometry),
-                          az.scaling_plunge(prob.geometry))
+                          plunge(prob.geometry))
             if prob.K.size > BLOCK_SIZE:
                 assert scipy.sparse.issparse(block), (name, n)
                 continue
+            rows = prob.geometry.boundary_rows[0]
+            terms = (rows.shape[0] * np.unique(rows.indices).size
+                     * prob.K.size)
+            assert bool(routed) == (terms > az.DENSE_TERMS_MAX), (name, n)
+            if routed:
+                sparse_routed.add(name)
             dense_cases.add((name, mask.description))
             assert block.view(np.int64).tolist() == \
                 ref.toarray().view(np.int64).tolist(), (name, n)
             _same_factor(sparse_qr_factor(
                 scipy.sparse.csr_matrix(block), scale=1.0),
                 sparse_qr_factor(ref, scale=1.0))
+    assert sparse_routed == ({"db5"} if dim == 1 else set())
     if dim == 1:
         assert len(dense_cases) == len(banks) * len(cases)
     elif dim == 2:

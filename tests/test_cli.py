@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from wavext import cli
+
+from support import reference_expression
 
 
 def run(args, **kw):
@@ -102,9 +105,40 @@ def test_expression_parser_constant_broadcast():
     assert f(np.zeros((7, 1))).shape == (7,)
 
 
+@pytest.mark.parametrize("spec", [
+    "x*x", "x+x*x", "sin(x)", "exp(-x)", "-x", "-x*y+z", "x**y", "2.5",
+    "+x", "abs(-x)/2", "2*3", "sqrt(x)+tanh(y)-log(1+z)",
+    "exp(1.1234*x)*cos(2.3456*x+0.4567)",
+    "exp(0.8765*x*y)*cos(1.2345*x+2.5432*y+0.1234)",
+    "exp(0.5*x*y*z)*cos(1.5*x+2.5*y+1.75*z+0.25)",
+])
+def test_expression_evaluator_matches_out_of_place(spec):
+    """Every spec evaluates to the bits of the out-of-place evaluation,
+    with one new array per operator (``support.reference_expression``),
+    also where it reuses its own temporaries: repeated names, calls and
+    unary minus on a bare name, powers, constants, and the benchmark's
+    functions.  The points passed in, also on strided columns, are left
+    unchanged, and the result is a new float vector of one value per
+    point."""
+    names = {node.id for node in ast.walk(ast.parse(spec))
+             if isinstance(node, ast.Name)}
+    rng = np.random.default_rng(7)
+    for d in range(max(1, len(names & set("xyz"))), 4):
+        pts = rng.uniform(0.05, 0.95, (257, d))
+        before = pts.copy()
+        out = cli.parse_function(spec)(pts)
+        ref = reference_expression(spec)(pts)
+        assert out.dtype == float and out.shape == (257,), (spec, d)
+        assert out.view(np.int64).tolist() == ref.view(np.int64).tolist(), \
+            (spec, d)
+        assert np.array_equal(pts, before), (spec, d)
+        assert not np.shares_memory(out, pts), (spec, d)
+
+
 @pytest.mark.parametrize("bad", [
     "__import__('os')", "x.__class__", "open('x')", "lambda: 1",
-    "x if x else y", "unknownname", "exp(x, key=1)", "[1,2]",
+    "x if x else y", "unknownname", "exp(x, key=1)", "[1,2]", "exp(x, x)",
+    "sin()",
 ])
 def test_expression_parser_rejects(bad):
     with pytest.raises(cli.ConfigError):
@@ -157,11 +191,13 @@ def test_every_solver_exits_ok(solver, tmp_path):
     assert cli.parse_record(out.read_text()).config["solver"] == solver
 
 
-@pytest.mark.parametrize("solver", sorted(cli.SOLVERS))
+@pytest.mark.parametrize("solver", sorted(cli.SOLVERS) + ["adaptive"])
 def test_record_times_the_geometry(solver, tmp_path):
     """The record carries the seconds the problem's geometry took to
     assemble: some on a cold assembly, none when the next request on the
-    same geometry reuses it."""
+    same geometry reuses it; and the seconds make_problem spent outside
+    it, on the grid, the geometry key and b (``samples``), on every
+    request."""
     from wavext import az
 
     az.clear_caches()
@@ -170,8 +206,9 @@ def test_record_times_the_geometry(solver, tmp_path):
         out = tmp_path / "r.json"
         assert run(["approximate", *BASE, "--solver", solver,
                     "--output", str(out)]) == 0
-        times.append(cli.parse_record(out.read_text()).stage_times["geometry"])
-    assert times[0] > 0 == times[1]
+        times.append(cli.parse_record(out.read_text()).stage_times)
+    assert times[0]["geometry"] > 0 == times[1]["geometry"]
+    assert all(t["samples"] > 0 for t in times), solver
 
 
 # (solver, family, n) of the requests of one pass of the disk-2d benchmark,
@@ -425,17 +462,19 @@ def test_reduced_timing_factors_afresh(tmp_path, monkeypatch):
                                     "qr"])
 def test_timing_reports_stage_medians(tmp_path, solver):
     """Beside the wall time, timing reports the median seconds of the
-    assembly, step 1 and steps 2-3; the caches are cleared before every
-    repetition, so every row assembles (geometry > 0).  qr has no steps."""
+    assembly, the grid and samples, step 1 and steps 2-3; the caches are
+    cleared before every repetition, so every row assembles (geometry >
+    0).  qr has no steps."""
     out = tmp_path / "t.csv"
     assert run(["timing", *SWEEP, "--solver", solver, "--N-sweep", "64,128",
                 "--repetitions", "3", "--output", str(out)]) == 0
     header, *rows = _read_csv(out)
-    assert header == ["N", "median_seconds", "geometry", "step1", "step23"]
+    assert header == ["N", "median_seconds", "geometry", "samples", "step1",
+                      "step23"]
     rows = [[float(v) for v in r] for r in rows if r[0] != "slope"]
     assert [r[0] for r in rows] == [64, 128]
-    for n, wall, geometry, step1, step23 in rows:
-        assert 0 < geometry < wall, (n, solver)
+    for n, wall, geometry, samples, step1, step23 in rows:
+        assert 0 < geometry < wall and 0 < samples < wall, (n, solver)
         if solver == "qr":
             assert np.isnan(step1) and np.isnan(step23), n
         else:

@@ -3,18 +3,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.domain import (DomainError, _any_roll, ball, disk, interval,
-                           masked_grid, plunge_row_set, scaling_boundary_set,
-                           wavelet_boundary_set, whole_box)
+from wavext.domain import (DomainError, DomainMask, _any_roll, ball, disk,
+                           interval, masked_grid, plunge_row_set,
+                           scaling_boundary_set, wavelet_boundary_set,
+                           whole_box)
 from wavext.filters import filter_bank
 
-from support import brute_force_K, wavelet_boundary_set_intervals
+from support import (brute_force_K, reference_grid,
+                     wavelet_boundary_set_intervals)
 
 
 def test_interval_point_count():
     grid = masked_grid(interval(0.0, 0.5), 16, 2)
     assert grid.M == 17
     np.testing.assert_allclose(grid.points()[:, 0], np.arange(17) / 32)
+
+
+@pytest.mark.parametrize("mask, N, q", [
+    (interval(0.13, 0.71), 256, 2),
+    (disk(0.45, 0.55, 0.3), (16, 32), (4, 2)),
+    (ball(0.5, 0.5, 0.5, 0.4), 8, 2),
+])
+def test_grid_matches_meshgrid_oracle(mask, N, q):
+    """inside, inside_bool and points() have the bits of the meshgrid and
+    unravel_index forms (``support.reference_grid``) on an interval, on a
+    disk whose axes differ in N and q, and on a ball; a custom predicate
+    receives the full grid as an (npoints, d) float array, the oracle's."""
+    grid = masked_grid(mask, N, q)
+    pts, inside_bool, inside, inside_pts = reference_grid(mask,
+                                                          grid.grid_shape)
+    assert np.array_equal(grid.inside_bool, inside_bool)
+    assert np.array_equal(grid.inside, inside)
+    got = grid.points()
+    assert got.shape == inside_pts.shape and got.dtype == float
+    assert got.view(np.int64).tolist() == inside_pts.view(np.int64).tolist()
+    seen = []
+
+    def predicate(p):
+        seen.append(p.copy())
+        return mask.indicator(p)
+
+    custom = masked_grid(DomainMask(mask.dimension, predicate), N, q)
+    assert np.array_equal(custom.inside, inside)
+    (p,) = seen
+    assert p.dtype == float and p.shape == pts.shape
+    assert p.view(np.int64).tolist() == pts.view(np.int64).tolist()
 
 
 def test_whole_box_count():

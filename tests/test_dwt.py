@@ -231,16 +231,22 @@ def _with_reference_kernel(monkeypatch, fn):
     return fast, ref
 
 
-@pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6, 12, 13])
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 6, 12, 13, 15])
 def test_kernel_matches_modular_oracle(banks, J, monkeypatch):
     """The step cascade is bit-identical to per-tap index arithmetic modulo
     n, also where the taps wrap more than once, on both sides and with
     leading batch axes: with the levels of up to SPARSE_MAX_N points as
     sparse products (J = 13 has one longer level), and with every level
-    on the wrap-padded kernel.  The layout is the oracle's too, since a
-    BLAS product of the result (the dense transform matrix) takes its bits
-    from it.  It is called directly: dwt and idwt take the dense path up to
-    DENSE_MAX_N points."""
+    on the blocked kernel.  At J = 15 the blocks are STEP_BLOCK = 3000
+    outputs, so the steps of 2^15 to 2^13 points span 6, 3 and 2 blocks
+    and end on a partial one, and only the first and last read across the
+    ends of the input (four banks: the oracle is slow there).  The layout
+    is the oracle's too, since a BLAS product of the result (the dense
+    transform matrix) takes its bits from it.  It is called directly: dwt
+    and idwt take the dense path up to DENSE_MAX_N points."""
+    if J > 13:
+        monkeypatch.setattr(dwt_mod, "STEP_BLOCK", 3000)
+        banks = {k: banks[k] for k in ("db1", "db4", "cdf33", "cdf51")}
     rng = np.random.default_rng(J)
     for sparse_max_n in (dwt_mod.SPARSE_MAX_N, 0):
         monkeypatch.setattr(dwt_mod, "SPARSE_MAX_N", sparse_max_n)
