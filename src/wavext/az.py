@@ -40,20 +40,22 @@ step-1 kernel treats what falls below a fraction of the reference scale
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  A ``Geometry`` owns all of it: the operators and
-index sets and, made on first use, the rows Mrows of A_hat and Z_hat, the
-per-axis rows of W^-1, R_L, the Gram factor F, the scaling block's factor
-and the reveals of it.  ``make_problem`` keeps the geometries in one
+index sets and, made on first use, the rows Mrows of A_hat and Z_hat (in
+CSR, or dense on their columns where K has at most BLOCK_SIZE elements),
+the per-axis rows of W^-1, R_L, the Gram factor F, the scaling block's
+factor and the reveals of it.  ``make_problem`` keeps the geometries in one
 least-recently-used cache within CACHE_BYTES and reuses that of an equal
 geometry, so a warm explicit or unweighted az solve only replays the
 reflectors on its right-hand side.  ``clear_caches`` empties it.
 """
 
 import hashlib
+import math
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg
@@ -96,7 +98,8 @@ class AZError(ValueError):
 class Geometry:
     """What every problem on one geometry (filter bank, N, q and inside mask)
     shares, and its ``key``: operators, index sets, ``scale`` = ||A_hat||_F
-    and, made on first use, ``L``, ``boundary_rows``, ``winv_rows``,
+    and, made on first use, ``L``, ``boundary_rows`` or, with at most
+    BLOCK_SIZE boundary functions K, ``boundary_block``, ``winv_rows``,
     ``winv_block``, ``gram`` and step 1's ``factor`` of the scaling block
     and the ``reveals`` of it.
     The index arrays are read-only; nothing here holds the grid or mask."""
@@ -121,6 +124,7 @@ class Geometry:
         mats = [self.scaling.A_hat, self.scaling.Z_hat,
                 *made.get("boundary_rows", ())]
         arrays = [self.K, self.kflags, self.Mrows, made.get("L", self.K[:0]),
+                  *made.get("boundary_block", ()),
                   *made.get("winv_block", ()), *made.get("gram", ())[:1]]
         arrays += [a for axis in made.get("winv_rows", ()) for a in axis
                    if a is not None]
@@ -173,6 +177,19 @@ class Geometry:
         pipelines reads of them, and the rows steps 2-3 map y through."""
         return (csr_rows(self.scaling.A_hat, self.Mrows),
                 csr_rows(self.scaling.Z_hat, self.Mrows))
+
+    @cached_property
+    def boundary_block(self):
+        """(cols_A, A_r, cols_Z, Z_r): the rows Mrows of A_hat and Z_hat as
+        dense arrays on cols_A and cols_Z, the sorted columns where they
+        have entries (``_dense_rows``).  They replace ``boundary_rows``
+        wherever K has at most BLOCK_SIZE elements (``_dense_boundary``),
+        and are then a few dozen columns wide: no CSR is formed for them."""
+        made = (*_dense_rows(self.scaling.A_hat, self.Mrows),
+                *_dense_rows(self.scaling.Z_hat, self.Mrows))
+        for a in made:
+            a.flags.writeable = False
+        return made
 
     @cached_property
     def winv_rows(self):
@@ -328,7 +345,7 @@ def _rows_transposed(axes, N, w):
         grid = (grid[:, None] * n + Ca).ravel()
         right = (right[:, :, None] * Ra[ia][:, None, :]).reshape(
             w.size, right.shape[1] * Ca.size)
-    x = np.zeros(int(np.prod(N)))
+    x = np.zeros(math.prod(N))
     x[grid] = (((R if inv is None else R[inv]).T * w) @ right).ravel()
     return x
 
@@ -501,12 +518,65 @@ def boundary_operator(problem: AZProblem):
 
 def plunge_rhs(problem: AZProblem, c=None):
     """The rows Mrows of (I - A Z*) b = b - A_hat c, with c = Z_hat* b
-    (computed when not given), from the ``Geometry.boundary_rows`` of A_hat:
-    no row of A_hat or b outside them is read."""
+    (computed when not given), from the ``Geometry.boundary_rows`` of A_hat,
+    or its ``boundary_block`` (``_dense_boundary``): no row of A_hat or b
+    outside them is read."""
     if c is None:
         c = problem.Zstar.adjoint @ problem.b
-    Ar, _ = problem.geometry.boundary_rows
-    return problem.b[problem.Mrows] - Ar @ c
+    g = problem.geometry
+    if _dense_boundary(g):
+        cols, Ar, _, _ = g.boundary_block
+        return problem.b[problem.Mrows] - _row_sums(Ar * c[cols])
+    return problem.b[problem.Mrows] - g.boundary_rows[0] @ c
+
+
+def _boundary_update(geometry: Geometry, c, v):
+    """c - Z_hat* A_hat v in c's memory for v zero outside K, through the
+    rows Mrows alone: the ``boundary_block`` (``_dense_boundary``) or the
+    ``boundary_rows``.  The block's sums run in the order of the CSR and
+    CSC products, so both give the same bits."""
+    if _dense_boundary(geometry):
+        cols, Ar, zcols, Zr = geometry.boundary_block
+        K = geometry.K
+        r = _row_sums(_take_columns(Ar, cols, K) * v[K])
+        c[zcols] -= np.add.accumulate(Zr * r[:, None], axis=0)[-1]
+        return c
+    Ar, Zr = geometry.boundary_rows
+    return np.subtract(c, Zr.T @ (Ar @ v), out=c)
+
+
+def _dense_boundary(geometry: Geometry):
+    """Whether step 1 and steps 2-3 of the explicit pipelines read A_hat
+    and Z_hat through ``Geometry.boundary_block``: K has at most
+    BLOCK_SIZE elements, as the dense scaling block of ``_scaling_block``
+    has at most BLOCK_SIZE columns.  Else ``Geometry.boundary_rows``."""
+    return 0 < geometry.K.size <= BLOCK_SIZE
+
+
+def _dense_rows(S, rows):
+    """(cols, D): the rows ``rows`` of the CSR S on the sorted columns cols
+    where they have entries, D dense (|rows|, |cols|)."""
+    lo, counts = S.indptr[rows], S.indptr[rows + 1] - S.indptr[rows]
+    ends = np.cumsum(counts)
+    take = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+        lo - ends + counts, counts)
+    found = S.indices[take]
+    cols = np.sort(found)
+    first = np.empty(cols.size, dtype=bool)     # np.unique(found)
+    first[:1] = True
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    cols = cols[first]
+    D = np.zeros((rows.size, cols.size))
+    D[np.repeat(np.arange(rows.size), counts),
+      np.searchsorted(cols, found)] = S.data[take]
+    return cols, D
+
+
+def _row_sums(T):
+    """Each row's sum of T, term by term in column order: the bits of the
+    CSR product whose terms T holds, with its missing terms as zeros."""
+    return np.add.accumulate(T, axis=1)[:, -1] if T.shape[1] else np.zeros(
+        T.shape[0])
 
 
 def _reference_scale(problem: AZProblem):
@@ -546,23 +616,26 @@ def scale_weights(e, N):
 def per_scale_norms(x, N, select=None):
     """l2 norm of the coefficients at each scale (optionally on a sub-mask).
 
-    Scales 0 to l fill the corner block [0, 2^(l+1)) of every axis (see
-    ``scale_levels``), so scale l is that corner less the one of scale
-    l - 1: one box per axis, summed in place, without a label array."""
+    Along an axis of 2^J points, scale 0 is the block [0, 2) and scale l
+    the block [2^l, 2^(l+1)) (see ``scale_levels``), so one ``reduceat``
+    per axis sums the squares over every box of per-axis scales, and a
+    box counts for the largest of its per-axis scales: d passes over the
+    coefficients, without a label array."""
     x = np.ravel(x)
     if select is not None:
         keep = np.zeros(x.size, dtype=bool)
         keep[np.asarray(select)] = True
         x = np.where(keep, x, 0.0)
-    sq, d = (x * x).reshape(N), len(N)
-    norms = []
-    for level in range(max(n.bit_length() for n in N) - 1):
-        lo = [min(2 ** level, n) if level else 0 for n in N]
-        hi = [min(2 ** (level + 1), n) for n in N]
-        norms.append(sum(
-            sq[tuple(slice(lo[i] if i == a else 0, lo[i] if i < a else hi[i])
-                     for i in range(d))].sum() for a in range(d)))
-    return np.sqrt(norms)
+    sums = (x * x).reshape(N)
+    for axis, n in enumerate(N):
+        starts = 2 ** np.arange(n.bit_length() - 1)     # 1, 2, 4, ...
+        starts[0] = 0                                   # scale 0 from 0
+        sums = np.add.reduceat(sums, starts, axis=axis)
+    if len(N) == 1:                     # one box per scale
+        return np.sqrt(sums)
+    levels = reduce(np.maximum.outer,
+                    [np.arange(n.bit_length() - 1) for n in N])
+    return np.sqrt(np.bincount(levels.ravel(), weights=sums.ravel()))
 
 
 def extension_index_set(problem: AZProblem):
@@ -577,18 +650,12 @@ def extension_index_set(problem: AZProblem):
     return ext
 
 
-def _columns(S, cols, dense=False):
+def _columns(S, cols):
     """The CSR S[:, cols] for sorted unique cols, entries in the order of S,
     without the map over every column that scipy's indexing builds; it
-    shares S's data and row pointers when cols hold every column of S.
-    ``dense`` gives it as an array, without forming the CSR."""
+    shares S's data and row pointers when cols hold every column of S."""
     pos = np.searchsorted(cols, S.indices)
     keep = np.append(cols, -1)[pos] == S.indices
-    if dense:
-        out = np.zeros((S.shape[0], cols.size))
-        out[np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))[keep],
-            pos[keep]] = S.data[keep]
-        return out
     if keep.all():
         return scipy.sparse.csr_matrix((S.data, pos, S.indptr),
                                        shape=(S.shape[0], cols.size))
@@ -602,7 +669,8 @@ def clear_caches():
     it, and its solves build the per-axis rows of W^-1, R_L, the Gram, the
     scaling block and its factor afresh (a problem made before keeps its
     geometry).  What depends on the filter bank and sizes alone stays
-    warm: the transform matrices, the tap tables, the window taps of
+    warm: the transform matrices, the tap tables and whole circulants of
+    short axes (``system._axis_circulant``), the window taps of
     ``_winv_rows`` and the dual pairs."""
     with _cache_lock:
         _cache.clear()
@@ -687,7 +755,7 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     v = np.zeros(problem.grid.n_basis)
     if reveal:
         v[problem.K] = rep.solution     # A_hat v lives on the rows Mrows
-        Ar, Zt = g.boundary_rows[0], g.boundary_rows[1].T
+        u = _boundary_update(g, c, v)
     else:
         if kind:    # y = R_L[cols]^T F^-T z
             cols, u = g.factor.cols, np.zeros(problem.K.size)
@@ -697,9 +765,8 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
         else:
             v[L] = rep.solution * w[L]
         v = problem.A.synthesis(v)
-        Ar, Zt = S.A_hat, problem.Zstar.adjoint
-    u = np.subtract(c, Zt @ (Ar @ v), out=c)    # v + (c - Zt Ar v), in c
-    np.add(v, u, out=u)
+        u = np.subtract(c, problem.Zstar.adjoint @ (S.A_hat @ v), out=c)
+    np.add(v, u, out=u)                 # v + (c - Z_hat* A_hat v), in c
     x, Ax = problem.A.analysis(u), S.A_hat @ u
     times = {"geometry": problem.geometry_s, "samples": problem.samples_s,
              "step1": t1 - t0, "step23": time.perf_counter() - t1,
@@ -789,19 +856,18 @@ def _scaling_block(geometry: Geometry):
     A dense block whose terms array has more than DENSE_TERMS_MAX entries
     is ``scaling_plunge(geometry).toarray()``.  Else the sparse products
     sum their terms over the shared index in ascending order from zero,
-    skipping zero terms; here every term is formed and a running sum along
-    that index (``np.add.accumulate`` from a zero slab) adds them in the
-    same order, the skipped ones as exact zeros.  The cut is ``_prune``'s."""
-    Ar, Zr = geometry.boundary_rows
+    skipping zero terms; here every term is formed from the
+    ``boundary_block`` and a running sum along that index
+    (``np.add.accumulate`` from a zero slab) adds them in the same order,
+    the skipped ones as exact zeros.  The cut is ``_prune``'s."""
     K = geometry.K
-    cols = np.unique(Ar.indices)
-    m, c, k = Ar.shape[0], cols.size, K.size
-    if not 0 < k <= BLOCK_SIZE:
+    if not _dense_boundary(geometry):
         return scaling_plunge(geometry)
+    cols, Ac, zcols, Zr = geometry.boundary_block
+    m, c, k = Ac.shape[0], cols.size, K.size
     if m * c * k > DENSE_TERMS_MAX:
         return scaling_plunge(geometry).toarray()
-    Ac, Zc, AK = (_columns(Ar, cols, True), _columns(Zr, cols, True),
-                  _columns(Ar, K, True))
+    AK, Zc = _take_columns(Ac, cols, K), _take_columns(Zr, zcols, cols)
     terms = np.zeros((m + 1, c, k))
     np.multiply(Zc[:, :, None], AK[:, None, :], out=terms[1:])
     X = np.add.accumulate(terms, axis=0)[-1]            # Z_c* A_K
@@ -810,6 +876,15 @@ def _scaling_block(geometry: Geometry):
     P = AK - np.add.accumulate(terms, axis=0)[-1]       # A_K - A_c X
     P[np.abs(P) <= PRUNE_REL * max(np.abs(P).max(), np.abs(AK).max())] = 0.0
     return P
+
+
+def _take_columns(D, cols, want):
+    """The columns ``want`` (sorted) of D, whose columns are the sorted
+    ``cols``; a column not among them is zero."""
+    if not cols.size:
+        return np.zeros((D.shape[0], want.size))
+    at = np.minimum(np.searchsorted(cols, want), cols.size - 1)
+    return np.where(cols[at] == want, D[:, at], 0.0)
 
 
 def sparse_plunge(problem: AZProblem):

@@ -6,6 +6,7 @@ functions (the nonzero samples of the primal scaling sequence), so arbitrary
 indicator predicates are supported.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -100,7 +101,7 @@ class MaskedGrid:
 
     @property
     def n_basis(self):
-        return int(np.prod(self.N))
+        return math.prod(self.N)
 
     def points(self):
         """Physical coordinates of the inside grid points, (M, d): each
@@ -148,9 +149,9 @@ def masked_grid(mask: DomainMask, N, q) -> MaskedGrid:
     if inside.size == 0:
         raise DomainError(f"empty domain: no point of the {shape} grid lies "
                           f"inside {mask.description}")
-    if inside.size <= np.prod(N):
+    if inside.size <= math.prod(N):
         raise DomainError(
-            f"oversampling too low: {inside.size} sample points for {np.prod(N)} dof")
+            f"oversampling too low: {inside.size} sample points for {math.prod(N)} dof")
     return MaskedGrid(mask=mask, N=N, q=q, inside=inside, inside_bool=inside_bool)
 
 
@@ -182,21 +183,24 @@ def _any_roll(a, shifts, axis):
 def _separable_any(flags, offsets_per_dim, steps):
     """any over the product support: OR of rolls per axis, then subsample.
 
-    flags has the full grid shape; offsets give the support pattern of basis
-    element 0 per dimension, steps the grid step per basis index (q_i).
+    flags has the full grid shape as its trailing axes (leading axes are
+    batched); offsets give the support pattern of basis element 0 per
+    dimension, steps the grid step per basis index (q_i).
     """
-    acc = flags
+    acc, d = flags, len(offsets_per_dim)
     for ax, offs in enumerate(offsets_per_dim):
-        acc = _any_roll(acc, -np.asarray(offs), ax)
+        acc = _any_roll(acc, -np.asarray(offs), ax - d)
     slices = tuple(slice(0, None, s) for s in steps)
-    return acc[slices]
+    return acc[(Ellipsis,) + slices]
 
 
 def scaling_boundary_set(grid: MaskedGrid, bank: FilterBank):
-    """Multi-indices of scaling functions meeting both the domain and its complement."""
+    """Multi-indices of scaling functions meeting both the domain and its
+    complement: the domain's flags and their complement rolled together,
+    as one batch."""
     offsets = _support_offsets(bank, grid)
-    touches_in = _separable_any(grid.inside_bool, offsets, grid.q)
-    touches_out = _separable_any(~grid.inside_bool, offsets, grid.q)
+    touches_in, touches_out = _separable_any(
+        np.stack((grid.inside_bool, ~grid.inside_bool)), offsets, grid.q)
     kflags = touches_in & touches_out
     return np.flatnonzero(kflags.ravel()), kflags
 

@@ -38,7 +38,6 @@ their matrices would cost more memory and set-up than they save.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -190,6 +189,10 @@ class TransformPlan:
             raise TransformError("J must be >= 1")
         if self.side not in ("primal", "dual"):
             raise TransformError(f"bad side {self.side!r}")
+        # the cached matrices of this plan's masks and side (the entry of
+        # ``_matrix_cache``), shared by every plan of the same
+        object.__setattr__(self, "_matrices", _matrix_cache.setdefault(
+            (self.bank.masks_key, self.side), {}))
 
     @property
     def analysis_masks(self):
@@ -200,12 +203,6 @@ class TransformPlan:
     def synthesis_masks(self):
         b = self.bank
         return (b.h, b.g) if self.side == "primal" else (b.h_dual, b.g_dual)
-
-    @cached_property
-    def _matrices(self):
-        """The cached matrices of this plan's masks and side (the entry of
-        ``_matrix_cache``), shared by every plan of the same."""
-        return _matrix_cache.setdefault((self.bank.masks_key, self.side), {})
 
 
 # Levels of at most this many points run as one cached sparse product.
@@ -273,7 +270,8 @@ def _dwt_steps(v, plan: TransformPlan):
     h, g = plan.analysis_masks
     n = v.shape[-1]
     out = np.empty_like(v)
-    bufs = [np.empty(v.shape[:-1] + (n // d,), dtype=v.dtype) for d in (2, 4)]
+    bufs = [np.empty(v.shape[:-1] + (n // d,), dtype=v.dtype)
+            for d in (2, 4)] if n > SPARSE_MAX_N else None
     cur = v
     for i, j in enumerate(range(plan.J, 0, -1)):
         half = 2 ** (j - 1)

@@ -20,8 +20,9 @@ mod n and are re-sorted.  Neither the full box, nor the product, nor a CSC
 copy is ever formed.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -95,6 +96,45 @@ def _axis_tables(bank, n, q, dtype):
             _tap_table(*primal_taps(b, n), n, q, dtype),
             _tap_table(*dual_taps(d, n, q), n, q, dtype)))
     return tables
+
+
+# Axes of at most this many points keep their whole (n q, n) circulants
+# beside their tap tables (``_axis_circulant``), 0.44 MB for both of a
+# cdf33 axis at 2^12, q = 2 (db4 1.3 MB): a 1-D grid takes its rows as one
+# contiguous range of them, a d-D grid multiplies them out.  Longer axes
+# build the range of rows that the grid reads (``_circulant_rows``) on
+# every call.
+CIRCULANT_MAX_N = 2**12
+
+# Whole circulants (A_hat, Z_hat) by the ``_tables`` key, read-only.
+_circulants = {}
+
+
+def _axis_circulant(bank, n, q, dtype, side, lo=0, hi=None):
+    """CSR of the rows lo..hi-1 (default all n q) of one axis' A_hat
+    (side 0) or Z_hat (side 1) circulant.  Up to CIRCULANT_MAX_N points
+    they are a range of the kept whole circulant, sharing its read-only
+    data and indices; else ``_circulant_rows`` builds them."""
+    hi = n * q if hi is None else hi
+    if n > CIRCULANT_MAX_N:
+        return _circulant_rows(_axis_tables(bank, n, q, dtype)[side], n, lo,
+                               hi)
+    key = (bank.family, n, q, dtype)
+    whole = _circulants.get(key)
+    if whole is None:
+        whole = tuple(_circulant_rows(t, n, 0, n * q)
+                      for t in _axis_tables(bank, n, q, dtype))
+        for S in whole:
+            for a in (S.data, S.indices, S.indptr):
+                a.flags.writeable = False
+        whole = _circulants.setdefault(key, whole)
+    S = whole[side]
+    if (lo, hi) == (0, n * q):
+        return S
+    start, stop = int(S.indptr[lo]), int(S.indptr[hi])
+    return scipy.sparse.csr_matrix(
+        (S.data[start:stop], S.indices[start:stop],
+         S.indptr[lo:hi + 1] - start), shape=(hi - lo, n))
 
 
 def _periodic(first, count, step):
@@ -186,7 +226,7 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     Each is the Kronecker product of one (n q, n) circulant per axis,
     column k the periodized primal (or dual) samples rolled by k q, on the
     rows ``grid.inside``; only those rows are built.  Per axis, one builder
-    gives the CSR of a range of circulant rows (``_circulant_rows``): in
+    gives the CSR of a range of circulant rows (``_axis_circulant``): in
     1-D the range from the first to the last inside row, followed by a row
     selection when the inside rows are not contiguous; in d-D all n q rows
     of the axis, gathered at each inside row's multi-index and multiplied
@@ -199,8 +239,8 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     is the bytes of the result."""
     dim, inside = len(grid.N), grid.inside
     pairs = [dual_pair(bank, q) for q in grid.q]
-    per_row = np.prod([1 + max(b.b.size, d.b_dual.size) // q
-                       for (b, d), q in zip(pairs, grid.q)])
+    per_row = math.prod([1 + max(b.b.size, d.b_dual.size) // q
+                         for (b, d), q in zip(pairs, grid.q)])
     # int32 unless the padding columns or the entries need more
     dtype = scipy.sparse.get_index_dtype(
         maxval=max(dim * grid.n_basis, inside.size * per_row))
@@ -208,15 +248,14 @@ def assemble_scaling(bank: FilterBank, grid: MaskedGrid) -> ScalingMatrices:
     for side in range(2):
         factors = []
         for n, q in zip(grid.N, grid.q):
-            table = _axis_tables(bank, n, q, dtype)[side]
             if dim == 1:
                 lo, hi = int(inside[0]), int(inside[-1]) + 1
-                F = _circulant_rows(table, n, lo, hi)
+                F = _axis_circulant(bank, n, q, dtype, side, lo, hi)
                 if inside.size < hi - lo:
                     F = csr_rows(F, inside - lo)
                 mats.append(F)
             else:
-                factors.append(_circulant_rows(table, n, 0, n * q))
+                factors.append(_axis_circulant(bank, n, q, dtype, side))
         if dim > 1:
             index = np.unravel_index(inside, grid.grid_shape)
             mats.append(_row_kron(factors, index, grid.N, dtype))
@@ -235,6 +274,17 @@ def csr_rows(S, rows):
                                    shape=(rows.size, S.shape[1]))
 
 
+@lru_cache(maxsize=None)
+def _axis_orders(d):
+    """By tensor rank (d, or d + 1 with a batch axis), per axis of d: the
+    axis order that moves it last, and the one that moves it back.  Every
+    frame operator of d axes shares the one dict; nothing writes to it."""
+    return {rank: tuple((
+        (*(a for a in range(rank) if a != ax), ax),
+        (*range(ax), rank - 1, *range(ax, rank - 1)))
+        for ax in range(d)) for rank in (d, d + 1)}
+
+
 class FrameOperator(scipy.sparse.linalg.LinearOperator):
     """Matrix-free A = A_hat W^-1 with adjoint A* = W~ A_hat*."""
 
@@ -243,22 +293,22 @@ class FrameOperator(scipy.sparse.linalg.LinearOperator):
         self.bank = bank
         self.N = tuple(N)
         self.plans = [TransformPlan(bank, n.bit_length() - 1) for n in self.N]
-        self.dual_plans = [TransformPlan(bank, n.bit_length() - 1, "dual")
-                           for n in self.N]
-        shape = (scaling_matrix.shape[0], int(np.prod(self.N)))
+        shape = (scaling_matrix.shape[0], math.prod(self.N))
         super().__init__(dtype=float, shape=shape)
-        # by tensor rank (d, or d + 1 with a batch axis), per axis: the
-        # axis order that moves it last, and the one that moves it back
-        d = len(self.N)
-        self._orders = {rank: [(
-            [a for a in range(rank) if a != ax] + [ax],
-            list(range(ax)) + [rank - 1] + list(range(ax, rank - 1)))
-            for ax in range(d)] for rank in (d, d + 1)}
+        self._orders = _axis_orders(len(self.N))
+
+    @cached_property
+    def dual_plans(self):
+        """The dual side's plans, made on the first W~ (the adjoint)."""
+        return [TransformPlan(self.bank, n.bit_length() - 1, "dual")
+                for n in self.N]
 
     def _axis_transform(self, x, fn, plans):
         """Apply fn along every tensor axis of x, shape (n,) or (n, k); a
         block's columns ride along as a trailing batch axis."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1 == len(self.N):
+            return fn(x, plans[0])
         a = x.reshape(self.N + x.shape[1:])
         for (last, back), plan in zip(self._orders[a.ndim], plans):
             a = fn(a.transpose(last), plan).transpose(back)
@@ -296,14 +346,20 @@ class ZStarOperator:
     Z_hat*, kept from its first use on as the CSC view of Z_hat's arrays:
     scipy checks the index arrays on every transpose it forms, 16-30 us a
     product, and a CSR copy would cost memory (6.7 MB at N = 2^18) and a
-    3.9 ms build for products no faster."""
+    3.9 ms build for products no faster.  The frame operator whose
+    analysis it applies is made on the first apply: the pipelines read
+    ``adjoint`` alone."""
 
     def __init__(self, scaling_matrix, bank, N):
-        self._frame = FrameOperator(scaling_matrix, bank, N)
+        self.scaling_matrix, self._bank, self._N = scaling_matrix, bank, N
+
+    @cached_property
+    def _frame(self):
+        return FrameOperator(self.scaling_matrix, self._bank, self._N)
 
     @cached_property
     def adjoint(self):
-        return self._frame.scaling_matrix.T
+        return self.scaling_matrix.T
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)

@@ -1529,7 +1529,45 @@ def _poison_outside_rows(prob):
     geometry.scaling = system.ScalingMatrices(*mats)
     # what was computed from the clean matrices before the copy
     geometry.__dict__.pop("boundary_rows", None)
+    geometry.__dict__.pop("boundary_block", None)
     return dataclasses.replace(prob, geometry=geometry)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_boundary_block_has_the_boundary_rows_bits(dim, banks, monkeypatch):
+    """Where K has at most BLOCK_SIZE elements, the explicit pipelines read
+    the rows Mrows of A_hat and Z_hat as the dense ``boundary_block``,
+    with no CSR rows; the step-1 right-hand side, x and the residual of
+    reduced and sparse are then, in every bit, those read through the CSR
+    ``boundary_rows``, for every family, on the factor the first solve
+    made."""
+    cases = {1: [(interval(0.2, 0.8), 64), (interval(0.0, 0.5), 256),
+                 (interval(0.13, 0.71), 4096)],
+             2: [(disk(0.5, 0.5, 0.3), 8)]}[dim]
+    f = exp1d if dim == 1 else (lambda p: np.exp(p[:, 0] - p[:, 1]))
+    dense_boundary, seen = az._dense_boundary, 0
+    solves = (az.reduced_az_solve, az.sparse_az_solve)
+    for name, bank in banks.items():
+        for mask, n in cases:
+            az.clear_caches()
+            prob = az.make_problem(f, mask, bank, n, 2)
+            g = prob.geometry
+            if not dense_boundary(g):
+                continue
+            seen += 1
+            block = [az.plunge_rhs(prob)] + [solve(prob) for solve in solves]
+            terms = g.K.size * g.boundary_block[1].size
+            assert ("boundary_rows" in vars(g)) == (
+                terms > az.DENSE_TERMS_MAX), (name, n)
+            monkeypatch.setattr(az, "_dense_boundary", lambda g: False)
+            rows = [az.plunge_rhs(prob)] + [solve(prob) for solve in solves]
+            monkeypatch.setattr(az, "_dense_boundary", dense_boundary)
+            assert block[0].tobytes() == rows[0].tobytes(), (name, n)
+            for solve, a, b in zip(solves, block[1:], rows[1:]):
+                case = (name, n, solve.__name__)
+                assert a.x.tobytes() == b.x.tobytes(), case
+                assert a.residual == b.residual, case
+    assert seen >= (len(banks) * len(cases) if dim == 1 else 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1711,8 +1749,16 @@ def test_geometry_bytes_grow_by_the_arrays_added(case):
     f, mask, family, N = _BYTES_CASES[case]
     az.clear_caches()
     g = az.make_problem(f, mask, filter_bank(family), N, 2).geometry
-    g.boundary_rows     # what the block is formed from
+    before = g.nbytes
+    # what the block is formed from: the dense boundary block of at most
+    # BLOCK_SIZE boundary functions, else the CSR boundary rows
+    if az._dense_boundary(g):
+        made = g.boundary_block
+    else:
+        made = [a for S in g.boundary_rows
+                for a in (S.data, S.indices, S.indptr)]
     sizes = [g.nbytes]
+    assert sizes[0] - before == _bytes(*made)
     factor = g.factor
     sizes.append(g.nbytes)
     svd, _ = g.reveal("svd", DEFAULT_TOL)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from wavext import system
 from wavext.cascade import scaling_at_dyadic
 from wavext.domain import (DomainMask, ball, disk, interval, masked_grid,
                            whole_box)
@@ -44,7 +45,7 @@ WRAPPED = DomainMask(1, lambda p: (p[:, 0] <= 0.3) | (p[:, 0] >= 0.7))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_scaling_assembly_matches_coo_oracle(banks, q):
+def test_scaling_assembly_matches_coo_oracle(banks, q, monkeypatch):
     """A_hat and Z_hat, built on the inside rows alone, equal bit for bit
     (data, indices, indptr and their dtypes) those of the full-box kron of
     COO-built circulants restricted to the inside rows, and come in
@@ -55,7 +56,9 @@ def test_scaling_assembly_matches_coo_oracle(banks, q):
     both ends of the axis), two intervals, and a 2^12 interval (a long run
     of row periods none of which wraps); in 2-D on a disk with q and with
     (q, 4) per axis, an annulus and the whole box at its shortest periods;
-    in 3-D on the 8^3 ball (q = 2)."""
+    in 3-D on the 8^3 ball (q = 2).  Each case is assembled twice: from
+    the kept whole circulants of axes of at most CIRCULANT_MAX_N points,
+    and with every axis' rows built afresh (a cutoff of 0)."""
     with pytest.warns(UserWarning):
         unit = interval(0.0, 1.0)
     cases = [(interval(0.2, 0.8), n, q) for n in (4, 8, 16, 64)]
@@ -72,18 +75,20 @@ def test_scaling_assembly_matches_coo_oracle(banks, q):
         for mask, n, qs in cases:
             grid = masked_grid(mask, n, qs)
             try:
-                got = assemble_scaling(bank, grid)
+                ref = reference_assemble_scaling(bank, grid)
             except DualError:   # a support longer than the period, or db
                 continue        # at q = 3
             fitted += 1
-            ref = reference_assemble_scaling(bank, grid)
-            for mat, r in zip(("A_hat", "Z_hat"), ref):
-                assert getattr(got, mat).has_canonical_format, (name, n, mat)
-                for attr in ("data", "indices", "indptr"):
-                    a = getattr(getattr(got, mat), attr)
-                    b = getattr(r, attr)
-                    assert a.dtype == b.dtype, (name, n, qs, mat, attr)
-                    assert np.array_equal(a, b), (name, n, qs, mat, attr)
+            for cutoff in (system.CIRCULANT_MAX_N, 0):
+                monkeypatch.setattr(system, "CIRCULANT_MAX_N", cutoff)
+                got = assemble_scaling(bank, grid)
+                for mat, r in zip(("A_hat", "Z_hat"), ref):
+                    S, case = getattr(got, mat), (name, n, qs, mat, cutoff)
+                    assert S.has_canonical_format, case
+                    for attr in ("data", "indices", "indptr"):
+                        a, b = getattr(S, attr), getattr(r, attr)
+                        assert a.dtype == b.dtype, (*case, attr)
+                        assert np.array_equal(a, b), (*case, attr)
         assert fitted >= (0 if q == 3 and name.startswith("db") else 3), name
 
 
