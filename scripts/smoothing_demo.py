@@ -26,7 +26,6 @@ def main():
     ap.add_argument("--function", default="exp1d")
     ap.add_argument("--N", type=int, default=256)
     ap.add_argument("--q", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     bank = filter_bank(args.family)
@@ -37,7 +36,7 @@ def main():
 
     prob = az.make_problem(f, mask, bank, N, q)
     plain = az.reduced_az_solve(prob)
-    _, weighted = az.adaptive_weighted_solve(f, mask, bank, N, q, seed=args.seed)
+    _, weighted = az.adaptive_weighted_solve(f, mask, bank, N, q)
 
     ext = az.extension_index_set(prob)
     n_plain = az.per_scale_norms(plain.x, prob.grid.N, select=ext)

@@ -13,30 +13,30 @@ one ``FrontalFactor`` of B (``Geometry.factor``), made once per geometry:
 a block of at most BLOCK_SIZE columns (every 1-D block) is dense and its
 own factor, R_B = B and Q_B = I; any other is sparse and compressed by one
 frontal QR to its triangle R_B = Q_B^T B (``solvers._frontal_qr``).  Each
-pipeline then takes its own reveal (``Geometry.reveal``):
+pipeline then takes its own reveal (``Geometry.reveal``), by the randomized
+kernel's exact SVD on an uncompressed factor:
 
 * ``sparse_az_solve``: the column-pivoted QR of R_B, and x1 = W y;
 * ``reduced_az_solve``: the truncated SVD of R_B, which is B's, and
-  x1 = W y; on an uncompressed factor the randomized kernel takes that
-  SVD;
+  x1 = W y;
 * ``az_solve`` (vanilla AZ): the plunge on its rows Mrows and columns L,
-  compressed by Q_B^T, is C = R_B R_L[cols], R_L = W^-1[K, L].  With
-  G = R_L[cols] R_L[cols]^T = F F^T (``Geometry.gram``), C = (R_B F) Q^T
-  for Q = R_L[cols]^T F^-T with orthonormal columns, so the truncated SVD
-  of R_B F (``Geometry.reveal("gram")``) solves it exactly: y =
-  R_L[cols]^T F^-T z on L.  G and R_L[cols]^T come from the rows of the
-  per-axis W^-1 (``Geometry.winv_rows``), O(|K| taps J) per axis: in 1-D
-  no part of step 1 grows with N, and no (|K|, |L|) array is formed.
-* ``smoothed_az_solve`` (az_solve with weights D that vary): the
-  randomized low-rank kernel on C D_L (``boundary_operator``), R_L formed
-  from the same rows (``Geometry.winv_block``), and x1 = D y on L.
+  compressed by Q_B^T, is C = R_B M, M = R_L[cols] D_L, R_L = W^-1[K, L].
+  For M = T Q^T, T square and Q with orthonormal columns, the truncated
+  SVD of R_B T solves it exactly: y = Q z on L, x1 = D y.  Unweighted, T =
+  F with G = M M^T = F F^T (``Geometry.gram``, revealed as "gram"), from
+  the rows of the per-axis W^-1 (``Geometry.winv_rows``), O(|K| taps J)
+  per axis: in 1-D no part of step 1 grows with N, and no (|K|, |L|)
+  array is formed.
+* ``smoothed_az_solve`` (az_solve with weights D that vary): T = U^T from
+  the thin QR M^T = Q_w U (``_weighted_qr``), made per request.
 
 Step 1 reads the rows Mrows of A_hat, Z_hat and b only, besides c = Z_hat*
 b, so its cost follows the boundary, not N.  Steps 2-3 finish every
 pipeline in scaling coordinates, from v = W^-1 x1: one analysis gives x =
 W u, and A x = A_hat u; az and smoothed take one synthesis for v.  Every
 step-1 kernel treats what falls below a fraction of the reference scale
-||A_hat||_F rms(w) as cancellation noise (``_reference_scale``).
+||A_hat||_F rms(w) as cancellation noise (``_reference_scale``), and none
+draws a random number.
 
 Everything of a problem but b depends on the geometry only: the filter bank,
 N, q and the inside mask.  A ``Geometry`` owns all of it: the operators and
@@ -61,7 +61,6 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
                      plunge_row_set, scaling_boundary_set,
@@ -210,8 +209,9 @@ class Geometry:
     def winv_block(self):
         """(L, R_L): R_L = W^-1[K, L] as a dense (|K|, |L|) array, L the
         columns where the rows K of W^-1 have entries, multiplied out from
-        ``winv_rows`` (``_outer_rows``).  Only the weighted sketch reads
-        it; empty on the box."""
+        ``winv_rows`` (``_outer_rows``).  Only weighted step 1
+        (``_weighted_qr``) and ``sparse_plunge`` read it; empty on the
+        box."""
         if not self.K.size:
             L, R = np.zeros(0, np.intp), np.zeros((0, 0))
         else:
@@ -487,33 +487,19 @@ def make_problem(f, mask: DomainMask, bank: FilterBank, N, q) -> AZProblem:
                      samples_s=time.perf_counter() - t0 - seconds)
 
 
-def boundary_operator(problem: AZProblem):
-    """(L, C, qtb): step 1's operator of smoothed and the map of its
-    right-hand side.  The plunge (I - A Z*) A D vanishes outside its rows
-    Mrows and columns L, where it is B R_L D_L: B the scaling plunge block,
-    R_L = W^-1[K, L] (``Geometry.winv_block``) and D_L the weights on L.
-    With B = Q_B R_B on its core (``Geometry.factor``), C = R_B R_L[cols]
-    D_L is (|cols|, |L|), or (|Mrows|, |L|) uncompressed, and qtb(b1) =
-    Q_B^T b1.  Q_B has orthonormal columns spanning B's range, so C has the
-    singular values of B R_L D_L, its samples the same norms, and min ||C y
-    - qtb(b1)|| the same minimizers.  No apply reads all M rows or all N
-    columns, or takes a wavelet transform."""
-    f = problem.geometry.factor
-    L, R = problem.geometry.winv_block
-    if problem.weights is not None:
-        R = R * problem.weights[L]      # R_L D_L, formed once per operator
-    T, cols, qtb = f.R_B, f.cols, f.qtb
-
-    def apply(X):
-        return T @ (R @ X)[cols]
-
-    def rapply(U):
-        Y = np.zeros((R.shape[0], *U.shape[1:]))
-        Y[cols] = T.T @ U
-        return R.T @ Y
-    return L, scipy.sparse.linalg.LinearOperator(
-        shape=(T.shape[0], L.size), dtype=float, matvec=apply,
-        rmatvec=rapply, matmat=apply, rmatmat=rapply), qtb
+def _weighted_qr(problem: AZProblem):
+    """(L, Q_w, U): the thin QR M^T = Q_w U of M = R_L[cols] D_L, cols the
+    factor's core columns, R_L from ``Geometry.winv_block`` and D_L the
+    weights on L.  Q_w has orthonormal columns, so C = R_B M = (R_B U^T)
+    Q_w^T has the singular values of R_B U^T at any weight: none is
+    squared.  Q_w is made in the memory of M, the one array formed."""
+    g = problem.geometry
+    L, R = g.winv_block
+    M = R[g.factor.cols]
+    M *= problem.weights[L]
+    Qw, U = scipy.linalg.qr(M.T, overwrite_a=True, mode="economic",
+                            check_finite=False)
+    return L, Qw, U
 
 
 def plunge_rhs(problem: AZProblem, c=None):
@@ -682,7 +668,7 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - t0
 
 
-def _solve(problem: AZProblem, reveal, tol, seed=None):
+def _solve(problem: AZProblem, reveal, tol):
     """Steps 1-3 from c = Z_hat* b, weights all w0 dropped first (exact:
     D = w0 I gives y = y0 / w0, x1 = D y = y0, and scales every cut by w0).
 
@@ -697,17 +683,15 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     * "qr" (sparse) or "svd" (reduced): that reveal of R_B, cached too
       (``step1_reused`` says whether it was), solves for y on K, and x1 =
       W y.
-    * None without weights (az): the "gram" reveal, the SVD of R_B F with
-      G = F F^T (``Geometry.gram``), cached too, solves for z on the core
-      columns, and x1 = y = R_L[cols]^T F^-T z on L, applied from the
-      per-axis rows; ``gram_cond`` estimates cond(G).  Exact and
-      deterministic: the seed draws nothing.
-    * None with weights (smoothed): the randomized kernel on
-      ``boundary_operator``, sampling C G^T for Gaussian rows G on L, or
-      forming C exactly where it has at most BLOCK_SIZE rows or columns
-      (``range_dim`` then reads that size, not the rank); x1 = D y on L.
+    * None (az, smoothed): the SVD of R_B T for M = R_L[cols] D_L = T Q^T,
+      solves for z on the core columns, and x1 = D y with y = Q z on L.
+      Without weights T = F, G = F F^T (``Geometry.gram``), the "gram"
+      reveal, cached too, and y = R_L[cols]^T F^-T z is applied from the
+      per-axis rows; ``gram_cond`` estimates cond(G).  With weights T =
+      U^T and Q = Q_w from ``_weighted_qr``, made per request
+      (``step1_reused`` False).
 
-    An uncompressed factor's B (reduced) or B F (az) goes to the
+    An uncompressed factor's B (reduced) or B T (az, smoothed) goes to the
     randomized kernel, which solves it by its exact SVD; ``step1_reused``
     is then whether the geometry held all it reads.  Every kernel cuts
     against the reference scale.  Explicit forms are unweighted.
@@ -718,37 +702,43 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
     the rows Mrows; else v = W^-1 (D y on L) takes one synthesis.  Then one
     analysis gives x, and the residual ||A_hat u - b|| takes none.  u is
     formed in c's memory and A_hat u - b in A_hat u's, in the bits of the
-    out-of-place forms."""
+    out-of-place forms.  ``stage_times["step1"]`` starts after c, which is
+    O(N) and counts in ``step23``, so step 1 reads what the boundary
+    costs."""
     w = problem.weights
     if w is not None and (w == w[0]).all():     # D = w0 I: no weights
         problem, w = replace(problem, weights=None), None
     if reveal and w is not None:
         raise AZError("reduced and sparse solve unweighted problems only")
-    t0 = time.perf_counter()
-    diag, S, g = {}, problem.scaling, problem.geometry
-    kind = reveal or ("gram" if w is None else None)
+    t = time.perf_counter()
+    S, g = problem.scaling, problem.geometry
     c = problem.Zstar.adjoint @ problem.b
+    t0 = time.perf_counter()
     b1 = plunge_rhs(problem, c)
     assembly = 0.0
-    for made in ("factor", "winv_rows") if kind == "gram" else ("factor",):
+    for made in ("factor",) if reveal else (
+            "factor", "winv_rows" if w is None else "winv_block"):
         if made not in vars(g):
             assembly += _timed(getattr, g, made)[1]
-    if kind is None:
-        cold = "winv_block" not in vars(g)
-        (L, op, qtb), seconds = _timed(boundary_operator, problem)
-        assembly += seconds if cold else 0.0
-        rep = randomized_lowrank_solve(op, qtb(b1), tol=tol, seed=seed,
-                                       scale=_reference_scale(problem))
-    elif kind != "qr" and g.factor.R_B is g.factor.A:   # uncompressed
-        diag["step1_reused"] = not assembly and (kind == "svd"
-                                                 or "gram" in vars(g))
-        B = g.factor.A if kind == "svd" else g.factor.A @ g.gram[0]
-        rep = randomized_lowrank_solve(B, b1, tol=tol,
-                                       scale=_reference_scale(problem))
+    f, kind = g.factor, reveal or "gram"
+    reused = w is None and not assembly and (kind == "svd"
+                                             or "gram" in vars(g))
+    if w is not None:
+        L, Qw, U = _weighted_qr(problem)
+        right = U.T
     else:
-        factor, diag["step1_reused"] = g.reveal(kind, tol)
+        right = None if reveal else g.gram[0]
+    if kind != "qr" and f.R_B is f.A:   # uncompressed
+        rep = randomized_lowrank_solve(f.A if right is None else f.A @ right,
+                                       b1, tol=tol,
+                                       scale=_reference_scale(problem))
+    elif w is None:
+        factor, reused = g.reveal(kind, tol)
         rep = factor.solve(b1)
-    if kind == "gram":
+    else:
+        rep = f.svd(tol, _reference_scale(problem), right).solve(b1)
+    diag = {"step1_reused": reused}
+    if kind == "gram" and w is None:
         diag["gram_cond"] = g.gram[1]
     _keep(g)
     t1 = time.perf_counter()
@@ -757,19 +747,20 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
         v[problem.K] = rep.solution     # A_hat v lives on the rows Mrows
         u = _boundary_update(g, c, v)
     else:
-        if kind:    # y = R_L[cols]^T F^-T z
-            cols, u = g.factor.cols, np.zeros(problem.K.size)
-            u[cols] = scipy.linalg.solve_triangular(
-                g.gram[0], rep.solution[cols], lower=True, trans="T")
+        z = rep.solution[f.cols]
+        if w is None:   # y = R_L[cols]^T F^-T z
+            u = np.zeros(problem.K.size)
+            u[f.cols] = scipy.linalg.solve_triangular(right, z, lower=True,
+                                                      trans="T")
             v = _rows_transposed(g.winv_rows, problem.A.N, u)
-        else:
-            v[L] = rep.solution * w[L]
+        else:           # y = Q_w z on L
+            v[L] = (Qw @ z) * w[L]
         v = problem.A.synthesis(v)
         u = np.subtract(c, problem.Zstar.adjoint @ (S.A_hat @ v), out=c)
     np.add(v, u, out=u)                 # v + (c - Z_hat* A_hat v), in c
     x, Ax = problem.A.analysis(u), S.A_hat @ u
     times = {"geometry": problem.geometry_s, "samples": problem.samples_s,
-             "step1": t1 - t0, "step23": time.perf_counter() - t1,
+             "step1": t1 - t0, "step23": time.perf_counter() - t1 + t0 - t,
              "assembly": assembly}
     Ax -= problem.b
     return AZSolution(x=x, residual=float(np.linalg.norm(Ax)),
@@ -781,13 +772,14 @@ def _solve(problem: AZProblem, reveal, tol, seed=None):
                                    **diag})
 
 
-def az_solve(problem: AZProblem, tol=DEFAULT_TOL, seed=0) -> AZSolution:
+def az_solve(problem: AZProblem, tol=DEFAULT_TOL) -> AZSolution:
     """Vanilla pipeline: the exact truncated SVD of the plunge system on
     its (Mrows, L) block, compressed by the scaling block's frontal factor,
-    through the Gram of the rows K of W^-1; the seed is unused.  With
-    weights that vary it is the smoothed pipeline: the randomized low-rank
-    solve of that block with its columns weighted, sampled by seed."""
-    return _solve(problem, None, tol, seed)
+    through the Gram of the rows K of W^-1.  With weights that vary it is
+    the smoothed pipeline: the same SVD of that block with its columns
+    weighted, through the QR of its weighted rows of W^-1
+    (``_weighted_qr``)."""
+    return _solve(problem, None, tol)
 
 
 smoothed_az_solve = az_solve
@@ -906,7 +898,7 @@ def coarsest_n(bank: FilterBank):
 
 
 def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
-                            tol=DEFAULT_TOL, seed=0):
+                            tol=DEFAULT_TOL):
     """Multilevel weighted pipeline: refine n from coarse to N, feeding the
     residual history back in as per-scale weights.
 
@@ -936,8 +928,7 @@ def adaptive_weighted_solve(f, mask: DomainMask, bank: FilterBank, N, q,
         if e is None:
             e = [float(np.linalg.norm(problem.b))]
         sol = smoothed_az_solve(
-            replace(problem, weights=scale_weights(e, lv)),
-            tol=tol, seed=seed)
+            replace(problem, weights=scale_weights(e, lv)), tol=tol)
         e.append(max(sol.residual, tol * e[0]))
     sol.diagnostics["weight_history"] = list(e)
     return problem, sol

@@ -3,9 +3,10 @@
 Each subcommand accepts only the options it reads: ``approximate``,
 ``convergence`` and ``timing`` take the solve options (``--N`` for one run,
 ``--N-sweep`` for the sweeps), the diagnostics take ``--family``,
-``--output`` and their own few.  The seed comes from ``--seed`` (default
-0) only.  ``convergence`` and ``timing`` end with a ``slope`` row, the
-log-log slope of the residual or of the wall time over N.
+``--output`` and their own few.  ``--seed`` (default 0) is recorded in
+the config and draws nothing: no pipeline is randomized.  ``convergence``
+and ``timing`` end with a ``slope`` row, the log-log slope of the residual
+or of the wall time over N.
 
 Records are JSON (self-describing, schema-versioned); sweep tables are CSV so
 plots can be produced with external tooling.  Exit codes: 0 success, 1
@@ -222,7 +223,7 @@ def _per_dim(values, d):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
-def _dense_qr(problem, tol, seed):
+def _dense_qr(problem, tol):
     """Baseline: pivoted QR of the densified frame operator."""
     rep = solvers.pivoted_qr_solve(dense_A(problem.A), problem.b, tol=tol)
     return az_mod.AZSolution(
@@ -236,9 +237,9 @@ def _dense_qr(problem, tol, seed):
 
 
 SOLVERS = {
-    "az": lambda p, tol, seed: az_mod.az_solve(p, tol=tol, seed=seed),
-    "reduced": lambda p, tol, seed: az_mod.reduced_az_solve(p, tol=tol),
-    "sparse": lambda p, tol, seed: az_mod.sparse_az_solve(p, tol=tol),
+    "az": lambda p, tol: az_mod.az_solve(p, tol=tol),
+    "reduced": lambda p, tol: az_mod.reduced_az_solve(p, tol=tol),
+    "sparse": lambda p, tol: az_mod.sparse_az_solve(p, tol=tol),
     "qr": _dense_qr,
 }
 
@@ -252,9 +253,9 @@ def run_one(cfg: RunConfig, N=None):
     q = _per_dim(cfg.q, mask.dimension)
     if cfg.solver == "adaptive":
         return az_mod.adaptive_weighted_solve(f, mask, bank, N, q,
-                                              tol=cfg.tol, seed=cfg.seed)
+                                              tol=cfg.tol)
     problem = az_mod.make_problem(f, mask, bank, N, q)
-    return problem, SOLVERS[cfg.solver](problem, cfg.tol, cfg.seed)
+    return problem, SOLVERS[cfg.solver](problem, cfg.tol)
 
 
 def record_for(cfg, problem, sol) -> RunRecord:
@@ -458,7 +459,7 @@ _OPTIONS = {
     "function": dict(default="exp1d"),
     "solver": dict(default="reduced", choices=sorted(SOLVERS) + ["adaptive"]),
     "tol": dict(type=float, default=solvers.DEFAULT_TOL),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=int, default=0, help="recorded only; draws nothing"),
     "N-sweep": dict(type=_int_list, required=True,
                     help="comma separated dyadic N values"),
 }

@@ -7,7 +7,8 @@ truncation threshold 1e-10 regularizes the frame ill-conditioning.
 
 ``randomized_lowrank_solve`` stops at the numerical rank through a
 randomized range finder, ``_range_basis``, and projects onto the range it
-finds (Halko, Martinsson & Tropp 2011, section 4).  ``_frontal_qr``
+finds (Halko, Martinsson & Tropp 2011, section 4); the AZ pipelines hand
+it only blocks it solves by their exact SVD.  ``_frontal_qr``
 compresses a banded sparse matrix A to a square triangle R_B = Q_B^T A by
 one frontal QR, into a ``FrontalFactor``; R_B has A's singular values and
 Q_B^T keeps the least-squares minimizer of any right-hand side (Chan, ACM

@@ -296,8 +296,8 @@ def transform_winv_block(geometry):
 def plunge_operator(problem):
     """Matrix-free (I - A Z*) A D over all M rows and N columns as a scipy
     LinearOperator, block applies in chunks of at most ``BLOCK_ENTRIES``
-    basis entries: the oracle of ``az.boundary_operator``, which is its
-    (Mrows, L) block."""
+    basis entries: the oracle of step 1 of ``az.az_solve``, which reveals
+    its (Mrows, L) block."""
     apply = functools.partial(plunge_apply, problem)
     rapply = functools.partial(plunge_rapply, problem)
     n = problem.grid.n_basis
@@ -316,20 +316,27 @@ def transform_sampled_az(problem, tol=DEFAULT_TOL, seed=0):
     """``az.az_solve`` (``smoothed`` with weights) on the matrix-free plunge
     ``plunge_operator`` over every row and column, its range finder
     sampling P D G^T for Gaussian G on all N columns, so every sample
-    block takes a wavelet synthesis: the oracle of the boundary operator
-    and of both its samplers.  Steps 2-3 are ``az._solve``'s, so the two
-    differ by step 1 alone: x = W u, u = v + c - Z_hat* (A_hat v) with v =
-    W^-1 x1 and c = Z_hat* b.  Returns (step-1 report, x, residual
+    block takes a wavelet synthesis: the oracle of az's step 1 on the
+    boundary block.  Steps 2-3 are ``az._solve``'s (``az_steps23``), so
+    the two differ by step 1 alone.  Returns (step-1 report, x, residual
     ||A_hat u - b||, which is ||A x - b||)."""
     S = problem.scaling
-    c = S.Z_hat.T @ problem.b
-    b1 = problem.b - S.A_hat @ c                          # over every row
+    b1 = problem.b - S.A_hat @ (S.Z_hat.T @ problem.b)   # over every row
     rep = randomized_lowrank_solve(plunge_operator(problem), b1, tol=tol,
                                    seed=seed,
                                    scale=az._reference_scale(problem))
-    v = problem.A.synthesis(_scale_rows(problem.weights, rep.solution))
-    u = v + (c - S.Z_hat.T @ (S.A_hat @ v))
-    return (rep, problem.A.analysis(u),
+    return (rep, *az_steps23(problem,
+                             _scale_rows(problem.weights, rep.solution)))
+
+
+def az_steps23(problem, x1):
+    """(x, ||A x - b||) of steps 2-3 as ``az._solve`` takes them from x1:
+    x = W u, u = v + c - Z_hat* (A_hat v) with v = W^-1 x1 and c = Z_hat*
+    b, and the residual ||A_hat u - b||."""
+    S = problem.scaling
+    v = problem.A.synthesis(x1)
+    u = v + (S.Z_hat.T @ problem.b - S.Z_hat.T @ (S.A_hat @ v))
+    return (problem.A.analysis(u),
             float(np.linalg.norm(S.A_hat @ u - problem.b)))
 
 

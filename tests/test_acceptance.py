@@ -153,8 +153,8 @@ def test_acceptance_plunge_structure():
 # ---------------------------------------------------------------------------
 # 6. solver-pipeline parity
 
-def _pipeline_residuals(prob, seed=0):
-    res = [az.az_solve(prob, seed=seed).residual,
+def _pipeline_residuals(prob):
+    res = [az.az_solve(prob).residual,
            az.reduced_az_solve(prob).residual,
            az.sparse_az_solve(prob).residual]
     Ad = dense_A(prob.A)
@@ -237,23 +237,42 @@ def test_acceptance_timing_scaling_2d():
     assert s <= 1.8, s
 
 
-def test_acceptance_step23_at_most_linear_1d():
-    """Steps 2-3 (x = W u and the residual, from step 1's solution) are
-    linear in N: the log-log slope of the median stage_times["step23"] of
-    reduced, sparse and az over N = 2^12 ... 2^18 on one interval stays
-    under an upper bound.  Only an upper bound: a lower one fails whenever
-    the O(N) work gets faster."""
+def _stage_slopes_1d(stage):
+    """The log-log slope over N = 2^12 ... 2^18 on one interval (cdf33,
+    q = 2) of the median of five ``stage_times[stage]`` of reduced, sparse
+    and az on one problem per N, by pipeline."""
     bank, ns = filter_bank("cdf33"), [2 ** J for J in range(12, 19)]
     solves = {"reduced": az.reduced_az_solve, "sparse": az.sparse_az_solve,
-              "az": lambda p: az.az_solve(p, seed=0)}
+              "az": az.az_solve}
     ts = {name: [] for name in solves}
     for n in ns:
         prob = az.make_problem(exp1d, interval(0.2, 0.75), bank, n, 2)
         for name, solve in solves.items():
             ts[name].append(float(np.median(
-                [solve(prob).stage_times["step23"] for _ in range(5)])))
-    slopes = {name: _slope(ns, t) for name, t in ts.items()}
+                [solve(prob).stage_times[stage] for _ in range(5)])))
+    return {name: _slope(ns, t) for name, t in ts.items()}
+
+
+def test_acceptance_step23_at_most_linear_1d():
+    """Steps 2-3 (c = Z* b, x = W u and the residual, from step 1's
+    solution) are linear in N: the slope of ``_stage_slopes_1d`` stays
+    under an upper bound.  Only an upper bound: a lower one fails whenever
+    the O(N) work gets faster."""
+    slopes = _stage_slopes_1d("step23")
     assert max(slopes.values()) <= 1.2, slopes
+
+
+def test_acceptance_step1_flat_1d():
+    """Step 1 follows the boundary, two points in 1-D, not N: the slope of
+    ``_stage_slopes_1d`` for step 1, which starts after c = Z* b, stays
+    under an upper bound well below the linear steps 2-3.  Only an upper
+    bound: a lower one would fail as step 1 got faster.  One BLAS thread,
+    2-core host: the largest slope of a run read 0.09-0.24 in 11 runs
+    (module and full suite); with c timed inside step 1, 0.40-0.52.  What
+    is left is cache state: steps 2-3 at 2^18 sweep the caches that step
+    1 then refills."""
+    slopes = _stage_slopes_1d("step1")
+    assert max(slopes.values()) <= 0.4, slopes
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +282,7 @@ def test_acceptance_weighted_smoothing():
     t0 = time.perf_counter()
     bank = filter_bank("cdf33")
     mask = interval(0.0, 0.6)
-    _, adaptive = az.adaptive_weighted_solve(exp1d, mask, bank, 256, 2, seed=0)
+    _, adaptive = az.adaptive_weighted_solve(exp1d, mask, bank, 256, 2)
     plain = az.reduced_az_solve(
         az.make_problem(exp1d, mask, bank, 256, 2))
     prob = az.make_problem(exp1d, mask, bank, 256, 2)
@@ -284,10 +303,10 @@ def test_acceptance_weighted_smoothing():
 def test_acceptance_determinism():
     bank = filter_bank("cdf33")
     prob = az.make_problem(exp1d, interval(0.0, 0.5), bank, 256, 2)
-    for solve in (lambda: az.az_solve(prob, seed=42),
+    for solve in (lambda: az.az_solve(prob),
                   lambda: az.reduced_az_solve(prob),
                   lambda: az.adaptive_weighted_solve(
-                      exp1d, interval(0.0, 0.5), bank, 256, 2, seed=42)[1]):
+                      exp1d, interval(0.0, 0.5), bank, 256, 2)[1]):
         a, b = solve(), solve()
         assert np.array_equal(a.x, b.x)
         assert a.residual == b.residual

@@ -8,11 +8,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext import az, dwt, solvers, system
+from wavext import az, cli, dwt, solvers, system
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
@@ -21,8 +22,8 @@ from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve,
 from wavext.system import dense_A
 
 import support
-from support import (ALL_FAMILIES, UNCOMPRESSED_1D_FAMILIES, banks,
-                     check_sparse_factor, frontal_qr_reveal,
+from support import (ALL_FAMILIES, UNCOMPRESSED_1D_FAMILIES, az_steps23,
+                     banks, check_sparse_factor, frontal_qr_reveal,
                      heldout_interior_error, plunge_apply, plunge_operator,
                      plunge_rank, plunge_rapply,
                      reference_per_scale_norms, reference_plunge_apply,
@@ -58,11 +59,11 @@ def prob2d():
 
 
 _BOX_SOLVES = {
-    "az": lambda prob: az.az_solve(prob, seed=0),
+    "az": az.az_solve,
     "reduced": lambda prob: az.reduced_az_solve(prob),
     "sparse": az.sparse_az_solve,
     "smoothed": lambda prob: az.smoothed_az_solve(dataclasses.replace(
-        prob, weights=az.scale_weights([3, 1, 0.1], prob.grid.N)), seed=0),
+        prob, weights=az.scale_weights([3, 1, 0.1], prob.grid.N))),
 }
 def _box_cases():
     for dim in (1, 2):
@@ -99,19 +100,19 @@ def test_convergence_monotone():
     for n in (64, 128, 256):
         prob = az.make_problem(exp1d, interval(0.0, 0.5),
                                filter_bank("cdf33"), n, 2)
-        res.append(az.az_solve(prob, seed=0).residual)
+        res.append(az.az_solve(prob).residual)
     assert res[0] > res[1] > res[2]
 
 
 def test_vanilla_matches_dense_baseline(prob1d):
-    sol = az.az_solve(prob1d, seed=0)
+    sol = az.az_solve(prob1d)
     rep = pivoted_qr_solve(dense_A(prob1d.A), prob1d.b)
     assert sol.residual <= 10 * rep.residual + 1e-14
     assert rep.residual <= 10 * sol.residual + 1e-14
 
 
 def test_reduced_parity_and_dimensions(prob1d):
-    s1 = az.az_solve(prob1d, seed=0)
+    s1 = az.az_solve(prob1d)
     s2 = az.reduced_az_solve(prob1d)
     assert s2.residual <= 10 * s1.residual
     assert s1.residual <= 10 * s2.residual
@@ -149,7 +150,7 @@ def test_sparse_plunge_supports(prob1d):
 
 def test_sparse_pipeline_parity(prob1d, prob2d):
     for prob in (prob1d, prob2d):
-        s1 = az.az_solve(prob, seed=0)
+        s1 = az.az_solve(prob)
         s3 = az.sparse_az_solve(prob)
         assert s3.residual <= 10 * s1.residual
         assert s1.residual <= 10 * s3.residual
@@ -161,7 +162,7 @@ def test_explicit_block_of_cancelled_plunge_is_empty():
     find rank 0, as az does, instead of fitting cancellation fuzz."""
     prob = az.make_problem(exp1d, interval(0.2, 0.8), filter_bank("cdf22"),
                            64, 2)
-    ref = az.az_solve(prob, seed=0)
+    ref = az.az_solve(prob)
     assert ref.plunge_rank == 0
     for sol in (az.sparse_az_solve(prob), az.reduced_az_solve(prob)):
         assert sol.plunge_rank == 0
@@ -189,12 +190,12 @@ def test_smoothed_identity_weights(prob1d):
     cases = [(prob1d, (1.0,))] + [
         (_block_case(dim), (1e-3, 1.0, 7.5, None)) for dim in (1, 2, 3)]
     for prob, scales in cases:
-        s1 = az.az_solve(prob, seed=3)
+        s1 = az.az_solve(prob)
         for c in scales:
             c = float(np.linalg.norm(prob.b)) if c is None else c
             wprob = dataclasses.replace(
                 prob, weights=np.full(prob.grid.n_basis, c))
-            s2 = az.smoothed_az_solve(wprob, seed=3)
+            s2 = az.smoothed_az_solve(wprob)
             assert np.array_equal(s1.x, s2.x), c
             assert s2.plunge_rank == s1.plunge_rank > 0, c
             assert s2.diagnostics["gram_cond"] == s1.diagnostics["gram_cond"]
@@ -205,7 +206,7 @@ def test_smoothed_geometric_weights_decay():
     prob = az.make_problem(exp1d, interval(0.0, 0.6), bank, 256, 2)
     e = [0.2 ** i for i in range(9)]
     wprob = dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
-    sw = az.smoothed_az_solve(wprob, seed=0)
+    sw = az.smoothed_az_solve(wprob)
     su = az.reduced_az_solve(prob)
     ext = az.extension_index_set(prob)
     nw = az.per_scale_norms(sw.x, prob.grid.N, select=ext)
@@ -259,7 +260,7 @@ def test_wrong_length_weights_rejected(prob1d):
 
 def test_adaptive_weight_history_decreasing():
     _, sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6),
-                                       filter_bank("cdf33"), 256, 2, seed=0)
+                                       filter_bank("cdf33"), 256, 2)
     e = sol.diagnostics["weight_history"]
     assert all(a > b for a, b in zip(e, e[1:]))
 
@@ -269,12 +270,11 @@ def test_adaptive_degenerate_single_level():
     to one smoothed solve with the scalar weight ||b||."""
     bank = filter_bank("cdf33")
     n0 = az.coarsest_n(bank)
-    _, sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6), bank, n0, 2,
-                                       seed=0)
+    _, sol = az.adaptive_weighted_solve(exp1d, interval(0.0, 0.6), bank, n0, 2)
     prob = az.make_problem(exp1d, interval(0.0, 0.6), bank, n0, 2)
     wprob = dataclasses.replace(
         prob, weights=az.scale_weights([np.linalg.norm(prob.b)], prob.grid.N))
-    ref = az.smoothed_az_solve(wprob, seed=0)
+    ref = az.smoothed_az_solve(wprob)
     assert np.array_equal(sol.x, ref.x)
 
 
@@ -284,11 +284,11 @@ def test_adaptive_below_coarsest_n():
     bank = filter_bank("cdf33")
     mask = interval(0.0, 0.9)
     assert 8 < az.coarsest_n(bank)
-    prob, sol = az.adaptive_weighted_solve(exp1d, mask, bank, 8, 4, seed=0)
+    prob, sol = az.adaptive_weighted_solve(exp1d, mask, bank, 8, 4)
     assert len(sol.diagnostics["weight_history"]) == 2
     wprob = dataclasses.replace(
         prob, weights=az.scale_weights([np.linalg.norm(prob.b)], prob.grid.N))
-    assert np.array_equal(sol.x, az.smoothed_az_solve(wprob, seed=0).x)
+    assert np.array_equal(sol.x, az.smoothed_az_solve(wprob).x)
 
 
 def test_adaptive_2d_extension_decay():
@@ -300,10 +300,9 @@ def test_adaptive_2d_extension_decay():
 
     from wavext.domain import DomainMask
     dom = DomainMask(2, square, "square")
-    _, sol = az.adaptive_weighted_solve(exp2d, dom, bank, (32, 32), (4, 4),
-                                       seed=0)
+    _, sol = az.adaptive_weighted_solve(exp2d, dom, bank, (32, 32), (4, 4))
     prob = az.make_problem(exp2d, dom, bank, (32, 32), (4, 4))
-    base = az.az_solve(prob, seed=0)
+    base = az.az_solve(prob)
     ext = az.extension_index_set(prob)
     na = az.per_scale_norms(sol.x, prob.grid.N, select=ext)
     nb = az.per_scale_norms(base.x, prob.grid.N, select=ext)
@@ -378,7 +377,7 @@ def test_geometry_computes_L_once(monkeypatch):
     for solve in _PIPELINES.values():
         solve(prob)
     az.adaptive_weighted_solve(exp2d, disk(0.5, 0.5, 0.35),
-                               filter_bank("cdf33"), 16, 2, seed=0)
+                               filter_bank("cdf33"), 16, 2)
     assert calls == []
     L = prob.L
     assert len(calls) == 1 and prob.L is L and not L.flags.writeable
@@ -408,6 +407,14 @@ def _weighted(prob):
     return dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
 
 
+def _deep_weighted(prob):
+    """prob with per-scale weights falling 100x a scale to 1e-10, the
+    floor of adaptive's weights at the default tol: squared, they leave
+    the Gram of R_L D_L singular in floating point."""
+    e = [10.0 ** -k for k in range(0, 11, 2)]
+    return dataclasses.replace(prob, weights=az.scale_weights(e, prob.grid.N))
+
+
 def _sampler_case(case, bank):
     """The 1-, 2- and 3-D block cases by dimension; 4096: the 1-D case at
     N = 4096; 32: the 2-D case at 32^2."""
@@ -420,20 +427,18 @@ def _sampler_case(case, bank):
 @pytest.mark.parametrize("case", [1, 2, 3, 4096, 32])
 def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                                                    monkeypatch):
-    """Step 1 of smoothed runs the randomized kernel on the boundary
-    operator C = R_B R_L[cols] D_L (B R_L D_L uncompressed) with no
-    wavelet transform inside it: the range finder samples C G^T for
-    Gaussian rows G on L; where C has at most BLOCK_SIZE rows or columns
-    the kernel forms it exactly.  Unweighted az takes the Gram route
-    instead: the kernel runs only on an uncompressed factor (1-D), on the
-    formed R_B F, again with no transform, and a compressed one calls it
-    not at all.  Weighted and unweighted, step 1 keeps the rank of the
-    oracle that samples the whole plunge P D G^T through the transform,
-    with a residual and ||x|| within 2x of the oracle's either way; the
-    1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the 2-D case
-    at 32^2.  Both finish by ``_solve``'s steps 2-3, so the bounds compare
-    step 1: at N = 4096 the residuals sit at round-off, and two finishes
-    would differ by up to 13x there."""
+    """Step 1 of az and smoothed reveals the boundary block C = R_B
+    R_L[cols] D_L exactly (``_solve``) and takes no wavelet transform: the
+    randomized kernel runs only on an uncompressed factor (1-D), on the
+    formed R_B T, and a compressed one calls it not at all.  Unweighted,
+    under halving weights and, on the 1-, 2- and 3-D block cases, under
+    weights down to 1e-10 (``_deep_weighted``), step 1 keeps the rank of
+    the oracle that samples the whole plunge P D G^T through the
+    transform, with a residual and ||x|| within 2x of the oracle's either
+    way; the 1-, 2- and 3-D block cases, the 1-D case at N = 4096 and the
+    2-D case at 32^2.  Both finish by ``_solve``'s steps 2-3, so the
+    bounds compare step 1: at N = 4096 the residuals sit at round-off, and
+    two finishes would differ by up to 13x there."""
     prob = _sampler_case(case, banks[family])
     kernel, inside = az.randomized_lowrank_solve, []
     calls = _count_transforms(monkeypatch)
@@ -445,11 +450,13 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
         return rep
 
     monkeypatch.setattr(az, "randomized_lowrank_solve", traced)
-    for problem in (prob, _weighted(prob)):
+    problems = [prob, _weighted(prob)]
+    if case in (1, 2, 3):
+        problems.append(_deep_weighted(prob))
+    for problem in problems:
         inside.clear()
-        sol = az.smoothed_az_solve(problem, seed=0)
-        kernel_runs = (problem.weights is not None
-                       or _uncompressed(problem.geometry))
+        sol = az.smoothed_az_solve(problem)
+        kernel_runs = _uncompressed(problem.geometry)
         assert inside == [{"dwt": 0, "idwt": 0}] * kernel_runs, inside
         ref, x, res = transform_sampled_az(problem)
         msg = (problem.weights is None, sol.plunge_rank, ref.rank,
@@ -467,8 +474,8 @@ def _uncompressed(geometry):
 
 def _compressed(geometry, U):
     """Q_B^T U, column by column, for U on the rows Mrows: the rows of the
-    boundary operator C of ``geometry``; U itself for an uncompressed
-    factor."""
+    compressed boundary block C of ``geometry``; U itself for an
+    uncompressed factor."""
     QtU = np.column_stack([geometry.factor.qtb(u) for u in U.T])
     assert not _uncompressed(geometry) or np.array_equal(QtU, U)
     return QtU
@@ -477,96 +484,69 @@ def _compressed(geometry, U):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("case", [1, 2, 3, 4096])
 def test_az_sketches_the_boundary_block(case, family, banks, monkeypatch):
-    """smoothed's range finder samples the compressed boundary block C =
-    R_B R_L[cols] D_L, of shape (|cols|, |L|) with cols the core columns
-    of the geometry's frontal factor: each sample block is Q_B^T B R_L D_L
-    G^T for Gaussian rows G on L, with B = scaling_plunge(geometry) and
-    R_L from the selected rows of W^-1 (``selected_winv_rows``), to 1e-12
-    relative.  A block of at most BLOCK_SIZE columns (1-D) is not
-    compressed, and C has the (|Mrows|, |L|) shape of B R_L D_L.  Where C
-    has at most BLOCK_SIZE rows or columns the kernel forms C exactly
-    instead, samples nothing, range_dim reads that size, and it records
-    C's shape as ``core_shape``, not ``sketch_shape``.  No sample
-    takes a wavelet transform, and at N = 4096 no sample call and no apply
-    of C allocates as much as one N-vector, where sampling the plunge over
-    every column allocates N x 16 blocks.  Unweighted az, on the Gram
-    route, makes no boundary operator and samples nothing; on an
-    uncompressed factor its kernel forms the (|Mrows|, |K|) R_B F, its
-    ``core_shape``."""
+    """smoothed's step 1 is the exact truncated SVD of the compressed
+    boundary block C = Q_B^T B R_L D_L, of shape (|cols|, |L|) with cols
+    the core columns of the geometry's frontal factor, B =
+    scaling_plunge(geometry) and R_L from the selected rows of W^-1
+    (``selected_winv_rows``).  The thin QR M^T = Q_w U of M = R_L[cols]
+    D_L (``_weighted_qr``) gives C = (R_B U^T) Q_w^T to 1e-12 of C's
+    largest entry, with Q_w^T Q_w = I to 1e-12; the reveal of R_B U^T
+    keeps C's rank at the cut max(tol s_0, NOISE_REL scale), its singular
+    values within 1e-13 s_0 of C's, and the solve's residual and ||x|| are
+    within 2x of those of the exact solve of B R_L D_L finished by the
+    same steps 2-3.  So under halving weights and weights down to 1e-10
+    (``_deep_weighted``).  A block of at most BLOCK_SIZE columns (1-D) is
+    not compressed: C has the (|Mrows|, |L|) shape of B R_L D_L and the
+    kernel forms R_B U^T, whose (|Mrows|, |K|) it records as
+    ``core_shape``.  No solve records a ``sketch_shape``.  The QR takes no
+    wavelet transform, and at N = 4096 allocates less than one
+    N-vector."""
     prob = _sampler_case(case, banks[family])
-    m, N, L = prob.Mrows.size, prob.grid.n_basis, prob.L
-    R = selected_winv_rows(prob.K, prob.bank, prob.grid.N)[:, L]
-    B = az.scaling_plunge(prob.geometry)
-    boundary_operator, range_basis = az.boundary_operator, solvers._range_basis
+    g, m, N = prob.geometry, prob.Mrows.size, prob.grid.n_basis
+    B = az.scaling_plunge(g).toarray()
+    winv = selected_winv_rows(prob.K, prob.bank, prob.grid.N)
+    scale = az._reference_scale
     calls = _count_transforms(monkeypatch)
-    shapes, blocks, peaks, made = [], [], [], []
-
-    def traced(fn):
-        """fn, recording at N = 4096 the peak of what each outermost call
-        allocates."""
-        def run(X):
-            if case != 4096 or tracemalloc.is_tracing():
-                return fn(X)
-            tracemalloc.start()
-            try:
-                Y = fn(X)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            return Y
-        return run
-
-    def traced_operator(problem):
-        made.append(problem)
-        L, op, qtb = boundary_operator(problem)
-        return L, scipy.sparse.linalg.LinearOperator(
-            op.shape, dtype=float, matvec=traced(op.matvec),
-            rmatvec=traced(op.rmatvec), matmat=traced(op.matmat),
-            rmatmat=traced(op.rmatmat)), qtb
-
-    def traced_range_basis(op, *args):
-        def sample(X):
-            calls.update(dwt=0, idwt=0)
-            blocks.append((X, op.matmat(X), dict(calls)))
-            return blocks[-1][1]
-        shapes.append(op.shape)
-        return range_basis(scipy.sparse.linalg.LinearOperator(
-            op.shape, dtype=float, matvec=op.matvec, matmat=sample,
-            rmatvec=op.rmatvec, rmatmat=op.rmatmat), *args)
-
-    monkeypatch.setattr(az, "boundary_operator", traced_operator)
-    monkeypatch.setattr(solvers, "_range_basis", traced_range_basis)
-    for problem in (prob, _weighted(prob)):
-        # once untraced, so that no first-call set-up counts as a sample's
-        az.smoothed_az_solve(problem, seed=0)
-        g = prob.geometry
-        rows = m if _uncompressed(g) else g.factor.cols.size
-        assert _uncompressed(g) is (prob.grid.dimension == 1)
-        shapes.clear(), blocks.clear(), peaks.clear(), made.clear()
-        sol = az.smoothed_az_solve(problem, seed=0)
-        d, w = sol.diagnostics, problem.weights
-        if w is None:
-            assert not (made or shapes or blocks or peaks)
-            assert "sketch_shape" not in d, d
-            if _uncompressed(g):
-                assert d["core_shape"] == (m, prob.K.size), d
-            continue
-        assert made
-        if min(rows, L.size) <= BLOCK_SIZE:
-            assert not shapes and d["range_dim"] == min(rows, L.size)
-            assert d["core_shape"] == (rows, L.size)
-            assert "sketch_shape" not in d, d
-        else:
-            assert shapes == [(rows, L.size)] and blocks
-            assert d["sketch_shape"] == (rows, L.size)
-        for X, Y, transforms in blocks:
-            ref = _compressed(g, B @ (R @ (X if w is None
-                                           else w[L, None] * X)))
-            assert Y.shape == (rows, X.shape[1])
-            assert np.all(np.abs(Y - ref) <= 1e-12 * np.abs(ref).max())
-            assert transforms == {"dwt": 0, "idwt": 0}
+    assert _uncompressed(g) is (prob.grid.dimension == 1)
+    for problem in (_weighted(prob), _deep_weighted(prob)):
+        w = problem.weights
+        sol = az.smoothed_az_solve(problem)
+        calls.update(dwt=0, idwt=0)
         if case == 4096:
-            assert peaks and max(peaks) < 8 * N, (peaks, N)
+            tracemalloc.start()
+        try:
+            L, Qw, U = az._weighted_qr(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == {"dwt": 0, "idwt": 0}
+        assert case != 4096 or peak < 8 * N, (peak, N)
+        block = B @ (winv[:, L].toarray() * w[L])   # B R_L D_L
+        C = _compressed(g, block)
+        cols = g.factor.cols.size
+        assert C.shape == (m if _uncompressed(g) else cols, L.size)
+        assert Qw.shape == (L.size, cols)
+        assert np.abs(g.factor.R_B @ U.T @ Qw.T - C).max() <= (
+            1e-12 * np.abs(C).max())
+        assert np.abs(Qw.T @ Qw - np.eye(cols)).max() <= 1e-12
+        ref = truncated_svd_solve(block, az.plunge_rhs(problem), DEFAULT_TOL,
+                                  solvers.NOISE_REL * scale(problem))
+        s = np.linalg.svd(C, compute_uv=False)
+        got = g.factor.svd(DEFAULT_TOL, scale(problem), U.T).s
+        x1 = np.zeros(N)
+        x1[L] = w[L] * ref.solution
+        x, res = az_steps23(problem, x1)
+        norm, d = np.linalg.norm(x), sol.diagnostics
+        msg = (sol.plunge_rank, ref.rank, sol.residual, res,
+               sol.coefficient_norm, norm)
+        assert sol.plunge_rank == ref.rank == got.size, msg
+        assert np.abs(got - s[:got.size]).max(initial=0) <= 1e-13 * s[0], msg
+        assert sol.residual <= 2 * res and res <= 2 * sol.residual, msg
+        assert (sol.coefficient_norm <= 2 * norm
+                and norm <= 2 * sol.coefficient_norm), msg
+        assert "sketch_shape" not in d and not d["step1_reused"], d
+        if _uncompressed(g):
+            assert d["core_shape"] == (m, prob.K.size), d
 
 
 def _check_winv_block(prob, bits):
@@ -670,35 +650,46 @@ def test_winv_block_empty_on_the_box(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_boundary_operator_is_the_plunge_block(dim, weighted):
-    """C = R_B R_L[cols] D_L is the block (Mrows, L) of the matrix-free
-    plunge (I - A Z*) A D compressed by Q_B^T (``qtb``): C X = Q_B^T (P D
-    X)[Mrows] and C^T (Q_B^T U) = (P D)^T U on L, for vectors and blocks,
-    to 1e-12 of the largest entry; outside the block the matrix-free
-    plunge holds cancellation fuzz only.  In 1-D the block is
-    uncompressed, C = B R_L D_L and qtb the identity."""
-    prob = _block_case(dim)
-    if weighted:
-        prob = _weighted(prob)
-    g = prob.geometry
-    L, C, qtb = az.boundary_operator(prob)
-    m, n = prob.A.shape
+    """Step 1's factors make C = R_B M, M = R_L[cols] D_L, the block
+    (Mrows, L) of the matrix-free plunge (I - A Z*) A D compressed by
+    Q_B^T (``qtb``): M = T Q^T with Q of orthonormal columns on L, T = F
+    and Q = R_L[cols]^T F^-T unweighted (``Geometry.gram``), T = U^T and
+    Q = Q_w weighted (``_weighted_qr``), under halving weights and weights
+    down to 1e-10.  (R_B T) Q^T X = Q_B^T (P D X)[Mrows] and its transpose
+    maps Q_B^T U to (P D)^T U on L, to 1e-12 of the largest entry; Q^T Q =
+    I to 1e-12; outside the block the matrix-free plunge holds
+    cancellation fuzz only.  In 1-D the block is uncompressed, qtb the
+    identity."""
+    base = _block_case(dim)
+    g = base.geometry
+    f = g.factor
     assert _uncompressed(g) is (dim == 1)
-    assert C.shape == ((prob.Mrows.size if dim == 1
-                        else g.factor.cols.size), L.size)
-    rng = np.random.default_rng(dim)
-    X, U = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
-    U[np.setdiff1d(np.arange(m), prob.Mrows)] = 0.0
-    off_rows = np.setdiff1d(np.arange(m), prob.Mrows)
-    off_cols = np.setdiff1d(np.arange(n), L)
-    QtU = np.column_stack([qtb(u) for u in U[prob.Mrows].T])
-    PX, PtU = plunge_apply(prob, X), plunge_rapply(prob, U)
-    for ref, got in (
-            (_compressed(g, PX[prob.Mrows]), C.matmat(X[L])),
-            (_compressed(g, PX[prob.Mrows, :1])[:, 0], C.matvec(X[L, 0])),
-            (PtU[L], C.rmatmat(QtU)), (PtU[L, 0], C.rmatvec(QtU[:, 0]))):
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    for ref, off in ((PX, off_rows), (PtU, off_cols)):
-        assert np.abs(ref[off]).max(initial=0) <= 1e-12 * np.abs(ref).max()
+    for prob in ((_weighted(base), _deep_weighted(base)) if weighted
+                 else (base,)):
+        if weighted:
+            L, Q, U = az._weighted_qr(prob)
+            T = U.T
+        else:
+            (L, R), T = g.winv_block, g.gram[0]
+            Q = scipy.linalg.solve_triangular(T, R[f.cols], lower=True).T
+        C = f.R_B @ T @ Q.T
+        assert C.shape == ((prob.Mrows.size if dim == 1 else f.cols.size),
+                           L.size)
+        assert np.abs(Q.T @ Q - np.eye(f.cols.size)).max() <= 1e-12
+        m, n = prob.A.shape
+        rng = np.random.default_rng(dim)
+        X, U = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
+        U[np.setdiff1d(np.arange(m), prob.Mrows)] = 0.0
+        off_rows = np.setdiff1d(np.arange(m), prob.Mrows)
+        off_cols = np.setdiff1d(np.arange(n), L)
+        QtU = np.column_stack([f.qtb(u) for u in U[prob.Mrows].T])
+        PX, PtU = plunge_apply(prob, X), plunge_rapply(prob, U)
+        for ref, got in ((_compressed(g, PX[prob.Mrows]), C @ X[L]),
+                         (PtU[L], C.T @ QtU)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for ref, off in ((PX, off_rows), (PtU, off_cols)):
+            assert np.abs(ref[off]).max(initial=0) <= (
+                1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -712,8 +703,8 @@ def test_winv_block_built_once_per_geometry(dim):
     alone reads above 0 again and gives the same x."""
     az.clear_caches()
     prob = _block_case(dim)
-    for solve in (lambda: az.az_solve(prob, seed=0),
-                  lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
+    for solve in (lambda: az.az_solve(prob),
+                  lambda: az.smoothed_az_solve(_weighted(prob))):
         cold = ("winv_block" not in vars(prob.geometry)
                 or "factor" not in vars(prob.geometry))
         first, second = solve(), solve()
@@ -731,27 +722,27 @@ def test_winv_block_built_once_per_geometry(dim):
 
 @pytest.mark.parametrize("r, n", [(0.34, 16), (0.30, 32), (0.34, 32)])
 def test_range_dim_stops_at_rank(r, n):
-    """The range finder of smoothed stops within one block of the
-    numerical rank, for ranks that are not multiples of the block size
-    too.  reduced and unweighted az run no range finder on a 2-D block:
-    they report the frontal factor's core, nnz and front width instead,
-    and az the condition of its Gram, with no range dimension or sketch
-    shape."""
+    """No pipeline runs a range finder on a 2-D block: reduced, az and
+    smoothed (under halving weights and weights down to 1e-10) report the
+    frontal factor's core, nnz and front width, with no range dimension or
+    sketch shape, for ranks that are not multiples of the block size too;
+    az reports the condition of its Gram, and smoothed a reveal made for
+    its request (``step1_reused`` False)."""
     prob = az.make_problem(exp2d, disk(0.5, 0.5, r), filter_bank("cdf33"),
                            (n, n), (2, 2))
-    sol = az.smoothed_az_solve(_weighted(prob), seed=0)
-    d = sol.diagnostics
-    assert d["rank"] == sol.plunge_rank > 0
-    assert d["range_dim"] <= d["rank"] + BLOCK_SIZE, d
-    assert sol.warning is None
-    for sol in (az.reduced_az_solve(prob), az.az_solve(prob, seed=0)):
-        d = sol.diagnostics
-        assert d["rank"] == sol.plunge_rank > 0, d
-        assert not {"range_dim", "sketch_shape"} & d.keys(), d
-        assert d["rank"] <= d["core_shape"][1] <= prob.K.size
-        assert d["nnz"] > 0 and 0 < d["front_width"] <= d["core_shape"][1]
-        assert sol.warning is None
-    assert 1 <= d["gram_cond"] < 1e4, d
+    for weighted in (None, _weighted, _deep_weighted):
+        solves = ((az.reduced_az_solve(prob), az.az_solve(prob))
+                  if weighted is None
+                  else (az.smoothed_az_solve(weighted(prob)),))
+        for sol in solves:
+            d = sol.diagnostics
+            assert d["rank"] == sol.plunge_rank > 0, d
+            assert not {"range_dim", "sketch_shape"} & d.keys(), d
+            assert d["rank"] <= d["core_shape"][1] <= prob.K.size
+            assert d["nnz"] > 0 and 0 < d["front_width"] <= d["core_shape"][1]
+            assert sol.warning is None
+            assert weighted is None or not d["step1_reused"], d
+    assert 1 <= az.az_solve(prob).diagnostics["gram_cond"] < 1e4
 
 
 def _gram_cases():
@@ -843,13 +834,13 @@ def test_az_forms_no_winv_block():
     winv_bytes = prob.K.size * prob.L.size * 8
     tracemalloc.start()
     try:
-        cold = az.az_solve(prob, seed=0)
+        cold = az.az_solve(prob)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert "winv_block" not in vars(prob.geometry)
     assert 7.5e6 < winv_bytes and peak < winv_bytes, (peak, winv_bytes)
-    warm = az.az_solve(prob, seed=0)
+    warm = az.az_solve(prob)
     assert not cold.diagnostics["step1_reused"]
     assert warm.diagnostics["step1_reused"]
     assert np.array_equal(warm.x, cold.x)
@@ -860,7 +851,7 @@ def test_az_forms_no_winv_block():
         exp2d, disk(0.5, 0.5, 0.34), filter_bank("cdf33"), (16, 16), (2, 2))
     assert len(sol.diagnostics["weight_history"]) == 2
     assert "winv_block" not in vars(prob.geometry)
-    assert np.array_equal(sol.x, az.az_solve(prob, seed=0).x)
+    assert np.array_equal(sol.x, az.az_solve(prob).x)
 
 
 # (f, mask, family, n) of the compressed scaling blocks on which reduced's
@@ -968,10 +959,17 @@ def off_centre_disk():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_az_off_centre_disk_all_seeds(off_centre_disk, seed):
-    """Every probe seed returns, near the dense oracle (seed 3 used to stop
-    in LinAlgError: SVD did not converge, on a range basis of full width)."""
+    """Every seed returns, near the dense oracle (seed 3 used to stop in
+    LinAlgError: SVD did not converge, on a range basis of full width).
+    The CLI's ``--seed`` draws nothing: the run at each seed returns the
+    bits of az_solve on the problem it made."""
     prob, ref = off_centre_disk
-    sol = az.az_solve(prob, seed=seed)
+    problem, sol = cli.run_one(cli.RunConfig(
+        command="approximate", family="cdf33", N=(32,), q=(2,),
+        domain="disk:0.49,0.51,0.335", function="exp2d", solver="az",
+        seed=seed).validate())
+    assert problem.geometry.key == prob.geometry.key
+    assert np.array_equal(sol.x, az.az_solve(problem).x)
     assert sol.residual <= 10 * ref
     assert ref <= 10 * sol.residual
 
@@ -983,7 +981,7 @@ def test_adaptive_short_interval():
     mask = interval(0.1324, 0.6524)
     with pytest.raises(DomainError):
         az.make_problem(exp1d, mask, bank, az.coarsest_n(bank), 2)
-    _, sol = az.adaptive_weighted_solve(exp1d, mask, bank, 4096, 2, seed=0)
+    _, sol = az.adaptive_weighted_solve(exp1d, mask, bank, 4096, 2)
     plain = az.reduced_az_solve(az.make_problem(exp1d, mask, bank, 4096, 2))
     assert sol.residual <= 10 * plain.residual + 1e-12
     assert len(sol.diagnostics["weight_history"]) == 9  # levels 32 .. 4096
@@ -1004,7 +1002,7 @@ def test_adaptive_round_off_weights(a, b, k, w, p):
         return np.exp(k * P[:, 0]) * np.cos(w * P[:, 0] + p)
 
     bank, mask = filter_bank("cdf33"), interval(a, b)
-    _, sol = az.adaptive_weighted_solve(f, mask, bank, 4096, 2, seed=0)
+    _, sol = az.adaptive_weighted_solve(f, mask, bank, 4096, 2)
     plain = az.reduced_az_solve(az.make_problem(f, mask, bank, 4096, 2))
     assert sol.residual <= 10 * plain.residual + 1e-12
 
@@ -1189,9 +1187,7 @@ def test_block_applies_match_columns(dim, cap, monkeypatch):
                             cap * prob.grid.n_basis)
     rng = np.random.default_rng(0)
     ops = {"A": prob.A, "plunge": plunge_operator(prob),
-           "smoothed": plunge_operator(_weighted(prob)),
-           "boundary": az.boundary_operator(prob)[1],
-           "weighted boundary": az.boundary_operator(_weighted(prob))[1]}
+           "smoothed": plunge_operator(_weighted(prob))}
 
     def close(a, b):
         return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -1290,9 +1286,9 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
 
     # az and smoothed, cold geometry or warm: one analysis and one
     # synthesis; R_L is built with no transform of the operators
-    for solve in (lambda: az.az_solve(prob, seed=0),
-                  lambda: az.az_solve(prob, seed=0),
-                  lambda: az.smoothed_az_solve(_weighted(prob), seed=0)):
+    for solve in (lambda: az.az_solve(prob),
+                  lambda: az.az_solve(prob),
+                  lambda: az.smoothed_az_solve(_weighted(prob))):
         cold = "winv_block" not in vars(prob.geometry)
         calls.update(dwt=0, idwt=0)
         solve()
@@ -1300,8 +1296,8 @@ def test_plunge_kernels_run_one_transform(dim, monkeypatch):
 
 
 _PIPELINES = {
-    "az": lambda prob: az.az_solve(prob, seed=0),
-    "smoothed": lambda prob: az.smoothed_az_solve(_weighted(prob), seed=0),
+    "az": az.az_solve,
+    "smoothed": lambda prob: az.smoothed_az_solve(_weighted(prob)),
     "reduced": lambda prob: az.reduced_az_solve(prob),
     "sparse": az.sparse_az_solve,
 }
@@ -1340,8 +1336,7 @@ def test_heldout_error_within_factor_of_oracle(heldout_cases, case,
     prob, oracle = heldout_cases[case]
     f, mask, N = HELDOUT_CASES[case]
     if pipeline == "adaptive":
-        prob, sol = az.adaptive_weighted_solve(f, mask, prob.bank, N, 2,
-                                               seed=0)
+        prob, sol = az.adaptive_weighted_solve(f, mask, prob.bank, N, 2)
     else:
         sol = _PIPELINES[pipeline](prob)
     err = heldout_interior_error(prob, f, sol.x)
@@ -1360,7 +1355,7 @@ def test_reported_residual_is_that_of_x(dim, banks):
         solves = [(pipeline, prob, solve(prob))
                   for pipeline, solve in _PIPELINES.items()]
         solves.append(("adaptive", *az.adaptive_weighted_solve(
-            f, mask, bank, n, 2, seed=0)))
+            f, mask, bank, n, 2)))
         for pipeline, prob, sol in solves:
             r = np.linalg.norm(prob.A.matvec(sol.x) - prob.b)
             assert abs(sol.residual - r) <= 1e-12 * np.linalg.norm(prob.b), (
@@ -1378,7 +1373,7 @@ def test_weighted_explicit_pipelines_raise():
         az.reduced_az_solve(prob)
     with pytest.raises(az.AZError, match="unweighted"):
         az.sparse_az_solve(prob)
-    assert az.smoothed_az_solve(prob, seed=0).plunge_rank > 0
+    assert az.smoothed_az_solve(prob).plunge_rank > 0
     plain = _block_case(2)
     same = dataclasses.replace(plain, weights=np.full(plain.grid.n_basis, 3.0))
     for solve in (az.reduced_az_solve, az.sparse_az_solve):
@@ -1887,10 +1882,10 @@ def test_block_compressed_once_per_geometry(dim, monkeypatch):
     solves = {
         "reduced": lambda: az.reduced_az_solve(prob),
         "sparse": lambda: az.sparse_az_solve(prob),
-        "az": lambda: az.az_solve(prob, seed=0),
-        "smoothed": lambda: az.smoothed_az_solve(_weighted(prob), seed=0),
+        "az": lambda: az.az_solve(prob),
+        "smoothed": lambda: az.smoothed_az_solve(_weighted(prob)),
         "adaptive": lambda: az.adaptive_weighted_solve(
-            f, mask, prob.bank, n, 2, seed=0)[1]}
+            f, mask, prob.bank, n, 2)[1]}
     cold = {}
     for name, solve in solves.items():
         az.clear_caches()
@@ -1929,9 +1924,9 @@ _GEOMETRY_SOLVES = {
     "sparse": lambda f, mask, bank, N: az.sparse_az_solve(
         az.make_problem(f, mask, bank, N, 2)),
     "az": lambda f, mask, bank, N: az.az_solve(
-        az.make_problem(f, mask, bank, N, 2), seed=0),
+        az.make_problem(f, mask, bank, N, 2)),
     "adaptive": lambda f, mask, bank, N: az.adaptive_weighted_solve(
-        f, mask, bank, N, 2, seed=0)[1],
+        f, mask, bank, N, 2)[1],
 }
 
 

@@ -25,8 +25,8 @@ def test_record_roundtrip():
     most 16 rows) the randomized kernel forms its block exactly, sketches
     nothing and records the block's shape as ``core_shape``, as every
     exact reveal does: the (Mrows, K) scaling block for reduced, the
-    (Mrows, K) R_B F of az's Gram route, and the (Mrows, L) boundary block
-    of adaptive's last, weighted rung; sparse's factor has the core
+    (Mrows, K) R_B F of az's Gram route, and the (Mrows, K) R_B U^T of
+    adaptive's last, weighted rung; sparse's factor has the core
     (Mrows, K).  No record has a ``sketch_shape``.  az records the
     condition of its Gram, ``gram_cond``."""
     for solver in sorted(cli.SOLVERS) + ["adaptive"]:
@@ -35,9 +35,8 @@ def test_record_roundtrip():
         problem, sol = cli.run_one(cfg)
         rec = cli.record_for(cfg, problem, sol)
         block = [problem.Mrows.size, problem.K.size]
-        core = {"az": block, "reduced": block, "sparse": block,
-                "adaptive": [problem.Mrows.size, problem.L.size]}
-        assert rec.diagnostics.get("core_shape") == core.get(solver)
+        assert rec.diagnostics.get("core_shape") == (
+            None if solver == "qr" else block)
         assert "sketch_shape" not in rec.diagnostics
         assert ("gram_cond" in rec.diagnostics) is (solver == "az")
         assert cli.parse_record(cli.serialize_record(rec)) == rec, solver
@@ -344,7 +343,8 @@ def test_bit_identical_given_seed(tmp_path):
 
 
 def test_seed_from_option_only(tmp_path, monkeypatch):
-    """The seed is --seed, 0 without it; the environment plays no part."""
+    """The seed is --seed, 0 without it; the environment plays no part,
+    and the seed draws nothing: every run returns the same residual."""
     a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     monkeypatch.setenv("WAVEXT_SEED", "17")
     run(["approximate", *BASE, "--solver", "az", "--output", str(a)])
@@ -356,6 +356,7 @@ def test_seed_from_option_only(tmp_path, monkeypatch):
     assert json.loads(a.read_text())["config"]["seed"] == 0
     assert _strip_time(a)["residual"] == _strip_time(b)["residual"]
     assert json.loads(c.read_text())["config"]["seed"] == 3
+    assert _strip_time(c)["residual"] == _strip_time(b)["residual"]
 
 
 # ---------------------------------------------------------------------------
