@@ -13,8 +13,8 @@ one ``FrontalFactor`` of B (``Geometry.factor``), made once per geometry:
 a block of at most BLOCK_SIZE columns (every 1-D block) is dense and its
 own factor, R_B = B and Q_B = I; any other is sparse and compressed by one
 frontal QR to its triangle R_B = Q_B^T B (``solvers._frontal_qr``).  Each
-pipeline then takes its own reveal (``Geometry.reveal``), by the randomized
-kernel's exact SVD on an uncompressed factor:
+pipeline then takes its own reveal (``Geometry.reveal``), or on an
+uncompressed factor the truncated SVD of ``randomized_lowrank_solve``:
 
 * ``sparse_az_solve``: the column-pivoted QR of R_B, and x1 = W y;
 * ``reduced_az_solve``: the truncated SVD of R_B, which is B's, and
@@ -66,13 +66,13 @@ from .domain import (DomainError, DomainMask, MaskedGrid, masked_grid,
                      plunge_row_set, scaling_boundary_set,
                      wavelet_boundary_set)
 from . import dwt
+from .filters import FilterBank
+from .solvers import (BLOCK_SIZE, DEFAULT_TOL, FrontalFactor, _frontal_qr,
+                      randomized_lowrank_solve)
 # sparse_idwt_rows and sparse_qr_solve are not called here;
 # perfbench/tracing.py wraps these names
 from .dwt import sparse_idwt_rows  # noqa: F401
-from .filters import FilterBank
-from .solvers import (BLOCK_SIZE, DEFAULT_TOL, FrontalFactor, _frontal_qr,
-                      randomized_lowrank_solve,
-                      sparse_qr_solve)  # noqa: F401
+from .solvers import sparse_qr_solve  # noqa: F401
 from .system import (assemble_scaling, csr_rows,
                      frame_operator_A, frame_operator_Zstar, rhs)
 
@@ -691,8 +691,8 @@ def _solve(problem: AZProblem, reveal, tol):
       U^T and Q = Q_w from ``_weighted_qr``, made per request
       (``step1_reused`` False).
 
-    An uncompressed factor's B (reduced) or B T (az, smoothed) goes to the
-    randomized kernel, which solves it by its exact SVD; ``step1_reused``
+    An uncompressed factor's B (reduced) or B T (az, smoothed) goes to
+    ``randomized_lowrank_solve``, its truncated SVD; ``step1_reused``
     is then whether the geometry held all it reads.  Every kernel cuts
     against the reference scale.  Explicit forms are unweighted.
 

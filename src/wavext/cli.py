@@ -3,10 +3,10 @@
 Each subcommand accepts only the options it reads: ``approximate``,
 ``convergence`` and ``timing`` take the solve options (``--N`` for one run,
 ``--N-sweep`` for the sweeps), the diagnostics take ``--family``,
-``--output`` and their own few.  ``--seed`` (default 0) is recorded in
-the config and draws nothing: no pipeline is randomized.  ``convergence``
-and ``timing`` end with a ``slope`` row, the log-log slope of the residual
-or of the wall time over N.
+``--output`` and their own few.  No command takes a seed, as no pipeline
+draws a random number; a record's config keeps ``"seed": 0``.
+``convergence`` and ``timing`` end with a ``slope`` row, the log-log slope
+of the residual or of the wall time over N.
 
 Records are JSON (self-describing, schema-versioned); sweep tables are CSV so
 plots can be produced with external tooling.  Exit codes: 0 success, 1
@@ -52,7 +52,7 @@ class RunConfig:
     function: str = "exp1d"
     solver: str = "reduced"
     tol: float = solvers.DEFAULT_TOL
-    seed: int = 0
+    seed: int = 0       # recorded only: the benchmark's requests set it
     output: str | None = None
 
     def validate(self):
@@ -308,7 +308,7 @@ def _config_from(args, **kw) -> RunConfig:
     return RunConfig(command=args.command, family=args.family,
                      q=tuple(args.q), domain=args.domain,
                      function=args.function, solver=args.solver,
-                     tol=args.tol, seed=args.seed, output=args.output,
+                     tol=args.tol, output=args.output,
                      **kw).validate()
 
 
@@ -459,11 +459,10 @@ _OPTIONS = {
     "function": dict(default="exp1d"),
     "solver": dict(default="reduced", choices=sorted(SOLVERS) + ["adaptive"]),
     "tol": dict(type=float, default=solvers.DEFAULT_TOL),
-    "seed": dict(type=int, default=0, help="recorded only; draws nothing"),
     "N-sweep": dict(type=_int_list, required=True,
                     help="comma separated dyadic N values"),
 }
-_SOLVE = ("q", "domain", "function", "solver", "tol", "seed")
+_SOLVE = ("q", "domain", "function", "solver", "tol")
 
 
 def build_parser():

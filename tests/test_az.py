@@ -17,8 +17,7 @@ from wavext import az, cli, dwt, solvers, system
 from wavext.domain import (DomainError, DomainMask, ball, disk, interval,
                            whole_box)
 from wavext.filters import filter_bank
-from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve,
-                            randomized_lowrank_solve)
+from wavext.solvers import BLOCK_SIZE, DEFAULT_TOL, pivoted_qr_solve
 from wavext.system import dense_A
 
 import support
@@ -29,8 +28,8 @@ from support import (ALL_FAMILIES, UNCOMPRESSED_1D_FAMILIES, az_steps23,
                      reference_per_scale_norms, reference_plunge_apply,
                      reference_plunge_rapply, reference_plunge_rhs,
                      reference_scaling_plunge, selected_winv_rows,
-                     sparse_qr_factor, sparse_qr_reference,
-                     transform_sampled_az, transform_winv_block,
+                     sketched_lowrank_solve, sparse_qr_factor,
+                     sparse_qr_reference, transform_sampled_az, transform_winv_block,
                      truncated_svd_solve, wavelet_block)
 
 
@@ -429,8 +428,8 @@ def test_scaling_sampler_matches_transform_sampler(case, family, banks,
                                                    monkeypatch):
     """Step 1 of az and smoothed reveals the boundary block C = R_B
     R_L[cols] D_L exactly (``_solve``) and takes no wavelet transform: the
-    randomized kernel runs only on an uncompressed factor (1-D), on the
-    formed R_B T, and a compressed one calls it not at all.  Unweighted,
+    dense SVD kernel ``randomized_lowrank_solve`` runs only on an
+    uncompressed factor (1-D), on the formed R_B T, and a compressed one calls it not at all.  Unweighted,
     under halving weights and, on the 1-, 2- and 3-D block cases, under
     weights down to 1e-10 (``_deep_weighted``), step 1 keeps the rank of
     the oracle that samples the whole plunge P D G^T through the
@@ -1011,7 +1010,7 @@ def test_reduced_1d_small_block_is_exact():
     """The explicit 1-D reduced block has fewer than BLOCK_SIZE columns, so
     step 1 forms it exactly; the residual stays within 10x of that of the
     sampled range finder on the same block, projected and solved as
-    randomized_lowrank_solve does past its dense shortcut."""
+    the sketch oracle does past its dense shortcut."""
     prob = az.make_problem(exp1d, interval(0.0, 0.5), filter_bank("cdf33"),
                            2**14, 2)
     sol = az.reduced_az_solve(prob)
@@ -1020,8 +1019,8 @@ def test_reduced_1d_small_block_is_exact():
     assert sol.diagnostics["range_dim"] == min(op.shape) <= BLOCK_SIZE
     b1 = az.plunge_rhs(prob)
     floor = solvers.NOISE_REL * az._reference_scale(prob)
-    Q = solvers._range_basis(scipy.sparse.linalg.aslinearoperator(op),
-                             DEFAULT_TOL, solvers._rng(0), floor)
+    Q = support._range_basis(scipy.sparse.linalg.aslinearoperator(op),
+                             DEFAULT_TOL, support._rng(0), floor)
     assert Q.shape[1] < min(op.shape)
     y, _ = solvers._svd_solve((op.T @ Q).T, Q.T @ b1, DEFAULT_TOL, floor)
     x = _from_scaling_columns(prob, y)
@@ -1084,15 +1083,14 @@ def _parity_cases():
 def test_scaling_block_matches_wavelet_block(dim, family, banks):
     """reduced's step 1 on the (Mrows, K) scaling block, x1 = W y (the exact
     truncated SVD, by its frontal factor in 2-D and 3-D), against the
-    randomized kernel on the (Mrows, L) wavelet block, x1 = y on L: the
+    sketch oracle on the (Mrows, L) wavelet block, x1 = y on L: the
     oracle's rank (within one for db3 and db4, whose minimal duals at q = 2
     put singular values at the cut) and a residual within 10x of the
     oracle's either way."""
     prob = _block_case(dim, banks[family])
     sol = az.reduced_az_solve(prob)
-    ref = randomized_lowrank_solve(wavelet_block(prob),
-                                   az.plunge_rhs(prob), seed=0,
-                                   scale=az._reference_scale(prob))
+    ref = sketched_lowrank_solve(wavelet_block(prob), az.plunge_rhs(prob),
+                                 seed=0, scale=az._reference_scale(prob))
     x1 = np.zeros(prob.grid.n_basis)
     x1[prob.L] = ref.solution
     res = _steps23_residual(prob, x1)

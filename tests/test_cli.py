@@ -22,9 +22,9 @@ def test_record_roundtrip():
     """Every pipeline's record, diagnostics included, survives JSON
     unchanged: tuples and numpy scalars are stored as lists and Python
     numbers.  A schema-3 record has no warning field.  At 1-D sizes (at
-    most 16 rows) the randomized kernel forms its block exactly, sketches
-    nothing and records the block's shape as ``core_shape``, as every
-    exact reveal does: the (Mrows, K) scaling block for reduced, the
+    most 16 rows) the dense SVD kernel solves its block exactly and
+    records the block's shape as ``core_shape``, as every exact reveal
+    does: the (Mrows, K) scaling block for reduced, the
     (Mrows, K) R_B F of az's Gram route, and the (Mrows, K) R_B U^T of
     adaptive's last, weighted rung; sparse's factor has the core
     (Mrows, K).  No record has a ``sketch_shape``.  az records the
@@ -290,8 +290,7 @@ def test_unknown_flag_is_config_error(capsys):
 
 
 # The options each subcommand reads, and no others.
-_SOLVE = {"family", "q", "domain", "function", "solver", "tol", "seed",
-          "output"}
+_SOLVE = {"family", "q", "domain", "function", "solver", "tol", "output"}
 COMMAND_OPTIONS = {
     "approximate": _SOLVE | {"N"},
     "convergence": _SOLVE | {"N-sweep"},
@@ -327,11 +326,11 @@ def _strip_time(path):
 
 
 def test_bit_identical_given_seed(tmp_path):
-    """Two runs of one seeded request write the same record but for the
-    time and the flags of what the first left cached: the second reuses
-    the geometry and step 1's reveal, whether or not the first did."""
+    """Two runs of one request write the same record but for the time and
+    the flags of what the first left cached: the second reuses the
+    geometry and step 1's reveal, whether or not the first did."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["approximate", *BASE, "--solver", "az", "--seed", "5"]
+    argv = ["approximate", *BASE, "--solver", "az"]
     assert run(argv + ["--output", str(a)]) == 0
     assert run(argv + ["--output", str(b)]) == 0
     ja, jb = _strip_time(a), _strip_time(b)
@@ -342,21 +341,16 @@ def test_bit_identical_given_seed(tmp_path):
     assert ja == jb
 
 
-def test_seed_from_option_only(tmp_path, monkeypatch):
-    """The seed is --seed, 0 without it; the environment plays no part,
-    and the seed draws nothing: every run returns the same residual."""
-    a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+def test_seed_from_option_only(tmp_path, monkeypatch, capsys):
+    """No command takes --seed, as nothing draws a random number; the
+    environment plays no part either: a record's seed is 0."""
+    out = tmp_path / "a.json"
+    assert run(["approximate", *BASE, "--solver", "az", "--seed", "3"]) == 2
+    capsys.readouterr()
     monkeypatch.setenv("WAVEXT_SEED", "17")
-    run(["approximate", *BASE, "--solver", "az", "--output", str(a)])
-    monkeypatch.delenv("WAVEXT_SEED")
-    run(["approximate", *BASE, "--solver", "az", "--seed", "0",
-         "--output", str(b)])
-    run(["approximate", *BASE, "--solver", "az", "--seed", "3",
-         "--output", str(c)])
-    assert json.loads(a.read_text())["config"]["seed"] == 0
-    assert _strip_time(a)["residual"] == _strip_time(b)["residual"]
-    assert json.loads(c.read_text())["config"]["seed"] == 3
-    assert _strip_time(c)["residual"] == _strip_time(b)["residual"]
+    assert run(["approximate", *BASE, "--solver", "az",
+                "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ A keyword default of a def in ``src/wavext`` must be passed, by keyword or
 by position, by some call under ``src``, ``tests``, ``scripts`` or
 ``perfbench``.  Calls are matched by the name they spell, and a call that
 unpacks ``*`` or ``**`` counts as passing everything.
+
+No ``src/wavext`` module reads ``np.random`` or ``numpy.random``, or imports
+``numpy.random``, but ``dwt.operator_norms``, whose fixed start vector
+serves the ``dwt-norms`` command: every solve is deterministic.
 """
 
 import ast
@@ -209,6 +213,53 @@ def test_default_checker_flags_unpassed():
         "g(*args)\nh(**kw)\n")))
     assert sorted(unpassed_defaults(lib, records)) == [
         ("C", "y", 4), ("f", "c", 1), ("f", "d", 1), ("m", "z", 6)]
+
+
+def random_reads(tree):
+    """(enclosing top-level def or class, or None, line number) of every
+    read of ``np.random`` or ``numpy.random`` and every import of
+    ``numpy.random`` in a module."""
+    for top in tree.body:
+        owner = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 else None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                hit = (node.attr == "random"
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in ("np", "numpy"))
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.startswith("numpy.random")
+                          for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy"
+                    and any(a.name == "random" for a in node.names))
+            else:
+                continue
+            if hit:
+                yield owner, node.lineno
+
+
+# The one library use of a random generator: a fixed power-iteration start.
+RANDOM_ALLOWED = {("dwt.py", "operator_norms")}
+
+
+def test_library_draws_no_random_numbers():
+    found = [(p.name, owner, line) for p in LIBRARY
+             for owner, line in random_reads(ast.parse(p.read_text()))
+             if (p.name, owner) not in RANDOM_ALLOWED]
+    assert found == []
+
+
+def test_random_checker_flags_generators():
+    tree = ast.parse("import numpy as np\nimport numpy.random\n"
+                     "from numpy import random\n"
+                     "from numpy.random import default_rng\n"
+                     "def f(seed):\n    return np.random.Philox(seed)\n"
+                     "class C:\n    g = numpy.random.default_rng(0)\n"
+                     "def h(x):\n    return x.random + np.linalg.norm(x)\n")
+    assert sorted(random_reads(tree), key=lambda r: r[1]) == [
+        (None, 2), (None, 3), (None, 4), ("f", 6), ("C", 8)]
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

