@@ -335,9 +335,11 @@ def cmd_convergence(args):
 
 
 # Stage times that `timing` reports beside the wall time: problem assembly,
-# the grid and samples, step 1 and steps 2-3 (``AZSolution.stage_times``;
-# NaN for a pipeline without the stage, such as qr).
-TIMING_STAGES = ("geometry", "samples", "step1", "step23")
+# the grid and samples, step 1, the part of step 1 that forms the scaling
+# block and its factor (and az's rows of W^-1), and steps 2-3
+# (``AZSolution.stage_times``; NaN for a pipeline without the stage, such
+# as qr).
+TIMING_STAGES = ("geometry", "samples", "step1", "assembly", "step23")
 
 
 def cmd_timing(args):

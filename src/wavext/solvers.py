@@ -71,14 +71,23 @@ def _svd_solve(B, b, tol, floor):
     return Vt.T @ ((U.T @ b) / s), s.size
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
+def _lapack_blocking():
+    """(nb, size): the DGEQRF block size nb of LAPACK's ``dgeqp3``
+    workspace query, which asks for 2 n + (n + 1) nb on every nonempty
+    (m, n), and the size ``dormqr`` asks for to apply reflectors to one
+    column, whatever their shape; both by one query on a 1 x 1 block."""
+    a = np.zeros((1, 1), order="F")
+    return ((int(lapack.dgeqp3(a, lwork=-1)[3][0]) - 2) // 2,
+            int(lapack.dormqr("L", "T", a, np.zeros(1), a, lwork=-1)[1][0]))
+
+
 def _qr_lwork(m, n):
-    """Optimal LAPACK workspace of ``dgeqp3`` on an (m, n) block, and of
-    ``dormqr`` applying its n reflectors to one column, by one workspace
-    query each."""
-    a, tau = np.empty((m, n), order="F"), np.zeros(n)
-    return (int(lapack.dgeqp3(a, lwork=-1)[3][0]),
-            int(lapack.dormqr("L", "T", a, tau, a[:, :1], lwork=-1)[1][0]))
+    """Optimal LAPACK workspace of ``dgeqp3`` on a nonempty (m, n) block
+    and of ``dormqr`` applying its reflectors to one column, as their
+    workspace queries give them, without an (m, n) array to query on."""
+    nb, ormqr = _lapack_blocking()
+    return 2 * n + (n + 1) * nb, ormqr
 
 
 def randomized_lowrank_solve(B, b, tol, scale):
@@ -280,28 +289,59 @@ class SparseSVDFactor(FrontalFactor):
 
 
 def _banded_order(A):
-    """(rows, cols, first, last) of the core of A: its nonzero columns as
-    they fall in the reverse Cuthill-McKee order of the bipartite graph of
-    A's pattern, O(nnz) (not A^T A's), its nonzero rows sorted by their
-    first column in that order, and each row's first and last column.  A
-    stored zero is no entry, a duplicate pair that cancels is one."""
-    keep = A.data != 0
-    ri = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[keep]
-    rows, ri = np.unique(ri, return_inverse=True)
-    cols, ci = np.unique(A.indices[keep], return_inverse=True)
-    if not ri.size:
-        return rows, cols, ri, ci
-    m = rows.size
-    # from index pairs, so summed and sorted: the order is the pattern's
-    graph = scipy.sparse.csr_matrix((np.ones(2 * ri.size),
-                                     (np.r_[ri, ci + m], np.r_[ci + m, ri])))
+    """(rows, cols, first, last, core) of the core of a CSR A: its nonzero
+    columns as they fall in the reverse Cuthill-McKee order of the
+    bipartite graph of A's pattern, its nonzero rows sorted by their first
+    column in that order, each row's first and last column, and the core
+    in that order as CSR arrays (indptr, indices, data), its indices the
+    columns' places in the order.  A stored zero is no entry; a duplicate
+    pair is one, its values summed in stored order from 0.0 as
+    ``toarray`` sums them, so it stays one even where they cancel.
+
+    Every pass is O(nnz + m + n): a CSR -> CSC -> CSR round trip (two
+    counting sorts) sorts each row's and each column's indices, with the
+    duplicates of a pair side by side in stored order; the CSC is the
+    column half of the graph, the CSR its row half."""
+    (m, n), idx = A.shape, A.indices.dtype
+    data, indices, indptr = A.data, A.indices, A.indptr
+    keep = data != 0
+    if not keep.all():
+        data, indices = data[keep], indices[keep]
+        indptr = np.r_[0, np.cumsum(keep)][indptr]
+    # empty rows and columns go by their pointers alone, so the counting
+    # sorts number the core's rows and columns 0, 1, ...
+    rows = np.flatnonzero(np.diff(indptr))
+    if not rows.size:
+        empty = np.zeros(0, idx)
+        return rows, empty, empty, empty, (np.zeros(1, idx), empty,
+                                           np.zeros(0))
+    C = scipy.sparse.csr_matrix((data, indices, indptr[np.r_[rows, m]]),
+                                shape=(rows.size, n)).tocsc()
+    cols = np.flatnonzero(np.diff(C.indptr))
+    C = scipy.sparse.csc_matrix((C.data, C.indices, C.indptr[np.r_[cols, n]]),
+                                shape=(rows.size, cols.size))
+    R = C.tocsr()
+    if not R.has_canonical_format:      # summed in stored order, zeros kept
+        R.sum_duplicates()
+        C = R.tocsc()
+    mc, nnz = rows.size, R.nnz
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(2 * nnz, bool), np.concatenate([R.indices + mc, C.indices]),
+         np.concatenate([R.indptr[:-1], C.indptr + nnz])),
+        shape=(mc + cols.size,) * 2)
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, True)
-    perm = perm[perm >= m] - m
-    P = graph[:m][:, m + perm].tocsr()
-    first = np.minimum.reduceat(P.indices, P.indptr[:-1])
-    last = np.maximum.reduceat(P.indices, P.indptr[:-1])
+    perm = perm[perm >= mc] - mc
+    place = np.empty_like(perm)
+    place[perm] = np.arange(perm.size, dtype=perm.dtype)
+    pos = place[R.indices]
+    first = np.minimum.reduceat(pos, R.indptr[:-1])
+    last = np.maximum.reduceat(pos, R.indptr[:-1])
     order = np.argsort(first, kind="stable")
-    return rows[order], cols[perm], first[order], last[order]
+    starts, sizes = R.indptr[order], np.diff(R.indptr)[order]
+    ptr = np.r_[0, np.cumsum(sizes, dtype=idx)]
+    take = np.repeat(starts - ptr[:-1], sizes) + np.arange(nnz, dtype=idx)
+    return (rows[order], cols[perm].astype(idx), first[order], last[order],
+            (ptr, pos[take], R.data[take]))
 
 
 def _frontal_qr(A):
@@ -310,45 +350,53 @@ def _frontal_qr(A):
 
     1. Order.  The zero rows and columns are stripped; the columns go in
        ``_banded_order``'s reverse Cuthill-McKee order, which makes a
-       boundary block banded, and the rows are sorted by their first column.
+       boundary block banded, and the rows are sorted by their first
+       column.  The order and the core in it take O(nnz) numpy passes.
     2. Compress.  A frontal QR (George & Heath 1980; Davis, SuiteSparseQR,
        ACM TOMS 2011) walks the columns BLOCK_SIZE at a time.  Each step
-       folds the rows whose first column lies in the step into a dense
-       upper triangular front by one unpivoted Householder QR (LAPACK
-       ``tpqrt``), moves the front's top BLOCK_SIZE rows into R_B, and keeps
-       the rest as the next front, so it never has more rows than columns.
-       No rank decision is made here: R_B has the singular values of A.
+       scatters the rows whose first column lies in the step from the
+       ordered core into a dense panel, folds it into a dense upper
+       triangular front by one unpivoted Householder QR (LAPACK
+       ``tpqrt``), moves the front's top BLOCK_SIZE rows into R_B, and
+       keeps the rest as the next front, so it never has more rows than
+       columns.  No rank decision is made here: R_B has the singular
+       values of A.
 
     The work is O(#rows w^2) for a front width w."""
     if not scipy.sparse.issparse(A):
         raise SolverError("a frontal factor expects a sparse matrix")
     A = A.tocsr()
-    rows, cols, first, last = _banded_order(A)
+    rows, cols, first, last, (ptr, pos, val) = _banded_order(A)
     n = cols.size
     if n * n > CORE_ELEMENT_GUARD:
         raise SolverError("triangular factor too large for a dense "
                           "factorization")
-    core = A[rows][:, cols]
+    row_of = np.repeat(np.arange(rows.size, dtype=ptr.dtype), np.diff(ptr))
+    # per step: its columns [j0, j1), the rows [r0, r1) that start in them
+    # and the front's end hi, past the last column of every row so far
+    j0s = np.arange(0, n, BLOCK_SIZE)
+    j1s = np.minimum(j0s + BLOCK_SIZE, n)
+    r1s = np.searchsorted(first, j1s)
+    his = np.maximum(j1s, np.r_[0, np.maximum.accumulate(last + 1)][r1s])
     R_B = np.zeros((n, n))
     front = np.zeros((0, 0))
-    steps, r0, hi, width = [], 0, 0, 0
-    for j0 in range(0, n, BLOCK_SIZE):
-        j1 = min(j0 + BLOCK_SIZE, n)
-        r1 = int(np.searchsorted(first, j1))
-        hi = max(hi, j1, int(last[r0:r1].max(initial=-1)) + 1)
+    steps, r0 = [], 0
+    for j0, j1, r1, hi in zip(*(a.tolist() for a in (j0s, j1s, r1s, his))):
         w = hi - j0
-        width = max(width, w)
-        T = np.zeros((w, w))
+        T = np.zeros((w, w), order="F")
         T[:front.shape[0], :front.shape[0]] = front
         V = Tf = np.zeros((0, w))
         if r1 > r0:
-            T, V, Tf, _ = lapack.dtpqrt(
-                0, min(BLOCK_SIZE, w), T, core[r0:r1, j0:hi].toarray(),
-                overwrite_a=1, overwrite_b=1)
+            e = slice(ptr[r0], ptr[r1])
+            panel = np.zeros((r1 - r0, w), order="F")
+            panel[row_of[e] - r0, pos[e] - j0] = val[e]
+            T, V, Tf, _ = lapack.dtpqrt(0, min(BLOCK_SIZE, w), T, panel,
+                                        overwrite_a=1, overwrite_b=1)
         R_B[j0:j1, j0:hi] = T[:j1 - j0]
         front = T[j1 - j0:, j1 - j0:]
         steps.append((r0, r1, V, Tf))
         r0 = r1
+    width = int((his - j0s).max(initial=0))
     return FrontalFactor(A=A, rows=rows, cols=cols, steps=tuple(steps),
                          front_width=width, R_B=R_B)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.linalg import lapack
 
@@ -23,8 +24,8 @@ from wavext.dwt import (TransformError, dwt, idwt, idwt_column_filters,
                         sparse_idwt_rows)
 from wavext.filters import filter_bank
 from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, DENSE_GUARD,
-                            NOISE_REL, SolverError, _finalize, _frontal_qr,
-                            _qr_rank, _svd_solve)
+                            NOISE_REL, FrontalFactor, SolverError, _finalize,
+                            _frontal_qr, _qr_rank, _svd_solve)
 from wavext.system import assemble_scaling, frame_operator_A
 
 ALL_FAMILIES = ["db1", "db2", "db3", "db4", "cdf22", "cdf31", "cdf33",
@@ -578,6 +579,77 @@ def sparse_qr_reference(A, b, tol=DEFAULT_TOL, scale=None):
         x[cols[piv[:r]]] = scipy.linalg.solve_triangular(
             R[:r, :r], Qf[:, :r].T @ b[rows])
     return x, r
+
+
+def _reference_banded_order(A):
+    """(rows, cols, first, last) of the core of A by scipy's own routes:
+    the bipartite graph of A's pattern as a COO matrix that scipy sums and
+    sorts, and ``np.unique`` for the nonzero rows and columns."""
+    keep = A.data != 0
+    ri = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[keep]
+    rows, ri = np.unique(ri, return_inverse=True)
+    cols, ci = np.unique(A.indices[keep], return_inverse=True)
+    if not ri.size:
+        return rows, cols, ri, ci
+    m = rows.size
+    graph = scipy.sparse.csr_matrix((np.ones(2 * ri.size),
+                                     (np.r_[ri, ci + m], np.r_[ci + m, ri])))
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, True)
+    perm = perm[perm >= m] - m
+    P = graph[:m][:, m + perm].tocsr()
+    first = np.minimum.reduceat(P.indices, P.indptr[:-1])
+    last = np.maximum.reduceat(P.indices, P.indptr[:-1])
+    order = np.argsort(first, kind="stable")
+    return rows[order], cols[perm], first[order], last[order]
+
+
+def reference_frontal_qr(A):
+    """The frontal factor of a sparse A by scipy's fancy indexing: the
+    core ``A[rows][:, cols]`` in ``_reference_banded_order``'s order and
+    one slice plus ``toarray()`` per step for the panel.  The oracle of
+    ``wavext.solvers._frontal_qr``, which must give the same bits."""
+    A = A.tocsr()
+    rows, cols, first, last = _reference_banded_order(A)
+    n = cols.size
+    core = A[rows][:, cols]
+    R_B = np.zeros((n, n))
+    front = np.zeros((0, 0))
+    steps, r0, hi, width = [], 0, 0, 0
+    for j0 in range(0, n, BLOCK_SIZE):
+        j1 = min(j0 + BLOCK_SIZE, n)
+        r1 = int(np.searchsorted(first, j1))
+        hi = max(hi, j1, int(last[r0:r1].max(initial=-1)) + 1)
+        w = hi - j0
+        width = max(width, w)
+        T = np.zeros((w, w))
+        T[:front.shape[0], :front.shape[0]] = front
+        V = Tf = np.zeros((0, w))
+        if r1 > r0:
+            T, V, Tf, _ = lapack.dtpqrt(
+                0, min(BLOCK_SIZE, w), T, core[r0:r1, j0:hi].toarray(),
+                overwrite_a=1, overwrite_b=1)
+        R_B[j0:j1, j0:hi] = T[:j1 - j0]
+        front = T[j1 - j0:, j1 - j0:]
+        steps.append((r0, r1, V, Tf))
+        r0 = r1
+    return FrontalFactor(A=A, rows=rows, cols=cols, steps=tuple(steps),
+                         front_width=width, R_B=R_B)
+
+
+def assert_same_frontal(factor, ref):
+    """Two frontal factors hold the same bits: rows, cols (and their index
+    types), front width, each step's (r0, r1, V, T) and R_B."""
+    for name in ("rows", "cols"):
+        got, want = getattr(factor, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert factor.front_width == ref.front_width
+    assert len(factor.steps) == len(ref.steps)
+    for k, ((r0, r1, V, T), (s0, s1, W, U)) in enumerate(
+            zip(factor.steps, ref.steps)):
+        assert (r0, r1) == (s0, s1), k
+        assert V.shape == W.shape and T.shape == U.shape, k
+        assert np.array_equal(V, W) and np.array_equal(T, U), k
+    assert np.array_equal(factor.R_B, ref.R_B)
 
 
 def sparse_qr_factor(A, scale=None):

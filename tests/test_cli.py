@@ -1,12 +1,13 @@
 import argparse
 import ast
 import csv
+import gc
 import json
 
 import numpy as np
 import pytest
 
-from wavext import cli
+from wavext import az, cli
 
 from support import reference_expression
 
@@ -465,10 +466,10 @@ def test_timing_reports_stage_medians(tmp_path, solver):
                 "--repetitions", "3", "--output", str(out)]) == 0
     header, *rows = _read_csv(out)
     assert header == ["N", "median_seconds", "geometry", "samples", "step1",
-                      "step23"]
+                      "assembly", "step23"]
     rows = [[float(v) for v in r] for r in rows if r[0] != "slope"]
     assert [r[0] for r in rows] == [64, 128]
-    for n, wall, geometry, samples, step1, step23 in rows:
+    for n, wall, geometry, samples, step1, _, step23 in rows:
         assert 0 < geometry < wall and 0 < samples < wall, (n, solver)
         if solver == "qr":
             assert np.isnan(step1) and np.isnan(step23), n
@@ -534,3 +535,27 @@ def test_dwt_norms_json(capsys):
     assert run(["dwt-norms", "--family", "db2", "--J", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["W"] - 1.0) < 1e-8      # orthogonal transform
+
+
+@pytest.mark.parametrize("domain, n, function", [
+    ("interval:0.2,0.75", 256, "exp1d"), ("disk:0.5,0.5,0.35", 16, "exp2d")],
+    ids=["1d", "2d"])
+def test_solves_leave_no_cyclic_garbage(domain, n, function):
+    """A cold and a warm solve of every pipeline leave nothing for the
+    cycle collector: all they make is freed by reference counts, so no
+    collection's pause falls into a later request."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for solver in [*sorted(cli.SOLVERS), "adaptive"]:
+            cfg = cli.RunConfig(command="approximate", family="cdf33",
+                                N=(n,), domain=domain, function=function,
+                                solver=solver).validate()
+            az.clear_caches()
+            for run_kind in ("cold", "warm"):
+                cli.run_one(cfg)
+                assert gc.collect() == 0, (solver, run_kind)
+    finally:
+        if enabled:
+            gc.enable()

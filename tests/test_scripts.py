@@ -37,14 +37,16 @@ def test_smoothing_demo():
     ids=["disk-2d", "interval-1d"])
 def test_request_digest(workload, requests, first):
     """One line per request of a pass of the workload, the same on a second
-    run."""
+    run, with the geometry's front width and R_B digest."""
     runs = [run_script("request_digest.py", "--workload", workload,
                        "--passes", "1") for _ in range(2)]
     for out in runs:
         assert out.returncode == 0, out.stderr
     lines = runs[0].stdout.splitlines()
     assert len(lines) == requests and lines == runs[1].stdout.splitlines()
-    rid, pipeline, family, n, rank, residual, norm, digest = lines[0].split()
+    (rid, pipeline, family, n, rank, residual, norm, digest, width,
+     factor) = lines[0].split()
     assert (rid, pipeline, family, n) == first
     assert int(rank) > 0 and len(digest) == 64
+    assert int(width) > 0 and len(factor) == 64
     assert float(residual) > 0 and float(norm) > 0 and "e" in residual

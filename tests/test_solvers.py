@@ -4,12 +4,17 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
+from wavext import az
+from wavext.domain import ball, disk
+from wavext.filters import filter_bank
 from wavext.solvers import (BLOCK_SIZE, DEFAULT_TOL, NOISE_REL, SolverError,
-                            _frontal_qr, pivoted_qr_solve,
+                            _frontal_qr, _qr_lwork, pivoted_qr_solve,
                             randomized_lowrank_solve, sparse_qr_solve)
 
-from support import (check_sparse_factor, estimate_rank,
+from support import (assert_same_frontal, banks, check_sparse_factor,
+                     estimate_rank, reference_frontal_qr,
                      sketched_lowrank_solve, sparse_qr_factor,
                      sparse_qr_reference, truncated_svd_solve)
 
@@ -118,19 +123,25 @@ def _sparse_case(kind):
     return S.tocsr()
 
 
+def _stored_zero_case():
+    """``_sparse_case("full")`` with a row and a column that hold stored
+    zeros only, and a last row holding a pair at one column that cancels."""
+    S = _sparse_case("full")
+    assert S.indptr[4] > S.indptr[3] and 9 in S.indices
+    S.data[S.indptr[3]:S.indptr[4]] = 0.0        # row 3: stored zeros only
+    S.data[S.indices == 9] = 0.0                 # column 9 likewise
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([S.data, [1.0, -1.0]]),
+         np.concatenate([S.indices, [5, 5]]),
+         np.concatenate([S.indptr, [S.nnz + 2]])), shape=(91, 70))
+
+
 def test_sparse_factor_core_ignores_stored_zeros():
     """The core's rows and columns, in the order the factor eliminates
     them, are those of A.nonzero(): a row and a column that hold stored
     zeros only are stripped, a duplicate pair that cancels still counts, as
     in A.nonzero()."""
-    S = _sparse_case("full")
-    assert S.indptr[4] > S.indptr[3] and 9 in S.indices
-    S.data[S.indptr[3]:S.indptr[4]] = 0.0        # row 3: stored zeros only
-    S.data[S.indices == 9] = 0.0                 # column 9 likewise
-    A = scipy.sparse.csr_matrix(
-        (np.concatenate([S.data, [1.0, -1.0]]),
-         np.concatenate([S.indices, [5, 5]]),
-         np.concatenate([S.indptr, [S.nnz + 2]])), shape=(91, 70))
+    A = _stored_zero_case()
     factor = sparse_qr_factor(A)
     assert np.array_equal(np.sort(factor.rows), np.unique(A.nonzero()[0]))
     assert np.array_equal(np.sort(factor.cols), np.unique(A.nonzero()[1]))
@@ -262,6 +273,89 @@ def test_sparse_svd_factor_is_the_truncated_svd(case):
     bound = 100 * np.finfo(float).eps * kappa * np.linalg.norm(ref.solution)
     assert np.linalg.norm(rep.solution - ref.solution) <= bound
     assert rep.diagnostics["front_width"] == factor.front_width
+
+
+def _unsorted_duplicate_case():
+    """``_banded(60, 50, 5, 8)`` with each row's columns stored shuffled and
+    one more entry 0.25 at a column row 4 holds already: a duplicate pair
+    that does not cancel."""
+    S = _banded(60, 50, 5, 8)
+    row = np.repeat(np.arange(60), np.diff(S.indptr))
+    shuffled = np.lexsort((np.random.default_rng(2).random(S.nnz), row))
+    at, col = S.indptr[5], S.indices[shuffled][S.indptr[4]]
+    return scipy.sparse.csr_matrix(
+        (np.insert(S.data[shuffled], at, 0.25),
+         np.insert(S.indices[shuffled], at, col),
+         S.indptr + (np.arange(61) >= 5)), shape=S.shape)
+
+
+ORACLE_CASES = {**{case: make for case, (make, _) in FACTOR_CASES.items()},
+                "banded": lambda: _banded(300, 200, 6, 3),
+                "stored_zeros": _stored_zero_case,
+                "unsorted_duplicate": _unsorted_duplicate_case}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_frontal_qr_is_the_scipy_route(case):
+    """The O(nnz) order and the panels scattered from the ordered core
+    give the factor of scipy's route (``reference_frontal_qr``: the graph
+    summed and sorted as COO, ``A[rows][:, cols]`` and one ``toarray``
+    per step) in every bit, and leave A as it was."""
+    A = ORACLE_CASES[case]()
+    if case == "unsorted_duplicate":
+        assert not A.has_sorted_indices and not A.has_canonical_format
+    arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    assert_same_frontal(_frontal_qr(A), reference_frontal_qr(A.copy()))
+    for a, b in zip((A.data, A.indices, A.indptr), arrays):
+        assert np.array_equal(a, b)
+
+
+def _exp(p):
+    return np.exp(p.prod(axis=1))
+
+
+@pytest.mark.parametrize("mask, n", [(disk(0.5, 0.5, 0.35), 16),
+                                     (disk(0.5, 0.5, 0.34), 32),
+                                     (ball(0.5, 0.5, 0.5, 0.4), 8)],
+                         ids=["disk16", "disk32", "ball8"])
+def test_frontal_qr_is_the_scipy_route_on_scaling_blocks(mask, n, banks):
+    """The 2-D and 3-D scaling blocks of every family: the factor the
+    geometry keeps has the bits of ``reference_frontal_qr``."""
+    for name, bank in banks.items():
+        g = az.make_problem(_exp, mask, bank, n, 2).geometry
+        B = az._scaling_block(g)
+        assert scipy.sparse.issparse(B), name
+        assert_same_frontal(g.factor, reference_frontal_qr(B))
+
+
+def _queried_lwork(m, n):
+    """The sizes LAPACK's workspace queries ask for, the route ``_qr_lwork``
+    replaces: ``dgeqp3`` on an (m, n) array and, where n <= m (the only
+    shapes it is called on), ``dormqr`` applying its reflectors to one
+    column."""
+    a, tau = np.empty((m, n), order="F"), np.zeros(n)
+    sizes = (int(lapack.dgeqp3(a, lwork=-1)[3][0]),)
+    if n <= m:
+        sizes += (int(lapack.dormqr("L", "T", a, tau, a[:, :1],
+                                    lwork=-1)[1][0]),)
+    return sizes
+
+
+def test_qr_workspace_sizes_are_the_queried_ones():
+    """``_qr_lwork`` gives the sizes of LAPACK's workspace queries, so the
+    reveals block as before: over 1 x n rows, a sweep of shapes and the
+    R_B and H of the benchmark's three sparse disk requests."""
+    shapes = [(1, n) for n in (1, 2, 15, 16, 17, 100, 528)]
+    shapes += [(m, n) for m in (2, 15, 16, 17, 33, 100, 352, 1481)
+               for n in (1, 2, 16, 17, 64, 100, 352)]
+    for name, n in (("cdf33", 32), ("cdf33", 64), ("db4", 32)):
+        problem = az.make_problem(_exp, disk(0.5, 0.5, 0.34),
+                                  filter_bank(name), n, 2)
+        factor, _ = problem.geometry.reveal("qr", DEFAULT_TOL)
+        shapes += [factor.R_B.shape, factor.H.shape]
+    for m, n in shapes:
+        queried = _queried_lwork(m, n)
+        assert _qr_lwork(m, n)[:len(queried)] == queried, (m, n)
 
 
 def test_dense_guard():
